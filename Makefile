@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff test-cursor test-faults test-persist bench-smoke bench-strict bench-check bench-serve bench-chaos bench-build bench-paging bench-restart
+.PHONY: test test-fast test-diff test-cursor test-faults test-persist bench-smoke bench-strict bench-check bench-serve bench-chaos bench-build bench-paging bench-restart bench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -75,3 +75,9 @@ bench-paging:
 # "--scale paper" runs the 2^26 paper-scale column instead.
 bench-restart:
 	$(PYTHON) benchmarks/perf_smoke.py --restart-only --scale tiny
+
+# Benchmark self-test: every rxbench workload at 2^12 keys (~10 s), with
+# the benchmark's correctness gates (NumPy-checked answers, a cold-loaded
+# index answering bit-identically to the live one) — also part of CI.
+bench-selftest:
+	$(PYTHON) rxbench/run.py --self-test

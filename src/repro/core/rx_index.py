@@ -294,7 +294,10 @@ class RXIndex(GpuIndex):
         if mode != "auto":
             return mode
         if self._keys_unique is None:
-            self._keys_unique = bool(np.unique(self.keys).size == self.num_keys)
+            # Sort + adjacent compare: NumPy >= 2.3 runs ``np.unique`` through
+            # a hash table, ~60x slower than sorting on 2^20 shuffled keys.
+            ordered = np.sort(self.keys)
+            self._keys_unique = not bool(np.any(ordered[1:] == ordered[:-1]))
         return "any_hit" if self._keys_unique else "all"
 
     def resolved_point_trace_mode(self) -> str:

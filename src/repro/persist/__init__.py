@@ -9,14 +9,14 @@ reads and the recovery error taxonomy underneath them.
 
 Modules
 -------
-``checksum``   vectorised CRC32C (slicing-by-64 + GF(2) tree combine)
+``checksum``   vectorised CRC32C (per-lane slicing-by-64 + table combine)
 ``segments``   immutable segment files, atomic publish, verified reads
 ``manifest``   the versioned manifest — the single commit/visibility point
 ``store``      save/load orchestration, incremental reuse, orphan GC
 ``errors``     ``SnapshotError`` / ``SnapshotTorn`` / ``SnapshotCorrupt``
 """
 
-from repro.persist.checksum import Crc32c, crc32c, crc32c_of_parts, crc32c_reference
+from repro.persist.checksum import Crc32c, crc32c, crc32c_combine, crc32c_reference
 from repro.persist.errors import SnapshotCorrupt, SnapshotError, SnapshotTorn
 from repro.persist.manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from repro.persist.segments import read_segment, write_segment
@@ -31,7 +31,7 @@ from repro.persist.store import (
 __all__ = [
     "Crc32c",
     "crc32c",
-    "crc32c_of_parts",
+    "crc32c_combine",
     "crc32c_reference",
     "SnapshotCorrupt",
     "SnapshotError",

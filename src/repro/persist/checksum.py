@@ -1,27 +1,35 @@
 """Vectorised CRC32C (Castagnoli) — no third-party dependencies.
 
 Every persisted segment file is checksummed end to end, so the checksum
-sits on the cold-restart critical path: a pure-Python per-byte loop is far
-too slow for multi-megabyte array segments, and the container may not ship
-a native ``crc32c`` wheel.  This module vectorises the computation with
-NumPy instead:
+sits on the checkpoint and cold-restart critical paths: a pure-Python
+per-byte loop is far too slow for multi-megabyte array segments, and the
+container may not ship a native ``crc32c`` wheel.  This module vectorises
+the computation with NumPy instead, over ~1 MiB chunks (a chunk's
+temporaries stay cache-resident):
 
-* **slicing-by-64** — the input is viewed as 64-byte blocks; one table
-  lookup per byte (a ``(64, 256)`` table stack) plus an XOR reduction
-  yields every block's *raw* CRC contribution in parallel;
-* **GF(2) tree combine** — the raw CRC remainder (init 0, no final xor)
-  is linear over GF(2), and advancing a state across ``L`` zero bytes is
-  a 32x32 bit-matrix multiply.  Per-block raws are folded pairwise in a
-  log-depth tree using cached zero-byte-advance matrices built once by
-  matrix squaring.
+* **per-lane slicing-by-64** — a chunk is viewed as 64-byte blocks, one
+  row per block.  Lane ``i`` (byte ``i`` of every block) goes through one
+  ``take`` from its own 256-entry table, and XOR-accumulating the 64 lane
+  gathers yields every block's *raw* CRC contribution in parallel.  A
+  chunk whose length is not a multiple of 64 contributes its leading
+  bytes as one zero-padded block in front.
+* **table combine** — the raw CRC remainder (init 0, no final xor) is
+  linear over GF(2), and advancing a state across ``2**k`` zero bytes is a
+  32x32 bit-matrix multiply.  Each such matrix is precomputed at import as
+  4 byte tables (``T[j][b]`` = the matrix applied to ``b << 8j``), so one
+  advance is 4 gathers and 3 XORs.  Per-block raws are folded pairwise in
+  a log-depth tree, one table level per tree level; an odd count gets a
+  zero block in front, which is the identity.
 
 ``_TABLE[0] == 0`` makes leading zero bytes the identity under a zero
-state, so blocks can be front-padded to a power-of-two count freely.  The
-standard CRC32C conditioning (init ``0xFFFFFFFF``, final xor) is applied
-once at digest time through one extra matrix advance over the total
-length.  The check value ``crc32c(b"123456789") == 0xE3069283`` and the
-canonical per-byte loop (``crc32c_reference``) pin the implementation in
-``tests/test_persist_roundtrip.py``.
+state, which is what lets a short first block be zero-padded and a tree
+level be front-padded.  The standard CRC32C conditioning (init
+``0xFFFFFFFF``, final xor) is applied once at digest time through one
+extra advance over the total length.  The same linearity gives
+:func:`crc32c_combine`, which joins the CRCs of two buffers without
+touching their bytes.  The check value ``crc32c(b"123456789") ==
+0xE3069283`` and the canonical per-byte loop (``crc32c_reference``) pin
+the implementation in ``tests/test_persist_roundtrip.py``.
 """
 
 from __future__ import annotations
@@ -31,11 +39,16 @@ import numpy as np
 #: Reflected Castagnoli polynomial (the iSCSI/ext4 CRC32C).
 _POLY = 0x82F63B78
 
-#: Bytes per independent block of the slicing pass.
+#: Bytes per block of the slicing pass (one lane per byte).
 _SLICE_WIDTH = 64
 
-#: Chunk size of the streaming fold (bounds the temporary gather arrays).
-_CHUNK_BYTES = 1 << 22
+#: Chunk size of the streaming fold.  1 MiB measured fastest on a 2-vCPU
+#: x86 host: 2 MiB chunks ran ~1.8x slower (the lane gathers fall out of
+#: cache), 256 KiB chunks ~1.3x slower (per-chunk overhead).
+_CHUNK_BYTES = 1 << 20
+
+#: Zero-byte advances are tabled for every power of two below ``2**64``.
+_SHIFT_LEVELS = 64
 
 
 def _make_byte_table() -> np.ndarray:
@@ -63,35 +76,15 @@ def _make_slice_tables() -> np.ndarray:
 
 
 _SLICE_TABLES = _make_slice_tables()
-_SLICE_IDX = np.arange(_SLICE_WIDTH, dtype=np.intp)[None, :]
+_LANES = np.arange(_SLICE_WIDTH, dtype=np.intp)
 
 
 # --------------------------------------------------------------------- #
-# GF(2) zero-byte-advance matrices
+# zero-byte advances as byte tables
 # --------------------------------------------------------------------- #
-
-def _matrix_times_vec(mat: np.ndarray, vec: int) -> int:
-    """Apply a 32x32 GF(2) matrix (32 uint32 columns) to one state."""
-    res = 0
-    j = 0
-    while vec:
-        if vec & 1:
-            res ^= int(mat[j])
-        vec >>= 1
-        j += 1
-    return res
-
-
-def _matrix_times_vecs(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Apply the matrix to a whole uint32 state vector at once."""
-    res = np.zeros_like(vecs)
-    for j in range(32):
-        res ^= mat[j] * ((vecs >> np.uint32(j)) & np.uint32(1))
-    return res
-
 
 def _one_byte_matrix() -> np.ndarray:
-    """Matrix advancing a raw CRC state across one zero byte."""
+    """Matrix (32 uint32 columns) advancing a raw state across one zero byte."""
     cols = np.empty(32, dtype=np.uint32)
     for j in range(32):
         state = 1 << j
@@ -99,15 +92,36 @@ def _one_byte_matrix() -> np.ndarray:
     return cols
 
 
-#: ``_SHIFT[k]`` advances a state across ``2**k`` zero bytes.
-_SHIFT: list[np.ndarray] = [_one_byte_matrix()]
+def _byte_tables(cols: np.ndarray) -> np.ndarray:
+    """The matrix as 4 byte tables: ``tables[j][b]`` = matrix · ``(b << 8j)``."""
+    tables = np.zeros((4, 256), dtype=np.uint32)
+    per_byte = cols.reshape(4, 8)
+    for bit in range(8):
+        tables[:, 1 << bit : 2 << bit] = tables[:, : 1 << bit] ^ per_byte[:, bit : bit + 1]
+    return tables
 
 
-def _shift_matrix(k: int) -> np.ndarray:
-    while len(_SHIFT) <= k:
-        prev = _SHIFT[-1]
-        _SHIFT.append(_matrix_times_vecs(prev, prev))
-    return _SHIFT[k]
+def _apply(tables: np.ndarray, states):
+    """Advance a state (or a uint32 vector of states) through one level."""
+    return (
+        tables[0][states & 0xFF]
+        ^ tables[1][(states >> 8) & 0xFF]
+        ^ tables[2][(states >> 16) & 0xFF]
+        ^ tables[3][states >> 24]
+    )
+
+
+def _make_shift_tables() -> np.ndarray:
+    """``tables[k]`` advances a raw state across ``2**k`` zero bytes."""
+    tables = np.empty((_SHIFT_LEVELS, 4, 256), dtype=np.uint32)
+    cols = _one_byte_matrix()
+    for k in range(_SHIFT_LEVELS):
+        tables[k] = _byte_tables(cols)
+        cols = _apply(tables[k], cols)  # square: 2**k -> 2**(k+1) bytes
+    return tables
+
+
+_SHIFT_TABLES = _make_shift_tables()
 
 
 def _advance_state(state: int, nbytes: int) -> int:
@@ -115,7 +129,7 @@ def _advance_state(state: int, nbytes: int) -> int:
     k = 0
     while nbytes:
         if nbytes & 1:
-            state = _matrix_times_vec(_shift_matrix(k), state)
+            state = int(_apply(_SHIFT_TABLES[k], state))
         nbytes >>= 1
         k += 1
     return state
@@ -127,20 +141,22 @@ def _advance_state(state: int, nbytes: int) -> int:
 
 def _raw_crc_chunk(data: np.ndarray) -> int:
     """Raw (init 0, no final xor) CRC of one contiguous uint8 chunk."""
-    n = data.shape[0]
-    if n == 0:
-        return 0
-    nblocks = 1 << max(-(-n // _SLICE_WIDTH) - 1, 0).bit_length()
-    padded = np.zeros(nblocks * _SLICE_WIDTH, dtype=np.uint8)
-    padded[-n:] = data
-    blocks = padded.reshape(nblocks, _SLICE_WIDTH)
-    per_block = np.bitwise_xor.reduce(_SLICE_TABLES[_SLICE_IDX, blocks], axis=1)
+    head = data.shape[0] % _SLICE_WIDTH
+    body = data[head:].reshape(-1, _SLICE_WIDTH)
+    per_block = np.zeros(body.shape[0] + 1, dtype=np.uint32)
+    # The head's bytes occupy the last lanes of a zero-padded first block.
+    per_block[0] = np.bitwise_xor.reduce(
+        _SLICE_TABLES[_LANES[_SLICE_WIDTH - head :], data[:head]]
+    )
+    if body.shape[0]:
+        blocks = per_block[1:]
+        for lane, table in enumerate(_SLICE_TABLES):
+            blocks ^= table.take(body[:, lane])
     level = _SLICE_WIDTH.bit_length() - 1  # each block spans 2**level bytes
     while per_block.shape[0] > 1:
-        per_block = (
-            _matrix_times_vecs(_shift_matrix(level), per_block[0::2])
-            ^ per_block[1::2]
-        )
+        if per_block.shape[0] & 1:
+            per_block = np.concatenate((np.zeros(1, dtype=np.uint32), per_block))
+        per_block = _apply(_SHIFT_TABLES[level], per_block[0::2]) ^ per_block[1::2]
         level += 1
     return int(per_block[0])
 
@@ -180,12 +196,13 @@ def crc32c(data) -> int:
     return Crc32c().update(data).digest()
 
 
-def crc32c_of_parts(parts) -> int:
-    """CRC32C of the concatenation of ``parts`` without concatenating them."""
-    acc = Crc32c()
-    for part in parts:
-        acc.update(part)
-    return acc.digest()
+def crc32c_combine(crc_a: int, crc_b: int, len_b: int) -> int:
+    """CRC32C of ``A + B`` from ``crc32c(A)``, ``crc32c(B)`` and ``len(B)``.
+
+    The conditioning terms cancel, so this is ``crc_a`` advanced across
+    ``len_b`` zero bytes, xored with ``crc_b`` — no byte is read.
+    """
+    return _advance_state(int(crc_a), int(len_b)) ^ int(crc_b)
 
 
 def crc32c_reference(data: bytes) -> int:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.persist.checksum import Crc32c, crc32c
+from repro.persist.checksum import Crc32c, crc32c, crc32c_combine
 from repro.persist.errors import SnapshotCorrupt, SnapshotTorn
 
 MAGIC = b"RXSEG001"
@@ -105,9 +105,10 @@ def atomic_write(path: Path, blob, fault_injector=None) -> None:
 def payload_crc(arrays: dict[str, np.ndarray]) -> int:
     """CRC32C over the concatenated array payloads (order-sensitive).
 
-    Cheap dirty-vs-clean comparison key for incremental saves: equal
-    payload CRCs mean the segment's data did not change, so the previous
-    epoch's immutable file can be referenced instead of rewritten.
+    The second reuse digest of incremental saves: the store computes it
+    only for a segment whose payload SHA-256 already matches the committed
+    entry, and reuses the previous epoch's immutable file only when this
+    CRC matches too.
     """
     crc = Crc32c()
     for array in arrays.values():
@@ -118,22 +119,26 @@ def payload_crc(arrays: dict[str, np.ndarray]) -> int:
 def payload_sha256(arrays: dict[str, np.ndarray]) -> str:
     """SHA-256 over the concatenated array payloads (order-sensitive).
 
-    The second, independent identity digest for incremental reuse: CRC32C
-    is a corruption detector, not a content fingerprint (a changed payload
+    The content identity of incremental reuse, checked first: CRC32C is
+    a corruption detector, not a content fingerprint (a changed payload
     collides with probability 2^-32 per save), so the reuse decision
     requires *both* digests to match before referencing the previous
-    epoch's file instead of rewriting.
+    epoch's file instead of rewriting.  Hashes zero-copy byte views.
     """
     digest = hashlib.sha256()
     for array in arrays.values():
-        digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
     return digest.hexdigest()
 
 
 def assemble_segment(
     name: str, epoch: int, arrays: dict[str, np.ndarray], meta: dict | None = None
-) -> np.ndarray:
-    """Serialise one segment into a single uint8 array (the full file image)."""
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Serialise one segment into a single uint8 array (the full file image).
+
+    Returns the image and the ``[lo, hi)`` byte range each array's payload
+    occupies in it, in array order.
+    """
     table = []
     payloads = []
     offset = 0
@@ -167,10 +172,32 @@ def assemble_segment(
     blob[_PREFIX_BYTES : _PREFIX_BYTES + len(header_bytes)] = np.frombuffer(
         header_bytes, dtype=np.uint8
     )
+    spans = []
     for rel, arr in payloads:
         lo = payload_base + rel
         blob[lo : lo + arr.nbytes] = arr.reshape(-1).view(np.uint8)
-    return blob
+        spans.append((lo, lo + arr.nbytes))
+    return blob, spans
+
+
+def _segment_crcs(blob: np.ndarray, spans: list[tuple[int, int]]) -> tuple[int, int]:
+    """Whole-file and payload CRC32C of a file image, reading each byte once.
+
+    Every part — the header, each alignment gap and each array payload in
+    ``spans`` — is CRCed once; :func:`crc32c_combine` joins all parts into
+    the file's CRC and the array parts alone into the payload CRC (equal
+    to :func:`payload_crc` of the arrays).
+    """
+    file_crc = payload = end = 0
+    # An empty sentinel part covers the bytes after the last array (the
+    # whole image of a segment without arrays).
+    for lo, hi in [*spans, (blob.shape[0], blob.shape[0])]:
+        file_crc = crc32c_combine(file_crc, crc32c(blob[end:lo]), lo - end)
+        part = crc32c(blob[lo:hi])
+        file_crc = crc32c_combine(file_crc, part, hi - lo)
+        payload = crc32c_combine(payload, part, hi - lo)
+        end = hi
+    return file_crc, payload
 
 
 def write_segment(
@@ -180,23 +207,23 @@ def write_segment(
     arrays: dict[str, np.ndarray],
     meta: dict | None = None,
     fault_injector=None,
-    payload_digests: tuple[int, str] | None = None,
+    sha256: str | None = None,
 ) -> dict:
     """Assemble, checksum and atomically publish one segment.
 
     Returns the manifest entry for the segment (sans the relative path,
     which the store fills in): whole-file CRC, both payload identity
-    digests, length and the segment's own epoch tag.  ``payload_digests``
-    (``(crc32c, sha256)``) lets the store pass digests it already computed
-    for the reuse decision instead of hashing the payload twice.
+    digests, length and the segment's own epoch tag.  Both CRCs come from
+    one pass over the file image (:func:`_segment_crcs`); ``sha256`` lets
+    the store pass the payload SHA-256 it already computed for the reuse
+    decision instead of hashing the payload twice.
     """
-    blob = assemble_segment(name, epoch, arrays, meta)
-    if payload_digests is None:
-        payload_digests = (payload_crc(arrays), payload_sha256(arrays))
+    blob, spans = assemble_segment(name, epoch, arrays, meta)
+    file_crc, payload_crc32c = _segment_crcs(blob, spans)
     entry = {
-        "crc32c": crc32c(blob),
-        "payload_crc32c": int(payload_digests[0]),
-        "payload_sha256": payload_digests[1],
+        "crc32c": file_crc,
+        "payload_crc32c": payload_crc32c,
+        "payload_sha256": payload_sha256(arrays) if sha256 is None else sha256,
         "length": int(blob.shape[0]),
         "epoch": int(epoch),
     }

@@ -20,6 +20,21 @@ possibly from an older epoch directory) instead of rewritten.  After a
 DELTA_SHARD update only the dirty shards' payloads change, so exactly
 those segments (plus the key column) hit the disk.
 
+Digest plan — a save reads each payload byte once per digest:
+
+* **SHA-256 first.**  Every segment's payload SHA-256 (over zero-copy
+  byte views) is compared against the committed entry.  Only on a match
+  (and with the referenced file present) is the payload CRC32C computed;
+  reuse needs it to match too.
+* **One CRC pass per rewritten segment.**  A segment that must be
+  written is assembled into its file image, and each part of it — header,
+  alignment padding, each array payload — is CRCed exactly once.
+* **CRC combine.**  ``crc32c_combine`` joins the part CRCs into the
+  whole-file ``crc32c`` and the array parts alone into
+  ``payload_crc32c``, so neither digest re-reads a byte.
+
+A load verifies each referenced segment's whole-file CRC32C once.
+
 Crash safety: segments and the manifest are published with write-temp →
 fsync → atomic rename (with the containing directories fsynced before the
 commit so the renames are durable when the manifest is), and a snapshot
@@ -195,20 +210,21 @@ def save_snapshot(
 
     # Phase 1 — the reuse decision for every segment, before any path is
     # chosen: both payload digests must match the committed entry and the
-    # referenced file must still exist.
+    # referenced file must still exist.  SHA-256 goes first; the CRC is
+    # only computed once it could still allow reuse.
     plans: dict[str, tuple[str, object]] = {}
     for name, (arrays, _meta) in segments.items():
         prior_entry = prior_entries.get(name)
-        digests = (payload_crc(arrays), payload_sha256(arrays))
+        sha256 = payload_sha256(arrays)
         if (
             prior_entry is not None
-            and int(prior_entry["payload_crc32c"]) == digests[0]
-            and prior_entry.get("payload_sha256") == digests[1]
+            and prior_entry.get("payload_sha256") == sha256
             and (root / prior_entry["path"]).is_file()
+            and int(prior_entry["payload_crc32c"]) == payload_crc(arrays)
         ):
             plans[name] = ("reuse", dict(prior_entry))
         else:
-            plans[name] = ("rewrite", digests)
+            plans[name] = ("rewrite", sha256)
     any_rewrite = any(kind == "rewrite" for kind, _ in plans.values())
 
     epoch = int(epoch)
@@ -241,7 +257,7 @@ def save_snapshot(
             arrays=arrays,
             meta=meta,
             fault_injector=fault_injector,
-            payload_digests=plan,
+            sha256=plan,
         )
         entry["path"] = rel
         manifest_entries[name] = entry

@@ -181,6 +181,52 @@ class TestPointTraceMode:
         index.update(swap_adjacent_keys(small_keys, num_swaps=16))
         assert index._point_trace_mode() == "any_hit"
 
+    @staticmethod
+    def _column(case, rng):
+        base = rng.permutation(np.arange(10, 400, dtype=np.uint64))
+        if case == "dup-at-min":
+            return rng.permutation(np.append(base, base.min()))
+        if case == "dup-at-max":
+            return rng.permutation(np.append(base, base.max()))
+        if case == "all-equal":
+            return np.full(64, 42, dtype=np.uint64)
+        if case == "one-key":
+            return np.array([123], dtype=np.uint64)
+        # "random": wide draws are mostly unique, narrow ones mostly not.
+        size = int(rng.integers(2, 300))
+        high = int(rng.choice([size // 2 + 1, size, 1 << 40]))
+        return rng.integers(0, high, size=size, dtype=np.uint64)
+
+    @pytest.mark.parametrize(
+        "case, seed",
+        [("dup-at-min", 0), ("dup-at-max", 0), ("all-equal", 0), ("one-key", 0)]
+        + [("random", seed) for seed in range(8)],
+    )
+    def test_resolved_mode_matches_unique_oracle(self, case, seed):
+        keys = self._column(case, np.random.default_rng([seed, 41]))
+        index = RXIndex()
+        index.build(keys)
+        expected = "any_hit" if np.unique(keys).size == keys.size else "all"
+        assert index._point_trace_mode() == expected
+
+    def test_delta_shard_update_adding_a_duplicate_flips_to_all(self):
+        keys = np.random.default_rng(11).permutation(np.arange(1024, dtype=np.uint64))
+        config = RXConfig.paper_default()
+        config.compaction = False
+        config.allow_updates = True
+        config.shard_bits = 4
+        config.update_policy = UpdatePolicy.DELTA_SHARD
+        index = RXIndex(config)
+        index.build(keys)
+        assert index._point_trace_mode() == "any_hit"
+
+        new_keys = keys.copy()
+        new_keys[5] = new_keys[900]
+        index.update(new_keys)
+        assert index._point_trace_mode() == "all"
+        run = index.point_lookup(new_keys[[900]])
+        assert run.hits_per_lookup.tolist() == [2]
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="point_trace_mode"):
             RXIndex(RXConfig(point_trace_mode="nearest"))

@@ -29,7 +29,12 @@ import pytest
 
 from repro.core.config import RXConfig, UpdatePolicy
 from repro.core.rx_index import RXIndex
-from repro.persist import SnapshotCorrupt, SnapshotTorn, load_snapshot
+from repro.persist import (
+    SnapshotCorrupt,
+    SnapshotTorn,
+    load_manifest,
+    load_snapshot,
+)
 from repro.persist.segments import TMP_PREFIX
 from repro.rtx.bvh import bvh_arrays_diff
 from repro.serve import FaultInjector, FaultSpec, InjectedFault
@@ -319,6 +324,9 @@ class TestIncrementalSaves:
         assert again["segments_rewritten"] == 0
         assert again["segments_reused"] == again["segments_total"]
 
+    # Written segments record the CRC of their own write pass, not the
+    # stub's 0, so this test no longer forces a collision; the
+    # recorded-CRC test below does.
     def test_crc_collision_alone_never_reuses_a_changed_segment(
         self, tmp_path, monkeypatch
     ):
@@ -340,6 +348,53 @@ class TestIncrementalSaves:
         assert result["segments_rewritten"] >= 1
         reloaded = RXIndex.load(tmp_path)
         assert np.array_equal(reloaded.keys, index.keys)
+
+    def test_sha_collision_alone_never_reuses_a_changed_segment(
+        self, tmp_path, monkeypatch
+    ):
+        """The mirror case: the SHA-256 is compared first and only a match
+        computes the CRC32C, which must still force the rewrite when the
+        SHA-256 collides (forced here by stubbing it to a constant)."""
+        from repro.persist import store as store_mod
+
+        monkeypatch.setattr(store_mod, "payload_sha256", lambda arrays: "0" * 64)
+        index, keys = _make_index(num_keys=512)
+        index.save(tmp_path)
+
+        new_keys = keys.copy()
+        new_keys[0] += 1
+        index.update(new_keys)
+        result = index.save(tmp_path)
+        assert result["segments_rewritten"] >= 1
+        reloaded = RXIndex.load(tmp_path)
+        assert np.array_equal(reloaded.keys, index.keys)
+
+    def test_recorded_crc_collision_never_reuses_a_changed_segment(
+        self, tmp_path, monkeypatch
+    ):
+        """A real collision with the CRC the manifest recorded: written
+        segments take their ``payload_crc32c`` from the write pass, not from
+        ``store.payload_crc``, so the stub makes the changed key column's
+        payload CRC equal its committed value.  Only the SHA-256 can then
+        force the rewrite; reusing on the CRC would reload stale keys."""
+        from repro.persist import store as store_mod
+
+        index, keys = _make_index(num_keys=512)
+        index.save(tmp_path)
+        committed = load_manifest(tmp_path)["segments"]["columns"]
+        monkeypatch.setattr(
+            store_mod, "payload_crc", lambda arrays: int(committed["payload_crc32c"])
+        )
+
+        new_keys = keys.copy()
+        new_keys[0] += 1
+        index.update(new_keys)
+        index.save(tmp_path)
+        rewritten = load_manifest(tmp_path)["segments"]["columns"]
+        assert rewritten["path"] != committed["path"]
+        assert rewritten["payload_sha256"] != committed["payload_sha256"]
+        reloaded = RXIndex.load(tmp_path)
+        assert np.array_equal(reloaded.keys, new_keys)
 
 
 class TestServiceRestart:

@@ -16,6 +16,8 @@ Reseed with ``DIFF_SEED`` (env var) to explore a different case set.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -27,10 +29,14 @@ from repro.persist import (
     Crc32c,
     SnapshotTorn,
     crc32c,
+    crc32c_combine,
     crc32c_reference,
     load_snapshot,
     save_snapshot,
+    write_segment,
 )
+from repro.persist.checksum import _CHUNK_BYTES
+from repro.persist.segments import payload_crc
 from repro.rtx.bvh import bvh_arrays_diff
 
 DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
@@ -48,12 +54,76 @@ class TestCrc32c:
         assert crc32c(b"") == 0
 
     @pytest.mark.parametrize(
-        "size", [1, 7, 63, 64, 65, 255, 1024, 4096 + 17, 1 << 16]
+        "size",
+        [
+            1, 7, 63, 64, 65, 255,
+            64 * 5,  # 5 blocks: an odd, non-power-of-two block count
+            64 * 11 + 9,  # a head block plus 11 more
+            1024, 4096 + 17, 1 << 16,
+            _CHUNK_BYTES - 1, _CHUNK_BYTES, _CHUNK_BYTES + 1,
+            2 * _CHUNK_BYTES + 63,
+        ],
     )
     def test_matches_reference(self, size):
         rng = np.random.default_rng([size, DIFF_SEED])
         data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
         assert crc32c(data) == crc32c_reference(data)
+
+    def test_memmap_input(self, tmp_path):
+        rng = np.random.default_rng(DIFF_SEED)
+        data = rng.integers(0, 256, size=100_003, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert crc32c(np.memmap(path, dtype=np.uint8, mode="r")) == crc32c_reference(data)
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda a: a[:, 1],  # every third element
+            lambda a: a[::-1],  # negative strides
+            lambda a: a.T,  # Fortran-ordered 2-D
+        ],
+        ids=["column", "reversed", "transposed"],
+    )
+    def test_strided_input_hashes_its_c_order_bytes(self, view):
+        rng = np.random.default_rng(DIFF_SEED)
+        strided = view(rng.integers(0, 1 << 32, size=(4099, 3), dtype=np.uint32))
+        assert not strided.flags.c_contiguous
+        expected = crc32c_reference(np.ascontiguousarray(strided).tobytes())
+        assert crc32c(strided) == expected
+
+    @pytest.mark.parametrize(
+        "len_a, len_b",
+        [(0, 0), (0, 100), (100, 0), (1000, 777), (63, 64 * 5), (3, _CHUNK_BYTES + 1)],
+    )
+    def test_combine_matches_concatenation(self, len_a, len_b):
+        rng = np.random.default_rng([len_a, len_b, DIFF_SEED])
+        a = rng.integers(0, 256, size=len_a, dtype=np.uint8).tobytes()
+        b = rng.integers(0, 256, size=len_b, dtype=np.uint8).tobytes()
+        assert crc32c_combine(crc32c(a), crc32c(b), len(b)) == crc32c(a + b)
+        if len_a + len_b < 4096:
+            assert crc32c(a + b) == crc32c_reference(a + b)
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            {"empty": np.zeros(0, dtype=np.int64)},
+            {"odd": np.arange(13, dtype=np.uint8)},
+            {"grid": np.arange(35, dtype=np.float32).reshape(7, 5) / 3},
+            {
+                "odd": np.arange(7, dtype=np.int16),
+                "empty": np.zeros(0, dtype=np.uint64),
+                "grid": np.ones((3, 5), dtype=np.float32),
+            },
+        ],
+        ids=["zero-length", "odd-length", "2d-float32", "mixed"],
+    )
+    def test_write_segment_entry_digests(self, tmp_path, arrays):
+        entry = write_segment(tmp_path / "s.seg", name="s", epoch=0, arrays=arrays)
+        on_disk = (tmp_path / "s.seg").read_bytes()
+        assert entry["length"] == len(on_disk)
+        assert entry["crc32c"] == crc32c(on_disk) == crc32c_reference(on_disk)
+        assert entry["payload_crc32c"] == payload_crc(arrays)
 
     def test_streaming_matches_whole(self):
         rng = np.random.default_rng(DIFF_SEED)
@@ -105,6 +175,125 @@ class TestStoreBasics:
         assert again.segments_reused == 1
         assert again.segments_rewritten == 0
         assert again.manifest_version == 2
+
+
+def _golden_segments(changed: bool):
+    """Fixed synthetic segments: several dtypes, odd, zero and multi-chunk
+    lengths, a 2-D and a negatively strided array.  Built from arithmetic
+    only, so the bytes never depend on a random generator's version."""
+    mix = np.uint64(0x9E3779B97F4A7C15)
+    children = np.arange(13, dtype=np.int32) * 7919 - 40000
+    if changed:
+        children[6] += 1
+    bounds = np.arange(37 * 3, dtype=np.float32).reshape(37, 3) / np.float32(7.0)
+    return {
+        "columns": (
+            {
+                "keys": np.arange(1001, dtype=np.uint64) * mix,
+                "values": np.arange(1001, dtype=np.uint32)[::-1],
+            },
+            {"num_keys": 1001},
+        ),
+        "bvh": (
+            {
+                "bounds": bounds - np.float32(5.0),
+                "children": children,
+                "flags": np.arange(5, dtype=np.uint8) * 51,
+                "empty": np.zeros(0, dtype=np.int64),
+            },
+            {"compacted": False},
+        ),
+        "shard-00001": (
+            {"ids": np.arange(300_001, dtype=np.uint64) * mix},
+            {"shard": 1},
+        ),
+        "misc": (
+            {
+                "weights": np.linspace(-1.0, 1.0, 9),
+                "small": np.arange(-3, 4, dtype=np.int16),
+                "mask": np.arange(11) % 3 == 0,
+            },
+            None,
+        ),
+    }
+
+
+#: Per save: the manifest file's SHA-256, then per segment its manifest
+#: entry ``(path, crc32c, payload_crc32c, payload_sha256, length)`` and
+#: the SHA-256 of its ``.seg`` file.  Recorded from the format's original
+#: writer; any drift means the on-disk format changed.
+_GOLDEN = [
+    (
+        "6e40cbf12d85dcf9d5e57614b0222b6b2de047b1800654398e3b81abe86ad8f4",
+        {
+            "bvh": (
+                ("epoch-00000000/bvh.seg", 1106767478, 45862203,
+                 "7989ddaa4a3e17000682125c8e206755930ca1fcc80f4760e2f343f23af15fbc",
+                 1024),
+                "d26bd0aa3295f6a027d1300d5c871f014208bce175fbbaba4575113aab258de8",
+            ),
+            "columns": (
+                ("epoch-00000000/columns.seg", 3737871715, 686598716,
+                 "0c72218060fc436d5ece7ebeaa0283a4d136ea03f3d6808c10aaa0ffddf421ae",
+                 12324),
+                "d07cb8dc4f0f5d085ac39ed6df30e6809b35bec0bc07f6fd11b4e6548b81f527",
+            ),
+            "misc": (
+                ("epoch-00000000/misc.seg", 135445479, 1546924897,
+                 "7b3c38625d3fc89d8c412617aeb30d17db06c52878b674b38caa82e961e82b36",
+                 523),
+                "51cc55a1679a322bf8055eb3d7651409494109938df9141706f2d799e16c9e59",
+            ),
+            "shard-00001": (
+                ("epoch-00000000/shard-00001.seg", 1282008942, 3108459597,
+                 "a5be43c606c8de2879ee3f6626527f43bd315d466d66b5a4f1f350cad2ca2267",
+                 2400200),
+                "cf21c5006955dbdf99116688e71b54b7aea91af76f411db355cbead1c5edfdfe",
+            ),
+        },
+    ),
+    (
+        "e5ffb3dbd4572525f6691d2b1df2fd814b4666b1f25efc43227134d1abe3911b",
+        {
+            "bvh": (
+                ("epoch-00000001/bvh.seg", 1264486435, 1484973588,
+                 "9c27eda3efcee8d1875b9047274c204f51888654f18307503e50be7429bc1de8",
+                 1024),
+                "cff7944f7e84619e33fd4324a43bb9e9e261da5d07402912812b4efe674d7b86",
+            ),
+        },
+    ),
+]
+
+
+class TestGoldenBytes:
+    def test_saves_match_recorded_bytes(self, tmp_path):
+        """A save and an incremental re-save with one segment changed
+        produce exactly the recorded manifests and segment files."""
+
+        def sha256_of(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        expected_entries = {}
+        for step, (manifest_sha, changes) in enumerate(_GOLDEN):
+            expected_entries.update(changes)
+            save_snapshot(
+                tmp_path,
+                epoch=step,
+                segments=_golden_segments(changed=bool(step)),
+                index_meta={"kind": "golden"},
+            )
+            manifest_path = tmp_path / "MANIFEST.json"
+            entries = json.loads(manifest_path.read_text())["segments"]
+            assert entries.keys() == expected_entries.keys()
+            for name, (entry, file_sha) in expected_entries.items():
+                got = entries[name]
+                assert (
+                    got["path"], got["crc32c"], got["payload_crc32c"],
+                    got["payload_sha256"], got["length"],
+                ) == entry, name
+                assert sha256_of(tmp_path / got["path"]) == file_sha, name
+            assert sha256_of(manifest_path) == manifest_sha
 
 
 def _random_case(rng, case_index):
