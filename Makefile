@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff test-cursor test-faults test-persist bench-smoke bench-strict bench-check bench-serve bench-chaos bench-build bench-paging bench-restart bench-selftest
+.PHONY: test test-fast test-diff test-cursor test-serve test-faults test-persist bench-smoke bench-strict bench-check bench-serve bench-chaos bench-build bench-paging bench-restart bench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -20,6 +20,11 @@ test-diff:
 # (CI runs extra seeds alongside test-diff).
 test-cursor:
 	$(PYTHON) -m pytest -x -q tests/test_cursor_pagination.py tests/test_serve_cursor.py
+
+# Serving-layer harness: coalesced-vs-solo demux, result cache and service
+# tests; honours DIFF_SEED (CI runs extra seeds alongside test-diff).
+test-serve:
+	$(PYTHON) -m pytest -x -q tests/test_serve_scheduler.py tests/test_serve_cache.py tests/test_serve_service.py
 
 # Fault-injection + snapshot-integrity harness only; honours FAULT_SEED
 # (CI runs extra seeds).

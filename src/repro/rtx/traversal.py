@@ -8,14 +8,17 @@ per-ray stack traversal the RT cores perform; the counters it produces
 quantities the paper reads from Nsight Compute and that our GPU cost model
 converts into simulated milliseconds.
 
-Per-batch work is hoisted out of the per-round loop: ray origins, inverse
-directions and the float64 node boxes are materialised once per ``trace``
-call, rounds reuse a pair of preallocated child-expansion buffers, and the
-``max_frontier`` knob streams the per-pair slab/intersection tests of huge
-frontiers in bounded-memory slices.  None of this changes observable
-behaviour — hit records and every counter (including ``traversal_rounds``
-and ``max_frontier_size``, which count the *logical* frontier) are
-bit-identical with the reference loop in :mod:`repro.rtx._reference` for any
+A launch allocates in proportion to its rays and frontier, never to the
+tree: the slab test gathers each frontier pair's box bounds straight from
+per-axis column views of the BVH's ``(nodes, 3)`` box arrays (a random
+gather costs the same from a strided column as from a contiguous copy), so
+refits, compaction and mmap-loaded trees are traced in place.  Rounds reuse
+a pair of preallocated child-expansion buffers, and the ``max_frontier``
+knob streams the per-pair slab/intersection tests of huge frontiers in
+bounded-memory slices.  None of this changes observable behaviour — hit
+records and every counter (including ``traversal_rounds`` and
+``max_frontier_size``, which count the *logical* frontier) are bit-identical
+with the reference loop in :mod:`repro.rtx._reference` for any
 ``max_frontier`` setting.
 
 ``trace`` supports four reporting modes: the default reports every
@@ -294,9 +297,9 @@ def _frontier_box_overlap(
     frontier is parallel to it.  The paper's workloads trace axis-aligned
     rays (point rays along z, range rays along x), so two of the three axes
     take the all-parallel fast path, which needs only an in-slab test, and
-    the remaining axis skips the parallel blends entirely.  Inputs arrive
-    transposed (per-axis rows) so every per-pair gather is a contiguous 1D
-    take.
+    the remaining axis skips the parallel blends entirely.  Rays and boxes
+    arrive as ``(n, 3)`` arrays; every per-pair gather takes one axis column
+    view, so nothing of size O(nodes) is copied.
 
     With ``return_entry=True`` the per-pair box-entry ``t`` (``lo`` after all
     axes — parallel axes leave it untouched, exactly like the reference's
@@ -308,7 +311,7 @@ def _frontier_box_overlap(
     ok: np.ndarray | None = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for axis in range(3):
-            da32 = directions32[axis][frontier_rays]
+            da32 = directions32[:, axis][frontier_rays]
             # Float32 directions convert to float64 magnitudes of at least
             # ~1.4e-45, so the reference's |d| < 1e-300 test is exactly a
             # zero test on the raw float32 values.
@@ -318,16 +321,16 @@ def _frontier_box_overlap(
                 # Whole frontier parallel to this axis (axis-aligned ray
                 # batches): only the in-slab test matters, and float32
                 # comparisons equal the reference's compare-after-convert.
-                oa32 = origins32[axis][frontier_rays]
-                inside = (oa32 >= node_mins32[axis][frontier_nodes]) & (
-                    oa32 <= node_maxs32[axis][frontier_nodes]
+                oa32 = origins32[:, axis][frontier_rays]
+                inside = (oa32 >= node_mins32[:, axis][frontier_nodes]) & (
+                    oa32 <= node_maxs32[:, axis][frontier_nodes]
                 )
                 ok = inside if ok is None else (ok & inside)
                 continue
             da = da32.astype(np.float64)
-            oa = origins32[axis][frontier_rays].astype(np.float64)
-            bmin = node_mins32[axis][frontier_nodes].astype(np.float64)
-            bmax = node_maxs32[axis][frontier_nodes].astype(np.float64)
+            oa = origins32[:, axis][frontier_rays].astype(np.float64)
+            bmin = node_mins32[:, axis][frontier_nodes].astype(np.float64)
+            bmax = node_maxs32[:, axis][frontier_nodes].astype(np.float64)
             if n_parallel == 0:
                 inv = 1.0 / da
                 t0 = (bmin - oa) * inv
@@ -403,41 +406,48 @@ class _GroupCounterRecorder:
     def finalize(
         self,
         ray_indices: np.ndarray,
+        ray_has_hit: np.ndarray,
         node_bytes: int,
         per_prim_bytes: int,
         hardware: bool,
     ) -> list[TraversalCounters]:
-        """Split the finished trace into one ``TraversalCounters`` per group."""
-        rays_per_group = np.bincount(self.groups, minlength=self.num_groups)
-        prim_hits = np.zeros(self.num_groups, dtype=np.int64)
-        rays_with_hits = np.zeros(self.num_groups, dtype=np.int64)
-        if ray_indices.size:
-            prim_hits = np.bincount(
-                self.groups[ray_indices], minlength=self.num_groups
-            )
-            rays_with_hits = np.bincount(
-                self.groups[np.unique(ray_indices)], minlength=self.num_groups
-            )
+        """Split the finished trace into one ``TraversalCounters`` per group.
+
+        ``ray_has_hit`` is the per-ray "reported at least one hit" mask the
+        trace already computed for its global counters.
+        """
+        # One ``tolist`` per array: the per-group loop then builds every
+        # counter from Python ints instead of indexing NumPy scalars.
+        n = self.num_groups
+        rays_per_group = np.bincount(self.groups, minlength=n).tolist()
+        prim_hits = np.bincount(self.groups[ray_indices], minlength=n).tolist()
+        rays_with_hits = np.bincount(self.groups[ray_has_hit], minlength=n).tolist()
+        node_visits = self.node_visits.tolist()
+        leaf_visits = self.leaf_visits.tolist()
+        all_prim_tests = self.prim_tests.tolist()
+        budget_dropped = self.budget_dropped.tolist()
+        max_frontier = self.max_frontier.tolist()
+        rounds = self.rounds.tolist()
         out = []
-        for g in range(self.num_groups):
-            prim_tests = int(self.prim_tests[g])
+        for g in range(n):
+            prim_tests = all_prim_tests[g]
             out.append(
                 TraversalCounters(
-                    rays=int(rays_per_group[g]),
-                    node_visits=int(self.node_visits[g]),
-                    leaf_visits=int(self.leaf_visits[g]),
-                    box_tests=int(self.node_visits[g]),
+                    rays=rays_per_group[g],
+                    node_visits=node_visits[g],
+                    leaf_visits=leaf_visits[g],
+                    box_tests=node_visits[g],
                     prim_tests=prim_tests,
-                    prim_hits=int(prim_hits[g]),
-                    budget_dropped_hits=int(self.budget_dropped[g]),
-                    rays_with_hits=int(rays_with_hits[g]),
-                    rays_without_hits=int(rays_per_group[g] - rays_with_hits[g]),
-                    node_bytes_read=int(self.node_visits[g]) * node_bytes,
+                    prim_hits=prim_hits[g],
+                    budget_dropped_hits=budget_dropped[g],
+                    rays_with_hits=rays_with_hits[g],
+                    rays_without_hits=rays_per_group[g] - rays_with_hits[g],
+                    node_bytes_read=node_visits[g] * node_bytes,
                     prim_bytes_read=prim_tests * per_prim_bytes,
                     hardware_intersection_tests=prim_tests if hardware else 0,
                     software_intersection_calls=0 if hardware else prim_tests,
-                    max_frontier_size=int(self.max_frontier[g]),
-                    traversal_rounds=int(self.rounds[g]),
+                    max_frontier_size=max_frontier[g],
+                    traversal_rounds=rounds[g],
                 )
             )
         return out
@@ -608,13 +618,7 @@ class TraversalEngine:
             directions = rays.directions
             prim_lo = rays.tmin
             t_hi = rays.tmax
-            # Transposed copies (one contiguous row per axis) so the slab
-            # test gathers single scalars per pair instead of strided rows;
-            # built once per batch.
-            origins_t = np.ascontiguousarray(origins.T)
-            directions_t = np.ascontiguousarray(directions.T)
-            mins_t = np.ascontiguousarray(bvh.node_mins.T)
-            maxs_t = np.ascontiguousarray(bvh.node_maxs.T)
+            mins, maxs = bvh.node_mins, bvh.node_maxs
             left, right = bvh.left, bvh.right
 
             chunk = self.max_frontier if self.max_frontier else None
@@ -640,14 +644,14 @@ class TraversalEngine:
                 if chunk is None or fsize <= chunk:
                     if ordered:
                         overlap, entry = _frontier_box_overlap(
-                            origins_t, directions_t, node_tmin, t_hi,
-                            mins_t, maxs_t, frontier_rays, frontier_nodes,
+                            origins, directions, node_tmin, t_hi,
+                            mins, maxs, frontier_rays, frontier_nodes,
                             return_entry=True,
                         )
                     else:
                         overlap = _frontier_box_overlap(
-                            origins_t, directions_t, node_tmin, t_hi,
-                            mins_t, maxs_t, frontier_rays, frontier_nodes,
+                            origins, directions, node_tmin, t_hi,
+                            mins, maxs, frontier_rays, frontier_nodes,
                         )
                 else:
                     overlap = np.empty(fsize, dtype=bool)
@@ -658,8 +662,8 @@ class TraversalEngine:
                         if ordered:
                             overlap[lo_idx:hi_idx], entry[lo_idx:hi_idx] = (
                                 _frontier_box_overlap(
-                                    origins_t, directions_t, node_tmin, t_hi,
-                                    mins_t, maxs_t,
+                                    origins, directions, node_tmin, t_hi,
+                                    mins, maxs,
                                     frontier_rays[lo_idx:hi_idx],
                                     frontier_nodes[lo_idx:hi_idx],
                                     return_entry=True,
@@ -667,8 +671,8 @@ class TraversalEngine:
                             )
                         else:
                             overlap[lo_idx:hi_idx] = _frontier_box_overlap(
-                                origins_t, directions_t, node_tmin, t_hi,
-                                mins_t, maxs_t,
+                                origins, directions, node_tmin, t_hi,
+                                mins, maxs,
                                 frontier_rays[lo_idx:hi_idx],
                                 frontier_nodes[lo_idx:hi_idx],
                             )
@@ -835,13 +839,17 @@ class TraversalEngine:
             lookup_ids = lookup_ids[keep]
 
         counters.prim_hits = int(ray_indices.size)
-        rays_hit = np.unique(ray_indices).size
-        counters.rays_with_hits = int(rays_hit)
-        counters.rays_without_hits = int(n_rays - rays_hit)
+        # A bincount mask, not ``np.unique``: NumPy >= 2.3 runs unique
+        # through a hash table, ~20x slower at a few thousand hits.
+        ray_has_hit = np.bincount(ray_indices, minlength=n_rays) > 0
+        rays_hit = int(np.count_nonzero(ray_has_hit))
+        counters.rays_with_hits = rays_hit
+        counters.rays_without_hits = n_rays - rays_hit
 
         if recorder is not None:
             self.group_counters = recorder.finalize(
                 ray_indices,
+                ray_has_hit,
                 node_bytes,
                 per_prim_bytes,
                 self.primitives.hardware_intersection,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,13 +47,16 @@ from repro.serve.faults import InjectedFault
 from repro.serve.resilience import LaunchExhausted, RequestFailure, RetryPolicy
 
 
-@dataclass(frozen=True)
-class LaunchClass:
+class LaunchClass(NamedTuple):
     """What must match for two requests to share one coalesced launch.
 
     Cursor-paged requests all land in the ``("range", "ordered_k", k)``
     class regardless of their individual cursors: the resume filter is
     per-lookup, so pages of different scans still coalesce into one launch.
+
+    A named tuple rather than a frozen dataclass: the class is part of every
+    result-cache key, and a tuple hashes and compares in C on each cache
+    ``get``/``put``.
     """
 
     kind: str  #: "point" or "range"
@@ -83,6 +87,8 @@ class ServeRequest:
     #: accel epoch the paged scan started on: the request fails with
     #: ``"epoch_retired"`` instead of serving against any other epoch
     pin_epoch: int | None = None
+    #: number of lookups (point keys or ranges), fixed at construction
+    num_queries: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "point":
@@ -90,6 +96,7 @@ class ServeRequest:
                 raise ValueError("a point request needs at least one query key")
             if self.order is not None:
                 raise ValueError("order='key' only applies to range requests")
+            self.num_queries = int(self.queries.shape[0])
         elif self.kind == "range":
             if self.lowers is None or self.uppers is None:
                 raise ValueError("a range request needs lower and upper bounds")
@@ -108,16 +115,11 @@ class ServeRequest:
                     raise ValueError(
                         "order='key' pages one range per request"
                     )
+            self.num_queries = int(self.lowers.shape[0])
         else:
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.cursor is not None and self.order is None:
             raise ValueError("cursor resume requires order='key'")
-
-    @property
-    def num_queries(self) -> int:
-        return int(
-            self.queries.shape[0] if self.kind == "point" else self.lowers.shape[0]
-        )
 
     def cache_payload(self) -> tuple:
         """Hashable identity of the request's queries (the cache key body).
@@ -173,6 +175,14 @@ class RequestResult:
     @property
     def num_rays(self) -> int:
         return self.hits.num_rays
+
+    def __copy__(self) -> "RequestResult":
+        # A plain attribute-dict copy: ``copy``'s generic reduce protocol
+        # costs as much as re-running ``__init__``, and a cache hit is one
+        # shallow copy per request.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def result_rows(self) -> np.ndarray:
         """RowID of the first match per lookup (miss sentinel elsewhere)."""
@@ -424,25 +434,31 @@ class MicroBatchScheduler:
         hits = launch.hits
         # Group the flat hit stream by owning request with one stable sort;
         # within each request the stream order is preserved — exactly the
-        # order a solo launch would have reported.
+        # order a solo launch would have reported.  The sorted stream is
+        # gathered and rebased to request-local ray/lookup ids once, so each
+        # request's hits are one contiguous run.
         hit_groups = np.searchsorted(starts, hits.lookup_ids, side="right") - 1
         order = np.argsort(hit_groups, kind="stable")
         sorted_groups = hit_groups[order]
-        group_range = np.arange(len(requests), dtype=sorted_groups.dtype)
-        lo = np.searchsorted(sorted_groups, group_range, side="left")
-        hi = np.searchsorted(sorted_groups, group_range, side="right")
-        ray_starts = np.searchsorted(rays.lookup_ids, starts[:-1], side="left")
-        ray_ends = np.searchsorted(rays.lookup_ids, starts[1:], side="left")
+        ray_starts = np.searchsorted(rays.lookup_ids, starts, side="left")
+        ray_indices = hits.ray_indices[order] - ray_starts[sorted_groups]
+        prim_indices = hits.prim_indices[order]
+        lookup_ids = hits.lookup_ids[order] - starts[sorted_groups]
+        bounds = np.searchsorted(
+            sorted_groups, np.arange(len(requests) + 1, dtype=sorted_groups.dtype)
+        ).tolist()
+        num_rays = np.diff(ray_starts).tolist()
 
         results = []
         for i, request in enumerate(requests):
-            sel = order[lo[i] : hi[i]]
-            sel.sort()  # back to stream order within the request
+            lo, hi = bounds[i], bounds[i + 1]
+            # Private copies, never views: a cached result must not pin the
+            # whole launch's hit arrays.
             local = HitRecords(
-                ray_indices=hits.ray_indices[sel] - ray_starts[i],
-                prim_indices=hits.prim_indices[sel],
-                lookup_ids=hits.lookup_ids[sel] - starts[i],
-                num_rays=int(ray_ends[i] - ray_starts[i]),
+                ray_indices=ray_indices[lo:hi].copy(),
+                prim_indices=prim_indices[lo:hi].copy(),
+                lookup_ids=lookup_ids[lo:hi].copy(),
+                num_rays=num_rays[i],
             )
             next_cursor = None
             if klass.mode == "ordered_k":

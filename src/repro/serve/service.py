@@ -30,9 +30,10 @@ against a real component:
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -492,13 +493,15 @@ class IndexService:
                         self.serve_stats.cache_corruptions_detected += 1
                         cached = None
                     if cached is not None:
-                        served[request.request_id] = replace(
-                            cached,
-                            request_id=request.request_id,
-                            arrival=request.arrival,
-                            deadline=request.deadline,
-                            from_cache=True,
-                        )
+                        # A shallow copy: the hit arrays and counters are
+                        # shared with the entry (results are read-only), and
+                        # only the per-request fields are rewritten.
+                        hit = copy.copy(cached)
+                        hit.request_id = request.request_id
+                        hit.arrival = request.arrival
+                        hit.deadline = request.deadline
+                        hit.from_cache = True
+                        served[request.request_id] = hit
                     else:
                         misses.append((request, key))
             except InjectedFault:

@@ -210,6 +210,19 @@ class TestBPlusTreeSpecifics:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             GpuBPlusTree().build(np.array([1, 1], dtype=np.uint64))
+        rng = np.random.default_rng(7)
+        column = dense_shuffled_keys(1000, seed=7)
+        GpuBPlusTree().build(column)  # duplicate-free: builds
+        for dup in (int(column.min()), int(column.max())):
+            keys = column.copy()
+            # Overwrite some other key with a copy of the smallest/largest.
+            keys[np.flatnonzero(keys != dup)[0]] = dup
+            rng.shuffle(keys)
+            tree = GpuBPlusTree()
+            with pytest.raises(ValueError, match="duplicate"):
+                tree.build(keys)
+            with pytest.raises(RuntimeError, match="build"):
+                tree.num_keys  # rejected before any state was stored
 
     def test_64_bit_keys_rejected(self):
         with pytest.raises(ValueError):

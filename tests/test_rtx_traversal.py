@@ -1,8 +1,11 @@
 """Tests for the wavefront traversal engine and its counters."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import RXConfig, RXIndex
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh
 from repro.rtx.geometry import RayBatch, TriangleBuffer, make_triangle_vertices
@@ -355,6 +358,43 @@ class TestAnyHitMode:
         engine_any.trace(rays, mode="any_hit")
         assert engine_any.counters.node_visits < engine_all.counters.node_visits
         assert engine_any.counters.prim_tests < engine_all.counters.prim_tests
+
+
+class TestLaunchMemory:
+    def test_launch_allocates_per_ray_not_per_node(self):
+        """A small launch must not copy the tree: its peak allocation stays
+        far below the node-box bytes (a per-launch transpose of both box
+        arrays would cost about 1x of them)."""
+        keys = np.random.default_rng(5).permutation(np.arange(1 << 16, dtype=np.uint64))
+        index = RXIndex(RXConfig.paper_default())
+        index.build(keys)
+        engine = index.pipeline.engine
+        node_box_bytes = engine.bvh.node_mins.nbytes + engine.bvh.node_maxs.nbytes
+        point = index.codec.point_ray_batch(keys[:1], index.config.point_ray_mode)
+        lowers = keys[:4]
+        ranges = index.codec.range_ray_batch(
+            lowers,
+            lowers + np.uint64(15),
+            index.config.range_ray_mode,
+            max_rays_per_range=index.config.max_rays_per_range,
+        )
+        launches = [
+            ("any_hit point", lambda: engine.trace(point, mode="any_hit")),
+            ("first_k ranges", lambda: engine.trace(ranges, mode="first_k", limit=4)),
+        ]
+        for _, launch in launches:
+            launch()  # one-time lazy set-up (intersection packs) is not per launch
+        tracemalloc.start()
+        try:
+            for label, launch in launches:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                hits = launch()
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert hits.count > 0, label
+                assert peak < node_box_bytes / 4, (label, peak, node_box_bytes)
+        finally:
+            tracemalloc.stop()
 
 
 class TestTraversalCounters:

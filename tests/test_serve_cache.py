@@ -104,6 +104,52 @@ class TestServiceCaching:
         # The cached request reached no launch at all.
         assert stats["scheduler"]["launches"] == 1
 
+    def test_cache_hit_is_a_new_result_for_its_request(self):
+        keys, index, service = self.make_service()
+        queries = keys[:5]
+        first = service.submit_point(queries, arrival=0.0, deadline=5.0)
+        (fresh,) = service.drain()
+        second = service.submit_point(queries, arrival=1.0, deadline=7.0)
+        (hit,) = service.drain()
+        assert hit is not fresh
+        assert hit.from_cache
+        assert hit.request_id == second.request_id != first.request_id
+        assert hit.arrival == 1.0
+        assert hit.deadline == 8.0
+        # The stored entry is untouched by the hit's re-stamping.
+        snapshot = service.epochs.current()
+        key = ResultCache.key_for(
+            snapshot.epoch,
+            service.scheduler.class_of(second, snapshot),
+            second.cache_payload(),
+        )
+        stored = service.cache.get(key)
+        assert stored is not hit
+        assert not stored.from_cache
+        assert stored.request_id == first.request_id
+        assert stored.arrival == 0.0
+        assert stored.deadline == 5.0
+
+    def test_coalesced_results_own_their_hit_arrays(self):
+        """Each demuxed request gets private hit arrays, never views into
+        the launch-wide ones: a cached result must not pin a whole launch."""
+        keys, index, service = self.make_service()
+        for i in range(12):
+            service.submit_point(keys[3 * i : 3 * i + 1 + i % 3], arrival=0.0)
+        results = service.drain()
+        assert service.stats()["scheduler"]["launches"] == 1
+        arrays = []
+        for result in results:
+            hits = result.hits
+            assert hits.count > 0
+            for arr in (hits.ray_indices, hits.prim_indices, hits.lookup_ids):
+                assert arr.flags.owndata
+                arrays.append((result.request_id, arr))
+        for i, (rid_a, a) in enumerate(arrays):
+            for rid_b, b in arrays[i + 1 :]:
+                if rid_a != rid_b:
+                    assert not np.shares_memory(a, b), (rid_a, rid_b)
+
     def test_epoch_advance_invalidates(self):
         keys, index, service = self.make_service()
         queries = keys[:5]

@@ -2,43 +2,73 @@
 
 The serving contract: demuxing a coalesced launch yields, for every request,
 hits *and* counters bit-identical to issuing that request as its own solo
-launch — across point lookups (all/any-hit), range lookups and LIMIT-k
-(first_k) range lookups.  The tests compare against solo launches through
-the same pipeline, so any divergence in ray generation, traversal order or
-counter attribution fails loudly.
+launch — across point lookups (all/any-hit), range lookups, LIMIT-k
+(first_k) range lookups and ordered (ordered_k) cursor pages.  The tests
+compare against solo launches through the same pipeline, so any divergence
+in ray generation, traversal order or counter attribution fails loudly.
+
+Besides the fixed cases, ``test_seeded_mixed_window`` draws random mixed
+windows from the ``DIFF_SEED`` environment variable (default 20260727, as
+in the other differential harnesses; CI runs extra seeds).
 """
+
+import os
+import random
 
 import numpy as np
 import pytest
 
-from repro.core.config import RXConfig
+from repro.core.config import PrimitiveType, RXConfig
+from repro.core.cursor import make_cursor_filter, next_cursor_token, parse_cursor
 from repro.core.rx_index import RXIndex
 from repro.serve.scheduler import LaunchClass, MicroBatchScheduler, ServeRequest
 from repro.serve.snapshot import EpochManager
 from repro.workloads import dense_shuffled_keys, keys_with_multiplicity
 
+DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
+NUM_SEEDED_WINDOWS = 6
 
-def build_index(keys, **config_kwargs):
-    index = RXIndex(RXConfig(**config_kwargs))
+
+def build_index(keys, max_frontier=None, **config_kwargs):
+    index = RXIndex(RXConfig(**config_kwargs), max_frontier=max_frontier)
     index.build(keys)
     return index
 
 
 def solo_launch(snapshot, request, klass):
-    """Reference: the request issued alone through the same pipeline."""
+    """Reference: the request issued alone through the same pipeline.
+
+    An ordered page launches the way ``RXIndex._ordered_range_page`` does:
+    its lower bound clamped to the cursor key, and the exclusive cursor
+    filter installed as the launch's any-hit program.
+    """
+    any_hit = None
     if klass.kind == "point":
         rays = snapshot.codec.point_ray_batch(
             request.queries, snapshot.config.point_ray_mode
         )
     else:
+        lowers = request.lowers
+        if klass.mode == "ordered_k":
+            cursor = parse_cursor(request.cursor)
+            if cursor is not None:
+                lower = min(max(int(lowers[0]), cursor.key), int(request.uppers[0]))
+                lowers = np.array([lower], dtype=np.uint64)
+            any_hit = make_cursor_filter(
+                snapshot.keys, [cursor], base_any_hit=snapshot.pipeline.any_hit
+            )
         rays = snapshot.codec.range_ray_batch(
-            request.lowers,
+            lowers,
             request.uppers,
             snapshot.config.range_ray_mode,
             max_rays_per_range=snapshot.config.max_rays_per_range,
         )
     return snapshot.pipeline.launch(
-        rays, num_lookups=request.num_queries, mode=klass.mode, limit=klass.limit
+        rays,
+        num_lookups=request.num_queries,
+        mode=klass.mode,
+        limit=klass.limit,
+        any_hit=any_hit,
     )
 
 
@@ -49,6 +79,22 @@ def assert_request_matches_solo(result, request, snapshot, klass):
     assert np.array_equal(result.hits.lookup_ids, solo.hits.lookup_ids)
     assert result.hits.num_rays == solo.hits.num_rays
     assert result.counters.as_dict() == solo.counters.as_dict()
+    if klass.mode == "ordered_k":
+        assert result.order == "key"
+        assert result.next_cursor == next_cursor_token(
+            snapshot.keys, solo.hits.prim_indices, klass.limit
+        )
+
+
+def expected_class(request, snapshot):
+    """The launch class the scheduler must give ``request``."""
+    if request.kind == "point":
+        return LaunchClass(kind="point", mode=snapshot.point_mode)
+    if request.order == "key":
+        return LaunchClass(kind="range", mode="ordered_k", limit=request.limit)
+    if request.limit is None:
+        return LaunchClass(kind="range", mode="all")
+    return LaunchClass(kind="range", mode="first_k", limit=request.limit)
 
 
 def make_point_requests(rng, keys, num_requests, max_queries=5):
@@ -74,6 +120,36 @@ def make_range_requests(rng, keys, num_requests, span, limit=None, start_id=1000
                 lowers=np.array([lo], dtype=np.uint64),
                 uppers=np.array([lo + np.uint64(span - 1)], dtype=np.uint64),
                 limit=limit,
+            )
+        )
+    return requests
+
+
+def make_page_requests(rng, index, num_requests, span, limit, start_id):
+    """``order="key"`` pages: even requests are first pages, odd ones resume
+    from the cursor the index's own pager hands out after ``1 + i % 3``
+    pages (cursors land mid-range, including inside duplicate runs)."""
+    requests = []
+    top = int(index.keys.max())
+    for i in range(num_requests):
+        lo = np.array([min(int(rng.integers(0, top)), top - span)], dtype=np.uint64)
+        hi = lo + np.uint64(span - 1)
+        cursor = None
+        if i % 2:
+            for _ in range(1 + i % 3):
+                _, cursor = index.range_lookup(
+                    lo, hi, limit=limit, order="key", cursor=cursor
+                )
+            assert cursor is not None, "span too short for a resumed page"
+        requests.append(
+            ServeRequest(
+                request_id=start_id + i,
+                kind="range",
+                lowers=lo,
+                uppers=hi,
+                limit=limit,
+                order="key",
+                cursor=cursor,
             )
         )
     return requests
@@ -143,8 +219,10 @@ class TestDemuxBitIdentity:
             assert result.hits_per_lookup().max() <= 4
 
     def test_mixed_window_demuxes_every_class(self):
-        """One window holding all four classes: one launch per class, demux
-        still solo-identical, results in submission order."""
+        """One window holding all four classes — point, range/all,
+        range/first_k and range/ordered_k pages (first and cursor-resumed) —
+        one launch per class, demux still solo-identical, results in
+        submission order."""
         rng = np.random.default_rng(9)
         keys = dense_shuffled_keys(2048, seed=10)
         index = build_index(keys)
@@ -153,21 +231,64 @@ class TestDemuxBitIdentity:
         points = make_point_requests(rng, keys, 6)
         ranges = make_range_requests(rng, keys, 5, span=16, start_id=100)
         limited = make_range_requests(rng, keys, 4, span=16, limit=2, start_id=200)
+        pages = make_page_requests(rng, index, 4, span=40, limit=3, start_id=300)
+        assert any(p.cursor is None for p in pages)
+        assert any(p.cursor is not None for p in pages)
         interleaved = []
-        for triple in zip(points, ranges, limited):
-            interleaved.extend(triple)
+        for quad in zip(points, ranges, limited, pages):
+            interleaved.extend(quad)
         for request in interleaved:
             scheduler.submit(request)
         results = scheduler.flush(snapshot)
         assert [r.request_id for r in results] == [r.request_id for r in interleaved]
-        assert scheduler.stats.launches == 3  # one per class
+        assert scheduler.stats.launches == 4  # one per class
         for result, request in zip(results, interleaved):
-            if request.kind == "point":
-                klass = LaunchClass(kind="point", mode=snapshot.point_mode)
-            elif request.limit is None:
-                klass = LaunchClass(kind="range", mode="all")
-            else:
-                klass = LaunchClass(kind="range", mode="first_k", limit=request.limit)
+            klass = expected_class(request, snapshot)
+            assert_request_matches_solo(result, request, snapshot, klass)
+
+    @pytest.mark.parametrize("case_index", range(NUM_SEEDED_WINDOWS))
+    def test_seeded_mixed_window(self, case_index):
+        """A random window drawn from ``DIFF_SEED``: primitive, key
+        multiplicity (any-hit or all-hits points), ``max_frontier``
+        slicing, request sizes and the mix of all four classes."""
+        seed = DIFF_SEED * 1000 + case_index
+        pick = random.Random(seed)
+        primitive = pick.choice(list(PrimitiveType))
+        multiplicity = pick.choice([1, 1, 3])
+        max_frontier = pick.choice([None, 1, 7, 64])
+        rng = np.random.default_rng(seed)
+        # A dense shuffled column, each key repeated ``multiplicity`` times,
+        # so ranges and resumed pages always have rows to return.
+        keys = rng.permutation(
+            np.repeat(np.arange(2048 // multiplicity, dtype=np.uint64), multiplicity)
+        )
+        index = build_index(keys, max_frontier=max_frontier, primitive=primitive)
+        snapshot = EpochManager(index).current()
+        assert snapshot.point_mode == ("any_hit" if multiplicity == 1 else "all")
+        span = pick.choice([8, 24, 40])
+        limit = pick.choice([1, 2, 5])
+        requests = (
+            make_point_requests(rng, keys, pick.randint(1, 8), max_queries=4)
+            + make_range_requests(rng, keys, pick.randint(0, 5), span=span, start_id=100)
+            + make_range_requests(
+                rng, keys, pick.randint(0, 5), span=span, limit=limit, start_id=200
+            )
+            + make_page_requests(rng, index, pick.randint(0, 5), 40, limit, start_id=300)
+        )
+        pick.shuffle(requests)
+        scheduler = MicroBatchScheduler(max_batch=10_000, max_wait=0.0)
+        for request in requests:
+            scheduler.submit(request)
+        results = scheduler.flush(snapshot)
+        label = (
+            f"seed={DIFF_SEED} case={case_index} primitive={primitive.value} "
+            f"multiplicity={multiplicity} max_frontier={max_frontier}"
+        )
+        assert [r.request_id for r in results] == [r.request_id for r in requests], label
+        classes = {expected_class(r, snapshot) for r in requests}
+        assert scheduler.stats.launches == len(classes), label
+        for result, request in zip(results, requests):
+            klass = expected_class(request, snapshot)
             assert_request_matches_solo(result, request, snapshot, klass)
 
 
