@@ -53,11 +53,9 @@ bench-check:
 bench-serve:
 	$(PYTHON) benchmarks/perf_smoke.py --serve-only --check-only
 
-# Forest-build gate: the paper-scale build scenario at its 2^20 CI size —
-# serial vs fork vs shm with bit-identity asserted and the parallel targets
-# (>=2x over serial, shm beats fork) enforced on hosts with >= 4 CPUs
-# (recorded unenforced on smaller hosts).  BENCH_engine.json is appended.
-# "--scale paper" runs the full 2^26 scenario instead.
+# Forest-build gate: the serial sharded forest vs the single tree at the
+# 2^20-key CI size, with bit-identity asserted and no speed target.
+# BENCH_engine.json is appended.  "--scale paper" runs 2^26 keys instead.
 bench-build:
 	$(PYTHON) benchmarks/perf_smoke.py --build-only --scale tiny
 

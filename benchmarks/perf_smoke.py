@@ -19,18 +19,13 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py --check-only  # correctness only (CI)
 
 A sharded-build scenario measures the Morton-prefix forest
-(:mod:`repro.rtx.forest`) at 2^20 keys against the serial single-tree build:
-one entry per (worker count, backend) pair — the pickling ``fork`` backend
-and the zero-copy shared-memory ``shm`` backend — each verifying that the
-stitched forest tree is bit-identical to the single-tree arrays, and each
-recording the bytes pickled vs shared per build.  ``--build-only`` runs
-just this scenario (``make bench-build``; ``--scale paper`` lifts it to the
-paper's 2^26-key column).  Because the worker pool is a host
-multiprocessing pool, every recorded entry carries the effective pool size,
-the shard count and the machine's CPU count, keeping BENCH trajectories
-comparable across machines — the parallel-speedup and shm-beats-fork
-targets are only *enforced* on hosts with enough CPUs to run the pool
-concurrently (a single-CPU host still records the scenario).
+(:mod:`repro.rtx.forest`) at 2^20 keys against the single-tree build: one
+entry, verifying on the way that the stitched forest tree is bit-identical
+to the single-tree arrays.  It has no speed target: the forest exists for
+its local delta updates and saves, and a full forest build does the single
+tree's work plus the stitch.  ``--build-only`` runs just this scenario
+(``make bench-build``; ``--scale paper`` lifts it to the paper's 2^26-key
+column).
 
 Targets (checked, reported, and enforced under ``--strict``):
 
@@ -40,8 +35,6 @@ Targets (checked, reported, and enforced under ``--strict``):
   than the reference row-gather intersector,
 * ``first_k`` limited (k=8) range lookups (2^16 rays) at least 2x faster
   than the same batch traced in all-hits mode,
-* the sharded forest build (2^20 keys, 4 workers) at least 2x faster than
-  the serial single-tree build — enforced on hosts with >= 4 CPUs,
 * micro-batched serving of a 2^16-request Zipf point-lookup stream
   (:mod:`repro.serve`) at least 5x the sustained throughput of
   one-query-per-launch serving (the solo side is timed on a 2^12-request
@@ -101,13 +94,9 @@ BUILD_SPEEDUP_TARGET = 5.0
 TRACE_SPEEDUP_TARGET = 1.5
 INTERSECT_SPEEDUP_TARGET = 2.0
 FIRSTK_SPEEDUP_TARGET = 2.0
-FOREST_BUILD_SPEEDUP_TARGET = 2.0
 SERVE_SPEEDUP_TARGET = 5.0
 PAGING_SPEEDUP_TARGET = 5.0
 RESTART_SPEEDUP_TARGET = 1.5
-#: CPUs the host must expose before the parallel forest-build target is
-#: enforced (a pool cannot beat the serial build without real concurrency).
-FOREST_TARGET_MIN_CPUS = 4
 
 
 def _time(fn, repeats: int = 1) -> float:
@@ -168,78 +157,35 @@ def bench_build(log2_keys: int, builder: str = "lbvh", compare: bool = True) -> 
     return entry
 
 
-def bench_build_forest(
-    log2_keys: int,
-    shard_bits: int,
-    workers_list: tuple[int, ...],
-    backends: tuple[str, ...] = ("fork", "shm"),
-    compare: bool = True,
-) -> list[dict]:
-    """Time sharded forest builds against the serial single-tree build.
+def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
+    """Time the sharded forest build against the single-tree build.
 
-    One entry per (worker count, backend), all sharing a single timed
-    single-tree comparison partner (``ref_seconds``) — our own vectorised
-    ``build_bvh``, not the seed reference — so the speedup isolates what
-    sharding plus the worker pool buys.  Every stitched tree is verified
-    bit-identical to the single-tree arrays on the way.
-
-    The backend axis records what each execution schedule moves: ``fork``
-    ships O(n) arrays through the pool's pickle channel per task
-    (``bytes_pickled``), ``shm`` places inputs and outputs in shared-memory
-    blocks (``bytes_shared``) and pickles only O(1) task descriptors.  A shm
-    entry additionally carries ``fork_seconds`` (the fork entry's wall-clock
-    at the same worker count) and ``speedup_vs_fork`` — the head-to-head the
-    zero-copy backend is gated on.
+    The comparison partner (``ref_seconds``) is our own vectorised
+    ``build_bvh``, not the seed reference, so ``speedup`` isolates what
+    sharding costs or buys.  The stitched tree is verified bit-identical to
+    the single-tree arrays on the way.
     """
     n = 2**log2_keys
     rng = np.random.default_rng(log2_keys)
     points = rng.uniform(0, 1e6, size=(n, 3))
     buffer = TriangleBuffer(make_triangle_vertices(points))
+    options = BvhBuildOptions(shard_bits=shard_bits)
 
-    single = None
-    ref_seconds = None
-    if compare:
-        single = build_bvh(buffer, BvhBuildOptions())
-        ref_seconds = _time(lambda: build_bvh(buffer, BvhBuildOptions()), repeats=2)
-
-    entries = []
-    fork_seconds: dict[int, float] = {}
-    for workers in workers_list:
-        for backend in backends:
-            options = BvhBuildOptions(
-                shard_bits=shard_bits, workers=workers, backend=backend
-            )
-            forest = build_forest(buffer, options)
-            timing = _time_stats(lambda: build_forest(buffer, options), repeats=2)
-            telemetry = forest.telemetry
-            entry = {
-                "path": "build_forest",
-                "log2_keys": log2_keys,
-                "shard_bits": shard_bits,
-                "backend": backend,
-                "workers_requested": workers,
-                "workers": forest.workers_used,
-                "shards": forest.non_empty_shards,
-                "delegated_shards": forest.delegated_shards,
-                "bytes_pickled": telemetry.bytes_pickled,
-                "bytes_shared": telemetry.bytes_shared,
-                "cpu_count": os.cpu_count() or 1,
-                **timing,
-            }
-            if backend == "fork":
-                fork_seconds[workers] = entry["new_seconds"]
-            elif workers in fork_seconds:
-                entry["fork_seconds"] = fork_seconds[workers]
-                entry["speedup_vs_fork"] = fork_seconds[workers] / entry["new_seconds"]
-            if compare:
-                entry["ref_seconds"] = ref_seconds
-                entry["speedup"] = ref_seconds / entry["new_seconds"]
-                diff = bvh_arrays_diff(forest.bvh, single)
-                assert diff is None, (
-                    f"{backend} forest diverged from the single tree on {diff!r}"
-                )
-            entries.append(entry)
-    return entries
+    forest = build_forest(buffer, options)
+    entry = {
+        "path": "build_forest",
+        "log2_keys": log2_keys,
+        "shard_bits": shard_bits,
+        "shards": forest.non_empty_shards,
+        "delegated_shards": forest.delegated_shards,
+        **_time_stats(lambda: build_forest(buffer, options), repeats=2),
+    }
+    single = build_bvh(buffer, BvhBuildOptions())
+    diff = bvh_arrays_diff(forest.bvh, single)
+    assert diff is None, f"forest diverged from the single tree on {diff!r}"
+    entry["ref_seconds"] = _time(lambda: build_bvh(buffer, BvhBuildOptions()), repeats=2)
+    entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
+    return entry
 
 
 def bench_trace(log2_keys: int, log2_rays: int, compare: bool = True) -> dict:
@@ -1010,13 +956,11 @@ def run_smoke(quick: bool = False) -> list[dict]:
         entries.append(bench_frontier(12, 14, max_frontier=2**12))
     else:
         entries.append(bench_frontier(16, 20, max_frontier=2**18))
-    # Sharded forest build vs the serial single-tree build (one entry per
-    # worker count; the pool only helps on multi-CPU hosts, which the
-    # recorded workers/cpu_count fields make explicit).
+    # Sharded forest build vs the single-tree build.
     if quick:
-        entries.extend(bench_build_forest(16, shard_bits=4, workers_list=(1, 2)))
+        entries.append(bench_build_forest(16, shard_bits=4))
     else:
-        entries.extend(bench_build_forest(20, shard_bits=6, workers_list=(1, 4)))
+        entries.append(bench_build_forest(20, shard_bits=6))
     # Micro-batched serving of a Zipf point-lookup stream (2^16 requests at
     # full size) vs one-query-per-launch, with demux equivalence asserted on
     # the solo prefix.
@@ -1072,11 +1016,11 @@ def validate_entries(entries: list[dict]) -> None:
 def append_artifact(entries: list[dict], path: Path = DEFAULT_ARTIFACT) -> dict:
     """Append one run to the ``BENCH_engine.json`` trajectory artifact.
 
-    Every entry records the worker-pool size and shard count it ran with
-    (1/1 for the unsharded serial paths) plus the run records the host CPU
-    count, so trajectories from machines with different parallel hardware
-    remain comparable.  Entries missing the required identity/timing keys
-    are rejected (:func:`validate_entries`) before anything is written.
+    Every entry records the shard count it ran with (1 for the unsharded
+    paths) and the run records the host CPU count, so trajectories from
+    different machines remain comparable.  Entries missing the required
+    identity/timing keys are rejected (:func:`validate_entries`) before
+    anything is written.
     """
     validate_entries(entries)
     if path.exists():
@@ -1084,12 +1028,10 @@ def append_artifact(entries: list[dict], path: Path = DEFAULT_ARTIFACT) -> dict:
     else:
         trajectory = {"description": "engine wall-clock trajectory", "runs": []}
     for entry in entries:
-        entry.setdefault("workers", 1)
         entry.setdefault("shards", 1)
     run = {
         "unix_time": time.time(),
         "cpu_count": os.cpu_count() or 1,
-        "peak_workers": max(entry["workers"] for entry in entries),
         "entries": entries,
     }
     trajectory["runs"].append(run)
@@ -1130,35 +1072,6 @@ def check_targets(entries: list[dict]) -> list[str]:
                     f"first_k 2^{entry['log2_rays']} range rays: "
                     f"{speedup:.2f}x < {FIRSTK_SPEEDUP_TARGET}x"
                 )
-        if (
-            entry["path"] == "build_forest"
-            and entry["log2_keys"] >= 20
-            and entry["workers_requested"] >= 4
-        ):
-            # A worker pool cannot beat the serial build without CPUs to run
-            # on; the target binds only where the hardware allows it (the
-            # entry records cpu_count so skips are visible in the artifact).
-            if entry["cpu_count"] >= FOREST_TARGET_MIN_CPUS:
-                if speedup < FOREST_BUILD_SPEEDUP_TARGET:
-                    problems.append(
-                        f"forest build ({entry.get('backend', 'fork')}) "
-                        f"2^{entry['log2_keys']} keys, "
-                        f"{entry['workers_requested']} workers: "
-                        f"{speedup:.2f}x < {FOREST_BUILD_SPEEDUP_TARGET}x"
-                    )
-                # The zero-copy backend exists to beat fork head-to-head at
-                # the same worker count; recorded everywhere, enforced only
-                # where the pool has real CPUs under it.
-                if (
-                    entry.get("backend") == "shm"
-                    and entry.get("speedup_vs_fork") is not None
-                    and entry["speedup_vs_fork"] < 1.0
-                ):
-                    problems.append(
-                        f"shm build 2^{entry['log2_keys']} keys, "
-                        f"{entry['workers_requested']} workers: "
-                        f"{entry['speedup_vs_fork']:.2f}x vs fork (< 1.0x)"
-                    )
         if entry["path"] == "serve" and entry["log2_requests"] >= 16:
             if speedup < SERVE_SPEEDUP_TARGET:
                 problems.append(
@@ -1190,10 +1103,7 @@ def format_table(entries: list[dict]) -> str:
         if entry["path"] == "build":
             config = f"{entry['builder']} 2^{entry['log2_keys']} keys"
         elif entry["path"] == "build_forest":
-            config = (
-                f"2^{entry['log2_keys']} {entry.get('backend', 'fork')} "
-                f"w={entry['workers_requested']}"
-            )
+            config = f"2^{entry['log2_keys']} keys, {entry['shards']} shards"
         elif entry["path"] == "trace_firstk":
             config = f"2^{entry['log2_rays']} rays k={entry['limit']}"
         elif entry["path"] in ("trace", "trace_anyhit"):
@@ -1270,10 +1180,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--build-only",
         action="store_true",
-        help="run only the forest-build scenario (serial vs fork vs shm, "
-        "bit-identity asserted, artifact appended); the parallel targets "
-        "are enforced — but only bind on hosts with >= "
-        f"{FOREST_TARGET_MIN_CPUS} CPUs (make bench-build)",
+        help="run only the forest-build scenario (serial forest vs single "
+        "tree, bit-identity asserted, artifact appended, no speed target; "
+        "make bench-build)",
     )
     parser.add_argument(
         "--restart-only",
@@ -1288,9 +1197,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=("tiny", "paper"),
         default="tiny",
         help="key count of the --build-only / --restart-only scenarios: "
-        "tiny = 2^20 (the CI gate), paper = 2^26 (the paper-scale column "
-        "— for builds ~40 GB of shared blocks and several minutes of "
-        "wall-clock)",
+        "tiny = 2^20 (the CI gate), paper = 2^26 (the paper-scale column, "
+        "several minutes of wall-clock)",
     )
     args = parser.parse_args(argv)
 
@@ -1310,30 +1218,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.build_only:
         log2_keys = 20 if args.scale == "tiny" else 26
-        entries = bench_build_forest(
-            log2_keys,
-            shard_bits=6,
-            workers_list=(1, 4),
-            # The paper-scale single tree would dominate the run; the
-            # backends still cross-check against each other via the gate.
-            compare=args.scale == "tiny",
-        )
+        entries = [bench_build_forest(log2_keys, shard_bits=6)]
         append_artifact(entries, args.out)
         print(format_table(entries))
-        problems = check_targets(entries)
-        if problems:
-            print("\nTARGETS MISSED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        cpus = os.cpu_count() or 1
-        if cpus < FOREST_TARGET_MIN_CPUS:
-            print(
-                f"\nbuild targets recorded, not enforced ({cpus} CPUs < "
-                f"{FOREST_TARGET_MIN_CPUS})"
-            )
-        else:
-            print("\nbuild targets met")
+        print("\nforest build bit-identical to the single tree (no speed target)")
         return 0
 
     if args.serve_only and args.check_only:

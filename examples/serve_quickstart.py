@@ -39,12 +39,7 @@ def serve(index, max_batch, cache_capacity):
 
 def main() -> None:
     keys = dense_shuffled_keys(NUM_KEYS, seed=1)
-    # The zero-copy shared-memory build backend: workers read inputs and
-    # write sub-trees through /dev/shm views, so only task descriptors are
-    # ever pickled (stats()["build"] below shows the byte split).
-    index = RXIndex(
-        RXConfig.paper_default().with_delta_updates(shard_bits=4, backend="shm")
-    )
+    index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
     index.build(keys)
 
     # ------------------------------------------------------------------ #
@@ -111,10 +106,8 @@ def main() -> None:
     print(f"  trace_counters          rays={trace['rays']}, "
           f"node_visits={trace['node_visits']}, prim_tests={trace['prim_tests']}")
     build = index_stats["build"]
-    print(f"  build                   backend={build['backend']}, "
-          f"workers={build['workers_used']}, shards={build['shards']}, "
-          f"shared={build['bytes_shared']:,}B, "
-          f"pickled={build['bytes_pickled']:,}B, "
+    print(f"  build                   shards={build['shards']}, "
+          f"delegated={build['delegated_shards']}, "
           f"wall={build['wall_seconds'] * 1e3:.1f}ms")
     print(f"  epochs                  {stats['epochs']}")
 

@@ -14,9 +14,9 @@ Three panels:
 
 ``run_fig10d`` is a companion panel without a counterpart in the paper: the
 *measured host wall-clock* of the RX accel build, single tree versus the
-Morton-prefix sharded forest at one and several workers.  It reports real
-seconds (not simulated milliseconds) because the worker-pool speedup lives on
-the host side of the reproduction, which the GPU cost model does not cover.
+Morton-prefix sharded forest.  It reports real seconds (not simulated
+milliseconds) because the forest's extra stitch pass is a host-side cost of
+the reproduction, which the GPU cost model does not cover.
 """
 
 from __future__ import annotations
@@ -151,13 +151,13 @@ def run_fig10c(scale: str = "small", device=RTX_4090) -> ExperimentResult:
     )
 
 
-def run_fig10d(scale: str = "small", device=RTX_4090, workers: int | None = None) -> ExperimentResult:
+def run_fig10d(scale: str = "small", device=RTX_4090) -> ExperimentResult:
     """Measured RX build wall-clock: single tree vs sharded forest.
 
     Builds real accels at multiples of the simulation size and times them on
-    the host: the serial single-tree path, the forest with one worker (same
-    work, sharded schedule), and the forest with a worker pool.  The stitched
-    forest trees are verified bit-identical to the single-tree builds.
+    the host: the single-tree path and the forest (same work, sharded
+    schedule, plus the stitch).  The stitched forest trees are verified
+    bit-identical to the single-tree builds.
     """
     import numpy as np
 
@@ -166,46 +166,38 @@ def run_fig10d(scale: str = "small", device=RTX_4090, workers: int | None = None
     from repro.rtx.geometry import TriangleBuffer, make_triangle_vertices
 
     scale = resolve_scale(scale)
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
     key_counts = [scale.sim_keys * 4, scale.sim_keys * 16]
-    configs = [("single tree", None, 1), ("forest (1 worker)", FOREST_SHARD_BITS, 1)]
-    if workers > 1:
-        configs.append((f"forest ({workers} workers)", FOREST_SHARD_BITS, workers))
-
-    series = []
-    results: dict[str, list[float]] = {label: [] for label, _, _ in configs}
+    single_seconds: list[float] = []
+    forest_seconds: list[float] = []
     for num_keys in key_counts:
         rng = np.random.default_rng(num_keys)
         points = rng.uniform(0, 1e6, size=(num_keys, 3))
         buffer = TriangleBuffer(make_triangle_vertices(points))
-        single = None
-        for label, shard_bits, nworkers in configs:
-            if shard_bits is None:
-                start = time.perf_counter()
-                single = build_bvh(buffer, BvhBuildOptions())
-                results[label].append(time.perf_counter() - start)
-            else:
-                options = BvhBuildOptions(shard_bits=shard_bits, workers=nworkers)
-                start = time.perf_counter()
-                forest = build_forest(buffer, options)
-                results[label].append(time.perf_counter() - start)
-                diff = bvh_arrays_diff(forest.bvh, single)
-                if diff is not None:
-                    raise RuntimeError(
-                        f"sharded build diverged from the single tree on "
-                        f"{diff!r} ({label}, {num_keys} keys)"
-                    )
-
-    for label, _, _ in configs:
-        series.append(
-            ExperimentSeries(
-                label=label,
-                x=[log2_label(n) for n in key_counts],
-                y=results[label],
-                unit="s (measured)",
+        start = time.perf_counter()
+        single = build_bvh(buffer, BvhBuildOptions())
+        single_seconds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        forest = build_forest(buffer, BvhBuildOptions(shard_bits=FOREST_SHARD_BITS))
+        forest_seconds.append(time.perf_counter() - start)
+        diff = bvh_arrays_diff(forest.bvh, single)
+        if diff is not None:
+            raise RuntimeError(
+                f"sharded build diverged from the single tree on "
+                f"{diff!r} ({num_keys} keys)"
             )
+
+    series = [
+        ExperimentSeries(
+            label=label,
+            x=[log2_label(n) for n in key_counts],
+            y=seconds,
+            unit="s (measured)",
         )
+        for label, seconds in (
+            ("single tree", single_seconds),
+            ("sharded forest", forest_seconds),
+        )
+    ]
     return ExperimentResult(
         experiment_id="fig10d",
         title="Measured RX accel build wall-clock: single tree vs sharded forest",
@@ -214,8 +206,8 @@ def run_fig10d(scale: str = "small", device=RTX_4090, workers: int | None = None
         notes=(
             f"Host wall-clock of the reproduction's build path ({os.cpu_count()} "
             "CPUs visible).  The stitched forest trees are bit-identical to the "
-            "single-tree builds; sharding changes only the schedule, and the "
-            "worker pool parallelises the per-shard sort+emit passes."
+            "single-tree builds; sharding changes only the schedule and adds "
+            "the stitch pass."
         ),
         scale=scale.name,
         device=device.name,

@@ -112,6 +112,12 @@ class KeyDecomposition:
         return KeyDecomposition(x_bits=x, y_bits=y, z_bits=z)
 
 
+#: ``RXConfig.as_dict`` keys of fields that no longer exist.  Snapshots
+#: written while the sharded build still had worker-pool options carry them
+#: in their manifest, so :meth:`RXConfig.from_dict` ignores exactly these.
+RETIRED_CONFIG_KEYS = ("build_workers", "build_backend")
+
+
 @dataclass
 class RXConfig:
     """Full configuration of an RX index instance."""
@@ -130,17 +136,9 @@ class RXConfig:
     morton_bits: int = 21
     #: Morton-prefix sharding of the accel build: 0 builds one tree, ``b > 0``
     #: builds a forest of ``2**b`` shards stitched into a bit-identical tree
-    #: (requires the lbvh builder).  Enables parallel builds and the
-    #: DELTA_SHARD update policy.
+    #: (requires the lbvh builder).  Enables the DELTA_SHARD update policy
+    #: and incremental (dirty-shard-only) saves.
     shard_bits: int = 0
-    #: worker processes for sharded builds; 1 = serial (always bit-identical)
-    build_workers: int = 1
-    #: execution backend of sharded builds: "fork" ships shard arrays through
-    #: the pool's pickle channel, "shm" places inputs and outputs in
-    #: ``multiprocessing.shared_memory`` blocks so workers read and write
-    #: zero-copy views (requires ``shard_bits >= 1``).  Purely a schedule
-    #: knob: both backends emit bit-identical trees.
-    build_backend: str = "fork"
     sphere_radius: float = 0.25
     #: safety cap for the ray fan-out of wide range lookups in 3D Mode
     max_rays_per_range: int = 64
@@ -221,17 +219,6 @@ class RXConfig:
                 "sharded (forest) builds require bvh_builder='lbvh': the "
                 "Morton-prefix partition is only a prefix of lbvh's split "
                 "hierarchy"
-            )
-        if self.build_workers < 1:
-            raise ValueError("build_workers must be at least 1")
-        if self.build_backend not in ("fork", "shm"):
-            raise ValueError(
-                f"build_backend must be 'fork' or 'shm', got {self.build_backend!r}"
-            )
-        if self.build_backend == "shm" and self.shard_bits < 1:
-            raise ValueError(
-                "the shm build backend operates on the sharded forest "
-                "pipeline; it requires shard_bits >= 1"
             )
         if self.update_policy is UpdatePolicy.DELTA_SHARD and self.shard_bits < 1:
             raise ValueError(
@@ -317,21 +304,19 @@ class RXConfig:
             update_policy=UpdatePolicy.REFIT,
         )
 
-    def with_delta_updates(
-        self, shard_bits: int = 6, workers: int = 1, backend: str = "fork"
-    ) -> "RXConfig":
+    def with_delta_updates(self, shard_bits: int = 6, workers: int = 1) -> "RXConfig":
         """Copy of this config prepared for forest-backed delta-shard updates.
 
         Unlike refits, delta updates rebuild (and recompact) the dirty
         subtrees, so neither the OptiX update flag nor disabling compaction
-        is required.  ``backend="shm"`` selects the zero-copy shared-memory
-        build backend (bit-identical output, different execution schedule).
+        is required.  Shards are always built serially, in-process.
         """
+        # ``workers`` stays only so existing callers passing workers=1 keep working.
+        if workers != 1:
+            raise ValueError(f"forest builds are serial; workers must be 1, got {workers}")
         return replace(
             self,
             shard_bits=shard_bits,
-            build_workers=workers,
-            build_backend=backend,
             update_policy=UpdatePolicy.DELTA_SHARD,
         )
 
@@ -358,8 +343,6 @@ class RXConfig:
             "max_leaf_size": self.max_leaf_size,
             "morton_bits": self.morton_bits,
             "shard_bits": self.shard_bits,
-            "build_workers": self.build_workers,
-            "build_backend": self.build_backend,
             "sphere_radius": self.sphere_radius,
             "max_rays_per_range": self.max_rays_per_range,
             "value_bytes": self.value_bytes,
@@ -378,8 +361,13 @@ class RXConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RXConfig":
-        """Inverse of :meth:`as_dict`; validates the reconstructed config."""
-        data = dict(data)
+        """Inverse of :meth:`as_dict`; validates the reconstructed config.
+
+        Keys of retired fields (:data:`RETIRED_CONFIG_KEYS`) that older
+        snapshot manifests still carry are dropped; any other unknown key is
+        rejected.
+        """
+        data = {k: v for k, v in data.items() if k not in RETIRED_CONFIG_KEYS}
         try:
             config = RXConfig(
                 key_mode=KeyMode(data.pop("key_mode")),

@@ -48,7 +48,11 @@ from repro.gpusim.counters import WorkProfile
 from repro.persist import SnapshotCorrupt, load_snapshot, save_snapshot
 from repro.rtx.build_input import BuildFlags, build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, bvh_from_arrays, bvh_state_arrays
-from repro.rtx.forest import forest_from_saved, forest_state_segments
+from repro.rtx.forest import (
+    ShardPartitionError,
+    forest_from_saved,
+    forest_state_segments,
+)
 from repro.rtx.memory import accel_memory_estimate
 from repro.rtx.pipeline import (
     BuildMetrics,
@@ -152,8 +156,6 @@ class RXIndex(GpuIndex):
             max_leaf_size=self.config.max_leaf_size,
             morton_bits=self.config.morton_bits,
             shard_bits=self.config.shard_bits,
-            workers=self.config.build_workers,
-            backend=self.config.build_backend,
         )
 
     def _make_build_input(self, keys: np.ndarray):
@@ -222,7 +224,6 @@ class RXIndex(GpuIndex):
                     {
                         "shards": self._accel.forest.non_empty_shards,
                         "delegated_shards": self._accel.forest.delegated_shards,
-                        "build_workers": self._accel.forest.workers_used,
                     }
                     if self._accel.forest is not None
                     else {}
@@ -719,8 +720,6 @@ class RXIndex(GpuIndex):
             allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
             allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
             shard_bits=base.shard_bits,
-            workers=base.workers,
-            backend=base.backend,
         )
         compacted = bool(meta.get("compacted", False))
         if meta.get("kind") == "forest":
@@ -737,7 +736,13 @@ class RXIndex(GpuIndex):
                     shard_tree_arrays[bucket] = {
                         k: v for k, v in seg_arrays.items() if k != "rows"
                     }
-            forest = forest_from_saved(buffer, options, shard_rows, shard_tree_arrays)
+            try:
+                forest = forest_from_saved(buffer, options, shard_rows, shard_tree_arrays)
+            except ShardPartitionError as exc:
+                raise SnapshotCorrupt(
+                    f"persisted forest shards do not match the key column: {exc}",
+                    segment=f"shard-{exc.bucket:05d}",
+                ) from exc
             bvh = forest.bvh
             bvh.compacted = compacted
         else:
@@ -846,34 +851,14 @@ class RXIndex(GpuIndex):
         }
 
     def _build_stats_block(self, forest) -> dict:
-        """The ``stats()["build"]`` telemetry: what the last accel build (or
-        delta update) moved and spent.  Single-tree builds have no pool and
-        no shared blocks, so they report a synthesized serial entry."""
-        telemetry = forest.telemetry if forest is not None else None
-        if telemetry is None:
-            return {
-                "backend": "serial",
-                "workers_requested": 1,
-                "workers_used": 1,
-                "shards": 1,
-                "delegated_shards": 0,
-                "bytes_shared": 0,
-                "bytes_pickled": 0,
-                "tasks": 0,
-                "wall_seconds": self._last_build_seconds,
-            }
+        """The ``stats()["build"]`` block, derived from the live accel: its
+        non-empty shards (``shard_count``) and delegated sub-trees (a single
+        tree reports 1 and 0), plus the wall-clock of the last build or
+        delta update (``None`` after a snapshot load)."""
         return {
-            "backend": telemetry.backend,
-            "workers_requested": telemetry.workers_requested,
-            "workers_used": telemetry.workers_used,
-            "shards": telemetry.shards,
-            "delegated_shards": telemetry.delegated_shards,
-            "bytes_shared": telemetry.bytes_shared,
-            "bytes_pickled": telemetry.bytes_pickled,
-            "tasks": telemetry.tasks,
-            "wall_seconds": self._last_build_seconds
-            if self._last_build_seconds is not None
-            else telemetry.wall_seconds,
+            "shards": forest.non_empty_shards if forest is not None else 1,
+            "delegated_shards": forest.delegated_shards if forest is not None else 0,
+            "wall_seconds": self._last_build_seconds,
         }
 
     def memory_footprint(self, target_keys: int | None = None) -> MemoryFootprint:

@@ -28,12 +28,7 @@ from repro.rtx.build_input import (
 )
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
 from repro.rtx.compaction import compact_accel
-from repro.rtx.forest import (
-    BuildTelemetry,
-    BvhForest,
-    build_forest,
-    delta_update_forest,
-)
+from repro.rtx.forest import BvhForest, build_forest, delta_update_forest
 from repro.rtx.geometry import AabbBuffer, RayBatch, SphereBuffer, TriangleBuffer
 from repro.rtx.memory import DeviceMemoryTracker
 from repro.rtx.pipeline import (
@@ -53,7 +48,6 @@ __all__ = [
     "AabbBuffer",
     "AabbBuildInput",
     "BuildFlags",
-    "BuildTelemetry",
     "Bvh",
     "BvhBuildOptions",
     "BvhForest",

@@ -102,26 +102,6 @@ class AabbBuildInput(BuildInput):
         return self._buffer
 
 
-def write_aabbs_into(
-    source: BuildInput | PrimitiveBuffer,
-    out_mins: np.ndarray,
-    out_maxs: np.ndarray,
-) -> int:
-    """Write per-primitive AABBs into caller-provided arrays, in place.
-
-    The zero-copy build backend allocates its bound arrays as shared-memory
-    blocks before computing anything into them; this is the fill step.  The
-    float32 buffer bounds widen to the destination dtype exactly as an
-    ``astype`` would, so downstream arithmetic matches the copying path bit
-    for bit.  Returns the number of primitives written.
-    """
-    buffer = source.primitive_buffer() if isinstance(source, BuildInput) else source
-    mins, maxs = buffer.compute_aabbs()
-    out_mins[: mins.shape[0]] = mins
-    out_maxs[: maxs.shape[0]] = maxs
-    return int(mins.shape[0])
-
-
 def build_input_for_points(
     primitive: str,
     points: np.ndarray,

@@ -27,6 +27,9 @@ interpreter from the per-node hot path entirely.  The emitted node numbering
 is renumbered to the depth-first order the original stack-based builder
 produced, so trees are bit-identical with the golden reference in
 :mod:`repro.rtx._reference` (checked by ``tests/test_engine_equivalence.py``).
+With ``BvhBuildOptions.shard_bits > 0`` the lbvh build runs through the
+Morton-prefix sharded forest (:mod:`repro.rtx.forest`) instead, one shard
+after another, and emits the same arrays.
 
 The BVH is stored as a structure of arrays so traversal can read node bounds
 without per-node Python objects.
@@ -76,22 +79,11 @@ class BvhBuildOptions:
         shards and assembles the tree as a forest of independently built
         sub-BVHs stitched under a top-level split table
         (:mod:`repro.rtx.forest`).  The stitched tree is bit-identical to the
-        ``shard_bits=0`` single-tree build; only the build schedule changes.
+        ``shard_bits=0`` single-tree build; what sharding buys is local
+        delta updates and incremental saves, not a faster full build.
         Requires the ``"lbvh"`` builder (the prefix partition *is* the top of
         the LBVH split hierarchy; SAH/median splits do not decompose along
         Morton prefixes).
-    workers:
-        Worker processes used to build the shards of a sharded build.  ``1``
-        (the default) builds every shard serially in-process; any value is
-        bit-identical per shard, so results never depend on the pool size.
-    backend:
-        Executor of a sharded build.  ``"fork"`` (the default) hands each
-        shard to a fork pool and pickles rows and sub-trees through the pool
-        channel; ``"shm"`` stages inputs and outputs in
-        ``multiprocessing.shared_memory`` blocks so workers read and write
-        zero-copy views in place and only O(1) job descriptors are pickled
-        (:mod:`repro.rtx.forest`).  Like ``workers``, this is purely an
-        execution-schedule knob: every backend emits bit-identical trees.
     """
 
     builder: str = "lbvh"
@@ -101,8 +93,6 @@ class BvhBuildOptions:
     allow_update: bool = False
     allow_compaction: bool = True
     shard_bits: int = 0
-    workers: int = 1
-    backend: str = "fork"
 
     def validate(self) -> None:
         if self.builder not in ("lbvh", "sah", "median"):
@@ -123,15 +113,6 @@ class BvhBuildOptions:
             )
         if self.shard_bits > 3 * self.morton_bits:
             raise ValueError("shard_bits cannot exceed the Morton code width")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.backend not in ("fork", "shm"):
-            raise ValueError(f"unknown build backend {self.backend!r}")
-        if self.backend == "shm" and self.shard_bits < 1:
-            raise ValueError(
-                "the shm build backend operates on the sharded forest "
-                "pipeline; it requires shard_bits >= 1"
-            )
 
 
 @dataclass
@@ -283,7 +264,7 @@ def build_bvh(
     With ``options.shard_bits > 0`` the build routes through the sharded
     forest pipeline (:func:`repro.rtx.forest.build_forest`) and returns its
     stitched tree — bit-identical to the single-tree build, but constructed
-    shard by shard (optionally across a worker pool).
+    shard by shard.
     """
     options = options or BvhBuildOptions()
     options.validate()
@@ -392,7 +373,6 @@ def build_lbvh_over_sorted(
     prim_mins: np.ndarray,
     prim_maxs: np.ndarray,
     options: BvhBuildOptions,
-    out: dict[str, np.ndarray] | None = None,
 ) -> Bvh:
     """Build an LBVH over primitives *already sorted* by Morton code.
 
@@ -402,15 +382,10 @@ def build_lbvh_over_sorted(
     them into its global primitive stream.  Runs the same level-synchronous
     machinery as :func:`build_bvh`, which makes a shard's subtree
     bit-identical to the corresponding subtree of the single-tree build.
-
-    ``out`` optionally provides the destination node arrays (keys ``left``,
-    ``right``, ``first_prim``, ``prim_count``, ``node_mins``, ``node_maxs``,
-    each with capacity for ``2 * m - 1`` nodes) — the shm backend passes
-    shared-memory views here so workers emit their sub-trees in place.
     """
     splitter = _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64), options)
     builder = _LevelSynchronousBuilder(prim_mins, prim_maxs, options, splitter)
-    bvh = builder.build(np.arange(sorted_codes.shape[0], dtype=np.int64), out=out)
+    bvh = builder.build(np.arange(sorted_codes.shape[0], dtype=np.int64))
     bvh.num_primitives = int(sorted_codes.shape[0])
     return bvh
 
@@ -493,7 +468,7 @@ class _LevelSynchronousBuilder:
         self.options = options
         self.splitter = splitter
 
-    def build(self, order: np.ndarray, out: dict[str, np.ndarray] | None = None) -> Bvh:
+    def build(self, order: np.ndarray) -> Bvh:
         prim_indices = np.array(order, dtype=np.int64, copy=True)
         n = prim_indices.shape[0]
         cap = max(2 * n - 1, 1)
@@ -569,24 +544,12 @@ class _LevelSynchronousBuilder:
         )
 
         perm = _dfs_renumbering(left, right, bfs_levels)
-        if out is None:
-            out_mins = np.empty((num_nodes, 3), dtype=np.float32)
-            out_maxs = np.empty((num_nodes, 3), dtype=np.float32)
-            out_left = np.empty(num_nodes, dtype=np.int64)
-            out_right = np.empty(num_nodes, dtype=np.int64)
-            out_first = np.empty(num_nodes, dtype=np.int64)
-            out_count = np.empty(num_nodes, dtype=np.int64)
-        else:
-            # Caller-provided destination views (shared-memory blocks for the
-            # shm backend): the DFS-ordered scatter below writes the final
-            # layout directly into them, so the emitted Bvh aliases the
-            # caller's storage with no copy-out pass.
-            out_mins = out["node_mins"][:num_nodes]
-            out_maxs = out["node_maxs"][:num_nodes]
-            out_left = out["left"][:num_nodes]
-            out_right = out["right"][:num_nodes]
-            out_first = out["first_prim"][:num_nodes]
-            out_count = out["prim_count"][:num_nodes]
+        out_mins = np.empty((num_nodes, 3), dtype=np.float32)
+        out_maxs = np.empty((num_nodes, 3), dtype=np.float32)
+        out_left = np.empty(num_nodes, dtype=np.int64)
+        out_right = np.empty(num_nodes, dtype=np.int64)
+        out_first = np.empty(num_nodes, dtype=np.int64)
+        out_count = np.empty(num_nodes, dtype=np.int64)
         out_mins[perm] = node_mins.astype(np.float32)
         out_maxs[perm] = node_maxs.astype(np.float32)
         safe_left = np.maximum(left, 0)

@@ -1,4 +1,4 @@
-"""Morton-prefix sharded BVH forest: parallel builds, delta-shard updates.
+"""Morton-prefix sharded BVH forest: the structure behind delta-shard updates.
 
 The forest partitions primitives by the top ``shard_bits`` bits of their
 Morton codes into ``S = 2**shard_bits`` shards.  Because the LBVH splits every
@@ -11,15 +11,17 @@ which means the single tree :func:`repro.rtx.bvh.build_bvh` emits is exactly
 * one **independent sub-BVH per bucket**, each derivable from nothing but the
   bucket's own sorted codes and primitive bounds.
 
-The forest therefore builds the shards independently — optionally across a
-``multiprocessing`` pool, with bit-identical per-shard results for any worker
-count — and stitches them under the top-level table into a tree whose arrays
-(including the stack-order DFS node numbering) equal the single-tree build
-bit for bit.  Traversal needs no special dispatch path: advancing the
-frontier through the top-level table *is* the shard dispatch (a ray only ever
-reaches the sub-BVHs whose shard bounds it overlaps), and because the
-stitched tree is the single tree, hits and counters of all three trace modes
-come out in exactly the single-tree stream order.
+The forest therefore builds the shards one after another, in-process, and
+stitches them under the top-level table into a tree whose arrays (including
+the stack-order DFS node numbering) equal the single-tree build bit for bit.
+The decomposition does not make a full build faster — it does the single
+tree's work plus the stitch — but it makes updates and saves local: an
+update rebuilds only the dirty shards, and a save rewrites only their
+segments.  Traversal needs no special dispatch path: advancing the frontier
+through the top-level table *is* the shard dispatch (a ray only ever reaches
+the sub-BVHs whose shard bounds it overlaps), and because the stitched tree
+is the single tree, hits and counters of every trace mode come out in
+exactly the single-tree stream order.
 
 Updates exploit the same decomposition: :func:`delta_update_forest` compares
 the new primitive bounds row by row against the previous build, marks only
@@ -39,15 +41,10 @@ no sub-tree.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from repro.rtx.build_input import write_aabbs_into
 from repro.rtx.bvh import (
     BVH_ARRAY_FIELDS,
     Bvh,
@@ -59,25 +56,17 @@ from repro.rtx.geometry import PrimitiveBuffer, ray_box_overlap_pairs
 from repro.rtx.morton import (
     morton_interleave_grid,
     morton_prefix_buckets,
-    quantize_points_to_grid,
     quantize_to_grid_with_bounds,
 )
-from repro.rtx.shm import ShmArena
-
-#: Worker-side payload shared with forked pool processes.  Set in the parent
-#: immediately before the pool is created so the children inherit it through
-#: fork without pickling the (large) grid and bound arrays per task.
-_SHARD_PAYLOAD: dict | None = None
 
 
-@dataclass
-class ShardJob:
-    """One unit of shard work: sort a bucket's rows and/or build its tree."""
+class ShardPartitionError(ValueError):
+    """Persisted shard state that does not match the recomputed partition."""
 
-    bucket: int
-    rows: np.ndarray
-    needs_sort: bool
-    build_tree: bool
+    def __init__(self, bucket: int, problem: str):
+        super().__init__(f"shard {bucket}: {problem}")
+        #: the Morton-prefix bucket whose persisted state is wrong
+        self.bucket = bucket
 
 
 @dataclass
@@ -94,28 +83,6 @@ class DeltaUpdateStats:
     #: True when the global Morton grid moved (scene bounds changed), which
     #: re-quantises every code and forces a full re-sort of all shards.
     rescaled: bool = False
-
-
-@dataclass
-class BuildTelemetry:
-    """What a forest build (or delta update) moved and spent.
-
-    ``bytes_shared`` counts shared-memory block bytes the workers access as
-    zero-copy views (0 under the fork backend); ``bytes_pickled`` counts
-    bytes that crossed the pool's pickle channel — exact task-descriptor
-    sizes for the shm backend, an array-size estimate (rows out, rows plus
-    sub-tree arrays back) for fork.  Surfaced as ``RXIndex.stats()["build"]``.
-    """
-
-    backend: str
-    workers_requested: int
-    workers_used: int
-    shards: int
-    delegated_shards: int
-    bytes_shared: int
-    bytes_pickled: int
-    tasks: int
-    wall_seconds: float
 
 
 @dataclass
@@ -142,16 +109,7 @@ class BvhForest:
     shard_rows: dict[int, np.ndarray]
     #: per *delegated* bucket: its sub-BVH in shard-local numbering
     shard_trees: dict[int, Bvh]
-    workers_used: int = 1
-    built_shards: int = 0
     _top_node_count: int = 0
-    #: telemetry of the build or update that produced this forest
-    telemetry: BuildTelemetry | None = None
-    #: shm backend bookkeeping (None under fork): the persistent input blocks
-    #: reused across delta updates, and this epoch's output blocks (the old
-    #: epoch a delta copies clean shards out of)
-    _shm_state: object = field(default=None, repr=False, compare=False)
-    _shm_epoch: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_shards(self) -> int:
@@ -285,74 +243,82 @@ def plan_top_level(
 
 
 # --------------------------------------------------------------------------- #
-# shard jobs
+# per-shard work
 # --------------------------------------------------------------------------- #
 
 
-def _run_shard_job(job: ShardJob):
-    """Sort one bucket's rows by Morton code and optionally build its tree.
-
-    Reads the large shared inputs from :data:`_SHARD_PAYLOAD` (inherited via
-    fork in pooled builds, set directly for serial ones).  Deterministic in
-    its inputs, so results are bit-identical for any pool size.
-    """
-    payload = _SHARD_PAYLOAD
-    rows = job.rows
-    codes = morton_interleave_grid(payload["grid"][rows], payload["bits"])
-    if job.needs_sort:
+def _sort_and_build(
+    rows: np.ndarray,
+    grid: np.ndarray,
+    prim_mins: np.ndarray,
+    prim_maxs: np.ndarray,
+    options: BvhBuildOptions,
+    *,
+    build_tree: bool,
+    sort: bool = True,
+) -> tuple[np.ndarray, Bvh | None]:
+    """Sort one bucket's rows by Morton code and optionally build its tree."""
+    codes = morton_interleave_grid(grid[rows], options.morton_bits)
+    if sort:
         order = np.argsort(codes, kind="stable")
         rows = rows[order]
         codes = codes[order]
     tree = None
-    if job.build_tree:
-        tree = build_lbvh_over_sorted(
-            codes,
-            payload["prim_mins"][rows],
-            payload["prim_maxs"][rows],
-            payload["options"],
-        )
-    return job.bucket, rows, tree
+    if build_tree:
+        tree = build_lbvh_over_sorted(codes, prim_mins[rows], prim_maxs[rows], options)
+    return rows, tree
 
 
-def _execute_jobs(
-    jobs: list[ShardJob], payload: dict, workers: int
-) -> tuple[list, int]:
-    """Run shard jobs serially or across a fork pool; returns (results, pool size)."""
-    global _SHARD_PAYLOAD
-    _SHARD_PAYLOAD = payload
-    try:
-        pool_size = min(workers, len(jobs))
-        if pool_size > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                pool_size = 1
-        if pool_size > 1:
-            with ctx.Pool(processes=pool_size) as pool:
-                results = pool.map(_run_shard_job, jobs)
-        else:
-            pool_size = 1
-            results = [_run_shard_job(job) for job in jobs]
-        return results, pool_size
-    finally:
-        _SHARD_PAYLOAD = None
+def _row_stream(shard_vals: np.ndarray, shard_rows: dict[int, np.ndarray]) -> np.ndarray:
+    """The shards' rows concatenated in bucket order: the stitched tree's
+    ``prim_indices``."""
+    if not shard_vals.size:
+        return np.zeros(0, dtype=np.int64)
+    return np.concatenate([shard_rows[int(b)] for b in shard_vals])
 
 
-def _fork_bytes_pickled(jobs: list[ShardJob], results: list, pool_size: int) -> int:
-    """Estimate of bytes that crossed the fork pool's pickle channel.
+def _checked_row_stream(
+    shard_rows: dict[int, np.ndarray],
+    shard_vals: np.ndarray,
+    shard_counts: np.ndarray,
+    bucket_of_row: np.ndarray,
+) -> np.ndarray:
+    """The row stream of persisted shards, required to partition the column.
 
-    Each job ships its row-index array to a worker and receives the rows
-    (plus the sub-tree arrays, when one was built) back — the O(n) per-task
-    traffic the shm backend eliminates.  Serial execution pickles nothing.
+    Every shard must hold as many rows as keys fall in its bucket, and every
+    row must lie in ``[0, n)``, appear exactly once, and sit in the shard its
+    recomputed Morton bucket names.  Checksums cannot catch a writer that
+    emits the wrong rows, because it checksums what it wrote.  Raises
+    :class:`ShardPartitionError` naming the first offending bucket.
     """
-    if pool_size <= 1:
-        return 0
-    total = sum(int(job.rows.nbytes) for job in jobs)
-    for _, rows, tree in results:
-        total += int(rows.nbytes)
-        if tree is not None:
-            total += sum(int(getattr(tree, name).nbytes) for name in BVH_ARRAY_FIELDS)
-    return total
+    for bucket, count in zip(shard_vals.tolist(), shard_counts.tolist()):
+        held = int(shard_rows[bucket].shape[0])
+        if held != count:
+            raise ShardPartitionError(
+                bucket, f"holds {held} rows, but {count} keys fall in its bucket"
+            )
+    rows_stream = _row_stream(shard_vals, shard_rows)
+    n = int(bucket_of_row.shape[0])
+    stream_starts = np.cumsum(shard_counts) - shard_counts
+
+    def _reject(bad: np.ndarray, problem: str) -> None:
+        positions = np.flatnonzero(bad)
+        if positions.size:
+            pos = int(positions[0])
+            bucket = int(shard_vals[np.searchsorted(stream_starts, pos, "right") - 1])
+            raise ShardPartitionError(bucket, f"row {int(rows_stream[pos])} {problem}")
+
+    _reject((rows_stream < 0) | (rows_stream >= n), f"lies outside [0, {n})")
+    # n in-range rows repeat one exactly when they miss another, so the
+    # costly per-row gather only runs to name the bucket.
+    seen = np.bincount(rows_stream, minlength=n)
+    if not seen.all():
+        _reject(seen[rows_stream] != 1, "appears more than once")
+    _reject(
+        bucket_of_row[rows_stream] != np.repeat(shard_vals.astype(np.int64), shard_counts),
+        "belongs to another Morton bucket",
+    )
+    return rows_stream
 
 
 # --------------------------------------------------------------------------- #
@@ -363,7 +329,7 @@ def _fork_bytes_pickled(jobs: list[ShardJob], results: list, pool_size: int) -> 
 def _stitch(
     shard_vals: np.ndarray,
     shard_counts: np.ndarray,
-    shard_rows: dict[int, np.ndarray],
+    rows_stream: np.ndarray,
     shard_trees: dict[int, Bvh],
     plan: _TopPlan,
     prim_mins: np.ndarray,
@@ -372,18 +338,13 @@ def _stitch(
 ) -> Bvh:
     """Assemble the global single tree from the top plan and shard sub-trees.
 
-    Works in an intermediate numbering (top-level nodes first, shard blocks
-    after), then renumbers to the stack-order DFS ids the single-tree builder
-    emits — the output arrays are bit-identical to ``build_bvh`` with
-    ``shard_bits=0``.
+    ``rows_stream`` is :func:`_row_stream` of the shard rows.  Works in an
+    intermediate numbering (top-level nodes first, shard blocks after), then
+    renumbers to the stack-order DFS ids the single-tree builder emits — the
+    output arrays are bit-identical to ``build_bvh`` with ``shard_bits=0``.
     """
     stream_starts = np.cumsum(shard_counts) - shard_counts
     start_of_bucket = {int(b): int(s) for b, s in zip(shard_vals, stream_starts)}
-    rows_stream = (
-        np.concatenate([shard_rows[int(b)] for b in shard_vals])
-        if shard_vals.size
-        else np.zeros(0, dtype=np.int64)
-    )
     n = int(rows_stream.shape[0])
 
     num_top = len(plan.entries)
@@ -487,7 +448,7 @@ def _stitch(
         "num_primitives": n,
         "node_count": bvh.node_count,
         "leaf_count": bvh.leaf_count,
-        "shards": 1 << options.shard_bits,
+        "shards": int(shard_vals.shape[0]),
         "delegated_shards": len(shard_trees),
         "top_nodes": num_top,
     }
@@ -512,9 +473,6 @@ def build_forest(
     options.validate()
     if options.shard_bits < 1:
         raise ValueError("build_forest requires shard_bits >= 1")
-    if options.backend == "shm":
-        return _build_forest_shm(primitive_buffer, options)
-    t0 = time.perf_counter()
     prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
     prim_mins = prim_mins.astype(np.float64)
     prim_maxs = prim_maxs.astype(np.float64)
@@ -536,34 +494,21 @@ def build_forest(
     plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
     delegated = set(plan.delegated)
 
-    jobs = [
-        ShardJob(
-            bucket=int(b),
-            rows=group_order[starts[int(b)] : starts[int(b)] + counts[int(b)]],
-            needs_sort=True,
-            build_tree=int(b) in delegated,
-        )
-        for b in shard_vals
-    ]
-    payload = {
-        "grid": grid,
-        "prim_mins": prim_mins,
-        "prim_maxs": prim_maxs,
-        "bits": options.morton_bits,
-        "options": options,
-    }
-    results, pool_size = _execute_jobs(jobs, payload, options.workers)
-
     shard_rows: dict[int, np.ndarray] = {}
     shard_trees: dict[int, Bvh] = {}
-    for bucket_id, rows, tree in results:
-        shard_rows[bucket_id] = rows
+    for b in shard_vals.tolist():
+        rows, tree = _sort_and_build(
+            group_order[starts[b] : starts[b] + counts[b]],
+            grid, prim_mins, prim_maxs, options,
+            build_tree=b in delegated,
+        )
+        shard_rows[b] = rows
         if tree is not None:
-            shard_trees[bucket_id] = tree
+            shard_trees[b] = tree
 
     bvh = _stitch(
-        shard_vals, shard_counts, shard_rows, shard_trees, plan,
-        prim_mins, prim_maxs, options,
+        shard_vals, shard_counts, _row_stream(shard_vals, shard_rows), shard_trees,
+        plan, prim_mins, prim_maxs, options,
     )
     return BvhForest(
         bvh=bvh,
@@ -575,20 +520,7 @@ def build_forest(
         shard_ids=shard_vals.astype(np.int64),
         shard_rows=shard_rows,
         shard_trees=shard_trees,
-        workers_used=pool_size,
-        built_shards=len(shard_trees),
         _top_node_count=len(plan.entries),
-        telemetry=BuildTelemetry(
-            backend="fork",
-            workers_requested=options.workers,
-            workers_used=pool_size,
-            shards=num_buckets,
-            delegated_shards=len(shard_trees),
-            bytes_shared=0,
-            bytes_pickled=_fork_bytes_pickled(jobs, results, pool_size),
-            tasks=len(jobs),
-            wall_seconds=time.perf_counter() - t0,
-        ),
     )
 
 
@@ -652,18 +584,21 @@ def forest_from_saved(
     saved = {int(b) for b in shard_rows}
     expected = {int(b) for b in shard_vals.tolist()}
     if saved != expected:
-        raise ValueError(
-            "persisted shard set does not match the Morton partition recomputed "
-            f"from the key column (saved {sorted(saved)[:8]}..., "
-            f"expected {sorted(expected)[:8]}...)"
+        raise ShardPartitionError(
+            min(saved ^ expected),
+            "the persisted shard set does not match the Morton partition "
+            "recomputed from the key column",
         )
-    if {int(b) for b in shard_tree_arrays} != set(plan.delegated):
-        raise ValueError(
-            "persisted delegated-shard set does not match the recomputed "
-            "top-level plan"
+    saved_trees = {int(b) for b in shard_tree_arrays}
+    if saved_trees != set(plan.delegated):
+        raise ShardPartitionError(
+            min(saved_trees ^ set(plan.delegated)),
+            "the persisted delegated-shard set does not match the recomputed "
+            "top-level plan",
         )
 
     rows: dict[int, np.ndarray] = {int(b): r for b, r in shard_rows.items()}
+    rows_stream = _checked_row_stream(rows, shard_vals, shard_counts, bucket)
     trees: dict[int, Bvh] = {}
     for b, arrays in shard_tree_arrays.items():
         count = int(rows[int(b)].shape[0])
@@ -679,7 +614,7 @@ def forest_from_saved(
             options=options,
         )
     bvh = _stitch(
-        shard_vals, shard_counts, rows, trees, plan, prim_mins, prim_maxs, options
+        shard_vals, shard_counts, rows_stream, trees, plan, prim_mins, prim_maxs, options
     )
     return BvhForest(
         bvh=bvh,
@@ -691,10 +626,7 @@ def forest_from_saved(
         shard_ids=shard_vals.astype(np.int64),
         shard_rows=rows,
         shard_trees=trees,
-        workers_used=1,
-        built_shards=len(trees),
         _top_node_count=len(plan.entries),
-        telemetry=None,
     )
 
 
@@ -713,9 +645,6 @@ def delta_update_forest(
     (nothing changed) returns the original forest untouched.
     """
     options = forest.options
-    if options.backend == "shm":
-        return _delta_update_forest_shm(forest, old_buffer, new_buffer)
-    t0 = time.perf_counter()
     num_buckets = 1 << options.shard_bits
 
     new_mins, new_maxs = new_buffer.compute_aabbs()
@@ -733,7 +662,7 @@ def delta_update_forest(
             total_shards=num_buckets,
             non_empty_shards=rebuilt.non_empty_shards,
             dirty_shards=rebuilt.non_empty_shards,
-            rebuilt_trees=rebuilt.built_shards,
+            rebuilt_trees=rebuilt.delegated_shards,
             dirty_keys=n_new,
             total_keys=n_new,
             rescaled=rescaled,
@@ -790,41 +719,6 @@ def delta_update_forest(
     group_counts = np.bincount(bucket[dirty_rows], minlength=num_buckets)
     group_starts = np.cumsum(group_counts) - group_counts
 
-    jobs: list[ShardJob] = []
-    for b in dirty_ids.tolist():
-        if group_counts[b] == 0:
-            continue  # bucket emptied out; nothing to sort or build
-        jobs.append(
-            ShardJob(
-                bucket=b,
-                rows=grouped[group_starts[b] : group_starts[b] + group_counts[b]],
-                needs_sort=True,
-                build_tree=b in delegated,
-            )
-        )
-    # Clean buckets that the new top plan delegates but that previously had
-    # no sub-tree (they were absorbed into a mixed leaf): build their tree
-    # from the stored, still-sorted rows.
-    for b in delegated:
-        if not dirty[b] and b not in forest.shard_trees:
-            jobs.append(
-                ShardJob(
-                    bucket=b,
-                    rows=forest.shard_rows[b],
-                    needs_sort=False,
-                    build_tree=True,
-                )
-            )
-
-    payload = {
-        "grid": grid,
-        "prim_mins": new_mins,
-        "prim_maxs": new_maxs,
-        "bits": options.morton_bits,
-        "options": options,
-    }
-    results, pool_size = _execute_jobs(jobs, payload, options.workers)
-
     shard_rows = {
         b: rows
         for b, rows in forest.shard_rows.items()
@@ -836,15 +730,32 @@ def delta_update_forest(
         if not dirty[b] and b in delegated
     }
     rebuilt_trees = 0
-    for bucket_id, rows, tree in results:
-        shard_rows[bucket_id] = rows
+    for b in dirty_ids.tolist():
+        if group_counts[b] == 0:
+            continue  # bucket emptied out; nothing to sort or build
+        rows, tree = _sort_and_build(
+            grouped[group_starts[b] : group_starts[b] + group_counts[b]],
+            grid, new_mins, new_maxs, options,
+            build_tree=b in delegated,
+        )
+        shard_rows[b] = rows
         if tree is not None:
-            shard_trees[bucket_id] = tree
+            shard_trees[b] = tree
+            rebuilt_trees += 1
+    # Clean buckets that the new top plan delegates but that previously had
+    # no sub-tree (they were absorbed into a mixed leaf): build their tree
+    # from the stored, still-sorted rows.
+    for b in delegated:
+        if not dirty[b] and b not in forest.shard_trees:
+            _, shard_trees[b] = _sort_and_build(
+                shard_rows[b], grid, new_mins, new_maxs, options,
+                build_tree=True, sort=False,
+            )
             rebuilt_trees += 1
 
     bvh = _stitch(
-        shard_vals, shard_counts, shard_rows, shard_trees, plan,
-        new_mins, new_maxs, options,
+        shard_vals, shard_counts, _row_stream(shard_vals, shard_rows), shard_trees,
+        plan, new_mins, new_maxs, options,
     )
     updated = BvhForest(
         bvh=bvh,
@@ -856,20 +767,7 @@ def delta_update_forest(
         shard_ids=shard_vals.astype(np.int64),
         shard_rows=shard_rows,
         shard_trees=shard_trees,
-        workers_used=pool_size,
-        built_shards=len(shard_trees),
         _top_node_count=len(plan.entries),
-        telemetry=BuildTelemetry(
-            backend="fork",
-            workers_requested=options.workers,
-            workers_used=pool_size,
-            shards=num_buckets,
-            delegated_shards=len(shard_trees),
-            bytes_shared=0,
-            bytes_pickled=_fork_bytes_pickled(jobs, results, pool_size),
-            tasks=len(jobs),
-            wall_seconds=time.perf_counter() - t0,
-        ),
     )
     stats = DeltaUpdateStats(
         total_shards=num_buckets,
@@ -881,832 +779,3 @@ def delta_update_forest(
     )
     return updated, stats
 
-
-# --------------------------------------------------------------------------- #
-# shm backend: zero-copy shared-memory build pipeline
-# --------------------------------------------------------------------------- #
-#
-# The fork backend above parallelises only the per-shard sort+build and pays
-# O(n) pickling per task (rows out, rows + sub-tree arrays back), plus three
-# serial O(n) passes: quantise, bucket grouping, and the stitch scatter.  The
-# shm backend removes all four bottlenecks:
-#
-# * Inputs (primitive bounds, Morton grid, bucket ids) and outputs (the
-#   primitive stream, per-shard scratch trees, the final node arrays) live in
-#   ``multiprocessing.shared_memory`` blocks.  Workers inherit numpy views of
-#   them through fork and read/write in place; only O(1) task descriptors are
-#   ever pickled.
-# * Quantise and bucket grouping run as chunked worker passes over the same
-#   blocks.  Chunk boundaries depend only on ``(n, options.workers)`` — never
-#   on the effective pool size — and each pass is exactly equivalent to its
-#   serial counterpart: quantisation is row-independent, scene bounds are an
-#   associative min/max reduction, and the chunked counting-scatter (ascending
-#   chunks, stable within each chunk) reproduces the global stable argsort.
-# * The stitch *is* the final layout.  The single tree's DFS numbering
-#   (``_dfs_renumbering``: the k-th inner node in right-first preorder
-#   allocates ids ``2k+1``/``2k+2``) decomposes per shard: a shard subtree is
-#   a contiguous segment of that preorder, so every non-root local node ``l``
-#   lands at global id ``l + 2K``, where ``K`` is the number of inner nodes
-#   preceding the segment.  ``_walk_top_numbering`` computes all ``K`` in
-#   O(shards); workers then rebase-copy their scratch trees straight into the
-#   final arrays at those offsets — no global renumbering or scatter pass.
-#
-# Block lifetimes: the *state* blocks (bounds/grid/bucket) persist across
-# delta updates — only changed rows are rewritten, and the cached state is
-# exactly what lets a delta skip re-deriving the worker payload per call.
-# The *epoch* blocks (stream/scratch/out) are fresh per build so serving-side
-# epoch snapshots that pin an old ``Bvh`` stay valid; a delta's workers copy
-# clean shards from the old epoch's blocks into the new ones.  Finalizers on
-# the state object and the stitched ``Bvh`` unlink the names at GC; error
-# paths unlink eagerly (see :mod:`repro.rtx.shm`).
-
-#: Worker-side payload of the shm backend: a dict of shared-memory views plus
-#: small constants, set in the parent before pool creation so children
-#: inherit it through fork.  Cached per epoch — delta updates reuse the
-#: persistent state views instead of re-deriving bounds/grid per call.
-_SHM_PAYLOAD: dict | None = None
-
-#: Scratch/out array names; the int64 node arrays, then the float32 bounds.
-_NODE_FIELDS_I64 = ("left", "right", "first_prim", "prim_count")
-_NODE_FIELDS_F32 = ("node_mins", "node_maxs")
-
-
-class _ShmState:
-    """Persistent shared input blocks, reused in place across delta updates."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.arena = ShmArena("inputs")
-        self.prim_mins = self.arena.allocate("prim_mins", (n, 3), np.float64)
-        self.prim_maxs = self.arena.allocate("prim_maxs", (n, 3), np.float64)
-        self.grid = self.arena.allocate("grid", (n, 3), np.uint64)
-        self.bucket = self.arena.allocate("bucket", (n,), np.int64)
-        self.arena.attach_finalizer(self)
-
-
-class _ShmEpoch:
-    """Per-build shared output blocks plus the layout bookkeeping a later
-    delta update needs to copy this epoch's clean shards forward."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.arena = ShmArena("epoch")
-        cap = max(2 * n - 1, 1)
-        #: shard-sorted global row ids — the final ``prim_indices``
-        self.stream = self.arena.allocate("stream", (n,), np.int64)
-        # Worst-case-offset scratch: bucket b's sub-tree goes at offset
-        # 2 * stream_start[b] with capacity 2 * count >= its node count.
-        self.scratch = {
-            name: self.arena.allocate("scratch_" + name, (2 * n,), np.int64)
-            for name in _NODE_FIELDS_I64
-        }
-        self.scratch |= {
-            name: self.arena.allocate("scratch_" + name, (2 * n, 3), np.float32)
-            for name in _NODE_FIELDS_F32
-        }
-        self.out = {
-            name: self.arena.allocate("out_" + name, (cap,), np.int64)
-            for name in _NODE_FIELDS_I64
-        }
-        self.out |= {
-            name: self.arena.allocate("out_" + name, (cap, 3), np.float32)
-            for name in _NODE_FIELDS_F32
-        }
-        # Per non-empty bucket: stream slice start and scratch offset; per
-        # delegated bucket: node count.  Filled during the build.
-        self.stream_start: dict[int, int] = {}
-        self.scratch_off: dict[int, int] = {}
-        self.node_count: dict[int, int] = {}
-        #: worker payload assembled once for this epoch (satellite: no
-        #: per-call re-derivation); the executor installs it before forking.
-        self.payload: dict | None = None
-
-
-def _shm_payload(
-    state: _ShmState, epoch: _ShmEpoch, old_epoch: _ShmEpoch | None,
-    options: BvhBuildOptions,
-) -> dict:
-    if epoch.payload is None:
-        epoch.payload = {
-            "prim_mins": state.prim_mins,
-            "prim_maxs": state.prim_maxs,
-            "grid": state.grid,
-            "bucket": state.bucket,
-            "stream": epoch.stream,
-            "scratch": epoch.scratch,
-            "out": epoch.out,
-            "old_stream": old_epoch.stream if old_epoch is not None else None,
-            "old_scratch": old_epoch.scratch if old_epoch is not None else None,
-            "bits": options.morton_bits,
-            "shard_bits": options.shard_bits,
-            "shards": 1 << options.shard_bits,
-            "options": options,
-        }
-    return epoch.payload
-
-
-class _ShmExecutor:
-    """Task runner over the fork-inherited shared payload.
-
-    One pool serves every pass of a build (the payload is inherited at fork;
-    writes made by the parent *after* the fork are still visible — the blocks
-    are MAP_SHARED).  Falls back to in-process execution when ``workers == 1``
-    or fork is unavailable, running the very same task functions, which is
-    what makes results bit-identical across worker counts by construction.
-    Tracks honest pickle-channel accounting: descriptors are the only traffic.
-    """
-
-    def __init__(self, payload: dict, workers: int):
-        global _SHM_PAYLOAD
-        _SHM_PAYLOAD = payload
-        self.workers_requested = workers
-        self.pool = None
-        self.pool_size = 1
-        self.tasks = 0
-        self.bytes_pickled = 0
-        if workers > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:
-                ctx = None
-            if ctx is not None:
-                self.pool = ctx.Pool(processes=workers)
-                self.pool_size = workers
-
-    def run(self, fn, tasks: list) -> list:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        self.tasks += len(tasks)
-        self.bytes_pickled += sum(
-            len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-            for task in tasks
-        )
-        if self.pool is not None and len(tasks) > 1:
-            return self.pool.map(fn, tasks)
-        return [fn(task) for task in tasks]
-
-    def close(self) -> None:
-        global _SHM_PAYLOAD
-        if self.pool is not None:
-            # All maps have returned by the time we get here (success or
-            # raised), so terminate is safe and never blocks on stuck tasks.
-            self.pool.terminate()
-            self.pool.join()
-            self.pool = None
-        _SHM_PAYLOAD = None
-
-
-def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Row chunks of the parallel passes.
-
-    A pure function of ``(n, requested workers)`` so chunked results never
-    depend on how many processes actually ran.
-    """
-    chunks = max(1, min(workers, n))
-    size = -(-n // chunks)
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _shm_chunk_centroid_bounds(task: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Min/max of the centroid chunk; exact selection, so chunk-reducible."""
-    lo, hi = task
-    payload = _SHM_PAYLOAD
-    centroids = 0.5 * (payload["prim_mins"][lo:hi] + payload["prim_maxs"][lo:hi])
-    return centroids.min(axis=0), centroids.max(axis=0)
-
-
-def _shm_chunk_quantize(task: tuple) -> np.ndarray:
-    """Quantise one row chunk onto the fixed global grid, write its grid and
-    bucket rows in place, and return the chunk's per-bucket counts."""
-    lo, hi, scene_lo, scene_hi = task
-    payload = _SHM_PAYLOAD
-    centroids = 0.5 * (payload["prim_mins"][lo:hi] + payload["prim_maxs"][lo:hi])
-    grid = quantize_points_to_grid(centroids, scene_lo, scene_hi, payload["bits"])
-    payload["grid"][lo:hi] = grid
-    bucket = morton_prefix_buckets(grid, payload["bits"], payload["shard_bits"])
-    payload["bucket"][lo:hi] = bucket
-    return np.bincount(bucket, minlength=payload["shards"])
-
-
-def _shm_chunk_scatter(task: tuple) -> None:
-    """Scatter one chunk's rows into their buckets' stream slices.
-
-    ``offsets[b]`` is where this chunk's first row of bucket ``b`` goes —
-    the bucket's global start plus the counts of earlier chunks.  Ascending
-    chunks + a stable in-chunk sort reproduce the global stable argsort
-    grouping bit for bit.
-    """
-    lo, hi, offsets = task
-    payload = _SHM_PAYLOAD
-    bucket = payload["bucket"][lo:hi]
-    order = np.argsort(bucket, kind="stable")
-    sorted_buckets = bucket[order]
-    counts = np.bincount(bucket, minlength=payload["shards"])
-    starts = np.cumsum(counts) - counts
-    dest = offsets[sorted_buckets] + (
-        np.arange(order.shape[0], dtype=np.int64) - starts[sorted_buckets]
-    )
-    payload["stream"][dest] = lo + order
-    return None
-
-
-class _ShmShardTask(NamedTuple):
-    """Round-1 descriptor: everything a worker needs to place one bucket.
-
-    ``old_start >= 0`` copies the rows from the old epoch's stream first
-    (clean shard under a delta update); ``old_scratch_off >= 0`` additionally
-    copies the old sub-tree instead of rebuilding it.
-    """
-
-    bucket: int
-    start: int
-    count: int
-    needs_sort: bool
-    build_tree: bool
-    scratch_off: int
-    old_start: int
-    old_scratch_off: int
-    old_node_count: int
-
-
-def _shm_round1(task: _ShmShardTask) -> tuple[int, int]:
-    """Sort one bucket's stream slice in place and emit its sub-tree into
-    scratch at the precomputed offset; returns ``(bucket, node_count)``."""
-    payload = _SHM_PAYLOAD
-    rows = payload["stream"][task.start : task.start + task.count]
-    if task.old_start >= 0:
-        rows[:] = payload["old_stream"][task.old_start : task.old_start + task.count]
-    if task.old_scratch_off >= 0:
-        src = slice(task.old_scratch_off, task.old_scratch_off + task.old_node_count)
-        dst = slice(task.scratch_off, task.scratch_off + task.old_node_count)
-        old_scratch = payload["old_scratch"]
-        scratch = payload["scratch"]
-        for name in scratch:
-            scratch[name][dst] = old_scratch[name][src]
-        return task.bucket, task.old_node_count
-    if not task.needs_sort and not task.build_tree:
-        return task.bucket, 0
-    codes = morton_interleave_grid(payload["grid"][rows], payload["bits"])
-    if task.needs_sort:
-        order = np.argsort(codes, kind="stable")
-        rows[:] = rows[order]
-        codes = codes[order]
-    if not task.build_tree:
-        return task.bucket, 0
-    off = task.scratch_off
-    cap = 2 * task.count
-    scratch = payload["scratch"]
-    out = {name: scratch[name][off : off + cap] for name in scratch}
-    tree = build_lbvh_over_sorted(
-        codes,
-        payload["prim_mins"][rows],
-        payload["prim_maxs"][rows],
-        payload["options"],
-        out=out,
-    )
-    return task.bucket, tree.node_count
-
-
-class _ShmStitchTask(NamedTuple):
-    """Round-2 descriptor: rebase one shard's scratch tree into the final
-    arrays.  Non-root local node ``l`` lands at row ``base + l``; the root
-    lands at ``root`` (its id was assigned by the top-level parent)."""
-
-    bucket: int
-    scratch_off: int
-    node_count: int
-    base: int
-    root: int
-    stream_start: int
-
-
-def _shm_round2(task: _ShmStitchTask) -> None:
-    payload = _SHM_PAYLOAD
-    m = task.node_count
-    src = slice(task.scratch_off, task.scratch_off + m)
-    scratch = payload["scratch"]
-    out = payload["out"]
-    left = scratch["left"][src]
-    right = scratch["right"][src]
-    first = scratch["first_prim"][src]
-    count = scratch["prim_count"][src]
-    inner = left >= 0
-    # Child pointers rebase by the same base for every row (the root's
-    # children are local 1/2 -> base+1/base+2, matching its global rank);
-    # only leaves reference the primitive stream, inner nodes keep the
-    # builder's zero placeholder — exactly the fork stitcher's formulas.
-    g_left = np.where(inner, left + task.base, -1)
-    g_right = np.where(inner, right + task.base, -1)
-    g_first = np.where(inner, first, first + task.stream_start)
-    dst = slice(task.base + 1, task.base + m)
-    out["left"][dst] = g_left[1:]
-    out["right"][dst] = g_right[1:]
-    out["first_prim"][dst] = g_first[1:]
-    out["prim_count"][dst] = count[1:]
-    out["node_mins"][dst] = scratch["node_mins"][src][1:]
-    out["node_maxs"][dst] = scratch["node_maxs"][src][1:]
-    root = task.root
-    out["left"][root] = g_left[0]
-    out["right"][root] = g_right[0]
-    out["first_prim"][root] = g_first[0]
-    out["prim_count"][root] = count[0]
-    out["node_mins"][root] = scratch["node_mins"][task.scratch_off]
-    out["node_maxs"][root] = scratch["node_maxs"][task.scratch_off]
-    return None
-
-
-def _walk_top_numbering(
-    plan: _TopPlan, node_counts: dict[int, int]
-) -> tuple[list[int], dict[int, int], dict[int, int], int]:
-    """Global DFS ids of the stitched tree in O(top entries + shards).
-
-    Walks the top plan in the builder's right-first preorder, counting inner
-    nodes: the k-th inner node allocates ids ``2k+1``/``2k+2`` for its
-    children (the ``_dfs_renumbering`` rule).  A shard segment advances the
-    inner count by its own ``(m - 1) // 2`` inner nodes, and the count at its
-    start, doubled, is the rebase offset of all its non-root nodes.  Returns
-    ``(entry ids, shard base offsets, shard root ids, total node count)``.
-    """
-    entries = plan.entries
-    entry_gid = [0] * len(entries)
-    if not entries:
-        # The whole key range lives in one delegated bucket: the shard's
-        # local numbering is already the global numbering.
-        bucket = plan.delegated[0]
-        return entry_gid, {bucket: 0}, {bucket: 0}, node_counts[bucket]
-    shard_base: dict[int, int] = {}
-    shard_root: dict[int, int] = {}
-    inner_rank = 0
-    stack: list[tuple[tuple, int]] = [(("t", 0), 0)]
-    while stack:
-        ref, gid = stack.pop()
-        if ref[0] == "s":
-            bucket = ref[1]
-            shard_root[bucket] = gid
-            shard_base[bucket] = 2 * inner_rank
-            inner_rank += (node_counts[bucket] - 1) // 2
-            continue
-        index = ref[1]
-        entry_gid[index] = gid
-        entry = entries[index]
-        if entry[0] == "leaf":
-            continue
-        k = inner_rank
-        inner_rank += 1
-        stack.append((entry[1], 2 * k + 1))  # left pushed first ...
-        stack.append((entry[2], 2 * k + 2))  # ... so right pops (visits) first
-    num_nodes = len(entries) + sum(node_counts[b] for b in plan.delegated)
-    return entry_gid, shard_base, shard_root, num_nodes
-
-
-def _shm_finalize(
-    state: _ShmState,
-    epoch: _ShmEpoch,
-    executor: _ShmExecutor,
-    plan: _TopPlan,
-    options: BvhBuildOptions,
-    n: int,
-) -> Bvh:
-    """Rounds 2+3: rebase shard sub-trees into the final layout (parallel)
-    and fill the O(shards) top-level rows (parent), then wrap the out views
-    as the stitched ``Bvh`` — bit-identical to the fork stitcher's output."""
-    entry_gid, shard_base, shard_root, num_nodes = _walk_top_numbering(
-        plan, epoch.node_count
-    )
-    executor.run(
-        _shm_round2,
-        [
-            _ShmStitchTask(
-                bucket=b,
-                scratch_off=epoch.scratch_off[b],
-                node_count=epoch.node_count[b],
-                base=shard_base[b],
-                root=shard_root[b],
-                stream_start=epoch.stream_start[b],
-            )
-            for b in plan.delegated
-        ],
-    )
-    out = {name: array[:num_nodes] for name, array in epoch.out.items()}
-
-    def _resolve(ref: tuple) -> int:
-        return entry_gid[ref[1]] if ref[0] == "t" else shard_root[ref[1]]
-
-    # Top leaves first (bounds straight from the primitives), then inner
-    # bounds bottom-up — children always have larger entry indices, so one
-    # reverse sweep suffices; shard-root rows were written by round 2.
-    stream = epoch.stream
-    for index, entry in enumerate(plan.entries):
-        if entry[0] != "leaf":
-            continue
-        gid = entry_gid[index]
-        _, stream_lo, count = entry
-        gathered = stream[stream_lo : stream_lo + count]
-        out["left"][gid] = -1
-        out["right"][gid] = -1
-        out["first_prim"][gid] = stream_lo
-        out["prim_count"][gid] = count
-        out["node_mins"][gid] = state.prim_mins[gathered].min(axis=0).astype(np.float32)
-        out["node_maxs"][gid] = state.prim_maxs[gathered].max(axis=0).astype(np.float32)
-    for index in range(len(plan.entries) - 1, -1, -1):
-        entry = plan.entries[index]
-        if entry[0] != "inner":
-            continue
-        gid = entry_gid[index]
-        left_id = _resolve(entry[1])
-        right_id = _resolve(entry[2])
-        out["left"][gid] = left_id
-        out["right"][gid] = right_id
-        out["first_prim"][gid] = 0
-        out["prim_count"][gid] = 0
-        out["node_mins"][gid] = np.minimum(
-            out["node_mins"][left_id], out["node_mins"][right_id]
-        )
-        out["node_maxs"][gid] = np.maximum(
-            out["node_maxs"][left_id], out["node_maxs"][right_id]
-        )
-
-    bvh = Bvh(
-        node_mins=out["node_mins"],
-        node_maxs=out["node_maxs"],
-        left=out["left"],
-        right=out["right"],
-        first_prim=out["first_prim"],
-        prim_count=out["prim_count"],
-        prim_indices=epoch.stream,
-        num_primitives=n,
-        options=options,
-    )
-    # The stitched Bvh is the longest-lived consumer of the epoch blocks
-    # (epoch snapshots pin it); unlink their names when it is collected.
-    epoch.arena.attach_finalizer(bvh)
-    bvh.build_stats = {
-        "builder": options.builder,
-        "num_primitives": n,
-        "node_count": bvh.node_count,
-        "leaf_count": bvh.leaf_count,
-        "shards": 1 << options.shard_bits,
-        "delegated_shards": len(plan.delegated),
-        "top_nodes": len(plan.entries),
-    }
-    return bvh
-
-
-def _shm_shard_views(
-    epoch: _ShmEpoch, plan: _TopPlan, counts: np.ndarray, options: BvhBuildOptions
-) -> dict[int, Bvh]:
-    """Shard sub-trees as views into the epoch's scratch blocks (no copy)."""
-    trees: dict[int, Bvh] = {}
-    for bucket in plan.delegated:
-        m = epoch.node_count[bucket]
-        off = epoch.scratch_off[bucket]
-        count = int(counts[bucket])
-        trees[bucket] = Bvh(
-            node_mins=epoch.scratch["node_mins"][off : off + m],
-            node_maxs=epoch.scratch["node_maxs"][off : off + m],
-            left=epoch.scratch["left"][off : off + m],
-            right=epoch.scratch["right"][off : off + m],
-            first_prim=epoch.scratch["first_prim"][off : off + m],
-            prim_count=epoch.scratch["prim_count"][off : off + m],
-            prim_indices=np.arange(count, dtype=np.int64),
-            num_primitives=count,
-            options=options,
-        )
-    return trees
-
-
-def _shm_shard_rows(epoch: _ShmEpoch, counts: np.ndarray) -> dict[int, np.ndarray]:
-    return {
-        bucket: epoch.stream[start : start + int(counts[bucket])]
-        for bucket, start in epoch.stream_start.items()
-    }
-
-
-def _build_forest_shm(
-    primitive_buffer: PrimitiveBuffer, options: BvhBuildOptions
-) -> BvhForest:
-    """Full forest build on the shm backend; see the section comment above."""
-    t0 = time.perf_counter()
-    n = len(primitive_buffer)
-    if n == 0:
-        raise ValueError("cannot build a BVH forest over zero primitives")
-    num_buckets = 1 << options.shard_bits
-    state = _ShmState(n)
-    epoch = _ShmEpoch(n)
-    executor = None
-    try:
-        write_aabbs_into(primitive_buffer, state.prim_mins, state.prim_maxs)
-        executor = _ShmExecutor(_shm_payload(state, epoch, None, options), options.workers)
-
-        chunks = _chunk_ranges(n, options.workers)
-        parts = executor.run(_shm_chunk_centroid_bounds, chunks)
-        lo = np.minimum.reduce([part[0] for part in parts])
-        hi = np.maximum.reduce([part[1] for part in parts])
-        chunk_counts = np.stack(
-            executor.run(_shm_chunk_quantize, [(a, b, lo, hi) for a, b in chunks])
-        )
-        counts = chunk_counts.sum(axis=0)
-        starts = np.cumsum(counts) - counts
-        chunk_offsets = starts[None, :] + np.cumsum(chunk_counts, axis=0) - chunk_counts
-        executor.run(
-            _shm_chunk_scatter,
-            [(a, b, chunk_offsets[i]) for i, (a, b) in enumerate(chunks)],
-        )
-
-        shard_vals = np.flatnonzero(counts).astype(np.uint64)
-        shard_counts = counts[shard_vals.astype(np.int64)]
-        plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-        delegated = set(plan.delegated)
-
-        tasks = []
-        for bucket in shard_vals.astype(np.int64).tolist():
-            start = int(starts[bucket])
-            epoch.stream_start[bucket] = start
-            epoch.scratch_off[bucket] = 2 * start
-            tasks.append(
-                _ShmShardTask(
-                    bucket=bucket,
-                    start=start,
-                    count=int(counts[bucket]),
-                    needs_sort=True,
-                    build_tree=bucket in delegated,
-                    scratch_off=2 * start,
-                    old_start=-1,
-                    old_scratch_off=-1,
-                    old_node_count=0,
-                )
-            )
-        for bucket, node_count in executor.run(_shm_round1, tasks):
-            if node_count:
-                epoch.node_count[bucket] = node_count
-
-        bvh = _shm_finalize(state, epoch, executor, plan, options, n)
-        return BvhForest(
-            bvh=bvh,
-            options=options,
-            num_primitives=n,
-            scene_lo=lo,
-            scene_hi=hi,
-            # A live view into the state block: delta updates snapshot the old
-            # values of rows they overwrite, so no O(n) copy per epoch.
-            bucket_of_row=state.bucket,
-            shard_ids=shard_vals.astype(np.int64),
-            shard_rows=_shm_shard_rows(epoch, counts),
-            shard_trees=_shm_shard_views(epoch, plan, counts, options),
-            workers_used=executor.pool_size,
-            built_shards=len(delegated),
-            _top_node_count=len(plan.entries),
-            telemetry=BuildTelemetry(
-                backend="shm",
-                workers_requested=options.workers,
-                workers_used=executor.pool_size,
-                shards=num_buckets,
-                delegated_shards=len(delegated),
-                bytes_shared=state.arena.total_bytes + epoch.arena.total_bytes,
-                bytes_pickled=executor.bytes_pickled,
-                tasks=executor.tasks,
-                wall_seconds=time.perf_counter() - t0,
-            ),
-            _shm_state=state,
-            _shm_epoch=epoch,
-        )
-    except BaseException:
-        # Worker exception (or any mid-build failure): unlink every block
-        # created for this call before the views escape.
-        epoch.arena.release()
-        state.arena.release()
-        raise
-    finally:
-        if executor is not None:
-            executor.close()
-
-
-def _delta_update_forest_shm(
-    forest: BvhForest,
-    old_buffer: PrimitiveBuffer,
-    new_buffer: PrimitiveBuffer,
-) -> tuple[BvhForest, DeltaUpdateStats]:
-    """Delta update on the shm backend: reuse the persistent input blocks so
-    only changed rows rewrite, and copy clean shards (rows and sub-trees)
-    from the old epoch's blocks into the new epoch on the worker pool."""
-    t0 = time.perf_counter()
-    options = forest.options
-    num_buckets = 1 << options.shard_bits
-
-    n_new = len(new_buffer)
-    if n_new == 0:
-        raise ValueError("cannot delta-update a forest to zero primitives")
-
-    def _full_rebuild(rescaled: bool) -> tuple[BvhForest, DeltaUpdateStats]:
-        rebuilt = build_forest(new_buffer, options)
-        stats = DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=rebuilt.non_empty_shards,
-            dirty_shards=rebuilt.non_empty_shards,
-            rebuilt_trees=rebuilt.built_shards,
-            dirty_keys=n_new,
-            total_keys=n_new,
-            rescaled=rescaled,
-        )
-        return rebuilt, stats
-
-    state: _ShmState | None = forest._shm_state
-    old_epoch: _ShmEpoch | None = forest._shm_epoch
-    if state is None or old_epoch is None:
-        # Recovery path: a previous delta failed and dropped the cached
-        # blocks, so nothing incremental can be trusted.
-        return _full_rebuild(rescaled=False)
-
-    new_mins, new_maxs = new_buffer.compute_aabbs()
-    new_mins = new_mins.astype(np.float64)
-    new_maxs = new_maxs.astype(np.float64)
-    centroids = 0.5 * (new_mins + new_maxs)
-    lo = centroids.min(axis=0)
-    hi = centroids.max(axis=0)
-    if not (
-        np.array_equal(lo, forest.scene_lo) and np.array_equal(hi, forest.scene_hi)
-    ):
-        return _full_rebuild(rescaled=True)
-
-    n_old = forest.num_primitives
-    common = min(n_old, n_new)
-    changed = (new_mins[:common] != state.prim_mins[:common]).any(axis=1)
-    changed |= (new_maxs[:common] != state.prim_maxs[:common]).any(axis=1)
-    changed_idx = np.flatnonzero(changed)
-    # Snapshot the old buckets of the rows about to be overwritten (the state
-    # block itself holds the previous epoch's values until we write it).
-    old_changed_buckets = state.bucket[changed_idx]
-
-    dirty = np.zeros(num_buckets, dtype=bool)
-    dirty[old_changed_buckets] = True
-    if n_old > common:
-        dirty[state.bucket[common:n_old]] = True
-
-    resized = n_new != state.n
-    if not resized and changed_idx.size == 0 and not dirty.any():
-        return forest, DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=forest.non_empty_shards,
-            dirty_shards=0,
-            rebuilt_trees=0,
-            dirty_keys=0,
-            total_keys=n_new,
-            noop=True,
-        )
-
-    if resized:
-        target = _ShmState(n_new)
-        write_aabbs_into(new_buffer, target.prim_mins, target.prim_maxs)
-        target.grid[:common] = state.grid[:common]
-        target.bucket[:common] = state.bucket[:common]
-    else:
-        target = state
-        if changed_idx.size:
-            target.prim_mins[changed_idx] = new_mins[changed_idx]
-            target.prim_maxs[changed_idx] = new_maxs[changed_idx]
-
-    appended = np.arange(common, n_new, dtype=np.int64)
-    recompute_idx = (
-        np.concatenate([changed_idx, appended]) if appended.size else changed_idx
-    )
-    if recompute_idx.size:
-        # The grid is fixed (bounds unchanged), so re-quantising only the
-        # changed/appended rows is bit-identical to the full pass.
-        grid_rows = quantize_points_to_grid(
-            centroids[recompute_idx], lo, hi, options.morton_bits
-        )
-        bucket_rows = morton_prefix_buckets(
-            grid_rows, options.morton_bits, options.shard_bits
-        )
-        target.grid[recompute_idx] = grid_rows
-        target.bucket[recompute_idx] = bucket_rows
-        dirty[bucket_rows] = True
-
-    counts = np.bincount(target.bucket, minlength=num_buckets)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    dirty_ids = np.flatnonzero(dirty)
-
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    delegated = set(plan.delegated)
-    starts = np.cumsum(counts) - counts
-
-    epoch = _ShmEpoch(n_new)
-    executor = None
-    try:
-        executor = _ShmExecutor(
-            _shm_payload(target, epoch, old_epoch, options), options.workers
-        )
-
-        # Parent scatters the dirty buckets' rows into their new stream
-        # slices (O(dirty keys)); clean buckets are copied by the workers.
-        dirty_rows = np.flatnonzero(dirty[target.bucket])
-        grouped = dirty_rows[np.argsort(target.bucket[dirty_rows], kind="stable")]
-        group_counts = np.bincount(target.bucket[dirty_rows], minlength=num_buckets)
-        pos = 0
-        for bucket in np.flatnonzero(group_counts).tolist():
-            count = int(group_counts[bucket])
-            start = int(starts[bucket])
-            epoch.stream[start : start + count] = grouped[pos : pos + count]
-            pos += count
-
-        tasks = []
-        rebuilt_trees = 0
-        for bucket in shard_vals.astype(np.int64).tolist():
-            start = int(starts[bucket])
-            count = int(counts[bucket])
-            epoch.stream_start[bucket] = start
-            epoch.scratch_off[bucket] = 2 * start
-            if dirty[bucket]:
-                tasks.append(
-                    _ShmShardTask(
-                        bucket, start, count, True, bucket in delegated,
-                        2 * start, -1, -1, 0,
-                    )
-                )
-                if bucket in delegated:
-                    rebuilt_trees += 1
-                continue
-            old_start = old_epoch.stream_start[bucket]
-            if bucket in delegated and bucket in old_epoch.node_count:
-                # Clean shard with a live sub-tree: copy rows + tree forward
-                # so the new epoch is self-contained.
-                tasks.append(
-                    _ShmShardTask(
-                        bucket, start, count, False, False, 2 * start,
-                        old_start, old_epoch.scratch_off[bucket],
-                        old_epoch.node_count[bucket],
-                    )
-                )
-            elif bucket in delegated:
-                # Clean but newly delegated (was absorbed into a mixed leaf):
-                # rows are still sorted, only the tree must be built.
-                tasks.append(
-                    _ShmShardTask(
-                        bucket, start, count, False, True, 2 * start,
-                        old_start, -1, 0,
-                    )
-                )
-                rebuilt_trees += 1
-            else:
-                tasks.append(
-                    _ShmShardTask(
-                        bucket, start, count, False, False, 2 * start,
-                        old_start, -1, 0,
-                    )
-                )
-        for bucket, node_count in executor.run(_shm_round1, tasks):
-            if node_count:
-                epoch.node_count[bucket] = node_count
-
-        bvh = _shm_finalize(target, epoch, executor, plan, options, n_new)
-        updated = BvhForest(
-            bvh=bvh,
-            options=options,
-            num_primitives=n_new,
-            scene_lo=lo,
-            scene_hi=hi,
-            bucket_of_row=target.bucket,
-            shard_ids=shard_vals.astype(np.int64),
-            shard_rows=_shm_shard_rows(epoch, counts),
-            shard_trees=_shm_shard_views(epoch, plan, counts, options),
-            workers_used=executor.pool_size,
-            built_shards=len(delegated),
-            _top_node_count=len(plan.entries),
-            telemetry=BuildTelemetry(
-                backend="shm",
-                workers_requested=options.workers,
-                workers_used=executor.pool_size,
-                shards=num_buckets,
-                delegated_shards=len(delegated),
-                bytes_shared=target.arena.total_bytes + epoch.arena.total_bytes,
-                bytes_pickled=executor.bytes_pickled,
-                tasks=executor.tasks,
-                wall_seconds=time.perf_counter() - t0,
-            ),
-            _shm_state=target,
-            _shm_epoch=epoch,
-        )
-        stats = DeltaUpdateStats(
-            total_shards=num_buckets,
-            non_empty_shards=updated.non_empty_shards,
-            dirty_shards=int(dirty_ids.size),
-            rebuilt_trees=rebuilt_trees,
-            dirty_keys=int(dirty_rows.size),
-            total_keys=n_new,
-        )
-        return updated, stats
-    except BaseException:
-        epoch.arena.release()
-        if resized:
-            target.arena.release()
-        else:
-            # In-place state writes may have landed partially; drop the
-            # cached blocks so the next update falls back to a full rebuild.
-            forest._shm_state = None
-            forest._shm_epoch = None
-        raise
-    finally:
-        if executor is not None:
-            executor.close()

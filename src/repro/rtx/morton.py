@@ -41,24 +41,6 @@ def expand_bits_3(values: np.ndarray, bits: int) -> np.ndarray:
     return result
 
 
-def quantize_points_to_grid(
-    points: np.ndarray, lo: np.ndarray, hi: np.ndarray, bits: int
-) -> np.ndarray:
-    """Quantise points onto the Morton grid defined by ``(lo, hi)``.
-
-    Row-independent (each point's cell depends only on that point and the
-    fixed bounds), so any row subset or chunk quantises to exactly the cells
-    the full pass would assign — the property the shm build backend relies on
-    to split this pass across workers and to re-quantise only changed rows
-    during delta updates.
-    """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    extent = np.where(hi - lo > 0, hi - lo, 1.0)
-    cells = (1 << bits) - 1
-    normalized = (pts - lo) / extent
-    return np.minimum((normalized * cells).astype(np.uint64), np.uint64(cells))
-
-
 def quantize_to_grid_with_bounds(
     points: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -72,7 +54,11 @@ def quantize_to_grid_with_bounds(
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    return quantize_points_to_grid(pts, lo, hi, bits), lo, hi
+    extent = np.where(hi - lo > 0, hi - lo, 1.0)
+    cells = (1 << bits) - 1
+    normalized = (pts - lo) / extent
+    grid = np.minimum((normalized * cells).astype(np.uint64), np.uint64(cells))
+    return grid, lo, hi
 
 
 def quantize_to_grid(points: np.ndarray, bits: int) -> np.ndarray:

@@ -110,8 +110,6 @@ def accel_build(
         allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
         allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
         shard_bits=options.shard_bits,
-        workers=options.workers,
-        backend=options.backend,
     )
 
     buffer = build_input.primitive_buffer()

@@ -1,0 +1,57 @@
+"""Write the on-disk snapshot fixtures that ``tests/test_persist_fixtures.py`` loads.
+
+Two tiny indexes over the same 256 dense shuffled keys: a sharded forest
+(``with_delta_updates(shard_bits=3)``, one segment per non-empty shard) and
+a single tree (``paper_default()``, one ``bvh`` segment).
+
+The checked-in ``snapshots-v1/`` was written by this script at commit
+c27a4eb, whose ``RXConfig`` still had the ``build_workers`` and
+``build_backend`` fields.  Its manifests therefore pin the format of that
+era, and the test proves that the current code still loads them.  Run
+against newer code, the script writes the *current* format, so point it at
+a fresh directory rather than over the fixture::
+
+    PYTHONPATH=src python tests/fixtures/make_snapshots.py /tmp/snapshots
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from repro.core import RXConfig, RXIndex
+from repro.workloads import dense_shuffled_keys
+
+NUM_KEYS = 256
+SEED = 15
+
+#: fixture name -> the config its index is built with
+CONFIGS = {
+    "forest": lambda: RXConfig.paper_default().with_delta_updates(shard_bits=3),
+    "single": RXConfig.paper_default,
+}
+
+
+def fixture_keys():
+    return dense_shuffled_keys(NUM_KEYS, seed=SEED)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__)
+        return 2
+    out = Path(argv[0])
+    for name, make_config in CONFIGS.items():
+        target = out / name
+        if target.exists():
+            print(f"{target} exists; refusing to overwrite a fixture")
+            return 1
+        index = RXIndex(make_config())
+        index.build(fixture_keys())
+        index.save(target)
+        print(f"wrote {target}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

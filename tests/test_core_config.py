@@ -160,3 +160,23 @@ class TestResilienceKnobValidation:
             setattr(config, field, bad)
             with pytest.raises(ValueError, match=field):
                 config.validate()
+
+
+class TestSerialisation:
+    def test_retired_pool_keys_are_dropped(self):
+        # Manifests written before the forest build pools were removed carry
+        # these two keys; loading them must still work.
+        data = RXConfig.paper_default().as_dict()
+        data.update(build_workers=4, build_backend="shm")
+        assert RXConfig.from_dict(data) == RXConfig.paper_default()
+
+    def test_unknown_key_is_rejected(self):
+        data = RXConfig.paper_default().as_dict()
+        data["build_threads"] = 2
+        with pytest.raises(ValueError, match="malformed RXConfig dict"):
+            RXConfig.from_dict(data)
+
+    def test_with_delta_updates_accepts_only_one_worker(self):
+        assert RXConfig.paper_default().with_delta_updates(shard_bits=3, workers=1).shard_bits == 3
+        with pytest.raises(ValueError, match="workers"):
+            RXConfig.paper_default().with_delta_updates(shard_bits=3, workers=2)

@@ -192,7 +192,7 @@ class TestFig10Scaling:
     def test_fig10d_measures_sharded_builds(self):
         result = fig10_scaling.run_fig10d(scale=SCALE)
         single = result.series_by_label("single tree")
-        forest = result.series_by_label("forest (1 worker)")
+        forest = result.series_by_label("sharded forest")
         assert all(v > 0 for v in single.y + forest.y)
         assert len(result.series) >= 2
 

@@ -78,9 +78,9 @@ class TestAppendArtifact:
 
     def test_valid_run_is_appended(self, tmp_path):
         out = tmp_path / "BENCH_engine.json"
-        perf_smoke.append_artifact([_entry(workers=2, shards=16)], out)
+        perf_smoke.append_artifact([_entry(shards=16)], out)
         trajectory = json.loads(out.read_text())
         assert len(trajectory["runs"]) == 1
         recorded = trajectory["runs"][0]["entries"][0]
         assert recorded["path"] == "restart"
-        assert recorded["workers"] == 2
+        assert recorded["shards"] == 16

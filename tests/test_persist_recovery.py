@@ -34,6 +34,7 @@ from repro.persist import (
     SnapshotTorn,
     load_manifest,
     load_snapshot,
+    save_snapshot,
 )
 from repro.persist.segments import TMP_PREFIX
 from repro.rtx.bvh import bvh_arrays_diff
@@ -283,6 +284,73 @@ class TestVerifiedLoads:
         # The next save (the store is single-writer) collects it.
         index.save(tmp_path)
         assert not orphan.exists()
+
+
+def _swap_across_shards(rows, low, high):
+    rows[low][0], rows[high][0] = rows[high][0], rows[low][0]
+
+
+def _duplicate_within_shard(rows, low, high):
+    rows[low][1] = rows[low][0]
+
+
+def _drop_a_row(rows, low, high):
+    rows[low] = rows[low][:-1]
+
+
+class TestBuggyWriterShards:
+    """Shard rows that checksum correctly but do not partition the column.
+
+    A writer bug re-checksums whatever it writes, so the mutated segments
+    below go through ``save_snapshot`` and pass every CRC; the load must
+    still refuse them, naming the shard."""
+
+    @pytest.mark.parametrize(
+        "mutate, problem",
+        [
+            (_swap_across_shards, "belongs to another Morton bucket"),
+            (_duplicate_within_shard, "appears more than once"),
+            (_drop_a_row, "rows, but"),
+        ],
+        ids=["swap", "duplicate", "drop"],
+    )
+    def test_load_rejects_shard_rows_that_do_not_partition(
+        self, tmp_path, mutate, problem
+    ):
+        rng = np.random.default_rng([5, FAULT_SEED])
+        keys = rng.permutation(np.arange(4096, dtype=np.uint64))
+        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
+        index.build(keys)
+        index.save(tmp_path / "good")
+        snap = load_snapshot(tmp_path / "good", mmap=False)
+        segments = {
+            name: ({k: v.copy() for k, v in arrays.items()}, meta)
+            for name, (arrays, meta) in snap.segments.items()
+        }
+        shard_names = sorted(name for name in segments if name.startswith("shard-"))
+        assert len(shard_names) >= 2, "test needs a multi-shard forest"
+        low, high = shard_names[0], shard_names[-1]
+
+        # Control: an unmutated rewrite through the same path loads cleanly.
+        save_snapshot(
+            tmp_path / "control", epoch=snap.epoch, segments=segments,
+            index_meta=snap.index_meta,
+        )
+        RXIndex.load(tmp_path / "control")
+
+        rows = {name: segments[name][0]["rows"] for name in shard_names}
+        mutate(rows, low, high)
+        for name in shard_names:
+            segments[name][0]["rows"] = rows[name]
+        save_snapshot(
+            tmp_path / "bad", epoch=snap.epoch, segments=segments,
+            index_meta=snap.index_meta,
+        )
+        load_snapshot(tmp_path / "bad")  # every checksum passes
+        for mmap in (True, False):
+            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                RXIndex.load(tmp_path / "bad", mmap=mmap)
+            assert excinfo.value.segment == low
 
 
 class TestIncrementalSaves:

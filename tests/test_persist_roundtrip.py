@@ -38,6 +38,7 @@ from repro.persist import (
 from repro.persist.checksum import _CHUNK_BYTES
 from repro.persist.segments import payload_crc
 from repro.rtx.bvh import bvh_arrays_diff
+from repro.workloads import dense_shuffled_keys
 
 DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 
@@ -449,3 +450,33 @@ class TestDifferentialRoundtrip:
         assert block["last_load_seconds"] > 0
         assert block["checksum_verify_seconds"] > 0
         assert block["segments_total"] == save_info["segments_total"]
+
+    @pytest.mark.parametrize("shard_bits", [0, 4])
+    def test_loaded_index_reports_the_build_block_it_was_saved_with(
+        self, tmp_path, shard_bits
+    ):
+        # 4,096 dense keys fill only 4 of the 16 buckets at shard_bits=4, so
+        # the non-empty count and 2**shard_bits disagree.
+        keys = dense_shuffled_keys(4096, seed=DIFF_SEED % 1000)
+        config = RXConfig.paper_default()
+        if shard_bits:
+            config = config.with_delta_updates(shard_bits=shard_bits)
+        index = RXIndex(config)
+        index.build(keys)
+        index.save(tmp_path)
+        live = index.stats()
+        assert live["build"]["shards"] == live["shard_count"]
+        assert live["build"]["wall_seconds"] > 0
+        if shard_bits:
+            assert live["shard_count"] < 2**shard_bits
+            assert live["build"]["delegated_shards"] >= 1
+        else:
+            assert (live["build"]["shards"], live["build"]["delegated_shards"]) == (1, 0)
+
+        for mmap in (True, False):
+            loaded = RXIndex.load(tmp_path, mmap=mmap).stats()
+            assert loaded["shard_count"] == live["shard_count"]
+            assert loaded["build"]["wall_seconds"] is None
+            assert loaded["build"].keys() == live["build"].keys()
+            for key in live["build"].keys() - {"wall_seconds"}:
+                assert loaded["build"][key] == live["build"][key], (mmap, key)

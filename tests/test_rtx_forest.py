@@ -1,14 +1,14 @@
-"""Morton-prefix sharded BVH forest: stitching, workers, delta updates.
+"""Morton-prefix sharded BVH forest: stitching, delta updates, persistence checks.
 
 The load-bearing invariant — forest traversal bit-identical to the
 single-tree engine across all trace modes — is pinned by the randomised
 differential harness (``tests/test_trace_differential.py``, sharding axis).
 This suite covers the forest-specific surface: shard-partition edge cases
 (empty shards, everything in one shard, more shards than keys,
-duplicate-heavy columns, bucket-spanning mixed leaves), worker-pool
-bit-identity, delta-shard updates (dirty-subset rebuilds, no-op detection,
-grid rescales, growing/shrinking columns), and the RXIndex plumbing around
-them.
+duplicate-heavy columns, bucket-spanning mixed leaves), delta-shard
+updates (dirty-subset rebuilds, no-op detection, grid rescales,
+growing/shrinking columns), the partition check on persisted shard rows,
+and the RXIndex plumbing around them.
 """
 
 from dataclasses import replace
@@ -39,51 +39,37 @@ def _assert_trees_equal(got, want, label=""):
     assert diff is None, (label, diff)
 
 
-def _assert_forest_matches_single(
-    points, shard_bits, max_leaf_size=4, workers=1, backend="fork"
-):
+def _assert_forest_matches_single(points, shard_bits, max_leaf_size=4):
     single = build_bvh(_buffer(points), BvhBuildOptions(max_leaf_size=max_leaf_size))
     forest = build_forest(
         _buffer(points),
-        BvhBuildOptions(
-            max_leaf_size=max_leaf_size,
-            shard_bits=shard_bits,
-            workers=workers,
-            backend=backend,
-        ),
+        BvhBuildOptions(max_leaf_size=max_leaf_size, shard_bits=shard_bits),
     )
-    _assert_trees_equal(forest.bvh, single, f"shard_bits={shard_bits} {backend}")
+    _assert_trees_equal(forest.bvh, single, f"shard_bits={shard_bits}")
     return forest
 
 
-@pytest.fixture(params=["fork", "shm"])
-def backend(request):
-    """Both build backends must pass every shape edge case bit-identically."""
-    return request.param
-
-
 class TestForestBuild:
-    def test_empty_shards_are_skipped(self, backend):
+    def test_empty_shards_are_skipped(self):
         # Two tight clusters at opposite ends: almost every prefix bucket is
         # empty, and the stitched tree must still equal the single tree.
         rng = np.random.default_rng(1)
         xs = np.concatenate([rng.uniform(0, 10, 300), rng.uniform(1e6, 1e6 + 10, 300)])
-        forest = _assert_forest_matches_single(_line(xs), shard_bits=8, backend=backend)
+        forest = _assert_forest_matches_single(_line(xs), shard_bits=8)
         assert forest.non_empty_shards < forest.num_shards
 
-    def test_all_keys_in_one_shard(self, backend):
+    def test_all_keys_in_one_shard(self):
         # A single dense cluster in a scene whose bounds it defines: every
         # key lands in few buckets; the degenerate single-delegate case (no
         # top-level nodes) must hold for shard_bits=1.
         xs = np.arange(500, dtype=np.float64)
-        forest = _assert_forest_matches_single(_line(xs), shard_bits=1, backend=backend)
+        forest = _assert_forest_matches_single(_line(xs), shard_bits=1)
         assert forest.non_empty_shards <= 2
 
-    def test_more_shards_than_keys(self, backend):
+    def test_more_shards_than_keys(self):
         rng = np.random.default_rng(2)
         forest = _assert_forest_matches_single(
-            rng.uniform(0, 100, size=(7, 3)), shard_bits=10, max_leaf_size=1,
-            backend=backend,
+            rng.uniform(0, 100, size=(7, 3)), shard_bits=10, max_leaf_size=1
         )
         assert forest.non_empty_shards <= 7
 
@@ -95,57 +81,19 @@ class TestForestBuild:
         xs = np.repeat(rng.uniform(0, 1000, 40), 25)
         for shard_bits in (2, 6):
             _assert_forest_matches_single(_line(xs), shard_bits=shard_bits)
-            _assert_forest_matches_single(_line(xs), shard_bits=shard_bits, backend="shm")
 
-    def test_bucket_spanning_mixed_leaf(self, backend):
+    def test_bucket_spanning_mixed_leaf(self):
         # Three far-apart keys with max_leaf_size=4: the single tree is one
         # leaf spanning three buckets; the top-level planner must absorb the
         # buckets instead of delegating them.
         forest = _assert_forest_matches_single(
-            _line([0.0, 1e6, 2e6]), shard_bits=8, max_leaf_size=4, backend=backend
+            _line([0.0, 1e6, 2e6]), shard_bits=8, max_leaf_size=4
         )
         assert forest.delegated_shards == 0
         assert forest.bvh.node_count == 1
 
-    def test_single_primitive(self, backend):
-        _assert_forest_matches_single(_line([5.0]), shard_bits=4, backend=backend)
-
-    def test_worker_pool_is_bit_identical(self, backend):
-        rng = np.random.default_rng(4)
-        points = rng.uniform(0, 1e5, size=(2000, 3))
-        serial = build_forest(
-            _buffer(points), BvhBuildOptions(shard_bits=4, workers=1, backend=backend)
-        )
-        pooled = build_forest(
-            _buffer(points), BvhBuildOptions(shard_bits=4, workers=2, backend=backend)
-        )
-        _assert_trees_equal(pooled.bvh, serial.bvh, f"workers {backend}")
-        assert pooled.workers_used == 2
-
-    def test_shm_backend_requires_sharding(self):
-        with pytest.raises(ValueError, match="shard_bits"):
-            BvhBuildOptions(shard_bits=0, backend="shm").validate()
-        with pytest.raises(ValueError, match="backend"):
-            BvhBuildOptions(shard_bits=2, backend="threads").validate()
-
-    def test_shm_telemetry_pickles_descriptors_not_arrays(self):
-        # The zero-copy contract, asserted quantitatively: pooled shm builds
-        # must pickle orders of magnitude less than pooled fork builds of
-        # the same column, and what they do pickle must not scale with n.
-        rng = np.random.default_rng(6)
-        small = rng.uniform(0, 1e5, size=(500, 3))
-        large = rng.uniform(0, 1e5, size=(8000, 3))
-        opts = lambda backend: BvhBuildOptions(shard_bits=4, workers=2, backend=backend)
-        fork_large = build_forest(_buffer(large), opts("fork"))
-        shm_small = build_forest(_buffer(small), opts("shm"))
-        shm_large = build_forest(_buffer(large), opts("shm"))
-        assert fork_large.telemetry.bytes_pickled > 16 * large.shape[0]
-        assert shm_large.telemetry.bytes_pickled < fork_large.telemetry.bytes_pickled // 10
-        # 16x the keys must not move per-task pickle traffic by more than the
-        # handful of extra non-empty shards' descriptors.
-        assert shm_large.telemetry.bytes_pickled < 4 * shm_small.telemetry.bytes_pickled
-        assert shm_large.telemetry.bytes_shared > large.shape[0] * 100
-        assert fork_large.telemetry.bytes_shared == 0
+    def test_single_primitive(self):
+        _assert_forest_matches_single(_line([5.0]), shard_bits=4)
 
     def test_shard_bits_requires_lbvh(self):
         with pytest.raises(ValueError, match="lbvh"):
@@ -180,10 +128,9 @@ class TestForestBuild:
 
 
 class TestDeltaUpdate:
-    def _forest(self, xs, shard_bits=6, backend="fork"):
+    def _forest(self, xs, shard_bits=6):
         buf = _buffer(_line(xs))
-        options = BvhBuildOptions(shard_bits=shard_bits, backend=backend)
-        return build_forest(buf, options), buf
+        return build_forest(buf, BvhBuildOptions(shard_bits=shard_bits)), buf
 
     def _check(self, forest, old_buf, new_xs, label):
         new_buf = _buffer(_line(new_xs))
@@ -192,28 +139,28 @@ class TestDeltaUpdate:
         _assert_trees_equal(updated.bvh, fresh, label)
         return updated, stats, new_buf
 
-    def test_noop_update_rebuilds_nothing(self, backend):
+    def test_noop_update_rebuilds_nothing(self):
         xs = np.arange(1000, dtype=np.float64)
-        forest, buf = self._forest(xs, backend=backend)
+        forest, buf = self._forest(xs)
         updated, stats = delta_update_forest(forest, buf, _buffer(_line(xs)))
         assert stats.noop
         assert stats.dirty_shards == 0 and stats.rebuilt_trees == 0
         assert updated is forest  # the original forest object, untouched
 
-    def test_local_change_dirties_a_subset(self, backend):
+    def test_local_change_dirties_a_subset(self):
         xs = np.arange(4096, dtype=np.float64)
-        forest, buf = self._forest(xs, shard_bits=12, backend=backend)
+        forest, buf = self._forest(xs, shard_bits=12)
         new_xs = xs.copy()
         new_xs[[100, 101]] = new_xs[[101, 100]]
         _, stats, _ = self._check(forest, buf, new_xs, "local")
         assert 1 <= stats.dirty_shards < forest.non_empty_shards
         assert stats.dirty_keys < stats.total_keys
 
-    def test_chained_updates_stay_exact(self, backend):
+    def test_chained_updates_stay_exact(self):
         rng = np.random.default_rng(5)
         xs = np.arange(2048, dtype=np.float64)
         rng.shuffle(xs)
-        forest, buf = self._forest(xs, shard_bits=9, backend=backend)
+        forest, buf = self._forest(xs, shard_bits=9)
         for step in range(3):
             sel = rng.choice(xs.shape[0] - 1, 5, replace=False)
             new_xs = xs.copy()
@@ -221,18 +168,18 @@ class TestDeltaUpdate:
             forest, _, buf = self._check(forest, buf, new_xs, f"chain{step}")
             xs = new_xs
 
-    def test_scene_rescale_forces_full_resort(self, backend):
+    def test_scene_rescale_forces_full_resort(self):
         xs = np.arange(1024, dtype=np.float64)
-        forest, buf = self._forest(xs, backend=backend)
+        forest, buf = self._forest(xs)
         new_xs = xs.copy()
         new_xs[-1] = 5000.0  # moves the global grid bounds
         _, stats, _ = self._check(forest, buf, new_xs, "rescale")
         assert stats.rescaled
         assert stats.dirty_keys == stats.total_keys
 
-    def test_growing_and_shrinking_column(self, backend):
+    def test_growing_and_shrinking_column(self):
         xs = np.arange(1024, dtype=np.float64)
-        forest, buf = self._forest(xs, shard_bits=9, backend=backend)
+        forest, buf = self._forest(xs, shard_bits=9)
         grown = np.concatenate([xs, [500.25, 500.5, 500.75]])
         updated, stats, new_buf = self._check(forest, buf, grown, "grow")
         assert stats.total_keys == 1027
@@ -249,7 +196,7 @@ class TestRXIndexForest:
         result = sharded.build(keys)
         single.build(keys)
         assert result.stats["shards"] >= 2
-        assert "build_workers" in result.stats
+        assert result.stats["delegated_shards"] >= 1
 
         rng = np.random.default_rng(22)
         queries = keys[rng.integers(0, keys.shape[0], 300)]

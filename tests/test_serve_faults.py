@@ -11,7 +11,6 @@ same way ``DIFF_SEED`` reseeds the differential harness, so CI exercises
 the suite under several fault patterns.
 """
 
-import gc
 import os
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.serve import (
     RetryPolicy,
     UpdateFailed,
 )
-from repro.rtx.shm import live_block_names
 from repro.workloads import dense_shuffled_keys
 from repro.workloads.streams import zipf_point_stream
 
@@ -467,68 +465,6 @@ class TestPaginationUnderFaults:
         flat = np.concatenate(pages)
         assert np.array_equal(flat, golden)  # no skips, no re-emits
         assert all(p.shape[0] == 64 for p in pages[:-1])
-
-
-class TestShmBackendServing:
-    def test_delta_updates_race_serving_replay_bit_identically(self):
-        """DELTA_SHARD updates rebuilding dirty shards through the
-        shared-memory backend land mid-stream while a seeded Zipf replay is
-        serving: every served request must stay bit-identical to a clean
-        *fork-backend* reference for the epoch that served it (a
-        cross-backend check on top of the epoch-isolation one), and every
-        shm block must be unlinked once the service is dropped."""
-        config = RXConfig.paper_default().with_delta_updates(
-            shard_bits=4, backend="shm"
-        )
-        keys0 = dense_shuffled_keys(2048, seed=47)
-        keys1 = shifted(keys0, 100, 900)
-        keys2 = shifted(keys1, 600, 1400)
-        baseline = live_block_names()
-
-        index = RXIndex(config)
-        index.build(keys0)
-        assert index.stats()["build"]["backend"] == "shm"
-        service = IndexService(
-            index, cache_capacity=128, max_batch=64, max_wait=2e-3
-        )
-        stream = zipf_point_stream(
-            keys0, 192, 1.0, rate=5000.0, queries_per_request=2, seed=FAULT_SEED
-        )
-        arrivals = [e.arrival for e in stream.entries]
-        updates = [
-            (arrivals[len(arrivals) // 3], keys1),
-            (arrivals[2 * len(arrivals) // 3], keys2),
-        ]
-        report = service.replay(stream, updates=updates)
-        account_everything(stream, report)
-
-        columns = {0: keys0}
-        for entry, new_keys in zip(report.updates, [keys1, keys2]):
-            assert not entry["failed"]
-            columns[entry["epoch"]] = new_keys
-        assert len(columns) == 3
-        assert index.stats()["build"]["backend"] == "shm"
-
-        references = {}
-        for result in report.results:
-            assert result.epoch in columns, "served by an unknown epoch"
-            if result.epoch not in references:
-                ref = RXIndex(delta_config())  # fork backend on purpose
-                ref.build(columns[result.epoch])
-                references[result.epoch] = ref
-            queries = stream.entries[result.request_id - 1].queries
-            expected = references[result.epoch].point_lookup(queries)
-            assert np.array_equal(result.result_rows(), expected.result_rows)
-            assert np.array_equal(
-                result.hits_per_lookup(), expected.hits_per_lookup
-            )
-        assert len(report.results) > 0
-        assert {r.epoch for r in report.results} == set(columns)
-
-        del service, index, report
-        gc.collect()
-        leaked = live_block_names() - baseline
-        assert not leaked, f"leaked shm blocks: {sorted(leaked)}"
 
 
 class TestEndToEndChaos:

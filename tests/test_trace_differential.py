@@ -13,8 +13,7 @@ lookup_ids, order) *and* identical counters, across
 * single-tree builds and Morton-prefix sharded forest builds (the stitched
   forest tree is additionally asserted array-equal to the single tree, and
   the engine traces the *forest* tree while the golden loops walk the
-  single-tree build) — sharded cases alternate between the fork and the
-  zero-copy shared-memory build backends across the two grid sweeps,
+  single-tree build),
 * single-ray lookups and multi-ray lookups sharing one first_k budget,
 * traces with and without an elementwise any-hit filter.
 
@@ -62,10 +61,6 @@ def _make_case(rng: random.Random, case_index: int) -> dict:
     chunk = CHUNK_SIZES[(case_index // len(PRIMITIVES)) % len(CHUNK_SIZES)]
     shard_bits = SHARD_BITS[(case_index // 12) % len(SHARD_BITS)]
     with_duplicates = (case_index // 24) % 2 == 0
-    # The first grid sweep builds sharded cases with the fork backend, the
-    # second with the zero-copy shared-memory backend — same scenes, same
-    # trees, both stitches pinned against the single-tree build.
-    backend = "shm" if shard_bits and (case_index // 48) % 2 else "fork"
 
     # Key column on a line: increasing positions with random gaps, with a
     # duplicate-heavy variant (several primitives share one position, so a
@@ -117,7 +112,6 @@ def _make_case(rng: random.Random, case_index: int) -> dict:
         "primitive": primitive,
         "chunk": chunk,
         "shard_bits": shard_bits,
-        "backend": backend,
         "builder": builder,
         "max_leaf_size": max_leaf_size,
         "points": points,
@@ -198,7 +192,6 @@ def test_all_modes_bit_identical_to_reference(case_index):
                 builder=case["builder"],
                 max_leaf_size=case["max_leaf_size"],
                 shard_bits=case["shard_bits"],
-                backend=case["backend"],
             ),
         )
         diff = bvh_arrays_diff(bvh, golden_bvh)
@@ -210,7 +203,7 @@ def test_all_modes_bit_identical_to_reference(case_index):
     label = (
         f"seed={DIFF_SEED} case={case_index} primitive={case['primitive']} "
         f"chunk={case['chunk']} builder={case['builder']} "
-        f"shard_bits={case['shard_bits']} backend={case['backend']} "
+        f"shard_bits={case['shard_bits']} "
         f"limit={case['limit']}"
     )
 
@@ -262,20 +255,18 @@ def test_all_modes_bit_identical_to_reference(case_index):
 
 
 def test_case_generator_covers_the_grid():
-    """The sweep must cover every primitive × chunk × shard × dup cell —
-    and every sharded cell with both build backends."""
-    seen = set()
+    """The sweep must cover every primitive × chunk × shard × dup cell
+    exactly twice."""
+    seen: dict[tuple, int] = {}
     for case_index in range(NUM_CASES):
         case = _make_case(random.Random(DIFF_SEED * 1000 + case_index), case_index)
-        seen.add(
-            (
-                case["primitive"],
-                case["chunk"],
-                case["shard_bits"],
-                case["backend"],
-                (case_index // 24) % 2 == 0,
-            )
+        cell = (
+            case["primitive"],
+            case["chunk"],
+            case["shard_bits"],
+            (case_index // 24) % 2 == 0,
         )
-    # 48 fork cells (full grid) + the 24 sharded cells repeated under shm.
+        seen[cell] = seen.get(cell, 0) + 1
     cells = len(PRIMITIVES) * len(CHUNK_SIZES) * len(SHARD_BITS) * 2
-    assert len(seen) == cells + cells // 2
+    assert len(seen) == cells
+    assert set(seen.values()) == {2}
