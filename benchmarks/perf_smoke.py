@@ -7,9 +7,10 @@ observable equivalence on the way (identical topology, bit-identical masks
 and counters), and appends the results to a ``BENCH_engine.json`` trajectory
 artifact so future PRs can track the engine's speed over time.  Three
 further scenarios have no seed counterpart and are measured against the
-engine's own default configuration: the early-exit any-hit point-lookup
-trace, the limit-pushdown ``first_k`` range-lookup trace, and a paper-scale
-2^20-ray batch streamed under a ``max_frontier`` bound.
+engine's own default configuration: the early-exit point-lookup trace
+(``first_k`` with a budget of one hit per ray, the hardware any-hit
+termination), the limit-pushdown ``first_k`` range-lookup trace, and a
+paper-scale 2^20-ray batch streamed under a ``max_frontier`` bound.
 
 Usage::
 
@@ -309,6 +310,9 @@ def bench_intersect_pairs(kind: str, log2_pairs: int, compare: bool = True) -> d
 def bench_trace_anyhit(log2_keys: int, log2_rays: int, compare: bool = True) -> dict:
     """Time any-hit point lookups against the default all-hits mode.
 
+    The point lookups trace ``first_k`` with a budget of one hit: one ray
+    per lookup, so each ray ends at its first hit.
+
     A skewed key column (a deep dense cluster at low x plus a sparse tail)
     probed with from-zero parallel point rays for the sparse keys: every ray
     geometrically overlaps the whole cluster, but its own key sits in a
@@ -336,9 +340,11 @@ def bench_trace_anyhit(log2_keys: int, log2_rays: int, compare: bool = True) -> 
         tmin=k - 0.5,
         tmax=k + 0.5,
     )
-    engine.trace(rays, mode="any_hit")  # warm-up
+    engine.trace(rays, mode="first_k", limit=1)  # warm-up
 
-    timing = _time_stats(lambda: engine.trace(rays, mode="any_hit"), repeats=2)
+    timing = _time_stats(
+        lambda: engine.trace(rays, mode="first_k", limit=1), repeats=2
+    )
     entry = {
         "path": "trace_anyhit",
         "log2_keys": log2_keys,
@@ -351,7 +357,7 @@ def bench_trace_anyhit(log2_keys: int, log2_rays: int, compare: bool = True) -> 
         entry["ref_seconds"] = _time(lambda: engine.trace(rays), repeats=1)
         entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
         engine.reset_counters()
-        any_hits = engine.trace(rays, mode="any_hit")
+        any_hits = engine.trace(rays, mode="first_k", limit=1)
         any_counters = engine.counters
         engine.reset_counters()
         all_hits = engine.trace(rays)

@@ -18,7 +18,6 @@ fast while the reported series retain the paper's shape.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,24 +239,7 @@ class GpuIndex(abc.ABC):
         return int(self.values[row_ids].sum(dtype=np.uint64))
 
     @staticmethod
-    def _depth_delta(sim_keys: int, target_keys: int | None, base: float = 2.0) -> float:
-        """Extra tree levels when scaling from ``sim_keys`` to ``target_keys``.
-
-        Tree-structured indexes gain ``log_base(target / sim)`` levels; hash
-        tables gain none (they pass ``base=None`` and skip the call).
-        """
-        if not target_keys or target_keys <= sim_keys:
-            return 0.0
-        return math.log(target_keys / sim_keys, base)
-
-    @staticmethod
     def _scale_lookups(sim_lookups: int, target_lookups: int | None) -> float:
         if not target_lookups or sim_lookups == 0:
             return 1.0
         return target_lookups / sim_lookups
-
-    @staticmethod
-    def _key_scale(sim_keys: int, target_keys: int | None) -> float:
-        if not target_keys or sim_keys == 0:
-            return 1.0
-        return target_keys / sim_keys

@@ -38,11 +38,11 @@ def _config(mode: str, ray_mode: PointRayMode) -> RXConfig:
         if key_mode is KeyMode.EXTENDED
         else RangeRayMode.PARALLEL_FROM_OFFSET
     )
-    # Point lookups ride the early-exit any-hit traversal: the workload's
-    # keys are duplicate-free, so the default "auto" point_trace_mode
-    # resolves to any_hit — terminating each ray at its first hit is exactly
-    # the hardware behaviour the paper measures for from-zero rays (and
-    # "auto" falls back safely if the workload ever gains duplicates).
+    # Point lookups ride the early-exit traversal: the workload's keys are
+    # duplicate-free, so each lookup traces first_k with a budget of one hit
+    # — terminating each ray at its first hit is exactly the hardware
+    # any-hit behaviour the paper measures for from-zero rays (a column with
+    # duplicates falls back to reporting every match).
     return RXConfig(
         key_mode=key_mode, point_ray_mode=ray_mode, range_ray_mode=range_mode
     )

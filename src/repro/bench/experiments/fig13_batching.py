@@ -24,9 +24,9 @@ NUM_BATCHES = [2**0, 2**4, 2**8, 2**12, 2**16, 2**20]
 def run(scale: str = "small", device=RTX_4090) -> ExperimentResult:
     scale = resolve_scale(scale)
     workload = standard_point_workload(scale, seed=121)
-    # The point workload is duplicate-free, so RX point lookups resolve to
-    # the early-exit any-hit trace mode (exactly one reported hit per ray)
-    # through the default "auto" point_trace_mode.
+    # The point workload is duplicate-free, so RX point lookups trace as
+    # early-exit first_k with a budget of one hit (exactly one reported hit
+    # per ray, the hardware any-hit termination).
     indexes = make_standard_indexes()
     for index in indexes.values():
         index.build(workload.keys, workload.values)

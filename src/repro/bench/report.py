@@ -61,11 +61,3 @@ def format_table(header: list[str], rows: Iterable[list[str]]) -> str:
         lines.append(" | ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
 
-
-def format_key_value_block(title: str, entries: dict) -> str:
-    """Render a small key/value block (used for table-style experiments)."""
-    width = max((len(str(k)) for k in entries), default=0)
-    lines = [title]
-    for key, value in entries.items():
-        lines.append(f"  {str(key).ljust(width)} : {_format_value(value)}")
-    return "\n".join(lines)

@@ -112,10 +112,16 @@ class KeyDecomposition:
         return KeyDecomposition(x_bits=x, y_bits=y, z_bits=z)
 
 
-#: ``RXConfig.as_dict`` keys of fields that no longer exist.  Snapshots
-#: written while the sharded build still had worker-pool options carry them
-#: in their manifest, so :meth:`RXConfig.from_dict` ignores exactly these.
-RETIRED_CONFIG_KEYS = ("build_workers", "build_backend")
+#: ``RXConfig.as_dict`` keys of fields that no longer exist.  Older snapshot
+#: manifests carry them (the sharded build's worker-pool options, and the
+#: point-trace-mode and range-limit knobs), so :meth:`RXConfig.from_dict`
+#: drops exactly these — except a non-null ``range_limit``, see there.
+RETIRED_CONFIG_KEYS = (
+    "build_workers",
+    "build_backend",
+    "point_trace_mode",
+    "range_limit",
+)
 
 
 @dataclass
@@ -144,19 +150,6 @@ class RXConfig:
     max_rays_per_range: int = 64
     #: bytes per entry of the projected value column (used for costing)
     value_bytes: int = 4
-    #: trace mode for point lookups: "any_hit" ends each ray at its first
-    #: hit (the hardware any-hit termination the paper's point-lookup
-    #: numbers rely on), "all" reports every match (required when the key
-    #: column holds duplicates), "auto" picks any_hit exactly when the
-    #: indexed column is duplicate-free.
-    point_trace_mode: str = "auto"
-    #: default hit budget pushed down into range lookups: every range lookup
-    #: stops traversing after this many qualifying rows (LIMIT-k pushdown,
-    #: ``mode="first_k"``).  ``None`` keeps the all-hits behaviour.  A
-    #: per-call ``limit=`` on :meth:`repro.core.rx_index.RXIndex.range_lookup`
-    #: overrides this (its default ``"auto"`` defers to this config value,
-    #: mirroring how ``point_trace_mode="auto"`` resolves the point mode).
-    range_limit: int | None = None
     #: serving-layer knobs (:mod:`repro.serve`): the micro-batching scheduler
     #: closes a coalesced launch once it holds ``serve_max_batch`` queries or
     #: the oldest pending request has waited ``serve_max_wait`` seconds of
@@ -233,15 +226,6 @@ class RXConfig:
             raise ValueError("sphere_radius must lie in (0, 0.5) to keep gaps")
         if self.value_bytes not in (4, 8):
             raise ValueError("value_bytes must be 4 or 8")
-        if self.point_trace_mode not in ("auto", "any_hit", "all"):
-            raise ValueError(
-                "point_trace_mode must be 'auto', 'any_hit' or 'all', "
-                f"got {self.point_trace_mode!r}"
-            )
-        if self.range_limit is not None and self.range_limit < 1:
-            raise ValueError(
-                f"range_limit must be at least 1 (or None), got {self.range_limit}"
-            )
         if self.serve_max_batch < 1:
             raise ValueError(
                 f"serve_max_batch must be at least 1, got {self.serve_max_batch}"
@@ -346,8 +330,6 @@ class RXConfig:
             "sphere_radius": self.sphere_radius,
             "max_rays_per_range": self.max_rays_per_range,
             "value_bytes": self.value_bytes,
-            "point_trace_mode": self.point_trace_mode,
-            "range_limit": self.range_limit,
             "serve_max_batch": self.serve_max_batch,
             "serve_max_wait": self.serve_max_wait,
             "serve_cache_capacity": self.serve_cache_capacity,
@@ -365,8 +347,15 @@ class RXConfig:
 
         Keys of retired fields (:data:`RETIRED_CONFIG_KEYS`) that older
         snapshot manifests still carry are dropped; any other unknown key is
-        rejected.
+        rejected.  A non-null ``range_limit`` is rejected too: it capped
+        every ``range_lookup(lo, hi)`` of that store, and range lookups now
+        return all hits unless the call passes a limit.
         """
+        if data.get("range_limit") is not None:
+            raise ValueError(
+                f"range_limit={data['range_limit']!r} is no longer supported: "
+                "pass limit= to each range lookup instead"
+            )
         data = {k: v for k, v in data.items() if k not in RETIRED_CONFIG_KEYS}
         try:
             config = RXConfig(

@@ -86,6 +86,24 @@ _BUILD_PRIM_BYTES = {"triangle": 36, "sphere": 12, "aabb": 24}
 MISS_TRAVERSAL_FACTOR = 0.35
 
 
+def check_limit(limit) -> int | None:
+    """Validate a range lookup's hit limit: ``None`` (all hits) or an int >= 1."""
+    if limit is None:
+        return None
+    if isinstance(limit, str):
+        raise ValueError(f"limit must be an int or None, got {limit!r}")
+    limit = int(limit)
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    return limit
+
+
+def trace_mode_for(limit: int | None) -> str:
+    """Trace mode of a lookup with per-lookup hit budget ``limit``: early-exit
+    ``"first_k"``, or ``"all"`` when there is no budget."""
+    return "all" if limit is None else "first_k"
+
+
 @dataclass
 class UpdateOutcome:
     """Result of applying an update batch to an existing RX index."""
@@ -130,7 +148,7 @@ class RXIndex(GpuIndex):
         #: accel state.  The serving layer's epoch snapshots key on it.
         self.epoch: int = -1
         #: True when the indexed column holds no duplicate keys; decides the
-        #: "auto" point-lookup trace mode (any-hit termination is only
+        #: point-lookup budget (ending each ray at its first hit is only
         #: result-preserving when every query has at most one match).
         #: Computed lazily — None means "not checked for the current column".
         self._keys_unique: bool | None = None
@@ -284,61 +302,45 @@ class RXIndex(GpuIndex):
         super()._store_column(keys, values, key_bits)
         self._keys_unique = None  # the uniqueness of the new column is unknown
 
-    def _point_trace_mode(self) -> str:
-        """Resolve the configured point-lookup trace mode for this column.
+    def point_limit(self) -> int | None:
+        """Hit budget of a point lookup on the current column.
 
+        ``1`` on a duplicate-free column — each lookup's single ray ends at
+        its first hit, the hardware any-hit termination the paper's
+        point-lookup numbers rely on — else ``None`` (report every match).
         The duplicate check costs one key sort, so it runs lazily on the
-        first "auto" point lookup after a (re)build and is skipped entirely
-        when the mode is forced.
+        first point lookup after a (re)build.
         """
-        mode = self.config.point_trace_mode
-        if mode != "auto":
-            return mode
         if self._keys_unique is None:
             # Sort + adjacent compare: NumPy >= 2.3 runs ``np.unique`` through
             # a hash table, ~60x slower than sorting on 2^20 shuffled keys.
             ordered = np.sort(self.keys)
             self._keys_unique = not bool(np.any(ordered[1:] == ordered[:-1]))
-        return "any_hit" if self._keys_unique else "all"
+        return 1 if self._keys_unique else None
 
-    def resolved_point_trace_mode(self) -> str:
-        """Public form of the resolved point trace mode (serving layer)."""
-        return self._point_trace_mode()
+    def _launch_lookups(self, pipeline, rays, num_lookups, limit, kind) -> LookupRun:
+        """Trace ``rays`` with a per-lookup hit budget of ``limit`` (``None``
+        reports every hit)."""
+        mode = trace_mode_for(limit)
+        launch = pipeline.launch(rays, num_lookups=num_lookups, mode=mode, limit=limit)
+        run = self._run_to_lookup(launch, num_lookups, kind=kind)
+        run.stats["trace_mode"] = mode
+        return run
 
     def point_lookup(self, queries: np.ndarray) -> LookupRun:
         pipeline = self._require_built()
         queries = np.asarray(queries, dtype=np.uint64)
         rays = self.codec.point_ray_batch(queries, self.config.point_ray_mode)
-        mode = self._point_trace_mode()
-        launch = pipeline.launch(rays, num_lookups=queries.shape[0], mode=mode)
-        run = self._run_to_lookup(launch, queries.shape[0], kind="point")
-        run.stats["trace_mode"] = mode
-        return run
-
-    def _range_limit(self, limit) -> int | None:
-        """Resolve the per-call ``limit`` against the configured default.
-
-        ``"auto"`` (the default) defers to ``RXConfig.range_limit`` —
-        mirroring how ``point_trace_mode="auto"`` resolves the point-lookup
-        mode; ``None`` forces an all-hits lookup regardless of the config;
-        an integer overrides the config for this call.
-        """
-        if isinstance(limit, str):
-            if limit != "auto":
-                raise ValueError(f"limit must be an int, None or 'auto', got {limit!r}")
-            return self.config.range_limit
-        if limit is not None:
-            limit = int(limit)
-            if limit < 1:
-                raise ValueError(f"limit must be at least 1, got {limit}")
-        return limit
+        return self._launch_lookups(
+            pipeline, rays, queries.shape[0], self.point_limit(), kind="point"
+        )
 
     def range_lookup(
-        self, lowers: np.ndarray, uppers: np.ndarray, limit="auto", order=None, cursor=None
+        self, lowers: np.ndarray, uppers: np.ndarray, limit=None, order=None, cursor=None
     ):
         """Answer inclusive range lookups, optionally with limit pushdown.
 
-        With an effective ``limit`` of ``k`` the traversal runs in
+        With a ``limit`` of ``k`` the traversal runs in
         ``first_k`` mode: every lookup's rays share a budget of ``k`` hits
         and stop traversing once it is spent, so the returned rows are
         exactly the first ``k`` the all-hits trace would report (a stable
@@ -367,19 +369,14 @@ class RXIndex(GpuIndex):
         uppers = np.asarray(uppers, dtype=np.uint64)
         if lowers.shape != uppers.shape:
             raise ValueError("lowers and uppers must have the same shape")
-        limit = self._range_limit(limit)
+        limit = check_limit(limit)
         rays = self.codec.range_ray_batch(
             lowers,
             uppers,
             self.config.range_ray_mode,
             max_rays_per_range=self.config.max_rays_per_range,
         )
-        mode = "all" if limit is None else "first_k"
-        launch = pipeline.launch(
-            rays, num_lookups=lowers.shape[0], mode=mode, limit=limit
-        )
-        run = self._run_to_lookup(launch, lowers.shape[0], kind="range")
-        run.stats["trace_mode"] = mode
+        run = self._launch_lookups(pipeline, rays, lowers.shape[0], limit, kind="range")
         if limit is not None:
             run.stats["range_limit"] = limit
         return run
@@ -394,7 +391,7 @@ class RXIndex(GpuIndex):
                 "order='key' pages one range at a time; batch paged lookups "
                 "through the serving layer"
             )
-        limit = self._range_limit(limit)
+        limit = check_limit(limit)
         if limit is None:
             raise ValueError("order='key' requires a page size (limit)")
         lower = int(lowers[0])
@@ -925,7 +922,7 @@ class RXIndex(GpuIndex):
         rays_per_lookup = run.stats.get("rays_per_lookup", 1.0)
         node_visits = run.stats.get("node_visits_per_ray", 1.0)
         prim_tests = run.stats.get("prim_tests_per_ray", 1.0)
-        # Early-exit traversal (any_hit / first_k): the wavefront engine only
+        # Early-exit traversal (first_k): the wavefront engine only
         # retires a terminated ray between rounds, so on balanced trees —
         # where every leaf sits on the last level — its measured counters
         # still include leaf-phase work that per-ray RT hardware would have

@@ -469,7 +469,7 @@ def _reference_budgeted_trace(
     prim_test_bytes: int | None = None,
     node_cull_respects_tmin: bool = False,
 ) -> tuple[HitRecords, TraversalCounters]:
-    """Shared golden loop of the early-exit trace modes.
+    """Golden loop of the early-exit (``first_k``) trace mode.
 
     Mirrors :func:`reference_trace` round for round, but consumes the round's
     surviving hits one at a time in pair-stream order — every hit decrements
@@ -607,29 +607,6 @@ def _reference_budgeted_trace(
         num_rays=n_rays,
     )
     return hits, counters
-
-
-def reference_any_hit_trace(
-    bvh: Bvh,
-    primitives: PrimitiveBuffer,
-    rays: RayBatch,
-    any_hit=None,
-    prim_test_bytes: int | None = None,
-    node_cull_respects_tmin: bool = False,
-) -> tuple[HitRecords, TraversalCounters]:
-    """Golden ``mode="any_hit"`` trace: a per-ray budget of one hit."""
-    owner_of_ray = np.arange(len(rays), dtype=np.int64)
-    budget = {ray: 1 for ray in range(len(rays))}
-    return _reference_budgeted_trace(
-        bvh,
-        primitives,
-        rays,
-        owner_of_ray,
-        budget,
-        any_hit=any_hit,
-        prim_test_bytes=prim_test_bytes,
-        node_cull_respects_tmin=node_cull_respects_tmin,
-    )
 
 
 def reference_first_k_trace(

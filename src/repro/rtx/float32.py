@@ -28,11 +28,6 @@ EXTENDED_MODE_OFFSET = int(np.float32(0.5).view(np.uint32))
 EXTENDED_MODE_KEY_LIMIT = 2**29
 
 
-def to_f32(value) -> np.float32:
-    """Round ``value`` to the nearest float32 (the cast OptiX performs)."""
-    return np.float32(value)
-
-
 def to_f32_array(values) -> np.ndarray:
     """Convert an array-like of numbers to a float32 NumPy array."""
     return np.asarray(values, dtype=np.float32)

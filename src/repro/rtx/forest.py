@@ -109,7 +109,6 @@ class BvhForest:
     shard_rows: dict[int, np.ndarray]
     #: per *delegated* bucket: its sub-BVH in shard-local numbering
     shard_trees: dict[int, Bvh]
-    _top_node_count: int = 0
 
     @property
     def num_shards(self) -> int:
@@ -122,11 +121,6 @@ class BvhForest:
     @property
     def delegated_shards(self) -> int:
         return len(self.shard_trees)
-
-    @property
-    def top_node_count(self) -> int:
-        """Nodes of the top-level table (splits above the shard roots)."""
-        return self._top_node_count
 
     def shard_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Root bounds of every delegated shard as ``(ids, mins, maxs)``."""
@@ -520,7 +514,6 @@ def build_forest(
         shard_ids=shard_vals.astype(np.int64),
         shard_rows=shard_rows,
         shard_trees=shard_trees,
-        _top_node_count=len(plan.entries),
     )
 
 
@@ -626,7 +619,6 @@ def forest_from_saved(
         shard_ids=shard_vals.astype(np.int64),
         shard_rows=rows,
         shard_trees=trees,
-        _top_node_count=len(plan.entries),
     )
 
 
@@ -767,7 +759,6 @@ def delta_update_forest(
         shard_ids=shard_vals.astype(np.int64),
         shard_rows=shard_rows,
         shard_trees=shard_trees,
-        _top_node_count=len(plan.entries),
     )
     stats = DeltaUpdateStats(
         total_shards=num_buckets,

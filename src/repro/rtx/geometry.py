@@ -46,8 +46,10 @@ class RayBatch:
         ``(n,)`` float32 arrays restricting reported intersections to
         ``tmin < t < tmax``.
     lookup_ids:
-        ``(n,)`` int64 array mapping each ray back to the lookup that spawned
-        it.  A single range lookup in 3D Mode may fan out into several rays.
+        ``(n,)`` non-negative int64 array mapping each ray back to the lookup
+        that spawned it (the budgeted trace modes index per-lookup budgets
+        with it).  A single range lookup in 3D Mode may fan out into several
+        rays.
     """
 
     origins: np.ndarray
@@ -70,6 +72,8 @@ class RayBatch:
             self.lookup_ids = np.arange(n, dtype=np.int64)
         else:
             self.lookup_ids = np.asarray(self.lookup_ids, dtype=np.int64).reshape(-1)
+            if self.lookup_ids.size and int(self.lookup_ids.min()) < 0:
+                raise ValueError("lookup_ids must be non-negative lookup indices")
         if self.directions.shape[0] != n or self.lookup_ids.shape[0] != n:
             raise ValueError("all ray component arrays must have the same length")
 

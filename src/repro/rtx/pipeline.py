@@ -318,11 +318,11 @@ class Pipeline:
         ray-generation program by passing its parameters as keyword arguments.
         ``mode`` selects the trace semantics (see
         :meth:`repro.rtx.traversal.TraversalEngine.trace`): ``"all"`` reports
-        every intersection, ``"any_hit"`` terminates each ray at its first
-        surviving hit, ``"first_k"`` stops each lookup after ``limit``
-        surviving hits, ``"ordered_k"`` keeps each lookup's ``limit``
-        t-smallest hits in key order (``limit`` is required for, and only
-        valid with, the two budgeted modes).  ``ray_groups`` (one group id
+        every intersection, ``"first_k"`` stops each lookup after ``limit``
+        surviving hits (``limit=1`` on a point lookup's single ray is the
+        any-hit program ending the ray), ``"ordered_k"`` keeps each lookup's
+        ``limit`` t-smallest hits in key order (``limit`` is required for,
+        and only valid with, the two budgeted modes).  ``ray_groups`` (one group id
         per ray) additionally splits the launch's counters per group — see
         :meth:`repro.rtx.traversal.TraversalEngine.trace`.  ``any_hit``
         overrides the pipeline-level any-hit program for this launch only

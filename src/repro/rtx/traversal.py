@@ -21,20 +21,19 @@ records and every counter (including ``traversal_rounds`` and
 with the reference loop in :mod:`repro.rtx._reference` for any
 ``max_frontier`` setting.
 
-``trace`` supports four reporting modes: the default reports every
-intersection of every ray; ``mode="any_hit"`` models the hardware any-hit
-program terminating the ray — each ray records exactly its first surviving
-hit; ``mode="first_k"`` is the limit-pushdown variant for bounded range
-lookups — every lookup carries a remaining-hit budget of ``limit`` shared by
-all of its rays, and a ray stops traversing once its lookup's budget is
-exhausted; ``mode="ordered_k"`` is the ordered top-k variant — every lookup
-keeps the ``limit`` hits sorting smallest under ``(ray, hit_t, prim)``
-(ascending ``(key, row_id)`` for codec-built range rays), with frontier
-pairs that cannot beat the lookup's current k-th candidate culled against
-their box-entry ``t``.  All non-default modes compact finished rays out of
-the frontier (the budget/rank mask is fused into the leaf/inner split so no
-separate compaction gather runs), with the counters reflecting only the
-work actually executed.
+``trace`` supports three reporting modes: the default reports every
+intersection of every ray; ``mode="first_k"`` is the limit-pushdown variant
+— every lookup carries a remaining-hit budget of ``limit`` shared by all of
+its rays, and a ray stops traversing once its lookup's budget is exhausted
+(a point lookup fires one ray, so ``limit=1`` is the hardware any-hit
+program ending the ray at its first hit); ``mode="ordered_k"`` is the
+ordered top-k variant — every lookup keeps the ``limit`` hits sorting
+smallest under ``(ray, hit_t, prim)`` (ascending ``(key, row_id)`` for
+codec-built range rays), with frontier pairs that cannot beat the lookup's
+current k-th candidate culled against their box-entry ``t``.  Both budgeted
+modes compact finished rays out of the frontier (the budget/rank mask is
+fused into the leaf/inner split so no separate compaction gather runs),
+with the counters reflecting only the work actually executed.
 """
 
 from __future__ import annotations
@@ -61,9 +60,10 @@ class TraversalCounters:
     prim_tests: int = 0
     prim_hits: int = 0
     #: Hits that survived intersection + any-hit filtering but were discarded
-    #: because their owner's early-exit budget was already spent (any_hit /
-    #: first_k modes).  Zero in all-hits mode.  A per-ray hardware traversal
-    #: would have terminated before producing these, so the ratio
+    #: because their lookup's budget was already spent (first_k) or its
+    #: ordered pool displaced them (ordered_k).  Zero in all-hits mode.  A
+    #: per-ray hardware traversal would have terminated before producing
+    #: these, so the ratio
     #: ``prim_hits / (prim_hits + budget_dropped_hits)`` measures how much of
     #: the leaf-phase work the wavefront schedule could not skip.
     budget_dropped_hits: int = 0
@@ -151,19 +151,12 @@ class HitRecords:
         return np.bincount(self.ray_indices, minlength=self.num_rays)
 
 
-def _cut_to_budget(owners: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Keep, in stream order, at most ``budget[owner]`` hits per owner.
+def _group_ranks(sorted_owners: np.ndarray):
+    """Split a non-empty, sorted owner array into runs of equal owners.
 
-    ``owners`` assigns every hit of one chunk to its budget owner (the ray
-    itself in any-hit mode, the originating lookup in first_k mode).  Returns
-    the boolean keep-mask plus whether any owner's budget reached zero, and
-    decrements ``budget`` in place by the number of kept hits.  One stable
-    argsort ranks each hit within its owner's hits, so the kept hits are
-    exactly the first ``budget[owner]`` of the stream — for a budget of one
-    this degenerates to "first hit per ray", the any-hit program semantics.
+    Returns ``(group_starts, counts, ranks)``: the index where each run
+    starts, each run's length, and every element's rank within its run.
     """
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
     is_first = np.empty(sorted_owners.shape[0], dtype=bool)
     is_first[0] = True
     np.not_equal(sorted_owners[1:], sorted_owners[:-1], out=is_first[1:])
@@ -172,6 +165,23 @@ def _cut_to_budget(owners: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, 
     ranks = np.arange(sorted_owners.shape[0], dtype=np.int64) - np.repeat(
         group_starts, counts
     )
+    return group_starts, counts, ranks
+
+
+def _cut_to_budget(owners: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Keep, in stream order, at most ``budget[owner]`` hits per owner.
+
+    ``owners`` assigns every hit of one chunk to its originating lookup.
+    Returns the boolean keep-mask plus whether any lookup's budget reached
+    zero, and decrements ``budget`` in place by the number of kept hits.
+    One stable argsort ranks each hit within its lookup's hits, so the kept
+    hits are exactly the first ``budget[owner]`` of the stream — for a
+    point lookup's single ray and a budget of one this is "first hit per
+    ray", the any-hit program semantics.
+    """
+    order = np.argsort(owners, kind="stable")
+    sorted_owners = owners[order]
+    group_starts, counts, ranks = _group_ranks(sorted_owners)
     keep_sorted = ranks < budget[sorted_owners]
     keep = np.empty_like(keep_sorted)
     keep[order] = keep_sorted
@@ -189,7 +199,7 @@ class _OrderedKState:
     final hit records fall out of them directly and the per-lookup bound
     (the k-th best candidate of a full pool) is one gather away.  Merging a
     candidate chunk is a single lexsort plus the same rank-within-group
-    technique as :func:`_cut_to_budget` — set-based, so the surviving pool
+    helper as :func:`_cut_to_budget` — set-based, so the surviving pool
     and the total number of displaced candidates are independent of how the
     round's candidates were chunked, matching the sequential insertion loop
     of the golden reference exactly.
@@ -219,15 +229,7 @@ class _OrderedKState:
         all_p = np.concatenate([self.prims, cand_prims])
         order = np.lexsort((all_p, all_t, all_r, all_l))
         sorted_l = all_l[order]
-        is_first = np.empty(sorted_l.shape[0], dtype=bool)
-        is_first[0] = True
-        np.not_equal(sorted_l[1:], sorted_l[:-1], out=is_first[1:])
-        group_starts = np.flatnonzero(is_first)
-        counts = np.diff(np.append(group_starts, sorted_l.shape[0]))
-        ranks = np.arange(sorted_l.shape[0], dtype=np.int64) - np.repeat(
-            group_starts, counts
-        )
-        keep = ranks < self.k
+        keep = _group_ranks(sorted_l)[2] < self.k
         kept = order[keep]
         self.lookups = sorted_l[keep]
         self.rays = all_r[kept]
@@ -240,16 +242,10 @@ class _OrderedKState:
         self.full[:] = False
         if self.lookups.size == 0:
             return
-        is_first = np.empty(self.lookups.shape[0], dtype=bool)
-        is_first[0] = True
-        np.not_equal(self.lookups[1:], self.lookups[:-1], out=is_first[1:])
-        group_starts = np.flatnonzero(is_first)
-        counts = np.diff(np.append(group_starts, self.lookups.shape[0]))
-        full_groups = counts == self.k
-        if not full_groups.any():
-            return
-        bound_idx = group_starts[full_groups] + self.k - 1
-        full_lookups = self.lookups[group_starts[full_groups]]
+        # Pools never exceed k, so a pool is full exactly when it holds an
+        # entry of rank k - 1 — its bound.
+        bound_idx = np.flatnonzero(_group_ranks(self.lookups)[2] == self.k - 1)
+        full_lookups = self.lookups[bound_idx]
         self.full[full_lookups] = True
         self.bound_ray[full_lookups] = self.rays[bound_idx]
         self.bound_t[full_lookups] = self.ts[bound_idx]
@@ -287,9 +283,8 @@ def _frontier_box_overlap(
     node_maxs32: np.ndarray,
     frontier_rays: np.ndarray,
     frontier_nodes: np.ndarray,
-    return_entry: bool = False,
-):
-    """Slab test of frontier (ray, node) pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slab test of frontier (ray, node) pairs: ``(overlap mask, entry t)``.
 
     Performs the same float64 arithmetic as
     :func:`repro.rtx.geometry.ray_box_overlap_pairs` — results are
@@ -301,10 +296,9 @@ def _frontier_box_overlap(
     arrive as ``(n, 3)`` arrays; every per-pair gather takes one axis column
     view, so nothing of size O(nodes) is copied.
 
-    With ``return_entry=True`` the per-pair box-entry ``t`` (``lo`` after all
-    axes — parallel axes leave it untouched, exactly like the reference's
-    blend) is returned alongside the mask; the ordered top-k mode culls
-    against it.
+    The per-pair box-entry ``t`` is ``lo`` after all axes (parallel axes
+    leave it untouched, exactly like the reference's blend); the ordered
+    top-k mode culls against it.
     """
     lo = node_tmin32[frontier_rays].astype(np.float64)
     hi = tmax32[frontier_rays].astype(np.float64)
@@ -351,9 +345,7 @@ def _frontier_box_overlap(
     result = lo <= hi
     if ok is not None:
         result &= ok
-    if return_entry:
-        return result, lo
-    return result
+    return result, lo
 
 
 class _GroupCounterRecorder:
@@ -504,18 +496,17 @@ class TraversalEngine:
 
         * ``"all"`` (default) — report every intersection of every ray; the
           ``any_hit`` filter is applied once to the accumulated hit list.
-        * ``"any_hit"`` — early-exit traversal: each ray terminates at its
-          first hit that survives the ``any_hit`` filter and reports exactly
-          that one hit (on RT hardware the any-hit program ends the ray the
-          same way).  The reported hit per ray equals the first surviving
-          hit the default mode would report for it.
-        * ``"first_k"`` — limit-pushdown traversal: every *lookup* carries a
+        * ``"first_k"`` — early-exit traversal: every *lookup* carries a
           remaining-hit budget of ``limit``, shared by all of its rays
           (``rays.lookup_ids``).  Hits are recorded in traversal-stream
           order until the budget is exhausted, then every ray of the lookup
           terminates.  The reported hits per lookup equal the first
           ``limit`` surviving hits the default mode would report for it (a
-          stable top-k cut of the all-hits stream).
+          stable top-k cut of the all-hits stream).  Limit-pushdown range
+          lookups use it, and so do point lookups on duplicate-free
+          columns: one ray per lookup with ``limit=1`` ends each ray at its
+          first surviving hit, the way the any-hit program ends it on RT
+          hardware.
         * ``"ordered_k"`` — ordered top-k traversal: every lookup keeps the
           ``limit`` surviving hits that sort smallest under the
           lexicographic key ``(ray_index, hit_t, prim_index)``, reported in
@@ -526,27 +517,24 @@ class TraversalEngine:
           are culled from the frontier, so unbalanced trees prune like a
           per-ray ordered traversal would.
 
-        In the early-exit and ordered modes finished rays are compacted out
-        of the frontier between rounds, so the counters reflect only the
-        traversal work actually executed, and the ``any_hit`` filter is
-        applied eagerly per leaf chunk — it must be elementwise (decide
-        each hit on its own), exactly like a real any-hit program.
-        ``limit`` is only meaningful with ``mode="first_k"`` and
-        ``mode="ordered_k"``.
+        In the two budgeted modes finished rays are compacted out of the
+        frontier between rounds, so the counters reflect only the traversal
+        work actually executed, and the ``any_hit`` filter is applied
+        eagerly per leaf chunk — it must be elementwise (decide each hit on
+        its own), exactly like a real any-hit program.  ``limit`` is
+        required by, and only meaningful with, the budgeted modes.
 
         ``ray_groups`` optionally assigns every ray to a demux group (an
         int array of group ids, one per ray).  After the trace,
         ``self.group_counters`` holds one :class:`TraversalCounters` per
         group, each bit-identical to what a solo trace of only that group's
-        rays would have produced — provided the groups do not share
-        early-exit budget owners (in ``first_k`` mode all rays of a lookup
-        must belong to one group).  Grouping does not change the traversal
-        or the global counters in any way.
+        rays would have produced — provided all rays of a lookup belong to
+        one group (they share the lookup's budget).  Grouping does not
+        change the traversal or the global counters in any way.
         """
-        if mode not in ("all", "any_hit", "first_k", "ordered_k"):
+        if mode not in ("all", "first_k", "ordered_k"):
             raise ValueError(
-                f"unknown trace mode {mode!r}; use 'all', 'any_hit', 'first_k' "
-                "or 'ordered_k'"
+                f"unknown trace mode {mode!r}; use 'all', 'first_k' or 'ordered_k'"
             )
         if mode in ("first_k", "ordered_k"):
             if limit is None:
@@ -560,7 +548,7 @@ class TraversalEngine:
                 f"not {mode!r}"
             )
         ordered = mode == "ordered_k"
-        early_exit = mode in ("any_hit", "first_k")
+        early_exit = mode == "first_k"
         self.group_counters = None
         recorder: _GroupCounterRecorder | None = None
         if ray_groups is not None:
@@ -587,24 +575,16 @@ class TraversalEngine:
         n_rays = len(rays)
         hit_rays: list[np.ndarray] = []
         hit_prims: list[np.ndarray] = []
-        # Early-exit bookkeeping: every hit consumes one unit of its owner's
-        # budget, and a ray whose owner is exhausted drops out of the
-        # frontier.  The any-hit program owns budgets per *ray* (one hit ends
-        # the ray); first_k owns them per *lookup* (rays of one lookup share
-        # the lookup's limit).
-        owners: np.ndarray | None = None
+        # Early-exit bookkeeping: every hit consumes one unit of its
+        # lookup's budget, and a ray whose lookup is exhausted drops out of
+        # the frontier.
+        owners = rays.lookup_ids
         budget: np.ndarray | None = None
         pool: _OrderedKState | None = None
         if early_exit and n_rays:
-            if mode == "any_hit":
-                budget = np.ones(n_rays, dtype=np.int64)
-            else:
-                owners = rays.lookup_ids
-                budget = np.full(int(owners.max()) + 1, limit, dtype=np.int64)
+            budget = np.full(int(owners.max()) + 1, limit, dtype=np.int64)
         elif ordered and n_rays:
-            pool = _OrderedKState(
-                int(rays.lookup_ids.max()) + 1, limit, rays.lookup_ids
-            )
+            pool = _OrderedKState(int(owners.max()) + 1, limit, owners)
 
         if n_rays > 0 and bvh.node_count > 0:
             if self.node_cull_respects_tmin:
@@ -640,42 +620,24 @@ class TraversalEngine:
                 if recorder is not None:
                     recorder.on_round(frontier_rays)
 
-                entry: np.ndarray | None = None
                 if chunk is None or fsize <= chunk:
-                    if ordered:
-                        overlap, entry = _frontier_box_overlap(
-                            origins, directions, node_tmin, t_hi,
-                            mins, maxs, frontier_rays, frontier_nodes,
-                            return_entry=True,
-                        )
-                    else:
-                        overlap = _frontier_box_overlap(
-                            origins, directions, node_tmin, t_hi,
-                            mins, maxs, frontier_rays, frontier_nodes,
-                        )
+                    overlap, entry = _frontier_box_overlap(
+                        origins, directions, node_tmin, t_hi,
+                        mins, maxs, frontier_rays, frontier_nodes,
+                    )
                 else:
                     overlap = np.empty(fsize, dtype=bool)
-                    if ordered:
-                        entry = np.empty(fsize, dtype=np.float64)
+                    entry = np.empty(fsize, dtype=np.float64)
                     for lo_idx in range(0, fsize, chunk):
                         hi_idx = min(lo_idx + chunk, fsize)
-                        if ordered:
-                            overlap[lo_idx:hi_idx], entry[lo_idx:hi_idx] = (
-                                _frontier_box_overlap(
-                                    origins, directions, node_tmin, t_hi,
-                                    mins, maxs,
-                                    frontier_rays[lo_idx:hi_idx],
-                                    frontier_nodes[lo_idx:hi_idx],
-                                    return_entry=True,
-                                )
-                            )
-                        else:
-                            overlap[lo_idx:hi_idx] = _frontier_box_overlap(
+                        overlap[lo_idx:hi_idx], entry[lo_idx:hi_idx] = (
+                            _frontier_box_overlap(
                                 origins, directions, node_tmin, t_hi,
                                 mins, maxs,
                                 frontier_rays[lo_idx:hi_idx],
                                 frontier_nodes[lo_idx:hi_idx],
                             )
+                        )
                 frontier_rays = frontier_rays[overlap]
                 frontier_nodes = frontier_nodes[overlap]
                 if frontier_rays.size == 0:
@@ -761,11 +723,7 @@ class TraversalEngine:
                                     recorder.on_budget_drops(dropped)
                             continue
                         if early_exit and sub_hit_rays.size:
-                            own = (
-                                sub_hit_rays
-                                if owners is None
-                                else owners[sub_hit_rays]
-                            )
+                            own = owners[sub_hit_rays]
                             keep, exhausted = _cut_to_budget(own, budget)
                             counters.budget_dropped_hits += int(
                                 own.shape[0] - np.count_nonzero(keep)
@@ -789,10 +747,7 @@ class TraversalEngine:
                     # post-expansion compaction gather runs.  (Earlier
                     # terminations were compacted in their own round, so this
                     # only triggers when a ray died this round.)
-                    own_frontier = (
-                        frontier_rays if owners is None else owners[frontier_rays]
-                    )
-                    inner_mask &= budget[own_frontier] > 0
+                    inner_mask &= budget[owners[frontier_rays]] > 0
                 if pool is not None:
                     # Re-derive the bounds from the pools the round's merges
                     # just updated; they compact hopeless rays out of the

@@ -14,10 +14,10 @@ launch:
 * Ray generation is elementwise per query, and the 3D-mode range fan-out
   orders rays contiguously per lookup, so generating rays for the
   concatenated query array equals concatenating per-request ray batches.
-* The wavefront traversal advances every ray independently; early-exit
-  budget owners (rays in ``any_hit``, lookups in ``first_k``) never span
-  requests, so each ray's per-round frontier pairs — and hence its hits, in
-  stream order — equal its solo-launch ones.
+* The wavefront traversal advances every ray independently; budget owners
+  (lookups, in ``first_k`` and ``ordered_k``) never span requests, so each
+  ray's per-round frontier pairs — and hence its hits, in stream order —
+  equal its solo-launch ones.
 * Per-request counters come from the engine's ``ray_groups`` attribution
   (:class:`repro.rtx.traversal.TraversalEngine`), which splits every counter
   (including ``traversal_rounds`` and ``max_frontier_size``) by the group
@@ -42,6 +42,7 @@ from repro.core.results import (
     first_row_per_lookup,
     hits_per_lookup,
 )
+from repro.core.rx_index import trace_mode_for
 from repro.rtx.traversal import HitRecords, TraversalCounters
 from repro.serve.faults import InjectedFault
 from repro.serve.resilience import LaunchExhausted, RequestFailure, RetryPolicy
@@ -60,7 +61,7 @@ class LaunchClass(NamedTuple):
     """
 
     kind: str  #: "point" or "range"
-    mode: str  #: trace mode: "all", "any_hit", "first_k" or "ordered_k"
+    mode: str  #: trace mode: "all", "first_k" or "ordered_k"
     limit: int | None = None  #: per-lookup hit budget (budgeted modes only)
 
 
@@ -73,7 +74,7 @@ class ServeRequest:
     queries: np.ndarray | None = None  #: point lookup keys
     lowers: np.ndarray | None = None  #: range lower bounds (inclusive)
     uppers: np.ndarray | None = None  #: range upper bounds (inclusive)
-    limit: int | None = None  #: resolved LIMIT-k budget (range only)
+    limit: int | None = None  #: LIMIT-k budget (range only)
     arrival: float = 0.0  #: stream-time arrival in seconds
     #: absolute stream time by which the result must be delivered (None =
     #: no deadline); set by the service from the relative deadline knob
@@ -345,18 +346,19 @@ class MicroBatchScheduler:
             self.stats.closed_by_drain += 1
 
     def class_of(self, request: ServeRequest, snapshot) -> LaunchClass:
-        """Launch class of ``request`` under ``snapshot``'s resolved modes.
+        """Launch class of ``request`` under ``snapshot``'s point budget.
 
         Load-bearing in two places: it decides which requests may share a
-        coalesced launch, and it is part of the result-cache key.
+        coalesced launch, and it is part of the result-cache key.  Point
+        and unordered range lookups follow the index's rule
+        (:func:`repro.core.rx_index.trace_mode_for`).
         """
-        if request.kind == "point":
-            return LaunchClass(kind="point", mode=snapshot.point_mode)
+        # Positional construction: this runs for every request, and a named
+        # tuple builds nearly twice as slowly from keywords.
         if request.order == "key":
-            return LaunchClass(kind="range", mode="ordered_k", limit=request.limit)
-        if request.limit is None:
-            return LaunchClass(kind="range", mode="all")
-        return LaunchClass(kind="range", mode="first_k", limit=request.limit)
+            return LaunchClass("range", "ordered_k", request.limit)
+        limit = snapshot.point_limit if request.kind == "point" else request.limit
+        return LaunchClass(request.kind, trace_mode_for(limit), limit)
 
     def _launch_class(
         self, klass: LaunchClass, requests: list[ServeRequest], snapshot

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cursor import parse_cursor
-from repro.core.rx_index import RXIndex
+from repro.core.rx_index import RXIndex, check_limit
 from repro.serve.cache import ResultCache
 from repro.serve.faults import InjectedFault
 from repro.serve.resilience import (
@@ -273,7 +273,7 @@ class IndexService:
         self,
         lowers: np.ndarray,
         uppers: np.ndarray,
-        limit="auto",
+        limit: int | None = None,
         arrival: float = 0.0,
         deadline: float | None = None,
         order: str | None = None,
@@ -291,16 +291,7 @@ class IndexService:
         than serving rows of a different column state — the client restarts
         the scan explicitly.
         """
-        if isinstance(limit, str):
-            if limit != "auto":
-                raise ValueError(
-                    f"limit must be an int, None or 'auto', got {limit!r}"
-                )
-            limit = self.index.config.range_limit
-        if limit is not None:
-            limit = int(limit)
-            if limit < 1:
-                raise ValueError(f"limit must be at least 1, got {limit}")
+        limit = check_limit(limit)
         # Validate the client-supplied cursor token up front: a malformed or
         # out-of-range token must fail here with a clean ValueError, not deep
         # inside a coalesced launch.  The original token string still rides

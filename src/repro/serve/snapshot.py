@@ -45,9 +45,9 @@ class EpochSnapshot:
     config: RXConfig
     keys: np.ndarray
     values: np.ndarray
-    #: resolved point-lookup trace mode for this epoch's column ("any_hit"
-    #: on duplicate-free columns under the "auto" config, else "all")
-    point_mode: str
+    #: point-lookup hit budget for this epoch's column: 1 on a
+    #: duplicate-free column (``first_k`` launches), else None (all hits)
+    point_limit: int | None
     pins: int = 0
 
     @property
@@ -111,7 +111,7 @@ class EpochManager:
             config=index.config,
             keys=index.keys,
             values=index.values,
-            point_mode=index.resolved_point_trace_mode(),
+            point_limit=index.point_limit(),
         )
 
     def add_listener(self, on_advance) -> None:

@@ -67,10 +67,6 @@ class SecondaryIndexWorkload:
     def num_point_lookups(self) -> int:
         return 0 if self.point_queries is None else int(self.point_queries.shape[0])
 
-    @property
-    def num_range_lookups(self) -> int:
-        return 0 if self.range_lowers is None else int(self.range_lowers.shape[0])
-
     # ------------------------------------------------------------------ #
     # reference answers (plain NumPy, independent of every index)
     # ------------------------------------------------------------------ #

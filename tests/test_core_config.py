@@ -170,6 +170,22 @@ class TestSerialisation:
         data.update(build_workers=4, build_backend="shm")
         assert RXConfig.from_dict(data) == RXConfig.paper_default()
 
+    @pytest.mark.parametrize("mode", ["auto", "any_hit", "all"])
+    def test_retired_point_trace_mode_is_dropped(self, mode):
+        # Every old value answers point lookups correctly under the budget
+        # the column decides, so the key is dropped whatever it says.
+        data = RXConfig.paper_default().as_dict()
+        data.update(point_trace_mode=mode, range_limit=None)
+        assert RXConfig.from_dict(data) == RXConfig.paper_default()
+
+    def test_retired_range_limit_must_be_null(self):
+        # A stored default limit capped every range_lookup(lo, hi); dropping
+        # it silently would change what those calls return.
+        data = RXConfig.paper_default().as_dict()
+        data.update(point_trace_mode="auto", range_limit=8)
+        with pytest.raises(ValueError, match="range_limit"):
+            RXConfig.from_dict(data)
+
     def test_unknown_key_is_rejected(self):
         data = RXConfig.paper_default().as_dict()
         data["build_threads"] = 2

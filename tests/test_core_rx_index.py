@@ -115,11 +115,23 @@ class TestPointLookups:
 
 
 class TestPointTraceMode:
+    """Point lookups trace ``first_k`` with a budget of one hit on a
+    duplicate-free column (each ray ends at its first hit, the hardware
+    any-hit termination) and report every match otherwise."""
+
+    @staticmethod
+    def _all_hits_run(index, queries):
+        """The same point lookups traced in all-hits mode."""
+        rays = index.codec.point_ray_batch(queries, index.config.point_ray_mode)
+        launch = index.pipeline.launch(rays, num_lookups=queries.shape[0])
+        return index._run_to_lookup(launch, queries.shape[0], kind="point")
+
     def test_auto_uses_any_hit_on_unique_keys(self, small_workload):
         index = RXIndex()
         index.build(small_workload.keys, small_workload.values)
         run = index.point_lookup(small_workload.point_queries)
-        assert run.stats["trace_mode"] == "any_hit"
+        assert run.stats["trace_mode"] == "first_k"
+        assert index.point_limit() == 1
         assert run.aggregate == small_workload.reference_point_aggregate()
         assert np.array_equal(run.hits_per_lookup, small_workload.reference_point_hits())
 
@@ -132,12 +144,11 @@ class TestPointTraceMode:
         assert run.hits_per_lookup.tolist() == [3, 1]
 
     def test_forced_any_hit_matches_all_mode_on_unique_keys(self, small_workload):
-        forced = RXIndex(RXConfig(point_trace_mode="any_hit"))
-        forced.build(small_workload.keys, small_workload.values)
-        run_any = forced.point_lookup(small_workload.point_queries)
-        full = RXIndex(RXConfig(point_trace_mode="all"))
-        full.build(small_workload.keys, small_workload.values)
-        run_all = full.point_lookup(small_workload.point_queries)
+        index = RXIndex()
+        index.build(small_workload.keys, small_workload.values)
+        run_any = index.point_lookup(small_workload.point_queries)
+        run_all = self._all_hits_run(index, small_workload.point_queries)
+        assert run_any.stats["trace_mode"] == "first_k"
         assert np.array_equal(run_any.result_rows, run_all.result_rows)
         assert np.array_equal(run_any.hits_per_lookup, run_all.hits_per_lookup)
         assert run_any.aggregate == run_all.aggregate
@@ -151,17 +162,18 @@ class TestPointTraceMode:
         rng = np.random.default_rng(5)
         keys = np.unique(np.cumsum(rng.integers(1, 9, size=600)).astype(np.uint64))
         queries = point_lookups(keys, 256, seed=6)
-        runs = {}
-        for mode in ("all", "any_hit"):
-            index = RXIndex(
-                RXConfig(
-                    key_mode=KeyMode.NAIVE,
-                    point_ray_mode=PointRayMode.PARALLEL_FROM_ZERO,
-                    point_trace_mode=mode,
-                )
+        index = RXIndex(
+            RXConfig(
+                key_mode=KeyMode.NAIVE,
+                point_ray_mode=PointRayMode.PARALLEL_FROM_ZERO,
             )
-            index.build(keys)
-            runs[mode] = index.point_lookup(queries)
+        )
+        index.build(keys)
+        runs = {
+            "any_hit": index.point_lookup(queries),
+            "all": self._all_hits_run(index, queries),
+        }
+        assert runs["any_hit"].stats["trace_mode"] == "first_k"
         assert np.array_equal(
             runs["any_hit"].result_rows, runs["all"].result_rows
         )
@@ -177,9 +189,9 @@ class TestPointTraceMode:
     def test_refit_update_rechecks_uniqueness(self, small_keys):
         index = RXIndex(RXConfig.paper_default().with_updates_enabled())
         index.build(small_keys)
-        assert index._point_trace_mode() == "any_hit"
+        assert index.point_limit() == 1
         index.update(swap_adjacent_keys(small_keys, num_swaps=16))
-        assert index._point_trace_mode() == "any_hit"
+        assert index.point_limit() == 1
 
     @staticmethod
     def _column(case, rng):
@@ -206,8 +218,8 @@ class TestPointTraceMode:
         keys = self._column(case, np.random.default_rng([seed, 41]))
         index = RXIndex()
         index.build(keys)
-        expected = "any_hit" if np.unique(keys).size == keys.size else "all"
-        assert index._point_trace_mode() == expected
+        expected = 1 if np.unique(keys).size == keys.size else None
+        assert index.point_limit() == expected
 
     def test_delta_shard_update_adding_a_duplicate_flips_to_all(self):
         keys = np.random.default_rng(11).permutation(np.arange(1024, dtype=np.uint64))
@@ -218,18 +230,14 @@ class TestPointTraceMode:
         config.update_policy = UpdatePolicy.DELTA_SHARD
         index = RXIndex(config)
         index.build(keys)
-        assert index._point_trace_mode() == "any_hit"
+        assert index.point_limit() == 1
 
         new_keys = keys.copy()
         new_keys[5] = new_keys[900]
         index.update(new_keys)
-        assert index._point_trace_mode() == "all"
+        assert index.point_limit() is None
         run = index.point_lookup(new_keys[[900]])
         assert run.hits_per_lookup.tolist() == [2]
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="point_trace_mode"):
-            RXIndex(RXConfig(point_trace_mode="nearest"))
 
 
 class TestRangeLookups:
@@ -296,17 +304,16 @@ class TestRangeLimitPushdown:
         assert limited.stats["total_prim_tests"] <= unlimited.stats["total_prim_tests"]
 
     def test_config_default_applies_and_per_call_overrides(self, small_workload):
-        index = RXIndex(RXConfig(range_limit=2))
+        index = RXIndex()
         index.build(small_workload.keys, small_workload.values)
         full = small_workload.reference_range_hits()
         lowers, uppers = small_workload.range_lowers, small_workload.range_uppers
-        # "auto" (the default) defers to the configured limit ...
-        auto = index.range_lookup(lowers, uppers)
-        assert np.array_equal(auto.hits_per_lookup, np.minimum(full, 2))
-        # ... an int overrides it for one call ...
+        # The limit comes from the call: an int caps this call only ...
         override = index.range_lookup(lowers, uppers, limit=4)
         assert np.array_equal(override.hits_per_lookup, np.minimum(full, 4))
-        # ... and None forces the all-hits behaviour despite the config.
+        # ... and None, the default, reports every hit.
+        default = index.range_lookup(lowers, uppers)
+        assert np.array_equal(default.hits_per_lookup, full)
         unlimited = index.range_lookup(lowers, uppers, limit=None)
         assert np.array_equal(unlimited.hits_per_lookup, full)
         assert unlimited.stats["trace_mode"] == "all"
@@ -333,14 +340,12 @@ class TestRangeLimitPushdown:
         assert run.hits_per_lookup.tolist() == [5]
 
     def test_invalid_limits_rejected(self, small_keys):
-        with pytest.raises(ValueError, match="range_limit"):
-            RXConfig(range_limit=0).validate()
         index = RXIndex()
         index.build(small_keys)
         bounds = np.array([1], dtype=np.uint64), np.array([5], dtype=np.uint64)
         with pytest.raises(ValueError, match="at least 1"):
             index.range_lookup(*bounds, limit=0)
-        with pytest.raises(ValueError, match="int, None or 'auto'"):
+        with pytest.raises(ValueError, match="int or None"):
             index.range_lookup(*bounds, limit="unbounded")
 
 

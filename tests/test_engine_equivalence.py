@@ -246,7 +246,8 @@ class TestIntersectPairsEquivalence:
 
 
 class TestAnyHitModeEquivalence:
-    """``mode="any_hit"`` must report exactly the default mode's first
+    """``first_k`` with a budget of one hit on single-ray lookups (the any-hit
+    program ending each ray) must report exactly the default mode's first
     surviving hit per ray and never do more traversal work."""
 
     def _setup(self, primitive, rng):
@@ -282,7 +283,7 @@ class TestAnyHitModeEquivalence:
         default = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
         all_hits = default.trace(rays)
         early = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
-        any_hits = early.trace(rays, mode="any_hit")
+        any_hits = early.trace(rays, mode="first_k", limit=1)
 
         assert self._first_hits(any_hits) == self._first_hits(all_hits)
         # Exactly one hit per hitting ray.
@@ -305,7 +306,7 @@ class TestAnyHitModeEquivalence:
         default = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
         all_hits = default.trace(rays, any_hit=keep_even)
         early = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
-        any_hits = early.trace(rays, any_hit=keep_even, mode="any_hit")
+        any_hits = early.trace(rays, any_hit=keep_even, mode="first_k", limit=1)
         assert self._first_hits(any_hits) == self._first_hits(all_hits)
         assert np.all(any_hits.prim_indices % 2 == 0)
 

@@ -325,14 +325,14 @@ def _trace_all_modes(index, queries, lowers, uppers, limit):
         lowers, uppers, index.config.range_ray_mode,
         max_rays_per_range=index.config.max_rays_per_range,
     )
-    for mode, rays, kwargs in [
-        ("all", point_rays, {}),
-        ("any_hit", point_rays, {}),
-        ("first_k", range_rays, {"limit": limit}),
-        ("ordered_k", range_rays, {"limit": limit}),
+    for label, rays, mode, mode_limit in [
+        ("all", point_rays, "all", None),
+        ("first_k point", point_rays, "first_k", 1),
+        ("first_k", range_rays, "first_k", limit),
+        ("ordered_k", range_rays, "ordered_k", limit),
     ]:
-        launch = pipeline.launch(rays, mode=mode, **kwargs)
-        out[mode] = (
+        launch = pipeline.launch(rays, mode=mode, limit=mode_limit)
+        out[label] = (
             launch.hits.ray_indices.copy(),
             launch.hits.prim_indices.copy(),
             launch.hits.lookup_ids.copy(),

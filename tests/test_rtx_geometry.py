@@ -150,6 +150,19 @@ class TestRayBatch:
                 tmax=1.0,
             )
 
+    def test_negative_lookup_ids_rejected(self):
+        # The budgeted trace modes index per-lookup budgets with the ids: a
+        # negative id would index from the end or share another's slot.
+        for ids in ([-2, 0], [-1, 0]):
+            with pytest.raises(ValueError, match="lookup_ids"):
+                RayBatch(
+                    origins=np.zeros((2, 3)),
+                    directions=np.tile([1, 0, 0], (2, 1)),
+                    tmin=0.0,
+                    tmax=1.0,
+                    lookup_ids=ids,
+                )
+
     def test_slice(self):
         batch = RayBatch(
             origins=np.arange(12).reshape(4, 3),

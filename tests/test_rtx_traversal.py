@@ -106,8 +106,9 @@ class TestTraversalCorrectness:
 
     def test_unknown_mode_rejected(self):
         engine = _line_engine(8)
-        with pytest.raises(ValueError, match="unknown trace mode"):
-            engine.trace(_point_rays([1]), mode="closest")
+        for mode in ("closest", "any_hit"):
+            with pytest.raises(ValueError, match="unknown trace mode"):
+                engine.trace(_point_rays([1]), mode=mode)
 
 
 class TestFirstKMode:
@@ -131,8 +132,6 @@ class TestFirstKMode:
             engine.trace(rays, mode="first_k", limit=0)
         with pytest.raises(ValueError, match="only meaningful"):
             engine.trace(rays, mode="all", limit=4)
-        with pytest.raises(ValueError, match="only meaningful"):
-            engine.trace(rays, mode="any_hit", limit=1)
 
     def test_reports_first_k_hits_in_traversal_order(self):
         engine = _line_engine(32)
@@ -151,16 +150,26 @@ class TestFirstKMode:
     def test_limit_one_equals_any_hit_for_single_ray_lookups(self):
         engine = _line_engine(48)
         rng = np.random.default_rng(19)
-        rays = self._range_rays(rng.uniform(1, 40, size=30))
+        spans = rng.uniform(1, 40, size=30)
+        rays = self._range_rays(spans)
         fk_engine = TraversalEngine(engine.bvh, engine.primitives)
         fk = fk_engine.trace(rays, mode="first_k", limit=1)
-        ah_engine = TraversalEngine(engine.bvh, engine.primitives)
-        ah = ah_engine.trace(rays, mode="any_hit")
-        assert np.array_equal(fk.ray_indices, ah.ray_indices)
-        assert np.array_equal(fk.prim_indices, ah.prim_indices)
-        # With the default 1:1 ray-to-lookup mapping the per-lookup budget
-        # degenerates to the per-ray any-hit budget, counters included.
-        assert fk_engine.counters.as_dict() == ah_engine.counters.as_dict()
+        # The any-hit semantics: every hitting ray reports exactly the first
+        # hit of the all-hits stream.
+        first = {}
+        all_hits = engine.trace(rays)
+        for r, p in zip(all_hits.ray_indices.tolist(), all_hits.prim_indices.tolist()):
+            first.setdefault(r, p)
+        assert dict(zip(fk.ray_indices.tolist(), fk.prim_indices.tolist())) == first
+        assert fk.count == len(first)
+        # With one ray per lookup the budget belongs to the ray, whatever the
+        # lookups are numbered: relabelling them changes no hit or counter.
+        relabelled = self._range_rays(spans, lookup_ids=np.arange(30)[::-1] * 3)
+        rl_engine = TraversalEngine(engine.bvh, engine.primitives)
+        rl = rl_engine.trace(relabelled, mode="first_k", limit=1)
+        assert np.array_equal(fk.ray_indices, rl.ray_indices)
+        assert np.array_equal(fk.prim_indices, rl.prim_indices)
+        assert fk_engine.counters.as_dict() == rl_engine.counters.as_dict()
 
     def test_budget_shared_across_rays_of_one_lookup(self):
         engine = _line_engine(64)
@@ -217,8 +226,16 @@ class TestChunkingRegression:
     """Hit records and counters must be identical for every ``max_frontier``
     setting, including the chunk=0 / chunk=None aliases for 'unbounded'."""
 
-    @pytest.mark.parametrize("mode", ["all", "any_hit", "first_k"])
-    def test_all_chunk_settings_agree(self, mode):
+    #: "any_hit" is first_k with a budget of one hit per ray (point lookups).
+    @pytest.mark.parametrize(
+        "trace_kwargs",
+        [
+            pytest.param({}, id="all"),
+            pytest.param({"mode": "first_k", "limit": 1}, id="any_hit"),
+            pytest.param({"mode": "first_k", "limit": 3}, id="first_k"),
+        ],
+    )
+    def test_all_chunk_settings_agree(self, trace_kwargs):
         points = np.column_stack([np.arange(200), np.zeros(200), np.zeros(200)])
         buffer = TriangleBuffer(make_triangle_vertices(points))
         bvh = build_bvh(buffer)
@@ -230,12 +247,11 @@ class TestChunkingRegression:
             tmin=xs - 0.5,
             tmax=xs + 0.5,
         )
-        trace_kwargs = {"limit": 3} if mode == "first_k" else {}
         baseline_hits = None
         baseline_counters = None
         for chunk in (None, 0, 1, 7, 64, 10**9):
             engine = TraversalEngine(bvh, buffer, max_frontier=chunk)
-            hits = engine.trace(rays, mode=mode, **trace_kwargs)
+            hits = engine.trace(rays, **trace_kwargs)
             if baseline_hits is None:
                 baseline_hits, baseline_counters = hits, engine.counters
                 continue
@@ -245,6 +261,9 @@ class TestChunkingRegression:
 
 
 class TestAnyHitMode:
+    """The any-hit program ending each ray at its first hit: ``first_k``
+    with a budget of one hit and one lookup per ray."""
+
     def test_one_hit_per_hitting_ray(self):
         engine = _line_engine(32)
         # A long range ray crosses every triangle but reports exactly one
@@ -254,7 +273,7 @@ class TestAnyHitMode:
         )
         all_hits = engine.trace(rays)
         result = TraversalEngine(engine.bvh, engine.primitives).trace(
-            rays, mode="any_hit"
+            rays, mode="first_k", limit=1
         )
         assert all_hits.count == 32
         assert result.count == 1
@@ -275,7 +294,7 @@ class TestAnyHitMode:
         # program, whose invocation order is unspecified), i.e. exactly the
         # first surviving hit the default mode reports.
         keep_late = lambda r, p, l: (p >= 5)
-        result = engine.trace(rays, any_hit=keep_late, mode="any_hit")
+        result = engine.trace(rays, any_hit=keep_late, mode="first_k", limit=1)
         reference = TraversalEngine(bvh, buffer).trace(rays, any_hit=keep_late)
         assert result.count == 1
         assert result.prim_indices.tolist() == [int(reference.prim_indices[0])]
@@ -293,9 +312,9 @@ class TestAnyHitMode:
             tmax=xs + 20.0,
         )
         keep_odd = lambda r, p, l: (p % 2 == 1)
-        want = engine_ref.trace(rays, any_hit=keep_odd, mode="any_hit")
+        want = engine_ref.trace(rays, any_hit=keep_odd, mode="first_k", limit=1)
         engine = TraversalEngine(engine_ref.bvh, engine_ref.primitives, max_frontier=max_frontier)
-        got = engine.trace(rays, any_hit=keep_odd, mode="any_hit")
+        got = engine.trace(rays, any_hit=keep_odd, mode="first_k", limit=1)
         assert np.array_equal(got.ray_indices, want.ray_indices)
         assert np.array_equal(got.prim_indices, want.prim_indices)
         assert np.array_equal(got.lookup_ids, want.lookup_ids)
@@ -308,7 +327,7 @@ class TestAnyHitMode:
             tmin=np.zeros(0),
             tmax=np.zeros(0),
         )
-        result = engine.trace(rays, mode="any_hit")
+        result = engine.trace(rays, mode="first_k", limit=1)
         assert result.count == 0
         assert engine.counters.traversal_rounds == 0
 
@@ -328,7 +347,7 @@ class TestAnyHitMode:
         for r, p in zip(all_hits.ray_indices.tolist(), all_hits.prim_indices.tolist()):
             first.setdefault(r, p)
         result = TraversalEngine(engine.bvh, engine.primitives).trace(
-            rays, mode="any_hit"
+            rays, mode="first_k", limit=1
         )
         got = dict(zip(result.ray_indices.tolist(), result.prim_indices.tolist()))
         assert got == first
@@ -355,7 +374,7 @@ class TestAnyHitMode:
         engine_all = TraversalEngine(bvh, buffer)
         engine_all.trace(rays)
         engine_any = TraversalEngine(bvh, buffer)
-        engine_any.trace(rays, mode="any_hit")
+        engine_any.trace(rays, mode="first_k", limit=1)
         assert engine_any.counters.node_visits < engine_all.counters.node_visits
         assert engine_any.counters.prim_tests < engine_all.counters.prim_tests
 
@@ -379,7 +398,7 @@ class TestLaunchMemory:
             max_rays_per_range=index.config.max_rays_per_range,
         )
         launches = [
-            ("any_hit point", lambda: engine.trace(point, mode="any_hit")),
+            ("first_k point", lambda: engine.trace(point, mode="first_k", limit=1)),
             ("first_k ranges", lambda: engine.trace(ranges, mode="first_k", limit=4)),
         ]
         for _, launch in launches:

@@ -2,7 +2,7 @@
 
 The serving contract: demuxing a coalesced launch yields, for every request,
 hits *and* counters bit-identical to issuing that request as its own solo
-launch — across point lookups (all/any-hit), range lookups, LIMIT-k
+launch — across point lookups (all / first_k-1), range lookups, LIMIT-k
 (first_k) range lookups and ordered (ordered_k) cursor pages.  The tests
 compare against solo launches through the same pipeline, so any divergence
 in ray generation, traversal order or counter attribution fails loudly.
@@ -89,7 +89,9 @@ def assert_request_matches_solo(result, request, snapshot, klass):
 def expected_class(request, snapshot):
     """The launch class the scheduler must give ``request``."""
     if request.kind == "point":
-        return LaunchClass(kind="point", mode=snapshot.point_mode)
+        if snapshot.point_limit is None:
+            return LaunchClass(kind="point", mode="all")
+        return LaunchClass(kind="point", mode="first_k", limit=1)
     if request.order == "key":
         return LaunchClass(kind="range", mode="ordered_k", limit=request.limit)
     if request.limit is None:
@@ -160,17 +162,18 @@ class TestDemuxBitIdentity:
 
     def test_point_any_hit(self):
         rng = np.random.default_rng(1)
-        keys = dense_shuffled_keys(2048, seed=2)  # duplicate-free -> any_hit
+        keys = dense_shuffled_keys(2048, seed=2)  # duplicate-free -> first_k, 1
         index = build_index(keys)
         snapshot = EpochManager(index).current()
-        assert snapshot.point_mode == "any_hit"
+        assert snapshot.point_limit == 1
         scheduler = MicroBatchScheduler(max_batch=10_000, max_wait=0.0)
         requests = make_point_requests(rng, keys, 23)
         for request in requests:
             scheduler.submit(request)
         results = scheduler.flush(snapshot)
         assert [r.request_id for r in results] == [r.request_id for r in requests]
-        klass = LaunchClass(kind="point", mode="any_hit")
+        klass = LaunchClass(kind="point", mode="first_k", limit=1)
+        assert {scheduler.class_of(r, snapshot) for r in requests} == {klass}
         for result, request in zip(results, requests):
             assert_request_matches_solo(result, request, snapshot, klass)
 
@@ -179,13 +182,14 @@ class TestDemuxBitIdentity:
         keys = keys_with_multiplicity(1024, multiplicity=4, seed=4)
         index = build_index(keys)
         snapshot = EpochManager(index).current()
-        assert snapshot.point_mode == "all"
+        assert snapshot.point_limit is None
         scheduler = MicroBatchScheduler(max_batch=10_000, max_wait=0.0)
         requests = make_point_requests(rng, keys, 17)
         for request in requests:
             scheduler.submit(request)
         results = scheduler.flush(snapshot)
         klass = LaunchClass(kind="point", mode="all")
+        assert {scheduler.class_of(r, snapshot) for r in requests} == {klass}
         for result, request in zip(results, requests):
             assert_request_matches_solo(result, request, snapshot, klass)
 
@@ -249,7 +253,7 @@ class TestDemuxBitIdentity:
     @pytest.mark.parametrize("case_index", range(NUM_SEEDED_WINDOWS))
     def test_seeded_mixed_window(self, case_index):
         """A random window drawn from ``DIFF_SEED``: primitive, key
-        multiplicity (any-hit or all-hits points), ``max_frontier``
+        multiplicity (first_k-1 or all-hits points), ``max_frontier``
         slicing, request sizes and the mix of all four classes."""
         seed = DIFF_SEED * 1000 + case_index
         pick = random.Random(seed)
@@ -264,7 +268,7 @@ class TestDemuxBitIdentity:
         )
         index = build_index(keys, max_frontier=max_frontier, primitive=primitive)
         snapshot = EpochManager(index).current()
-        assert snapshot.point_mode == ("any_hit" if multiplicity == 1 else "all")
+        assert snapshot.point_limit == (1 if multiplicity == 1 else None)
         span = pick.choice([8, 24, 40])
         limit = pick.choice([1, 2, 5])
         requests = (

@@ -2,8 +2,8 @@
 
 Generates random scenes and ray batches with the *stdlib* ``random`` module
 (independent of the NumPy generators used inside the engine) and pins
-``TraversalEngine.trace`` in all four modes — ``all``, ``any_hit``,
-``first_k`` and ``ordered_k`` — bit for bit against the golden loops in
+``TraversalEngine.trace`` in all three modes — ``all``, ``first_k`` and
+``ordered_k`` — bit for bit against the golden loops in
 :mod:`repro.rtx._reference`: identical hit records (rays, primitives,
 lookup_ids, order) *and* identical counters, across
 
@@ -15,6 +15,8 @@ lookup_ids, order) *and* identical counters, across
   the engine traces the *forest* tree while the golden loops walk the
   single-tree build),
 * single-ray lookups and multi-ray lookups sharing one first_k budget,
+  plus a ``first_k(limit=1)`` trace with one lookup per ray (how point
+  lookups end each ray at its first hit),
 * traces with and without an elementwise any-hit filter.
 
 On top of the reference equivalence, every ``first_k`` result is checked
@@ -36,7 +38,6 @@ import numpy as np
 import pytest
 
 from repro.rtx._reference import (
-    reference_any_hit_trace,
     reference_first_k_trace,
     reference_ordered_k_trace,
     reference_trace,
@@ -216,13 +217,20 @@ def test_all_modes_bit_identical_to_reference(case_index):
     golden_hits, golden_counters = reference_trace(golden_bvh, buffer, rays, any_hit=any_hit)
     _assert_same(all_hits, eng.counters, golden_hits, golden_counters, f"all {label}")
 
-    # any-hit mode
-    eng = engine()
-    hits = eng.trace(rays, any_hit=any_hit, mode="any_hit")
-    golden_hits, golden_counters = reference_any_hit_trace(
-        golden_bvh, buffer, rays, any_hit=any_hit
+    # first_k with a budget of one hit per ray: every ray its own lookup
+    per_ray = RayBatch(
+        origins=rays.origins,
+        directions=rays.directions,
+        tmin=rays.tmin,
+        tmax=rays.tmax,
+        lookup_ids=np.arange(len(rays)),
     )
-    _assert_same(hits, eng.counters, golden_hits, golden_counters, f"any_hit {label}")
+    eng = engine()
+    hits = eng.trace(per_ray, any_hit=any_hit, mode="first_k", limit=1)
+    golden_hits, golden_counters = reference_first_k_trace(
+        golden_bvh, buffer, per_ray, 1, any_hit=any_hit
+    )
+    _assert_same(hits, eng.counters, golden_hits, golden_counters, f"first_k-1 {label}")
 
     # first_k mode
     limit = case["limit"]
