@@ -100,16 +100,16 @@ def main() -> None:
     index_stats = stats["index"]
     print("\nindex.stats():")
     for key in ("num_keys", "epoch", "shard_count", "bvh_nodes",
-                "memory_final_bytes", "intersection_pack_warm"):
-        print(f"  {key:<24}{index_stats[key]}")
+                "memory_final_bytes", "primitive_resident_bytes"):
+        print(f"  {key:<25}{index_stats[key]}")
     trace = index_stats["trace_counters"]
-    print(f"  trace_counters          rays={trace['rays']}, "
+    print(f"  trace_counters           rays={trace['rays']}, "
           f"node_visits={trace['node_visits']}, prim_tests={trace['prim_tests']}")
     build = index_stats["build"]
-    print(f"  build                   shards={build['shards']}, "
+    print(f"  build                    shards={build['shards']}, "
           f"delegated={build['delegated_shards']}, "
           f"wall={build['wall_seconds'] * 1e3:.1f}ms")
-    print(f"  epochs                  {stats['epochs']}")
+    print(f"  epochs                   {stats['epochs']}")
 
     # ------------------------------------------------------------------ #
     # 4. Crash-safe checkpoint and warm restart: the snapshot commits via
@@ -129,7 +129,7 @@ def main() -> None:
         print("restored service answers bit-identically to the one that saved")
 
         persist = restarted.index.stats()["persist"]
-        print(f"  persist                 loads={persist['loads']}, "
+        print(f"  persist                  loads={persist['loads']}, "
               f"epoch={persist['last_epoch']}, "
               f"segments={persist['segments_total']}, "
               f"bytes={persist['bytes_on_disk']:,}B, "

@@ -222,8 +222,10 @@ class RXConfig:
             raise ValueError("max_leaf_size must be positive")
         if self.max_rays_per_range < 1:
             raise ValueError("max_rays_per_range must be positive")
-        if self.sphere_radius <= 0 or self.sphere_radius >= 0.5:
-            raise ValueError("sphere_radius must lie in (0, 0.5) to keep gaps")
+        if not 0 < self.sphere_radius < 0.5:  # NaN-proof, like serve_max_wait
+            raise ValueError(
+                f"sphere_radius must lie in (0, 0.5) to keep gaps, got {self.sphere_radius}"
+            )
         if self.value_bytes not in (4, 8):
             raise ValueError("value_bytes must be 4 or 8")
         if self.serve_max_batch < 1:

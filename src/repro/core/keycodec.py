@@ -162,8 +162,8 @@ class ExtendedCodec(KeyCodec):
         coords = self._coords(keys)
         points = np.zeros((coords.shape[0], 3), dtype=np.float32)
         points[:, 0] = coords
-        x_half_extent = f32.ulp_f32(coords).astype(np.float64)
-        return points, x_half_extent
+        # One ULP is exact in float32: 4 B/key beside the anchors.
+        return points, f32.ulp_f32(coords)
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
         self.validate_keys(queries)

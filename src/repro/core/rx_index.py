@@ -815,9 +815,10 @@ class RXIndex(GpuIndex):
         """One-dict summary of the index's live state.
 
         Bundles the column, epoch, shard and memory bookkeeping with the
-        pipeline's cumulative trace counters and the primitive buffer's
-        intersection-pack cache state — the summary the serving layer's
-        demo/driver prints.  Requires a built index.
+        pipeline's cumulative trace counters and the host bytes the
+        primitive buffer holds (``primitive_resident_bytes``: 12 B/key of
+        anchors for triangles, 16 B/key in Extended Mode) — the summary the
+        serving layer's demo/driver prints.  Requires a built index.
         """
         accel = self.accel
         memory = self.memory_footprint()
@@ -839,7 +840,7 @@ class RXIndex(GpuIndex):
             "memory_build_peak_bytes": memory.build_peak_bytes,
             "device_bytes_in_use": self.context.memory.current_bytes,
             "device_bytes_peak": self.context.memory.peak_bytes,
-            "intersection_pack_warm": buffer.intersection_pack_warm,
+            "primitive_resident_bytes": buffer.resident_bytes(),
             "build": self._build_stats_block(forest),
             "persist": dict(self._persist_stats),
             "trace_counters": self._pipeline.engine.counters.as_dict()

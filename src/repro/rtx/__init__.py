@@ -22,14 +22,20 @@ milliseconds.
 
 from repro.rtx.build_input import (
     AabbBuildInput,
+    AnchoredTriangleBuildInput,
     BuildFlags,
     SphereBuildInput,
-    TriangleBuildInput,
 )
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
 from repro.rtx.compaction import compact_accel
 from repro.rtx.forest import BvhForest, build_forest, delta_update_forest
-from repro.rtx.geometry import AabbBuffer, RayBatch, SphereBuffer, TriangleBuffer
+from repro.rtx.geometry import (
+    AabbBuffer,
+    AnchoredTriangleBuffer,
+    RayBatch,
+    SphereBuffer,
+    TriangleBuffer,
+)
 from repro.rtx.memory import DeviceMemoryTracker
 from repro.rtx.pipeline import (
     DeviceContext,
@@ -47,6 +53,8 @@ from repro.rtx.traversal import TraversalCounters, TraversalEngine
 __all__ = [
     "AabbBuffer",
     "AabbBuildInput",
+    "AnchoredTriangleBuffer",
+    "AnchoredTriangleBuildInput",
     "BuildFlags",
     "Bvh",
     "BvhBuildOptions",
@@ -62,7 +70,6 @@ __all__ = [
     "TraversalCounters",
     "TraversalEngine",
     "TriangleBuffer",
-    "TriangleBuildInput",
     "accel_build",
     "accel_compact",
     "accel_delta_update",

@@ -4,21 +4,24 @@
 vertex buffer for triangles, centre/radius buffers for spheres, or an AABB
 buffer for custom primitives) plus build flags.  This module provides the
 same shape of API so that :mod:`repro.core.rx_index` reads like the OptiX
-code in the paper.
+code in the paper; key triangles are passed as their anchor points, from
+which the vertex buffer follows.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from repro.rtx.geometry import (
     AabbBuffer,
+    AnchoredTriangleBuffer,
     PrimitiveBuffer,
     SphereBuffer,
-    TriangleBuffer,
+    make_aabbs_from_points,
+    make_sphere_centers,
 )
 
 
@@ -58,19 +61,28 @@ class BuildInput:
 
 
 @dataclass
-class TriangleBuildInput(BuildInput):
-    """Triangle build input: an ``(n, 3, 3)`` float32 vertex buffer.
+class AnchoredTriangleBuildInput(BuildInput):
+    """Triangle build input: one key triangle per anchor point.
 
-    The position of each triangle in the buffer is its primitive index, which
-    the paper equates with the rowID of the indexed table entry.
+    The triangles are those :func:`repro.rtx.geometry.make_triangle_vertices`
+    emits for ``points``, held as the anchors themselves
+    (:class:`repro.rtx.geometry.AnchoredTriangleBuffer`).  The position of
+    each triangle is its primitive index, which the paper equates with the
+    rowID of the indexed table entry.  It is still priced as the paper's
+    nine-float32 vertex buffer, which OptiX only needs during
+    ``optixAccelBuild``; this input never materialises one.
     """
 
-    vertices: np.ndarray
+    # Init-only: the buffer keeps its own column copy, so the caller's
+    # (n, 3) anchors are not held for the life of the accel.
+    points: InitVar[np.ndarray]
+    half_extent: InitVar[float] = 0.5
+    x_half_extent: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
-        self._buffer = TriangleBuffer(self.vertices)
+    def __post_init__(self, points, half_extent, x_half_extent) -> None:
+        self._buffer = AnchoredTriangleBuffer(points, half_extent, x_half_extent)
 
-    def primitive_buffer(self) -> TriangleBuffer:
+    def primitive_buffer(self) -> AnchoredTriangleBuffer:
         return self._buffer
 
 
@@ -112,19 +124,18 @@ def build_input_for_points(
     """Create the appropriate build input for key anchor ``points``.
 
     ``primitive`` is one of ``"triangle"``, ``"sphere"``, ``"aabb"``.
+    ``x_half_extent`` is Extended Mode's per-key one-ULP x extent.
     """
-    from repro.rtx.geometry import (
-        make_aabbs_from_points,
-        make_sphere_centers,
-        make_triangle_vertices,
-    )
-
     if primitive == "triangle":
-        vertices = make_triangle_vertices(points, half_extent, x_half_extent)
-        return TriangleBuildInput(vertices)
+        return AnchoredTriangleBuildInput(points, half_extent, x_half_extent)
     if primitive == "sphere":
         return SphereBuildInput(make_sphere_centers(points), radius=sphere_radius)
     if primitive == "aabb":
-        mins, maxs = make_aabbs_from_points(points, half_extent / 2.0, x_half_extent)
+        # The inclusive slab test reports a box to every ray that starts or
+        # ends on its boundary, so a box must lie strictly inside its key's
+        # gaps.  Extended Mode's gaps are one ULP from the key, where no
+        # positive float32 extent fits: its boxes are flat in x, [c, c].
+        x_box = None if x_half_extent is None else 0.0
+        mins, maxs = make_aabbs_from_points(points, half_extent / 2.0, x_box)
         return AabbBuildInput(mins, maxs)
     raise ValueError(f"unknown primitive type: {primitive!r}")

@@ -6,7 +6,10 @@ Section 3.5 of the paper:
 
 * **triangles** — nine float32 per primitive (three 3D vertices); the
   intersection test is "hardware accelerated" (flagged as such so the cost
-  model can price it on the RT cores),
+  model can price it on the RT cores).  An index's key triangles are a pure
+  function of their anchor points, so :class:`AnchoredTriangleBuffer` holds
+  only the anchors and recomputes corners on demand; arbitrary scenes use
+  the vertex-array :class:`TriangleBuffer`,
 * **spheres** — three float32 per primitive plus a shared radius,
 * **AABBs** — six float32 per primitive with a user-provided (software)
   intersection program.
@@ -126,11 +129,15 @@ class PrimitiveBuffer:
     kind: str = "abstract"
     #: True when the per-primitive intersection test runs on the RT cores.
     hardware_intersection: bool = False
+    #: names of the array attributes that hold the primitives
+    _stored: tuple[str, ...] = ()
 
-    @property
-    def intersection_pack_warm(self) -> bool:
-        """Whether the SoA intersection-pack cache is currently built."""
-        return getattr(self, "_pack", None) is not None
+    def resident_bytes(self) -> int:
+        """Host bytes the buffer holds right now: its primitive arrays plus
+        any warm intersection pack."""
+        arrays = [getattr(self, name) for name in self._stored]
+        arrays.extend(getattr(self, "_pack", None) or ())
+        return sum(int(arr.nbytes) for arr in arrays if arr is not None)
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -216,11 +223,93 @@ class PrimitiveBuffer:
         raise NotImplementedError
 
 
-class TriangleBuffer(PrimitiveBuffer):
-    """Triangles stored as an ``(n, 3, 3)`` float32 vertex array."""
+class _MollerTrumboreBuffer(PrimitiveBuffer):
+    """Triangles behind one Möller–Trumbore test.
+
+    Subclasses differ only in how a tested pair's triangle is fetched:
+    :meth:`_pair_triangles` returns its base vertex and two edge vectors as
+    nine float64 components.  The test's expressions exist once, here, so
+    both triangle buffers and the mask and ``t`` they report agree bit for
+    bit whenever the fetched components do.
+    """
 
     kind = "triangle"
     hardware_intersection = True
+
+    def primitive_bytes(self) -> int:
+        # nine float32 per triangle, exactly as the paper counts them
+        return len(self) * 9 * FLOAT_BYTES
+
+    def _pair_triangles(self, prim_indices) -> tuple[np.ndarray, ...]:
+        """``(v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z)`` float64 arrays
+        of the triangles ``prim_indices`` (int64), one entry per pair."""
+        raise NotImplementedError
+
+    def _moller_trumbore(self, origins, directions, prim_indices):
+        """``(inside, t)`` per pair: whether the ray's line crosses the
+        triangle, and the ray parameter of the crossing.
+
+        Same component expressions as the classic per-call formulation (kept
+        as ``reference_triangle_intersect_pairs`` in
+        :mod:`repro.rtx._reference`), so masks are bit-identical.
+        """
+        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self._pair_triangles(
+            prim_indices
+        )
+        o = np.asarray(origins, dtype=np.float64)
+        d = np.asarray(directions, dtype=np.float64)
+        ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
+        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+        # pvec = d × e2
+        px = dy * e2z - dz * e2y
+        py = dz * e2x - dx * e2z
+        pz = dx * e2y - dy * e2x
+        det = e1x * px + e1y * py + e1z * pz
+        eps = 1e-12
+        parallel = np.abs(det) < eps
+        safe_det = np.where(parallel, 1.0, det)
+        inv_det = 1.0 / safe_det
+        tvx = ox - v0x
+        tvy = oy - v0y
+        tvz = oz - v0z
+        u = (tvx * px + tvy * py + tvz * pz) * inv_det
+        # qvec = tvec × e1
+        qx = tvy * e1z - tvz * e1y
+        qy = tvz * e1x - tvx * e1z
+        qz = tvx * e1y - tvy * e1x
+        v = (dx * qx + dy * qy + dz * qz) * inv_det
+        t = (e2x * qx + e2y * qy + e2z * qz) * inv_det
+        inside = ~parallel & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9)
+        return inside, t
+
+    def _intersect_pairs_block(
+        self, origins, directions, tmins, tmaxs, prim_indices
+    ) -> np.ndarray:
+        """Möller–Trumbore ray/triangle test, element-wise over (ray, triangle) pairs."""
+        inside, t = self._moller_trumbore(origins, directions, prim_indices)
+        tmins = np.asarray(tmins, dtype=np.float64)
+        tmaxs = np.asarray(tmaxs, dtype=np.float64)
+        return inside & (t > tmins) & (t < tmaxs)
+
+    def hit_t_pairs(
+        self, origins, directions, tmins, tmaxs, prim_indices
+    ) -> np.ndarray:
+        """Möller–Trumbore ``t`` of each hit pair — the very ``t`` that made
+        the hit pass ``t > tmin`` in :meth:`_intersect_pairs_block`."""
+        g = np.asarray(prim_indices, dtype=np.int64)
+        if g.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        return self._moller_trumbore(origins, directions, g)[1]
+
+
+class TriangleBuffer(_MollerTrumboreBuffer):
+    """Triangles stored as an ``(n, 3, 3)`` float32 vertex array.
+
+    The buffer for arbitrary scenes; an index's key triangles are held as
+    their anchors by :class:`AnchoredTriangleBuffer`.
+    """
+
+    _stored = ("vertices",)
 
     def __init__(self, vertices: np.ndarray):
         vertices = np.asarray(vertices, dtype=np.float32)
@@ -258,10 +347,6 @@ class TriangleBuffer(PrimitiveBuffer):
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
 
-    def primitive_bytes(self) -> int:
-        # nine float32 per triangle, exactly as the paper counts them
-        return len(self) * 9 * FLOAT_BYTES
-
     def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
         # Bounds are recomputed exactly when the vertices may have moved
         # (accel build or refit), so drop the cached intersection pack.
@@ -274,86 +359,103 @@ class TriangleBuffer(PrimitiveBuffer):
         maxs = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
         return mins, maxs
 
-    def _intersect_pairs_block(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """Möller–Trumbore ray/triangle test, element-wise over (ray, triangle) pairs.
+    def _pair_triangles(self, prim_indices) -> tuple[np.ndarray, ...]:
+        return tuple(arr[prim_indices] for arr in self.intersection_pack())
 
-        Same component expressions as the classic per-call formulation (kept
-        as ``reference_triangle_intersect_pairs`` in
-        :mod:`repro.rtx._reference`), evaluated on the precomputed SoA pack —
-        masks are bit-identical.
-        """
-        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self.intersection_pack()
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(directions, dtype=np.float64)
-        tmins = np.asarray(tmins, dtype=np.float64)
-        tmaxs = np.asarray(tmaxs, dtype=np.float64)
-        g = prim_indices
-        ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
-        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-        e1xg, e1yg, e1zg = e1x[g], e1y[g], e1z[g]
-        e2xg, e2yg, e2zg = e2x[g], e2y[g], e2z[g]
-        # pvec = d × e2
-        px = dy * e2zg - dz * e2yg
-        py = dz * e2xg - dx * e2zg
-        pz = dx * e2yg - dy * e2xg
-        det = e1xg * px + e1yg * py + e1zg * pz
-        eps = 1e-12
-        parallel = np.abs(det) < eps
-        safe_det = np.where(parallel, 1.0, det)
-        inv_det = 1.0 / safe_det
-        tvx = ox - v0x[g]
-        tvy = oy - v0y[g]
-        tvz = oz - v0z[g]
-        u = (tvx * px + tvy * py + tvz * pz) * inv_det
-        # qvec = tvec × e1
-        qx = tvy * e1zg - tvz * e1yg
-        qy = tvz * e1xg - tvx * e1zg
-        qz = tvx * e1yg - tvy * e1xg
-        v = (dx * qx + dy * qy + dz * qz) * inv_det
-        t = (e2xg * qx + e2yg * qy + e2zg * qz) * inv_det
-        return (
-            ~parallel
-            & (u >= -1e-9)
-            & (v >= -1e-9)
-            & (u + v <= 1.0 + 1e-9)
-            & (t > tmins)
-            & (t < tmaxs)
-        )
 
-    def hit_t_pairs(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """Möller–Trumbore ``t`` of each hit pair — the same component
-        expressions (and evaluation order) as the mask computation in
-        :meth:`_intersect_pairs_block`, so the ``t`` that made a hit pass
-        ``t > tmin`` is exactly the ``t`` reported here."""
-        v0x, v0y, v0z, e1x, e1y, e1z, e2x, e2y, e2z = self.intersection_pack()
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(directions, dtype=np.float64)
-        g = np.asarray(prim_indices, dtype=np.int64)
-        if g.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        ox, oy, oz = o[:, 0], o[:, 1], o[:, 2]
-        dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-        e1xg, e1yg, e1zg = e1x[g], e1y[g], e1z[g]
-        e2xg, e2yg, e2zg = e2x[g], e2y[g], e2z[g]
-        px = dy * e2zg - dz * e2yg
-        py = dz * e2xg - dx * e2zg
-        pz = dx * e2yg - dy * e2xg
-        det = e1xg * px + e1yg * py + e1zg * pz
-        eps = 1e-12
-        parallel = np.abs(det) < eps
-        safe_det = np.where(parallel, 1.0, det)
-        inv_det = 1.0 / safe_det
-        tvx = ox - v0x[g]
-        tvy = oy - v0y[g]
-        tvz = oz - v0z[g]
-        qx = tvy * e1zg - tvz * e1yg
-        qy = tvz * e1xg - tvx * e1zg
-        qz = tvx * e1yg - tvy * e1xg
-        return (e2xg * qx + e2yg * qy + e2zg * qz) * inv_det
+class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
+    """Key triangles stored as their anchor points.
+
+    Triangle ``i`` is exactly the one :func:`make_triangle_vertices` builds
+    around ``points[i]`` with the same extents, but only the anchors are
+    kept — a read-only ``(3, n)`` array holding one contiguous column per
+    axis, 12 B/key for the codecs' float32 anchors — plus, in Extended
+    Mode, the per-key x half-extent (4 B/key: one float32 ULP).  A corner
+    is the float64 sum of an anchor and a corner offset, rounded once to
+    float32, so the bounds and each tested pair's ``v0``/``e1``/``e2`` are
+    recomputed bit-identically to :class:`TriangleBuffer` over
+    ``make_triangle_vertices(...)`` — without its ``(n, 3, 3)`` vertex
+    array or its nine-array float64 pack.
+
+    Float32 inputs are kept as float32; any other dtype is widened to
+    float64, the precision :func:`make_triangle_vertices` computes in.
+    """
+
+    _stored = ("anchors", "x_half_extent")
+
+    def __init__(
+        self,
+        points: np.ndarray,
+        half_extent: float = 0.5,
+        x_half_extent: np.ndarray | None = None,
+    ):
+        points = _exact_floats(points).reshape(-1, 3)
+        n = points.shape[0]
+        self.anchors = _read_only(points.T.copy())
+        self.half_extent = float(half_extent)
+        if x_half_extent is not None:
+            hx = np.broadcast_to(_exact_floats(x_half_extent), (n,))
+            x_half_extent = _read_only(np.ascontiguousarray(hx))
+        self.x_half_extent = x_half_extent
+
+    def __len__(self) -> int:
+        return int(self.anchors.shape[1])
+
+    def _extent(self, axis: int, rows=slice(None)):
+        """Half-extent along ``axis`` of the triangles ``rows``: the shared
+        scalar, or Extended Mode's per-key x extents."""
+        if axis == 0 and self.x_half_extent is not None:
+            return self.x_half_extent[rows]
+        return self.half_extent
+
+    def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
+        # Rounding is monotone, so the smallest (largest) rounded corner is
+        # the rounded sum with the smallest (largest) offset: one add per
+        # axis and side gives the per-corner min/max bit for bit.
+        n = len(self)
+        mins = np.empty((n, 3), dtype=np.float32)
+        maxs = np.empty((n, 3), dtype=np.float32)
+        for axis in range(3):
+            extent = self._extent(axis)
+            for out, offset in (
+                (mins, _TRIANGLE_OFFSET_MIN[axis]),
+                (maxs, _TRIANGLE_OFFSET_MAX[axis]),
+            ):
+                np.add(
+                    self.anchors[axis],
+                    offset * extent,
+                    out=out[:, axis],
+                    dtype=np.float64,
+                )
+        return mins, maxs
+
+    def _pair_triangles(self, prim_indices) -> tuple[np.ndarray, ...]:
+        corners = np.empty((3, prim_indices.shape[0]), dtype=np.float32)
+        v0, e1, e2 = [], [], []
+        for axis in range(3):
+            anchor = self.anchors[axis][prim_indices].astype(np.float64)
+            extent = self._extent(axis, prim_indices)
+            for corner in range(3):
+                offset = _TRIANGLE_UNIT_OFFSETS[corner, axis] * extent
+                np.add(anchor, offset, out=corners[corner], dtype=np.float64)
+            base = corners[0].astype(np.float64)
+            v0.append(base)
+            e1.append(corners[1] - base)
+            e2.append(corners[2] - base)
+        return (*v0, *e1, *e2)
+
+
+def _exact_floats(values) -> np.ndarray:
+    """``values`` as float32 when they already are, else as float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == np.float32 else arr.astype(np.float64)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr`` (the caller's array stays writeable)."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 class SphereBuffer(PrimitiveBuffer):
@@ -370,8 +472,8 @@ class SphereBuffer(PrimitiveBuffer):
         centers = np.asarray(centers, dtype=np.float32)
         if centers.ndim != 2 or centers.shape[1] != 3:
             raise ValueError("sphere centers must have shape (n, 3)")
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not (np.isfinite(radius) and radius > 0):
+            raise ValueError(f"sphere radius must be finite and positive, got {radius}")
         self.centers = centers
         self.radius = np.float32(radius)
         self._pack: tuple[np.ndarray, ...] | None = None
@@ -672,6 +774,8 @@ _TRIANGLE_UNIT_OFFSETS = np.array(
     ],
     dtype=np.float64,
 )
+_TRIANGLE_OFFSET_MIN = _TRIANGLE_UNIT_OFFSETS.min(axis=0)
+_TRIANGLE_OFFSET_MAX = _TRIANGLE_UNIT_OFFSETS.max(axis=0)
 
 
 def make_triangle_vertices(

@@ -11,6 +11,7 @@ from repro.core.config import (
     RXConfig,
     UpdatePolicy,
 )
+from repro.core.rx_index import RXIndex
 
 
 class TestKeyDecomposition:
@@ -95,6 +96,14 @@ class TestRXConfigValidation:
     def test_sphere_radius_bounds(self):
         with pytest.raises(ValueError):
             RXConfig(sphere_radius=0.6).validate()
+
+    @pytest.mark.parametrize("radius", [0.0, 0.5, float("nan"), float("inf")])
+    def test_sphere_radius_outside_open_interval_rejected(self, radius):
+        config = RXConfig(primitive=PrimitiveType.SPHERE, sphere_radius=radius)
+        with pytest.raises(ValueError, match="sphere_radius"):
+            config.validate()
+        with pytest.raises(ValueError, match="sphere_radius"):
+            RXIndex(config)
 
     def test_value_bytes_restricted(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 """Tests for the RX index itself."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.core import (
     RXIndex,
     UpdatePolicy,
 )
+from repro.core.results import collect_row_ids
 from repro.workloads import dense_shuffled_keys, point_lookups
 from repro.workloads.table import SecondaryIndexWorkload
 from repro.workloads.updates import swap_adjacent_keys, swap_adjacent_positions
@@ -112,6 +116,125 @@ class TestPointLookups:
         index.build(workload.keys, workload.values)
         run = index.point_lookup(queries)
         assert run.aggregate == workload.reference_point_aggregate()
+
+
+def _accepted_configs() -> list:
+    """Every key mode × primitive × point-ray mode × range-ray mode
+    combination that ``RXConfig.validate()`` accepts."""
+    params = []
+    for modes in itertools.product(KeyMode, PrimitiveType, PointRayMode, RangeRayMode):
+        key_mode, primitive, point_mode, range_mode = modes
+        config = RXConfig(
+            key_mode=key_mode,
+            primitive=primitive,
+            point_ray_mode=point_mode,
+            range_ray_mode=range_mode,
+        )
+        try:
+            config.validate()
+        except ValueError:
+            continue
+        params.append(pytest.param(config, id="-".join(m.value for m in modes)))
+    return params
+
+
+ACCEPTED_CONFIGS = _accepted_configs()
+
+
+class TestEveryAcceptedConfiguration:
+    """Point and range rows equal a NumPy oracle under every configuration
+    ``validate()`` accepts.
+
+    The keys straddle 2^22, where Extended Mode's coordinates cross a
+    float32 binade: there the gap below a key is half as wide as the gap
+    above it.
+    """
+
+    def test_grid_is_complete(self):
+        # 3 key modes × 3 primitives × 3 point-ray × 2 range-ray modes, minus
+        # Extended Mode's spheres (6) and offset ray origins (8).
+        assert len(ACCEPTED_CONFIGS) == 54 - 6 - 8
+
+    @pytest.mark.parametrize("config", ACCEPTED_CONFIGS)
+    def test_rows_match_numpy(self, config):
+        rng = np.random.default_rng(17)
+        keys = np.uint64(2**22 - 1024) + rng.permutation(2048).astype(np.uint64)
+        index = RXIndex(config)
+        index.build(keys)
+
+        row_of = {int(key): row for row, key in enumerate(keys)}
+        queries = np.concatenate(
+            [
+                keys[rng.integers(0, keys.size, size=192)],
+                np.array([2**22 - 1025, 2**22 + 1024, 7], dtype=np.uint64),
+            ]
+        )
+        want = [[row_of[q]] if q in row_of else [] for q in queries.tolist()]
+        got = index.collect_point_matches(queries)
+        assert [sorted(rows.tolist()) for rows in got] == want
+        run = index.point_lookup(queries)
+        assert run.hits_per_lookup.tolist() == [len(rows) for rows in want]
+        assert run.result_rows.tolist() == [
+            rows[0] if rows else int(MISS_SENTINEL) for rows in want
+        ]
+
+        lowers = rng.integers(2**22 - 1040, 2**22 + 1040, size=48).astype(np.uint64)
+        uppers = lowers + rng.integers(0, 64, size=48).astype(np.uint64)
+        want = [
+            np.flatnonzero((keys >= lo) & (keys <= hi)).tolist()
+            for lo, hi in zip(lowers, uppers)
+        ]
+        rays = index.codec.range_ray_batch(
+            lowers, uppers, config.range_ray_mode, config.max_rays_per_range
+        )
+        launch = index.pipeline.launch(rays, num_lookups=lowers.size)
+        got = collect_row_ids(launch.hits, lowers.size)
+        assert [sorted(rows.tolist()) for rows in got] == want
+        run = index.range_lookup(lowers, uppers)
+        assert run.hits_per_lookup.tolist() == [len(rows) for rows in want]
+
+
+class TestPrimitiveResidency:
+    """Index triangles are held as their anchor points: no vertex array, and
+    no float64 intersection pack built by the first queries."""
+
+    @pytest.mark.parametrize(
+        "key_mode, bytes_per_key", [(KeyMode.THREE_D, 12), (KeyMode.EXTENDED, 16)]
+    )
+    def test_resident_bytes_after_build_queries_and_load(
+        self, tmp_path, key_mode, bytes_per_key
+    ):
+        keys = dense_shuffled_keys(4096, seed=3)
+        config = RXConfig(key_mode=key_mode, range_ray_mode=RangeRayMode.PARALLEL_FROM_ZERO)
+        index = RXIndex(config)
+        index.build(keys)
+        want = bytes_per_key * keys.size
+        assert index.stats()["primitive_resident_bytes"] == want
+        index.point_lookup(keys[:64])
+        index.range_lookup(keys[:8], keys[:8] + np.uint64(16))
+        index.range_lookup(keys[:1], keys[:1] + np.uint64(64), limit=4, order="key")
+        assert index.stats()["primitive_resident_bytes"] == want
+        index.save(tmp_path)
+        loaded = RXIndex.load(tmp_path)
+        assert loaded.stats()["primitive_resident_bytes"] == want
+        loaded.point_lookup(keys[:64])
+        assert loaded.stats()["primitive_resident_bytes"] == want
+
+    def test_first_lookup_after_cold_load_stays_below_a_pack(self, tmp_path):
+        n = 1 << 16
+        keys = dense_shuffled_keys(n, seed=5)
+        index = RXIndex()
+        index.build(keys)
+        index.save(tmp_path)
+        loaded = RXIndex.load(tmp_path)
+        tracemalloc.start()
+        try:
+            loaded.point_lookup(keys[:64])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A nine-array float64 intersection pack alone is 72 B/key.
+        assert peak < 72 * n
 
 
 class TestPointTraceMode:

@@ -206,7 +206,7 @@ class TestIntersectPairsEquivalence:
         buffer = build_input_for_points("triangle", points).primitive_buffer()
         got = buffer.intersect_pairs(o, d, tmins, tmaxs, g)
         want = reference_triangle_intersect_pairs(
-            buffer.vertices.astype(np.float64), o, d, tmins, tmaxs, g
+            make_triangle_vertices(points).astype(np.float64), o, d, tmins, tmaxs, g
         )
         assert got.sum() > 0  # the workload must exercise the hit branches
         assert np.array_equal(got, want)

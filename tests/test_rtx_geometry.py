@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.config import KeyDecomposition
+from repro.core.keycodec import ExtendedCodec, NaiveCodec, ThreeDCodec
+from repro.rtx import float32 as f32
 from repro.rtx.geometry import (
     AabbBuffer,
+    AnchoredTriangleBuffer,
     RayBatch,
     SphereBuffer,
     TriangleBuffer,
@@ -229,10 +233,122 @@ class TestTriangleBuffer:
         assert buffer.intersect((0, 0, 0), (1, 0, 0), 0, 1, np.array([], dtype=np.int64)).size == 0
 
 
+def _bits(arr: np.ndarray) -> np.ndarray:
+    """The raw IEEE bit patterns of a float32/float64 array."""
+    return arr.view(np.uint32 if arr.dtype == np.float32 else np.uint64)
+
+
+def _extended_binade_keys() -> np.ndarray:
+    """Extended Mode keys on both sides of three float32 binade boundaries,
+    where the ULP below a key is half the ULP above it."""
+    offset = f32.EXTENDED_MODE_OFFSET
+    keys = []
+    for exponent_step in (1, 2, 5):
+        # bit pattern 2k + offset starts a new binade every 2^23 patterns
+        edge = (exponent_step << 23) // 2
+        keys.extend(range(edge - 8, edge + 8))
+    keys = np.array(keys, dtype=np.uint64)
+    coords = f32.bit_cast_u32_to_f32(
+        (2 * keys + np.uint64(offset)).astype(np.uint32)
+    ).astype(np.float64)
+    assert np.any(np.diff(np.log2(coords).astype(int)) == 1)  # binades crossed
+    return keys
+
+
+def _anchored_cases():
+    """``pytest.param(points, x_half_extent)`` over every key codec."""
+    rng = np.random.default_rng(2024)
+    n = 4096
+    codecs = {
+        "naive": (NaiveCodec(), rng.choice(2**23, n, replace=False)),
+        "extended": (ExtendedCodec(), rng.choice(f32.EXTENDED_MODE_KEY_LIMIT, n, replace=False)),
+        "extended-binades": (ExtendedCodec(), _extended_binade_keys()),
+        "3d": (ThreeDCodec(), rng.integers(0, 2**63, n, dtype=np.uint64)),
+        "3d-yz": (
+            ThreeDCodec(KeyDecomposition(x_bits=5, y_bits=6, z_bits=7)),
+            rng.integers(0, 2**18, n),
+        ),
+    }
+    for name, (codec, keys) in codecs.items():
+        points, x_half_extent = codec.encode_points(keys.astype(np.uint64))
+        yield pytest.param(points, x_half_extent, id=name)
+    # Callers outside the index may pass float64 anchors of any value.
+    yield pytest.param(rng.uniform(-50, 50, size=(n, 3)), None, id="float64-cloud")
+
+
+def _pair_rays(points: np.ndarray, x_scale: float, m: int, rng):
+    """Aimed, axis-parallel and degenerate rays, one per gathered pair."""
+    g = rng.integers(0, points.shape[0], size=m)
+    target = points[g].astype(np.float64)
+    target += rng.uniform(-0.6, 0.6, size=(m, 3)) * [x_scale, 1.0, 1.0]
+    o = target + rng.uniform(-3.0, 3.0, size=(m, 3))
+    d = target - o
+    d[: m // 4, 1:] = 0.0          # x-parallel, the range rays' shape
+    d[m // 4 : m // 3, :2] = 0.0   # z-parallel, the perpendicular point rays
+    d[m // 3 : m // 2] = 0.0       # fully degenerate
+    tmins = rng.uniform(0.0, 1.0, size=m)
+    tmaxs = tmins + rng.uniform(0.0, 4.0, size=m)
+    return o, d, tmins, tmaxs, g
+
+
+class TestAnchoredTriangleBuffer:
+    """The anchored buffer is ``TriangleBuffer(make_triangle_vertices(...))``
+    bit for bit: bounds, masks and hit parameters."""
+
+    @pytest.mark.parametrize("points, x_half_extent", _anchored_cases())
+    def test_bit_identical_to_vertex_triangles(self, points, x_half_extent):
+        anchored = AnchoredTriangleBuffer(points, 0.5, x_half_extent)
+        vertices = TriangleBuffer(make_triangle_vertices(points, 0.5, x_half_extent))
+        assert len(anchored) == len(vertices)
+        for got, want in zip(anchored.compute_aabbs(), vertices.compute_aabbs()):
+            assert got.dtype == want.dtype == np.float32
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+        # Extended Mode triangles are one ULP wide in x: aim inside that.
+        x_scale = 1e-7 if x_half_extent is not None else 1.0
+        o, d, tmins, tmaxs, g = _pair_rays(
+            points, x_scale, 60_000, np.random.default_rng(7)
+        )
+        mask = anchored.intersect_pairs(o, d, tmins, tmaxs, g)
+        assert np.array_equal(mask, vertices.intersect_pairs(o, d, tmins, tmaxs, g))
+        assert mask.sum() > 1000  # the hit branches are exercised
+        got_t = anchored.hit_t_pairs(o, d, tmins, tmaxs, g)
+        want_t = vertices.hit_t_pairs(o, d, tmins, tmaxs, g)
+        assert np.array_equal(_bits(got_t), _bits(want_t))
+
+    def test_holds_anchors_only(self):
+        points, _ = ThreeDCodec().encode_points(np.arange(100, dtype=np.uint64))
+        buffer = AnchoredTriangleBuffer(points)
+        assert buffer.resident_bytes() == 100 * 12
+        assert buffer.primitive_bytes() == 100 * 9 * 4  # the paper's vertex buffer
+        assert buffer.anchors.dtype == np.float32
+        for column in buffer.anchors:
+            assert not column.flags.writeable
+        points, x_half_extent = ExtendedCodec().encode_points(
+            np.arange(100, dtype=np.uint64)
+        )
+        extended = AnchoredTriangleBuffer(points, 0.5, x_half_extent)
+        assert extended.resident_bytes() == 100 * 16
+        assert not extended.x_half_extent.flags.writeable
+
+    def test_caller_arrays_stay_writeable(self):
+        points = np.zeros((4, 3), dtype=np.float32)
+        x_half_extent = np.ones(4, dtype=np.float32)
+        AnchoredTriangleBuffer(points, 0.5, x_half_extent)
+        points[0, 0] = 1.0
+        x_half_extent[0] = 2.0
+
+
 class TestSphereBuffer:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             SphereBuffer(np.zeros((2, 3)), radius=0.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -0.25])
+    def test_non_finite_or_negative_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SphereBuffer(np.zeros((2, 3)), radius=radius)
 
     def test_primitive_bytes(self):
         buffer = SphereBuffer(make_sphere_centers(_line_points(8)), radius=0.25)
