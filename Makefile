@@ -32,10 +32,12 @@ test-faults:
 	$(PYTHON) -m pytest -x -q tests/test_serve_faults.py tests/test_serve_snapshot.py
 
 # Crash-safe epoch store: differential save/load round trips (honours
-# DIFF_SEED) plus the seeded crash/corruption recovery harness (honours
-# FAULT_SEED — CI runs extra seeds).
+# DIFF_SEED), the seeded crash/corruption recovery harness (honours
+# FAULT_SEED, which also picks the bytes flipped in both manifest formats'
+# stores — CI runs extra seeds) and the checked-in format-1/format-2
+# snapshot fixtures.
 test-persist:
-	$(PYTHON) -m pytest -x -q tests/test_persist_roundtrip.py tests/test_persist_recovery.py
+	$(PYTHON) -m pytest -x -q tests/test_persist_roundtrip.py tests/test_persist_recovery.py tests/test_persist_fixtures.py
 
 bench-smoke:
 	$(PYTHON) benchmarks/perf_smoke.py

@@ -130,6 +130,7 @@ def main() -> None:
 
         persist = restarted.index.stats()["persist"]
         print(f"  persist                  loads={persist['loads']}, "
+              f"format={persist['format_version']}, "
               f"epoch={persist['last_epoch']}, "
               f"segments={persist['segments_total']}, "
               f"bytes={persist['bytes_on_disk']:,}B, "

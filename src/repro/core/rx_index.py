@@ -574,6 +574,9 @@ class RXIndex(GpuIndex):
             "segments_rewritten": 0,
             "segments_reused": 0,
             "last_epoch": None,
+            #: manifest format of the last save or load; 1 means the store
+            #: still loads through the format-1 CRC32C verify
+            "format_version": None,
         }
 
     def save(self, path, fault_injector=None) -> dict:
@@ -632,6 +635,7 @@ class RXIndex(GpuIndex):
             segments_rewritten=result.segments_rewritten,
             segments_reused=result.segments_reused,
             last_epoch=result.epoch,
+            format_version=result.format_version,
         )
         return result.as_dict()
 
@@ -799,6 +803,7 @@ class RXIndex(GpuIndex):
             bytes_on_disk=snap.bytes_on_disk,
             segments_total=snap.segments_total,
             last_epoch=snap.epoch,
+            format_version=snap.format_version,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,22 +1,24 @@
 """Crash-safe persistent epoch store for the RX index.
 
-Immutable, CRC32C-checksummed segment files per epoch plus one atomically
-swapped manifest (WAL-flavoured: readers of a committed snapshot never
-observe a writer's partial work).  ``RXIndex.save(path)`` /
+Immutable segment files per epoch, each verified by one SHA-256 its
+manifest entry records, plus one atomically swapped manifest
+(WAL-flavoured: readers of a committed snapshot never observe a writer's
+partial work).  ``RXIndex.save(path)`` /
 ``RXIndex.load(path, mmap=True)`` are the public entry points; this
 package supplies the file formats, the commit protocol, the verification
 reads and the recovery error taxonomy underneath them.
 
 Modules
 -------
-``checksum``   vectorised CRC32C (per-lane slicing-by-64 + table combine)
-``segments``   immutable segment files, atomic publish, verified reads
+``checksum``   vectorised CRC32C, which verifies format-1 stores on load
+``segments``   immutable segment files, their digest, atomic publish,
+               verified reads
 ``manifest``   the versioned manifest — the single commit/visibility point
 ``store``      save/load orchestration, incremental reuse, orphan GC
 ``errors``     ``SnapshotError`` / ``SnapshotTorn`` / ``SnapshotCorrupt``
 """
 
-from repro.persist.checksum import Crc32c, crc32c, crc32c_combine, crc32c_reference
+from repro.persist.checksum import Crc32c, crc32c, crc32c_reference
 from repro.persist.errors import SnapshotCorrupt, SnapshotError, SnapshotTorn
 from repro.persist.manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from repro.persist.segments import read_segment, write_segment
@@ -31,7 +33,6 @@ from repro.persist.store import (
 __all__ = [
     "Crc32c",
     "crc32c",
-    "crc32c_combine",
     "crc32c_reference",
     "SnapshotCorrupt",
     "SnapshotError",

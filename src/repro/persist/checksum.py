@@ -1,11 +1,12 @@
 """Vectorised CRC32C (Castagnoli) — no third-party dependencies.
 
-Every persisted segment file is checksummed end to end, so the checksum
-sits on the checkpoint and cold-restart critical paths: a pure-Python
-per-byte loop is far too slow for multi-megabyte array segments, and the
-container may not ship a native ``crc32c`` wheel.  This module vectorises
-the computation with NumPy instead, over ~1 MiB chunks (a chunk's
-temporaries stay cache-resident):
+Format-1 manifests record a whole-file CRC32C per segment, so loading a
+store no format-2 save has rewritten yet verifies every byte through this
+kernel; saves never call it (format 2 digests with SHA-256, see
+:mod:`repro.persist.segments`).  A pure-Python per-byte loop is far too
+slow for multi-megabyte array segments, and a native ``crc32c`` package
+is not a dependency, so the computation is vectorised with NumPy over
+~1 MiB chunks (a chunk's temporaries stay cache-resident):
 
 * **per-lane slicing-by-64** — a chunk is viewed as 64-byte blocks, one
   row per block.  Lane ``i`` (byte ``i`` of every block) goes through one
@@ -25,11 +26,10 @@ temporaries stay cache-resident):
 state, which is what lets a short first block be zero-padded and a tree
 level be front-padded.  The standard CRC32C conditioning (init
 ``0xFFFFFFFF``, final xor) is applied once at digest time through one
-extra advance over the total length.  The same linearity gives
-:func:`crc32c_combine`, which joins the CRCs of two buffers without
-touching their bytes.  The check value ``crc32c(b"123456789") ==
-0xE3069283`` and the canonical per-byte loop (``crc32c_reference``) pin
-the implementation in ``tests/test_persist_roundtrip.py``.
+extra advance over the total length.  The check value
+``crc32c(b"123456789") == 0xE3069283`` and the canonical per-byte loop
+(``crc32c_reference``) pin the implementation in
+``tests/test_persist_roundtrip.py``.
 """
 
 from __future__ import annotations
@@ -194,15 +194,6 @@ class Crc32c:
 def crc32c(data) -> int:
     """Standard CRC32C of one buffer (bytes-like or NumPy array)."""
     return Crc32c().update(data).digest()
-
-
-def crc32c_combine(crc_a: int, crc_b: int, len_b: int) -> int:
-    """CRC32C of ``A + B`` from ``crc32c(A)``, ``crc32c(B)`` and ``len(B)``.
-
-    The conditioning terms cancel, so this is ``crc_a`` advanced across
-    ``len_b`` zero bytes, xored with ``crc_b`` — no byte is read.
-    """
-    return _advance_state(int(crc_a), int(len_b)) ^ int(crc_b)
 
 
 def crc32c_reference(data: bytes) -> int:

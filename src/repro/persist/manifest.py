@@ -1,13 +1,19 @@
 """The versioned manifest — the epoch store's single commit point.
 
 ``MANIFEST.json`` at the store root is the *only* mutable file in the
-store.  It records the committed epoch, a monotonically increasing
-manifest version, the index metadata needed to reconstruct an
-:class:`~repro.core.rx_index.RXIndex` (config, key count, compaction
-flag), and one entry per segment: a store-relative path (which may point
-into an *older* epoch directory when an incremental save reused a clean
-segment), whole-file and payload CRC32Cs, the byte length, and the epoch
-that wrote the segment.
+store.  It records the format version, the committed epoch, a
+monotonically increasing manifest version, the index metadata needed to
+reconstruct an :class:`~repro.core.rx_index.RXIndex` (config, key count,
+compaction flag), and one entry per segment: a store-relative path (which
+may point into an *older* epoch directory when an incremental save reused
+a clean segment), the byte length, the epoch that wrote the segment, and
+its digest.
+
+Format 2, the one saves write, records one SHA-256 per segment over every
+byte of its file; a load verifies it and a save decides reuse by it.
+Format-1 manifests recorded a whole-file and a payload CRC32C (plus a
+payload SHA-256 for reuse); they still load, verified by their whole-file
+CRC32C, and the first save over one rewrites every segment.
 
 Commit protocol: the manifest is serialised, written to a temp file,
 fsynced, and atomically renamed over ``MANIFEST.json``, then the store
@@ -20,16 +26,21 @@ or mixed-epoch view.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import re
+from pathlib import Path, PurePosixPath
 
 from repro.persist.errors import SnapshotCorrupt, SnapshotTorn
-from repro.persist.segments import atomic_write, fsync_dir
+from repro.persist.segments import FORMAT_VERSION, atomic_write, fsync_dir, is_count
 
 MANIFEST_NAME = "MANIFEST.json"
-FORMAT_VERSION = 1
 
 _REQUIRED_KEYS = ("format_version", "version", "epoch", "index", "segments")
-_REQUIRED_ENTRY_KEYS = ("path", "crc32c", "payload_crc32c", "length", "epoch")
+#: format version -> the keys every segment entry of that format carries
+_REQUIRED_ENTRY_KEYS = {
+    1: ("path", "crc32c", "payload_crc32c", "length", "epoch"),
+    FORMAT_VERSION: ("path", "sha256", "length", "epoch"),
+}
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 def commit_manifest(root: Path, manifest: dict, fault_injector=None) -> Path:
@@ -42,8 +53,31 @@ def commit_manifest(root: Path, manifest: dict, fault_injector=None) -> Path:
     return path
 
 
+def _entry_problem(entry: dict, format_version: int) -> str | None:
+    """What is wrong with the fields of one segment entry, if anything."""
+    path = entry["path"]
+    pure = PurePosixPath(path if isinstance(path, str) else "")
+    if not pure.parts or pure.is_absolute() or ".." in pure.parts:
+        return f"path {path!r} is not a relative path inside the store"
+    for key in ("length", "epoch"):
+        if not is_count(entry[key]):
+            return f"{key} {entry[key]!r} is not a non-negative int"
+    if format_version == 1:
+        for key in ("crc32c", "payload_crc32c"):
+            if not is_count(entry[key]) or entry[key] >> 32:
+                return f"{key} {entry[key]!r} is not a 32-bit CRC"
+    elif not isinstance(entry["sha256"], str) or not _SHA256_HEX.fullmatch(entry["sha256"]):
+        return f"sha256 {entry['sha256']!r} is not 64 lowercase hex digits"
+    return None
+
+
 def load_manifest(root: Path) -> dict:
-    """Read and structurally validate the committed manifest, if any."""
+    """Read and validate the committed manifest, if any.
+
+    Every field a load or a save uses is type-checked; anything else fails
+    with :class:`SnapshotCorrupt` naming the field (and the segment, for an
+    entry's fields).
+    """
     root = Path(root)
     path = root / MANIFEST_NAME
     try:
@@ -69,17 +103,41 @@ def load_manifest(root: Path) -> dict:
             f"manifest at {root} is missing required keys {missing}",
             segment=MANIFEST_NAME,
         )
-    if manifest["format_version"] != FORMAT_VERSION:
+    format_version = manifest["format_version"]
+    if not is_count(format_version) or format_version not in _REQUIRED_ENTRY_KEYS:
         raise SnapshotCorrupt(
-            f"manifest format version {manifest['format_version']!r} is not "
-            f"supported (expected {FORMAT_VERSION})",
+            f"manifest format version {format_version!r} is not supported "
+            f"(expected one of {sorted(_REQUIRED_ENTRY_KEYS)})",
             segment=MANIFEST_NAME,
         )
+    problems = [
+        f"{key} {manifest[key]!r} is not a non-negative int"
+        for key in ("version", "epoch")
+        if not is_count(manifest[key])
+    ]
+    for key in ("index", "segments"):
+        if not isinstance(manifest[key], dict):
+            problems.append(f"{key} is not a JSON object")
+    if problems:
+        raise SnapshotCorrupt(
+            f"manifest at {root}: {'; '.join(problems)}", segment=MANIFEST_NAME
+        )
     for name, entry in manifest["segments"].items():
-        entry_missing = [key for key in _REQUIRED_ENTRY_KEYS if key not in entry]
+        if not isinstance(entry, dict):
+            raise SnapshotCorrupt(
+                f"manifest entry for segment {name} is not a JSON object", segment=name
+            )
+        entry_missing = [
+            key for key in _REQUIRED_ENTRY_KEYS[format_version] if key not in entry
+        ]
         if entry_missing:
             raise SnapshotCorrupt(
                 f"manifest entry for segment {name} is missing keys {entry_missing}",
                 segment=name,
+            )
+        problem = _entry_problem(entry, format_version)
+        if problem is not None:
+            raise SnapshotCorrupt(
+                f"manifest entry for segment {name}: {problem}", segment=name
             )
     return manifest

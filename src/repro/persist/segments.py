@@ -1,21 +1,36 @@
-"""Immutable, checksummed segment files — the unit of the epoch store.
+"""Immutable, digest-verified segment files — the unit of the epoch store.
 
 A segment is one self-describing file holding a set of named NumPy arrays
 (the persisted form of one accel component: the key column, a single-tree
 BVH, or one forest shard).  Layout::
 
-    +------------------+  offset 0
-    | magic "RXSEG001" |  8 bytes
-    | header length    |  8 bytes, little-endian uint64
-    | JSON header      |  name, epoch tag, array table, free-form meta
+    +------------------+  offset 0             -+
+    | magic "RXSEG001" |  8 bytes               |
+    | header length    |  8 bytes, LE uint64    |  header region
+    | JSON header      |  name, epoch tag,      |
+    |                  |  array table, meta     |
+    | zero padding     |  up to the payload base|
     +------------------+  payload base = align64(16 + header length)
-    | array payloads   |  each 64-byte aligned, offsets relative to base
-    +------------------+
+    | array payloads   |  each 64-byte aligned, |  payload region
+    |                  |  zero gaps between     |
+    +------------------+                       -+
 
 Array offsets are relative to the payload base so the header can be
 serialised before the offsets are final (no offset/header-length
 circularity), and the 64-byte alignment keeps memory-mapped views aligned
 for every dtype in use.
+
+Digest (manifest format 2): one SHA-256 over every byte of the file, the
+payload region first and the header region after it
+(:func:`segment_sha256`).  SHA-256 states cannot be combined the way CRCs
+can, so the order is what lets a save read each payload byte once: it
+hashes the payload region of a segment's arrays over zero-copy views
+(:func:`payload_digest`), then finishes copies of that one state with
+whichever header regions it needs — the header the committed file carries,
+to decide reuse, or the header of the file it is about to write.  Both
+come from :func:`header_region`, the function :func:`assemble_segment`
+writes with.  Format-1 manifests record a whole-file CRC32C instead,
+which :func:`read_segment` still verifies.
 
 Segments are **immutable**: they are assembled fully in memory, then
 published with the write-temp → fsync → atomic-rename protocol shared with
@@ -31,18 +46,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from repro.persist.checksum import Crc32c, crc32c, crc32c_combine
+from repro.persist.checksum import crc32c
 from repro.persist.errors import SnapshotCorrupt, SnapshotTorn
 
 MAGIC = b"RXSEG001"
 _PREFIX_BYTES = len(MAGIC) + 8
 _ALIGN = 64
+
+#: The manifest format saves write: one SHA-256 per segment file.  Format 1
+#: recorded a whole-file CRC32C per segment instead.
+FORMAT_VERSION = 2
+
+#: dtype kinds a segment array may hold: bool, int, uint, float, complex.
+_ARRAY_KINDS = "biufc"
 
 #: Prefix of in-flight temp files (the orphan-GC marker).
 TMP_PREFIX = ".tmp."
@@ -50,6 +73,11 @@ TMP_PREFIX = ".tmp."
 
 def _align_up(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def is_count(value) -> bool:
+    """A non-negative int that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def fsync_dir(path: Path) -> None:
@@ -102,102 +130,79 @@ def atomic_write(path: Path, blob, fault_injector=None) -> None:
     os.replace(tmp, path)
 
 
-def payload_crc(arrays: dict[str, np.ndarray]) -> int:
-    """CRC32C over the concatenated array payloads (order-sensitive).
+def _layout(arrays: dict[str, np.ndarray]) -> list[tuple[str, np.ndarray, int]]:
+    """``(name, C-contiguous array, payload-relative offset)`` per array, in
+    order, each starting at the first 64-byte boundary after the last."""
+    placed = []
+    end = 0
+    for name, array in arrays.items():
+        arr = np.ascontiguousarray(array)
+        offset = _align_up(end)
+        placed.append((name, arr, offset))
+        end = offset + arr.nbytes
+    return placed
 
-    The second reuse digest of incremental saves: the store computes it
-    only for a segment whose payload SHA-256 already matches the committed
-    entry, and reuses the previous epoch's immutable file only when this
-    CRC matches too.
+
+def header_region(
+    name: str, epoch: int, arrays: dict[str, np.ndarray], meta: dict | None = None
+) -> bytes:
+    """Bytes ``[0, payload base)`` of the segment file holding ``arrays``:
+    magic, header length, JSON header, and zero padding to the payload base.
     """
-    crc = Crc32c()
-    for array in arrays.values():
-        crc.update(np.ascontiguousarray(array))
-    return crc.digest()
+    table = [
+        {
+            "name": array_name,
+            "dtype": arr.dtype.str,
+            "shape": list(arr.shape),
+            "offset": offset,
+            "nbytes": int(arr.nbytes),
+        }
+        for array_name, arr, offset in _layout(arrays)
+    ]
+    header = {"name": name, "epoch": int(epoch), "arrays": table, "meta": meta or {}}
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    prefix = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes
+    return prefix + bytes(_align_up(len(prefix)) - len(prefix))
 
 
-def payload_sha256(arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over the concatenated array payloads (order-sensitive).
+def payload_digest(arrays: dict[str, np.ndarray]):
+    """SHA-256 state after the payload region of the segment holding
+    ``arrays``: each array's bytes behind its zero alignment gap, hashed
+    over zero-copy views.  Finish it with :func:`segment_sha256`."""
+    state = hashlib.sha256()
+    end = 0
+    for _name, arr, offset in _layout(arrays):
+        state.update(bytes(offset - end))
+        state.update(arr.reshape(-1).view(np.uint8))
+        end = offset + arr.nbytes
+    return state
 
-    The content identity of incremental reuse, checked first: CRC32C is
-    a corruption detector, not a content fingerprint (a changed payload
-    collides with probability 2^-32 per save), so the reuse decision
-    requires *both* digests to match before referencing the previous
-    epoch's file instead of rewriting.  Hashes zero-copy byte views.
-    """
-    digest = hashlib.sha256()
-    for array in arrays.values():
-        digest.update(np.ascontiguousarray(array).reshape(-1).view(np.uint8))
-    return digest.hexdigest()
+
+def segment_sha256(payload, header: bytes) -> str:
+    """The format-2 digest of a segment file: its payload region's
+    :func:`payload_digest` state (copied, not consumed) extended by its
+    header region."""
+    state = payload.copy()
+    state.update(header)
+    return state.hexdigest()
 
 
 def assemble_segment(
     name: str, epoch: int, arrays: dict[str, np.ndarray], meta: dict | None = None
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, int]:
     """Serialise one segment into a single uint8 array (the full file image).
 
-    Returns the image and the ``[lo, hi)`` byte range each array's payload
-    occupies in it, in array order.
+    Returns the image and its payload base, where the header region ends.
     """
-    table = []
-    payloads = []
-    offset = 0
-    for array_name, array in arrays.items():
-        arr = np.ascontiguousarray(array)
-        offset = _align_up(offset)
-        table.append(
-            {
-                "name": array_name,
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": int(arr.nbytes),
-            }
-        )
-        payloads.append((offset, arr))
-        offset += arr.nbytes
-    header = {
-        "name": name,
-        "epoch": int(epoch),
-        "arrays": table,
-        "meta": meta or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload_base = _align_up(_PREFIX_BYTES + len(header_bytes))
-    blob = np.zeros(payload_base + offset, dtype=np.uint8)
-    blob[: len(MAGIC)] = np.frombuffer(MAGIC, dtype=np.uint8)
-    blob[len(MAGIC) : _PREFIX_BYTES] = np.frombuffer(
-        struct.pack("<Q", len(header_bytes)), dtype=np.uint8
-    )
-    blob[_PREFIX_BYTES : _PREFIX_BYTES + len(header_bytes)] = np.frombuffer(
-        header_bytes, dtype=np.uint8
-    )
-    spans = []
-    for rel, arr in payloads:
-        lo = payload_base + rel
-        blob[lo : lo + arr.nbytes] = arr.reshape(-1).view(np.uint8)
-        spans.append((lo, lo + arr.nbytes))
-    return blob, spans
-
-
-def _segment_crcs(blob: np.ndarray, spans: list[tuple[int, int]]) -> tuple[int, int]:
-    """Whole-file and payload CRC32C of a file image, reading each byte once.
-
-    Every part — the header, each alignment gap and each array payload in
-    ``spans`` — is CRCed once; :func:`crc32c_combine` joins all parts into
-    the file's CRC and the array parts alone into the payload CRC (equal
-    to :func:`payload_crc` of the arrays).
-    """
-    file_crc = payload = end = 0
-    # An empty sentinel part covers the bytes after the last array (the
-    # whole image of a segment without arrays).
-    for lo, hi in [*spans, (blob.shape[0], blob.shape[0])]:
-        file_crc = crc32c_combine(file_crc, crc32c(blob[end:lo]), lo - end)
-        part = crc32c(blob[lo:hi])
-        file_crc = crc32c_combine(file_crc, part, hi - lo)
-        payload = crc32c_combine(payload, part, hi - lo)
-        end = hi
-    return file_crc, payload
+    header = header_region(name, epoch, arrays, meta)
+    placed = _layout(arrays)
+    base = len(header)
+    size = base + (placed[-1][2] + placed[-1][1].nbytes if placed else 0)
+    blob = np.zeros(size, dtype=np.uint8)
+    blob[:base] = np.frombuffer(header, dtype=np.uint8)
+    for _name, arr, offset in placed:
+        blob[base + offset : base + offset + arr.nbytes] = arr.reshape(-1).view(np.uint8)
+    return blob, base
 
 
 def write_segment(
@@ -207,23 +212,21 @@ def write_segment(
     arrays: dict[str, np.ndarray],
     meta: dict | None = None,
     fault_injector=None,
-    sha256: str | None = None,
+    payload=None,
 ) -> dict:
-    """Assemble, checksum and atomically publish one segment.
+    """Assemble, digest and atomically publish one segment.
 
     Returns the manifest entry for the segment (sans the relative path,
-    which the store fills in): whole-file CRC, both payload identity
-    digests, length and the segment's own epoch tag.  Both CRCs come from
-    one pass over the file image (:func:`_segment_crcs`); ``sha256`` lets
-    the store pass the payload SHA-256 it already computed for the reuse
-    decision instead of hashing the payload twice.
+    which the store fills in): the file's SHA-256, its length and the
+    segment's own epoch tag.  ``payload`` is the :func:`payload_digest` of
+    ``arrays`` when the caller already has it (the store does, from its
+    reuse decision); without it the image's payload region is hashed here.
     """
-    blob, spans = assemble_segment(name, epoch, arrays, meta)
-    file_crc, payload_crc32c = _segment_crcs(blob, spans)
+    blob, base = assemble_segment(name, epoch, arrays, meta)
+    if payload is None:
+        payload = hashlib.sha256(blob[base:])
     entry = {
-        "crc32c": file_crc,
-        "payload_crc32c": payload_crc32c,
-        "payload_sha256": payload_sha256(arrays) if sha256 is None else sha256,
+        "sha256": segment_sha256(payload, blob[:base]),
         "length": int(blob.shape[0]),
         "epoch": int(epoch),
     }
@@ -231,22 +234,120 @@ def write_segment(
     return entry
 
 
+def _digests(blob: np.ndarray, expected: dict, format_version: int, segment: str):
+    """``(digest name, recorded, actual)`` for the digest a manifest entry
+    records: a format-2 ``sha256`` (payload region, then header region) or
+    a format-1 whole-file ``crc32c``."""
+    if format_version == 1:
+        return (
+            "crc32c",
+            int(expected["crc32c"]).to_bytes(4, "big"),
+            crc32c(blob).to_bytes(4, "big"),
+        )
+    # The header-length field splits the file, so bound it before slicing
+    # (a file shorter than the field fails the bound too).
+    size = int(blob.shape[0])
+    header_len = int.from_bytes(blob[len(MAGIC) : _PREFIX_BYTES].tobytes(), "little")
+    base = _align_up(_PREFIX_BYTES + header_len)
+    if base > size:
+        raise SnapshotCorrupt(
+            f"segment {segment} failed checksum verification: its header-length "
+            f"field does not fit the {size}-byte file",
+            segment=segment,
+        )
+    state = hashlib.sha256(blob[base:])
+    state.update(blob[:base])
+    return "sha256", bytes.fromhex(expected["sha256"]), state.digest()
+
+
+def _malformed(segment: str, field: str, problem: str) -> SnapshotCorrupt:
+    return SnapshotCorrupt(
+        f"segment {segment} holds a malformed header: {field} {problem}",
+        segment=segment,
+    )
+
+
+def _array_specs(header, segment: str, room: int) -> list[tuple[str, np.dtype, list, int, int]]:
+    """Check a parsed header's structure and return ``(name, dtype, shape,
+    offset, nbytes)`` per array: a unique name, a known dtype, a shape of
+    non-negative ints, ``nbytes`` equal to the shape's size, and a 64-byte
+    aligned span that starts after the previous array's and ends inside
+    the ``room`` bytes of the payload region."""
+    if not isinstance(header, dict):
+        raise _malformed(segment, "header", "is not a JSON object")
+    epoch = header.get("epoch")
+    if isinstance(epoch, bool) or not isinstance(epoch, int):
+        raise _malformed(segment, "epoch", f"{epoch!r} is not an int")
+    if not isinstance(header.get("meta", {}), dict):
+        raise _malformed(segment, "meta", "is not a JSON object")
+    table = header.get("arrays")
+    if not isinstance(table, list):
+        raise _malformed(segment, "arrays", f"{table!r} is not a list")
+    specs = []
+    names = set()
+    end = 0
+    for i, spec in enumerate(table):
+        field = f"arrays[{i}]"
+        if not isinstance(spec, dict):
+            raise _malformed(segment, field, "is not a JSON object")
+        name = spec.get("name")
+        if not isinstance(name, str) or name in names:
+            raise _malformed(segment, f"{field}.name", f"{name!r} is not a unique str")
+        names.add(name)
+        dtype_str = spec.get("dtype")
+        try:
+            dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+        except (TypeError, ValueError):
+            dtype = None
+        if dtype is None or dtype.kind not in _ARRAY_KINDS:
+            raise _malformed(segment, f"{field}.dtype", f"{dtype_str!r} is not a known dtype")
+        shape = spec.get("shape")
+        if not isinstance(shape, list) or not all(is_count(dim) for dim in shape):
+            raise _malformed(segment, f"{field}.shape", f"{shape!r} is not non-negative ints")
+        nbytes = spec.get("nbytes")
+        size = math.prod(shape) * dtype.itemsize
+        if not is_count(nbytes) or nbytes != size:
+            raise _malformed(
+                segment, f"{field}.nbytes", f"{nbytes!r} is not the {size} bytes its shape holds"
+            )
+        offset = spec.get("offset")
+        if not is_count(offset) or offset % _ALIGN:
+            raise _malformed(
+                segment, f"{field}.offset",
+                f"{offset!r} is not a non-negative multiple of {_ALIGN}",
+            )
+        if not end <= offset <= room - nbytes:
+            raise _malformed(
+                segment, f"{field}.offset",
+                f"{offset} places bytes [{offset}, {offset + nbytes}) outside "
+                f"[{end}, {room}), after the previous array and inside the payload region",
+            )
+        specs.append((name, dtype, shape, offset, nbytes))
+        end = offset + nbytes
+    return specs
+
+
 def read_segment(
     path: Path,
     *,
     mmap: bool = True,
     expected: dict | None = None,
+    format_version: int = FORMAT_VERSION,
     fault_injector=None,
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Open one segment, optionally verifying it against a manifest entry.
 
     With ``mmap=True`` the file is memory-mapped read-only and every array
-    is a zero-copy view into the mapping.  ``expected`` (a manifest entry)
-    drives verification: length and whole-file CRC32C first, then the
-    segment's own epoch tag against the manifest's — a reused clean segment
-    legitimately carries an *older* epoch than the manifest it appears in,
-    so the entry records which epoch wrote it.  Failures raise
-    :class:`SnapshotTorn` / :class:`SnapshotCorrupt` naming the segment.
+    is a zero-copy view into the mapping.  ``expected`` (a manifest entry
+    of format ``format_version``) drives verification before any view is
+    made: the length first, then the entry's digest over every byte (a
+    format-2 ``sha256``, a format-1 ``crc32c``), then, after the header
+    checks, the segment's own epoch tag
+    against the manifest's — a reused clean segment legitimately carries
+    an *older* epoch than the manifest it appears in, so the entry records
+    which epoch wrote it.  Failures raise :class:`SnapshotTorn` /
+    :class:`SnapshotCorrupt` naming the segment, as does a header that
+    verifies but does not describe arrays inside the file.
 
     Returns ``(arrays, meta)``.
     """
@@ -268,13 +369,13 @@ def read_segment(
                 f"disk, manifest records {int(expected['length'])}",
                 segment=segment,
             )
-        actual = crc32c(blob)
+        kind, recorded, actual = _digests(blob, expected, format_version, segment)
         if fault_injector is not None and fault_injector.fires("persist_read_corrupt"):
-            actual ^= 0x1  # a flipped bit on the read path
-        if actual != int(expected["crc32c"]):
+            actual = bytes([actual[0] ^ 0x1]) + actual[1:]  # a flipped bit on the read path
+        if actual != recorded:
             raise SnapshotCorrupt(
                 f"segment {segment} failed checksum verification "
-                f"(crc32c {actual:#010x} != recorded {int(expected['crc32c']):#010x})",
+                f"({kind} {actual.hex()} != recorded {recorded.hex()})",
                 segment=segment,
             )
     if blob.shape[0] < _PREFIX_BYTES or not np.array_equal(
@@ -297,24 +398,17 @@ def read_segment(
         raise SnapshotCorrupt(
             f"segment {segment} holds an unparseable header: {exc}", segment=segment
         ) from exc
-    if expected is not None and int(header.get("epoch", -1)) != int(expected["epoch"]):
+    payload_base = _align_up(_PREFIX_BYTES + header_len)
+    specs = _array_specs(header, segment, int(blob.shape[0]) - payload_base)
+    if expected is not None and header["epoch"] != int(expected["epoch"]):
         raise SnapshotTorn(
-            f"segment {segment} carries epoch tag {header.get('epoch')} but the "
+            f"segment {segment} carries epoch tag {header['epoch']} but the "
             f"manifest entry records epoch {int(expected['epoch'])} — "
             "mixed-epoch snapshot",
             segment=segment,
         )
-    payload_base = _align_up(_PREFIX_BYTES + header_len)
     arrays: dict[str, np.ndarray] = {}
-    for spec in header["arrays"]:
-        lo = payload_base + int(spec["offset"])
-        hi = lo + int(spec["nbytes"])
-        if hi > blob.shape[0]:
-            raise SnapshotTorn(
-                f"segment {segment} is truncated inside array {spec['name']!r}",
-                segment=segment,
-            )
-        arrays[spec["name"]] = (
-            blob[lo:hi].view(np.dtype(spec["dtype"])).reshape(spec["shape"])
-        )
+    for name, dtype, shape, offset, nbytes in specs:
+        lo = payload_base + offset
+        arrays[name] = blob[lo : lo + nbytes].view(dtype).reshape(shape)
     return arrays, header.get("meta", {})

@@ -12,28 +12,32 @@ On-disk layout of one store (``path`` handed to ``RXIndex.save``)::
         columns.seg               segments here; its manifest references
         shard-00012.seg           the clean ones from epoch-00000000
 
-Incremental saves are driven by content, not bookkeeping: every segment's
-payload digests (CRC32C *and* SHA-256 — CRC alone is a corruption
-detector, not an identity) are compared against the previous manifest's
-entry, and a matching segment is *referenced* (its immutable file reused,
-possibly from an older epoch directory) instead of rewritten.  After a
-DELTA_SHARD update only the dirty shards' payloads change, so exactly
-those segments (plus the key column) hit the disk.
+Incremental saves are driven by content, not bookkeeping: every segment
+is digested and compared against the previous manifest's entry, and a
+matching segment is *referenced* (its immutable file reused, possibly from
+an older epoch directory) instead of rewritten.  After a DELTA_SHARD
+update only the dirty shards' payloads change, so exactly those segments
+(plus the key column) hit the disk.
 
-Digest plan — a save reads each payload byte once per digest:
+Digest plan (manifest format 2) — one SHA-256 per segment, covering every
+byte of its file, payload region first (see :mod:`repro.persist.segments`):
 
-* **SHA-256 first.**  Every segment's payload SHA-256 (over zero-copy
-  byte views) is compared against the committed entry.  Only on a match
-  (and with the referenced file present) is the payload CRC32C computed;
-  reuse needs it to match too.
-* **One CRC pass per rewritten segment.**  A segment that must be
-  written is assembled into its file image, and each part of it — header,
-  alignment padding, each array payload — is CRCed exactly once.
-* **CRC combine.**  ``crc32c_combine`` joins the part CRCs into the
-  whole-file ``crc32c`` and the array parts alone into
-  ``payload_crc32c``, so neither digest re-reads a byte.
+* **One payload pass per segment.**  A save hashes each segment's payload
+  region once, over zero-copy views of its arrays.
+* **Reuse.**  A copy of that state, extended by the header region the
+  segment would carry under the committed entry's epoch tag, must equal
+  the committed entry's digest, and the committed file must exist.  The
+  digest covers the header, so reuse also requires equal meta, dtypes and
+  shapes.
+* **Rewrite.**  Otherwise another copy, extended by the new file's header
+  region, is the new entry's digest.
+* **Load.**  A load verifies each referenced segment's digest once, over
+  every byte, before any array view is made.
 
-A load verifies each referenced segment's whole-file CRC32C once.
+A format-1 store (whole-file CRC32C per entry) still loads through the
+CRC32C kernel, which no save calls.  A save never reuses a format-1
+entry: the first save over such a store rewrites every segment, and the
+prune after its commit removes the format-1 files.
 
 Crash safety: segments and the manifest are published with write-temp →
 fsync → atomic rename (with the containing directories fsynced before the
@@ -73,9 +77,10 @@ from repro.persist.manifest import (
 from repro.persist.segments import (
     TMP_PREFIX,
     fsync_dir,
-    payload_crc,
-    payload_sha256,
+    header_region,
+    payload_digest,
     read_segment,
+    segment_sha256,
     write_segment,
 )
 
@@ -127,6 +132,7 @@ class SaveResult:
 
     epoch: int
     manifest_version: int
+    format_version: int
     save_seconds: float
     bytes_on_disk: int
     segments_total: int
@@ -138,6 +144,7 @@ class SaveResult:
         return {
             "epoch": self.epoch,
             "manifest_version": self.manifest_version,
+            "format_version": self.format_version,
             "save_seconds": self.save_seconds,
             "bytes_on_disk": self.bytes_on_disk,
             "segments_total": self.segments_total,
@@ -153,6 +160,8 @@ class LoadedSnapshot:
 
     epoch: int
     manifest_version: int
+    #: the manifest's format: 2, or 1 for a store no save has rewritten yet
+    format_version: int
     index_meta: dict
     #: segment name -> (arrays, segment meta); arrays are zero-copy views
     #: into the memory-mapped files when the load ran with ``mmap=True``.
@@ -182,12 +191,13 @@ def save_snapshot(
 ) -> SaveResult:
     """Write one epoch's segments and commit a new manifest.
 
-    ``segments`` maps segment names to ``(arrays, meta)``.  Segments whose
-    payload digests (CRC32C and SHA-256, both) match the previous
-    committed manifest are referenced from their existing epoch directory
-    instead of rewritten; everything else is published under
-    ``epoch-{epoch:08d}/`` with the atomic write protocol.  The manifest
-    commit is the single visibility point.
+    ``segments`` maps segment names to ``(arrays, meta)``.  A segment
+    whose file digest — payload and header, so arrays, meta, dtypes and
+    shapes alike — matches its entry in the previous committed format-2
+    manifest is referenced from its existing epoch directory instead of
+    rewritten; everything else is published under ``epoch-{epoch:08d}/``
+    with the atomic write protocol.  The manifest commit is the single
+    visibility point.
 
     The caller's ``epoch`` is advisory: whenever any segment must be
     rewritten, the effective epoch is forced past the committed manifest's
@@ -206,25 +216,29 @@ def save_snapshot(
         prior = load_manifest(root)
     except SnapshotError:
         prior = None
-    prior_entries = prior["segments"] if prior else {}
+    # Format-1 entries carry no file SHA-256, so nothing of theirs is reused.
+    reusable = (
+        prior["segments"] if prior and prior["format_version"] == FORMAT_VERSION else {}
+    )
 
     # Phase 1 — the reuse decision for every segment, before any path is
-    # chosen: both payload digests must match the committed entry and the
-    # referenced file must still exist.  SHA-256 goes first; the CRC is
-    # only computed once it could still allow reuse.
+    # chosen.  Each payload is hashed once; the state is kept for the
+    # rewrite's digest.
     plans: dict[str, tuple[str, object]] = {}
-    for name, (arrays, _meta) in segments.items():
-        prior_entry = prior_entries.get(name)
-        sha256 = payload_sha256(arrays)
+    for name, (arrays, meta) in segments.items():
+        payload = payload_digest(arrays)
+        prior_entry = reusable.get(name)
         if (
             prior_entry is not None
-            and prior_entry.get("payload_sha256") == sha256
             and (root / prior_entry["path"]).is_file()
-            and int(prior_entry["payload_crc32c"]) == payload_crc(arrays)
+            and segment_sha256(
+                payload, header_region(name, prior_entry["epoch"], arrays, meta)
+            )
+            == prior_entry["sha256"]
         ):
             plans[name] = ("reuse", dict(prior_entry))
         else:
-            plans[name] = ("rewrite", sha256)
+            plans[name] = ("rewrite", payload)
     any_rewrite = any(kind == "rewrite" for kind, _ in plans.values())
 
     epoch = int(epoch)
@@ -257,7 +271,7 @@ def save_snapshot(
             arrays=arrays,
             meta=meta,
             fault_injector=fault_injector,
-            sha256=plan,
+            payload=plan,
         )
         entry["path"] = rel
         manifest_entries[name] = entry
@@ -280,6 +294,7 @@ def save_snapshot(
     return SaveResult(
         epoch=epoch,
         manifest_version=manifest["version"],
+        format_version=FORMAT_VERSION,
         save_seconds=time.perf_counter() - start,
         bytes_on_disk=sum(int(entry["length"]) for entry in manifest_entries.values()),
         segments_total=len(manifest_entries),
@@ -294,13 +309,15 @@ def load_snapshot(
 ) -> LoadedSnapshot:
     """Open the last committed epoch, verifying every referenced segment.
 
-    Every segment is checked for existence, length, whole-file CRC32C and
-    its own epoch tag against the manifest entry before any array view is
-    handed out — a failure raises :class:`SnapshotTorn` /
-    :class:`SnapshotCorrupt` naming the segment, and no partially-verified
-    state escapes.  Loads are strictly read-only: orphaned temp files from
-    interrupted saves are left for the next *save* to garbage-collect, so
-    a load can never unlink a concurrent writer's in-flight temp file.
+    Every segment is checked for existence, length, the digest its
+    manifest entry records (format 2: SHA-256; format 1: CRC32C), a
+    well-formed header and its own epoch tag against the manifest entry
+    before any array view is handed out — a failure raises
+    :class:`SnapshotTorn` / :class:`SnapshotCorrupt` naming the segment,
+    and no partially-verified state escapes.  Loads are strictly
+    read-only: orphaned temp files from interrupted saves are left for the
+    next *save* to garbage-collect, so a load can never unlink a
+    concurrent writer's in-flight temp file.
     """
     start = time.perf_counter()
     root = Path(path)
@@ -314,6 +331,7 @@ def load_snapshot(
             root / entry["path"],
             mmap=mmap,
             expected=entry,
+            format_version=manifest["format_version"],
             fault_injector=fault_injector,
         )
         verify_seconds += time.perf_counter() - verify_start
@@ -321,6 +339,7 @@ def load_snapshot(
     return LoadedSnapshot(
         epoch=int(manifest["epoch"]),
         manifest_version=int(manifest["version"]),
+        format_version=int(manifest["format_version"]),
         index_meta=manifest["index"],
         segments=segments,
         bytes_on_disk=sum(

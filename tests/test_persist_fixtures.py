@@ -1,12 +1,21 @@
 """Snapshots written by older code must still load, bit-identically.
 
-``tests/fixtures/snapshots-v1/`` holds a forest and a single-tree snapshot
-written by ``tests/fixtures/make_snapshots.py`` when ``RXConfig`` still had
-the ``build_workers`` and ``build_backend`` fields, so their manifests carry
-both keys.  Each must load through both load paths (memory-mapped and heap)
-and answer point and range lookups — hits and counters — exactly like a
-fresh build over the same keys.  Loads are read-only, so the checked-in
-fixture stays byte-identical.
+``tests/fixtures/`` holds a forest and a single-tree snapshot per manifest
+format, written by ``tests/fixtures/make_snapshots.py``:
+
+* ``snapshots-v1/`` — format 1 (CRC32C per segment), written when
+  ``RXConfig`` still had the ``build_workers``, ``build_backend``,
+  ``point_trace_mode`` and ``range_limit`` fields, so its manifests carry
+  those keys;
+* ``snapshots-v2/`` — format 2 (one SHA-256 per segment).  Its segment
+  files are byte-identical to format 1's.
+
+Each must load through both load paths (memory-mapped and heap) and
+answer point and range lookups — hits and counters — exactly like a fresh
+build over the same keys.  Loads are read-only, so the checked-in
+fixtures stay byte-identical.  A save over a copy of a format-1 store
+migrates it: every segment is rewritten under format 2 and the format-1
+files are pruned.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +31,7 @@ import pytest
 
 from repro.core import RXIndex
 from repro.core.config import RETIRED_CONFIG_KEYS
+from repro.persist import load_snapshot
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 _spec = importlib.util.spec_from_file_location(
@@ -28,6 +39,9 @@ _spec = importlib.util.spec_from_file_location(
 )
 make_snapshots = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_snapshots)
+
+#: fixture directory -> the manifest format its snapshots were written in
+FORMATS = {"snapshots-v1": 1, "snapshots-v2": 2}
 
 
 def _digests(root: Path) -> dict[str, str]:
@@ -57,12 +71,15 @@ def _lookups(index: RXIndex) -> dict:
     return out
 
 
+@pytest.mark.parametrize("fixture", sorted(FORMATS))
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
-def test_old_snapshot_loads_like_a_fresh_build(name):
-    root = FIXTURES / "snapshots-v1" / name
+def test_old_snapshot_loads_like_a_fresh_build(name, fixture):
+    root = FIXTURES / fixture / name
     manifest = json.loads((root / "MANIFEST.json").read_text())
-    # The fixture really is the old format: it carries the retired keys.
-    assert set(RETIRED_CONFIG_KEYS) <= manifest["index"]["config"].keys()
+    assert manifest["format_version"] == FORMATS[fixture]
+    if fixture == "snapshots-v1":
+        # The fixture really is the old config: it carries the retired keys.
+        assert set(RETIRED_CONFIG_KEYS) <= manifest["index"]["config"].keys()
     before = _digests(root)
 
     config = make_snapshots.CONFIGS[name]()
@@ -72,7 +89,42 @@ def test_old_snapshot_loads_like_a_fresh_build(name):
     for mmap in (True, False):
         loaded = RXIndex.load(root, mmap=mmap)
         assert loaded.config == config
+        assert loaded.stats()["persist"]["format_version"] == FORMATS[fixture]
         assert np.array_equal(loaded.keys, fresh.keys)
         assert _lookups(loaded) == expected, (name, mmap)
 
     assert _digests(root) == before
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_first_save_over_a_format1_store_rewrites_every_segment(tmp_path, name):
+    store = tmp_path / name
+    shutil.copytree(FIXTURES / "snapshots-v1" / name, store)
+    format1_files = sorted(store.rglob("*.seg"))
+    format1 = load_snapshot(store, mmap=False)
+    loaded = RXIndex.load(store)
+    expected = _lookups(loaded)
+
+    first = loaded.save(store)
+    # The payloads match the format-1 entries, but those entries carry no
+    # file SHA-256 to reuse them by.
+    assert first["segments_reused"] == 0
+    assert first["segments_rewritten"] == first["segments_total"] == format1.segments_total
+    assert first["format_version"] == 2
+    assert json.loads((store / "MANIFEST.json").read_text())["format_version"] == 2
+    assert not [path for path in format1_files if path.exists()]
+
+    migrated = load_snapshot(store, mmap=False)
+    for segment, (arrays, meta) in format1.segments.items():
+        assert migrated.meta(segment) == meta
+        for array_name, array in arrays.items():
+            assert np.array_equal(migrated.arrays(segment)[array_name], array)
+    reloaded = RXIndex.load(store)
+    assert reloaded.stats()["persist"]["format_version"] == 2
+    assert _lookups(reloaded) == expected
+
+    second = reloaded.save(store)
+    assert (second["segments_rewritten"], second["segments_reused"]) == (
+        0,
+        second["segments_total"],
+    )

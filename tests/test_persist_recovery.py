@@ -9,20 +9,29 @@ open the *previous* committed epoch bit-identically (never a torn or
 mixed-epoch state), and a subsequent clean save must succeed.
 
 The verification side is exercised the destructive way: committed
-segment files are byte-flipped, truncated and deleted, and the manifest's
-epoch tags are tampered with — each must fail the load with an explicit
-``SnapshotCorrupt`` / ``SnapshotTorn`` naming the bad segment, never
-return wrong results.
+segment files are byte-flipped in every region (header length, header,
+alignment padding, payload), truncated and deleted — in stores of both
+manifest formats — and the manifest's epoch tags are tampered with.
+Segment headers and manifests that verify but are malformed are forged
+too.  Each must fail the load with an explicit ``SnapshotCorrupt`` /
+``SnapshotTorn`` naming the bad segment or field, never return wrong
+results or escape as a raw error.
 
-``FAULT_SEED`` (env var, default 0) reseeds the injectors, mirroring the
-chaos-bench convention; the scheduled ``at`` faults fire regardless of
-the seed, so every boundary is covered in every run.
+``FAULT_SEED`` (env var, default 0) reseeds the injectors and picks the
+flipped bytes, mirroring the chaos-bench convention; the scheduled ``at``
+faults fire regardless of the seed, so every boundary is covered in every
+run.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import re
 import shutil
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +41,7 @@ from repro.core.rx_index import RXIndex
 from repro.persist import (
     SnapshotCorrupt,
     SnapshotTorn,
+    crc32c,
     load_manifest,
     load_snapshot,
     save_snapshot,
@@ -44,6 +54,43 @@ FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
 
 #: the write-path durability boundaries (the read-path site is separate)
 WRITE_SITES = ("persist_write", "persist_fsync", "persist_rename")
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: the regions of a segment file a byte flip must be caught in
+REGIONS = ("header length", "header", "padding", "payload")
+
+
+def _split(data: bytes) -> tuple[int, dict]:
+    """A segment file's payload base and parsed JSON header."""
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    return (16 + header_len + 63) // 64 * 64, json.loads(data[16 : 16 + header_len])
+
+
+def _file_sha256(data: bytes) -> str:
+    """The format-2 digest: SHA-256 of the payload region, then the header region."""
+    base, _ = _split(data)
+    return hashlib.sha256(data[base:] + data[:base]).hexdigest()
+
+
+def _flip_offsets(data: bytes, rng) -> dict[str, int]:
+    """One seeded byte offset per region of a segment file that has it.
+
+    The header region is the magic, the header-length field and the JSON
+    header; padding is every zero byte before the payload base and between
+    arrays; payload is every array byte."""
+    base, header = _split(data)
+    region = np.full(len(data), REGIONS.index("padding"))
+    region[: 16 + int.from_bytes(data[8:16], "little")] = REGIONS.index("header")
+    region[8:16] = REGIONS.index("header length")
+    for spec in header["arrays"]:
+        lo = base + spec["offset"]
+        region[lo : lo + spec["nbytes"]] = REGIONS.index("payload")
+    return {
+        name: int(rng.choice(np.flatnonzero(region == i)))
+        for i, name in enumerate(REGIONS)
+        if (region == i).any()
+    }
 
 
 def _make_index(num_keys=1024, seed=7):
@@ -213,24 +260,67 @@ class TestInterruptedSaves:
 
 class TestVerifiedLoads:
     def test_byte_flip_names_the_corrupt_segment(self, tmp_path):
+        """A flip in any region of any segment fails the SHA-256 verify; the
+        header-length field's top byte also takes the bounds check that
+        runs before the field splits the file."""
         index, _ = _make_index()
         index.save(tmp_path)
-        manifest_entries = load_snapshot(tmp_path)  # also proves it loads clean
-        assert manifest_entries.segments_total >= 2
-        for name in sorted(manifest_entries.segments):
+        snap = load_snapshot(tmp_path)  # also proves it loads clean
+        assert snap.segments_total >= 2
+        rng = np.random.default_rng(FAULT_SEED)
+        flipped = set()
+        for name in sorted(snap.segments):
             seg_files = sorted(tmp_path.rglob(f"{name}.seg"))
             assert seg_files, name
             target = seg_files[0]
-            blob = bytearray(target.read_bytes())
-            flip = len(blob) // 2
-            blob[flip] ^= 0x40
-            target.write_bytes(bytes(blob))
-            with pytest.raises(SnapshotCorrupt, match="checksum") as excinfo:
-                RXIndex.load(tmp_path)
-            assert excinfo.value.segment == target.name
-            blob[flip] ^= 0x40  # restore for the next segment's turn
-            target.write_bytes(bytes(blob))
+            clean = target.read_bytes()
+            offsets = {**_flip_offsets(clean, rng), "header length, top byte": 15}
+            for region, offset in offsets.items():
+                blob = bytearray(clean)
+                blob[offset] ^= int(rng.integers(1, 256))
+                target.write_bytes(bytes(blob))
+                with pytest.raises(SnapshotCorrupt, match="checksum") as excinfo:
+                    RXIndex.load(tmp_path)
+                assert excinfo.value.segment == target.name, (name, region)
+                if offset == 15:
+                    assert "header-length field does not fit" in str(excinfo.value)
+                flipped.add(region)
+            target.write_bytes(clean)
+        assert flipped >= set(REGIONS)
         RXIndex.load(tmp_path)
+
+    @pytest.mark.parametrize("name", ["forest", "single"])
+    def test_format1_fixture_fails_flips_and_truncation_through_crc32c(
+        self, tmp_path, name
+    ):
+        """Format-1 stores keep every check: on a copy of each checked-in
+        fixture, a flip in each region of each segment fails the CRC32C
+        verify and a truncation is torn, both naming the segment."""
+        fixture = FIXTURES / "snapshots-v1" / name
+        checked_in = {path: path.read_bytes() for path in fixture.rglob("*") if path.is_file()}
+        store = tmp_path / name
+        shutil.copytree(fixture, store)
+        rng = np.random.default_rng([FAULT_SEED, len(name)])
+        for target in sorted(store.rglob("*.seg")):
+            clean = target.read_bytes()
+            offsets = _flip_offsets(clean, rng)
+            assert offsets.keys() == set(REGIONS), target.name
+            for region, offset in offsets.items():
+                blob = bytearray(clean)
+                blob[offset] ^= int(rng.integers(1, 256))
+                target.write_bytes(bytes(blob))
+                with pytest.raises(SnapshotCorrupt, match="checksum.*crc32c") as excinfo:
+                    RXIndex.load(store)
+                assert excinfo.value.segment == target.name, region
+            target.write_bytes(clean[: int(rng.integers(0, len(clean)))])
+            with pytest.raises(SnapshotTorn, match="truncated") as excinfo:
+                RXIndex.load(store)
+            assert excinfo.value.segment == target.name
+            target.write_bytes(clean)
+        assert RXIndex.load(store).stats()["persist"]["format_version"] == 1
+        assert {
+            path: path.read_bytes() for path in fixture.rglob("*") if path.is_file()
+        } == checked_in
 
     def test_truncated_segment_is_torn(self, tmp_path):
         index, _ = _make_index()
@@ -302,7 +392,7 @@ class TestBuggyWriterShards:
     """Shard rows that checksum correctly but do not partition the column.
 
     A writer bug re-checksums whatever it writes, so the mutated segments
-    below go through ``save_snapshot`` and pass every CRC; the load must
+    below go through ``save_snapshot`` and pass every digest; the load must
     still refuse them, naming the shard."""
 
     @pytest.mark.parametrize(
@@ -392,77 +482,263 @@ class TestIncrementalSaves:
         assert again["segments_rewritten"] == 0
         assert again["segments_reused"] == again["segments_total"]
 
-    # Written segments record the CRC of their own write pass, not the
-    # stub's 0, so this test no longer forces a collision; the
-    # recorded-CRC test below does.
+    @pytest.mark.parametrize("change", ["meta", "dtype", "shape"])
+    def test_reuse_requires_the_same_header(self, tmp_path, change):
+        """The file digest covers the header, so a segment whose payload
+        bytes are unchanged but whose meta, dtype or shape changed is
+        rewritten — reusing it would load the stale header."""
+        keys = np.arange(16, dtype=np.uint64)
+        save_snapshot(
+            tmp_path, epoch=0, segments={"seg": ({"x": keys}, {"tag": 1})}, index_meta={}
+        )
+        arrays, meta = {
+            "meta": ({"x": keys}, {"tag": 2}),
+            "dtype": ({"x": keys.view(np.int64)}, {"tag": 1}),
+            "shape": ({"x": keys.reshape(4, 4)}, {"tag": 1}),
+        }[change]
+        result = save_snapshot(
+            tmp_path, epoch=1, segments={"seg": (arrays, meta)}, index_meta={}
+        )
+        assert (result.segments_rewritten, result.segments_reused) == (1, 0)
+        for mmap in (True, False):
+            snap = load_snapshot(tmp_path, mmap=mmap)
+            assert snap.meta("seg") == meta
+            loaded = snap.arrays("seg")["x"]
+            assert (loaded.dtype, loaded.shape) == (arrays["x"].dtype, arrays["x"].shape)
+            assert np.array_equal(loaded, arrays["x"])
+
     def test_crc_collision_alone_never_reuses_a_changed_segment(
         self, tmp_path, monkeypatch
     ):
-        """CRC32C is a corruption detector, not a content identity: when a
-        changed payload collides with the committed entry's CRC (forced
-        here by stubbing the CRC to a constant), the second independent
-        digest must still force the rewrite — never silently persist stale
-        data."""
-        from repro.persist import store as store_mod
+        """Format 2 gives CRC32C no role: with the kernel stubbed to raise,
+        a save, an update's incremental save and a load all still run, and
+        the changed key column is rewritten and reloads the new keys."""
+        from repro.persist import checksum
 
-        monkeypatch.setattr(store_mod, "payload_crc", lambda arrays: 0)
+        def no_crc(self, data):
+            raise AssertionError("a format-2 save or load ran the CRC32C kernel")
+
+        monkeypatch.setattr(checksum.Crc32c, "update", no_crc)
         index, keys = _make_index(num_keys=512)
         index.save(tmp_path)
+        committed = load_manifest(tmp_path)["segments"]["columns"]
 
         new_keys = keys.copy()
         new_keys[0] += 1
         index.update(new_keys)
         result = index.save(tmp_path)
         assert result["segments_rewritten"] >= 1
+        assert load_manifest(tmp_path)["segments"]["columns"]["path"] != committed["path"]
         reloaded = RXIndex.load(tmp_path)
-        assert np.array_equal(reloaded.keys, index.keys)
-
-    def test_sha_collision_alone_never_reuses_a_changed_segment(
-        self, tmp_path, monkeypatch
-    ):
-        """The mirror case: the SHA-256 is compared first and only a match
-        computes the CRC32C, which must still force the rewrite when the
-        SHA-256 collides (forced here by stubbing it to a constant)."""
-        from repro.persist import store as store_mod
-
-        monkeypatch.setattr(store_mod, "payload_sha256", lambda arrays: "0" * 64)
-        index, keys = _make_index(num_keys=512)
-        index.save(tmp_path)
-
-        new_keys = keys.copy()
-        new_keys[0] += 1
-        index.update(new_keys)
-        result = index.save(tmp_path)
-        assert result["segments_rewritten"] >= 1
-        reloaded = RXIndex.load(tmp_path)
-        assert np.array_equal(reloaded.keys, index.keys)
+        assert np.array_equal(reloaded.keys, new_keys)
 
     def test_recorded_crc_collision_never_reuses_a_changed_segment(
         self, tmp_path, monkeypatch
     ):
-        """A real collision with the CRC the manifest recorded: written
-        segments take their ``payload_crc32c`` from the write pass, not from
-        ``store.payload_crc``, so the stub makes the changed key column's
-        payload CRC equal its committed value.  Only the SHA-256 can then
-        force the rewrite; reusing on the CRC would reload stale keys."""
-        from repro.persist import store as store_mod
+        """Over a format-1 store, with the CRC32C kernel stubbed to return
+        the key column's recorded CRC for any input, a save of changed keys
+        still rewrites the column (format 2 never reuses a format-1 entry)
+        and the store reloads the new keys."""
+        from repro.persist import segments
 
-        index, keys = _make_index(num_keys=512)
-        index.save(tmp_path)
-        committed = load_manifest(tmp_path)["segments"]["columns"]
-        monkeypatch.setattr(
-            store_mod, "payload_crc", lambda arrays: int(committed["payload_crc32c"])
-        )
+        store = tmp_path / "single"
+        shutil.copytree(FIXTURES / "snapshots-v1" / "single", store)
+        old = RXIndex.load(store, mmap=False)
+        committed = load_manifest(store)["segments"]["columns"]
+        monkeypatch.setattr(segments, "crc32c", lambda data: int(committed["crc32c"]))
 
-        new_keys = keys.copy()
-        new_keys[0] += 1
-        index.update(new_keys)
-        index.save(tmp_path)
-        rewritten = load_manifest(tmp_path)["segments"]["columns"]
+        new_keys = old.keys.copy()
+        new_keys[0], new_keys[1] = new_keys[1], new_keys[0]
+        index = RXIndex(old.config)
+        index.build(new_keys)
+        index.save(store)
+        rewritten = load_manifest(store)["segments"]["columns"]
         assert rewritten["path"] != committed["path"]
-        assert rewritten["payload_sha256"] != committed["payload_sha256"]
-        reloaded = RXIndex.load(tmp_path)
+        reloaded = RXIndex.load(store)
         assert np.array_equal(reloaded.keys, new_keys)
+
+
+def _forged_store(root: Path, format_version: int, mutate) -> None:
+    """A one-segment store whose segment header ``mutate`` rewrote, with the
+    manifest's digest recomputed over the bad bytes, so only the header
+    checks stand between it and a load."""
+    arrays = {"a": np.arange(3, dtype=np.int64) - 7, "b": np.arange(5, dtype=np.uint8)}
+    save_snapshot(root, epoch=0, segments={"bad": (arrays, {"tag": 1})}, index_meta={})
+    manifest = load_manifest(root)
+    entry = manifest["segments"]["bad"]
+    path = root / entry["path"]
+    data = path.read_bytes()
+    base, header = _split(data)
+    header_len = int.from_bytes(data[8:16], "little")
+    forged = json.dumps(mutate(header), separators=(",", ":")).encode()
+    assert len(forged) <= header_len, "a forged header must fit the original"
+    data = data[:16] + forged.ljust(header_len) + data[16 + header_len :]
+    path.write_bytes(data)
+    if format_version == 1:
+        entry = {
+            "path": entry["path"],
+            "crc32c": crc32c(data),
+            "payload_crc32c": 0,
+            "length": len(data),
+            "epoch": 0,
+        }
+    else:
+        entry["sha256"] = _file_sha256(data)
+    manifest.update(format_version=format_version, segments={"bad": entry})
+    (root / "MANIFEST.json").write_text(json.dumps(manifest))
+
+
+def _with_array(i, **fields):
+    def mutate(header):
+        header["arrays"][i].update(fields)
+        return header
+
+    return mutate
+
+
+def _with_header(**fields):
+    def mutate(header):
+        header.update(fields)
+        return header
+
+    return mutate
+
+
+def _without_arrays(header):
+    del header["arrays"]
+    return header
+
+
+#: (case id, header mutation, the field the error must name)
+_MALFORMED_HEADERS = [
+    ("nbytes-vs-shape", _with_array(0, nbytes=16), "arrays[0].nbytes"),
+    ("unknown-dtype", _with_array(0, dtype="<x9"), "arrays[0].dtype"),
+    ("object-dtype", _with_array(0, dtype="|O"), "arrays[0].dtype"),
+    ("no-arrays", _without_arrays, "arrays"),
+    ("list-header", lambda header: [header], "header"),
+    ("string-epoch", _with_header(epoch="seven"), "epoch"),
+    ("bool-epoch", _with_header(epoch=False), "epoch"),
+    ("negative-offset", _with_array(1, offset=-16), "arrays[1].offset"),
+    ("unaligned-offset", _with_array(0, offset=8), "arrays[0].offset"),
+    ("overlapping-spans", _with_array(1, offset=0), "arrays[1].offset"),
+    ("span-past-the-end", _with_array(1, offset=4096), "arrays[1].offset"),
+    ("negative-shape", _with_array(0, shape=[-1]), "arrays[0].shape"),
+    ("float-shape", _with_array(0, shape=[3.0]), "arrays[0].shape"),
+    ("unnamed-array", _with_array(0, name=7), "arrays[0].name"),
+    ("duplicate-name", _with_array(1, name="a"), "arrays[1].name"),
+    ("spec-not-object", _with_header(arrays=["a"]), "arrays[0]"),
+    ("meta-not-object", _with_header(meta=[1]), "meta"),
+]
+
+
+class TestMalformedHeaders:
+    """Segment headers that pass the digest but do not describe arrays
+    inside the file (a writer bug re-digests whatever it wrote)."""
+
+    @pytest.mark.parametrize("format_version", [1, 2])
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [case[1:] for case in _MALFORMED_HEADERS],
+        ids=[case[0] for case in _MALFORMED_HEADERS],
+    )
+    def test_header_is_validated_before_any_view(
+        self, tmp_path, format_version, mutate, field
+    ):
+        _forged_store(tmp_path, format_version, mutate)
+        for mmap in (True, False):
+            with pytest.raises(SnapshotCorrupt, match=re.escape(field)) as excinfo:
+                load_snapshot(tmp_path, mmap=mmap)
+            assert excinfo.value.segment == "bad.seg"
+            assert "malformed header" in str(excinfo.value)
+
+    @pytest.mark.parametrize("format_version", [1, 2])
+    def test_an_unforged_header_loads(self, tmp_path, format_version):
+        _forged_store(tmp_path, format_version, lambda header: header)
+        snap = load_snapshot(tmp_path)
+        assert snap.format_version == format_version
+        assert snap.arrays("bad")["a"].tolist() == [-7, -6, -5]
+
+
+def _set_entry(**fields):
+    def mutate(manifest):
+        manifest["segments"]["seg"].update(fields)
+
+    return mutate
+
+
+def _set_top(**fields):
+    def mutate(manifest):
+        manifest.update(fields)
+
+    return mutate
+
+
+#: (case id, manifest format, mutation, regex the error must match, segment)
+_MALFORMED_MANIFESTS = [
+    ("segments-list", 2, _set_top(segments=[]), "segments is not a JSON object", "MANIFEST.json"),
+    ("index-list", 2, _set_top(index=[]), "index is not a JSON object", "MANIFEST.json"),
+    ("string-version", 2, _set_top(version="1"), "version '1' is not", "MANIFEST.json"),
+    ("bool-version", 2, _set_top(version=True), "version True is not", "MANIFEST.json"),
+    ("negative-epoch", 2, _set_top(epoch=-1), "epoch -1 is not", "MANIFEST.json"),
+    ("string-epoch", 2, _set_top(epoch="0"), "epoch '0' is not", "MANIFEST.json"),
+    ("format-3", 2, _set_top(format_version=3), "format version 3 is not", "MANIFEST.json"),
+    (
+        "bool-format", 2, _set_top(format_version=True), "format version True is not",
+        "MANIFEST.json",
+    ),
+    ("entry-not-object", 2, _set_top(segments={"seg": 7}), "is not a JSON object", "seg"),
+    ("string-length", 2, _set_entry(length="100"), "length '100' is not", "seg"),
+    ("string-entry-epoch", 2, _set_entry(epoch="0"), "epoch '0' is not", "seg"),
+    ("int-path", 2, _set_entry(path=7), "path 7 is not", "seg"),
+    ("absolute-path", 2, _set_entry(path="/etc/passwd"), "path '/etc/passwd' is not", "seg"),
+    ("parent-path", 2, _set_entry(path="../x.seg"), r"path '\.\./x\.seg' is not", "seg"),
+    ("empty-path", 2, _set_entry(path=""), "path '' is not", "seg"),
+    ("short-sha256", 2, _set_entry(sha256="ab" * 16), "sha256 'abab", "seg"),
+    ("upper-sha256", 2, _set_entry(sha256="AB" * 32), "sha256 'ABAB", "seg"),
+    ("int-sha256", 2, _set_entry(sha256=0), "sha256 0 is not", "seg"),
+    ("string-crc32c", 1, _set_entry(crc32c="12"), "crc32c '12' is not", "seg"),
+    ("wide-crc32c", 1, _set_entry(crc32c=1 << 32), f"crc32c {1 << 32} is not", "seg"),
+    ("float-payload-crc", 1, _set_entry(payload_crc32c=1.5), "payload_crc32c 1.5 is not", "seg"),
+]
+
+
+class TestMalformedManifests:
+    """Manifest fields of the wrong type fail as ``SnapshotCorrupt`` naming
+    the field, and a save over such a store starts afresh, as it does over
+    a manifest that does not parse."""
+
+    @pytest.mark.parametrize(
+        "format_version, mutate, problem, segment",
+        [case[1:] for case in _MALFORMED_MANIFESTS],
+        ids=[case[0] for case in _MALFORMED_MANIFESTS],
+    )
+    def test_field_types_are_checked(self, tmp_path, format_version, mutate, problem, segment):
+        arrays = {"x": np.arange(8, dtype=np.uint64)}
+        save_snapshot(tmp_path, epoch=3, segments={"seg": (arrays, None)}, index_meta={})
+        manifest = load_manifest(tmp_path)
+        if format_version == 1:
+            entry = manifest["segments"]["seg"]
+            data = (tmp_path / entry["path"]).read_bytes()
+            manifest["format_version"] = 1
+            manifest["segments"]["seg"] = {
+                "path": entry["path"],
+                "crc32c": crc32c(data),
+                "payload_crc32c": crc32c(arrays["x"]),
+                "length": entry["length"],
+                "epoch": entry["epoch"],
+            }
+        mutate(manifest)
+        (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+            load_snapshot(tmp_path)
+        assert excinfo.value.segment == segment
+
+        result = save_snapshot(
+            tmp_path, epoch=0, segments={"seg": (arrays, None)}, index_meta={}
+        )
+        assert (result.manifest_version, result.epoch) == (1, 0)
+        assert (result.segments_rewritten, result.segments_reused) == (1, 0)
+        assert np.array_equal(load_snapshot(tmp_path).arrays("seg")["x"], arrays["x"])
 
 
 class TestServiceRestart:

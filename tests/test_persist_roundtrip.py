@@ -1,10 +1,13 @@
 """Save/load round-trip fidelity of the crash-safe epoch store.
 
-Two layers of pinning:
+Three layers of pinning:
 
 * the CRC32C kernel — the slicing-by-64 vectorised implementation must
   match the per-byte reference (and the published check value) bit for
-  bit, or every "verified" load is meaningless;
+  bit, or every "verified" load of a format-1 store is meaningless;
+* the on-disk format — a format-2 entry's SHA-256 must equal ``hashlib``
+  over the file's payload region, then its header region, and fixed
+  segments must save to recorded bytes;
 * the index itself — a randomised differential replay builds RX indexes
   across primitive types, sharding configs and both load paths
   (memory-mapped and heap), saves and reloads them, and requires every
@@ -19,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -29,14 +33,12 @@ from repro.persist import (
     Crc32c,
     SnapshotTorn,
     crc32c,
-    crc32c_combine,
     crc32c_reference,
     load_snapshot,
     save_snapshot,
     write_segment,
 )
 from repro.persist.checksum import _CHUNK_BYTES
-from repro.persist.segments import payload_crc
 from repro.rtx.bvh import bvh_arrays_diff
 from repro.workloads import dense_shuffled_keys
 
@@ -94,18 +96,6 @@ class TestCrc32c:
         assert crc32c(strided) == expected
 
     @pytest.mark.parametrize(
-        "len_a, len_b",
-        [(0, 0), (0, 100), (100, 0), (1000, 777), (63, 64 * 5), (3, _CHUNK_BYTES + 1)],
-    )
-    def test_combine_matches_concatenation(self, len_a, len_b):
-        rng = np.random.default_rng([len_a, len_b, DIFF_SEED])
-        a = rng.integers(0, 256, size=len_a, dtype=np.uint8).tobytes()
-        b = rng.integers(0, 256, size=len_b, dtype=np.uint8).tobytes()
-        assert crc32c_combine(crc32c(a), crc32c(b), len(b)) == crc32c(a + b)
-        if len_a + len_b < 4096:
-            assert crc32c(a + b) == crc32c_reference(a + b)
-
-    @pytest.mark.parametrize(
         "arrays",
         [
             {"empty": np.zeros(0, dtype=np.int64)},
@@ -123,8 +113,7 @@ class TestCrc32c:
         entry = write_segment(tmp_path / "s.seg", name="s", epoch=0, arrays=arrays)
         on_disk = (tmp_path / "s.seg").read_bytes()
         assert entry["length"] == len(on_disk)
-        assert entry["crc32c"] == crc32c(on_disk) == crc32c_reference(on_disk)
-        assert entry["payload_crc32c"] == payload_crc(arrays)
+        assert entry["sha256"] == _file_sha256(on_disk)
 
     def test_streaming_matches_whole(self):
         rng = np.random.default_rng(DIFF_SEED)
@@ -138,6 +127,14 @@ class TestCrc32c:
         rng = np.random.default_rng(DIFF_SEED)
         arr = rng.integers(0, 1 << 62, size=513, dtype=np.int64)
         assert crc32c(arr) == crc32c(arr.tobytes())
+
+
+def _file_sha256(data: bytes) -> str:
+    """The format-2 digest, computed independently of the writer: SHA-256
+    of the payload region ``[payload base, end)``, then the header region."""
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    base = (16 + header_len + 63) // 64 * 64
+    return hashlib.sha256(data[base:] + data[:base]).hexdigest()
 
 
 class TestStoreBasics:
@@ -220,47 +217,54 @@ def _golden_segments(changed: bool):
 
 
 #: Per save: the manifest file's SHA-256, then per segment its manifest
-#: entry ``(path, crc32c, payload_crc32c, payload_sha256, length)`` and
-#: the SHA-256 of its ``.seg`` file.  Recorded from the format's original
-#: writer; any drift means the on-disk format changed.
+#: entry ``(path, sha256, length)``, the SHA-256 of its ``.seg`` file and
+#: the whole-file CRC32C a format-1 manifest recorded for it.  Segment
+#: files are byte-identical across formats 1 and 2, so the file SHA-256s
+#: and CRCs are the ones the format's original writer recorded; any drift
+#: means the on-disk format changed.
 _GOLDEN = [
     (
-        "6e40cbf12d85dcf9d5e57614b0222b6b2de047b1800654398e3b81abe86ad8f4",
+        "27e6f3c77ff667d2309b9d0196aea3c7283e4b1c7a0cc1fb489fdef0fe58191a",
         {
             "bvh": (
-                ("epoch-00000000/bvh.seg", 1106767478, 45862203,
-                 "7989ddaa4a3e17000682125c8e206755930ca1fcc80f4760e2f343f23af15fbc",
+                ("epoch-00000000/bvh.seg",
+                 "c8b3d579805721970cb4595db705f637e5842f8f44cff4f7e91ace78043fc461",
                  1024),
                 "d26bd0aa3295f6a027d1300d5c871f014208bce175fbbaba4575113aab258de8",
+                1106767478,
             ),
             "columns": (
-                ("epoch-00000000/columns.seg", 3737871715, 686598716,
-                 "0c72218060fc436d5ece7ebeaa0283a4d136ea03f3d6808c10aaa0ffddf421ae",
+                ("epoch-00000000/columns.seg",
+                 "5862a2f15808d1d94dcc12df1592caf9b250d9fecd5f8c1554a4f731e9e6351f",
                  12324),
                 "d07cb8dc4f0f5d085ac39ed6df30e6809b35bec0bc07f6fd11b4e6548b81f527",
+                3737871715,
             ),
             "misc": (
-                ("epoch-00000000/misc.seg", 135445479, 1546924897,
-                 "7b3c38625d3fc89d8c412617aeb30d17db06c52878b674b38caa82e961e82b36",
+                ("epoch-00000000/misc.seg",
+                 "e190f4926fd1cb0984c21a2c83112d87475c6f00aabab3cbee58a569a6c3eb7a",
                  523),
                 "51cc55a1679a322bf8055eb3d7651409494109938df9141706f2d799e16c9e59",
+                135445479,
             ),
             "shard-00001": (
-                ("epoch-00000000/shard-00001.seg", 1282008942, 3108459597,
-                 "a5be43c606c8de2879ee3f6626527f43bd315d466d66b5a4f1f350cad2ca2267",
+                ("epoch-00000000/shard-00001.seg",
+                 "b3c78b60d2f1388b1e2e12cfc9b0ac470005b62b6d63f036fe8dbcb4a6c7baf9",
                  2400200),
                 "cf21c5006955dbdf99116688e71b54b7aea91af76f411db355cbead1c5edfdfe",
+                1282008942,
             ),
         },
     ),
     (
-        "e5ffb3dbd4572525f6691d2b1df2fd814b4666b1f25efc43227134d1abe3911b",
+        "19d4317d7ba56d59ebc22d8be4a6379e98655cb0ce2e4107c02c1a6baef44c9e",
         {
             "bvh": (
-                ("epoch-00000001/bvh.seg", 1264486435, 1484973588,
-                 "9c27eda3efcee8d1875b9047274c204f51888654f18307503e50be7429bc1de8",
+                ("epoch-00000001/bvh.seg",
+                 "7a0884874929965663795fdebd3c82e134aa14d34c52ea8e5611c95959cabbad",
                  1024),
                 "cff7944f7e84619e33fd4324a43bb9e9e261da5d07402912812b4efe674d7b86",
+                1264486435,
             ),
         },
     ),
@@ -287,13 +291,13 @@ class TestGoldenBytes:
             manifest_path = tmp_path / "MANIFEST.json"
             entries = json.loads(manifest_path.read_text())["segments"]
             assert entries.keys() == expected_entries.keys()
-            for name, (entry, file_sha) in expected_entries.items():
+            for name, (entry, file_sha, file_crc) in expected_entries.items():
                 got = entries[name]
-                assert (
-                    got["path"], got["crc32c"], got["payload_crc32c"],
-                    got["payload_sha256"], got["length"],
-                ) == entry, name
-                assert sha256_of(tmp_path / got["path"]) == file_sha, name
+                assert (got["path"], got["sha256"], got["length"]) == entry, name
+                data = (tmp_path / got["path"]).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == file_sha, name
+                assert crc32c(data) == file_crc, name
+                assert _file_sha256(data) == got["sha256"], name
             assert sha256_of(manifest_path) == manifest_sha
 
 
@@ -438,15 +442,18 @@ class TestDifferentialRoundtrip:
         index = RXIndex()
         index.build(keys)
         assert index.stats()["persist"]["saves"] == 0
+        assert index.stats()["persist"]["format_version"] is None
         save_info = index.save(tmp_path)
         block = index.stats()["persist"]
         assert block["saves"] == 1
         assert block["bytes_on_disk"] == save_info["bytes_on_disk"] > 0
         assert block["segments_rewritten"] == save_info["segments_rewritten"]
+        assert block["format_version"] == save_info["format_version"] == 2
 
         loaded = RXIndex.load(tmp_path)
         block = loaded.stats()["persist"]
         assert block["loads"] == 1
+        assert block["format_version"] == 2
         assert block["last_load_seconds"] > 0
         assert block["checksum_verify_seconds"] > 0
         assert block["segments_total"] == save_info["segments_total"]
