@@ -12,9 +12,11 @@ test:
 test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
-# Differential trace harness only; honours DIFF_SEED (CI runs extra seeds).
+# Differential trace harness plus the forest's cut/splice oracle (random
+# columns, shard_bits and leaf sizes); both honour DIFF_SEED (CI runs extra
+# seeds).
 test-diff:
-	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py
+	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py
 
 # Cursor-pagination harness (index-level + serve-level); honours DIFF_SEED
 # (CI runs extra seeds alongside test-diff).
@@ -55,9 +57,11 @@ bench-check:
 bench-serve:
 	$(PYTHON) benchmarks/perf_smoke.py --serve-only --check-only
 
-# Forest-build gate: the serial sharded forest vs the single tree at the
-# 2^20-key CI size, with bit-identity asserted and no speed target.
-# BENCH_engine.json is appended.  "--scale paper" runs 2^26 keys instead.
+# Forest-build gate: build_forest (the single tree plus its cut into
+# shards) vs build_bvh at the 2^20-key CI size, with the splice of the
+# forest's saved state asserted equal to the single tree and timed; no
+# speed target.  BENCH_engine.json is appended.  "--scale paper" runs 2^26
+# keys instead.
 bench-build:
 	$(PYTHON) benchmarks/perf_smoke.py --build-only --scale tiny
 

@@ -21,12 +21,12 @@ Usage::
 
 A sharded-build scenario measures the Morton-prefix forest
 (:mod:`repro.rtx.forest`) at 2^20 keys against the single-tree build: one
-entry, verifying on the way that the stitched forest tree is bit-identical
-to the single-tree arrays.  It has no speed target: the forest exists for
-its local delta updates and saves, and a full forest build does the single
-tree's work plus the stitch.  ``--build-only`` runs just this scenario
-(``make bench-build``; ``--scale paper`` lifts it to the paper's 2^26-key
-column).
+entry, which also times the splice of the forest's saved shard state and
+verifies that the spliced tree is bit-identical to the single-tree arrays.
+It has no speed target: a forest build is the single tree's build plus a
+cut into shards, and the forest exists for its local delta updates and
+saves.  ``--build-only`` runs just this scenario (``make bench-build``;
+``--scale paper`` lifts it to the paper's 2^26-key column).
 
 Targets (checked, reported, and enforced under ``--strict``):
 
@@ -84,7 +84,7 @@ from repro.rtx._reference import (
 )
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh, bvh_arrays_diff
-from repro.rtx.forest import build_forest
+from repro.rtx.forest import build_forest, forest_from_saved, forest_state_segments
 from repro.rtx.geometry import RayBatch, TriangleBuffer, make_triangle_vertices
 from repro.rtx.refit import refit_accel
 from repro.rtx.traversal import TraversalEngine
@@ -162,9 +162,11 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
     """Time the sharded forest build against the single-tree build.
 
     The comparison partner (``ref_seconds``) is our own vectorised
-    ``build_bvh``, not the seed reference, so ``speedup`` isolates what
-    sharding costs or buys.  The stitched tree is verified bit-identical to
-    the single-tree arrays on the way.
+    ``build_bvh``, not the seed reference, so ``speedup`` isolates what the
+    forest's cut into shards costs.  ``splice_seconds`` times
+    :func:`repro.rtx.forest.forest_from_saved` over the forest's saved shard
+    state (what a load runs after reading the segments); the spliced tree is
+    verified bit-identical to the single-tree arrays on the way.
     """
     n = 2**log2_keys
     rng = np.random.default_rng(log2_keys)
@@ -173,6 +175,7 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
     options = BvhBuildOptions(shard_bits=shard_bits)
 
     forest = build_forest(buffer, options)
+    segments = [(arrays, meta) for _, arrays, meta in forest_state_segments(forest)]
     entry = {
         "path": "build_forest",
         "log2_keys": log2_keys,
@@ -182,8 +185,11 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
         **_time_stats(lambda: build_forest(buffer, options), repeats=2),
     }
     single = build_bvh(buffer, BvhBuildOptions())
-    diff = bvh_arrays_diff(forest.bvh, single)
-    assert diff is None, f"forest diverged from the single tree on {diff!r}"
+    diff = bvh_arrays_diff(forest_from_saved(buffer, options, segments).bvh, single)
+    assert diff is None, f"spliced forest diverged from the single tree on {diff!r}"
+    entry["splice_seconds"] = _time(
+        lambda: forest_from_saved(buffer, options, segments), repeats=2
+    )
     entry["ref_seconds"] = _time(lambda: build_bvh(buffer, BvhBuildOptions()), repeats=2)
     entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
     return entry
@@ -1193,9 +1199,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--build-only",
         action="store_true",
-        help="run only the forest-build scenario (serial forest vs single "
-        "tree, bit-identity asserted, artifact appended, no speed target; "
-        "make bench-build)",
+        help="run only the forest-build scenario (forest vs single tree, "
+        "splice timed and asserted bit-identical, artifact appended, no "
+        "speed target; make bench-build)",
     )
     parser.add_argument(
         "--restart-only",
@@ -1234,7 +1240,10 @@ def main(argv: list[str] | None = None) -> int:
         entries = [bench_build_forest(log2_keys, shard_bits=6)]
         append_artifact(entries, args.out)
         print(format_table(entries))
-        print("\nforest build bit-identical to the single tree (no speed target)")
+        print(
+            f"\nspliced forest bit-identical to the single tree; splice "
+            f"{entries[0]['splice_seconds']:.3f} s (no speed target)"
+        )
         return 0
 
     if args.serve_only and args.check_only:

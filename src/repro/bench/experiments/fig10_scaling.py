@@ -15,8 +15,9 @@ Three panels:
 ``run_fig10d`` is a companion panel without a counterpart in the paper: the
 *measured host wall-clock* of the RX accel build, single tree versus the
 Morton-prefix sharded forest.  It reports real seconds (not simulated
-milliseconds) because the forest's extra stitch pass is a host-side cost of
-the reproduction, which the GPU cost model does not cover.
+milliseconds) because the forest's cut of the tree into shards is a
+host-side cost of the reproduction, which the GPU cost model does not
+cover.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def run_fig10d(scale: str = "small", device=RTX_4090) -> ExperimentResult:
     """Measured RX build wall-clock: single tree vs sharded forest.
 
     Builds real accels at multiples of the simulation size and times them on
-    the host: the single-tree path and the forest (same work, sharded
-    schedule, plus the stitch).  The stitched forest trees are verified
-    bit-identical to the single-tree builds.
+    the host: the single-tree path and the forest (the same build, plus the
+    cut into shards).  The forest trees are verified bit-identical to the
+    single-tree builds.
     """
     import numpy as np
 
@@ -205,9 +206,8 @@ def run_fig10d(scale: str = "small", device=RTX_4090) -> ExperimentResult:
         series=series,
         notes=(
             f"Host wall-clock of the reproduction's build path ({os.cpu_count()} "
-            "CPUs visible).  The stitched forest trees are bit-identical to the "
-            "single-tree builds; sharding changes only the schedule and adds "
-            "the stitch pass."
+            "CPUs visible).  The forest trees are bit-identical to the "
+            "single-tree builds; sharding adds only the cut into shards."
         ),
         scale=scale.name,
         device=device.name,

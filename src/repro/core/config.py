@@ -50,7 +50,8 @@ class UpdatePolicy(enum.Enum):
 
     ``DELTA_SHARD`` is the forest-backed middle ground: partition the key
     space by Morton prefix (``RXConfig.shard_bits``), re-sort and rebuild
-    only the shards an update actually touched, and re-stitch — full-rebuild
+    only the shards an update actually touched, and splice them back into
+    the tree beside the clean ones — full-rebuild
     lookup quality at a cost that scales with the dirty shards instead of
     the total key count.
     """
@@ -141,9 +142,9 @@ class RXConfig:
     max_leaf_size: int = 4
     morton_bits: int = 21
     #: Morton-prefix sharding of the accel build: 0 builds one tree, ``b > 0``
-    #: builds a forest of ``2**b`` shards stitched into a bit-identical tree
-    #: (requires the lbvh builder).  Enables the DELTA_SHARD update policy
-    #: and incremental (dirty-shard-only) saves.
+    #: builds the same tree and keeps it cut into ``2**b`` shards (requires
+    #: the lbvh builder).  Enables the DELTA_SHARD update policy and
+    #: incremental (dirty-shard-only) saves; REFIT needs ``shard_bits=0``.
     shard_bits: int = 0
     sphere_radius: float = 0.25
     #: safety cap for the ray fan-out of wide range lookups in 3D Mode
@@ -212,6 +213,13 @@ class RXConfig:
                 "sharded (forest) builds require bvh_builder='lbvh': the "
                 "Morton-prefix partition is only a prefix of lbvh's split "
                 "hierarchy"
+            )
+        if self.update_policy is UpdatePolicy.REFIT and self.shard_bits:
+            raise ValueError(
+                "update_policy=REFIT cannot be combined with shard_bits >= 1: a "
+                "refit moves keys without moving their rows between shards, "
+                "which breaks the Morton-prefix partition a saved forest "
+                "needs; use shard_bits=0 or update_policy=DELTA_SHARD"
             )
         if self.update_policy is UpdatePolicy.DELTA_SHARD and self.shard_bits < 1:
             raise ValueError(

@@ -472,7 +472,7 @@ class RXIndex(GpuIndex):
             build_t0 = time.perf_counter()
             delta = accel_delta_update(self.context, self._accel, build_input)
             self._last_build_seconds = time.perf_counter() - build_t0
-            # The stitched tree object was swapped; rebind the pipeline.
+            # The spliced tree object was swapped; rebind the pipeline.
             self._pipeline = Pipeline(
                 self.context, self._accel, max_frontier=self.max_frontier
             )
@@ -524,7 +524,7 @@ class RXIndex(GpuIndex):
         The dirty shards redo the build passes (AABBs, Morton sort, hierarchy
         emission) over *their* keys only; every update additionally pays one
         streaming diff over the primitive buffers (dirty detection) and one
-        streaming rewrite of the node table (the re-stitch), both linear with
+        streaming rewrite of the node table (the splice), both linear with
         small constants.  A no-op update degenerates to just the diff pass.
         """
         n = self.num_keys
@@ -533,13 +533,13 @@ class RXIndex(GpuIndex):
         dirty = int(delta.dirty_keys)
         dirty_frac = dirty / max(delta.total_keys, 1)
         diff_bytes = n * prim_bytes * 2.0  # read old + new buffers once
-        stitch_bytes = 0.0 if delta.noop else estimate["uncompacted"] * 1.0
+        splice_bytes = 0.0 if delta.noop else estimate["uncompacted"] * 1.0
         rebuild_bytes = (
             dirty * prim_bytes * 2.0
             + dirty * 12.0 * 2.0 * 4.0
             + estimate["uncompacted"] * 3.0 * dirty_frac
         )
-        bytes_accessed = diff_bytes + stitch_bytes + rebuild_bytes
+        bytes_accessed = diff_bytes + splice_bytes + rebuild_bytes
         return WorkProfile(
             name="RX delta-shard update",
             threads=max(n, 1),
@@ -724,24 +724,16 @@ class RXIndex(GpuIndex):
         )
         compacted = bool(meta.get("compacted", False))
         if meta.get("kind") == "forest":
-            shard_rows: dict = {}
-            shard_tree_arrays: dict = {}
-            for name in snap.segments:
-                if not name.startswith("shard-"):
-                    continue
-                seg_arrays = snap.arrays(name)
-                seg_meta = snap.meta(name)
-                bucket = int(seg_meta["bucket"])
-                shard_rows[bucket] = seg_arrays["rows"]
-                if seg_meta.get("delegated"):
-                    shard_tree_arrays[bucket] = {
-                        k: v for k, v in seg_arrays.items() if k != "rows"
-                    }
+            shards = [
+                (snap.arrays(name), snap.meta(name))
+                for name in snap.segments
+                if name.startswith("shard-")
+            ]
             try:
-                forest = forest_from_saved(buffer, options, shard_rows, shard_tree_arrays)
+                forest = forest_from_saved(buffer, options, shards)
             except ShardPartitionError as exc:
                 raise SnapshotCorrupt(
-                    f"persisted forest shards do not match the key column: {exc}",
+                    f"persisted forest shards are invalid: {exc}",
                     segment=f"shard-{exc.bucket:05d}",
                 ) from exc
             bvh = forest.bvh

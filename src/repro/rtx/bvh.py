@@ -27,9 +27,9 @@ interpreter from the per-node hot path entirely.  The emitted node numbering
 is renumbered to the depth-first order the original stack-based builder
 produced, so trees are bit-identical with the golden reference in
 :mod:`repro.rtx._reference` (checked by ``tests/test_engine_equivalence.py``).
-With ``BvhBuildOptions.shard_bits > 0`` the lbvh build runs through the
-Morton-prefix sharded forest (:mod:`repro.rtx.forest`) instead, one shard
-after another, and emits the same arrays.
+That numbering is also what lets the Morton-prefix sharded forest
+(:mod:`repro.rtx.forest`) cut this tree into shards and splice them back
+without renumbering it.
 
 The BVH is stored as a structure of arrays so traversal can read node bounds
 without per-node Python objects.
@@ -74,16 +74,14 @@ class BvhBuildOptions:
     allow_compaction:
         Mirrors ``OPTIX_BUILD_FLAG_ALLOW_COMPACTION``.
     shard_bits:
-        When positive, the build partitions primitives by the top
-        ``shard_bits`` bits of their Morton codes into ``2**shard_bits``
-        shards and assembles the tree as a forest of independently built
-        sub-BVHs stitched under a top-level split table
-        (:mod:`repro.rtx.forest`).  The stitched tree is bit-identical to the
-        ``shard_bits=0`` single-tree build; what sharding buys is local
-        delta updates and incremental saves, not a faster full build.
-        Requires the ``"lbvh"`` builder (the prefix partition *is* the top of
-        the LBVH split hierarchy; SAH/median splits do not decompose along
-        Morton prefixes).
+        When positive, :func:`repro.rtx.pipeline.accel_build` keeps the
+        tree as a forest (:mod:`repro.rtx.forest`): the same tree, cut into
+        ``2**shard_bits`` shards by the top ``shard_bits`` bits of the
+        primitives' Morton codes, which buys local delta updates and
+        incremental saves.  :func:`build_bvh` ignores it.  Requires the
+        ``"lbvh"`` builder (the prefix partition *is* the top of the LBVH
+        split hierarchy; SAH/median splits do not decompose along Morton
+        prefixes).
     """
 
     builder: str = "lbvh"
@@ -259,19 +257,12 @@ def build_bvh(
     """Build a BVH over all primitives of ``primitive_buffer``.
 
     This is the software analogue of ``optixAccelBuild`` with
-    ``OPTIX_BUILD_OPERATION_BUILD``.
-
-    With ``options.shard_bits > 0`` the build routes through the sharded
-    forest pipeline (:func:`repro.rtx.forest.build_forest`) and returns its
-    stitched tree — bit-identical to the single-tree build, but constructed
-    shard by shard.
+    ``OPTIX_BUILD_OPERATION_BUILD``.  ``options.shard_bits`` plays no part:
+    :func:`repro.rtx.forest.build_forest` runs this same lbvh build and
+    cuts the result into shards.
     """
     options = options or BvhBuildOptions()
     options.validate()
-    if options.shard_bits:
-        from repro.rtx.forest import build_forest
-
-        return build_forest(primitive_buffer, options).bvh
     prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
     prim_mins = prim_mins.astype(np.float64)
     prim_maxs = prim_maxs.astype(np.float64)
@@ -321,8 +312,8 @@ BVH_ARRAY_FIELDS = (
 def bvh_arrays_diff(a: Bvh, b: Bvh) -> str | None:
     """Name of the first defining array where ``a`` and ``b`` differ, or None.
 
-    The single home of the bit-identicality check used by the forest
-    stitcher's verification sites (bench, experiments, tests).
+    The single home of the bit-identicality check used wherever a forest's
+    tree is verified against the single tree (bench, experiments, tests).
     """
     for attr in BVH_ARRAY_FIELDS:
         if not np.array_equal(getattr(a, attr), getattr(b, attr)):
@@ -373,19 +364,23 @@ def build_lbvh_over_sorted(
     prim_mins: np.ndarray,
     prim_maxs: np.ndarray,
     options: BvhBuildOptions,
+    order: np.ndarray | None = None,
 ) -> Bvh:
     """Build an LBVH over primitives *already sorted* by Morton code.
 
-    The reusable sub-range builder of the BVH forest: ``prim_mins`` /
-    ``prim_maxs`` are float64 per-primitive bounds in sorted-code order, so
-    the emitted ``prim_indices`` are simply ``0..m-1`` and the caller rebases
-    them into its global primitive stream.  Runs the same level-synchronous
-    machinery as :func:`build_bvh`, which makes a shard's subtree
-    bit-identical to the corresponding subtree of the single-tree build.
+    ``order`` lists the primitive rows in code order and becomes the tree's
+    ``prim_indices``; ``prim_mins`` / ``prim_maxs`` are float64 bounds
+    indexed by row.  Without ``order`` the bounds are already in code order
+    and ``prim_indices`` is ``0..m-1`` — how the forest builds one shard.
+    Runs the same level-synchronous machinery as :func:`build_bvh`, so with
+    ``order`` set to the stable code sort the tree is ``build_bvh``'s, and a
+    shard's tree equals the matching subtree of it.
     """
+    if order is None:
+        order = np.arange(sorted_codes.shape[0], dtype=np.int64)
     splitter = _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64), options)
     builder = _LevelSynchronousBuilder(prim_mins, prim_maxs, options, splitter)
-    bvh = builder.build(np.arange(sorted_codes.shape[0], dtype=np.int64))
+    bvh = builder.build(order)
     bvh.num_primitives = int(sorted_codes.shape[0])
     return bvh
 
@@ -583,9 +578,12 @@ def _dfs_renumbering(
     depth-first preorder (top-down), and the k-th inner node in that order
     allocated ids ``2k + 1`` / ``2k + 2`` for its children.
 
-    ``levels`` groups the working node ids by depth (root level first) —
-    breadth-first blocks during a plain build, arbitrary id layouts when the
-    forest stitches shard subtrees together.
+    ``levels`` groups the working node ids by depth (root level first), as
+    the builder's breadth-first blocks.  A consequence the forest relies
+    on: every child id exceeds its parent's, ``right == left + 1``, and a
+    subtree whose root is the p-th inner node in that order and which holds
+    m inner nodes occupies its root id plus the contiguous block
+    ``[2p + 1, 2p + 2m]``.
     """
     num_nodes = left.shape[0]
     size = np.ones(num_nodes, dtype=np.int64)

@@ -1,47 +1,39 @@
 """Morton-prefix sharded BVH forest: the structure behind delta-shard updates.
 
 The forest partitions primitives by the top ``shard_bits`` bits of their
-Morton codes into ``S = 2**shard_bits`` shards.  Because the LBVH splits every
-range at its *highest differing* Morton bit, two primitives in different
-prefix buckets always separate on one of the top ``shard_bits`` levels —
-which means the single tree :func:`repro.rtx.bvh.build_bvh` emits is exactly
+Morton codes into ``2**shard_bits`` buckets.  The LBVH splits every range at
+its highest differing Morton bit, so rows of different buckets separate on
+one of the top ``shard_bits`` levels, and the single tree
+:func:`repro.rtx.bvh.build_bvh` emits is a small top-level node table
+(:func:`plan_top_level` derives it from per-bucket counts alone) over one
+sub-BVH per bucket.  A range whose count fits one leaf stays a leaf even
+when it spans buckets; such *mixed leaves* absorb their buckets, which keep
+their rows but carry no sub-tree.
 
-* a small **top-level node table** whose splits happen in prefix space
-  (computable from per-bucket counts alone, without touching primitives), and
-* one **independent sub-BVH per bucket**, each derivable from nothing but the
-  bucket's own sorted codes and primitive bounds.
+A forest is that one tree plus bookkeeping.  :func:`build_forest` runs the
+one LBVH build and *cuts* it: each bucket's rows are its slice of
+``prim_indices``, and each delegated bucket's sub-BVH is copied out in local
+numbering.  :func:`forest_from_saved` and :func:`delta_update_forest`
+*splice* shard sub-trees (persisted ones, or clean ones beside freshly
+rebuilt dirty ones) back into a tree bit-identical to the single build.  An
+update re-sorts and rebuilds only the shards that gained, lost or moved a
+primitive; one that changes nothing rebuilds nothing.
 
-The forest therefore builds the shards one after another, in-process, and
-stitches them under the top-level table into a tree whose arrays (including
-the stack-order DFS node numbering) equal the single-tree build bit for bit.
-The decomposition does not make a full build faster — it does the single
-tree's work plus the stitch — but it makes updates and saves local: an
-update rebuilds only the dirty shards, and a save rewrites only their
-segments.  Traversal needs no special dispatch path: advancing the frontier
-through the top-level table *is* the shard dispatch (a ray only ever reaches
-the sub-BVHs whose shard bounds it overlaps), and because the stitched tree
-is the single tree, hits and counters of every trace mode come out in
-exactly the single-tree stream order.
-
-Updates exploit the same decomposition: :func:`delta_update_forest` compares
-the new primitive bounds row by row against the previous build, marks only
-the shards that gained, lost, or moved a primitive as dirty, re-sorts and
-rebuilds those, and re-stitches.  Clean shards reuse their sorted row order
-and sub-tree unchanged (their leaf ranges are merely rebased), so the
-expensive work scales with the dirty shards instead of the total key count.
-An update that dirties nothing is recognised as a no-op and rebuilds nothing.
-
-One top-level subtlety: a range whose total count is at most
-``max_leaf_size`` becomes a single leaf in the single tree even when it spans
-several buckets.  The top-level planner reproduces this by absorbing such
-runs of tiny buckets into *mixed leaves*; absorbed buckets keep their sorted
-rows (they still occupy their slice of the global primitive stream) but carry
-no sub-tree.
+Both directions rest on the builder's numbering: the k-th inner node in
+right-first preorder gets the children ``2k + 1`` and ``2k + 2``.  So a
+child's id exceeds its parent's, ``right == left + 1``, and a subtree is its
+root plus one contiguous block: a shard whose root is inner node ``p`` in
+that order and which has ``m`` inner nodes holds the ids ``[2p + 1, 2p +
+2m]``, and its local id ``i >= 1`` is global ``i + 2p`` (its *block
+offset*).  :func:`_layout` walks the top plan in that order and places every
+top node and shard block, so neither direction renumbers the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterable
 
 import numpy as np
 
@@ -49,10 +41,10 @@ from repro.rtx.bvh import (
     BVH_ARRAY_FIELDS,
     Bvh,
     BvhBuildOptions,
-    _dfs_renumbering,
     build_lbvh_over_sorted,
+    bvh_from_arrays,
 )
-from repro.rtx.geometry import PrimitiveBuffer, ray_box_overlap_pairs
+from repro.rtx.geometry import PrimitiveBuffer
 from repro.rtx.morton import (
     morton_interleave_grid,
     morton_prefix_buckets,
@@ -61,7 +53,8 @@ from repro.rtx.morton import (
 
 
 class ShardPartitionError(ValueError):
-    """Persisted shard state that does not match the recomputed partition."""
+    """Persisted shard state that does not match the recomputed partition,
+    or a shard tree the splice cannot place."""
 
     def __init__(self, bucket: int, problem: str):
         super().__init__(f"shard {bucket}: {problem}")
@@ -87,11 +80,11 @@ class DeltaUpdateStats:
 
 @dataclass
 class BvhForest:
-    """A sharded BVH build: the stitched tree plus per-shard bookkeeping.
+    """The single tree plus the per-shard bookkeeping delta updates need.
 
     ``bvh`` is bit-identical to the single-tree ``build_bvh`` output; the
-    remaining fields exist so delta updates can identify and reuse clean
-    shards.
+    remaining fields let an update find and reuse clean shards and let a
+    save write one segment per shard.
     """
 
     bvh: Bvh
@@ -102,10 +95,10 @@ class BvhForest:
     scene_hi: np.ndarray
     #: Morton-prefix bucket of every primitive row
     bucket_of_row: np.ndarray
-    #: non-empty bucket ids, ascending (their stream slices concatenate into
-    #: ``bvh.prim_indices``)
+    #: non-empty bucket ids, ascending
     shard_ids: np.ndarray
-    #: per non-empty bucket: global rows in shard-sorted (code) order
+    #: per non-empty bucket: its global rows in code order, a view of its
+    #: slice of ``bvh.prim_indices``
     shard_rows: dict[int, np.ndarray]
     #: per *delegated* bucket: its sub-BVH in shard-local numbering
     shard_trees: dict[int, Bvh]
@@ -121,39 +114,6 @@ class BvhForest:
     @property
     def delegated_shards(self) -> int:
         return len(self.shard_trees)
-
-    def shard_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Root bounds of every delegated shard as ``(ids, mins, maxs)``."""
-        ids = np.array(sorted(self.shard_trees), dtype=np.int64)
-        if ids.size == 0:
-            return ids, np.zeros((0, 3), np.float32), np.zeros((0, 3), np.float32)
-        mins = np.stack([self.shard_trees[int(b)].node_mins[0] for b in ids])
-        maxs = np.stack([self.shard_trees[int(b)].node_maxs[0] for b in ids])
-        return ids, mins, maxs
-
-    def dispatch_counts(self, rays) -> dict[int, int]:
-        """Rays overlapping each delegated shard's root bounds.
-
-        Diagnostic mirror of what frontier traversal does implicitly: a ray
-        only descends into the sub-BVHs returned here.  Uses the engine's
-        default node culling (the near limit is clamped to zero, like the
-        hardware).
-        """
-        ids, mins, maxs = self.shard_bounds()
-        node_tmin = np.minimum(rays.tmin, np.float32(0.0))
-        counts: dict[int, int] = {}
-        for i, b in enumerate(ids.tolist()):
-            m = len(rays)
-            overlap = ray_box_overlap_pairs(
-                rays.origins,
-                rays.directions,
-                node_tmin,
-                rays.tmax,
-                np.broadcast_to(mins[i].astype(np.float64), (m, 3)),
-                np.broadcast_to(maxs[i].astype(np.float64), (m, 3)),
-            )
-            counts[b] = int(np.count_nonzero(overlap))
-        return counts
 
 
 # --------------------------------------------------------------------------- #
@@ -185,98 +145,423 @@ def plan_top_level(
     delegates to that bucket's sub-builder, and every other range splits at
     its highest differing Morton bit — which, for ranges spanning two or more
     prefix buckets, is always a prefix bit and therefore computable from the
-    bucket ids.
+    bucket ids.  Entries are listed parent before children, which lets the
+    splice bound them in one reverse sweep; node ids come from
+    :func:`_layout`.
     """
     plan = _TopPlan()
-    if shard_vals.shape[0] == 0:
-        return plan
     stream_starts = np.cumsum(shard_counts) - shard_counts
-
-    # (range over bucket indices, parent entry, which child slot); the root
-    # gets a placeholder parent.  Children are resolved by patching the
-    # parent entry once the child's id (or shard delegation) is known.
-    stack: list[tuple[int, int, int, int]] = [(0, int(shard_vals.shape[0]), -1, 0)]
     range_counts = np.cumsum(shard_counts)
 
-    def _emit(parent: int, slot: int, ref: tuple) -> None:
-        if parent < 0:
-            return
-        kind, left_ref, right_ref = plan.entries[parent]
-        if slot == 0:
-            plan.entries[parent] = (kind, ref, right_ref)
-        else:
-            plan.entries[parent] = (kind, left_ref, ref)
-
-    while stack:
-        a, b, parent, slot = stack.pop()
+    def _node(a: int, b: int) -> tuple:
+        """The ref of the node over the bucket indices ``[a, b)``; every
+        split is at a prefix bit, so the recursion is at most
+        ``shard_bits`` deep."""
         count = int(range_counts[b - 1] - (range_counts[a - 1] if a else 0))
         if count <= max_leaf_size:
             plan.entries.append(("leaf", int(stream_starts[a]), count))
-            _emit(parent, slot, ("t", len(plan.entries) - 1))
-            continue
+            return ("t", len(plan.entries) - 1)
         if b - a == 1:
-            bucket = int(shard_vals[a])
-            plan.delegated.append(bucket)
-            _emit(parent, slot, ("s", bucket))
-            continue
+            plan.delegated.append(int(shard_vals[a]))
+            return ("s", int(shard_vals[a]))
         first = int(shard_vals[a])
         last = int(shard_vals[b - 1])
         # Highest differing Morton bit of the range, expressed in bucket
         # space (different buckets always differ within the prefix).
         h = (first ^ last).bit_length() - 1
-        prefix = first >> h
-        pos = a + int(np.searchsorted(shard_vals[a:b] >> np.uint64(h), prefix, "right"))
+        pos = a + int(np.searchsorted(shard_vals[a:b] >> np.uint64(h), first >> h, "right"))
         node = len(plan.entries)
-        plan.entries.append(("inner", None, None))
-        _emit(parent, slot, ("t", node))
-        # Push right first so ids are allocated left-first like the builder
-        # (the final numbering is recomputed globally either way).
-        stack.append((pos, b, node, 1))
-        stack.append((a, pos, node, 0))
+        plan.entries.append(None)
+        plan.entries[node] = ("inner", _node(a, pos), _node(pos, b))
+        return ("t", node)
+
+    if shard_vals.shape[0]:
+        _node(0, int(shard_vals.shape[0]))
     return plan
 
 
+def _layout(
+    plan: _TopPlan, inner_counts: dict[int, int]
+) -> tuple[list[int], dict[int, int], dict[int, int], int]:
+    """Node ids of the tree made of ``plan`` and its delegated shards.
+
+    Walks the plan in the builder's right-first preorder, handing the k-th
+    inner node the children ``2k + 1`` and ``2k + 2``; a delegated shard
+    consumes ``inner_counts[bucket]`` inner positions in one go.  Returns
+    the global id of every plan entry, every delegated shard's root id and
+    block offset (its local id ``i >= 1`` is global ``i + offset``), and the
+    total node count.
+    """
+    entry_ids = [0] * len(plan.entries)
+    roots: dict[int, int] = {}
+    offsets: dict[int, int] = {}
+    inner_seen = 0
+    root = ("t", 0) if plan.entries else ("s", plan.delegated[0])
+    stack = [(root, 0)]
+    while stack:
+        (kind, ref), node = stack.pop()
+        if kind == "s":
+            roots[ref] = node
+            offsets[ref] = 2 * inner_seen
+            inner_seen += inner_counts[ref]
+            continue
+        entry_ids[ref] = node
+        entry = plan.entries[ref]
+        if entry[0] == "inner":
+            # The right child is popped first, as in the builder.
+            stack.append((entry[1], 2 * inner_seen + 1))
+            stack.append((entry[2], 2 * inner_seen + 2))
+            inner_seen += 1
+    return entry_ids, roots, offsets, 2 * inner_seen + 1
+
+
+@dataclass
+class _Column:
+    """What every forest pass derives from the primitive buffer alone."""
+
+    prim_mins: np.ndarray
+    prim_maxs: np.ndarray
+    grid: np.ndarray
+    scene_lo: np.ndarray
+    scene_hi: np.ndarray
+    #: Morton-prefix bucket of every row
+    bucket: np.ndarray
+    #: non-empty buckets, ascending, and their row counts
+    shard_vals: np.ndarray
+    shard_counts: np.ndarray
+    plan: _TopPlan
+
+    @property
+    def stream_starts(self) -> np.ndarray:
+        """Where each non-empty bucket's rows start in the row stream."""
+        return np.cumsum(self.shard_counts) - self.shard_counts
+
+    def index_of(self, buckets: list[int]) -> np.ndarray:
+        """Positions of ``buckets`` among the non-empty buckets."""
+        return np.searchsorted(self.shard_vals, np.array(buckets, dtype=np.uint64))
+
+
+def _column(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> _Column:
+    """Bounds, Morton grid, bucket partition and top plan of ``buffer``."""
+    prim_mins, prim_maxs = buffer.compute_aabbs()
+    if prim_mins.shape[0] == 0:
+        raise ValueError(f"cannot {verb} a BVH forest over zero primitives")
+    prim_mins = prim_mins.astype(np.float64)
+    prim_maxs = prim_maxs.astype(np.float64)
+    grid, lo, hi = quantize_to_grid_with_bounds(
+        0.5 * (prim_mins + prim_maxs), options.morton_bits
+    )
+    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
+    counts = np.bincount(bucket, minlength=1 << options.shard_bits)
+    shard_vals = np.flatnonzero(counts).astype(np.uint64)
+    shard_counts = counts[shard_vals.astype(np.int64)]
+    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
+    return _Column(prim_mins, prim_maxs, grid, lo, hi, bucket, shard_vals, shard_counts, plan)
+
+
+def _forest(
+    col: _Column, options: BvhBuildOptions, bvh: Bvh, shard_trees: dict[int, Bvh]
+) -> BvhForest:
+    """Wrap a tree and its shard trees; each shard's rows become a view of
+    its slice of the tree's ``prim_indices``."""
+    stream = bvh.prim_indices
+    shard_rows = {
+        b: stream[start : start + count]
+        for b, start, count in zip(
+            col.shard_vals.tolist(), col.stream_starts.tolist(), col.shard_counts.tolist()
+        )
+    }
+    return BvhForest(
+        bvh=bvh,
+        options=options,
+        num_primitives=bvh.num_primitives,
+        scene_lo=col.scene_lo,
+        scene_hi=col.scene_hi,
+        bucket_of_row=col.bucket,
+        shard_ids=col.shard_vals.astype(np.int64),
+        shard_rows=shard_rows,
+        shard_trees=shard_trees,
+    )
+
+
 # --------------------------------------------------------------------------- #
-# per-shard work
+# cut (tree -> shards) and splice (shards -> tree)
 # --------------------------------------------------------------------------- #
 
 
-def _sort_and_build(
-    rows: np.ndarray,
-    grid: np.ndarray,
-    prim_mins: np.ndarray,
-    prim_maxs: np.ndarray,
-    options: BvhBuildOptions,
-    *,
-    build_tree: bool,
-    sort: bool = True,
-) -> tuple[np.ndarray, Bvh | None]:
-    """Sort one bucket's rows by Morton code and optionally build its tree."""
-    codes = morton_interleave_grid(grid[rows], options.morton_bits)
-    if sort:
-        order = np.argsort(codes, kind="stable")
-        rows = rows[order]
-        codes = codes[order]
-    tree = None
-    if build_tree:
-        tree = build_lbvh_over_sorted(codes, prim_mins[rows], prim_maxs[rows], options)
-    return rows, tree
+def _cut(bvh: Bvh, col: _Column) -> dict[int, Bvh]:
+    """Copy each delegated shard's sub-tree out of ``bvh``, in local numbering.
+
+    Child ids lose the shard's block offset, leaf ranges its stream start,
+    and ``prim_indices`` becomes ``0..rows-1``: the arrays
+    ``build_lbvh_over_sorted`` emits over the shard's code-sorted rows.
+    """
+    buckets = sorted(col.plan.delegated)
+    if not buckets:
+        return {}
+    which = col.index_of(buckets)
+    stream_starts = col.stream_starts
+    # A shard's leaves tile its rows, and it has one inner node fewer.
+    leaf_shard = np.searchsorted(stream_starts, bvh.first_prim[bvh.left < 0], "right") - 1
+    inner = np.bincount(leaf_shard, minlength=stream_starts.shape[0])[which] - 1
+    sizes = 2 * inner + 1
+    _, roots, offsets, _ = _layout(col.plan, dict(zip(buckets, inner.tolist())))
+
+    # The global id of every shard node in local order: root, then block.
+    block_starts = np.cumsum(sizes) - sizes
+    offset = np.repeat([offsets[b] for b in buckets], sizes)
+    ids = offset + np.arange(offset.shape[0]) - np.repeat(block_starts, sizes)
+    ids[block_starts] = [roots[b] for b in buckets]
+    left = bvh.left[ids]
+    is_inner = left >= 0
+    local = {
+        "left": np.where(is_inner, left - offset, -1),
+        "right": np.where(is_inner, bvh.right[ids] - offset, -1),
+        "first_prim": bvh.first_prim[ids]
+        - np.where(is_inner, 0, np.repeat(stream_starts[which], sizes)),
+        "prim_count": bvh.prim_count[ids],
+        "node_mins": np.take(bvh.node_mins, ids, axis=0),
+        "node_maxs": np.take(bvh.node_maxs, ids, axis=0),
+    }
+    rows = col.shard_counts[which].tolist()
+    local_rows = np.arange(max(rows), dtype=np.int64)
+    trees: dict[int, Bvh] = {}
+    for b, lo, k, count in zip(buckets, block_starts.tolist(), sizes.tolist(), rows):
+        arrays = {name: array[lo : lo + k] for name, array in local.items()}
+        arrays["prim_indices"] = local_rows[:count]
+        trees[b] = bvh_from_arrays(arrays, count, bvh.options)
+    return trees
 
 
-def _row_stream(shard_vals: np.ndarray, shard_rows: dict[int, np.ndarray]) -> np.ndarray:
-    """The shards' rows concatenated in bucket order: the stitched tree's
-    ``prim_indices``."""
-    if not shard_vals.size:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([shard_rows[int(b)] for b in shard_vals])
+#: the node arrays of a shard tree: name, dtype and shape after the length
+_NODE_ARRAYS = (
+    ("left", np.int64, ()),
+    ("right", np.int64, ()),
+    ("first_prim", np.int64, ()),
+    ("prim_count", np.int64, ()),
+    ("node_mins", np.float32, (3,)),
+    ("node_maxs", np.float32, (3,)),
+)
 
 
-def _checked_row_stream(
-    shard_rows: dict[int, np.ndarray],
-    shard_vals: np.ndarray,
-    shard_counts: np.ndarray,
-    bucket_of_row: np.ndarray,
-) -> np.ndarray:
+def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np.ndarray:
+    """Node count of each shard tree, after requiring a tree the splice can
+    place.
+
+    The topology arrays must be int64 of shape ``(k,)`` and the boxes
+    float32 of shape ``(k, 3)``, with ``k`` odd and at least 3.  Exactly
+    ``(k - 1) / 2`` nodes are inner, their left children are the odd ids
+    ``1..k-2``, each used once, ``right == left + 1``, and every child id is
+    above its parent's: so every node but the root has one parent with a
+    smaller id, and the root reaches each node once.  The leaves tile
+    ``[0, rows)``.  A failure raises :class:`ShardPartitionError`.
+    """
+    sizes = np.empty(len(buckets), dtype=np.int64)
+    for i, (bucket, tree) in enumerate(zip(buckets, trees)):
+        k = tree.left.shape[0] if tree.left.ndim else 0
+        for name, dtype, tail in _NODE_ARRAYS:
+            array = getattr(tree, name)
+            if array.dtype != dtype or array.shape != (k, *tail):
+                raise ShardPartitionError(
+                    bucket,
+                    f"tree array {name} is {array.dtype} {array.shape}, "
+                    f"not {np.dtype(dtype)} {(k, *tail)}",
+                )
+        if k < 3 or k % 2 == 0:
+            raise ShardPartitionError(bucket, f"tree has {k} nodes, not an odd count >= 3")
+        sizes[i] = k
+    if not buckets:
+        return sizes
+
+    # The remaining checks run once over all shards' arrays, concatenated.
+    left, right, first, count = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("left", "right", "first_prim", "prim_count")
+    )
+    block_starts = np.cumsum(sizes) - sizes
+    base = np.repeat(block_starts, sizes)
+    node = np.arange(left.shape[0]) - base
+    is_inner = left >= 0
+
+    def _reject(bad: np.ndarray, problem, starts: np.ndarray = block_starts) -> None:
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            i = int(hit[0])
+            s = int(np.searchsorted(starts, i, "right")) - 1
+            raise ShardPartitionError(buckets[s], problem(i, s))
+
+    inner_counts = np.add.reduceat(is_inner, block_starts, dtype=np.int64)
+    _reject(
+        np.repeat(inner_counts != sizes // 2, sizes),
+        lambda _, s: f"tree has {inner_counts[s]} inner nodes, not {sizes[s] // 2}",
+    )
+    _reject(
+        is_inner
+        & (
+            ((left & 1) == 0)
+            | (left <= node)
+            | (left > np.repeat(sizes - 2, sizes))
+            | (right != left + 1)
+        ),
+        lambda i, s: f"tree node {node[i]} has children ({left[i]}, {right[i]}), "
+        f"not an odd id in ({node[i]}, {sizes[s] - 1}) and the next one",
+    )
+    parents = np.bincount((left + base)[is_inner], minlength=left.shape[0])
+    _reject(parents > 1, lambda i, _: f"tree node {node[i]} has {parents[i]} parents")
+    leaf = ~is_inner
+    _reject(
+        leaf & ((count < 1) | (first < 0) | (first > np.repeat(rows, sizes) - count)),
+        lambda i, s: f"tree leaf {node[i]} holds rows [{first[i]}, "
+        f"{int(first[i]) + int(count[i])}), not a non-empty range of its {rows[s]} rows",
+    )
+    # Leaves inside their shard tile it when each of its rows is held
+    # exactly once; ``row_starts`` lays the shards' rows end to end.
+    row_starts = np.cumsum(rows) - rows
+    total = int(rows.sum())
+    starts = (first + np.repeat(row_starts, sizes))[leaf]
+    held = np.cumsum(
+        np.bincount(starts, minlength=total + 1)
+        - np.bincount(starts + count[leaf], minlength=total + 1)
+    )[:total]
+    _reject(
+        held != 1,
+        lambda i, s: f"{held[i]} tree leaves hold its row {i - row_starts[s]}, not one",
+        row_starts,
+    )
+    return sizes
+
+
+def _splice(
+    col: _Column, options: BvhBuildOptions, rows_stream: np.ndarray, shard_trees: dict[int, Bvh]
+) -> BvhForest:
+    """Place the shard sub-trees and the top plan into one tree's arrays.
+
+    ``rows_stream`` is the shards' rows concatenated in bucket order; it
+    becomes ``prim_indices``.  Each delegated shard's local arrays are
+    written at its root id and block (:func:`_layout`), the top leaves are
+    bounded from their rows, and the top inner nodes are filled bottom-up.
+    The tree is bit-identical to ``build_bvh`` over the same primitives.
+    Block offsets come from node counts, so each shard tree must first pass
+    :func:`_checked_sizes`; a malformed one would write into its
+    neighbours' blocks.
+    """
+    buckets = sorted(shard_trees)
+    trees = [shard_trees[b] for b in buckets]
+    which = col.index_of(buckets)
+    sizes = _checked_sizes(buckets, trees, col.shard_counts[which])
+    entry_ids, roots, offsets, num_nodes = _layout(
+        col.plan, dict(zip(buckets, (sizes // 2).tolist()))
+    )
+
+    left, right = np.full((2, num_nodes), -1, dtype=np.int64)
+    first_prim, prim_count = np.zeros((2, num_nodes), dtype=np.int64)
+    node_mins, node_maxs = np.empty((2, num_nodes, 3), dtype=np.float32)
+    starts = col.stream_starts[which].tolist()
+    for b, tree, k, start in zip(buckets, trees, sizes.tolist(), starts):
+        root, offset = roots[b], offsets[b]
+        is_inner = tree.left >= 0
+        for out, local in (
+            (left, np.where(is_inner, tree.left + offset, -1)),
+            (right, np.where(is_inner, tree.right + offset, -1)),
+            (first_prim, np.where(is_inner, 0, tree.first_prim + start)),
+            (prim_count, tree.prim_count),
+            (node_mins, tree.node_mins),
+            (node_maxs, tree.node_maxs),
+        ):
+            out[root] = local[0]
+            out[offset + 1 : offset + k] = local[1:]
+
+    def _node(ref: tuple) -> int:
+        return entry_ids[ref[1]] if ref[0] == "t" else roots[ref[1]]
+
+    # Children always have larger entry indices, so one reverse sweep
+    # bounds every top node after its children.
+    for i in range(len(col.plan.entries) - 1, -1, -1):
+        entry, node = col.plan.entries[i], entry_ids[i]
+        if entry[0] == "leaf":
+            _, lo, count = entry
+            first_prim[node] = lo
+            prim_count[node] = count
+            gathered = rows_stream[lo : lo + count]
+            node_mins[node] = col.prim_mins[gathered].min(axis=0)
+            node_maxs[node] = col.prim_maxs[gathered].max(axis=0)
+        else:
+            l, r = _node(entry[1]), _node(entry[2])
+            left[node] = l
+            right[node] = r
+            node_mins[node] = np.minimum(node_mins[l], node_mins[r])
+            node_maxs[node] = np.maximum(node_maxs[l], node_maxs[r])
+
+    bvh = Bvh(
+        node_mins=node_mins,
+        node_maxs=node_maxs,
+        left=left,
+        right=right,
+        first_prim=first_prim,
+        prim_count=prim_count,
+        prim_indices=rows_stream,
+        num_primitives=int(rows_stream.shape[0]),
+        options=options,
+    )
+    return _forest(col, options, bvh, shard_trees)
+
+
+# --------------------------------------------------------------------------- #
+# build, save, load, delta update
+# --------------------------------------------------------------------------- #
+
+
+def build_forest(
+    primitive_buffer: PrimitiveBuffer, options: BvhBuildOptions | None = None
+) -> BvhForest:
+    """Build a sharded BVH forest over all primitives of ``primitive_buffer``.
+
+    Requires ``options.shard_bits >= 1`` and the ``"lbvh"`` builder.  Runs
+    one sort and one LBVH build — ``forest.bvh`` is exactly what
+    :func:`repro.rtx.bvh.build_bvh` emits — and then cuts the tree into its
+    shards: rows are slices of ``prim_indices``, and each delegated shard's
+    sub-tree is copied out in local numbering.
+    """
+    options = options or BvhBuildOptions(shard_bits=4)
+    options.validate()
+    if options.shard_bits < 1:
+        raise ValueError("build_forest requires shard_bits >= 1")
+    return _build(_column(primitive_buffer, options, "build"), options)
+
+
+def _build(col: _Column, options: BvhBuildOptions) -> BvhForest:
+    """The one sort and LBVH build over ``col``, cut into shards."""
+    codes = morton_interleave_grid(col.grid, options.morton_bits)
+    order = np.argsort(codes, kind="stable")
+    bvh = build_lbvh_over_sorted(
+        codes[order], col.prim_mins, col.prim_maxs, options, order=order
+    )
+    return _forest(col, options, bvh, _cut(bvh, col))
+
+
+def forest_state_segments(forest: BvhForest):
+    """Yield ``(bucket, arrays, meta)`` per non-empty shard — the persisted
+    form of a forest.
+
+    Only each shard's rows in code order and, for delegated buckets, its
+    sub-tree arrays in local numbering are persisted.  The Morton grid, the
+    bucket partition, the top-level plan and the tree are a deterministic
+    pass over the key column that :func:`forest_from_saved` recomputes, so
+    a save after a delta update rewrites only the dirty shards.
+    """
+    for bucket in sorted(forest.shard_rows):
+        arrays: dict[str, np.ndarray] = {
+            "rows": np.ascontiguousarray(forest.shard_rows[bucket], dtype=np.int64)
+        }
+        tree = forest.shard_trees.get(bucket)
+        meta = {"bucket": int(bucket), "delegated": tree is not None}
+        if tree is not None:
+            for name in BVH_ARRAY_FIELDS:
+                arrays[name] = np.ascontiguousarray(getattr(tree, name))
+        yield bucket, arrays, meta
+
+
+def _checked_row_stream(rows: dict[int, np.ndarray], col: _Column) -> np.ndarray:
     """The row stream of persisted shards, required to partition the column.
 
     Every shard must hold as many rows as keys fall in its bucket, and every
@@ -285,15 +570,16 @@ def _checked_row_stream(
     emits the wrong rows, because it checksums what it wrote.  Raises
     :class:`ShardPartitionError` naming the first offending bucket.
     """
-    for bucket, count in zip(shard_vals.tolist(), shard_counts.tolist()):
-        held = int(shard_rows[bucket].shape[0])
+    shard_vals = col.shard_vals
+    for bucket, count in zip(shard_vals.tolist(), col.shard_counts.tolist()):
+        held = int(rows[bucket].shape[0])
         if held != count:
             raise ShardPartitionError(
                 bucket, f"holds {held} rows, but {count} keys fall in its bucket"
             )
-    rows_stream = _row_stream(shard_vals, shard_rows)
-    n = int(bucket_of_row.shape[0])
-    stream_starts = np.cumsum(shard_counts) - shard_counts
+    rows_stream = np.concatenate([rows[b] for b in shard_vals.tolist()])
+    n = int(col.bucket.shape[0])
+    stream_starts = col.stream_starts
 
     def _reject(bad: np.ndarray, problem: str) -> None:
         positions = np.flatnonzero(bad)
@@ -309,317 +595,54 @@ def _checked_row_stream(
     if not seen.all():
         _reject(seen[rows_stream] != 1, "appears more than once")
     _reject(
-        bucket_of_row[rows_stream] != np.repeat(shard_vals.astype(np.int64), shard_counts),
+        col.bucket[rows_stream] != np.repeat(shard_vals.astype(np.int64), col.shard_counts),
         "belongs to another Morton bucket",
     )
     return rows_stream
 
 
-# --------------------------------------------------------------------------- #
-# stitching
-# --------------------------------------------------------------------------- #
-
-
-def _stitch(
-    shard_vals: np.ndarray,
-    shard_counts: np.ndarray,
-    rows_stream: np.ndarray,
-    shard_trees: dict[int, Bvh],
-    plan: _TopPlan,
-    prim_mins: np.ndarray,
-    prim_maxs: np.ndarray,
-    options: BvhBuildOptions,
-) -> Bvh:
-    """Assemble the global single tree from the top plan and shard sub-trees.
-
-    ``rows_stream`` is :func:`_row_stream` of the shard rows.  Works in an
-    intermediate numbering (top-level nodes first, shard blocks after), then
-    renumbers to the stack-order DFS ids the single-tree builder emits — the
-    output arrays are bit-identical to ``build_bvh`` with ``shard_bits=0``.
-    """
-    stream_starts = np.cumsum(shard_counts) - shard_counts
-    start_of_bucket = {int(b): int(s) for b, s in zip(shard_vals, stream_starts)}
-    n = int(rows_stream.shape[0])
-
-    num_top = len(plan.entries)
-    offsets: dict[int, int] = {}
-    next_id = num_top
-    for bucket in sorted(shard_trees):
-        offsets[bucket] = next_id
-        next_id += shard_trees[bucket].node_count
-    if next_id == 0:
-        # Non-empty inputs always yield at least one plan entry or one
-        # delegated shard; both entry points reject zero primitives.
-        raise ValueError("cannot stitch an empty forest")
-    num_nodes = next_id
-
-    left = np.full(num_nodes, -1, dtype=np.int64)
-    right = np.full(num_nodes, -1, dtype=np.int64)
-    first_prim = np.zeros(num_nodes, dtype=np.int64)
-    prim_count = np.zeros(num_nodes, dtype=np.int64)
-    node_mins = np.empty((num_nodes, 3), dtype=np.float32)
-    node_maxs = np.empty((num_nodes, 3), dtype=np.float32)
-
-    # Shard blocks: rebase child pointers by the block offset and leaf ranges
-    # by the bucket's slice of the global primitive stream.
-    for bucket, tree in shard_trees.items():
-        off = offsets[bucket]
-        sl = slice(off, off + tree.node_count)
-        inner = tree.left >= 0
-        left[sl] = np.where(inner, tree.left + off, -1)
-        right[sl] = np.where(inner, tree.right + off, -1)
-        # Only leaves reference the primitive stream; inner nodes keep the
-        # builder's zero placeholder.
-        first_prim[sl] = np.where(
-            inner, tree.first_prim, tree.first_prim + start_of_bucket[bucket]
-        )
-        prim_count[sl] = tree.prim_count
-        node_mins[sl] = tree.node_mins
-        node_maxs[sl] = tree.node_maxs
-
-    def _resolve(ref: tuple) -> int:
-        return ref[1] if ref[0] == "t" else offsets[ref[1]]
-
-    # Top leaves first (their bounds come straight from the primitives), then
-    # inner bounds bottom-up — children always have larger entry ids, so one
-    # reverse sweep suffices.
-    for i, entry in enumerate(plan.entries):
-        if entry[0] == "leaf":
-            _, lo, count = entry
-            first_prim[i] = lo
-            prim_count[i] = count
-            gathered = rows_stream[lo : lo + count]
-            node_mins[i] = prim_mins[gathered].min(axis=0).astype(np.float32)
-            node_maxs[i] = prim_maxs[gathered].max(axis=0).astype(np.float32)
-    for i in range(num_top - 1, -1, -1):
-        entry = plan.entries[i]
-        if entry[0] != "inner":
-            continue
-        l = _resolve(entry[1])
-        r = _resolve(entry[2])
-        left[i] = l
-        right[i] = r
-        node_mins[i] = np.minimum(node_mins[l], node_mins[r])
-        node_maxs[i] = np.maximum(node_maxs[l], node_maxs[r])
-
-    levels: list[np.ndarray] = []
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        levels.append(frontier)
-        inner = frontier[left[frontier] >= 0]
-        if inner.size == 0:
-            break
-        frontier = np.concatenate([left[inner], right[inner]])
-
-    perm = _dfs_renumbering(left, right, levels)
-    out_mins = np.empty_like(node_mins)
-    out_maxs = np.empty_like(node_maxs)
-    out_left = np.empty_like(left)
-    out_right = np.empty_like(right)
-    out_first = np.empty_like(first_prim)
-    out_count = np.empty_like(prim_count)
-    safe_left = np.maximum(left, 0)
-    safe_right = np.maximum(right, 0)
-    out_left[perm] = np.where(left >= 0, perm[safe_left], -1)
-    out_right[perm] = np.where(right >= 0, perm[safe_right], -1)
-    out_first[perm] = first_prim
-    out_count[perm] = prim_count
-    out_mins[perm] = node_mins
-    out_maxs[perm] = node_maxs
-    bvh = Bvh(
-        node_mins=out_mins,
-        node_maxs=out_maxs,
-        left=out_left,
-        right=out_right,
-        first_prim=out_first,
-        prim_count=out_count,
-        prim_indices=rows_stream,
-        num_primitives=n,
-        options=options,
-    )
-    bvh.build_stats = {
-        "builder": options.builder,
-        "num_primitives": n,
-        "node_count": bvh.node_count,
-        "leaf_count": bvh.leaf_count,
-        "shards": int(shard_vals.shape[0]),
-        "delegated_shards": len(shard_trees),
-        "top_nodes": num_top,
-    }
-    return bvh
-
-
-# --------------------------------------------------------------------------- #
-# build + delta update
-# --------------------------------------------------------------------------- #
-
-
-def build_forest(
-    primitive_buffer: PrimitiveBuffer, options: BvhBuildOptions | None = None
-) -> BvhForest:
-    """Build a sharded BVH forest over all primitives of ``primitive_buffer``.
-
-    Requires ``options.shard_bits >= 1`` and the ``"lbvh"`` builder; the
-    stitched ``forest.bvh`` is bit-identical to the single-tree
-    :func:`repro.rtx.bvh.build_bvh` with the same options minus sharding.
-    """
-    options = options or BvhBuildOptions(shard_bits=4)
-    options.validate()
-    if options.shard_bits < 1:
-        raise ValueError("build_forest requires shard_bits >= 1")
-    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
-    n = prim_mins.shape[0]
-    if n == 0:
-        raise ValueError("cannot build a BVH forest over zero primitives")
-
-    centroids = 0.5 * (prim_mins + prim_maxs)
-    grid, lo, hi = quantize_to_grid_with_bounds(centroids, options.morton_bits)
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
-
-    num_buckets = 1 << options.shard_bits
-    counts = np.bincount(bucket, minlength=num_buckets)
-    group_order = np.argsort(bucket, kind="stable")
-    starts = np.cumsum(counts) - counts
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    delegated = set(plan.delegated)
-
-    shard_rows: dict[int, np.ndarray] = {}
-    shard_trees: dict[int, Bvh] = {}
-    for b in shard_vals.tolist():
-        rows, tree = _sort_and_build(
-            group_order[starts[b] : starts[b] + counts[b]],
-            grid, prim_mins, prim_maxs, options,
-            build_tree=b in delegated,
-        )
-        shard_rows[b] = rows
-        if tree is not None:
-            shard_trees[b] = tree
-
-    bvh = _stitch(
-        shard_vals, shard_counts, _row_stream(shard_vals, shard_rows), shard_trees,
-        plan, prim_mins, prim_maxs, options,
-    )
-    return BvhForest(
-        bvh=bvh,
-        options=options,
-        num_primitives=n,
-        scene_lo=lo,
-        scene_hi=hi,
-        bucket_of_row=bucket,
-        shard_ids=shard_vals.astype(np.int64),
-        shard_rows=shard_rows,
-        shard_trees=shard_trees,
-    )
-
-
-def forest_state_segments(forest: BvhForest):
-    """Yield ``(bucket, arrays, meta)`` per non-empty shard — the persisted
-    form of a forest.
-
-    Only the per-shard *sort outputs* (global rows in code order) and
-    *build outputs* (sub-tree arrays, for delegated buckets) are persisted.
-    Everything else a :class:`BvhForest` carries — the Morton grid, the
-    bucket partition, the top-level plan and the stitched global tree — is
-    a cheap deterministic pass over the key column and is recomputed at
-    load time by :func:`forest_from_saved`, which keeps an incremental save
-    after a delta update proportional to the dirty shards instead of O(n).
-    """
-    for bucket in sorted(forest.shard_rows):
-        arrays: dict[str, np.ndarray] = {
-            "rows": np.ascontiguousarray(forest.shard_rows[bucket], dtype=np.int64)
-        }
-        tree = forest.shard_trees.get(bucket)
-        meta = {"bucket": int(bucket), "delegated": tree is not None}
-        if tree is not None:
-            for name in BVH_ARRAY_FIELDS:
-                arrays[name] = np.ascontiguousarray(getattr(tree, name))
-        yield bucket, arrays, meta
-
-
 def forest_from_saved(
     primitive_buffer: PrimitiveBuffer,
     options: BvhBuildOptions,
-    shard_rows: dict[int, np.ndarray],
-    shard_tree_arrays: dict[int, dict[str, np.ndarray]],
+    segments: Iterable[tuple[dict[str, np.ndarray], dict]],
 ) -> BvhForest:
     """Rebuild a :class:`BvhForest` from persisted shard state.
 
-    Recomputes the grid, bucket partition and top-level plan from the
-    primitive buffer (deterministic, so they match the saved build
-    exactly), wraps the persisted sub-tree arrays, and re-stitches — the
+    ``segments`` holds one ``(arrays, meta)`` pair per shard, as
+    :func:`forest_state_segments` yields them.  Recomputes the partition and
+    the top-level plan from the primitive buffer, checks that the persisted
+    rows partition the column, and splices the persisted sub-trees: the
     resulting ``forest.bvh`` is bit-identical to the tree that was saved,
-    and the forest is delta-updatable like a freshly built one.  The O(n
-    log n) per-shard sorts and the per-shard tree builds — the expensive
-    parts — are exactly what the persisted state skips.
+    and the forest is delta-updatable like a freshly built one.  The sort
+    and the tree build are exactly what the persisted state skips.  State
+    that does not fit raises :class:`ShardPartitionError` naming the bucket.
     """
     options.validate()
-    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
-    n = prim_mins.shape[0]
-    if n == 0:
-        raise ValueError("cannot restore a BVH forest over zero primitives")
+    col = _column(primitive_buffer, options, "restore")
+    rows: dict[int, np.ndarray] = {}
+    tree_arrays: dict[int, dict[str, np.ndarray]] = {}
+    for arrays, meta in segments:
+        rows[int(meta["bucket"])] = arrays["rows"]
+        if meta.get("delegated"):
+            tree_arrays[int(meta["bucket"])] = arrays
+    for saved, expected, what in (
+        (rows.keys(), set(col.shard_vals.tolist()), "shard set does not match the Morton partition"),
+        (tree_arrays.keys(), set(col.plan.delegated), "delegated-shard set does not match the top-level plan"),
+    ):
+        if saved != expected:
+            raise ShardPartitionError(
+                min(saved ^ expected),
+                f"the persisted {what} recomputed from the key column",
+            )
 
-    centroids = 0.5 * (prim_mins + prim_maxs)
-    grid, lo, hi = quantize_to_grid_with_bounds(centroids, options.morton_bits)
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
-    num_buckets = 1 << options.shard_bits
-    counts = np.bincount(bucket, minlength=num_buckets)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-
-    saved = {int(b) for b in shard_rows}
-    expected = {int(b) for b in shard_vals.tolist()}
-    if saved != expected:
-        raise ShardPartitionError(
-            min(saved ^ expected),
-            "the persisted shard set does not match the Morton partition "
-            "recomputed from the key column",
-        )
-    saved_trees = {int(b) for b in shard_tree_arrays}
-    if saved_trees != set(plan.delegated):
-        raise ShardPartitionError(
-            min(saved_trees ^ set(plan.delegated)),
-            "the persisted delegated-shard set does not match the recomputed "
-            "top-level plan",
-        )
-
-    rows: dict[int, np.ndarray] = {int(b): r for b, r in shard_rows.items()}
-    rows_stream = _checked_row_stream(rows, shard_vals, shard_counts, bucket)
+    rows_stream = _checked_row_stream(rows, col)
     trees: dict[int, Bvh] = {}
-    for b, arrays in shard_tree_arrays.items():
-        count = int(rows[int(b)].shape[0])
-        trees[int(b)] = Bvh(
-            node_mins=arrays["node_mins"],
-            node_maxs=arrays["node_maxs"],
-            left=arrays["left"],
-            right=arrays["right"],
-            first_prim=arrays["first_prim"],
-            prim_count=arrays["prim_count"],
-            prim_indices=arrays["prim_indices"],
-            num_primitives=count,
-            options=options,
-        )
-    bvh = _stitch(
-        shard_vals, shard_counts, rows_stream, trees, plan, prim_mins, prim_maxs, options
-    )
-    return BvhForest(
-        bvh=bvh,
-        options=options,
-        num_primitives=n,
-        scene_lo=lo,
-        scene_hi=hi,
-        bucket_of_row=bucket,
-        shard_ids=shard_vals.astype(np.int64),
-        shard_rows=rows,
-        shard_trees=trees,
-    )
+    for b, arrays in tree_arrays.items():
+        missing = [name for name in BVH_ARRAY_FIELDS if name not in arrays]
+        if missing:
+            raise ShardPartitionError(b, f"tree arrays {missing} are missing")
+        trees[b] = bvh_from_arrays(arrays, rows[b].shape[0], options)
+    return _splice(col, options, rows_stream, trees)
 
 
 def delta_update_forest(
@@ -630,143 +653,95 @@ def delta_update_forest(
     """Bring a forest up to date with moved/added/removed primitives.
 
     Only shards whose primitive membership or geometry changed are re-sorted
-    and rebuilt; clean shards reuse their sorted rows and sub-trees (rebased
-    into the new stream during stitching).  Returns the updated forest —
-    whose ``bvh`` is bit-identical to a from-scratch build over
-    ``new_buffer`` — plus statistics of the work performed.  A no-op update
-    (nothing changed) returns the original forest untouched.
+    and rebuilt; clean shards keep their sorted rows and sub-trees, and the
+    splice places both kinds.  Returns the updated forest — whose ``bvh`` is
+    bit-identical to a from-scratch build over ``new_buffer`` — plus
+    statistics of the work performed.  A no-op update (nothing changed)
+    returns the original forest untouched.
     """
     options = forest.options
     num_buckets = 1 << options.shard_bits
-
-    new_mins, new_maxs = new_buffer.compute_aabbs()
-    new_mins = new_mins.astype(np.float64)
-    new_maxs = new_maxs.astype(np.float64)
-    n_new = new_mins.shape[0]
-    if n_new == 0:
-        raise ValueError("cannot delta-update a forest to zero primitives")
-    centroids = 0.5 * (new_mins + new_maxs)
-    grid, lo, hi = quantize_to_grid_with_bounds(centroids, options.morton_bits)
-
-    def _full_rebuild(rescaled: bool) -> tuple[BvhForest, DeltaUpdateStats]:
-        rebuilt = build_forest(new_buffer, options)
-        stats = DeltaUpdateStats(
-            total_shards=num_buckets,
+    col = _column(new_buffer, options, "delta-update")
+    n_new = col.bucket.shape[0]
+    stats = partial(DeltaUpdateStats, total_shards=num_buckets, total_keys=n_new)
+    if not (
+        np.array_equal(col.scene_lo, forest.scene_lo)
+        and np.array_equal(col.scene_hi, forest.scene_hi)
+    ):
+        # The global grid moved: every Morton code is re-quantised, so no
+        # shard content can be trusted.
+        rebuilt = _build(col, options)
+        return rebuilt, stats(
             non_empty_shards=rebuilt.non_empty_shards,
             dirty_shards=rebuilt.non_empty_shards,
             rebuilt_trees=rebuilt.delegated_shards,
             dirty_keys=n_new,
-            total_keys=n_new,
-            rescaled=rescaled,
+            rescaled=True,
         )
-        return rebuilt, stats
 
-    if not (
-        np.array_equal(lo, forest.scene_lo) and np.array_equal(hi, forest.scene_hi)
-    ):
-        # The global grid moved: every Morton code is re-quantised, so no
-        # shard content can be trusted.
-        return _full_rebuild(rescaled=True)
-
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
     old_mins, old_maxs = old_buffer.compute_aabbs()
-    old_mins = old_mins.astype(np.float64)
-    old_maxs = old_maxs.astype(np.float64)
-    n_old = forest.num_primitives
-    common = min(n_old, n_new)
-
-    changed = (new_mins[:common] != old_mins[:common]).any(axis=1)
-    changed |= (new_maxs[:common] != old_maxs[:common]).any(axis=1)
+    common = min(forest.num_primitives, n_new)
+    changed = (col.prim_mins[:common] != old_mins[:common]).any(axis=1)
+    changed |= (col.prim_maxs[:common] != old_maxs[:common]).any(axis=1)
     dirty = np.zeros(num_buckets, dtype=bool)
-    if changed.any():
-        dirty[forest.bucket_of_row[:common][changed]] = True
-        dirty[bucket[:common][changed]] = True
-    if n_old > common:
-        dirty[forest.bucket_of_row[common:]] = True
-    if n_new > common:
-        dirty[bucket[common:]] = True
-
-    counts = np.bincount(bucket, minlength=num_buckets)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    dirty_ids = np.flatnonzero(dirty)
-    if dirty_ids.size == 0:
-        return forest, DeltaUpdateStats(
-            total_shards=num_buckets,
+    dirty[forest.bucket_of_row[:common][changed]] = True
+    dirty[col.bucket[:common][changed]] = True
+    dirty[forest.bucket_of_row[common:]] = True
+    dirty[col.bucket[common:]] = True
+    if not dirty.any():
+        return forest, stats(
             non_empty_shards=forest.non_empty_shards,
             dirty_shards=0,
             rebuilt_trees=0,
             dirty_keys=0,
-            total_keys=n_new,
             noop=True,
         )
 
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    delegated = set(plan.delegated)
-
     # Group the rows of dirty buckets in one stable pass.
-    dirty_row_mask = dirty[bucket]
-    dirty_rows = np.flatnonzero(dirty_row_mask)
-    grouped = dirty_rows[np.argsort(bucket[dirty_rows], kind="stable")]
-    group_counts = np.bincount(bucket[dirty_rows], minlength=num_buckets)
-    group_starts = np.cumsum(group_counts) - group_counts
-
-    shard_rows = {
-        b: rows
-        for b, rows in forest.shard_rows.items()
-        if not dirty[b] and counts[b] > 0
-    }
-    shard_trees = {
-        b: tree
-        for b, tree in forest.shard_trees.items()
-        if not dirty[b] and b in delegated
-    }
+    dirty_rows = np.flatnonzero(dirty[col.bucket])
+    grouped = dirty_rows[np.argsort(col.bucket[dirty_rows], kind="stable")]
+    group_ends = np.cumsum(np.bincount(col.bucket[dirty_rows], minlength=num_buckets))
+    delegated = set(col.plan.delegated)
+    parts: list[np.ndarray] = []
+    trees: dict[int, Bvh] = {}
     rebuilt_trees = 0
-    for b in dirty_ids.tolist():
-        if group_counts[b] == 0:
-            continue  # bucket emptied out; nothing to sort or build
-        rows, tree = _sort_and_build(
-            grouped[group_starts[b] : group_starts[b] + group_counts[b]],
-            grid, new_mins, new_maxs, options,
-            build_tree=b in delegated,
-        )
-        shard_rows[b] = rows
-        if tree is not None:
-            shard_trees[b] = tree
-            rebuilt_trees += 1
-    # Clean buckets that the new top plan delegates but that previously had
-    # no sub-tree (they were absorbed into a mixed leaf): build their tree
-    # from the stored, still-sorted rows.
-    for b in delegated:
-        if not dirty[b] and b not in forest.shard_trees:
-            _, shard_trees[b] = _sort_and_build(
-                shard_rows[b], grid, new_mins, new_maxs, options,
-                build_tree=True, sort=False,
+    for b, count in zip(col.shard_vals.tolist(), col.shard_counts.tolist()):
+        if dirty[b]:
+            rows, tree = _sort_and_build(
+                grouped[group_ends[b] - count : group_ends[b]], col, options, b in delegated
             )
-            rebuilt_trees += 1
+            rebuilt_trees += tree is not None
+        else:
+            rows = forest.shard_rows[b]
+            tree = forest.shard_trees.get(b) if b in delegated else None
+            if b in delegated and tree is None:
+                # The new plan delegates a clean bucket that used to sit in
+                # a mixed leaf: build its tree from the still-sorted rows.
+                _, tree = _sort_and_build(rows, col, options, True, sort=False)
+                rebuilt_trees += 1
+        parts.append(rows)
+        if tree is not None:
+            trees[b] = tree
 
-    bvh = _stitch(
-        shard_vals, shard_counts, _row_stream(shard_vals, shard_rows), shard_trees,
-        plan, new_mins, new_maxs, options,
-    )
-    updated = BvhForest(
-        bvh=bvh,
-        options=options,
-        num_primitives=n_new,
-        scene_lo=lo,
-        scene_hi=hi,
-        bucket_of_row=bucket,
-        shard_ids=shard_vals.astype(np.int64),
-        shard_rows=shard_rows,
-        shard_trees=shard_trees,
-    )
-    stats = DeltaUpdateStats(
-        total_shards=num_buckets,
+    updated = _splice(col, options, np.concatenate(parts), trees)
+    return updated, stats(
         non_empty_shards=updated.non_empty_shards,
-        dirty_shards=int(dirty_ids.size),
+        dirty_shards=int(np.count_nonzero(dirty)),
         rebuilt_trees=rebuilt_trees,
         dirty_keys=int(dirty_rows.size),
-        total_keys=n_new,
     )
-    return updated, stats
 
+
+def _sort_and_build(
+    rows: np.ndarray, col: _Column, options: BvhBuildOptions, build_tree: bool, sort: bool = True
+) -> tuple[np.ndarray, Bvh | None]:
+    """Sort one bucket's rows by Morton code and optionally build its tree."""
+    codes = morton_interleave_grid(col.grid[rows], options.morton_bits)
+    if sort:
+        order = np.argsort(codes, kind="stable")
+        rows = rows[order]
+        codes = codes[order]
+    tree = None
+    if build_tree:
+        tree = build_lbvh_over_sorted(codes, col.prim_mins[rows], col.prim_maxs[rows], options)
+    return rows, tree

@@ -70,10 +70,10 @@ def quantize_to_grid(points: np.ndarray, bits: int) -> np.ndarray:
 def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:
     """Interleave already-quantised ``(n, 3)`` grid coordinates into codes.
 
-    Split out of :func:`morton_encode_3d` so the sharded forest build can
-    quantise once globally and interleave per shard (the interleave is the
-    expensive half and parallelises trivially); the codes are the same
-    integers either way.
+    Split out of :func:`morton_encode_3d` so the sharded forest can quantise
+    once, keep the grid for its bucket partition, and interleave every row
+    (a build) or only a dirty shard's rows (a delta update); the codes are
+    the same integers either way.
     """
     x = expand_bits_3(grid[:, 0], bits)
     y = expand_bits_3(grid[:, 1], bits)
@@ -101,16 +101,20 @@ def morton_prefix_buckets(grid: np.ndarray, bits: int, prefix_bits: int) -> np.n
     axes as ``x, y, z`` from the most significant bit downwards, the prefix can
     be assembled straight from the top grid bits without expanding the full
     code: bit ``j`` of the prefix (``j = 0`` most significant) is bit
-    ``bits - 1 - j // 3`` of axis ``j % 3``.
+    ``bits - 1 - j // 3`` of axis ``j % 3``.  Only the top
+    ``ceil(prefix_bits / 3)`` bits of each axis take part, so they are cut
+    out once, into the narrowest unsigned dtype that holds them.
     """
     if not 1 <= prefix_bits <= 3 * bits:
         raise ValueError("prefix_bits must be in [1, 3 * bits]")
-    grid = np.asarray(grid, dtype=np.uint64)
-    bucket = np.zeros(grid.shape[0], dtype=np.uint64)
+    top = -(-prefix_bits // 3)
+    head = np.asarray(grid, dtype=np.uint64) >> np.uint64(bits - top)
+    head = head.astype(np.min_scalar_type((1 << top) - 1))
+    axes = [np.ascontiguousarray(head[:, axis]) for axis in range(3)]
+    bucket = np.zeros(head.shape[0], dtype=np.min_scalar_type((1 << prefix_bits) - 1))
     for j in range(prefix_bits):
-        axis = j % 3
-        bitpos = np.uint64(bits - 1 - j // 3)
-        bucket = (bucket << np.uint64(1)) | ((grid[:, axis] >> bitpos) & np.uint64(1))
+        bucket <<= 1
+        bucket |= (axes[j % 3] >> (top - 1 - j // 3)) & 1
     return bucket.astype(np.int64)
 
 

@@ -50,7 +50,6 @@ class BuildMetrics:
     num_primitives: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    sort_passes: int = 0
     temp_bytes: int = 0
 
 
@@ -69,9 +68,10 @@ class GeometryAccel:
     memory_info: dict[str, int]
     build_metrics: BuildMetrics
     compacted: bool = False
-    #: set for sharded builds: the forest bookkeeping behind ``bvh`` (whose
-    #: stitched tree is bit-identical to a single-tree build), enabling
-    #: delta-shard updates via :func:`accel_delta_update`
+    #: set for sharded builds: the forest bookkeeping over ``bvh`` (the same
+    #: tree a single-tree build emits, cut into Morton-prefix shards),
+    #: enabling delta-shard updates via :func:`accel_delta_update` and
+    #: per-shard saves
     forest: BvhForest | None = None
 
     @property
@@ -133,9 +133,6 @@ def accel_build(
         num_primitives=len(buffer),
         bytes_read=build_input.primitive_bytes,
         bytes_written=memory_info["uncompacted"],
-        sort_passes=forest.non_empty_shards if forest else (
-            1 if options.builder == "lbvh" else 0
-        ),
         temp_bytes=memory_info["build_temp"],
     )
     return GeometryAccel(

@@ -1,7 +1,7 @@
 """Epoch snapshots: pin in-flight batches to an immutable accel state.
 
 ``RXIndex.update()`` (rebuild or ``DELTA_SHARD``) swaps in a *new* pipeline
-object bound to a *new* stitched tree and value column, leaving the previous
+object bound to a *new* tree and value column, leaving the previous
 pipeline's engine bound to the old arrays.  The epoch manager exploits that:
 every accel state is wrapped in an :class:`EpochSnapshot` capturing the
 pipeline, codec, key/value columns and config of one epoch, and the serving

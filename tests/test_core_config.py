@@ -87,6 +87,16 @@ class TestRXConfigValidation:
         with pytest.raises(ValueError):
             RXConfig(update_policy=UpdatePolicy.REFIT, allow_updates=False, compaction=False).validate()
 
+    def test_refit_rejects_a_sharded_build(self):
+        # A refit keeps each row in the shard it was built in, so a saved
+        # forest would no longer partition the column.
+        config = RXConfig.paper_default().with_delta_updates(shard_bits=4)
+        config = config.with_updates_enabled()
+        with pytest.raises(ValueError, match="update_policy=REFIT.*shard_bits"):
+            config.validate()
+        with pytest.raises(ValueError, match="update_policy=REFIT.*shard_bits"):
+            RXIndex(config)
+
     def test_with_updates_enabled_helper(self):
         config = RXConfig.paper_default().with_updates_enabled()
         config.validate()
@@ -199,6 +209,12 @@ class TestSerialisation:
         data = RXConfig.paper_default().as_dict()
         data["build_threads"] = 2
         with pytest.raises(ValueError, match="malformed RXConfig dict"):
+            RXConfig.from_dict(data)
+
+    def test_stored_refit_with_shard_bits_is_refused(self):
+        data = RXConfig.paper_default().with_updates_enabled().as_dict()
+        data["shard_bits"] = 4
+        with pytest.raises(ValueError, match="update_policy=REFIT.*shard_bits"):
             RXConfig.from_dict(data)
 
     def test_with_delta_updates_accepts_only_one_worker(self):

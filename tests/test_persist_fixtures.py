@@ -12,7 +12,8 @@ format, written by ``tests/fixtures/make_snapshots.py``:
 
 Each must load through both load paths (memory-mapped and heap) and
 answer point and range lookups — hits and counters — exactly like a fresh
-build over the same keys.  Loads are read-only, so the checked-in
+build over the same keys, and a fresh build and save must still write the
+format-2 store byte for byte.  Loads are read-only, so the checked-in
 fixtures stay byte-identical.  A save over a copy of a format-1 store
 migrates it: every segment is rewritten under format 2 and the format-1
 files are pruned.
@@ -94,6 +95,16 @@ def test_old_snapshot_loads_like_a_fresh_build(name, fixture):
         assert _lookups(loaded) == expected, (name, mmap)
 
     assert _digests(root) == before
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_fresh_save_is_byte_identical_to_the_format2_fixture(tmp_path, name):
+    """Today's build and save write the checked-in format-2 store byte for
+    byte: every segment (shard trees included) and the manifest."""
+    index = RXIndex(make_snapshots.CONFIGS[name]())
+    index.build(make_snapshots.fixture_keys())
+    index.save(tmp_path / name)
+    assert _digests(tmp_path / name) == _digests(FIXTURES / "snapshots-v2" / name)
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))

@@ -388,12 +388,91 @@ def _drop_a_row(rows, low, high):
     rows[low] = rows[low][:-1]
 
 
+_NODE_ARRAYS = ("left", "right", "first_prim", "prim_count", "node_mins", "node_maxs")
+
+
+def _short_node_arrays(tree):
+    for name in _NODE_ARRAYS:
+        tree[name] = tree[name][:-2]
+
+
+def _left_child_past_the_end(tree):
+    # An odd id with its successor, so only the bound catches it.
+    inner = np.flatnonzero(tree["left"] >= 0)[-1]
+    tree["left"][inner] = tree["left"].shape[0]
+    tree["right"][inner] = tree["left"].shape[0] + 1
+
+
+def _left_child_is_the_root(tree):
+    tree["left"][np.flatnonzero(tree["left"] >= 0)[-1]] = 0
+
+
+def _even_left_child(tree):
+    # The root adopts nodes 2 and 3: node 1 loses its parent, node 3 gains one.
+    tree["left"][0] += 1
+    tree["right"][0] += 1
+
+
+def _shared_children(tree):
+    # Nodes 1 and 2 get the same children, orphaning node 2's own.
+    tree["left"][2], tree["right"][2] = tree["left"][1], tree["right"][1]
+
+
+def _leaf_past_the_rows(tree):
+    tree["first_prim"][np.flatnonzero(tree["left"] < 0)[0]] = 10**6
+
+
+def _leaf_range_overflows(tree):
+    leaf = np.flatnonzero(tree["left"] < 0)[0]
+    tree["first_prim"][leaf] = tree["prim_count"][leaf] = 2**62
+
+
+def _short_node_mins(tree):
+    tree["node_mins"] = tree["node_mins"][:-1]
+
+
+def _overlapping_leaves(tree):
+    tree["prim_count"][np.flatnonzero((tree["left"] < 0) & (tree["first_prim"] == 0))] += 1
+
+
 class TestBuggyWriterShards:
-    """Shard rows that checksum correctly but do not partition the column.
+    """Shard state that checksums correctly but is wrong.
 
     A writer bug re-checksums whatever it writes, so the mutated segments
     below go through ``save_snapshot`` and pass every digest; the load must
     still refuse them, naming the shard."""
+
+    @staticmethod
+    def _good_segments(tmp_path):
+        rng = np.random.default_rng([5, FAULT_SEED])
+        keys = rng.permutation(np.arange(4096, dtype=np.uint64))
+        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
+        index.build(keys)
+        index.save(tmp_path / "good")
+        snap = load_snapshot(tmp_path / "good", mmap=False)
+        segments = {
+            name: ({k: v.copy() for k, v in arrays.items()}, meta)
+            for name, (arrays, meta) in snap.segments.items()
+        }
+        # Control: an unmutated rewrite through the same path loads cleanly.
+        save_snapshot(
+            tmp_path / "control", epoch=snap.epoch, segments=segments,
+            index_meta=snap.index_meta,
+        )
+        RXIndex.load(tmp_path / "control")
+        return snap, segments
+
+    @staticmethod
+    def _assert_load_rejects(tmp_path, snap, segments, problem, segment):
+        save_snapshot(
+            tmp_path / "bad", epoch=snap.epoch, segments=segments,
+            index_meta=snap.index_meta,
+        )
+        load_snapshot(tmp_path / "bad")  # every checksum passes
+        for mmap in (True, False):
+            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                RXIndex.load(tmp_path / "bad", mmap=mmap)
+            assert excinfo.value.segment == segment
 
     @pytest.mark.parametrize(
         "mutate, problem",
@@ -407,40 +486,53 @@ class TestBuggyWriterShards:
     def test_load_rejects_shard_rows_that_do_not_partition(
         self, tmp_path, mutate, problem
     ):
-        rng = np.random.default_rng([5, FAULT_SEED])
-        keys = rng.permutation(np.arange(4096, dtype=np.uint64))
-        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
-        index.build(keys)
-        index.save(tmp_path / "good")
-        snap = load_snapshot(tmp_path / "good", mmap=False)
-        segments = {
-            name: ({k: v.copy() for k, v in arrays.items()}, meta)
-            for name, (arrays, meta) in snap.segments.items()
-        }
+        snap, segments = self._good_segments(tmp_path)
         shard_names = sorted(name for name in segments if name.startswith("shard-"))
         assert len(shard_names) >= 2, "test needs a multi-shard forest"
         low, high = shard_names[0], shard_names[-1]
-
-        # Control: an unmutated rewrite through the same path loads cleanly.
-        save_snapshot(
-            tmp_path / "control", epoch=snap.epoch, segments=segments,
-            index_meta=snap.index_meta,
-        )
-        RXIndex.load(tmp_path / "control")
-
         rows = {name: segments[name][0]["rows"] for name in shard_names}
         mutate(rows, low, high)
         for name in shard_names:
             segments[name][0]["rows"] = rows[name]
-        save_snapshot(
-            tmp_path / "bad", epoch=snap.epoch, segments=segments,
-            index_meta=snap.index_meta,
+        self._assert_load_rejects(tmp_path, snap, segments, problem, low)
+
+    @pytest.mark.parametrize(
+        "mutate, problem",
+        [
+            (_short_node_arrays, r"tree has \d+ inner nodes, not \d+"),
+            (_left_child_past_the_end, r"has children \(\d+, "),
+            (_left_child_is_the_root, r"has children \(0, "),
+            (_even_left_child, r"tree node 0 has children \(2, 3\)"),
+            (_shared_children, r"tree node \d+ has 2 parents"),
+            (_leaf_past_the_rows, r"holds rows \[1000000, "),
+            (_leaf_range_overflows, r"holds rows \[4611686018427387904, "),
+            (_short_node_mins, "tree array node_mins is float32"),
+            (_overlapping_leaves, "2 tree leaves hold its row"),
+        ],
+        ids=[
+            "short-node-arrays",
+            "left-past-the-end",
+            "left-is-the-root",
+            "even-left-child",
+            "shared-children",
+            "leaf-past-the-rows",
+            "leaf-range-overflows",
+            "short-node-mins",
+            "overlapping-leaves",
+        ],
+    )
+    @pytest.mark.parametrize("which", [min, max], ids=["first", "last"])
+    def test_load_rejects_malformed_shard_trees(self, tmp_path, mutate, problem, which):
+        """A shard tree the splice would place into its neighbours' blocks,
+        into a cycle, or over rows it does not hold."""
+        snap, segments = self._good_segments(tmp_path)
+        name = which(
+            name
+            for name, (_, meta) in segments.items()
+            if name.startswith("shard-") and meta["delegated"]
         )
-        load_snapshot(tmp_path / "bad")  # every checksum passes
-        for mmap in (True, False):
-            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
-                RXIndex.load(tmp_path / "bad", mmap=mmap)
-            assert excinfo.value.segment == low
+        mutate(segments[name][0])
+        self._assert_load_rejects(tmp_path, snap, segments, problem, name)
 
 
 class TestIncrementalSaves:

@@ -1,29 +1,49 @@
-"""Morton-prefix sharded BVH forest: stitching, delta updates, persistence checks.
+"""Morton-prefix sharded BVH forest: cut and splice, delta updates, persistence checks.
 
 The load-bearing invariant — forest traversal bit-identical to the
 single-tree engine across all trace modes — is pinned by the randomised
 differential harness (``tests/test_trace_differential.py``, sharding axis).
-This suite covers the forest-specific surface: shard-partition edge cases
-(empty shards, everything in one shard, more shards than keys,
-duplicate-heavy columns, bucket-spanning mixed leaves), delta-shard
-updates (dirty-subset rebuilds, no-op detection, grid rescales,
-growing/shrinking columns), the partition check on persisted shard rows,
-and the RXIndex plumbing around them.
+This suite covers the forest-specific surface: the cut against the
+per-shard oracle (each bucket's rows sorted and built on their own) and
+the splice of the saved state back into the single tree, on shard-partition
+edge cases (empty shards, everything in one shard, more shards than keys,
+duplicate-heavy columns, bucket-spanning mixed leaves) and on
+``DIFF_SEED``-driven random columns; delta-shard updates (dirty-subset
+rebuilds, no-op detection, grid rescales, growing/shrinking columns); and
+the RXIndex plumbing around them.
 """
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import RXConfig, RXIndex
-from repro.core.config import UpdatePolicy
+from repro.core.config import KeyMode, UpdatePolicy
+from repro.core.keycodec import make_codec
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_4090
-from repro.rtx.bvh import BvhBuildOptions, build_bvh, bvh_arrays_diff
-from repro.rtx.forest import build_forest, delta_update_forest, plan_top_level
-from repro.rtx.geometry import RayBatch, TriangleBuffer, make_triangle_vertices
+from repro.rtx.build_input import build_input_for_points
+from repro.rtx.bvh import (
+    BvhBuildOptions,
+    build_bvh,
+    build_lbvh_over_sorted,
+    bvh_arrays_diff,
+)
+from repro.rtx.forest import (
+    build_forest,
+    delta_update_forest,
+    forest_from_saved,
+    forest_state_segments,
+    plan_top_level,
+)
+from repro.rtx.geometry import TriangleBuffer, make_triangle_vertices
+from repro.rtx.morton import morton_encode_3d
 from repro.workloads import clustered_key_swaps, dense_shuffled_keys
+
+DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
+
 
 def _buffer(points: np.ndarray) -> TriangleBuffer:
     return TriangleBuffer(make_triangle_vertices(points))
@@ -39,23 +59,51 @@ def _assert_trees_equal(got, want, label=""):
     assert diff is None, (label, diff)
 
 
-def _assert_forest_matches_single(points, shard_bits, max_leaf_size=4):
-    single = build_bvh(_buffer(points), BvhBuildOptions(max_leaf_size=max_leaf_size))
-    forest = build_forest(
-        _buffer(points),
-        BvhBuildOptions(max_leaf_size=max_leaf_size, shard_bits=shard_bits),
-    )
-    _assert_trees_equal(forest.bvh, single, f"shard_bits={shard_bits}")
+def _spliced(forest, buffer):
+    """The forest reloaded from its own saved state."""
+    segments = [(arrays, meta) for _, arrays, meta in forest_state_segments(forest)]
+    return forest_from_saved(buffer, forest.options, segments)
+
+
+def _assert_forest_matches_single(buffer, shard_bits, max_leaf_size=4):
+    """The forest's tree is the single tree, its shards are what sorting and
+    building each bucket on its own gives, and its saved state splices back
+    into the single tree."""
+    options = BvhBuildOptions(max_leaf_size=max_leaf_size, shard_bits=shard_bits)
+    single = build_bvh(buffer, BvhBuildOptions(max_leaf_size=max_leaf_size))
+    forest = build_forest(buffer, options)
+    label = f"shard_bits={shard_bits} max_leaf_size={max_leaf_size}"
+    _assert_trees_equal(forest.bvh, single, label)
+
+    mins, maxs = (a.astype(np.float64) for a in buffer.compute_aabbs())
+    codes = morton_encode_3d(0.5 * (mins + maxs), options.morton_bits)
+    # A bucket is the top shard_bits bits of the code.
+    bucket = (codes >> np.uint64(3 * options.morton_bits - shard_bits)).astype(np.int64)
+    counts = np.bincount(bucket)
+    non_empty = np.flatnonzero(counts)
+    plan = plan_top_level(non_empty.astype(np.uint64), counts[non_empty], max_leaf_size)
+    assert sorted(forest.shard_rows) == non_empty.tolist(), label
+    assert sorted(forest.shard_trees) == sorted(plan.delegated), label
+    by_bucket = np.lexsort((codes, bucket))  # stable: equal codes keep row order
+    ends = np.cumsum(counts)
+    for b, rows in forest.shard_rows.items():
+        want = by_bucket[ends[b] - counts[b] : ends[b]]
+        assert np.array_equal(rows, want), (label, b)
+        if b in forest.shard_trees:
+            oracle = build_lbvh_over_sorted(codes[want], mins[want], maxs[want], options)
+            _assert_trees_equal(forest.shard_trees[b], oracle, (label, b))
+
+    _assert_trees_equal(_spliced(forest, buffer).bvh, single, f"splice {label}")
     return forest
 
 
 class TestForestBuild:
     def test_empty_shards_are_skipped(self):
         # Two tight clusters at opposite ends: almost every prefix bucket is
-        # empty, and the stitched tree must still equal the single tree.
+        # empty, and the forest must still match the single tree.
         rng = np.random.default_rng(1)
         xs = np.concatenate([rng.uniform(0, 10, 300), rng.uniform(1e6, 1e6 + 10, 300)])
-        forest = _assert_forest_matches_single(_line(xs), shard_bits=8)
+        forest = _assert_forest_matches_single(_buffer(_line(xs)), shard_bits=8)
         assert forest.non_empty_shards < forest.num_shards
 
     def test_all_keys_in_one_shard(self):
@@ -63,59 +111,71 @@ class TestForestBuild:
         # key lands in few buckets; the degenerate single-delegate case (no
         # top-level nodes) must hold for shard_bits=1.
         xs = np.arange(500, dtype=np.float64)
-        forest = _assert_forest_matches_single(_line(xs), shard_bits=1)
+        forest = _assert_forest_matches_single(_buffer(_line(xs)), shard_bits=1)
         assert forest.non_empty_shards <= 2
 
     def test_more_shards_than_keys(self):
         rng = np.random.default_rng(2)
         forest = _assert_forest_matches_single(
-            rng.uniform(0, 100, size=(7, 3)), shard_bits=10, max_leaf_size=1
+            _buffer(rng.uniform(0, 100, size=(7, 3))), shard_bits=10, max_leaf_size=1
         )
         assert forest.non_empty_shards <= 7
 
     def test_duplicate_heavy_column(self):
         # Many primitives share one coordinate: identical Morton codes force
-        # the in-shard median fallback splits, which must still stitch into
+        # the in-shard median fallback splits, which must still splice into
         # the single tree.
         rng = np.random.default_rng(3)
         xs = np.repeat(rng.uniform(0, 1000, 40), 25)
         for shard_bits in (2, 6):
-            _assert_forest_matches_single(_line(xs), shard_bits=shard_bits)
+            _assert_forest_matches_single(_buffer(_line(xs)), shard_bits=shard_bits)
 
     def test_bucket_spanning_mixed_leaf(self):
         # Three far-apart keys with max_leaf_size=4: the single tree is one
         # leaf spanning three buckets; the top-level planner must absorb the
         # buckets instead of delegating them.
         forest = _assert_forest_matches_single(
-            _line([0.0, 1e6, 2e6]), shard_bits=8, max_leaf_size=4
+            _buffer(_line([0.0, 1e6, 2e6])), shard_bits=8, max_leaf_size=4
         )
         assert forest.delegated_shards == 0
         assert forest.bvh.node_count == 1
 
     def test_single_primitive(self):
-        _assert_forest_matches_single(_line([5.0]), shard_bits=4)
+        _assert_forest_matches_single(_buffer(_line([5.0])), shard_bits=4)
 
     def test_shard_bits_requires_lbvh(self):
         with pytest.raises(ValueError, match="lbvh"):
             BvhBuildOptions(builder="sah", shard_bits=2).validate()
 
-    def test_dispatch_only_reaches_overlapping_shards(self):
-        # Keys split into two far-apart clusters; a ray through the low
-        # cluster must only be dispatched to the shards bounding it.
-        xs = np.concatenate([np.arange(200.0), 1e6 + np.arange(200.0)])
-        forest = build_forest(_buffer(_line(xs)), BvhBuildOptions(shard_bits=6))
-        assert forest.delegated_shards >= 2
-        rays = RayBatch(
-            origins=[[0.0, 0.0, 0.0]],
-            directions=[[1.0, 0.0, 0.0]],
-            tmin=[0.0],
-            tmax=[50.0],
+    def test_all_identical_points(self):
+        # One Morton code: a single bucket holds every row, so that shard's
+        # tree is the whole tree and the top plan is empty.
+        points = _line(np.full(300, 7.0))
+        forest = _assert_forest_matches_single(_buffer(points), shard_bits=6)
+        assert forest.non_empty_shards == forest.delegated_shards == 1
+        (tree,) = forest.shard_trees.values()
+        _assert_trees_equal(tree, forest.bvh)
+
+    @pytest.mark.parametrize("case_index", range(24))
+    def test_random_columns_match_the_shard_oracle(self, case_index):
+        # Three key modes, key spans from dense to the codec's full range,
+        # 0-100% duplicate rows, shard_bits 1-16 and max_leaf_size 1-8.
+        rng = np.random.default_rng([DIFF_SEED, case_index])
+        codec = make_codec((KeyMode.NAIVE, KeyMode.EXTENDED, KeyMode.THREE_D)[case_index % 3])
+        n = int(rng.integers(1, 3000))
+        span = int(min(codec.max_key(), 2 ** rng.uniform(np.log2(n + 1), 64)))
+        keys = rng.integers(0, span, size=n, endpoint=True, dtype=np.uint64)
+        dupes = rng.random(n) < rng.random()
+        keys[dupes] = rng.choice(keys, size=int(dupes.sum()))
+        points, x_half_extent = codec.encode_points(keys)
+        buffer = build_input_for_points(
+            "triangle", points, half_extent=0.5, x_half_extent=x_half_extent
+        ).primitive_buffer()
+        _assert_forest_matches_single(
+            buffer,
+            shard_bits=int(rng.integers(1, 17)),
+            max_leaf_size=int(rng.integers(1, 9)),
         )
-        counts = forest.dispatch_counts(rays)
-        ids, mins, _ = forest.shard_bounds()
-        low_shards = {int(b) for b, m in zip(ids, mins) if m[0] < 1e5}
-        for bucket, count in counts.items():
-            assert count == (1 if bucket in low_shards else 0)
 
     def test_plan_top_level_counts(self):
         # Four equally full buckets → a balanced 3-inner-node top table.

@@ -7,6 +7,8 @@ from repro.rtx.morton import (
     expand_bits_3,
     morton_decode_3d,
     morton_encode_3d,
+    morton_interleave_grid,
+    morton_prefix_buckets,
     quantize_to_grid,
 )
 
@@ -71,3 +73,21 @@ class TestMortonCodes:
             morton_encode_3d(np.zeros((1, 3)), bits=22)
         with pytest.raises(ValueError):
             morton_encode_3d(np.zeros((1, 3)), bits=0)
+
+
+class TestPrefixBuckets:
+    @pytest.mark.parametrize("bits", [1, 2, 5, 8, 21])
+    def test_bucket_is_the_top_of_the_code(self, bits):
+        rng = np.random.default_rng(bits)
+        grid = rng.integers(0, 1 << bits, size=(2000, 3)).astype(np.uint64)
+        grid[:3] = [[0, 0, 0], [(1 << bits) - 1] * 3, [0, (1 << bits) - 1, 0]]
+        codes = morton_interleave_grid(grid, bits)
+        for prefix_bits in range(1, 3 * bits + 1):
+            want = (codes >> np.uint64(3 * bits - prefix_bits)).astype(np.int64)
+            got = morton_prefix_buckets(grid, bits, prefix_bits)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), prefix_bits
+
+    def test_prefix_wider_than_the_code_is_rejected(self):
+        with pytest.raises(ValueError, match="prefix_bits"):
+            morton_prefix_buckets(np.zeros((1, 3), dtype=np.uint64), 2, 7)

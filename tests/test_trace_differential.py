@@ -10,10 +10,10 @@ lookup_ids, order) *and* identical counters, across
 * all three primitive types,
 * duplicate-free and duplicate-heavy key columns,
 * frontier chunk sizes ``{0, 1, 7, None}`` (0 and None alias "unbounded"),
-* single-tree builds and Morton-prefix sharded forest builds (the stitched
-  forest tree is additionally asserted array-equal to the single tree, and
-  the engine traces the *forest* tree while the golden loops walk the
-  single-tree build),
+* single-tree builds and Morton-prefix sharded forests (the tree a load
+  splices from the forest's saved shard state is additionally asserted
+  array-equal to the single tree, and the engine traces that *spliced*
+  tree while the golden loops walk the single-tree build),
 * single-ray lookups and multi-ray lookups sharing one first_k budget,
   plus a ``first_k(limit=1)`` trace with one lookup per ray (how point
   lookups end each ray at its first hit),
@@ -44,6 +44,7 @@ from repro.rtx._reference import (
 )
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh, bvh_arrays_diff
+from repro.rtx.forest import build_forest, forest_from_saved, forest_state_segments
 from repro.rtx.geometry import RayBatch
 from repro.rtx.traversal import TraversalEngine
 
@@ -183,20 +184,23 @@ def test_all_modes_bit_identical_to_reference(case_index):
         BvhBuildOptions(builder=case["builder"], max_leaf_size=case["max_leaf_size"]),
     )
     if case["shard_bits"]:
-        # The engine walks the stitched forest tree while the golden loops
-        # walk the single-tree build — pinning both the stitch and the
-        # traversal.  The arrays must agree exactly for that to be a real
-        # comparison, so assert it explicitly first.
-        bvh = build_bvh(
-            buffer,
-            BvhBuildOptions(
-                builder=case["builder"],
-                max_leaf_size=case["max_leaf_size"],
-                shard_bits=case["shard_bits"],
-            ),
+        # The engine walks the forest's tree as a load splices it from the
+        # saved shard state, while the golden loops walk the single-tree
+        # build — pinning both the splice and the traversal.  The arrays
+        # must agree exactly for that to be a real comparison, so assert it
+        # explicitly first.
+        options = BvhBuildOptions(
+            builder=case["builder"],
+            max_leaf_size=case["max_leaf_size"],
+            shard_bits=case["shard_bits"],
         )
+        segments = [
+            (arrays, meta)
+            for _, arrays, meta in forest_state_segments(build_forest(buffer, options))
+        ]
+        bvh = forest_from_saved(buffer, options, segments).bvh
         diff = bvh_arrays_diff(bvh, golden_bvh)
-        assert diff is None, f"forest diverged from the single tree on {diff!r}"
+        assert diff is None, f"spliced forest diverged from the single tree on {diff!r}"
     else:
         bvh = golden_bvh
     rays = case["rays"]
