@@ -12,11 +12,12 @@ test:
 test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
-# Differential trace harness plus the forest's cut/splice oracle (random
-# columns, shard_bits and leaf sizes); both honour DIFF_SEED (CI runs extra
-# seeds).
+# Differential trace harness, the forest's cut/splice oracle (random
+# columns, shard_bits and leaf sizes) and the golden-builder equivalence
+# harness (lbvh, median and SAH against rtx/_reference.py); all honour
+# DIFF_SEED (CI runs extra seeds).
 test-diff:
-	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py
+	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py tests/test_engine_equivalence.py
 
 # Cursor-pagination harness (index-level + serve-level); honours DIFF_SEED
 # (CI runs extra seeds alongside test-diff).

@@ -9,8 +9,10 @@ engine reproduces these implementations bit for bit — identical tree
 topology, ``prim_indices`` permutation, hit sets and traversal counters —
 and ``benchmarks/perf_smoke.py`` measures the speedup against them.
 
-Nothing in the production paths imports this module; it exists purely so
-equivalence and performance claims stay checkable as the engine evolves.
+The LBVH reference keeps its own byte-table Morton encoder over ``(n, 3)``
+rows, an independent check of the engine's shift-and-mask codes.  Nothing in
+the production paths imports this module; it exists purely so equivalence
+and performance claims stay checkable as the engine evolves.
 """
 
 from __future__ import annotations
@@ -26,8 +28,67 @@ from repro.rtx.geometry import (
     ray_box_overlap_pairs,
     ray_box_overlap_pairs_with_entry,
 )
-from repro.rtx.morton import morton_encode_3d
 from repro.rtx.traversal import HitRecords, TraversalCounters
+
+
+# --------------------------------------------------------------------------- #
+# reference Morton codes (byte-table expansion over (n, 3) rows)
+# --------------------------------------------------------------------------- #
+
+
+def _byte_expansion_table() -> np.ndarray:
+    """256-entry table mapping a byte to its 3-way bit expansion (24 bits)."""
+    table = np.zeros(256, dtype=np.uint64)
+    for bit in range(8):
+        table |= ((np.arange(256, dtype=np.uint64) >> np.uint64(bit)) & np.uint64(1)) << np.uint64(3 * bit)
+    return table
+
+
+_EXPAND_BYTE = _byte_expansion_table()
+
+
+def reference_expand_bits_3(values: np.ndarray, bits: int) -> np.ndarray:
+    """Spread the lowest ``bits`` bits of each value so that two zero bits
+    separate consecutive payload bits (the classic Morton interleave step).
+
+    Evaluated one byte at a time through a precomputed 256-entry table (three
+    gathers for the full 21-bit range) instead of one pass per bit; the
+    resulting codes are identical integers either way.
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    if bits < 64:
+        values = values & np.uint64((1 << bits) - 1)
+    result = _EXPAND_BYTE[(values & np.uint64(0xFF)).astype(np.intp)]
+    for byte in range(1, (bits + 7) // 8):
+        chunk = (values >> np.uint64(8 * byte)) & np.uint64(0xFF)
+        result |= _EXPAND_BYTE[chunk.astype(np.intp)] << np.uint64(24 * byte)
+    return result
+
+
+def reference_quantize_to_grid_with_bounds(
+    points: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantise ``(n, 3)`` points onto the Morton grid over their bounds,
+    returning the grid and the bounds ``(lo, hi)``."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    extent = np.where(hi - lo > 0, hi - lo, 1.0)
+    cells = (1 << bits) - 1
+    normalized = (pts - lo) / extent
+    grid = np.minimum((normalized * cells).astype(np.uint64), np.uint64(cells))
+    return grid, lo, hi
+
+
+def reference_morton_encode_3d(points: np.ndarray, bits: int = 21) -> np.ndarray:
+    """Morton-encode ``(n, 3)`` float points using ``bits`` bits per axis."""
+    if not 1 <= bits <= 21:
+        raise ValueError("bits must be in [1, 21]")
+    grid, _, _ = reference_quantize_to_grid_with_bounds(points, bits)
+    x = reference_expand_bits_3(grid[:, 0], bits)
+    y = reference_expand_bits_3(grid[:, 1], bits)
+    z = reference_expand_bits_3(grid[:, 2], bits)
+    return (x << np.uint64(2)) | (y << np.uint64(1)) | z
 
 
 # --------------------------------------------------------------------------- #
@@ -52,7 +113,7 @@ def reference_build_bvh(
     centroids = 0.5 * (prim_mins + prim_maxs)
 
     if options.builder == "lbvh":
-        codes = morton_encode_3d(centroids, options.morton_bits)
+        codes = reference_morton_encode_3d(centroids, options.morton_bits)
         order = np.argsort(codes, kind="stable")
         splitter = _ReferenceLbvhSplitter(centroids, order, options)
     elif options.builder == "sah":
@@ -65,12 +126,6 @@ def reference_build_bvh(
     builder = _ReferenceTopDownBuilder(prim_mins, prim_maxs, options, splitter)
     bvh = builder.build(order)
     bvh.num_primitives = n
-    bvh.build_stats = {
-        "builder": options.builder,
-        "num_primitives": n,
-        "node_count": bvh.node_count,
-        "leaf_count": bvh.leaf_count,
-    }
     return bvh
 
 
@@ -155,7 +210,7 @@ class _ReferenceMedianSplitter:
 
 class _ReferenceLbvhSplitter:
     def __init__(self, centroids, order, options):
-        codes = morton_encode_3d(centroids, options.morton_bits)
+        codes = reference_morton_encode_3d(centroids, options.morton_bits)
         self.sorted_codes = codes[order]
         self.options = options
 

@@ -20,16 +20,20 @@ design space:
 
 The build itself is *level-synchronous*: instead of popping one node at a
 time off a Python work stack, every tree level is processed as one batch of
-NumPy passes — segment reductions compute all node bounds of a level at
-once, and each splitter computes every split of the level in vectorised
-form.  This is how GPU builders are actually organised, and it removes the
-interpreter from the per-node hot path entirely.  The emitted node numbering
-is renumbered to the depth-first order the original stack-based builder
-produced, so trees are bit-identical with the golden reference in
-:mod:`repro.rtx._reference` (checked by ``tests/test_engine_equivalence.py``).
-That numbering is also what lets the Morton-prefix sharded forest
-(:mod:`repro.rtx.forest`) cut this tree into shards and splice them back
-without renumbering it.
+NumPy passes — each splitter computes every split of the level in
+vectorised form, and one bottom-up pass fits all node bounds.  This is how
+GPU builders are actually organised, and it removes the interpreter from
+the per-node hot path entirely.  Primitive data flows as ``(3, n)`` per-axis
+columns (:func:`box_columns`): float64 centroids for the Morton grid, and
+six float32 box columns for the fit, which is exact because rounding to
+float32 is monotone.  The LBVH orders its codes with :func:`sort_codes`,
+the default sort plus a fix-up of equal-code runs, which returns the stable
+sort's order.  The emitted node numbering is renumbered to the depth-first
+order the original stack-based builder produced, so trees are bit-identical
+with the golden reference in :mod:`repro.rtx._reference` (checked by
+``tests/test_engine_equivalence.py``).  That numbering is also what lets the
+Morton-prefix sharded forest (:mod:`repro.rtx.forest`) cut this tree into
+shards and splice them back without renumbering it.
 
 The BVH is stored as a structure of arrays so traversal can read node bounds
 without per-node Python objects.
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.rtx.geometry import PrimitiveBuffer
-from repro.rtx.morton import morton_encode_3d
+from repro.rtx.morton import morton_encode_3d, require_finite
 
 #: Modelled allocation size of one BVH node before/after compaction (bytes).
 #: Compaction removes allocation slack but does not shrink what a traversal
@@ -147,7 +151,6 @@ class Bvh:
     compacted: bool = False
     #: filled by refits so lookup-quality degradation can be inspected
     refit_generation: int = 0
-    build_stats: dict = field(default_factory=dict)
     #: lazily computed list of per-level node-id arrays (root level first);
     #: shared by ``depth()``, ``statistics()`` and the vectorised refit, and
     #: carried over by compaction since the topology is unchanged.
@@ -259,40 +262,65 @@ def build_bvh(
     This is the software analogue of ``optixAccelBuild`` with
     ``OPTIX_BUILD_OPERATION_BUILD``.  ``options.shard_bits`` plays no part:
     :func:`repro.rtx.forest.build_forest` runs this same lbvh build and
-    cuts the result into shards.
+    cuts the result into shards.  A primitive with a non-finite bound
+    raises ``ValueError`` naming its row.
     """
     options = options or BvhBuildOptions()
     options.validate()
-    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
-    n = prim_mins.shape[0]
+    prim_mins, prim_maxs = box_columns(primitive_buffer)
+    n = prim_mins.shape[1]
     if n == 0:
         raise ValueError("cannot build a BVH over zero primitives")
-
-    centroids = 0.5 * (prim_mins + prim_maxs)
+    centroids = centroid_columns(prim_mins, prim_maxs)
 
     if options.builder == "lbvh":
-        codes = morton_encode_3d(centroids, options.morton_bits)
-        order = np.argsort(codes, kind="stable")
-        splitter = _LbvhSplitter(codes[order], options)
-    elif options.builder == "sah":
-        order = np.arange(n, dtype=np.int64)
-        splitter = _SahSplitter(centroids, prim_mins, prim_maxs, options)
+        codes = morton_encode_3d(centroids.T, options.morton_bits)
+        order, sorted_codes = sort_codes(codes)
+        splitter = _LbvhSplitter(sorted_codes)
     else:
+        require_finite(
+            np.concatenate([centroids.min(axis=1), centroids.max(axis=1)]), centroids
+        )
         order = np.arange(n, dtype=np.int64)
-        splitter = _MedianSplitter(centroids, options)
+        if options.builder == "sah":
+            splitter = _SahSplitter(centroids.T, prim_mins.T, prim_maxs.T, options)
+        else:
+            splitter = _MedianSplitter(centroids.T)
 
-    builder = _LevelSynchronousBuilder(prim_mins, prim_maxs, options, splitter)
-    bvh = builder.build(order)
-    bvh.num_primitives = n
-    bvh.build_stats = {
-        "builder": options.builder,
-        "num_primitives": n,
-        "node_count": bvh.node_count,
-        "leaf_count": bvh.leaf_count,
-    }
-    return bvh
+    return _build_levels(order, prim_mins, prim_maxs, options, splitter)
+
+
+def box_columns(primitive_buffer: PrimitiveBuffer) -> tuple[np.ndarray, np.ndarray]:
+    """The buffer's AABBs as ``(mins, maxs)``, each one ``(3, n)`` row per axis."""
+    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
+    return np.ascontiguousarray(prim_mins.T), np.ascontiguousarray(prim_maxs.T)
+
+
+def centroid_columns(prim_mins: np.ndarray, prim_maxs: np.ndarray) -> np.ndarray:
+    """Float64 centroids of ``(3, n)`` box columns, one row per axis."""
+    centroids = np.add(prim_mins, prim_maxs, dtype=np.float64)
+    centroids *= 0.5
+    return centroids
+
+
+def sort_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, codes[order])`` with ``order == np.argsort(codes, kind="stable")``.
+
+    The default sort is several times faster than the stable one and gives
+    the same order where codes are distinct.  Equal codes (duplicate keys)
+    tie, so one sort of the packed keys ``run * n + row`` over the tied
+    positions alone puts each equal-code run's rows back in ascending order.
+    """
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    same = sorted_codes[1:] == sorted_codes[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        run = np.cumsum(np.r_[True, ~same[tied[1:] - 1]]) * codes.shape[0]
+        packed = run + order[tied]
+        packed.sort()
+        order[tied] = packed - run
+    return order, sorted_codes
 
 
 #: The arrays that define a BVH's observable behaviour.  Everything the
@@ -369,20 +397,17 @@ def build_lbvh_over_sorted(
     """Build an LBVH over primitives *already sorted* by Morton code.
 
     ``order`` lists the primitive rows in code order and becomes the tree's
-    ``prim_indices``; ``prim_mins`` / ``prim_maxs`` are float64 bounds
-    indexed by row.  Without ``order`` the bounds are already in code order
-    and ``prim_indices`` is ``0..m-1`` — how the forest builds one shard.
-    Runs the same level-synchronous machinery as :func:`build_bvh`, so with
-    ``order`` set to the stable code sort the tree is ``build_bvh``'s, and a
-    shard's tree equals the matching subtree of it.
+    ``prim_indices``; ``prim_mins`` / ``prim_maxs`` are ``(n, 3)`` bounds
+    indexed by row (fastest as ``.T`` views of :func:`box_columns`).  Without
+    ``order`` the bounds are already in code order and ``prim_indices`` is
+    ``0..m-1`` — how the forest builds one shard.  Runs the same machinery
+    as :func:`build_bvh`, so with ``order`` set to the stable code sort the
+    tree is ``build_bvh``'s, and a shard's tree equals the matching subtree.
     """
     if order is None:
         order = np.arange(sorted_codes.shape[0], dtype=np.int64)
-    splitter = _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64), options)
-    builder = _LevelSynchronousBuilder(prim_mins, prim_maxs, options, splitter)
-    bvh = builder.build(order)
-    bvh.num_primitives = int(sorted_codes.shape[0])
-    return bvh
+    splitter = _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64))
+    return _build_levels(order, prim_mins.T, prim_maxs.T, options, splitter)
 
 
 # --------------------------------------------------------------------------- #
@@ -409,32 +434,44 @@ def fit_bounds_bottom_up(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit every node's bounds bottom-up, one vectorised pass per level.
 
-    Leaf bounds are one segment reduction over the concatenated leaf ranges;
-    inner bounds are the element-wise min/max of the two children, applied
-    level by level from the deepest level upwards.  Because min/max are
-    associative this yields bit-identical results to fitting each node
-    directly from its primitive range.  Shared by the builder and the refit
-    pass in :mod:`repro.rtx.refit`.
+    ``prim_mins`` / ``prim_maxs`` are ``(3, n)`` per-axis columns, and the
+    fit runs on six float32 node columns.  Leaves reduce their primitives;
+    inner nodes take the element-wise min/max of their two children, level
+    by level from the deepest upwards.  Min/max are associative, and
+    rounding to float32 is monotone so it commutes with them: the boxes are
+    bit-identical to fitting each node from its primitives in float64 and
+    casting to float32.  Returns ``(nodes, 3)`` float32 ``(mins, maxs)``.
+    Shared by the builder and the refit pass in :mod:`repro.rtx.refit`.
     """
     num_nodes = left.shape[0]
-    node_mins = np.empty((num_nodes, 3), dtype=prim_mins.dtype)
-    node_maxs = np.empty((num_nodes, 3), dtype=prim_maxs.dtype)
+    boxes = np.empty((2, 3, num_nodes), dtype=np.float32)
+    mins, maxs = boxes
 
-    leaves = np.flatnonzero(left < 0)
-    if leaves.size:
-        counts = prim_count[leaves]
-        offsets = np.cumsum(counts) - counts
-        gather = prim_indices[_concat_ranges(first_prim[leaves], counts)]
-        node_mins[leaves] = np.minimum.reduceat(prim_mins[gather], offsets, axis=0)
-        node_maxs[leaves] = np.maximum.reduceat(prim_maxs[gather], offsets, axis=0)
+    # The leaves tile the primitive stream: a scatter puts them in stream
+    # order, then one pass per leaf slot reduces every leaf's rows.
+    owner = np.full(prim_indices.shape[0], -1, dtype=np.int64)
+    owner[first_prim[left < 0]] = np.flatnonzero(left < 0)
+    leaves = owner[owner >= 0]
+    starts = first_prim[leaves]
+    last = starts + prim_count[leaves] - 1
+    slots = [np.minimum(starts + k, last) for k in range(1, int(prim_count[leaves].max()))]
+    sides = ((prim_mins, mins, np.minimum), (prim_maxs, maxs, np.maximum))
+    for columns, node_columns, reduce in sides:
+        for axis in range(3):
+            stream = columns[axis][prim_indices]
+            fitted = stream[starts]
+            for slot in slots:
+                reduce(fitted, stream[slot], out=fitted)
+            node_columns[axis, leaves] = fitted
 
     for level in reversed(levels):
         inner = level[left[level] >= 0]
         if inner.size:
             l, r = left[inner], right[inner]
-            node_mins[inner] = np.minimum(node_mins[l], node_mins[r])
-            node_maxs[inner] = np.maximum(node_maxs[l], node_maxs[r])
-    return node_mins, node_maxs
+            for axis in range(3):
+                mins[axis, inner] = np.minimum(mins[axis, l], mins[axis, r])
+                maxs[axis, inner] = np.maximum(maxs[axis, l], maxs[axis, r])
+    return np.ascontiguousarray(mins.T), np.ascontiguousarray(maxs.T)
 
 
 def _high_bit(values: np.ndarray) -> np.ndarray:
@@ -448,127 +485,87 @@ def _high_bit(values: np.ndarray) -> np.ndarray:
     return out
 
 
-class _LevelSynchronousBuilder:
+def _build_levels(order, prim_mins, prim_maxs, options, splitter) -> Bvh:
     """Top-down build where each tree level is one batch of array passes.
 
-    Node ids are allocated breadth-first during the build (children of a
-    level occupy one contiguous block), then renumbered to the depth-first
-    order of the original stack-based builder so the emitted arrays stay
-    bit-identical with the golden reference.
+    Node ids are allocated breadth-first (the children of a level are the
+    next level's block, in (left, right) pairs), then renumbered to the
+    stack-based builder's depth-first order, and the bounds are fitted from
+    the ``(3, n)`` columns ``prim_mins`` / ``prim_maxs`` in one final pass.
     """
+    prim_indices = np.array(order, dtype=np.int64, copy=True)
+    n = prim_indices.shape[0]
+    cap = max(2 * n - 1, 1)
+    left = np.full(cap, -1, dtype=np.int64)
+    first_prim = np.zeros(cap, dtype=np.int64)
+    prim_count = np.zeros(cap, dtype=np.int64)
 
-    def __init__(self, prim_mins, prim_maxs, options, splitter):
-        self.prim_mins = prim_mins
-        self.prim_maxs = prim_maxs
-        self.options = options
-        self.splitter = splitter
+    # Current level: node ids with their [start, end) ranges over
+    # prim_indices, kept sorted by start (ids are then contiguous too).
+    ids = np.zeros(1, dtype=np.int64)
+    starts = np.zeros(1, dtype=np.int64)
+    ends = np.full(1, n, dtype=np.int64)
+    num_nodes = 1
+    level_bounds: list[tuple[int, int]] = [(0, 1)]
 
-    def build(self, order: np.ndarray) -> Bvh:
-        prim_indices = np.array(order, dtype=np.int64, copy=True)
-        n = prim_indices.shape[0]
-        cap = max(2 * n - 1, 1)
-        left = np.full(cap, -1, dtype=np.int64)
-        right = np.full(cap, -1, dtype=np.int64)
-        first_prim = np.zeros(cap, dtype=np.int64)
-        prim_count = np.zeros(cap, dtype=np.int64)
+    while ids.size:
+        counts = ends - starts
+        leaf_mask = counts <= options.max_leaf_size
+        first_prim[ids[leaf_mask]] = starts[leaf_mask]
+        prim_count[ids[leaf_mask]] = counts[leaf_mask]
 
-        max_leaf = self.options.max_leaf_size
-        # Current level: node ids with their [start, end) ranges over
-        # prim_indices, kept sorted by start (ids are then contiguous too).
-        # The loop only derives the topology; bounds are fitted afterwards in
-        # one bottom-up pass, which touches every primitive once instead of
-        # once per level.
-        ids = np.zeros(1, dtype=np.int64)
-        starts = np.zeros(1, dtype=np.int64)
-        ends = np.full(1, n, dtype=np.int64)
-        num_nodes = 1
-        level_bounds: list[tuple[int, int]] = [(0, 1)]
+        split_mask = ~leaf_mask
+        s_ids = ids[split_mask]
+        if s_ids.size == 0:
+            break
+        s_starts = starts[split_mask]
+        s_ends = ends[split_mask]
+        splits = splitter.split_level(prim_indices, s_starts, s_ends)
+        # Ranges the splitter could not separate (identical Morton codes
+        # or identical centroids) fall back to a median split by index,
+        # as GPU builders do.
+        fallback = (splits <= s_starts) | (splits >= s_ends)
+        splits = np.where(fallback, s_starts + (s_ends - s_starts) // 2, splits)
 
-        while ids.size:
-            counts = ends - starts
-            leaf_mask = counts <= max_leaf
-            leaf_ids = ids[leaf_mask]
-            first_prim[leaf_ids] = starts[leaf_mask]
-            prim_count[leaf_ids] = counts[leaf_mask]
+        # Next level, interleaved (left0, right0, left1, right1, ...) so
+        # ranges stay sorted by start and ids stay contiguous; each right
+        # child is its left sibling's id plus one.
+        k = s_ids.shape[0]
+        left[s_ids] = num_nodes + 2 * np.arange(k, dtype=np.int64)
+        ids = num_nodes + np.arange(2 * k, dtype=np.int64)
+        starts = np.stack([s_starts, splits], axis=1).ravel()
+        ends = np.stack([splits, s_ends], axis=1).ravel()
+        num_nodes += 2 * k
+        level_bounds.append((num_nodes - 2 * k, num_nodes))
 
-            split_mask = ~leaf_mask
-            s_ids = ids[split_mask]
-            if s_ids.size == 0:
-                break
-            s_starts = starts[split_mask]
-            s_ends = ends[split_mask]
-            splits = self.splitter.split_level(prim_indices, s_starts, s_ends)
-            # Ranges the splitter could not separate (identical Morton codes
-            # or identical centroids) fall back to a median split by index,
-            # as GPU builders do.
-            fallback = (splits <= s_starts) | (splits >= s_ends)
-            splits = np.where(
-                fallback, s_starts + (s_ends - s_starts) // 2, splits
-            )
-
-            k = s_ids.shape[0]
-            child_base = num_nodes
-            left_ids = child_base + 2 * np.arange(k, dtype=np.int64)
-            right_ids = left_ids + 1
-            left[s_ids] = left_ids
-            right[s_ids] = right_ids
-
-            # Next level, interleaved (left0, right0, left1, right1, ...) so
-            # ranges stay sorted by start and ids stay contiguous.
-            ids = child_base + np.arange(2 * k, dtype=np.int64)
-            new_starts = np.empty(2 * k, dtype=np.int64)
-            new_ends = np.empty(2 * k, dtype=np.int64)
-            new_starts[0::2] = s_starts
-            new_ends[0::2] = splits
-            new_starts[1::2] = splits
-            new_ends[1::2] = s_ends
-            starts, ends = new_starts, new_ends
-            num_nodes += 2 * k
-            level_bounds.append((child_base, num_nodes))
-
-        left = left[:num_nodes]
-        right = right[:num_nodes]
-        first_prim = first_prim[:num_nodes]
-        prim_count = prim_count[:num_nodes]
-        bfs_levels = [
-            np.arange(ls, le, dtype=np.int64) for ls, le in level_bounds
-        ]
-        node_mins, node_maxs = fit_bounds_bottom_up(
-            left, right, first_prim, prim_count,
-            prim_indices, self.prim_mins, self.prim_maxs, bfs_levels,
-        )
-
-        perm = _dfs_renumbering(left, right, bfs_levels)
-        out_mins = np.empty((num_nodes, 3), dtype=np.float32)
-        out_maxs = np.empty((num_nodes, 3), dtype=np.float32)
-        out_left = np.empty(num_nodes, dtype=np.int64)
-        out_right = np.empty(num_nodes, dtype=np.int64)
-        out_first = np.empty(num_nodes, dtype=np.int64)
-        out_count = np.empty(num_nodes, dtype=np.int64)
-        out_mins[perm] = node_mins.astype(np.float32)
-        out_maxs[perm] = node_maxs.astype(np.float32)
-        safe_left = np.maximum(left, 0)
-        safe_right = np.maximum(right, 0)
-        out_left[perm] = np.where(left >= 0, perm[safe_left], -1)
-        out_right[perm] = np.where(right >= 0, perm[safe_right], -1)
-        out_first[perm] = first_prim
-        out_count[perm] = prim_count
-        return Bvh(
-            node_mins=out_mins,
-            node_maxs=out_maxs,
-            left=out_left,
-            right=out_right,
-            first_prim=out_first,
-            prim_count=out_count,
-            prim_indices=prim_indices,
-            num_primitives=n,
-            options=self.options,
-        )
+    left = left[:num_nodes]
+    perm = _dfs_renumbering(left, level_bounds)
+    out_left = np.full(num_nodes, -1, dtype=np.int64)
+    inner = np.flatnonzero(left >= 0)
+    out_left[perm[inner]] = perm[left[inner]]
+    out_right = np.where(out_left >= 0, out_left + 1, -1)
+    out_first = np.empty(num_nodes, dtype=np.int64)
+    out_count = np.empty(num_nodes, dtype=np.int64)
+    out_first[perm] = first_prim[:num_nodes]
+    out_count[perm] = prim_count[:num_nodes]
+    node_mins, node_maxs = fit_bounds_bottom_up(
+        out_left, out_right, out_first, out_count, prim_indices, prim_mins, prim_maxs,
+        [perm[ls:le] for ls, le in level_bounds],
+    )
+    return Bvh(
+        node_mins=node_mins,
+        node_maxs=node_maxs,
+        left=out_left,
+        right=out_right,
+        first_prim=out_first,
+        prim_count=out_count,
+        prim_indices=prim_indices,
+        num_primitives=n,
+        options=options,
+    )
 
 
-def _dfs_renumbering(
-    left: np.ndarray, right: np.ndarray, levels: list[np.ndarray]
-) -> np.ndarray:
+def _dfs_renumbering(left: np.ndarray, level_bounds: list[tuple[int, int]]) -> np.ndarray:
     """Map working node ids to the stack-based builder's numbering.
 
     The original builder popped ``(node, range)`` tuples off a Python list
@@ -576,46 +573,43 @@ def _dfs_renumbering(
     was popped.  That numbering is reconstructed without any per-node loop:
     subtree sizes (bottom-up) give each node's position in the right-first
     depth-first preorder (top-down), and the k-th inner node in that order
-    allocated ids ``2k + 1`` / ``2k + 2`` for its children.
+    allocated ids ``2k + 1`` / ``2k + 2`` for its children.  The positions
+    are distinct, so one scatter by position puts the inner nodes in order.
 
-    ``levels`` groups the working node ids by depth (root level first), as
-    the builder's breadth-first blocks.  A consequence the forest relies
-    on: every child id exceeds its parent's, ``right == left + 1``, and a
-    subtree whose root is the p-th inner node in that order and which holds
-    m inner nodes occupies its root id plus the contiguous block
-    ``[2p + 1, 2p + 2m]``.
+    ``level_bounds`` are the breadth-first blocks ``[start, end)``, so
+    children are strided slices of the next block.  The forest relies on a
+    consequence: every child id exceeds its parent's, ``right == left + 1``,
+    and a subtree rooted at the p-th inner node in that order with m inner
+    nodes occupies its root id plus the block ``[2p + 1, 2p + 2m]``.
     """
     num_nodes = left.shape[0]
+    blocks = [
+        (ls + np.flatnonzero(left[ls:le] >= 0), slice(le, end, 2), slice(le + 1, end, 2))
+        for (ls, le), (_, end) in zip(level_bounds, level_bounds[1:])
+    ]
     size = np.ones(num_nodes, dtype=np.int64)
-    for nodes in reversed(levels):
-        inner = nodes[left[nodes] >= 0]
-        if inner.size:
-            size[inner] += size[left[inner]] + size[right[inner]]
-
+    for inner, lefts, rights in reversed(blocks):
+        size[inner] += size[lefts] + size[rights]
     pos = np.zeros(num_nodes, dtype=np.int64)
-    for nodes in levels:
-        inner = nodes[left[nodes] >= 0]
-        if inner.size:
-            pos[right[inner]] = pos[inner] + 1
-            pos[left[inner]] = pos[inner] + 1 + size[right[inner]]
+    for inner, lefts, rights in blocks:
+        pos[rights] = pos[inner] + 1
+        pos[lefts] = pos[rights] + size[rights]
 
-    perm = np.empty(num_nodes, dtype=np.int64)
-    perm[0] = 0
-    inner_all = np.flatnonzero(left >= 0)
-    if inner_all.size:
-        ordered = inner_all[np.argsort(pos[inner_all], kind="stable")]
-        child_ids = 1 + 2 * np.arange(ordered.size, dtype=np.int64)
-        perm[left[ordered]] = child_ids
-        perm[right[ordered]] = child_ids + 1
+    by_pos = np.full(num_nodes, -1, dtype=np.int64)
+    inner = np.flatnonzero(left >= 0)
+    by_pos[pos[inner]] = inner
+    ordered = by_pos[by_pos >= 0]
+    perm = np.zeros(num_nodes, dtype=np.int64)
+    perm[left[ordered]] = 1 + 2 * np.arange(ordered.size, dtype=np.int64)
+    perm[left[ordered] + 1] = perm[left[ordered]] + 1
     return perm
 
 
 class _MedianSplitter:
     """Split at the object median along the widest centroid axis."""
 
-    def __init__(self, centroids, options):
+    def __init__(self, centroids):
         self.centroids = centroids
-        self.options = options
 
     def split_level(self, prim_indices, starts, ends):
         counts = ends - starts
@@ -653,9 +647,8 @@ class _LbvhSplitter:
     degrade traversal for pathological coordinate distributions.
     """
 
-    def __init__(self, sorted_codes, options):
+    def __init__(self, sorted_codes):
         self.sorted_codes = sorted_codes
-        self.options = options
 
     def split_level(self, prim_indices, starts, ends):
         codes = self.sorted_codes

@@ -11,13 +11,14 @@ when it spans buckets; such *mixed leaves* absorb their buckets, which keep
 their rows but carry no sub-tree.
 
 A forest is that one tree plus bookkeeping.  :func:`build_forest` runs the
-one LBVH build and *cuts* it: each bucket's rows are its slice of
-``prim_indices``, and each delegated bucket's sub-BVH is copied out in local
-numbering.  :func:`forest_from_saved` and :func:`delta_update_forest`
-*splice* shard sub-trees (persisted ones, or clean ones beside freshly
-rebuilt dirty ones) back into a tree bit-identical to the single build.  An
-update re-sorts and rebuilds only the shards that gained, lost or moved a
-primitive; one that changes nothing rebuilds nothing.
+one LBVH build over the per-axis columns a ``_Column`` holds (bounds, grid)
+and *cuts* it: each bucket's rows are its slice of ``prim_indices``, and
+each delegated bucket's sub-BVH is copied out in local numbering.
+:func:`forest_from_saved` and :func:`delta_update_forest` *splice* shard
+sub-trees (persisted ones, or clean ones beside freshly rebuilt dirty ones)
+back into a tree bit-identical to the single build.  An update re-sorts and
+rebuilds only the shards that gained, lost or moved a primitive; one that
+changes nothing rebuilds nothing.
 
 Both directions rest on the builder's numbering: the k-th inner node in
 right-first preorder gets the children ``2k + 1`` and ``2k + 2``.  So a
@@ -41,8 +42,11 @@ from repro.rtx.bvh import (
     BVH_ARRAY_FIELDS,
     Bvh,
     BvhBuildOptions,
+    box_columns,
     build_lbvh_over_sorted,
     bvh_from_arrays,
+    centroid_columns,
+    sort_codes,
 )
 from repro.rtx.geometry import PrimitiveBuffer
 from repro.rtx.morton import (
@@ -217,7 +221,9 @@ def _layout(
 
 @dataclass
 class _Column:
-    """What every forest pass derives from the primitive buffer alone."""
+    """What every forest pass derives from the primitive buffer alone.  The
+    bounds and the grid are ``(3, n)`` per-axis columns, whose ``.T`` views
+    are the ``(n, 3)`` inputs the Morton and build functions read fastest."""
 
     prim_mins: np.ndarray
     prim_maxs: np.ndarray
@@ -242,21 +248,20 @@ class _Column:
 
 
 def _column(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> _Column:
-    """Bounds, Morton grid, bucket partition and top plan of ``buffer``."""
-    prim_mins, prim_maxs = buffer.compute_aabbs()
-    if prim_mins.shape[0] == 0:
+    """Bounds, Morton grid, bucket partition and top plan of ``buffer``;
+    a primitive with a non-finite bound raises ``ValueError``."""
+    prim_mins, prim_maxs = box_columns(buffer)
+    if prim_mins.shape[1] == 0:
         raise ValueError(f"cannot {verb} a BVH forest over zero primitives")
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
     grid, lo, hi = quantize_to_grid_with_bounds(
-        0.5 * (prim_mins + prim_maxs), options.morton_bits
+        centroid_columns(prim_mins, prim_maxs).T, options.morton_bits
     )
     bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
     counts = np.bincount(bucket, minlength=1 << options.shard_bits)
     shard_vals = np.flatnonzero(counts).astype(np.uint64)
     shard_counts = counts[shard_vals.astype(np.int64)]
     plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    return _Column(prim_mins, prim_maxs, grid, lo, hi, bucket, shard_vals, shard_counts, plan)
+    return _Column(prim_mins, prim_maxs, grid.T, lo, hi, bucket, shard_vals, shard_counts, plan)
 
 
 def _forest(
@@ -483,8 +488,8 @@ def _splice(
             first_prim[node] = lo
             prim_count[node] = count
             gathered = rows_stream[lo : lo + count]
-            node_mins[node] = col.prim_mins[gathered].min(axis=0)
-            node_maxs[node] = col.prim_maxs[gathered].max(axis=0)
+            node_mins[node] = col.prim_mins[:, gathered].min(axis=1)
+            node_maxs[node] = col.prim_maxs[:, gathered].max(axis=1)
         else:
             l, r = _node(entry[1]), _node(entry[2])
             left[node] = l
@@ -531,10 +536,10 @@ def build_forest(
 
 def _build(col: _Column, options: BvhBuildOptions) -> BvhForest:
     """The one sort and LBVH build over ``col``, cut into shards."""
-    codes = morton_interleave_grid(col.grid, options.morton_bits)
-    order = np.argsort(codes, kind="stable")
+    codes = morton_interleave_grid(col.grid.T, options.morton_bits)
+    order, sorted_codes = sort_codes(codes)
     bvh = build_lbvh_over_sorted(
-        codes[order], col.prim_mins, col.prim_maxs, options, order=order
+        sorted_codes, col.prim_mins.T, col.prim_maxs.T, options, order=order
     )
     return _forest(col, options, bvh, _cut(bvh, col))
 
@@ -681,8 +686,10 @@ def delta_update_forest(
 
     old_mins, old_maxs = old_buffer.compute_aabbs()
     common = min(forest.num_primitives, n_new)
-    changed = (col.prim_mins[:common] != old_mins[:common]).any(axis=1)
-    changed |= (col.prim_maxs[:common] != old_maxs[:common]).any(axis=1)
+    changed = np.zeros(common, dtype=bool)
+    for axis in range(3):
+        changed |= col.prim_mins[axis, :common] != old_mins[:common, axis]
+        changed |= col.prim_maxs[axis, :common] != old_maxs[:common, axis]
     dirty = np.zeros(num_buckets, dtype=bool)
     dirty[forest.bucket_of_row[:common][changed]] = True
     dirty[col.bucket[:common][changed]] = True
@@ -736,12 +743,12 @@ def _sort_and_build(
     rows: np.ndarray, col: _Column, options: BvhBuildOptions, build_tree: bool, sort: bool = True
 ) -> tuple[np.ndarray, Bvh | None]:
     """Sort one bucket's rows by Morton code and optionally build its tree."""
-    codes = morton_interleave_grid(col.grid[rows], options.morton_bits)
+    codes = morton_interleave_grid(np.take(col.grid, rows, axis=1).T, options.morton_bits)
     if sort:
-        order = np.argsort(codes, kind="stable")
+        order, codes = sort_codes(codes)
         rows = rows[order]
-        codes = codes[order]
     tree = None
     if build_tree:
-        tree = build_lbvh_over_sorted(codes, col.prim_mins[rows], col.prim_maxs[rows], options)
+        mins, maxs = (np.take(c, rows, axis=1).T for c in (col.prim_mins, col.prim_maxs))
+        tree = build_lbvh_over_sorted(codes, mins, maxs, options)
     return rows, tree

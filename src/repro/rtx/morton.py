@@ -5,66 +5,78 @@ the scene bounds and sort them along a space-filling curve.  The grid has a
 fixed number of bits per axis, which is exactly why coordinate distributions
 with an enormous value range (Extended Mode with a large key-range ratio)
 collapse many primitives into the same cell and degrade the tree.
+
+Every pass reads its ``(n, 3)`` input one axis at a time, so the fast layout
+is the ``.T`` view of ``(3, n)`` per-axis columns, and grids come back in
+that layout too.  A code interleaves three axes of at most 21 bits, each
+spread by the classic five shift-and-mask steps over the whole column; no
+lookup table is involved.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _byte_expansion_table() -> np.ndarray:
-    """256-entry table mapping a byte to its 3-way bit expansion (24 bits)."""
-    table = np.zeros(256, dtype=np.uint64)
-    for bit in range(8):
-        table |= ((np.arange(256, dtype=np.uint64) >> np.uint64(bit)) & np.uint64(1)) << np.uint64(3 * bit)
-    return table
-
-
-_EXPAND_BYTE = _byte_expansion_table()
+#: ``(shift, mask)`` of the five steps that spread 21 bits two zero bits apart
+_SPREAD_STEPS = [
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF), (8, 0x100F00F00F00F00F),
+        (4, 0x10C30C30C30C30C3), (2, 0x1249249249249249),
+    )
+]
 
 
 def expand_bits_3(values: np.ndarray, bits: int) -> np.ndarray:
     """Spread the lowest ``bits`` bits of each value so that two zero bits
     separate consecutive payload bits (the classic Morton interleave step).
+    The masks hold 21 payload bits, so ``bits`` must be at most 21."""
+    if not 0 <= bits <= 21:
+        raise ValueError("bits must be in [0, 21]: the spread masks hold 21 bits")
+    x = np.asarray(values, dtype=np.uint64) & np.uint64((1 << bits) - 1)
+    shifted = np.empty_like(x)
+    for shift, mask in _SPREAD_STEPS:
+        np.left_shift(x, shift, out=shifted)
+        x |= shifted
+        x &= mask
+    return x
 
-    Evaluated one byte at a time through a precomputed 256-entry table (three
-    gathers for the full 21-bit range) instead of one pass per bit; the
-    resulting codes are identical integers either way.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    if bits < 64:
-        values = values & np.uint64((1 << bits) - 1)
-    result = _EXPAND_BYTE[(values & np.uint64(0xFF)).astype(np.intp)]
-    for byte in range(1, (bits + 7) // 8):
-        chunk = (values >> np.uint64(8 * byte)) & np.uint64(0xFF)
-        result |= _EXPAND_BYTE[chunk.astype(np.intp)] << np.uint64(24 * byte)
-    return result
+
+def require_finite(bounds: np.ndarray, *columns: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first non-finite row of ``columns``
+    (each ``(k, n)``) unless ``bounds``, min/max reductions over them that
+    the caller has anyway, are finite; only the error path searches rows."""
+    if not np.isfinite(bounds).all():
+        finite = np.logical_and.reduce([np.isfinite(c).all(axis=0) for c in columns])
+        row = int(np.flatnonzero(~finite)[0])
+        values = [c[:, row].tolist() for c in columns]
+        raise ValueError(f"primitive {row} has a non-finite coordinate: {values}")
 
 
 def quantize_to_grid_with_bounds(
     points: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantise points onto the Morton grid and return the bounds that
-    defined it.
+    """Quantise ``(n, 3)`` points onto the Morton grid and return the
+    bounds that defined it; a non-finite point raises ``ValueError``.
 
     The sharded forest build stores the returned ``(lo, hi)`` so delta
     updates can detect when the global grid itself moved (any change of the
     scene bounds re-quantises *every* code and dirties every shard).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    extent = np.where(hi - lo > 0, hi - lo, 1.0)
+    lo = np.array([pts[:, axis].min() for axis in range(3)])
+    hi = np.array([pts[:, axis].max() for axis in range(3)])
+    require_finite(np.concatenate([lo, hi]), pts.T)
     cells = (1 << bits) - 1
-    normalized = (pts - lo) / extent
-    grid = np.minimum((normalized * cells).astype(np.uint64), np.uint64(cells))
-    return grid, lo, hi
-
-
-def quantize_to_grid(points: np.ndarray, bits: int) -> np.ndarray:
-    """Quantise ``(n, 3)`` points onto a ``2**bits`` per-axis grid over their bounds."""
-    grid, _, _ = quantize_to_grid_with_bounds(points, bits)
-    return grid
+    grid = np.empty((3, pts.shape[0]), dtype=np.uint64)
+    for axis in range(3):
+        extent = hi[axis] - lo[axis]
+        scaled = pts[:, axis] - lo[axis]
+        scaled /= extent if extent > 0 else 1.0
+        scaled *= cells
+        grid[axis] = scaled
+        np.minimum(grid[axis], np.uint64(cells), out=grid[axis])
+    return grid.T, lo, hi
 
 
 def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:
@@ -75,10 +87,11 @@ def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:
     (a build) or only a dirty shard's rows (a delta update); the codes are
     the same integers either way.
     """
-    x = expand_bits_3(grid[:, 0], bits)
-    y = expand_bits_3(grid[:, 1], bits)
-    z = expand_bits_3(grid[:, 2], bits)
-    return (x << np.uint64(2)) | (y << np.uint64(1)) | z
+    codes = expand_bits_3(grid[:, 0], bits)
+    for axis in (1, 2):
+        codes <<= np.uint64(1)
+        codes |= expand_bits_3(grid[:, axis], bits)
+    return codes
 
 
 def morton_encode_3d(points: np.ndarray, bits: int = 21) -> np.ndarray:
@@ -89,7 +102,7 @@ def morton_encode_3d(points: np.ndarray, bits: int = 21) -> np.ndarray:
     """
     if not 1 <= bits <= 21:
         raise ValueError("bits must be in [1, 21]")
-    grid = quantize_to_grid(points, bits)
+    grid, _, _ = quantize_to_grid_with_bounds(points, bits)
     return morton_interleave_grid(grid, bits)
 
 
@@ -116,14 +129,3 @@ def morton_prefix_buckets(grid: np.ndarray, bits: int, prefix_bits: int) -> np.n
         bucket <<= 1
         bucket |= (axes[j % 3] >> (top - 1 - j // 3)) & 1
     return bucket.astype(np.int64)
-
-
-def morton_decode_3d(codes: np.ndarray, bits: int = 21) -> np.ndarray:
-    """Inverse of the interleave step: recover grid coordinates from codes."""
-    codes = np.asarray(codes, dtype=np.uint64)
-    coords = np.zeros((codes.shape[0], 3), dtype=np.uint64)
-    for bit in range(bits):
-        coords[:, 0] |= ((codes >> np.uint64(3 * bit + 2)) & np.uint64(1)) << np.uint64(bit)
-        coords[:, 1] |= ((codes >> np.uint64(3 * bit + 1)) & np.uint64(1)) << np.uint64(bit)
-        coords[:, 2] |= ((codes >> np.uint64(3 * bit)) & np.uint64(1)) << np.uint64(bit)
-    return coords

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rtx.bvh import Bvh, fit_bounds_bottom_up
+from repro.rtx.bvh import Bvh, box_columns, fit_bounds_bottom_up
 from repro.rtx.geometry import PrimitiveBuffer
+from repro.rtx.morton import require_finite
 
 
 @dataclass
@@ -58,22 +59,20 @@ def refit_accel(bvh: Bvh, primitives: PrimitiveBuffer) -> RefitResult:
         )
 
     area_before = float(bvh.surface_areas().sum())
-    prim_mins, prim_maxs = primitives.compute_aabbs()
-    prim_mins = prim_mins.astype(np.float64)
-    prim_maxs = prim_maxs.astype(np.float64)
-
-    # Level-synchronous bottom-up pass: all leaves are refitted with one
-    # segment reduction, then each level's inner nodes take the element-wise
-    # min/max of their children — the same arithmetic as a per-node reverse
-    # sweep, without the per-node interpreter loop.  The level grouping is
-    # cached on the Bvh since refits never change the topology.
+    prim_mins, prim_maxs = box_columns(primitives)
+    # Level-synchronous bottom-up pass over float32 per-axis columns: the
+    # same arithmetic as a per-node reverse sweep, without the per-node
+    # interpreter loop.  The level grouping is cached on the Bvh since
+    # refits never change the topology.  The root box is finite exactly
+    # when every primitive is; a failed refit leaves the tree untouched.
     node_mins, node_maxs = fit_bounds_bottom_up(
         bvh.left, bvh.right, bvh.first_prim, bvh.prim_count,
         bvh.prim_indices, prim_mins, prim_maxs, bvh.level_ranges(),
     )
+    require_finite(np.concatenate([node_mins[0], node_maxs[0]]), prim_mins, prim_maxs)
 
-    bvh.node_mins = node_mins.astype(np.float32)
-    bvh.node_maxs = node_maxs.astype(np.float32)
+    bvh.node_mins = node_mins
+    bvh.node_maxs = node_maxs
     bvh.refit_generation += 1
 
     area_after = float(bvh.surface_areas().sum())

@@ -14,7 +14,12 @@ seed implementations preserved verbatim in :mod:`repro.rtx._reference`:
 * the refit pass must produce bit-identical refitted bounds;
 * the hash-table bulk build must match the sequential insert loop's probe
   statistics, per-group occupancy and lookup results.
+
+The builder cases draw their columns from ``DIFF_SEED`` (env var) as well as
+their fixed seeds, so CI's extra seeds check the build chain on new columns.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from repro.rtx.traversal import HitRecords, TraversalEngine
 
 BUILDERS = ["lbvh", "median", "sah"]
 PRIMITIVES = ["triangle", "sphere", "aabb"]
+DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 
 
 def _workloads(rng):
@@ -65,7 +71,7 @@ def _assert_same_tree(built, golden):
 @pytest.mark.parametrize("builder", BUILDERS)
 class TestBuilderEquivalence:
     def test_trees_bit_identical(self, builder):
-        rng = np.random.default_rng(42)
+        rng = np.random.default_rng([42, DIFF_SEED])
         for name, points in _workloads(rng).items():
             for max_leaf_size in (1, 4):
                 buffer = TriangleBuffer(make_triangle_vertices(points))
@@ -75,7 +81,7 @@ class TestBuilderEquivalence:
                 )
 
     def test_trees_identical_across_primitive_types(self, builder):
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng([7, DIFF_SEED])
         points = rng.uniform(0, 500, size=(200, 3))
         for primitive in PRIMITIVES:
             buffer = build_input_for_points(primitive, points).primitive_buffer()
@@ -85,7 +91,7 @@ class TestBuilderEquivalence:
             )
 
     def test_depth_and_leaves_match_reference(self, builder):
-        rng = np.random.default_rng(3)
+        rng = np.random.default_rng([3, DIFF_SEED])
         buffer = TriangleBuffer(
             make_triangle_vertices(rng.uniform(0, 100, size=(257, 3)))
         )
@@ -94,6 +100,16 @@ class TestBuilderEquivalence:
         golden = reference_build_bvh(buffer, options)
         assert built.depth() == _reference_depth(golden)
         assert built.leaf_count == golden.leaf_count
+
+    def test_duplicate_keys_at_4096(self, builder):
+        # 2^12 keys drawn from 1,500 values, so most keys repeat: the equal
+        # Morton codes exercise the tie-aware sort's run fix-up.
+        rng = np.random.default_rng([12, DIFF_SEED])
+        keys = rng.integers(0, 1500, size=1 << 12)
+        points = np.column_stack([keys, np.zeros(keys.size), np.zeros(keys.size)])
+        buffer = build_input_for_points("triangle", points).primitive_buffer()
+        options = BvhBuildOptions(builder=builder)
+        _assert_same_tree(build_bvh(buffer, options), reference_build_bvh(buffer, options))
 
 
 def _reference_depth(bvh) -> int:

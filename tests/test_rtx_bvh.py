@@ -1,11 +1,23 @@
 """Tests for the BVH builders and their invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.rtx import bvh as bvh_module
+from repro.rtx._reference import reference_refit_bounds
 from repro.rtx.build_input import build_input_for_points
-from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
-from repro.rtx.geometry import TriangleBuffer, make_triangle_vertices
+from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh, fit_bounds_bottom_up, sort_codes
+from repro.rtx.forest import build_forest, delta_update_forest
+from repro.rtx.geometry import (
+    AabbBuffer,
+    AnchoredTriangleBuffer,
+    SphereBuffer,
+    TriangleBuffer,
+    make_triangle_vertices,
+)
+from repro.rtx.refit import refit_accel
 
 
 def _buffer(n: int, spread: str = "line") -> TriangleBuffer:
@@ -149,3 +161,148 @@ class TestBuildInputIntegration:
         box = build_input_for_points("aabb", points)
         assert tri.primitive_bytes > box.primitive_bytes > sph.primitive_bytes
         assert tri.num_primitives == sph.num_primitives == box.num_primitives == 10
+
+
+class TestSortCodes:
+    """The tie-aware sort returns ``argsort(kind="stable")``'s order."""
+
+    @staticmethod
+    def _codes(duplicate_share: float, n: int = 1 << 14) -> np.ndarray:
+        rng = np.random.default_rng(int(duplicate_share * 1000))
+        distinct = max(1, round(n * (1 - duplicate_share)))
+        values = rng.choice(1 << 62, size=distinct, replace=False).astype(np.uint64)
+        picks = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+        codes = values[rng.permutation(picks)]
+        assert np.unique(codes).size == distinct
+        return codes
+
+    @pytest.mark.parametrize("duplicate_share", [0.0, 0.5, 0.94, 0.999, 1.0])
+    def test_equals_the_stable_argsort(self, duplicate_share):
+        codes = self._codes(duplicate_share)
+        order, sorted_codes = sort_codes(codes)
+        want = np.argsort(codes, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(sorted_codes, codes[want])
+
+    @pytest.mark.parametrize(
+        "codes",
+        [[7], [3, 3], [5, 5, 1, 1, 1, 9, 5], [0, 2, 1, 2, 0], [1, 2, 3, 4], [4, 3, 2, 1]],
+    )
+    def test_runs_at_either_end(self, codes):
+        codes = np.array(codes, dtype=np.uint64)
+        order, _ = sort_codes(codes)
+        assert np.array_equal(order, np.argsort(codes, kind="stable"))
+
+
+class _Boxes:
+    """A stand-in primitive buffer whose bounds are given ``(n, 3)`` arrays."""
+
+    def __init__(self, mins: np.ndarray, maxs: np.ndarray):
+        self.mins, self.maxs = mins, maxs
+
+    def compute_aabbs(self):
+        return self.mins, self.maxs
+
+
+class TestFloat32Fit:
+    """The fit runs on float32 columns; rounding to float32 is monotone, so
+    it equals the golden float64 fit cast to float32."""
+
+    def test_build(self):
+        buffer = _buffer(700, spread="cloud")
+        for builder in ("lbvh", "sah", "median"):
+            bvh = build_bvh(buffer, BvhBuildOptions(builder=builder))
+            mins, maxs = reference_refit_bounds(bvh, buffer)
+            assert np.array_equal(bvh.node_mins, mins.astype(np.float32)), builder
+            assert np.array_equal(bvh.node_maxs, maxs.astype(np.float32)), builder
+
+    def test_refit(self):
+        rng = np.random.default_rng(12)
+        points = rng.uniform(0, 500, size=(600, 3))
+        bvh = build_bvh(
+            TriangleBuffer(make_triangle_vertices(points)), BvhBuildOptions(allow_update=True)
+        )
+        moved = TriangleBuffer(make_triangle_vertices(points[rng.permutation(600)]))
+        mins, maxs = reference_refit_bounds(bvh, moved)
+        refit_accel(bvh, moved)
+        assert np.array_equal(bvh.node_mins, mins.astype(np.float32))
+        assert np.array_equal(bvh.node_maxs, maxs.astype(np.float32))
+
+    def test_float64_columns_not_representable_in_float32(self):
+        # Float64 bounds that float32 cannot hold: fitting their float32
+        # roundings equals fitting them in float64 and rounding the result.
+        rng = np.random.default_rng(13)
+        bvh = build_bvh(_buffer(500, spread="cloud"), BvhBuildOptions(max_leaf_size=3))
+        mins = rng.uniform(-1e3, 1e3, size=(3, 500))
+        maxs = mins + rng.uniform(0, 1e-3, size=(3, 500))
+        topology = (bvh.left, bvh.right, bvh.first_prim, bvh.prim_count, bvh.prim_indices)
+        got = fit_bounds_bottom_up(
+            *topology, mins.astype(np.float32), maxs.astype(np.float32), bvh.level_ranges()
+        )
+        golden = reference_refit_bounds(bvh, _Boxes(mins.T, maxs.T))
+        for fitted, want in zip(got, golden):
+            assert fitted.dtype == np.float32 and fitted.flags["C_CONTIGUOUS"]
+            assert np.array_equal(fitted, want.astype(np.float32))
+
+
+def test_lbvh_build_calls_morton_encode_once(monkeypatch):
+    # Benchmarks time the Morton step by wrapping this module-level name.
+    shapes = []
+    encode = bvh_module.morton_encode_3d
+
+    def spy(points, bits=21):
+        shapes.append(points.shape)
+        return encode(points, bits)
+
+    monkeypatch.setattr(bvh_module, "morton_encode_3d", spy)
+    build_bvh(_buffer(300, spread="cloud"))
+    assert shapes == [(300, 3)]
+
+
+def _primitives(kind: str, value: float | None = None) -> object:
+    """64 primitives of ``kind``; ``value`` replaces the y coordinate of rows
+    17 and 40."""
+    points = np.random.default_rng(9).uniform(0, 100, size=(64, 3)).astype(np.float32)
+    if value is not None:
+        points[[17, 40], 1] = value
+    if kind == "aabb":
+        return AabbBuffer(points, points + 1)
+    if kind == "sphere":
+        return SphereBuffer(points)
+    return AnchoredTriangleBuffer(points)
+
+
+@pytest.mark.parametrize("kind", ["aabb", "sphere", "triangle"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+class TestNonFiniteRejected:
+    """A primitive with a non-finite bound fails the operation with a
+    ``ValueError`` naming its row, before any arithmetic warns."""
+
+    @staticmethod
+    def _rejects(operation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="primitive 17 "):
+                operation()
+
+    @pytest.mark.parametrize("builder", ["lbvh", "sah", "median"])
+    def test_build(self, kind, value, builder):
+        bad = _primitives(kind, value)
+        self._rejects(lambda: build_bvh(bad, BvhBuildOptions(builder=builder)))
+
+    def test_forest_build(self, kind, value):
+        bad = _primitives(kind, value)
+        self._rejects(lambda: build_forest(bad, BvhBuildOptions(shard_bits=3)))
+
+    def test_delta_update(self, kind, value):
+        good = _primitives(kind)
+        forest = build_forest(good, BvhBuildOptions(shard_bits=3))
+        self._rejects(lambda: delta_update_forest(forest, good, _primitives(kind, value)))
+
+    def test_refit(self, kind, value):
+        bvh = build_bvh(_primitives(kind), BvhBuildOptions(allow_update=True))
+        before = bvh.node_mins.copy(), bvh.node_maxs.copy()
+        self._rejects(lambda: refit_accel(bvh, _primitives(kind, value)))
+        assert np.array_equal(bvh.node_mins, before[0])
+        assert np.array_equal(bvh.node_maxs, before[1])
+        assert bvh.refit_generation == 0

@@ -38,7 +38,7 @@ from repro.rtx.forest import (
     forest_state_segments,
     plan_top_level,
 )
-from repro.rtx.geometry import TriangleBuffer, make_triangle_vertices
+from repro.rtx.geometry import AabbBuffer, TriangleBuffer, make_triangle_vertices
 from repro.rtx.morton import morton_encode_3d
 from repro.workloads import clustered_key_swaps, dense_shuffled_keys
 
@@ -215,6 +215,36 @@ class TestDeltaUpdate:
         _, stats, _ = self._check(forest, buf, new_xs, "local")
         assert 1 <= stats.dirty_shards < forest.non_empty_shards
         assert stats.dirty_keys < stats.total_keys
+
+    @staticmethod
+    def _lattice() -> np.ndarray:
+        grid = np.arange(16, dtype=np.float64)
+        return np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), -1).reshape(-1, 3)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_a_move_along_one_axis_is_seen(self, axis):
+        # Two rows swap their coordinate on one axis only, so only that
+        # axis's bounds columns tell the update what changed.
+        points = self._lattice()
+        buf = _buffer(points)
+        forest = build_forest(buf, BvhBuildOptions(shard_bits=6))
+        moved = points.copy()
+        moved[[5, 3000], axis] = points[[3000, 5], axis]
+        assert points[5, axis] != points[3000, axis]
+        updated, stats = delta_update_forest(forest, buf, _buffer(moved))
+        assert 1 <= stats.dirty_shards < forest.non_empty_shards
+        _assert_trees_equal(updated.bvh, build_bvh(_buffer(moved)), f"axis {axis}")
+
+    def test_a_box_that_only_grows_is_seen(self):
+        # Only one row's max corner moves: the update must diff maxs too.
+        mins = self._lattice().astype(np.float32)
+        buf = AabbBuffer(mins, mins + 0.5)
+        forest = build_forest(buf, BvhBuildOptions(shard_bits=6))
+        grown = mins + 0.5
+        grown[5, 1] += 0.25
+        updated, stats = delta_update_forest(forest, buf, AabbBuffer(mins, grown))
+        assert stats.dirty_shards >= 1 and not stats.rescaled
+        _assert_trees_equal(updated.bvh, build_bvh(AabbBuffer(mins, grown)), "grown")
 
     def test_chained_updates_stay_exact(self):
         rng = np.random.default_rng(5)

@@ -3,14 +3,34 @@
 import numpy as np
 import pytest
 
+from repro.rtx._reference import (
+    reference_expand_bits_3,
+    reference_morton_encode_3d,
+    reference_quantize_to_grid_with_bounds,
+)
 from repro.rtx.morton import (
     expand_bits_3,
-    morton_decode_3d,
     morton_encode_3d,
     morton_interleave_grid,
     morton_prefix_buckets,
-    quantize_to_grid,
+    quantize_to_grid_with_bounds,
 )
+
+
+def quantize_to_grid(points, bits):
+    grid, _, _ = quantize_to_grid_with_bounds(points, bits)
+    return grid
+
+
+def morton_decode_3d(codes, bits):
+    """Recover grid coordinates from codes, one bit at a time."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    coords = np.zeros((codes.shape[0], 3), dtype=np.uint64)
+    for bit in range(bits):
+        for axis in range(3):
+            payload = (codes >> np.uint64(3 * bit + 2 - axis)) & np.uint64(1)
+            coords[:, axis] |= payload << np.uint64(bit)
+    return coords
 
 
 class TestExpandBits:
@@ -29,6 +49,27 @@ class TestExpandBits:
         z = expand_bits_3(np.array([0b111]), 3)
         assert (x & y) == 0 and (x & z) == 0 and (y & z) == 0
 
+    def test_shift_and_mask_equals_the_golden_table(self):
+        # Every 21-bit value, against the byte-table expansion it replaced.
+        values = np.arange(1 << 21, dtype=np.uint64)
+        assert np.array_equal(expand_bits_3(values, 21), reference_expand_bits_3(values, 21))
+
+    @pytest.mark.parametrize("bits", [0, 1, 7, 8, 13, 20])
+    def test_bits_above_the_width_are_masked_off(self, bits):
+        values = np.random.default_rng(bits).integers(0, 1 << 63, 4096, dtype=np.uint64)
+        got = expand_bits_3(values, bits)
+        assert np.array_equal(got, reference_expand_bits_3(values, bits))
+
+    def test_input_is_not_modified(self):
+        values = np.arange(64, dtype=np.uint64)
+        expand_bits_3(values, 21)
+        assert np.array_equal(values, np.arange(64, dtype=np.uint64))
+
+    def test_more_than_21_bits_rejected(self):
+        # The five masks hold 21 payload bits; wider values would be cut.
+        with pytest.raises(ValueError, match="21"):
+            expand_bits_3(np.array([1], dtype=np.uint64), 22)
+
 
 class TestQuantize:
     def test_bounds_map_to_extremes(self):
@@ -43,6 +84,49 @@ class TestQuantize:
         # A collapsed axis quantises to cell 0 everywhere instead of dividing
         # by zero.
         assert grid[:, 1].tolist() == [0, 0]
+
+
+def _columns(kind: str, rng) -> np.ndarray:
+    """``(3, n)`` float64 per-axis columns of one quantisation case."""
+    n = 3000
+    if kind == "random":
+        return rng.uniform(-500, 500, size=(3, n))
+    if kind == "zero-extent":
+        cols = rng.uniform(0, 10, size=(3, n))
+        cols[1] = 7.25  # one axis collapsed to a single value
+        return cols
+    # 1e12-skewed: one axis spans twelve orders of magnitude more than the rest
+    return np.stack([rng.uniform(0, 1e12, n), rng.uniform(0, 1, n), np.zeros(n)])
+
+
+class TestQuantizeColumns:
+    @pytest.mark.parametrize("kind", ["random", "zero-extent", "skewed"])
+    @pytest.mark.parametrize("bits", [4, 21])
+    def test_per_axis_equals_golden_rows(self, kind, bits):
+        cols = _columns(kind, np.random.default_rng(bits))
+        want_grid, want_lo, want_hi = reference_quantize_to_grid_with_bounds(cols.T.copy(), bits)
+        # Both layouts: the .T view of (3, n) columns and plain (n, 3) rows.
+        for points in (cols.T, np.ascontiguousarray(cols.T)):
+            grid, lo, hi = quantize_to_grid_with_bounds(points, bits)
+            assert grid.shape == (cols.shape[1], 3)
+            assert np.array_equal(grid, want_grid)
+            assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+            assert np.array_equal(
+                morton_encode_3d(points, bits), reference_morton_encode_3d(points, bits)
+            )
+
+    def test_grid_axes_are_contiguous(self):
+        cols = _columns("random", np.random.default_rng(1))
+        grid, _, _ = quantize_to_grid_with_bounds(cols.T, 21)
+        assert all(grid[:, axis].flags["C_CONTIGUOUS"] for axis in range(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_named(self, value):
+        cols = _columns("random", np.random.default_rng(2))
+        cols[2, 41] = value
+        cols[0, 900] = value
+        with pytest.raises(ValueError, match="primitive 41 "):
+            quantize_to_grid_with_bounds(cols.T, 21)
 
 
 class TestMortonCodes:
