@@ -10,7 +10,6 @@ instead of refits for updates.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 
@@ -114,14 +113,25 @@ class KeyDecomposition:
 
 
 #: ``RXConfig.as_dict`` keys of fields that no longer exist.  Older snapshot
-#: manifests carry them (the sharded build's worker-pool options, and the
-#: point-trace-mode and range-limit knobs), so :meth:`RXConfig.from_dict`
-#: drops exactly these — except a non-null ``range_limit``, see there.
+#: manifests carry them (the sharded build's worker-pool options, the
+#: point-trace-mode and range-limit knobs, and the serving layer's policy,
+#: which :class:`repro.serve.IndexService` now takes as arguments), so
+#: :meth:`RXConfig.from_dict` drops exactly these — except a non-null
+#: ``range_limit``, see there.
 RETIRED_CONFIG_KEYS = (
     "build_workers",
     "build_backend",
     "point_trace_mode",
     "range_limit",
+    "serve_max_batch",
+    "serve_max_wait",
+    "serve_cache_capacity",
+    "serve_deadline",
+    "serve_max_queue",
+    "serve_retry_max",
+    "serve_retry_backoff",
+    "serve_retry_factor",
+    "serve_retry_jitter",
 )
 
 
@@ -151,31 +161,6 @@ class RXConfig:
     max_rays_per_range: int = 64
     #: bytes per entry of the projected value column (used for costing)
     value_bytes: int = 4
-    #: serving-layer knobs (:mod:`repro.serve`): the micro-batching scheduler
-    #: closes a coalesced launch once it holds ``serve_max_batch`` queries or
-    #: the oldest pending request has waited ``serve_max_wait`` seconds of
-    #: stream time, whichever comes first.
-    serve_max_batch: int = 4096
-    serve_max_wait: float = 1e-3
-    #: capacity (entries) of the serving layer's epoch-keyed result cache;
-    #: 0 disables caching.
-    serve_cache_capacity: int = 4096
-    #: default per-request deadline, relative seconds after arrival; ``None``
-    #: keeps requests deadline-free.  Requests whose deadline cannot be met
-    #: are rejected up front, and deadline-aware flushing closes windows
-    #: early enough that the flush still fits before the tightest deadline.
-    serve_deadline: float | None = None
-    #: admission-control bound on *pending queries* in the scheduler queue;
-    #: ``None`` keeps the queue unbounded.  Over the bound, requests are shed
-    #: with an explicit rejection carrying a retry-after hint.
-    serve_max_queue: int | None = None
-    #: retry policy for faulted coalesced launches: max retry attempts and
-    #: exponential backoff (``base * factor**attempt``, jittered upward by at
-    #: most ``jitter`` of itself).
-    serve_retry_max: int = 3
-    serve_retry_backoff: float = 1e-3
-    serve_retry_factor: float = 2.0
-    serve_retry_jitter: float = 0.1
 
     def validate(self) -> None:
         """Reject configurations the hardware (or float32) cannot express."""
@@ -230,64 +215,12 @@ class RXConfig:
             raise ValueError("max_leaf_size must be positive")
         if self.max_rays_per_range < 1:
             raise ValueError("max_rays_per_range must be positive")
-        if not 0 < self.sphere_radius < 0.5:  # NaN-proof, like serve_max_wait
+        if not 0 < self.sphere_radius < 0.5:  # NaN-proof: NaN fails every compare
             raise ValueError(
                 f"sphere_radius must lie in (0, 0.5) to keep gaps, got {self.sphere_radius}"
             )
         if self.value_bytes not in (4, 8):
             raise ValueError("value_bytes must be 4 or 8")
-        if self.serve_max_batch < 1:
-            raise ValueError(
-                f"serve_max_batch must be at least 1, got {self.serve_max_batch}"
-            )
-        if not self.serve_max_wait >= 0:  # NaN-proof: NaN fails every compare
-            raise ValueError(
-                f"serve_max_wait must be non-negative, got {self.serve_max_wait}"
-            )
-        if self.serve_cache_capacity < 0:
-            raise ValueError(
-                "serve_cache_capacity must be non-negative (0 disables), "
-                f"got {self.serve_cache_capacity}"
-            )
-        if self.serve_deadline is not None:
-            if not (self.serve_deadline > 0 and math.isfinite(self.serve_deadline)):
-                raise ValueError(
-                    "serve_deadline must be a positive, finite number of "
-                    f"seconds (or None to disable), got {self.serve_deadline}"
-                )
-            if self.serve_max_wait > self.serve_deadline:
-                raise ValueError(
-                    f"serve_max_wait ({self.serve_max_wait}) exceeds "
-                    f"serve_deadline ({self.serve_deadline}): every request "
-                    "would time out while still queued; lower serve_max_wait "
-                    "(serve_max_wait=0 flushes immediately and is allowed) or "
-                    "raise serve_deadline"
-                )
-        if self.serve_max_queue is not None and self.serve_max_queue < 1:
-            raise ValueError(
-                "serve_max_queue must be at least 1 query (or None for an "
-                f"unbounded queue), got {self.serve_max_queue}"
-            )
-        if self.serve_retry_max < 0:
-            raise ValueError(
-                f"serve_retry_max must be >= 0 (0 disables retries), "
-                f"got {self.serve_retry_max}"
-            )
-        if math.isnan(self.serve_retry_backoff) or self.serve_retry_backoff < 0:
-            raise ValueError(
-                "serve_retry_backoff must be a non-negative number of "
-                f"seconds, got {self.serve_retry_backoff}"
-            )
-        if math.isnan(self.serve_retry_factor) or self.serve_retry_factor < 1.0:
-            raise ValueError(
-                "serve_retry_factor must be >= 1.0 (backoff must not shrink), "
-                f"got {self.serve_retry_factor}"
-            )
-        if math.isnan(self.serve_retry_jitter) or not 0.0 <= self.serve_retry_jitter <= 1.0:
-            raise ValueError(
-                "serve_retry_jitter must be a fraction in [0, 1], "
-                f"got {self.serve_retry_jitter}"
-            )
 
     def with_updates_enabled(self) -> "RXConfig":
         """Copy of this config prepared for refit-style updates."""
@@ -340,15 +273,6 @@ class RXConfig:
             "sphere_radius": self.sphere_radius,
             "max_rays_per_range": self.max_rays_per_range,
             "value_bytes": self.value_bytes,
-            "serve_max_batch": self.serve_max_batch,
-            "serve_max_wait": self.serve_max_wait,
-            "serve_cache_capacity": self.serve_cache_capacity,
-            "serve_deadline": self.serve_deadline,
-            "serve_max_queue": self.serve_max_queue,
-            "serve_retry_max": self.serve_retry_max,
-            "serve_retry_backoff": self.serve_retry_backoff,
-            "serve_retry_factor": self.serve_retry_factor,
-            "serve_retry_jitter": self.serve_retry_jitter,
         }
 
     @staticmethod

@@ -29,6 +29,7 @@ __all__ = [
     "parse_cursor",
     "make_cursor_filter",
     "next_cursor_token",
+    "resume_after",
 ]
 
 
@@ -98,7 +99,7 @@ def parse_cursor(
     return cursor
 
 
-def make_cursor_filter(keys: np.ndarray, cursors, base_any_hit=None):
+def make_cursor_filter(keys: np.ndarray, cursors):
     """Exclusive per-lookup resume filter as an any-hit program.
 
     ``keys`` is the indexed key column (``keys[row_id]`` is the key of that
@@ -108,16 +109,14 @@ def make_cursor_filter(keys: np.ndarray, cursors, base_any_hit=None):
     no cursor or the row orders strictly after the cursor under the scan
     order ``(key, row_id)`` — so a cursor sitting on the first, middle or
     last primitive of a duplicate-key run excludes exactly the rows already
-    paid out.  Composes with ``base_any_hit`` (logical AND) when the
-    pipeline already filters intersections.
+    paid out.
 
-    Returns ``base_any_hit`` unchanged (possibly ``None``) when no lookup
-    carries a cursor — the first page must trace bit-identically to a plain
-    ordered lookup.
+    Returns ``None`` when no lookup carries a cursor — the first page must
+    trace bit-identically to a plain ordered lookup.
     """
     cursors = list(cursors)
     if not any(c is not None for c in cursors):
-        return base_any_hit
+        return None
 
     keys = np.asarray(keys, dtype=np.uint64)
     has_cursor = np.array([c is not None for c in cursors], dtype=bool)
@@ -131,16 +130,30 @@ def make_cursor_filter(keys: np.ndarray, cursors, base_any_hit=None):
     def cursor_any_hit(ray_indices, prim_indices, lookup_ids):
         prim_keys = keys[prim_indices]
         ck = cursor_keys[lookup_ids]
-        keep = (
+        return (
             ~has_cursor[lookup_ids]
             | (prim_keys > ck)
             | ((prim_keys == ck) & (prim_indices > cursor_rows[lookup_ids]))
         )
-        if base_any_hit is not None:
-            keep &= np.asarray(base_any_hit(ray_indices, prim_indices, lookup_ids))
-        return keep
 
     return cursor_any_hit
+
+
+def resume_after(keys: np.ndarray, lowers: np.ndarray, uppers: np.ndarray, cursors):
+    """Lower bounds and any-hit filter that resume each lookup past its cursor.
+
+    Each lookup with a cursor starts *at* the cursor key, not past it,
+    because duplicates may straddle the page boundary; the exclusive filter
+    of :func:`make_cursor_filter` then rejects the rows the previous page
+    already paid out.  Clamping to the upper bound keeps the ray batch
+    well-formed when the cursor ran past the range.  Returns
+    ``(lowers, any_hit)``; ``lowers`` is a copy.
+    """
+    lowers = np.array(lowers, dtype=np.uint64)
+    for i, cur in enumerate(cursors):
+        if cur is not None:
+            lowers[i] = min(max(int(lowers[i]), cur.key), int(uppers[i]))
+    return lowers, make_cursor_filter(keys, cursors)
 
 
 def next_cursor_token(keys: np.ndarray, page_rows: np.ndarray, limit: int) -> str | None:

@@ -36,7 +36,7 @@ from repro.core.config import (
     RXConfig,
     UpdatePolicy,
 )
-from repro.core.cursor import make_cursor_filter, next_cursor_token, parse_cursor
+from repro.core.cursor import next_cursor_token, parse_cursor, resume_after
 from repro.core.keycodec import make_codec
 from repro.core.results import (
     aggregate_values,
@@ -63,6 +63,7 @@ from repro.rtx.pipeline import (
     accel_compact,
     accel_delta_update,
     accel_update,
+    flagged_options,
 )
 
 #: Instructions the programmable pipeline stages execute per lookup / per hit.
@@ -394,23 +395,16 @@ class RXIndex(GpuIndex):
         limit = check_limit(limit)
         if limit is None:
             raise ValueError("order='key' requires a page size (limit)")
-        lower = int(lowers[0])
-        upper = int(uppers[0])
-        if upper < lower:
+        if uppers[0] < lowers[0]:
             raise ValueError("range lookups require upper >= lower")
         cur = parse_cursor(cursor, max_key=self.codec.max_key())
-        # Resume *at* the cursor key (duplicates may straddle the page
-        # boundary); the exclusive filter below rejects the already-paid
-        # rows of that key.  Clamping to the upper bound keeps the ray
-        # batch well-formed when the cursor ran past the range.
-        resume_lower = lower if cur is None else min(max(lower, cur.key), upper)
+        resume_lowers, any_hit = resume_after(self.keys, lowers, uppers, [cur])
         rays = self.codec.range_ray_batch(
-            np.array([resume_lower], dtype=np.uint64),
+            resume_lowers,
             uppers,
             self.config.range_ray_mode,
             max_rays_per_range=self.config.max_rays_per_range,
         )
-        any_hit = make_cursor_filter(self.keys, [cur], base_any_hit=pipeline.any_hit)
         launch = pipeline.launch(
             rays, num_lookups=1, mode="ordered_k", limit=limit, any_hit=any_hit
         )
@@ -710,18 +704,7 @@ class RXIndex(GpuIndex):
         build_input = self._make_build_input(self.keys)
         buffer = build_input.primitive_buffer()
         flags = self._build_flags()
-        base = self._bvh_options()
-        # Normalise exactly like accel_build so the restored options compare
-        # equal to the ones the original build ran with.
-        options = BvhBuildOptions(
-            builder=base.builder,
-            max_leaf_size=base.max_leaf_size,
-            sah_bins=base.sah_bins,
-            morton_bits=base.morton_bits,
-            allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
-            allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
-            shard_bits=base.shard_bits,
-        )
+        options = flagged_options(self._bvh_options(), flags)
         compacted = bool(meta.get("compacted", False))
         if meta.get("kind") == "forest":
             shards = [

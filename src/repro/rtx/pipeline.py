@@ -8,15 +8,15 @@ reads like the CUDA/OptiX code described in the paper:
 * :func:`accel_update`  — ``optixAccelBuild`` (update operation / refit)
 * :class:`Pipeline` and :meth:`Pipeline.launch` — ``optixPipeline`` + ``optixLaunch``
 
-A launch spawns one logical thread per ray (the paper spawns one per lookup),
-runs the ray-generation program, traces the rays against the accel, and feeds
-every intersection to the any-hit program.
+A launch takes the rays the ray-generation step made (the paper spawns one
+thread per lookup and builds its rays there), traces them against the
+accel, and feeds every intersection to the launch's any-hit program.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -33,14 +33,13 @@ from repro.rtx.traversal import HitRecords, TraversalCounters, TraversalEngine
 
 @dataclass
 class DeviceContext:
-    """Holds per-device state: the memory tracker and default build options.
+    """Holds per-device state: the memory tracker.
 
     The OptiX analogue is ``OptixDeviceContext``; ours additionally exposes
     the memory tracker that the paper's Table 6 numbers correspond to.
     """
 
     memory: DeviceMemoryTracker = field(default_factory=DeviceMemoryTracker)
-    default_build_options: BvhBuildOptions = field(default_factory=BvhBuildOptions)
 
 
 @dataclass
@@ -89,6 +88,17 @@ class GeometryAccel:
         return self.memory_info[key]
 
 
+def flagged_options(options: BvhBuildOptions | None, flags: BuildFlags) -> BvhBuildOptions:
+    """``options`` (default :class:`BvhBuildOptions`) with the update and
+    compaction bits taken from the build ``flags``: the options a build
+    with those flags runs with, and a load must restore."""
+    return replace(
+        options or BvhBuildOptions(),
+        allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
+        allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
+    )
+
+
 def accel_build(
     context: DeviceContext,
     build_input: BuildInput,
@@ -101,16 +111,7 @@ def accel_build(
     allocated for the duration of the build (and accounted in the tracker's
     peak), the resulting accel stays resident.
     """
-    options = build_options or context.default_build_options
-    options = BvhBuildOptions(
-        builder=options.builder,
-        max_leaf_size=options.max_leaf_size,
-        sah_bins=options.sah_bins,
-        morton_bits=options.morton_bits,
-        allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
-        allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
-        shard_bits=options.shard_bits,
-    )
+    options = flagged_options(build_options, flags)
 
     buffer = build_input.primitive_buffer()
     memory_info = accel_memory_estimate(buffer.kind, len(buffer))
@@ -259,16 +260,12 @@ class LaunchResult:
 class Pipeline:
     """A ray-tracing pipeline bound to one accel.
 
-    ``raygen`` converts launch parameters into a :class:`RayBatch` (the paper
-    converts each lookup range into ray origin/direction/tmin/tmax there);
-    ``any_hit`` optionally filters intersections (used by the AABB primitive,
-    whose intersection program re-checks the candidate in software).
+    Bind a new pipeline whenever the accel is rebuilt, refit or compacted:
+    the traversal engine is bound to the accel's tree at construction.
     """
 
     context: DeviceContext
     accel: GeometryAccel
-    raygen: Callable[..., RayBatch] | None = None
-    any_hit: Callable | None = None
     #: forwarded to :class:`TraversalEngine` — bounds the number of
     #: (ray, node) pairs materialised at once so huge launches stream in
     #: bounded-memory slices; counters and hits are identical either way.
@@ -291,28 +288,17 @@ class Pipeline:
     def engine(self) -> TraversalEngine:
         return self._engine
 
-    def refresh(self) -> None:
-        """Re-bind the traversal engine after a rebuild/refit of the accel."""
-        self._engine = TraversalEngine(
-            self.accel.bvh,
-            self.accel.build_input.primitive_buffer(),
-            max_frontier=self.max_frontier,
-        )
-
     def launch(
         self,
-        rays: RayBatch | None = None,
+        rays: RayBatch,
         num_lookups: int | None = None,
         mode: str = "all",
         limit: int | None = None,
         ray_groups: np.ndarray | None = None,
         any_hit: Callable | None = None,
-        **raygen_params,
     ) -> LaunchResult:
         """Launch the pipeline for a batch of rays.
 
-        Either pass a prepared :class:`RayBatch`, or rely on the pipeline's
-        ray-generation program by passing its parameters as keyword arguments.
         ``mode`` selects the trace semantics (see
         :meth:`repro.rtx.traversal.TraversalEngine.trace`): ``"all"`` reports
         every intersection, ``"first_k"`` stops each lookup after ``limit``
@@ -322,24 +308,20 @@ class Pipeline:
         and only valid with, the two budgeted modes).  ``ray_groups`` (one group id
         per ray) additionally splits the launch's counters per group — see
         :meth:`repro.rtx.traversal.TraversalEngine.trace`.  ``any_hit``
-        overrides the pipeline-level any-hit program for this launch only
-        (cursor resumes install a per-launch exclusive filter this way).
+        filters this launch's intersections (cursor resumes install a
+        per-launch exclusive filter this way).
         """
         if self.fault_injector is not None:
             self.fault_injector.check("launch")
             stall = self.fault_injector.latency("launch_latency")
             if stall > 0.0:
                 time.sleep(stall)
-        if rays is None:
-            if self.raygen is None:
-                raise ValueError("no rays given and no ray-generation program bound")
-            rays = self.raygen(**raygen_params)
         if num_lookups is None:
             num_lookups = int(rays.lookup_ids.max()) + 1 if len(rays) else 0
         self._engine.reset_counters()
         hits = self._engine.trace(
             rays,
-            any_hit=any_hit if any_hit is not None else self.any_hit,
+            any_hit=any_hit,
             mode=mode,
             limit=limit,
             ray_groups=ray_groups,

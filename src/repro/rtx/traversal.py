@@ -451,9 +451,6 @@ class TraversalEngine:
 
     bvh: Bvh
     primitives: PrimitiveBuffer
-    #: bytes charged per primitive intersection test (triangle data embedded
-    #: in the accel); derived from the primitive buffer when left at None.
-    prim_test_bytes: int | None = None
     #: The RTX hardware culls BVH nodes against the ray's *far* limit (tmax)
     #: but applies the *near* limit (tmin) only when testing primitives — the
     #: paper's Figure 6 / Table 3 measurements (rays "from zero" being far
@@ -566,10 +563,10 @@ class TraversalEngine:
         counters.rays = len(rays)
         bvh = self.bvh
         node_bytes = bvh.node_bytes()
-        per_prim_bytes = (
-            self.prim_test_bytes
-            if self.prim_test_bytes is not None
-            else max(self.primitives.primitive_bytes() // max(len(self.primitives), 1), 1)
+        # Bytes charged per primitive intersection test (the primitive data
+        # the accel embeds).
+        per_prim_bytes = max(
+            self.primitives.primitive_bytes() // max(len(self.primitives), 1), 1
         )
 
         n_rays = len(rays)

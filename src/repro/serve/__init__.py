@@ -8,21 +8,23 @@ bit:
   launch class, demux hits + counters bit-identically to solo launches.
 * :mod:`repro.serve.snapshot` — epoch snapshots: every in-flight batch is
   pinned to an immutable accel state, updates swap in atomically.
-* :mod:`repro.serve.cache` — epoch-keyed result cache with skew-aware
-  (sampled-LFU) eviction, invalidated by epoch advance.
-* :mod:`repro.serve.service` — the front end: submission, flushing, update
-  coordination, and open/closed-loop replay drivers with latency stats.
+* :mod:`repro.serve.cache` — epoch-keyed LRU result cache, invalidated by
+  epoch advance.
+* :mod:`repro.serve.service` — the front end: submission, admission,
+  flushing, update coordination, and open/closed-loop replay drivers with
+  latency stats.  Its constructor arguments are the whole serving policy
+  (window size and wait, cache capacity, default deadline, queue bound,
+  retry policy); the index's ``RXConfig`` carries none of it.
 * :mod:`repro.serve.faults` — deterministic, seeded fault injection at every
   seam of the stack (launches, cache, updates, snapshot capture).
-* :mod:`repro.serve.resilience` — the failure semantics: per-request
-  deadlines, admission control, retry/backoff, explicit error results and
-  the failure accounting surfaced by ``IndexService.stats()``.
+* :mod:`repro.serve.resilience` — the failure semantics: retry/backoff,
+  explicit error results and the failure accounting surfaced by
+  ``IndexService.stats()``.
 """
 
 from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.faults import FAULT_SITES, FaultInjector, FaultSpec, InjectedFault
 from repro.serve.resilience import (
-    AdmissionController,
     LaunchExhausted,
     RequestFailure,
     RetryPolicy,
@@ -40,7 +42,6 @@ from repro.serve.service import IndexService, ReplayReport
 from repro.serve.snapshot import EpochManager, EpochSnapshot
 
 __all__ = [
-    "AdmissionController",
     "CacheStats",
     "EpochManager",
     "EpochSnapshot",

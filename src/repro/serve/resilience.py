@@ -12,9 +12,6 @@ answer for every fault :mod:`repro.serve.faults` can inject:
   construction: the replay re-launches the *same rays* against the *same
   pinned epoch snapshot*, so a retried result is bit-identical to a solo
   launch against that epoch.
-* :class:`AdmissionController` — bounded queue depth.  Over the bound the
-  service sheds load with a ``RetryAfter`` hint instead of growing the queue
-  (and hence latency) without bound.
 * :class:`ServeStats` — the failure accounting surfaced by
   ``IndexService.stats()["resilience"]``; the chaos bench's error-budget
   numbers come from here.
@@ -120,22 +117,6 @@ class RetryPolicy:
         if self.jitter == 0.0:
             return base
         return base * (1.0 + self.jitter * float(self._rng.random()))
-
-
-@dataclass
-class AdmissionController:
-    """Bounded-queue load shedding: admit or reject-with-RetryAfter.
-
-    ``max_queue`` bounds the *pending queries* (not requests) the scheduler
-    may hold; ``None`` keeps the unbounded PR 5 behaviour.
-    """
-
-    max_queue: int | None = None
-
-    def admits(self, pending_queries: int, incoming_queries: int) -> bool:
-        if self.max_queue is None:
-            return True
-        return pending_queries + incoming_queries <= self.max_queue
 
 
 @dataclass

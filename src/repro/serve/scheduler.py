@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.cursor import make_cursor_filter, next_cursor_token, parse_cursor
+from repro.core.cursor import next_cursor_token, parse_cursor, resume_after
 from repro.core.results import (
     aggregate_values,
     first_row_per_lookup,
@@ -248,7 +248,7 @@ class MicroBatchScheduler:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-        if max_wait < 0:
+        if not max_wait >= 0:  # NaN-proof: NaN fails every compare
             raise ValueError(f"max_wait must be non-negative, got {max_wait}")
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
@@ -276,10 +276,6 @@ class MicroBatchScheduler:
             self._min_deadline = min(self._min_deadline, request.deadline)
         self.stats.requests += 1
         self.stats.queries += request.num_queries
-
-    def deadline(self) -> float:
-        """Stream time at which the oldest pending request must flush."""
-        return self.flush_deadline(0.0)
 
     def flush_deadline(self, headroom: float = 0.0) -> float:
         """Stream time at which the pending window must flush.
@@ -369,7 +365,6 @@ class MicroBatchScheduler:
         total = int(starts[-1])
 
         any_hit = None
-        cursors: list = []
         if klass.kind == "point":
             queries = np.concatenate([r.queries for r in requests])
             rays = snapshot.codec.point_ray_batch(
@@ -379,19 +374,10 @@ class MicroBatchScheduler:
             lowers = np.concatenate([r.lowers for r in requests])
             uppers = np.concatenate([r.uppers for r in requests])
             if klass.mode == "ordered_k":
-                # One lookup per paged request: resume each scan *at* its
-                # cursor key (duplicates may straddle the page boundary) and
-                # let the exclusive per-lookup filter drop the rows the
-                # previous page already paid out — before they can consume
-                # any of this page's budget.
+                # One lookup per paged request, each resumed past its own
+                # cursor, exactly like RXIndex's single-page path.
                 cursors = [parse_cursor(r.cursor) for r in requests]
-                lowers = lowers.copy()
-                for i, cur in enumerate(cursors):
-                    if cur is not None:
-                        lowers[i] = min(max(int(lowers[i]), cur.key), int(uppers[i]))
-                any_hit = make_cursor_filter(
-                    snapshot.keys, cursors, base_any_hit=snapshot.pipeline.any_hit
-                )
+                lowers, any_hit = resume_after(snapshot.keys, lowers, uppers, cursors)
             rays = snapshot.codec.range_ray_batch(
                 lowers,
                 uppers,

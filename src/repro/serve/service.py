@@ -31,6 +31,7 @@ against a real component:
 from __future__ import annotations
 
 import copy
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -42,7 +43,6 @@ from repro.core.rx_index import RXIndex, check_limit
 from repro.serve.cache import ResultCache
 from repro.serve.faults import InjectedFault
 from repro.serve.resilience import (
-    AdmissionController,
     RequestFailure,
     RetryPolicy,
     ServeStats,
@@ -50,6 +50,23 @@ from repro.serve.resilience import (
 )
 from repro.serve.scheduler import MicroBatchScheduler, RequestResult, ServeRequest
 from repro.serve.snapshot import EpochManager, EpochSnapshot
+
+
+def _absolute_deadline(arrival: float, deadline: float | None) -> float | None:
+    """Absolute deadline of a request given ``deadline`` seconds after arrival.
+
+    A non-finite relative deadline is refused: a NaN would never fire and
+    would hide the tighter deadlines queued behind it from deadline-aware
+    flushing.  Zero and negative deadlines pass, and are rejected at
+    admission as infeasible.
+    """
+    if deadline is None:
+        return None
+    if not math.isfinite(deadline):
+        raise ValueError(
+            f"deadline must be a finite number of seconds (or None), got {deadline}"
+        )
+    return arrival + deadline
 
 
 @dataclass
@@ -131,49 +148,55 @@ class ReplayReport:
 
 
 class IndexService:
-    """Concurrent query-serving layer over one built :class:`RXIndex`."""
+    """Concurrent query-serving layer over one built :class:`RXIndex`.
+
+    The constructor arguments are the serving policy: a window closes at
+    ``max_batch`` queries or after ``max_wait`` stream seconds;
+    ``cache_capacity`` result-cache entries (0 disables the cache);
+    ``deadline`` is the default relative deadline of a request (None: no
+    deadline); ``max_queue`` bounds the pending queries (None: unbounded);
+    ``retry`` shapes the retries of a faulted launch (default
+    :class:`RetryPolicy`).
+    """
 
     def __init__(
         self,
         index: RXIndex,
-        max_batch: int | None = None,
-        max_wait: float | None = None,
-        cache_capacity: int | None = None,
+        max_batch: int = 4096,
+        max_wait: float = 1e-3,
+        cache_capacity: int = 4096,
         deadline: float | None = None,
         max_queue: int | None = None,
         retry: RetryPolicy | None = None,
         fault_injector=None,
     ):
-        config = index.config
+        if deadline is not None and not (deadline > 0 and math.isfinite(deadline)):
+            raise ValueError(
+                "deadline must be a positive, finite number of seconds (or "
+                f"None to disable), got {deadline}"
+            )
+        if max_queue is not None and not max_queue >= 1:  # NaN-proof
+            raise ValueError(
+                "max_queue must be at least 1 query (or None for an unbounded "
+                f"queue), got {max_queue}"
+            )
         self.index = index
         self.faults = fault_injector
         self.serve_stats = ServeStats()
         #: default relative deadline (seconds after arrival) stamped on
         #: requests that do not carry their own; None = no deadline
-        self.deadline = deadline if deadline is not None else config.serve_deadline
-        self.admission = AdmissionController(
-            max_queue if max_queue is not None else config.serve_max_queue
-        )
-        if retry is None:
-            retry = RetryPolicy(
-                max_retries=config.serve_retry_max,
-                backoff_base=config.serve_retry_backoff,
-                backoff_factor=config.serve_retry_factor,
-                jitter=config.serve_retry_jitter,
-            )
-        self.retry = retry
+        self.deadline = deadline
+        #: bound on pending *queries* (not requests); None = unbounded.  Over
+        #: it, requests are shed with a ``retry_after`` hint.
+        self.max_queue = max_queue
+        self.retry = retry if retry is not None else RetryPolicy()
         self.scheduler = MicroBatchScheduler(
-            max_batch=max_batch if max_batch is not None else config.serve_max_batch,
-            max_wait=max_wait if max_wait is not None else config.serve_max_wait,
-            retry=retry,
+            max_batch=max_batch,
+            max_wait=max_wait,
+            retry=self.retry,
             serve_stats=self.serve_stats,
         )
-        self.cache = ResultCache(
-            cache_capacity
-            if cache_capacity is not None
-            else config.serve_cache_capacity,
-            fault_injector=fault_injector,
-        )
+        self.cache = ResultCache(cache_capacity, fault_injector=fault_injector)
         self.epochs = EpochManager(index, fault_injector=fault_injector)
         self.epochs.add_listener(self.cache.invalidate_before)
         self._next_request_id = 0
@@ -219,8 +242,9 @@ class IndexService:
             # The deadline cannot be met even by an instantaneous flush:
             # reject up front instead of doing work that must be discarded.
             return self._reject(request, "rejected_deadline")
-        if not self.admission.admits(
-            self.scheduler.pending_queries, request.num_queries
+        if (
+            self.max_queue is not None
+            and self.scheduler.pending_queries + request.num_queries > self.max_queue
         ):
             # Shed load with a hint: the queue drains at the next flush.
             next_flush = self.scheduler.flush_deadline(self._flush_ewma)
@@ -255,17 +279,19 @@ class IndexService:
         ``deadline`` is relative (seconds after ``arrival``); when omitted
         the service's default applies.  Returns the queued request, or an
         explicit :class:`RequestFailure` when the request was rejected
-        (infeasible deadline or shed by the admission controller).
+        (infeasible deadline or shed by the queue bound).  A non-finite
+        ``deadline`` raises ``ValueError`` and queues nothing.
         """
-        self._next_request_id += 1
         arrival = float(arrival)
+        deadline = _absolute_deadline(arrival, deadline)
+        self._next_request_id += 1
         return self._admit(
             ServeRequest(
                 request_id=self._next_request_id,
                 kind="point",
                 queries=np.ascontiguousarray(queries, dtype=np.uint64),
                 arrival=arrival,
-                deadline=arrival + deadline if deadline is not None else None,
+                deadline=deadline,
             )
         )
 
@@ -292,13 +318,14 @@ class IndexService:
         the scan explicitly.
         """
         limit = check_limit(limit)
-        # Validate the client-supplied cursor token up front: a malformed or
-        # out-of-range token must fail here with a clean ValueError, not deep
+        # Validate the client-supplied cursor token and deadline up front: a
+        # malformed value must fail here with a clean ValueError, not deep
         # inside a coalesced launch.  The original token string still rides
         # on the request (cache keys and demux labels key on it verbatim).
         parse_cursor(cursor, max_key=self.index.codec.max_key())
-        self._next_request_id += 1
         arrival = float(arrival)
+        deadline = _absolute_deadline(arrival, deadline)
+        self._next_request_id += 1
         return self._admit(
             ServeRequest(
                 request_id=self._next_request_id,
@@ -307,7 +334,7 @@ class IndexService:
                 uppers=np.ascontiguousarray(uppers, dtype=np.uint64),
                 limit=limit,
                 arrival=arrival,
-                deadline=arrival + deadline if deadline is not None else None,
+                deadline=deadline,
                 order=order,
                 cursor=cursor,
                 pin_epoch=pin_epoch,
@@ -786,7 +813,7 @@ class IndexService:
                 "max_wait": self.scheduler.max_wait,
                 "cache_capacity": self.cache.capacity,
                 "deadline": self.deadline,
-                "max_queue": self.admission.max_queue,
+                "max_queue": self.max_queue,
                 "retry_max": self.retry.max_retries,
             },
         }

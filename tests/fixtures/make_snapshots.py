@@ -10,11 +10,12 @@ code still loads both:
 * ``snapshots-v1/`` was written by this script at commit c27a4eb: manifest
   format 1 (a whole-file and a payload CRC32C plus a payload SHA-256 per
   segment), and an ``RXConfig`` that still had the ``build_workers`` and
-  ``build_backend`` fields.
+  ``build_backend`` fields and the nine ``serve_*`` serving knobs.
 * ``snapshots-v2/`` was written by this script when manifest format 2 (one
-  SHA-256 per segment, over every byte of its file) replaced format 1.
-  Segment files did not change, so its ``.seg`` files are byte-identical
-  to ``snapshots-v1/``'s.
+  SHA-256 per segment, over every byte of its file) replaced format 1,
+  while ``RXConfig`` still had the ``serve_*`` knobs.  Segment files did
+  not change, so its ``.seg`` files are byte-identical to
+  ``snapshots-v1/``'s.
 
 Run against newer code, the script writes the *current* format, so point
 it at a fresh directory rather than over a fixture::

@@ -124,63 +124,6 @@ class TestRXConfigValidation:
             RXConfig(max_rays_per_range=0).validate()
 
 
-class TestResilienceKnobValidation:
-    def test_defaults_are_valid(self):
-        config = RXConfig.paper_default()
-        config.validate()
-        assert config.serve_deadline is None
-        assert config.serve_max_queue is None
-
-    def test_deadline_must_be_positive_finite(self):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            config = RXConfig.paper_default()
-            config.serve_deadline = bad
-            with pytest.raises(ValueError, match="serve_deadline"):
-                config.validate()
-
-    def test_max_wait_nan_rejected(self):
-        config = RXConfig.paper_default()
-        config.serve_max_wait = float("nan")
-        with pytest.raises(ValueError, match="serve_max_wait"):
-            config.validate()
-
-    def test_max_wait_exceeding_deadline_rejected(self):
-        config = RXConfig.paper_default()
-        config.serve_deadline = 1e-3
-        config.serve_max_wait = 5e-3
-        with pytest.raises(ValueError, match="serve_max_wait.*serve_deadline"):
-            config.validate()
-
-    def test_zero_max_wait_with_deadline_is_allowed(self):
-        config = RXConfig.paper_default()
-        config.serve_deadline = 1e-3
-        config.serve_max_wait = 0.0
-        config.validate()  # immediate flush always fits any deadline
-
-    def test_queue_bound_must_be_at_least_one(self):
-        for bad in (0, -5):
-            config = RXConfig.paper_default()
-            config.serve_max_queue = bad
-            with pytest.raises(ValueError, match="serve_max_queue"):
-                config.validate()
-
-    def test_retry_knob_validation(self):
-        for field, bad in (
-            ("serve_retry_max", -1),
-            ("serve_retry_backoff", -1e-3),
-            ("serve_retry_backoff", float("nan")),
-            ("serve_retry_factor", 0.5),
-            ("serve_retry_factor", float("nan")),
-            ("serve_retry_jitter", -0.1),
-            ("serve_retry_jitter", 1.5),
-            ("serve_retry_jitter", float("nan")),
-        ):
-            config = RXConfig.paper_default()
-            setattr(config, field, bad)
-            with pytest.raises(ValueError, match=field):
-                config.validate()
-
-
 class TestSerialisation:
     def test_retired_pool_keys_are_dropped(self):
         # Manifests written before the forest build pools were removed carry
@@ -196,6 +139,30 @@ class TestSerialisation:
         data = RXConfig.paper_default().as_dict()
         data.update(point_trace_mode=mode, range_limit=None)
         assert RXConfig.from_dict(data) == RXConfig.paper_default()
+
+    @pytest.mark.parametrize(
+        "name, stored",
+        [
+            # The serving policy moved to IndexService's arguments; manifests
+            # written before that carry it.  Default, non-default and values
+            # the old validate() refused are all dropped.
+            ("serve_max_batch", (4096, 7, 0)),
+            ("serve_max_wait", (1e-3, 0.25, float("nan"))),
+            ("serve_cache_capacity", (4096, 3, -1)),
+            ("serve_deadline", (None, 0.5, -1.0)),
+            ("serve_max_queue", (None, 64, 0)),
+            ("serve_retry_max", (3, 0, -1)),
+            ("serve_retry_backoff", (1e-3, 0.0, float("nan"))),
+            ("serve_retry_factor", (2.0, 1.5, 0.5)),
+            ("serve_retry_jitter", (0.1, 0.0, 1.5)),
+        ],
+    )
+    def test_retired_serve_knobs_are_dropped(self, name, stored):
+        assert name not in RXConfig.paper_default().as_dict()
+        for value in stored:
+            data = RXConfig.paper_default().as_dict()
+            data[name] = value
+            assert RXConfig.from_dict(data) == RXConfig.paper_default()
 
     def test_retired_range_limit_must_be_null(self):
         # A stored default limit capped every range_lookup(lo, hi); dropping

@@ -169,8 +169,7 @@ class TestCursorCodec:
 
     def test_no_cursor_returns_base_filter_unchanged(self):
         keys = np.arange(8, dtype=np.uint64)
-        base = lambda r, p, l: p % 2 == 0  # noqa: E731
-        assert make_cursor_filter(keys, [None], base_any_hit=base) is base
+        assert make_cursor_filter(keys, [None]) is None
         assert make_cursor_filter(keys, [None, None]) is None
 
     @pytest.mark.parametrize("boundary", ["first", "middle", "last"])

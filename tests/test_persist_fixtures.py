@@ -5,16 +5,18 @@ format, written by ``tests/fixtures/make_snapshots.py``:
 
 * ``snapshots-v1/`` — format 1 (CRC32C per segment), written when
   ``RXConfig`` still had the ``build_workers``, ``build_backend``,
-  ``point_trace_mode`` and ``range_limit`` fields, so its manifests carry
-  those keys;
-* ``snapshots-v2/`` — format 2 (one SHA-256 per segment).  Its segment
-  files are byte-identical to format 1's.
+  ``point_trace_mode`` and ``range_limit`` fields and the nine ``serve_*``
+  serving knobs, so its manifests carry all of those keys;
+* ``snapshots-v2/`` — format 2 (one SHA-256 per segment), written while
+  ``RXConfig`` still had the ``serve_*`` knobs, so its manifests carry
+  those nine keys.  Its segment files are byte-identical to format 1's.
 
 Each must load through both load paths (memory-mapped and heap) and
 answer point and range lookups — hits and counters — exactly like a fresh
 build over the same keys, and a fresh build and save must still write the
-format-2 store byte for byte.  Loads are read-only, so the checked-in
-fixtures stay byte-identical.  A save over a copy of a format-1 store
+format-2 segments byte for byte, and the manifest but for the ``serve_*``
+keys.  Loads are read-only, so the checked-in fixtures stay
+byte-identical.  A save over a copy of a format-1 store
 migrates it: every segment is rewritten under format 2 and the format-1
 files are pruned.
 """
@@ -43,6 +45,9 @@ _spec.loader.exec_module(make_snapshots)
 
 #: fixture directory -> the manifest format its snapshots were written in
 FORMATS = {"snapshots-v1": 1, "snapshots-v2": 2}
+
+#: the serving knobs both fixture eras' configs carry
+SERVE_KEYS = [key for key in RETIRED_CONFIG_KEYS if key.startswith("serve_")]
 
 
 def _digests(root: Path) -> dict[str, str]:
@@ -78,9 +83,11 @@ def test_old_snapshot_loads_like_a_fresh_build(name, fixture):
     root = FIXTURES / fixture / name
     manifest = json.loads((root / "MANIFEST.json").read_text())
     assert manifest["format_version"] == FORMATS[fixture]
-    if fixture == "snapshots-v1":
-        # The fixture really is the old config: it carries the retired keys.
-        assert set(RETIRED_CONFIG_KEYS) <= manifest["index"]["config"].keys()
+    # The fixture really is the old config: it carries the retired keys.
+    carried = set(RETIRED_CONFIG_KEYS) & manifest["index"]["config"].keys()
+    assert carried == (
+        set(RETIRED_CONFIG_KEYS) if fixture == "snapshots-v1" else set(SERVE_KEYS)
+    )
     before = _digests(root)
 
     config = make_snapshots.CONFIGS[name]()
@@ -100,11 +107,26 @@ def test_old_snapshot_loads_like_a_fresh_build(name, fixture):
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
 def test_fresh_save_is_byte_identical_to_the_format2_fixture(tmp_path, name):
     """Today's build and save write the checked-in format-2 store byte for
-    byte: every segment (shard trees included) and the manifest."""
+    byte: every segment (shard trees included), and the manifest once the
+    nine retired ``serve_*`` keys are deleted from the fixture's config."""
+    fixture = FIXTURES / "snapshots-v2" / name
     index = RXIndex(make_snapshots.CONFIGS[name]())
     index.build(make_snapshots.fixture_keys())
     index.save(tmp_path / name)
-    assert _digests(tmp_path / name) == _digests(FIXTURES / "snapshots-v2" / name)
+    written = _digests(tmp_path / name)
+    expected = _digests(fixture)
+    del written["MANIFEST.json"], expected["MANIFEST.json"]
+    assert written == expected
+
+    manifest = json.loads((fixture / "MANIFEST.json").read_text())
+    assert len(SERVE_KEYS) == 9
+    for key in SERVE_KEYS:
+        del manifest["index"]["config"][key]
+    # commit_manifest's encoding
+    blob = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    fresh = (tmp_path / name / "MANIFEST.json").read_bytes()
+    assert fresh == blob
+    assert (fixture / "MANIFEST.json").stat().st_size - len(fresh) == 289
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))

@@ -436,6 +436,25 @@ class TestDifferentialRoundtrip:
         loaded.update(new_keys)
         assert bvh_arrays_diff(index.accel.bvh, loaded.accel.bvh) is None
 
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            RXConfig.paper_default,
+            lambda: RXConfig.paper_default().with_updates_enabled(),
+            lambda: RXConfig.paper_default().with_delta_updates(shard_bits=4),
+        ],
+        ids=["single", "single-refit", "forest"],
+    )
+    def test_loaded_accel_keeps_the_build_options(self, tmp_path, make_config):
+        # A load normalises the options from the build flags the way the
+        # build did (rtx.pipeline.flagged_options), so they compare equal.
+        index = RXIndex(make_config())
+        index.build(dense_shuffled_keys(1024, seed=DIFF_SEED % 1000))
+        index.save(tmp_path)
+        for mmap in (True, False):
+            loaded = RXIndex.load(tmp_path, mmap=mmap)
+            assert loaded.accel.bvh.options == index.accel.bvh.options
+
     def test_stats_persist_block(self, tmp_path):
         rng = np.random.default_rng(DIFF_SEED)
         keys = rng.integers(0, 1 << 16, size=256, dtype=np.uint64)

@@ -1,4 +1,4 @@
-"""Result-cache behaviour: counters, skew-aware eviction, epoch invalidation."""
+"""Result-cache behaviour: counters, LRU eviction, epoch invalidation."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,19 @@ from repro.core.config import RXConfig
 from repro.core.rx_index import RXIndex
 from repro.serve import IndexService, ResultCache
 from repro.workloads import dense_shuffled_keys
+
+
+def filled(*names):
+    """A capacity-3 cache holding ``names`` in insertion order."""
+    cache = ResultCache(capacity=3)
+    for name in names:
+        cache.put((0, "k", name), name)
+    return cache
+
+
+def lru_order(cache):
+    """Query names from least to most recently used."""
+    return [key[2] for key in cache._entries]
 
 
 class TestResultCacheUnit:
@@ -22,35 +35,31 @@ class TestResultCacheUnit:
         assert cache.stats.hit_rate == 0.5
 
     def test_capacity_bound_and_eviction(self):
-        cache = ResultCache(capacity=3, sample_size=3)
+        cache = ResultCache(capacity=3)
         for i in range(5):
             cache.put((0, "k", i), i)
         assert len(cache) == 3
         assert cache.stats.evictions == 2
 
-    def test_skew_aware_eviction_keeps_hot_entries(self):
-        """A frequently-hit entry survives a scan of cold insertions that
-        would evict it under plain LRU."""
-        cache = ResultCache(capacity=4, sample_size=4)
-        hot = (0, "k", "hot")
-        cache.put(hot, "hot-value")
-        for _ in range(10):
-            assert cache.get(hot) == "hot-value"
-        for i in range(20):  # cold scan: 20 one-shot entries
-            cache.put((0, "k", f"cold-{i}"), i)
-        assert cache.get(hot) == "hot-value", "hot entry was washed out"
+    def test_least_recently_used_entry_is_evicted(self):
+        cache = filled("a", "b", "c")
+        cache.put((0, "k", "d"), "d")
+        assert lru_order(cache) == ["b", "c", "d"]
+        assert cache.stats.evictions == 1
 
-    def test_eviction_is_deterministic(self):
-        def run():
-            cache = ResultCache(capacity=3, sample_size=2)
-            cache.put((0, "k", "a"), 1)
-            cache.put((0, "k", "b"), 2)
-            cache.get((0, "k", "a"))
-            cache.put((0, "k", "c"), 3)
-            cache.put((0, "k", "d"), 4)  # evicts the sampled-LFU victim
-            return sorted(k[2] for k in cache._entries)
+    def test_hit_refreshes_recency(self):
+        cache = filled("a", "b", "c")
+        assert cache.get((0, "k", "a")) == "a"
+        cache.put((0, "k", "d"), "d")  # "b" is now the least recently used
+        assert lru_order(cache) == ["c", "a", "d"]
 
-        assert run() == run() == ["a", "c", "d"]  # "b" (freq 1, oldest) evicted
+    def test_put_of_present_key_refreshes_without_inserting(self):
+        cache = filled("a", "b", "c")
+        cache.put((0, "k", "a"), "a")
+        assert cache.stats.insertions == 3
+        assert lru_order(cache) == ["b", "c", "a"]
+        cache.put((0, "k", "d"), "d")
+        assert lru_order(cache) == ["c", "a", "d"]
 
     def test_invalidate_before_drops_older_epochs(self):
         cache = ResultCache(capacity=8)
@@ -71,8 +80,6 @@ class TestResultCacheUnit:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="capacity"):
             ResultCache(capacity=-1)
-        with pytest.raises(ValueError, match="sample_size"):
-            ResultCache(capacity=1, sample_size=0)
 
 
 class TestServiceCaching:

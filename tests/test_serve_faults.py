@@ -158,8 +158,14 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=float("nan"))
         with pytest.raises(ValueError, match="backoff_base"):
             RetryPolicy(backoff_base=-1e-3)
+        with pytest.raises(ValueError, match="backoff_base"):
+            RetryPolicy(backoff_base=float("nan"))
         with pytest.raises(ValueError, match="jitter"):
             RetryPolicy(jitter=1.5)
+        with pytest.raises(ValueError, match="jitter"):
+            RetryPolicy(jitter=-0.1)
+        with pytest.raises(ValueError, match="jitter"):
+            RetryPolicy(jitter=float("nan"))
 
 
 class TestLaunchRetry:
@@ -297,14 +303,34 @@ class TestCacheFaults:
 
 
 class TestDeadlines:
-    def test_infeasible_deadline_rejected_up_front(self):
+    @staticmethod
+    def submit(service, keys, kind, deadline):
+        if kind == "point":
+            return service.submit_point(keys[:4], arrival=1.0, deadline=deadline)
+        return service.submit_range(keys[:4], keys[:4], arrival=1.0, deadline=deadline)
+
+    @pytest.mark.parametrize("kind", ["point", "range"])
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_infeasible_deadline_rejected_up_front(self, kind, deadline):
         keys = dense_shuffled_keys(512, seed=38)
         service = build_service(keys, cache_capacity=0)
-        outcome = service.submit_point(keys[:4], arrival=1.0, deadline=0.0)
+        outcome = self.submit(service, keys, kind, deadline)
         assert isinstance(outcome, RequestFailure)
         assert outcome.reason == "rejected_deadline"
         assert not service.scheduler.pending
         assert service.stats()["resilience"]["rejections_deadline"] == 1
+
+    @pytest.mark.parametrize("kind", ["point", "range"])
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_deadline_raises_before_queueing(self, kind, deadline):
+        # A NaN deadline never fires and, left in the queue, would hide the
+        # tighter deadlines behind it from deadline-aware flushing.
+        keys = dense_shuffled_keys(512, seed=38)
+        service = build_service(keys, cache_capacity=0)
+        with pytest.raises(ValueError, match="deadline"):
+            self.submit(service, keys, kind, deadline)
+        assert not service.scheduler.pending
+        assert service.stats()["resilience"]["admitted"] == 0
 
     def test_tight_deadlines_time_out_explicitly(self):
         """Unmeetable (but feasible-looking) deadlines produce explicit

@@ -54,9 +54,7 @@ def solo_launch(snapshot, request, klass):
             if cursor is not None:
                 lower = min(max(int(lowers[0]), cursor.key), int(request.uppers[0]))
                 lowers = np.array([lower], dtype=np.uint64)
-            any_hit = make_cursor_filter(
-                snapshot.keys, [cursor], base_any_hit=snapshot.pipeline.any_hit
-            )
+            any_hit = make_cursor_filter(snapshot.keys, [cursor])
         rays = snapshot.codec.range_ray_batch(
             lowers,
             request.uppers,

@@ -1,11 +1,11 @@
-"""IndexService drivers: open/closed-loop replay, stats, config knobs."""
+"""IndexService drivers: open/closed-loop replay, stats, serving arguments."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import RXConfig
 from repro.core.rx_index import RXIndex
-from repro.serve import IndexService
+from repro.serve import IndexService, RetryPolicy
 from repro.workloads import (
     dense_shuffled_keys,
     zipf_point_stream,
@@ -213,34 +213,61 @@ class TestStatsAndKnobs:
         with pytest.raises(RuntimeError, match="build"):
             RXIndex(RXConfig.paper_default()).stats()
 
-    def test_service_defaults_come_from_config(self):
-        config = RXConfig.paper_default()
-        config.serve_max_batch = 7
-        config.serve_max_wait = 0.25
-        config.serve_cache_capacity = 3
-        index = RXIndex(config)
-        index.build(dense_shuffled_keys(256, seed=72))
-        service = IndexService(index)
-        assert service.scheduler.max_batch == 7
-        assert service.scheduler.max_wait == 0.25
-        assert service.cache.capacity == 3
-        knobs = service.stats()["serve_knobs"]
-        assert knobs == {
+    def test_service_defaults_are_the_documented_constants(self):
+        service = IndexService(make_index(num_keys=256, seed=72))
+        assert service.scheduler.max_batch == 4096
+        assert service.scheduler.max_wait == 1e-3
+        assert service.cache.capacity == 4096
+        assert service.deadline is None
+        assert service.max_queue is None
+        retry = service.retry
+        assert (
+            retry.max_retries,
+            retry.backoff_base,
+            retry.backoff_factor,
+            retry.jitter,
+        ) == (3, 1e-3, 2.0, 0.1)
+
+    def test_stats_report_the_arguments_given(self):
+        service = IndexService(
+            make_index(num_keys=256, seed=72),
+            max_batch=7,
+            max_wait=0.25,
+            cache_capacity=3,
+            deadline=0.5,
+            max_queue=64,
+            retry=RetryPolicy(max_retries=1),
+        )
+        assert service.stats()["serve_knobs"] == {
             "max_batch": 7,
             "max_wait": 0.25,
             "cache_capacity": 3,
-            "deadline": None,
-            "max_queue": None,
-            "retry_max": 3,
+            "deadline": 0.5,
+            "max_queue": 64,
+            "retry_max": 1,
         }
 
-    def test_serve_knob_validation(self):
-        for field, value in (
-            ("serve_max_batch", 0),
-            ("serve_max_wait", -1.0),
-            ("serve_cache_capacity", -1),
-        ):
-            config = RXConfig.paper_default()
-            setattr(config, field, value)
-            with pytest.raises(ValueError, match=field):
-                config.validate()
+
+class TestServeArgumentValidation:
+    @pytest.fixture(scope="class")
+    def index(self):
+        return make_index(num_keys=256, seed=73)
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("deadline", 0.0, "deadline"),
+            ("deadline", -1.0, "deadline"),
+            ("deadline", float("nan"), "deadline"),
+            ("deadline", float("inf"), "deadline"),
+            ("max_wait", float("nan"), "max_wait"),
+            ("max_wait", -1.0, "max_wait"),
+            ("max_queue", 0, "max_queue"),
+            ("max_queue", -5, "max_queue"),
+            ("max_batch", 0, "max_batch"),
+            ("cache_capacity", -1, "capacity"),
+        ],
+    )
+    def test_bad_argument_raises_naming_it(self, index, argument, value, message):
+        with pytest.raises(ValueError, match=message):
+            IndexService(index, **{argument: value})
