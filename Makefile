@@ -13,9 +13,11 @@ test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
 # Differential trace harness, the forest's cut/splice oracle (random
-# columns, shard_bits and leaf sizes) and the golden-builder equivalence
-# harness (lbvh, median and SAH against rtx/_reference.py); all honour
-# DIFF_SEED (CI runs extra seeds).
+# columns, shard_bits and leaf sizes), its DELTA_SHARD update chain (swaps,
+# rewrites, growth, shrinkage and no-ops on every buffer kind, each step
+# checked against a fresh build_bvh and build_forest) and the golden-builder
+# equivalence harness (lbvh, median and SAH against rtx/_reference.py); all
+# honour DIFF_SEED (CI runs extra seeds).
 test-diff:
 	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py tests/test_engine_equivalence.py
 

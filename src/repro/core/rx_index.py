@@ -797,8 +797,10 @@ class RXIndex(GpuIndex):
         Bundles the column, epoch, shard and memory bookkeeping with the
         pipeline's cumulative trace counters and the host bytes the
         primitive buffer holds (``primitive_resident_bytes``: 12 B/key of
-        anchors for triangles, 16 B/key in Extended Mode) — the summary the
-        serving layer's demo/driver prints.  Requires a built index.
+        anchors for triangles, 16 B/key in Extended Mode; 12 B/key of
+        centres for spheres and 24 B/key of corners for AABBs, plus the
+        float64 intersection pack their first query builds) — the summary
+        the serving layer's demo/driver prints.  Requires a built index.
         """
         accel = self.accel
         memory = self.memory_footprint()

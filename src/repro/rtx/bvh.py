@@ -290,9 +290,12 @@ def build_bvh(
     return _build_levels(order, prim_mins, prim_maxs, options, splitter)
 
 
-def box_columns(primitive_buffer: PrimitiveBuffer) -> tuple[np.ndarray, np.ndarray]:
-    """The buffer's AABBs as ``(mins, maxs)``, each one ``(3, n)`` row per axis."""
-    prim_mins, prim_maxs = primitive_buffer.compute_aabbs()
+def box_columns(
+    primitive_buffer: PrimitiveBuffer, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The AABBs of the buffer (or of its ``rows``) as ``(mins, maxs)``,
+    each one ``(3, m)`` row per axis."""
+    prim_mins, prim_maxs = primitive_buffer.compute_aabbs(rows)
     return np.ascontiguousarray(prim_mins.T), np.ascontiguousarray(prim_maxs.T)
 
 

@@ -11,14 +11,13 @@ when it spans buckets; such *mixed leaves* absorb their buckets, which keep
 their rows but carry no sub-tree.
 
 A forest is that one tree plus bookkeeping.  :func:`build_forest` runs the
-one LBVH build over the per-axis columns a ``_Column`` holds (bounds, grid)
-and *cuts* it: each bucket's rows are its slice of ``prim_indices``, and
-each delegated bucket's sub-BVH is copied out in local numbering.
-:func:`forest_from_saved` and :func:`delta_update_forest` *splice* shard
-sub-trees (persisted ones, or clean ones beside freshly rebuilt dirty ones)
-back into a tree bit-identical to the single build.  An update re-sorts and
-rebuilds only the shards that gained, lost or moved a primitive; one that
-changes nothing rebuilds nothing.
+one LBVH build over the per-axis columns of one full pass (:func:`_column`:
+boxes, grid and the :class:`_Partition` they give) and *cuts* it: each
+bucket's rows are its slice of ``prim_indices``, and each delegated
+bucket's sub-BVH is copied out in local numbering.  :func:`forest_from_saved`
+and :func:`delta_update_forest` *splice* shard sub-trees (persisted ones, or
+clean ones beside freshly rebuilt dirty ones) back into a tree
+bit-identical to the single build.
 
 Both directions rest on the builder's numbering: the k-th inner node in
 right-first preorder gets the children ``2k + 1`` and ``2k + 2``.  So a
@@ -28,6 +27,14 @@ that order and which has ``m`` inner nodes holds the ids ``[2p + 1, 2p +
 2m]``, and its local id ``i >= 1`` is global ``i + 2p`` (its *block
 offset*).  :func:`_layout` walks the top plan in that order and places every
 top node and shard block, so neither direction renumbers the tree.
+
+An update compares the buffers' stored arrays once, and only the rows
+that left or entered get boxes, grid cells and buckets.  The partition is
+patched from those rows, and only the shards that gained, lost or moved a
+primitive are re-sorted and rebuilt.  The rest is copying: the patched
+bucket column, the row stream and the splice's node arrays.  An update
+that changes nothing rebuilds nothing, and only a move of the scene bounds
+(or a doubt about one) pays a full pass.
 """
 
 from __future__ import annotations
@@ -52,7 +59,9 @@ from repro.rtx.geometry import PrimitiveBuffer
 from repro.rtx.morton import (
     morton_interleave_grid,
     morton_prefix_buckets,
+    quantize_to_grid,
     quantize_to_grid_with_bounds,
+    require_finite,
 )
 
 
@@ -220,14 +229,9 @@ def _layout(
 
 
 @dataclass
-class _Column:
-    """What every forest pass derives from the primitive buffer alone.  The
-    bounds and the grid are ``(3, n)`` per-axis columns, whose ``.T`` views
-    are the ``(n, 3)`` inputs the Morton and build functions read fastest."""
+class _Partition:
+    """The Morton partition of a primitive column and the top plan it gives."""
 
-    prim_mins: np.ndarray
-    prim_maxs: np.ndarray
-    grid: np.ndarray
     scene_lo: np.ndarray
     scene_hi: np.ndarray
     #: Morton-prefix bucket of every row
@@ -247,9 +251,23 @@ class _Column:
         return np.searchsorted(self.shard_vals, np.array(buckets, dtype=np.uint64))
 
 
-def _column(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> _Column:
-    """Bounds, Morton grid, bucket partition and top plan of ``buffer``;
-    a primitive with a non-finite bound raises ``ValueError``."""
+def _partition(
+    lo: np.ndarray, hi: np.ndarray, bucket: np.ndarray, counts: np.ndarray, options: BvhBuildOptions
+) -> _Partition:
+    """The partition with per-bucket row ``counts`` (one entry per bucket)."""
+    shard_vals = np.flatnonzero(counts).astype(np.uint64)
+    shard_counts = counts[shard_vals.astype(np.int64)]
+    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
+    return _Partition(lo, hi, bucket, shard_vals, shard_counts, plan)
+
+
+def _column(
+    buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str
+) -> tuple[_Partition, np.ndarray, np.ndarray, np.ndarray]:
+    """The full pass over ``buffer``: its partition, then its ``(3, n)`` box
+    and grid columns (whose ``.T`` views are the ``(n, 3)`` inputs the
+    Morton and build functions read fastest).  A primitive with a
+    non-finite bound raises ``ValueError``."""
     prim_mins, prim_maxs = box_columns(buffer)
     if prim_mins.shape[1] == 0:
         raise ValueError(f"cannot {verb} a BVH forest over zero primitives")
@@ -258,14 +276,11 @@ def _column(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> _Co
     )
     bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
     counts = np.bincount(bucket, minlength=1 << options.shard_bits)
-    shard_vals = np.flatnonzero(counts).astype(np.uint64)
-    shard_counts = counts[shard_vals.astype(np.int64)]
-    plan = plan_top_level(shard_vals, shard_counts, options.max_leaf_size)
-    return _Column(prim_mins, prim_maxs, grid.T, lo, hi, bucket, shard_vals, shard_counts, plan)
+    return _partition(lo, hi, bucket, counts, options), prim_mins, prim_maxs, grid.T
 
 
 def _forest(
-    col: _Column, options: BvhBuildOptions, bvh: Bvh, shard_trees: dict[int, Bvh]
+    part: _Partition, options: BvhBuildOptions, bvh: Bvh, shard_trees: dict[int, Bvh]
 ) -> BvhForest:
     """Wrap a tree and its shard trees; each shard's rows become a view of
     its slice of the tree's ``prim_indices``."""
@@ -273,17 +288,17 @@ def _forest(
     shard_rows = {
         b: stream[start : start + count]
         for b, start, count in zip(
-            col.shard_vals.tolist(), col.stream_starts.tolist(), col.shard_counts.tolist()
+            part.shard_vals.tolist(), part.stream_starts.tolist(), part.shard_counts.tolist()
         )
     }
     return BvhForest(
         bvh=bvh,
         options=options,
         num_primitives=bvh.num_primitives,
-        scene_lo=col.scene_lo,
-        scene_hi=col.scene_hi,
-        bucket_of_row=col.bucket,
-        shard_ids=col.shard_vals.astype(np.int64),
+        scene_lo=part.scene_lo,
+        scene_hi=part.scene_hi,
+        bucket_of_row=part.bucket,
+        shard_ids=part.shard_vals.astype(np.int64),
         shard_rows=shard_rows,
         shard_trees=shard_trees,
     )
@@ -294,23 +309,23 @@ def _forest(
 # --------------------------------------------------------------------------- #
 
 
-def _cut(bvh: Bvh, col: _Column) -> dict[int, Bvh]:
+def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
     """Copy each delegated shard's sub-tree out of ``bvh``, in local numbering.
 
     Child ids lose the shard's block offset, leaf ranges its stream start,
     and ``prim_indices`` becomes ``0..rows-1``: the arrays
     ``build_lbvh_over_sorted`` emits over the shard's code-sorted rows.
     """
-    buckets = sorted(col.plan.delegated)
+    buckets = sorted(part.plan.delegated)
     if not buckets:
         return {}
-    which = col.index_of(buckets)
-    stream_starts = col.stream_starts
+    which = part.index_of(buckets)
+    stream_starts = part.stream_starts
     # A shard's leaves tile its rows, and it has one inner node fewer.
     leaf_shard = np.searchsorted(stream_starts, bvh.first_prim[bvh.left < 0], "right") - 1
     inner = np.bincount(leaf_shard, minlength=stream_starts.shape[0])[which] - 1
     sizes = 2 * inner + 1
-    _, roots, offsets, _ = _layout(col.plan, dict(zip(buckets, inner.tolist())))
+    _, roots, offsets, _ = _layout(part.plan, dict(zip(buckets, inner.tolist())))
 
     # The global id of every shard node in local order: root, then block.
     block_starts = np.cumsum(sizes) - sizes
@@ -328,7 +343,7 @@ def _cut(bvh: Bvh, col: _Column) -> dict[int, Bvh]:
         "node_mins": np.take(bvh.node_mins, ids, axis=0),
         "node_maxs": np.take(bvh.node_maxs, ids, axis=0),
     }
-    rows = col.shard_counts[which].tolist()
+    rows = part.shard_counts[which].tolist()
     local_rows = np.arange(max(rows), dtype=np.int64)
     trees: dict[int, Bvh] = {}
     for b, lo, k, count in zip(buckets, block_starts.tolist(), sizes.tolist(), rows):
@@ -437,31 +452,35 @@ def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np
 
 
 def _splice(
-    col: _Column, options: BvhBuildOptions, rows_stream: np.ndarray, shard_trees: dict[int, Bvh]
+    part: _Partition,
+    options: BvhBuildOptions,
+    buffer: PrimitiveBuffer,
+    rows_stream: np.ndarray,
+    shard_trees: dict[int, Bvh],
 ) -> BvhForest:
     """Place the shard sub-trees and the top plan into one tree's arrays.
 
     ``rows_stream`` is the shards' rows concatenated in bucket order; it
     becomes ``prim_indices``.  Each delegated shard's local arrays are
     written at its root id and block (:func:`_layout`), the top leaves are
-    bounded from their rows, and the top inner nodes are filled bottom-up.
-    The tree is bit-identical to ``build_bvh`` over the same primitives.
-    Block offsets come from node counts, so each shard tree must first pass
-    :func:`_checked_sizes`; a malformed one would write into its
-    neighbours' blocks.
+    bounded from the boxes of their few rows in ``buffer``, and the top
+    inner nodes are filled bottom-up.  The tree is bit-identical to
+    ``build_bvh`` over the same primitives.  Block offsets come from node
+    counts, so each shard tree must first pass :func:`_checked_sizes`; a
+    malformed one would write into its neighbours' blocks.
     """
     buckets = sorted(shard_trees)
     trees = [shard_trees[b] for b in buckets]
-    which = col.index_of(buckets)
-    sizes = _checked_sizes(buckets, trees, col.shard_counts[which])
+    which = part.index_of(buckets)
+    sizes = _checked_sizes(buckets, trees, part.shard_counts[which])
     entry_ids, roots, offsets, num_nodes = _layout(
-        col.plan, dict(zip(buckets, (sizes // 2).tolist()))
+        part.plan, dict(zip(buckets, (sizes // 2).tolist()))
     )
 
     left, right = np.full((2, num_nodes), -1, dtype=np.int64)
     first_prim, prim_count = np.zeros((2, num_nodes), dtype=np.int64)
     node_mins, node_maxs = np.empty((2, num_nodes, 3), dtype=np.float32)
-    starts = col.stream_starts[which].tolist()
+    starts = part.stream_starts[which].tolist()
     for b, tree, k, start in zip(buckets, trees, sizes.tolist(), starts):
         root, offset = roots[b], offsets[b]
         is_inner = tree.left >= 0
@@ -479,17 +498,25 @@ def _splice(
     def _node(ref: tuple) -> int:
         return entry_ids[ref[1]] if ref[0] == "t" else roots[ref[1]]
 
+    # The top leaves' rows, laid end to end in entry order, get boxes in
+    # one call.
+    leaf_rows = [rows_stream[:0]] + [
+        rows_stream[lo : lo + count] for kind, lo, count in part.plan.entries if kind == "leaf"
+    ]
+    leaf_mins, leaf_maxs = box_columns(buffer, np.concatenate(leaf_rows))
+    end = leaf_mins.shape[1]
+
     # Children always have larger entry indices, so one reverse sweep
     # bounds every top node after its children.
-    for i in range(len(col.plan.entries) - 1, -1, -1):
-        entry, node = col.plan.entries[i], entry_ids[i]
+    for i in range(len(part.plan.entries) - 1, -1, -1):
+        entry, node = part.plan.entries[i], entry_ids[i]
         if entry[0] == "leaf":
             _, lo, count = entry
             first_prim[node] = lo
             prim_count[node] = count
-            gathered = rows_stream[lo : lo + count]
-            node_mins[node] = col.prim_mins[:, gathered].min(axis=1)
-            node_maxs[node] = col.prim_maxs[:, gathered].max(axis=1)
+            node_mins[node] = leaf_mins[:, end - count : end].min(axis=1)
+            node_maxs[node] = leaf_maxs[:, end - count : end].max(axis=1)
+            end -= count
         else:
             l, r = _node(entry[1]), _node(entry[2])
             left[node] = l
@@ -508,7 +535,7 @@ def _splice(
         num_primitives=int(rows_stream.shape[0]),
         options=options,
     )
-    return _forest(col, options, bvh, shard_trees)
+    return _forest(part, options, bvh, shard_trees)
 
 
 # --------------------------------------------------------------------------- #
@@ -531,17 +558,21 @@ def build_forest(
     options.validate()
     if options.shard_bits < 1:
         raise ValueError("build_forest requires shard_bits >= 1")
-    return _build(_column(primitive_buffer, options, "build"), options)
+    return _build(*_column(primitive_buffer, options, "build"), options)
 
 
-def _build(col: _Column, options: BvhBuildOptions) -> BvhForest:
-    """The one sort and LBVH build over ``col``, cut into shards."""
-    codes = morton_interleave_grid(col.grid.T, options.morton_bits)
+def _build(
+    part: _Partition,
+    prim_mins: np.ndarray,
+    prim_maxs: np.ndarray,
+    grid: np.ndarray,
+    options: BvhBuildOptions,
+) -> BvhForest:
+    """The one sort and LBVH build over a full pass's columns, cut into shards."""
+    codes = morton_interleave_grid(grid.T, options.morton_bits)
     order, sorted_codes = sort_codes(codes)
-    bvh = build_lbvh_over_sorted(
-        sorted_codes, col.prim_mins.T, col.prim_maxs.T, options, order=order
-    )
-    return _forest(col, options, bvh, _cut(bvh, col))
+    bvh = build_lbvh_over_sorted(sorted_codes, prim_mins.T, prim_maxs.T, options, order=order)
+    return _forest(part, options, bvh, _cut(bvh, part))
 
 
 def forest_state_segments(forest: BvhForest):
@@ -566,25 +597,30 @@ def forest_state_segments(forest: BvhForest):
         yield bucket, arrays, meta
 
 
-def _checked_row_stream(rows: dict[int, np.ndarray], col: _Column) -> np.ndarray:
+def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.ndarray:
     """The row stream of persisted shards, required to partition the column.
 
-    Every shard must hold as many rows as keys fall in its bucket, and every
-    row must lie in ``[0, n)``, appear exactly once, and sit in the shard its
-    recomputed Morton bucket names.  Checksums cannot catch a writer that
-    emits the wrong rows, because it checksums what it wrote.  Raises
+    Every shard's rows must be an int64 ``(count,)`` array, ``count`` being
+    the number of keys that fall in its bucket, and every row must lie in
+    ``[0, n)``, appear exactly once, and sit in the shard its recomputed
+    Morton bucket names.  Checksums cannot catch a writer that emits the
+    wrong rows, because it checksums what it wrote.  Raises
     :class:`ShardPartitionError` naming the first offending bucket.
     """
-    shard_vals = col.shard_vals
-    for bucket, count in zip(shard_vals.tolist(), col.shard_counts.tolist()):
-        held = int(rows[bucket].shape[0])
-        if held != count:
+    shard_vals = part.shard_vals
+    for bucket, count in zip(shard_vals.tolist(), part.shard_counts.tolist()):
+        array = rows[bucket]
+        if array.dtype != np.int64 or array.ndim != 1:
             raise ShardPartitionError(
-                bucket, f"holds {held} rows, but {count} keys fall in its bucket"
+                bucket, f"rows array is {array.dtype} {array.shape}, not int64 ({count},)"
+            )
+        if array.shape[0] != count:
+            raise ShardPartitionError(
+                bucket, f"holds {array.shape[0]} rows, but {count} keys fall in its bucket"
             )
     rows_stream = np.concatenate([rows[b] for b in shard_vals.tolist()])
-    n = int(col.bucket.shape[0])
-    stream_starts = col.stream_starts
+    n = int(part.bucket.shape[0])
+    stream_starts = part.stream_starts
 
     def _reject(bad: np.ndarray, problem: str) -> None:
         positions = np.flatnonzero(bad)
@@ -600,7 +636,7 @@ def _checked_row_stream(rows: dict[int, np.ndarray], col: _Column) -> np.ndarray
     if not seen.all():
         _reject(seen[rows_stream] != 1, "appears more than once")
     _reject(
-        col.bucket[rows_stream] != np.repeat(shard_vals.astype(np.int64), col.shard_counts),
+        part.bucket[rows_stream] != np.repeat(shard_vals.astype(np.int64), part.shard_counts),
         "belongs to another Morton bucket",
     )
     return rows_stream
@@ -623,7 +659,7 @@ def forest_from_saved(
     that does not fit raises :class:`ShardPartitionError` naming the bucket.
     """
     options.validate()
-    col = _column(primitive_buffer, options, "restore")
+    part, *_ = _column(primitive_buffer, options, "restore")
     rows: dict[int, np.ndarray] = {}
     tree_arrays: dict[int, dict[str, np.ndarray]] = {}
     for arrays, meta in segments:
@@ -631,8 +667,8 @@ def forest_from_saved(
         if meta.get("delegated"):
             tree_arrays[int(meta["bucket"])] = arrays
     for saved, expected, what in (
-        (rows.keys(), set(col.shard_vals.tolist()), "shard set does not match the Morton partition"),
-        (tree_arrays.keys(), set(col.plan.delegated), "delegated-shard set does not match the top-level plan"),
+        (rows.keys(), set(part.shard_vals.tolist()), "shard set does not match the Morton partition"),
+        (tree_arrays.keys(), set(part.plan.delegated), "delegated-shard set does not match the top-level plan"),
     ):
         if saved != expected:
             raise ShardPartitionError(
@@ -640,14 +676,14 @@ def forest_from_saved(
                 f"the persisted {what} recomputed from the key column",
             )
 
-    rows_stream = _checked_row_stream(rows, col)
+    rows_stream = _checked_row_stream(rows, part)
     trees: dict[int, Bvh] = {}
     for b, arrays in tree_arrays.items():
         missing = [name for name in BVH_ARRAY_FIELDS if name not in arrays]
         if missing:
             raise ShardPartitionError(b, f"tree arrays {missing} are missing")
         trees[b] = bvh_from_arrays(arrays, rows[b].shape[0], options)
-    return _splice(col, options, rows_stream, trees)
+    return _splice(part, options, primitive_buffer, rows_stream, trees)
 
 
 def delta_update_forest(
@@ -655,47 +691,43 @@ def delta_update_forest(
     old_buffer: PrimitiveBuffer,
     new_buffer: PrimitiveBuffer,
 ) -> tuple[BvhForest, DeltaUpdateStats]:
-    """Bring a forest up to date with moved/added/removed primitives.
+    """Bring a forest built over ``old_buffer`` up to date with ``new_buffer``.
 
-    Only shards whose primitive membership or geometry changed are re-sorted
-    and rebuilt; clean shards keep their sorted rows and sub-trees, and the
-    splice places both kinds.  Returns the updated forest — whose ``bvh`` is
-    bit-identical to a from-scratch build over ``new_buffer`` — plus
-    statistics of the work performed.  A no-op update (nothing changed)
-    returns the original forest untouched.
+    Boxes, centroids, grid cells and buckets are computed for the changed
+    and dirty-shard rows only.  The rows that *leave* (old values) and
+    *enter* (new values) are the ones ``new_buffer.changed_rows(old_buffer)``
+    reports, one comparison of the stored arrays, plus the rows past the
+    shorter buffer's end.  The partition is patched copy-on-write, since
+    old epochs may still read the old forest's arrays: a copy of
+    ``bucket_of_row`` with the entering rows rewritten, per-bucket counts
+    moved by the leaving and entering rows, and the top plan re-derived
+    from those counts.  Only the shards that gained, lost or moved a
+    primitive are re-sorted and rebuilt, from their old rows plus the
+    entering ones; clean shards keep their sorted rows and sub-trees, and
+    the splice places both kinds.
+
+    The scene bounds follow from the leaving rows' old and the entering
+    rows' new centroids, unless a leaving row held a bound that no entering
+    row reaches: then one full pass decides.  A moved bound re-quantises
+    every code, so the whole forest is rebuilt (``stats.rescaled``).
+
+    Returns the updated forest — whose ``bvh`` is bit-identical to a
+    from-scratch build over ``new_buffer`` — plus statistics of the work
+    performed.  A no-op update (nothing changed) returns the original
+    forest untouched.  A non-finite entering primitive raises
+    ``ValueError`` naming its row.
     """
     options = forest.options
     num_buckets = 1 << options.shard_bits
-    col = _column(new_buffer, options, "delta-update")
-    n_new = col.bucket.shape[0]
+    n_old, n_new = forest.num_primitives, len(new_buffer)
+    if n_new == 0:
+        raise ValueError("cannot delta-update a BVH forest over zero primitives")
     stats = partial(DeltaUpdateStats, total_shards=num_buckets, total_keys=n_new)
-    if not (
-        np.array_equal(col.scene_lo, forest.scene_lo)
-        and np.array_equal(col.scene_hi, forest.scene_hi)
-    ):
-        # The global grid moved: every Morton code is re-quantised, so no
-        # shard content can be trusted.
-        rebuilt = _build(col, options)
-        return rebuilt, stats(
-            non_empty_shards=rebuilt.non_empty_shards,
-            dirty_shards=rebuilt.non_empty_shards,
-            rebuilt_trees=rebuilt.delegated_shards,
-            dirty_keys=n_new,
-            rescaled=True,
-        )
-
-    old_mins, old_maxs = old_buffer.compute_aabbs()
-    common = min(forest.num_primitives, n_new)
-    changed = np.zeros(common, dtype=bool)
-    for axis in range(3):
-        changed |= col.prim_mins[axis, :common] != old_mins[:common, axis]
-        changed |= col.prim_maxs[axis, :common] != old_maxs[:common, axis]
-    dirty = np.zeros(num_buckets, dtype=bool)
-    dirty[forest.bucket_of_row[:common][changed]] = True
-    dirty[col.bucket[:common][changed]] = True
-    dirty[forest.bucket_of_row[common:]] = True
-    dirty[col.bucket[common:]] = True
-    if not dirty.any():
+    common = min(n_old, n_new)
+    changed = new_buffer.changed_rows(old_buffer)
+    leaving = np.concatenate([changed, np.arange(common, n_old)])
+    entering = np.concatenate([changed, np.arange(common, n_new)])
+    if not (leaving.size or entering.size):
         return forest, stats(
             non_empty_shards=forest.non_empty_shards,
             dirty_shards=0,
@@ -704,18 +736,69 @@ def delta_update_forest(
             noop=True,
         )
 
-    # Group the rows of dirty buckets in one stable pass.
-    dirty_rows = np.flatnonzero(dirty[col.bucket])
-    grouped = dirty_rows[np.argsort(col.bucket[dirty_rows], kind="stable")]
-    group_ends = np.cumsum(np.bincount(col.bucket[dirty_rows], minlength=num_buckets))
-    delegated = set(col.plan.delegated)
+    entering_c = centroid_columns(*box_columns(new_buffer, entering))
+    leaving_c = centroid_columns(*box_columns(old_buffer, leaving))
+    if not _bounds_stay(forest, entering, entering_c, leaving_c):
+        part, *columns = _column(new_buffer, options, "delta-update")
+        if not (
+            np.array_equal(part.scene_lo, forest.scene_lo)
+            and np.array_equal(part.scene_hi, forest.scene_hi)
+        ):
+            # The global grid moved: every Morton code is re-quantised, so
+            # no shard content can be trusted.
+            rebuilt = _build(part, *columns, options)
+            return rebuilt, stats(
+                non_empty_shards=rebuilt.non_empty_shards,
+                dirty_shards=rebuilt.non_empty_shards,
+                rebuilt_trees=rebuilt.delegated_shards,
+                dirty_keys=n_new,
+                rescaled=True,
+            )
+
+    # Patch the partition into fresh arrays; the old forest's stay as they are.
+    entering_bucket = morton_prefix_buckets(
+        quantize_to_grid(entering_c.T, forest.scene_lo, forest.scene_hi, options.morton_bits),
+        options.morton_bits,
+        options.shard_bits,
+    )
+    leaving_bucket = forest.bucket_of_row[leaving]
+    bucket = np.empty(n_new, dtype=np.int64)
+    bucket[:common] = forest.bucket_of_row[:common]
+    bucket[entering] = entering_bucket
+    counts = np.zeros(num_buckets, dtype=np.int64)
+    counts[forest.shard_ids] = [forest.shard_rows[b].shape[0] for b in forest.shard_ids.tolist()]
+    counts += np.bincount(entering_bucket, minlength=num_buckets)
+    counts -= np.bincount(leaving_bucket, minlength=num_buckets)
+    part = _partition(forest.scene_lo, forest.scene_hi, bucket, counts, options)
+    dirty = np.zeros(num_buckets, dtype=bool)
+    dirty[leaving_bucket] = True
+    dirty[entering_bucket] = True
+
+    # A dirty shard's rows are its old rows that stay plus the entering
+    # ones: one sort of (bucket, row) keys groups them by bucket, rows
+    # ascending, and drops the repeats.
+    candidates = np.concatenate(
+        [entering]
+        + [forest.shard_rows[b] for b in np.flatnonzero(dirty).tolist() if b in forest.shard_rows]
+    )
+    candidates = candidates[candidates < n_new]
+    keys = bucket[candidates] * n_new + candidates
+    keys.sort()
+    grouped = keys[np.diff(keys, prepend=-1) != 0] % n_new
+    group_ends = np.cumsum(np.where(dirty, counts, 0))
+
+    delegated = set(part.plan.delegated)
     parts: list[np.ndarray] = []
     trees: dict[int, Bvh] = {}
     rebuilt_trees = 0
-    for b, count in zip(col.shard_vals.tolist(), col.shard_counts.tolist()):
+    for b, count in zip(part.shard_vals.tolist(), part.shard_counts.tolist()):
         if dirty[b]:
             rows, tree = _sort_and_build(
-                grouped[group_ends[b] - count : group_ends[b]], col, options, b in delegated
+                grouped[group_ends[b] - count : group_ends[b]],
+                new_buffer,
+                part,
+                options,
+                b in delegated,
             )
             rebuilt_trees += tree is not None
         else:
@@ -724,31 +807,58 @@ def delta_update_forest(
             if b in delegated and tree is None:
                 # The new plan delegates a clean bucket that used to sit in
                 # a mixed leaf: build its tree from the still-sorted rows.
-                _, tree = _sort_and_build(rows, col, options, True, sort=False)
+                _, tree = _sort_and_build(rows, new_buffer, part, options, True, sort=False)
                 rebuilt_trees += 1
         parts.append(rows)
         if tree is not None:
             trees[b] = tree
 
-    updated = _splice(col, options, np.concatenate(parts), trees)
+    updated = _splice(part, options, new_buffer, np.concatenate(parts), trees)
     return updated, stats(
         non_empty_shards=updated.non_empty_shards,
         dirty_shards=int(np.count_nonzero(dirty)),
         rebuilt_trees=rebuilt_trees,
-        dirty_keys=int(dirty_rows.size),
+        dirty_keys=int(grouped.size),
+    )
+
+
+def _bounds_stay(
+    forest: BvhForest, entering: np.ndarray, entering_c: np.ndarray, leaving_c: np.ndarray
+) -> bool:
+    """True when the scene bounds provably stay the forest's: no entering
+    centroid lies outside them, and every bound a leaving row held is
+    reached by an entering row (else an unchanged row may or may not still
+    hold it).  ``*_c`` are ``(3, m)`` centroid columns of the ``entering``
+    and leaving rows; a non-finite entering row raises ``ValueError``."""
+    lo, hi = forest.scene_lo, forest.scene_hi
+    if entering.size:
+        low, high = entering_c.min(axis=1), entering_c.max(axis=1)
+        require_finite(np.concatenate([low, high]), entering_c, rows=entering)
+        if (low < lo).any() or (high > hi).any():
+            return False
+    return not any(
+        ((leaving_c == at).any(axis=1) & ~(entering_c == at).any(axis=1)).any()
+        for at in (lo[:, None], hi[:, None])
     )
 
 
 def _sort_and_build(
-    rows: np.ndarray, col: _Column, options: BvhBuildOptions, build_tree: bool, sort: bool = True
+    rows: np.ndarray,
+    buffer: PrimitiveBuffer,
+    part: _Partition,
+    options: BvhBuildOptions,
+    build_tree: bool,
+    sort: bool = True,
 ) -> tuple[np.ndarray, Bvh | None]:
-    """Sort one bucket's rows by Morton code and optionally build its tree."""
-    codes = morton_interleave_grid(np.take(col.grid, rows, axis=1).T, options.morton_bits)
+    """Sort one bucket's rows by Morton code and optionally build its tree;
+    only these rows of ``buffer`` get boxes and grid cells."""
+    mins, maxs = box_columns(buffer, rows)
+    grid = quantize_to_grid(
+        centroid_columns(mins, maxs).T, part.scene_lo, part.scene_hi, options.morton_bits
+    )
+    codes = morton_interleave_grid(grid, options.morton_bits)
     if sort:
         order, codes = sort_codes(codes)
-        rows = rows[order]
-    tree = None
-    if build_tree:
-        mins, maxs = (np.take(c, rows, axis=1).T for c in (col.prim_mins, col.prim_maxs))
-        tree = build_lbvh_over_sorted(codes, mins, maxs, options)
+        rows, mins, maxs = rows[order], mins[:, order], maxs[:, order]
+    tree = build_lbvh_over_sorted(codes, mins.T, maxs.T, options) if build_tree else None
     return rows, tree

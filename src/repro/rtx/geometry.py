@@ -17,6 +17,7 @@ Section 3.5 of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,8 @@ class PrimitiveBuffer:
     hardware_intersection: bool = False
     #: names of the array attributes that hold the primitives
     _stored: tuple[str, ...] = ()
+    #: names of the values every primitive shares (a half-extent, a radius)
+    _shared: tuple[str, ...] = ()
 
     def resident_bytes(self) -> int:
         """Host bytes the buffer holds right now: its primitive arrays plus
@@ -138,6 +141,40 @@ class PrimitiveBuffer:
         arrays = [getattr(self, name) for name in self._stored]
         arrays.extend(getattr(self, "_pack", None) or ())
         return sum(int(arr.nbytes) for arr in arrays if arr is not None)
+
+    def _row_columns(self) -> list[np.ndarray]:
+        """The stored arrays as ``(n,)`` columns, one entry per row; each
+        array holds one row per primitive along its first axis."""
+        arrays = [getattr(self, name) for name in self._stored]
+        return [
+            column
+            for arr in arrays
+            if arr is not None
+            for column in arr.reshape(len(arr), math.prod(arr.shape[1:])).T
+        ]
+
+    def changed_rows(self, old: "PrimitiveBuffer") -> np.ndarray:
+        """Ascending rows below both lengths whose primitive differs from
+        ``old``'s.
+
+        Compares the stored per-row arrays column by column, by value: a
+        primitive is a pure function of its row's stored values and the
+        shared ones, so a row reported unchanged has the same bounds in
+        both buffers.  Every row differs when the buffer types, the shared
+        values or the stored layouts differ.
+        """
+        common = min(len(self), len(old))
+        new_columns, old_columns = self._row_columns(), old._row_columns()
+        if (
+            type(old) is not type(self)
+            or any(getattr(old, name) != getattr(self, name) for name in self._shared)
+            or len(old_columns) != len(new_columns)
+        ):
+            return np.arange(common, dtype=np.int64)
+        changed = np.zeros(common, dtype=bool)
+        for new, prev in zip(new_columns, old_columns):
+            changed |= new[:common] != prev[:common]
+        return np.flatnonzero(changed)
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -150,8 +187,11 @@ class PrimitiveBuffer:
         """Bytes of primitive storage handed to the acceleration build."""
         raise NotImplementedError
 
-    def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-primitive axis-aligned bounds as ``(mins, maxs)`` arrays."""
+    def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-primitive axis-aligned bounds as ``(m, 3)`` float32 ``(mins,
+        maxs)`` arrays: of every primitive, or of the int64 ``rows`` only,
+        bit-identical to those rows of the full call.  Drops any cached
+        intersection pack."""
         raise NotImplementedError
 
     def intersect(self, origin, direction, tmin, tmax, prim_indices) -> np.ndarray:
@@ -347,14 +387,14 @@ class TriangleBuffer(_MollerTrumboreBuffer):
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
 
-    def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
+    def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         # Bounds are recomputed exactly when the vertices may have moved
         # (accel build or refit), so drop the cached intersection pack.
         self._pack = None
         # Pairwise min/max over the three corner rows: the same sequential
         # reduction order as .min(axis=1) (bit-identical) without the generic
         # axis-reduce machinery — this pass is on the build hot path.
-        v = self.vertices
+        v = self.vertices if rows is None else self.vertices[rows]
         mins = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
         maxs = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
         return mins, maxs
@@ -382,6 +422,7 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
     """
 
     _stored = ("anchors", "x_half_extent")
+    _shared = ("half_extent",)
 
     def __init__(
         self,
@@ -401,28 +442,35 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
     def __len__(self) -> int:
         return int(self.anchors.shape[1])
 
-    def _extent(self, axis: int, rows=slice(None)):
+    def _row_columns(self) -> list[np.ndarray]:
+        # The anchors are already one column per axis.
+        hx = self.x_half_extent
+        return [*self.anchors, *([] if hx is None else [hx])]
+
+    def _extent(self, axis: int, rows):
         """Half-extent along ``axis`` of the triangles ``rows``: the shared
         scalar, or Extended Mode's per-key x extents."""
         if axis == 0 and self.x_half_extent is not None:
             return self.x_half_extent[rows]
         return self.half_extent
 
-    def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
+    def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         # Rounding is monotone, so the smallest (largest) rounded corner is
         # the rounded sum with the smallest (largest) offset: one add per
         # axis and side gives the per-corner min/max bit for bit.
-        n = len(self)
-        mins = np.empty((n, 3), dtype=np.float32)
-        maxs = np.empty((n, 3), dtype=np.float32)
+        rows = slice(None) if rows is None else rows
+        anchors = self.anchors[:, rows]
+        m = anchors.shape[1]
+        mins = np.empty((m, 3), dtype=np.float32)
+        maxs = np.empty((m, 3), dtype=np.float32)
         for axis in range(3):
-            extent = self._extent(axis)
+            extent = self._extent(axis, rows)
             for out, offset in (
                 (mins, _TRIANGLE_OFFSET_MIN[axis]),
                 (maxs, _TRIANGLE_OFFSET_MAX[axis]),
             ):
                 np.add(
-                    self.anchors[axis],
+                    anchors[axis],
                     offset * extent,
                     out=out[:, axis],
                     dtype=np.float64,
@@ -467,6 +515,8 @@ class SphereBuffer(PrimitiveBuffer):
 
     kind = "sphere"
     hardware_intersection = False
+    _stored = ("centers",)
+    _shared = ("radius",)
 
     def __init__(self, centers: np.ndarray, radius: float = 0.25):
         centers = np.asarray(centers, dtype=np.float32)
@@ -499,10 +549,11 @@ class SphereBuffer(PrimitiveBuffer):
         # three float32 per sphere; the shared radius is a single extra float
         return len(self) * 3 * FLOAT_BYTES + FLOAT_BYTES
 
-    def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
+    def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         self._pack = None
         r = np.float32(self.radius)
-        return self.centers - r, self.centers + r
+        centers = self.centers if rows is None else self.centers[rows]
+        return centers - r, centers + r
 
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices
@@ -604,6 +655,7 @@ class AabbBuffer(PrimitiveBuffer):
 
     kind = "aabb"
     hardware_intersection = False
+    _stored = ("mins", "maxs")
 
     def __init__(self, mins: np.ndarray, maxs: np.ndarray):
         mins = np.asarray(mins, dtype=np.float32)
@@ -640,9 +692,11 @@ class AabbBuffer(PrimitiveBuffer):
         # two corners of three float32 each
         return len(self) * 6 * FLOAT_BYTES
 
-    def compute_aabbs(self) -> tuple[np.ndarray, np.ndarray]:
+    def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         self._pack = None
-        return self.mins.copy(), self.maxs.copy()
+        if rows is None:
+            return self.mins.copy(), self.maxs.copy()
+        return self.mins[rows], self.maxs[rows]
 
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices

@@ -42,31 +42,49 @@ def expand_bits_3(values: np.ndarray, bits: int) -> np.ndarray:
     return x
 
 
-def require_finite(bounds: np.ndarray, *columns: np.ndarray) -> None:
+def require_finite(
+    bounds: np.ndarray, *columns: np.ndarray, rows: np.ndarray | None = None
+) -> None:
     """Raise ``ValueError`` naming the first non-finite row of ``columns``
     (each ``(k, n)``) unless ``bounds``, min/max reductions over them that
-    the caller has anyway, are finite; only the error path searches rows."""
+    the caller has anyway, are finite; only the error path searches rows.
+    When the columns hold some rows only, ``rows`` gives the row number of
+    each of their positions."""
     if not np.isfinite(bounds).all():
         finite = np.logical_and.reduce([np.isfinite(c).all(axis=0) for c in columns])
-        row = int(np.flatnonzero(~finite)[0])
-        values = [c[:, row].tolist() for c in columns]
+        i = int(np.flatnonzero(~finite)[0])
+        values = [c[:, i].tolist() for c in columns]
+        row = i if rows is None else int(rows[i])
         raise ValueError(f"primitive {row} has a non-finite coordinate: {values}")
 
 
 def quantize_to_grid_with_bounds(
     points: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantise ``(n, 3)`` points onto the Morton grid and return the
-    bounds that defined it; a non-finite point raises ``ValueError``.
+    """Quantise ``(n, 3)`` points onto the Morton grid spanning their own
+    bounds and return those bounds; a non-finite point raises ``ValueError``.
 
-    The sharded forest build stores the returned ``(lo, hi)`` so delta
-    updates can detect when the global grid itself moved (any change of the
-    scene bounds re-quantises *every* code and dirties every shard).
+    The sharded forest stores the returned ``(lo, hi)``.  A delta update
+    quantises only the rows it re-sorts, with :func:`quantize_to_grid`
+    against the stored bounds, and gets the cells this pass would have
+    given them; when the bounds themselves move, every code is re-quantised
+    and every shard is dirty.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     lo = np.array([pts[:, axis].min() for axis in range(3)])
     hi = np.array([pts[:, axis].max() for axis in range(3)])
     require_finite(np.concatenate([lo, hi]), pts.T)
+    return quantize_to_grid(pts, lo, hi, bits), lo, hi
+
+
+def quantize_to_grid(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, bits: int) -> np.ndarray:
+    """Grid cells of finite ``(n, 3)`` points on the grid spanning ``[lo, hi]``.
+
+    Per-element arithmetic only, so any subset of the points gets the cells
+    the whole set gets.  Returns an ``(n, 3)`` view of ``(3, n)`` uint64
+    per-axis columns.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cells = (1 << bits) - 1
     grid = np.empty((3, pts.shape[0]), dtype=np.uint64)
     for axis in range(3):
@@ -76,7 +94,7 @@ def quantize_to_grid_with_bounds(
         scaled *= cells
         grid[axis] = scaled
         np.minimum(grid[axis], np.uint64(cells), out=grid[axis])
-    return grid.T, lo, hi
+    return grid.T
 
 
 def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:

@@ -196,7 +196,9 @@ class TestEveryAcceptedConfiguration:
 
 class TestPrimitiveResidency:
     """Index triangles are held as their anchor points: no vertex array, and
-    no float64 intersection pack built by the first queries."""
+    no float64 intersection pack built by the first queries.  Spheres and
+    AABBs hold their centres or corners, plus the float64 pack their first
+    query builds."""
 
     @pytest.mark.parametrize(
         "key_mode, bytes_per_key", [(KeyMode.THREE_D, 12), (KeyMode.EXTENDED, 16)]
@@ -219,6 +221,27 @@ class TestPrimitiveResidency:
         assert loaded.stats()["primitive_resident_bytes"] == want
         loaded.point_lookup(keys[:64])
         assert loaded.stats()["primitive_resident_bytes"] == want
+
+    @pytest.mark.parametrize(
+        "primitive, stored_per_key, pack_per_key",
+        [(PrimitiveType.SPHERE, 12, 24), (PrimitiveType.AABB, 24, 48)],
+    )
+    def test_sphere_and_aabb_resident_bytes_after_build_queries_and_load(
+        self, tmp_path, primitive, stored_per_key, pack_per_key
+    ):
+        keys = dense_shuffled_keys(4096, seed=3)
+        stored = stored_per_key * keys.size
+        warm = (stored_per_key + pack_per_key) * keys.size
+        index = RXIndex(RXConfig(primitive=primitive))
+        index.build(keys)
+        assert index.stats()["primitive_resident_bytes"] == stored
+        index.point_lookup(keys[:64])
+        assert index.stats()["primitive_resident_bytes"] == warm
+        index.save(tmp_path)
+        loaded = RXIndex.load(tmp_path)
+        assert loaded.stats()["primitive_resident_bytes"] == stored
+        loaded.point_lookup(keys[:64])
+        assert loaded.stats()["primitive_resident_bytes"] == warm
 
     def test_first_lookup_after_cold_load_stays_below_a_pack(self, tmp_path):
         n = 1 << 16

@@ -388,6 +388,22 @@ def _drop_a_row(rows, low, high):
     rows[low] = rows[low][:-1]
 
 
+def _float_rows(rows, low, high):
+    rows[low] = rows[low].astype(np.float64)
+
+
+def _unsigned_rows(rows, low, high):
+    rows[low] = rows[low].astype(np.uint64)
+
+
+def _narrow_rows(rows, low, high):
+    rows[low] = rows[low].astype(np.int32)
+
+
+def _rows_in_a_matrix(rows, low, high):
+    rows[low] = rows[low].reshape(1, -1)
+
+
 _NODE_ARRAYS = ("left", "right", "first_prim", "prim_count", "node_mins", "node_maxs")
 
 
@@ -480,8 +496,12 @@ class TestBuggyWriterShards:
             (_swap_across_shards, "belongs to another Morton bucket"),
             (_duplicate_within_shard, "appears more than once"),
             (_drop_a_row, "rows, but"),
+            (_float_rows, r"rows array is float64 \(\d+,\), not int64"),
+            (_unsigned_rows, r"rows array is uint64 \(\d+,\), not int64"),
+            (_narrow_rows, r"rows array is int32 \(\d+,\), not int64"),
+            (_rows_in_a_matrix, r"rows array is int64 \(1, \d+\), not int64 \(\d+,\)"),
         ],
-        ids=["swap", "duplicate", "drop"],
+        ids=["swap", "duplicate", "drop", "float64", "uint64", "int32", "2-d"],
     )
     def test_load_rejects_shard_rows_that_do_not_partition(
         self, tmp_path, mutate, problem

@@ -8,9 +8,12 @@ per-shard oracle (each bucket's rows sorted and built on their own) and
 the splice of the saved state back into the single tree, on shard-partition
 edge cases (empty shards, everything in one shard, more shards than keys,
 duplicate-heavy columns, bucket-spanning mixed leaves) and on
-``DIFF_SEED``-driven random columns; delta-shard updates (dirty-subset
-rebuilds, no-op detection, grid rescales, growing/shrinking columns); and
-the RXIndex plumbing around them.
+``DIFF_SEED``-driven random columns; delta-shard updates on every buffer
+kind an index builds (dirty-subset rebuilds, no-op detection, scene bounds
+decided from the changed rows, grid rescales, growing/shrinking columns, a
+``DIFF_SEED``-driven chain checked against fresh builds, copy-on-write, and
+boxes computed for the changed and dirty rows only); and the RXIndex
+plumbing around them.
 """
 
 import os
@@ -26,6 +29,7 @@ from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_4090
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import (
+    BVH_ARRAY_FIELDS,
     BvhBuildOptions,
     build_bvh,
     build_lbvh_over_sorted,
@@ -38,7 +42,12 @@ from repro.rtx.forest import (
     forest_state_segments,
     plan_top_level,
 )
-from repro.rtx.geometry import AabbBuffer, TriangleBuffer, make_triangle_vertices
+from repro.rtx.geometry import (
+    AabbBuffer,
+    AnchoredTriangleBuffer,
+    TriangleBuffer,
+    make_triangle_vertices,
+)
 from repro.rtx.morton import morton_encode_3d
 from repro.workloads import clustered_key_swaps, dense_shuffled_keys
 
@@ -54,9 +63,65 @@ def _line(xs) -> np.ndarray:
     return np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
 
 
+#: the buffers an index builds, by name: key mode and primitive
+_INDEX_BUFFERS = {
+    "triangle-3d": (KeyMode.THREE_D, "triangle"),
+    "triangle-extended": (KeyMode.EXTENDED, "triangle"),
+    "sphere": (KeyMode.THREE_D, "sphere"),
+    "aabb": (KeyMode.THREE_D, "aabb"),
+}
+#: every buffer kind the delta-update tests run on: vertex triangles on a
+#: line, and the buffers an index builds
+_DELTA_KINDS = ["vertex-triangle", *_INDEX_BUFFERS]
+
+
+def _key_buffer(kind: str, keys):
+    """The ``kind`` buffer over the integer key column ``keys``."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if kind == "vertex-triangle":
+        return _buffer(_line(keys))
+    mode, primitive = _INDEX_BUFFERS[kind]
+    points, x_half_extent = make_codec(mode).encode_points(keys)
+    return build_input_for_points(
+        primitive, points, half_extent=0.5, x_half_extent=x_half_extent
+    ).primitive_buffer()
+
+
 def _assert_trees_equal(got, want, label=""):
     diff = bvh_arrays_diff(got, want)
     assert diff is None, (label, diff)
+
+
+def _forest_bytes(forest) -> dict[str, bytes]:
+    """Every array a forest holds, as bytes."""
+    held = {
+        "bucket_of_row": forest.bucket_of_row,
+        "scene_lo": forest.scene_lo,
+        "scene_hi": forest.scene_hi,
+        "shard_ids": forest.shard_ids,
+    }
+    held.update({f"bvh.{name}": getattr(forest.bvh, name) for name in BVH_ARRAY_FIELDS})
+    held.update({f"rows.{b}": rows for b, rows in forest.shard_rows.items()})
+    for b, tree in forest.shard_trees.items():
+        held.update({f"tree.{b}.{name}": getattr(tree, name) for name in BVH_ARRAY_FIELDS})
+    return {name: f"{a.dtype} {a.shape}".encode() + a.tobytes() for name, a in held.items()}
+
+
+def _assert_forest_is_fresh(forest, buffer, label=""):
+    """``forest`` is what a fresh build over ``buffer`` gives: its tree is
+    ``build_bvh``'s bit for bit, and its partition and saved state are a
+    fresh ``build_forest``'s byte for byte."""
+    _assert_trees_equal(forest.bvh, build_bvh(buffer, forest.options), label)
+    fresh = build_forest(buffer, forest.options)
+    for name in ("bucket_of_row", "scene_lo", "scene_hi", "shard_ids"):
+        assert np.array_equal(getattr(forest, name), getattr(fresh, name)), (label, name)
+    got, want = list(forest_state_segments(forest)), list(forest_state_segments(fresh))
+    assert [(b, meta) for b, _, meta in got] == [(b, meta) for b, _, meta in want], label
+    for (b, arrays, _), (_, fresh_arrays, _) in zip(got, want):
+        assert arrays.keys() == fresh_arrays.keys(), (label, b)
+        for name, array in arrays.items():
+            assert array.dtype == fresh_arrays[name].dtype, (label, b, name)
+            assert array.tobytes() == fresh_arrays[name].tobytes(), (label, b, name)
 
 
 def _spliced(forest, buffer):
@@ -188,31 +253,38 @@ class TestForestBuild:
 
 
 class TestDeltaUpdate:
-    def _forest(self, xs, shard_bits=6):
-        buf = _buffer(_line(xs))
+    @pytest.fixture(params=_DELTA_KINDS)
+    def kind(self, request):
+        return request.param
+
+    @staticmethod
+    def _forest(kind, keys, shard_bits=6):
+        buf = _key_buffer(kind, keys)
         return build_forest(buf, BvhBuildOptions(shard_bits=shard_bits)), buf
 
-    def _check(self, forest, old_buf, new_xs, label):
-        new_buf = _buffer(_line(new_xs))
+    @staticmethod
+    def _check(kind, forest, old_buf, new_keys, label):
+        """Update ``forest`` to ``new_keys`` and require the result to be a
+        fresh build's."""
+        new_buf = _key_buffer(kind, new_keys)
         updated, stats = delta_update_forest(forest, old_buf, new_buf)
-        fresh = build_bvh(_buffer(_line(new_xs)), BvhBuildOptions())
-        _assert_trees_equal(updated.bvh, fresh, label)
+        _assert_forest_is_fresh(updated, _key_buffer(kind, new_keys), label)
         return updated, stats, new_buf
 
-    def test_noop_update_rebuilds_nothing(self):
-        xs = np.arange(1000, dtype=np.float64)
-        forest, buf = self._forest(xs)
-        updated, stats = delta_update_forest(forest, buf, _buffer(_line(xs)))
+    def test_noop_update_rebuilds_nothing(self, kind):
+        keys = np.arange(1000)
+        forest, buf = self._forest(kind, keys)
+        updated, stats = delta_update_forest(forest, buf, _key_buffer(kind, keys))
         assert stats.noop
         assert stats.dirty_shards == 0 and stats.rebuilt_trees == 0
         assert updated is forest  # the original forest object, untouched
 
-    def test_local_change_dirties_a_subset(self):
-        xs = np.arange(4096, dtype=np.float64)
-        forest, buf = self._forest(xs, shard_bits=12)
-        new_xs = xs.copy()
-        new_xs[[100, 101]] = new_xs[[101, 100]]
-        _, stats, _ = self._check(forest, buf, new_xs, "local")
+    def test_local_change_dirties_a_subset(self, kind):
+        keys = np.arange(4096)
+        forest, buf = self._forest(kind, keys, shard_bits=12)
+        new_keys = keys.copy()
+        new_keys[[100, 101]] = new_keys[[101, 100]]
+        _, stats, _ = self._check(kind, forest, buf, new_keys, "local")
         assert 1 <= stats.dirty_shards < forest.non_empty_shards
         assert stats.dirty_keys < stats.total_keys
 
@@ -224,7 +296,7 @@ class TestDeltaUpdate:
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_a_move_along_one_axis_is_seen(self, axis):
         # Two rows swap their coordinate on one axis only, so only that
-        # axis's bounds columns tell the update what changed.
+        # axis's column tells the update what changed.
         points = self._lattice()
         buf = _buffer(points)
         forest = build_forest(buf, BvhBuildOptions(shard_bits=6))
@@ -246,36 +318,165 @@ class TestDeltaUpdate:
         assert stats.dirty_shards >= 1 and not stats.rescaled
         _assert_trees_equal(updated.bvh, build_bvh(AabbBuffer(mins, grown)), "grown")
 
-    def test_chained_updates_stay_exact(self):
+    def test_chained_updates_stay_exact(self, kind):
         rng = np.random.default_rng(5)
-        xs = np.arange(2048, dtype=np.float64)
-        rng.shuffle(xs)
-        forest, buf = self._forest(xs, shard_bits=9)
+        keys = rng.permutation(2048)
+        forest, buf = self._forest(kind, keys, shard_bits=9)
         for step in range(3):
-            sel = rng.choice(xs.shape[0] - 1, 5, replace=False)
-            new_xs = xs.copy()
-            new_xs[sel], new_xs[sel + 1] = xs[sel + 1], xs[sel]
-            forest, _, buf = self._check(forest, buf, new_xs, f"chain{step}")
-            xs = new_xs
+            sel = rng.choice(keys.shape[0] - 1, 5, replace=False)
+            new_keys = keys.copy()
+            new_keys[sel], new_keys[sel + 1] = keys[sel + 1], keys[sel]
+            forest, _, buf = self._check(kind, forest, buf, new_keys, f"chain{step}")
+            keys = new_keys
 
-    def test_scene_rescale_forces_full_resort(self):
-        xs = np.arange(1024, dtype=np.float64)
-        forest, buf = self._forest(xs)
-        new_xs = xs.copy()
-        new_xs[-1] = 5000.0  # moves the global grid bounds
-        _, stats, _ = self._check(forest, buf, new_xs, "rescale")
-        assert stats.rescaled
-        assert stats.dirty_keys == stats.total_keys
+    @pytest.mark.parametrize(
+        "update, rescaled",
+        [
+            # Row 1023 still holds the top bound that row 1024 held too.
+            (lambda keys: _moved(keys, 1024, 500), False),
+            (lambda keys: keys[:1024], False),
+            # The only row at the bottom bound moves in, or both copies of
+            # the top key leave.
+            (lambda keys: _moved(keys, 0, 500), True),
+            (lambda keys: keys[:1023], True),
+            # An entering row, or a grown tail, lies past the top bound.
+            (lambda keys: _moved(keys, 5, 5000), True),
+            (lambda keys: np.append(keys, 5000), True),
+        ],
+        ids=[
+            "duplicate-extreme-moves-in",
+            "shrink-drops-a-duplicate-extreme",
+            "only-extreme-moves-in",
+            "shrink-drops-every-extreme",
+            "entering-row-widens",
+            "grown-tail-past-the-bound",
+        ],
+    )
+    def test_scene_bounds_follow_from_the_changed_rows(self, kind, update, rescaled):
+        # One key per value 0..1023, and a second copy of 1023 in row 1024.
+        keys = np.append(np.arange(1024), 1023)
+        forest, buf = self._forest(kind, keys)
+        _, stats, _ = self._check(kind, forest, buf, update(keys), "bounds")
+        assert not stats.noop
+        assert stats.rescaled is rescaled
+        if rescaled:
+            assert stats.dirty_keys == stats.total_keys
 
-    def test_growing_and_shrinking_column(self):
-        xs = np.arange(1024, dtype=np.float64)
-        forest, buf = self._forest(xs, shard_bits=9)
-        grown = np.concatenate([xs, [500.25, 500.5, 500.75]])
-        updated, stats, new_buf = self._check(forest, buf, grown, "grow")
-        assert stats.total_keys == 1027
+    def test_growing_and_shrinking_column(self, kind):
+        keys = np.arange(1024)
+        forest, buf = self._forest(kind, keys, shard_bits=9)
+        grown = np.concatenate([keys, [500, 501, 502]])
+        updated, stats, new_buf = self._check(kind, forest, buf, grown, "grow")
+        assert stats.total_keys == 1027 and not stats.rescaled
         assert stats.dirty_shards < updated.non_empty_shards
-        _, stats, _ = self._check(updated, new_buf, grown[:-10], "shrink")
+        _, stats, _ = self._check(kind, updated, new_buf, grown[:-10], "shrink")
         assert stats.total_keys == 1017
+
+    def test_random_chain_matches_fresh_builds(self, kind):
+        """A ``DIFF_SEED``-driven chain of swaps, rewrites, growth,
+        shrinkage and no-ops over a duplicate-heavy column; every step is a
+        fresh build's tree, partition and saved state."""
+        rng = np.random.default_rng([DIFF_SEED, 31, _DELTA_KINDS.index(kind)])
+        n = int(rng.integers(200, 2000))
+        span = int(rng.integers(n, 4 * n))
+        keys = rng.integers(0, span, n)
+        options = BvhBuildOptions(
+            shard_bits=int(rng.integers(1, 13)), max_leaf_size=int(rng.integers(1, 9))
+        )
+        buf = _key_buffer(kind, keys)
+        forest = build_forest(buf, options)
+        for step in range(24):
+            op = ("swap", "rewrite", "grow", "shrink", "noop")[int(rng.integers(0, 5))]
+            n = keys.shape[0]
+            new_keys = keys.copy()
+            if op == "swap":
+                a, b = rng.integers(0, n, (2, int(rng.integers(1, 16))))
+                new_keys[a], new_keys[b] = keys[b], keys[a]
+            elif op == "rewrite":
+                rows = rng.integers(0, n, int(rng.integers(1, 16)))
+                new_keys[rows] = rng.integers(0, span, rows.shape[0])
+            elif op == "grow":
+                new_keys = np.append(keys, rng.integers(0, span, int(rng.integers(1, 16))))
+            elif op == "shrink":
+                new_keys = keys[: n - int(rng.integers(1, 16))]
+            label = f"step {step} {op}"
+            updated, stats, buf = self._check(kind, forest, buf, new_keys, label)
+            assert stats.noop == (op == "noop" or np.array_equal(new_keys, keys)), label
+            assert (updated is forest) == stats.noop, label
+            forest, keys = updated, new_keys
+
+    def test_update_leaves_the_old_forest_untouched(self, kind):
+        # Old epochs pinned by in-flight windows keep reading the forest an
+        # update started from: every update patches copies.
+        rng = np.random.default_rng(8)
+        keys = rng.permutation(4096)
+        forest, buf = self._forest(kind, keys, shard_bits=9)
+        before = _forest_bytes(forest)
+        swapped = keys.copy()
+        swapped[[7, 8, 900, 901]] = keys[[8, 7, 901, 900]]
+        for label, new_keys in (
+            ("swap", swapped),
+            ("grow", np.append(swapped, [10, 11])),
+            ("shrink", swapped[:-3]),
+            ("rescale", _moved(keys, 3, 9000)),
+        ):
+            self._check(kind, forest, buf, new_keys, label)
+            assert _forest_bytes(forest) == before, label
+
+    # The O(changed) contract, pinned by counts rather than time.
+
+    @pytest.fixture
+    def boxed_rows(self, monkeypatch) -> list:
+        """The row count of every ``compute_aabbs`` call on an index's
+        buffers, ``None`` for a whole buffer."""
+        calls = []
+        compute_aabbs = AnchoredTriangleBuffer.compute_aabbs
+
+        def spy(self, rows=None):
+            calls.append(None if rows is None else len(rows))
+            return compute_aabbs(self) if rows is None else compute_aabbs(self, rows)
+
+        monkeypatch.setattr(AnchoredTriangleBuffer, "compute_aabbs", spy)
+        return calls
+
+    @staticmethod
+    def _dense_index(n: int) -> tuple[RXIndex, np.ndarray]:
+        keys = dense_shuffled_keys(n, seed=29)
+        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=12))
+        index.build(keys)
+        return index, keys
+
+    def test_a_noop_update_computes_no_boxes(self, boxed_rows):
+        index, keys = self._dense_index(1 << 14)
+        boxed_rows.clear()
+        assert index.update(keys.copy()).stats["noop"]
+        assert boxed_rows == []
+
+    def test_a_small_swap_boxes_its_changed_and_dirty_rows_only(self, boxed_rows):
+        # Its changed rows in both buffers, the dirty shards' rows and the
+        # top leaves' rows: never a whole buffer.
+        n = 1 << 14
+        index, keys = self._dense_index(n)
+        new_keys = clustered_key_swaps(keys, 2, seed=30)
+        changed = int(np.count_nonzero(new_keys != keys))
+        assert changed == 4
+        boxed_rows.clear()
+        stats = index.update(new_keys).stats
+        assert None not in boxed_rows, "a whole buffer was boxed"
+        forest = index.accel.forest
+        top_leaf_rows = sum(
+            rows.shape[0] for b, rows in forest.shard_rows.items() if b not in forest.shard_trees
+        )
+        assert sum(boxed_rows) <= 2 * changed + stats["dirty_keys"] + top_leaf_rows
+        assert sum(boxed_rows) < n // 4
+        _assert_forest_is_fresh(forest, index.accel.build_input.primitive_buffer())
+
+
+def _moved(keys: np.ndarray, row: int, key: int) -> np.ndarray:
+    """``keys`` with ``row`` rewritten to ``key``."""
+    new_keys = keys.copy()
+    new_keys[row] = key
+    return new_keys
 
 
 class TestRXIndexForest:
