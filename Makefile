@@ -27,7 +27,10 @@ test-cursor:
 	$(PYTHON) -m pytest -x -q tests/test_cursor_pagination.py tests/test_serve_cursor.py
 
 # Serving-layer harness: coalesced-vs-solo demux, result cache and service
-# tests; honours DIFF_SEED (CI runs extra seeds alongside test-diff).
+# tests, including the lean-record checks (TestLeanServeRecords: one point
+# launch class per epoch, slotted records) and the submit-time rejection of
+# requests a launch would refuse (TestMalformedRequestsRejectedAtSubmit);
+# honours DIFF_SEED (CI runs extra seeds alongside test-diff).
 test-serve:
 	$(PYTHON) -m pytest -x -q tests/test_serve_scheduler.py tests/test_serve_cache.py tests/test_serve_service.py
 

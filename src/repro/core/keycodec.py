@@ -39,23 +39,44 @@ from repro.rtx import float32 as f32
 from repro.rtx.geometry import RayBatch
 
 
+def as_lookup_keys(keys, name: str) -> np.ndarray:
+    """``keys`` as a 1-D uint64 array of lookup keys or range bounds.
+
+    The ray builders take one lookup per element, so a scalar or a 2-D
+    array raises ``ValueError`` naming the argument ``name``.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of keys, got shape {keys.shape}")
+    return keys
+
+
 class KeyCodec(abc.ABC):
     """Base class of the three key conversion modes."""
 
     mode: KeyMode
+    #: whether ``max_key()`` is 2^64 - 1, so no uint64 key needs a range
+    #: check (3D Mode's default 23+23+18 split)
+    accepts_all_keys: bool = False
 
     @abc.abstractmethod
     def max_key(self) -> int:
         """Largest key value this codec can represent correctly."""
 
-    def validate_keys(self, keys: np.ndarray) -> None:
-        """Raise ``ValueError`` if any key exceeds the codec's supported range."""
+    def validate_keys(self, keys: np.ndarray, name: str = "the key column") -> None:
+        """Raise ``ValueError`` if any key exceeds the codec's supported range.
+
+        ``name`` is what the message calls the keys: the key column by
+        default, or the lookup argument they came in (``"queries"``).
+        """
+        if self.accepts_all_keys:
+            return
         keys = np.asarray(keys, dtype=np.uint64)
         limit = np.uint64(self.max_key())
         if keys.size and np.any(keys > limit):
             raise ValueError(
                 f"{self.mode.value} mode supports keys up to {int(limit)}, "
-                f"but the column contains {int(keys.max())}"
+                f"but {name} holds {int(keys.max())}"
             )
 
     @abc.abstractmethod
@@ -102,7 +123,7 @@ class NaiveCodec(KeyCodec):
         return points, None
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
-        self.validate_keys(queries)
+        self.validate_keys(queries, "queries")
         queries = np.asarray(queries, dtype=np.uint64)
         anchors, _ = self.encode_points(queries)
         x = queries.astype(np.float64)
@@ -120,8 +141,8 @@ class NaiveCodec(KeyCodec):
         mode: RangeRayMode,
         max_rays_per_range: int = 64,
     ) -> RayBatch:
-        self.validate_keys(lowers)
-        self.validate_keys(uppers)
+        self.validate_keys(lowers, "lowers")
+        self.validate_keys(uppers, "uppers")
         lo = np.asarray(lowers, dtype=np.float64)
         hi = np.asarray(uppers, dtype=np.float64)
         zeros = np.zeros(lo.shape[0])
@@ -166,7 +187,7 @@ class ExtendedCodec(KeyCodec):
         return points, f32.ulp_f32(coords)
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
-        self.validate_keys(queries)
+        self.validate_keys(queries, "queries")
         queries = np.asarray(queries, dtype=np.uint64)
         if mode is PointRayMode.PARALLEL_FROM_OFFSET:
             raise ValueError("Extended Mode does not support offset ray origins")
@@ -187,8 +208,8 @@ class ExtendedCodec(KeyCodec):
     ) -> RayBatch:
         if mode is RangeRayMode.PARALLEL_FROM_OFFSET:
             raise ValueError("Extended Mode does not support offset ray origins")
-        self.validate_keys(lowers)
-        self.validate_keys(uppers)
+        self.validate_keys(lowers, "lowers")
+        self.validate_keys(uppers, "uppers")
         zeros = np.zeros(np.asarray(lowers).shape[0])
         lo = self.gap_below(lowers).astype(np.float64)
         hi = self.gap_above(uppers).astype(np.float64)
@@ -207,6 +228,7 @@ class ThreeDCodec(KeyCodec):
 
     def __init__(self, decomposition: KeyDecomposition | None = None):
         self.decomposition = decomposition or KeyDecomposition()
+        self.accepts_all_keys = self.decomposition.max_key == (1 << 64) - 1
 
     def max_key(self) -> int:
         return self.decomposition.max_key
@@ -239,7 +261,7 @@ class ThreeDCodec(KeyCodec):
         return points, None
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
-        self.validate_keys(queries)
+        self.validate_keys(queries, "queries")
         queries = np.asarray(queries, dtype=np.uint64)
         x, y, z = self.decompose(queries)
         xf = x.astype(np.float64)
@@ -259,8 +281,8 @@ class ThreeDCodec(KeyCodec):
         mode: RangeRayMode,
         max_rays_per_range: int = 64,
     ) -> RayBatch:
-        self.validate_keys(lowers)
-        self.validate_keys(uppers)
+        self.validate_keys(lowers, "lowers")
+        self.validate_keys(uppers, "uppers")
         lowers = np.asarray(lowers, dtype=np.uint64)
         uppers = np.asarray(uppers, dtype=np.uint64)
         if np.any(uppers < lowers):

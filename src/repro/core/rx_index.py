@@ -37,7 +37,7 @@ from repro.core.config import (
     UpdatePolicy,
 )
 from repro.core.cursor import next_cursor_token, parse_cursor, resume_after
-from repro.core.keycodec import make_codec
+from repro.core.keycodec import as_lookup_keys, make_codec
 from repro.core.results import (
     aggregate_values,
     collect_row_ids,
@@ -330,7 +330,7 @@ class RXIndex(GpuIndex):
 
     def point_lookup(self, queries: np.ndarray) -> LookupRun:
         pipeline = self._require_built()
-        queries = np.asarray(queries, dtype=np.uint64)
+        queries = as_lookup_keys(queries, "queries")
         rays = self.codec.point_ray_batch(queries, self.config.point_ray_mode)
         return self._launch_lookups(
             pipeline, rays, queries.shape[0], self.point_limit(), kind="point"
@@ -366,8 +366,8 @@ class RXIndex(GpuIndex):
         if cursor is not None:
             raise ValueError("cursor resume requires order='key'")
         pipeline = self._require_built()
-        lowers = np.asarray(lowers, dtype=np.uint64)
-        uppers = np.asarray(uppers, dtype=np.uint64)
+        lowers = as_lookup_keys(lowers, "lowers")
+        uppers = as_lookup_keys(uppers, "uppers")
         if lowers.shape != uppers.shape:
             raise ValueError("lowers and uppers must have the same shape")
         limit = check_limit(limit)
@@ -419,7 +419,7 @@ class RXIndex(GpuIndex):
     def collect_point_matches(self, queries: np.ndarray) -> list[np.ndarray]:
         """Materialise all matching rowIDs per query (example/demo helper)."""
         pipeline = self._require_built()
-        queries = np.asarray(queries, dtype=np.uint64)
+        queries = as_lookup_keys(queries, "queries")
         rays = self.codec.point_ray_batch(queries, self.config.point_ray_mode)
         launch = pipeline.launch(rays, num_lookups=queries.shape[0])
         return collect_row_ids(launch.hits, queries.shape[0])

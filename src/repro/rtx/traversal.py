@@ -46,9 +46,14 @@ from repro.rtx.bvh import Bvh
 from repro.rtx.geometry import PrimitiveBuffer, RayBatch
 
 
-@dataclass
+@dataclass(slots=True)
 class TraversalCounters:
-    """Counters accumulated during one or more traced ray batches."""
+    """Counters accumulated during one or more traced ray batches.
+
+    Slotted, and built positionally in field order by the grouped-launch
+    split (:meth:`_GroupCounterRecorder.finalize`): the serving layer makes
+    one per launched request.
+    """
 
     rays: int = 0
     node_visits: int = 0
@@ -127,7 +132,7 @@ class TraversalCounters:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class HitRecords:
     """All (ray, primitive) hits of a traced batch, in structure-of-arrays form.
 
@@ -406,43 +411,37 @@ class _GroupCounterRecorder:
         """Split the finished trace into one ``TraversalCounters`` per group.
 
         ``ray_has_hit`` is the per-ray "reported at least one hit" mask the
-        trace already computed for its global counters.
+        trace already computed for its global counters.  The per-group
+        columns are stacked into one ``(15, groups)`` table whose rows are
+        the ``TraversalCounters`` fields in declaration order, so one
+        ``tolist`` of its transpose yields each group's counters as a
+        positional argument row.
         """
-        # One ``tolist`` per array: the per-group loop then builds every
-        # counter from Python ints instead of indexing NumPy scalars.
         n = self.num_groups
-        rays_per_group = np.bincount(self.groups, minlength=n).tolist()
-        prim_hits = np.bincount(self.groups[ray_indices], minlength=n).tolist()
-        rays_with_hits = np.bincount(self.groups[ray_has_hit], minlength=n).tolist()
-        node_visits = self.node_visits.tolist()
-        leaf_visits = self.leaf_visits.tolist()
-        all_prim_tests = self.prim_tests.tolist()
-        budget_dropped = self.budget_dropped.tolist()
-        max_frontier = self.max_frontier.tolist()
-        rounds = self.rounds.tolist()
-        out = []
-        for g in range(n):
-            prim_tests = all_prim_tests[g]
-            out.append(
-                TraversalCounters(
-                    rays=rays_per_group[g],
-                    node_visits=node_visits[g],
-                    leaf_visits=leaf_visits[g],
-                    box_tests=node_visits[g],
-                    prim_tests=prim_tests,
-                    prim_hits=prim_hits[g],
-                    budget_dropped_hits=budget_dropped[g],
-                    rays_with_hits=rays_with_hits[g],
-                    rays_without_hits=rays_per_group[g] - rays_with_hits[g],
-                    node_bytes_read=node_visits[g] * node_bytes,
-                    prim_bytes_read=prim_tests * per_prim_bytes,
-                    hardware_intersection_tests=prim_tests if hardware else 0,
-                    software_intersection_calls=0 if hardware else prim_tests,
-                    max_frontier_size=max_frontier[g],
-                    traversal_rounds=rounds[g],
-                )
-            )
-        return out
+        rays = np.bincount(self.groups, minlength=n)
+        with_hits = np.bincount(self.groups[ray_has_hit], minlength=n)
+        tests = self.prim_tests
+        none = np.zeros_like(tests)
+        table = np.stack(
+            [
+                rays,
+                self.node_visits,
+                self.leaf_visits,
+                self.node_visits,  # box_tests: one slab test per visit
+                tests,
+                np.bincount(self.groups[ray_indices], minlength=n),  # prim_hits
+                self.budget_dropped,
+                with_hits,
+                rays - with_hits,
+                self.node_visits * node_bytes,
+                tests * per_prim_bytes,
+                tests if hardware else none,
+                none if hardware else tests,
+                self.max_frontier,
+                self.rounds,
+            ]
+        )
+        return [TraversalCounters(*row) for row in table.T.tolist()]
 
 
 @dataclass
@@ -468,7 +467,10 @@ class TraversalEngine:
     #: Per-group counters of the most recent ``trace(..., ray_groups=...)``
     #: call (None when the last trace did not request grouping).  Each entry
     #: is bit-identical to the counters a solo launch of that group's rays
-    #: would produce — the demux contract of the serving layer.
+    #: would produce — the demux contract of the serving layer.  The entries
+    #: are built eagerly from one ``(15, groups)`` int64 table (one row per
+    #: counter field, one column per group) and own their values, so a
+    #: cached per-request result never pins its launch's table.
     group_counters: list[TraversalCounters] | None = field(default=None, repr=False)
 
     def reset_counters(self) -> None:

@@ -84,7 +84,7 @@ class ResultCache:
         matches its key — the detection (and the cache-bypass degradation)
         is the caller's job.
         """
-        if not self.enabled:
+        if not self.capacity:  # disabled; ``enabled`` costs a property call
             return None
         if self.faults is not None:
             self.faults.check("cache")
@@ -108,7 +108,7 @@ class ResultCache:
         return True
 
     def put(self, key: tuple, value) -> None:
-        if not self.enabled:
+        if not self.capacity:
             return
         if key in self._entries:
             # Refresh in place (the value is identical by determinism).

@@ -21,15 +21,24 @@ launch:
 * Per-request counters come from the engine's ``ray_groups`` attribution
   (:class:`repro.rtx.traversal.TraversalEngine`), which splits every counter
   (including ``traversal_rounds`` and ``max_frontier_size``) by the group
-  that owns each ray.
+  that owns each ray: the launch stacks the per-group columns into one
+  ``(15, groups)`` int64 table in ``TraversalCounters`` field order and
+  builds each request's counters positionally from one ``tolist`` of it.
 
 Requests only coalesce into one launch when they share a *launch class* —
 the (kind, trace mode, limit) triple — because a launch has a single trace
 mode and hit budget.  A flush may therefore issue several class launches.
+Every point request of an epoch shares one class object, made once when
+the epoch's snapshot is captured.
+
+A request costs a handful of Python objects on this path, so the request
+and result records are slotted dataclasses (one object each, no attribute
+dict) and are built positionally where a flush makes one per request.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -65,7 +74,7 @@ class LaunchClass(NamedTuple):
     limit: int | None = None  #: per-lookup hit budget (budgeted modes only)
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeRequest:
     """One client request: a small batch of point or range lookups."""
 
@@ -93,18 +102,29 @@ class ServeRequest:
 
     def __post_init__(self) -> None:
         if self.kind == "point":
-            if self.queries is None or self.queries.shape[0] == 0:
-                raise ValueError("a point request needs at least one query key")
+            queries = self.queries
+            if queries is None or queries.ndim != 1 or queries.shape[0] == 0:
+                raise ValueError(
+                    "a point request needs a 1-D array of at least one query key, "
+                    "got " + ("none" if queries is None else f"shape {queries.shape}")
+                )
             if self.order is not None:
                 raise ValueError("order='key' only applies to range requests")
-            self.num_queries = int(self.queries.shape[0])
+            self.num_queries = queries.shape[0]
         elif self.kind == "range":
-            if self.lowers is None or self.uppers is None:
+            lowers, uppers = self.lowers, self.uppers
+            if lowers is None or uppers is None:
                 raise ValueError("a range request needs lower and upper bounds")
-            if self.lowers.shape != self.uppers.shape or self.lowers.shape[0] == 0:
+            if lowers.ndim != 1 or lowers.shape != uppers.shape or lowers.shape[0] == 0:
                 raise ValueError(
-                    "range bounds must be equal-shaped and non-empty"
+                    "range bounds must be equal-shaped, non-empty 1-D arrays, "
+                    f"got shapes {lowers.shape} and {uppers.shape}"
                 )
+            # Python ints: a request holds a few ranges, and a NumPy compare
+            # costs microseconds per call.  (3D Mode's ray builder refuses an
+            # inverted range for the whole launch.)
+            if any(map(operator.gt, lowers.tolist(), uppers.tolist())):
+                raise ValueError("range lookups require upper >= lower")
             if self.order is not None:
                 if self.order != "key":
                     raise ValueError(
@@ -112,30 +132,31 @@ class ServeRequest:
                     )
                 if self.limit is None:
                     raise ValueError("order='key' requires a page size (limit)")
-                if self.lowers.shape[0] != 1:
+                if lowers.shape[0] != 1:
                     raise ValueError(
                         "order='key' pages one range per request"
                     )
-            self.num_queries = int(self.lowers.shape[0])
+            self.num_queries = lowers.shape[0]
         else:
             raise ValueError(f"unknown request kind {self.kind!r}")
         if self.cursor is not None and self.order is None:
             raise ValueError("cursor resume requires order='key'")
 
-    def cache_payload(self) -> tuple:
+    def cache_payload(self) -> bytes | tuple:
         """Hashable identity of the request's queries (the cache key body).
 
+        The launch class beside it in the key already names the request's
+        kind, so a point request's payload is its key bytes alone.
         Ordered paged requests include their cursor: each page of a scan is
         its own cache entry, keyed by ``(epoch, class, range, cursor)`` —
         so a resumed page can never be answered from another page's entry,
         and an epoch advance orphans every page at once.
         """
         if self.kind == "point":
-            return ("point", self.queries.tobytes())
+            return self.queries.tobytes()
         if self.order is None:
-            return ("range", self.lowers.tobytes(), self.uppers.tobytes(), self.limit)
+            return (self.lowers.tobytes(), self.uppers.tobytes(), self.limit)
         return (
-            "range",
             self.lowers.tobytes(),
             self.uppers.tobytes(),
             self.limit,
@@ -144,9 +165,13 @@ class ServeRequest:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestResult:
-    """One request's demuxed result, bit-identical to a solo launch."""
+    """One request's demuxed result, bit-identical to a solo launch.
+
+    The demux and the cache-hit path build it positionally, so the field
+    order is part of both.
+    """
 
     request_id: int
     kind: str
@@ -176,14 +201,6 @@ class RequestResult:
     @property
     def num_rays(self) -> int:
         return self.hits.num_rays
-
-    def __copy__(self) -> "RequestResult":
-        # A plain attribute-dict copy: ``copy``'s generic reduce protocol
-        # costs as much as re-running ``__init__``, and a cache hit is one
-        # shallow copy per request.
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        return clone
 
     def result_rows(self) -> np.ndarray:
         """RowID of the first match per lookup (miss sentinel elsewhere)."""
@@ -310,7 +327,14 @@ class MicroBatchScheduler:
 
     def take_window(self) -> list[ServeRequest]:
         """Dequeue whole requests FIFO up to ``max_batch`` queries (>= 1)."""
-        taken: list[ServeRequest] = []
+        if self.pending_queries <= self.max_batch:
+            # Everything fits: the window is the whole queue.
+            taken = list(self.pending)
+            self.pending.clear()
+            self.pending_queries = 0
+            self._min_deadline = float("inf")
+            return taken
+        taken = []
         count = 0
         while self.pending:
             nxt = self.pending[0].num_queries
@@ -345,16 +369,18 @@ class MicroBatchScheduler:
         """Launch class of ``request`` under ``snapshot``'s point budget.
 
         Load-bearing in two places: it decides which requests may share a
-        coalesced launch, and it is part of the result-cache key.  Point
-        and unordered range lookups follow the index's rule
+        coalesced launch, and it is part of the result-cache key.  A point
+        request gets the epoch's one point class (``snapshot.point_class``);
+        unordered range lookups follow the index's rule
         (:func:`repro.core.rx_index.trace_mode_for`).
         """
-        # Positional construction: this runs for every request, and a named
-        # tuple builds nearly twice as slowly from keywords.
+        if request.kind == "point":
+            return snapshot.point_class
+        # Positional construction: a named tuple builds nearly twice as
+        # slowly from keywords.
         if request.order == "key":
             return LaunchClass("range", "ordered_k", request.limit)
-        limit = snapshot.point_limit if request.kind == "point" else request.limit
-        return LaunchClass(request.kind, trace_mode_for(limit), limit)
+        return LaunchClass("range", trace_mode_for(request.limit), request.limit)
 
     def _launch_class(
         self, klass: LaunchClass, requests: list[ServeRequest], snapshot
@@ -437,37 +463,45 @@ class MicroBatchScheduler:
         ).tolist()
         num_rays = np.diff(ray_starts).tolist()
 
+        epoch = snapshot.epoch
+        ordered = klass.mode == "ordered_k"
+        next_cursor = None
         results = []
-        for i, request in enumerate(requests):
-            lo, hi = bounds[i], bounds[i + 1]
+        for request, lo, hi, request_rays, counters in zip(
+            requests, bounds, bounds[1:], num_rays, launch.group_counters
+        ):
             # Private copies, never views: a cached result must not pin the
             # whole launch's hit arrays.
             local = HitRecords(
-                ray_indices=ray_indices[lo:hi].copy(),
-                prim_indices=prim_indices[lo:hi].copy(),
-                lookup_ids=lookup_ids[lo:hi].copy(),
-                num_rays=num_rays[i],
+                ray_indices[lo:hi].copy(),
+                prim_indices[lo:hi].copy(),
+                lookup_ids[lo:hi].copy(),
+                request_rays,
             )
-            next_cursor = None
-            if klass.mode == "ordered_k":
+            if ordered:
                 # The ordered pool reports hits in (key, rowID) order, and
                 # the demux preserves stream order within a request, so the
                 # page's last primitive is the keyset resume point.
                 next_cursor = next_cursor_token(
                     snapshot.keys, local.prim_indices, klass.limit
                 )
+            # Positional, in field order: request_id, kind, epoch, hits,
+            # counters, num_lookups, from_cache, arrival, completion,
+            # deadline, order, next_cursor.
             results.append(
                 RequestResult(
-                    request_id=request.request_id,
-                    kind=request.kind,
-                    epoch=snapshot.epoch,
-                    hits=local,
-                    counters=launch.group_counters[i],
-                    num_lookups=request.num_queries,
-                    arrival=request.arrival,
-                    deadline=request.deadline,
-                    order=request.order,
-                    next_cursor=next_cursor,
+                    request.request_id,
+                    request.kind,
+                    epoch,
+                    local,
+                    counters,
+                    request.num_queries,
+                    False,
+                    request.arrival,
+                    0.0,
+                    request.deadline,
+                    request.order,
+                    next_cursor,
                 )
             )
         return results
@@ -484,20 +518,20 @@ class MicroBatchScheduler:
         each gets an explicit :class:`RequestFailure` — while the other
         classes of the window still serve normally.
         """
+        class_of = self.class_of
         by_class: dict[LaunchClass, list[ServeRequest]] = {}
         for request in window:
-            by_class.setdefault(self.class_of(request, snapshot), []).append(request)
+            by_class.setdefault(class_of(request, snapshot), []).append(request)
 
-        results: dict[int, RequestResult | RequestFailure] = {}
+        results: list[RequestResult | RequestFailure] = []
         for klass, requests in by_class.items():
             try:
-                for result in self._launch_class(klass, requests, snapshot):
-                    results[result.request_id] = result
+                results += self._launch_class(klass, requests, snapshot)
             except LaunchExhausted:
                 if self.serve_stats is not None:
                     self.serve_stats.launch_failures += len(requests)
-                for request in requests:
-                    results[request.request_id] = RequestFailure(
+                results += [
+                    RequestFailure(
                         request_id=request.request_id,
                         kind=request.kind,
                         reason="launch_failed",
@@ -505,7 +539,12 @@ class MicroBatchScheduler:
                         deadline=request.deadline,
                         num_lookups=request.num_queries,
                     )
-        return [results[r.request_id] for r in window]
+                    for request in requests
+                ]
+        if len(by_class) == 1:
+            return results  # one class: already in request order
+        by_id = {result.request_id: result for result in results}
+        return [by_id[r.request_id] for r in window]
 
     def flush(self, snapshot, reason: str = "size") -> list[RequestResult]:
         """Take one batching window, launch it against ``snapshot``, demux.

@@ -30,7 +30,6 @@ against a real component:
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from collections import Counter
@@ -280,20 +279,24 @@ class IndexService:
         the service's default applies.  Returns the queued request, or an
         explicit :class:`RequestFailure` when the request was rejected
         (infeasible deadline or shed by the queue bound).  A non-finite
-        ``deadline`` raises ``ValueError`` and queues nothing.
+        ``deadline``, queries that are not a non-empty 1-D key array, or a
+        key beyond the codec's ``max_key()`` raise ``ValueError`` and queue
+        nothing.
         """
         arrival = float(arrival)
-        deadline = _absolute_deadline(arrival, deadline)
-        self._next_request_id += 1
-        return self._admit(
-            ServeRequest(
-                request_id=self._next_request_id,
-                kind="point",
-                queries=np.ascontiguousarray(queries, dtype=np.uint64),
-                arrival=arrival,
-                deadline=deadline,
-            )
+        if deadline is not None:
+            deadline = _absolute_deadline(arrival, deadline)
+        queries = np.ascontiguousarray(queries, dtype=np.uint64)
+        # Positional, in field order (request_id, kind, queries, lowers,
+        # uppers, limit, arrival, deadline); the request checks its shape.
+        request = ServeRequest(
+            self._next_request_id + 1, "point", queries, None, None, None, arrival, deadline
         )
+        codec = self._serving_codec()
+        if not codec.accepts_all_keys:
+            codec.validate_keys(queries, "queries")
+        self._next_request_id += 1
+        return self._admit(request)
 
     def submit_range(
         self,
@@ -315,31 +318,50 @@ class IndexService:
         returned ``(key, rowID)``.  A pinned page whose epoch has been
         superseded by an index update fails with ``"epoch_retired"`` rather
         than serving rows of a different column state — the client restarts
-        the scan explicitly.
+        the scan explicitly.  Bounds that are not equal-shaped, non-empty
+        1-D key arrays, an upper bound below its lower bound, or a bound
+        past the codec's ``max_key()`` raise ``ValueError`` and queue
+        nothing.
         """
         limit = check_limit(limit)
-        # Validate the client-supplied cursor token and deadline up front: a
-        # malformed value must fail here with a clean ValueError, not deep
-        # inside a coalesced launch.  The original token string still rides
-        # on the request (cache keys and demux labels key on it verbatim).
-        parse_cursor(cursor, max_key=self.index.codec.max_key())
+        # Validate the client-supplied bounds, cursor token and deadline up
+        # front: a malformed value must fail here with a clean ValueError,
+        # not inside a coalesced launch, where it would fail every request
+        # of the window.  The original token string still rides on the
+        # request (cache keys and demux labels key on it verbatim).
+        codec = self._serving_codec()
+        if cursor is not None:
+            parse_cursor(cursor, max_key=codec.max_key())
         arrival = float(arrival)
-        deadline = _absolute_deadline(arrival, deadline)
-        self._next_request_id += 1
-        return self._admit(
-            ServeRequest(
-                request_id=self._next_request_id,
-                kind="range",
-                lowers=np.ascontiguousarray(lowers, dtype=np.uint64),
-                uppers=np.ascontiguousarray(uppers, dtype=np.uint64),
-                limit=limit,
-                arrival=arrival,
-                deadline=deadline,
-                order=order,
-                cursor=cursor,
-                pin_epoch=pin_epoch,
-            )
+        if deadline is not None:
+            deadline = _absolute_deadline(arrival, deadline)
+        lowers = np.ascontiguousarray(lowers, dtype=np.uint64)
+        uppers = np.ascontiguousarray(uppers, dtype=np.uint64)
+        # Positional, in field order; the request checks its shapes.
+        request = ServeRequest(
+            self._next_request_id + 1,
+            "range",
+            None,
+            lowers,
+            uppers,
+            limit,
+            arrival,
+            deadline,
+            order,
+            cursor,
+            pin_epoch,
         )
+        if not codec.accepts_all_keys:
+            codec.validate_keys(lowers, "lowers")
+            codec.validate_keys(uppers, "uppers")
+        self._next_request_id += 1
+        return self._admit(request)
+
+    def _serving_codec(self):
+        """Codec of the epoch a request submitted now would launch against:
+        the open window's pinned snapshot, else the index's current state."""
+        snapshot = self._window_snapshot
+        return self.index.codec if snapshot is None else snapshot.codec
 
     # ------------------------------------------------------------------ #
     # updates
@@ -493,35 +515,46 @@ class IndexService:
         # Only current-epoch results may (re-)enter the cache: results of a
         # pinned-but-superseded epoch would outlive their invalidation sweep.
         cache_insert = self.cache.enabled and snapshot.epoch == self.index.epoch
-        misses: list[tuple[ServeRequest, tuple | None]] = []
+        misses: list[ServeRequest] = live
+        miss_keys: list[tuple] = []
         if self.cache.enabled:
+            epoch = snapshot.epoch
+            key_for = ResultCache.key_for
+            class_of = self.scheduler.class_of
+            get = self.cache.get
+            misses = []
             try:
                 for request in live:
-                    key = ResultCache.key_for(
-                        snapshot.epoch,
-                        self.scheduler.class_of(request, snapshot),
-                        request.cache_payload(),
-                    )
-                    cached = self.cache.get(key)
-                    if cached is not None and cached.epoch != snapshot.epoch:
+                    key = key_for(epoch, class_of(request, snapshot), request.cache_payload())
+                    cached = get(key)
+                    if cached is not None and cached.epoch != epoch:
                         # Corrupt read: the entry's epoch tag cannot belong
                         # to the key it was found under.  Drop it and serve
                         # the request by launching.
                         self.cache.discard(key)
                         self.serve_stats.cache_corruptions_detected += 1
                         cached = None
-                    if cached is not None:
-                        # A shallow copy: the hit arrays and counters are
-                        # shared with the entry (results are read-only), and
-                        # only the per-request fields are rewritten.
-                        hit = copy.copy(cached)
-                        hit.request_id = request.request_id
-                        hit.arrival = request.arrival
-                        hit.deadline = request.deadline
-                        hit.from_cache = True
-                        served[request.request_id] = hit
-                    else:
-                        misses.append((request, key))
+                    if cached is None:
+                        misses.append(request)
+                        miss_keys.append(key)
+                        continue
+                    # A new result for this request that shares the entry's
+                    # hit arrays and counters (results are read-only).
+                    # Positional, in field order (see the scheduler's demux).
+                    served[request.request_id] = RequestResult(
+                        request.request_id,
+                        cached.kind,
+                        epoch,
+                        cached.hits,
+                        cached.counters,
+                        cached.num_lookups,
+                        True,
+                        request.arrival,
+                        0.0,
+                        request.deadline,
+                        cached.order,
+                        cached.next_cursor,
+                    )
             except InjectedFault:
                 # Cache unavailable: degrade to cache-bypass for this flush.
                 # Every request launches; nothing is read or written back.
@@ -531,22 +564,18 @@ class IndexService:
                     for rid, res in served.items()
                     if isinstance(res, RequestFailure)
                 }
-                misses = [(request, None) for request in live]
+                misses = live
                 cache_insert = False
-        else:
-            # Disabled cache: skip the key construction entirely — this is
-            # the configuration the serving benchmarks time.
-            misses = [(request, None) for request in live]
         if misses:
-            for result in self.scheduler.launch_window(
-                [request for request, _ in misses], snapshot
-            ):
+            launched = self.scheduler.launch_window(misses, snapshot)
+            for result in launched:
                 served[result.request_id] = result
             if cache_insert:
-                for request, key in misses:
-                    result = served[request.request_id]
+                # Results come back in request order, one per miss key.
+                put = self.cache.put
+                for key, result in zip(miss_keys, launched):
                     if isinstance(result, RequestResult):
-                        self.cache.put(key, result)
+                        put(key, result)
         return [served[r.request_id] for r in window]
 
     def pump(self, now: float) -> list[RequestResult | RequestFailure]:

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import RXConfig, UpdatePolicy
-from repro.core.rx_index import RXIndex
+from repro.core.rx_index import RXIndex, trace_mode_for
 from repro.rtx.pipeline import Pipeline
+from repro.serve.scheduler import LaunchClass
 
 
 @dataclass
@@ -45,10 +46,16 @@ class EpochSnapshot:
     config: RXConfig
     keys: np.ndarray
     values: np.ndarray
-    #: point-lookup hit budget for this epoch's column: 1 on a
-    #: duplicate-free column (``first_k`` launches), else None (all hits)
-    point_limit: int | None
+    #: launch class every point request of this epoch shares: ``first_k``
+    #: with a budget of 1 on a duplicate-free column, else all hits.  Made
+    #: once per epoch, so classing a point request builds nothing.
+    point_class: LaunchClass
     pins: int = 0
+
+    @property
+    def point_limit(self) -> int | None:
+        """Point-lookup hit budget of this epoch's column: 1 or None."""
+        return self.point_class.limit
 
     @property
     def num_keys(self) -> int:
@@ -104,6 +111,7 @@ class EpochManager:
         if self.faults is not None:
             pipeline.fault_injector = self.faults
         self.stats.epochs_seen += 1
+        point_limit = index.point_limit()
         return EpochSnapshot(
             epoch=index.epoch,
             pipeline=pipeline,
@@ -111,7 +119,7 @@ class EpochManager:
             config=index.config,
             keys=index.keys,
             values=index.values,
-            point_limit=index.point_limit(),
+            point_class=LaunchClass("point", trace_mode_for(point_limit), point_limit),
         )
 
     def add_listener(self, on_advance) -> None:

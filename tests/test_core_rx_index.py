@@ -421,6 +421,53 @@ class TestRangeLookups:
             index.range_lookup(np.array([1], dtype=np.uint64), np.array([2, 3], dtype=np.uint64))
 
 
+class TestLookupArgumentShapes:
+    """Both lookup boundaries take 1-D key arrays and name a bad argument."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda index: index.point_lookup(np.uint64(7)), r"queries .*shape \(\)"),
+            (
+                lambda index: index.point_lookup(np.ones((2, 2), dtype=np.uint64)),
+                r"queries .*shape \(2, 2\)",
+            ),
+            (
+                lambda index: index.range_lookup(np.uint64(1), np.uint64(5)),
+                r"lowers .*shape \(\)",
+            ),
+            (
+                lambda index: index.range_lookup(
+                    np.ones((2, 1), dtype=np.uint64), np.full((2, 1), 5, dtype=np.uint64)
+                ),
+                r"lowers .*shape \(2, 1\)",
+            ),
+            (
+                lambda index: index.range_lookup(
+                    np.array([1, 2], dtype=np.uint64), np.full((2, 1), 5, dtype=np.uint64)
+                ),
+                r"uppers .*shape \(2, 1\)",
+            ),
+        ],
+        ids=["point-0d", "point-2d", "range-0d", "range-2d", "range-2d-uppers"],
+    )
+    def test_non_1d_input_raises_naming_the_argument(self, small_keys, call, message):
+        index = RXIndex()
+        index.build(small_keys)
+        with pytest.raises(ValueError, match=message):
+            call(index)
+
+    def test_out_of_range_query_key_is_named_as_a_query(self):
+        index = RXIndex(RXConfig(key_mode=KeyMode.NAIVE))
+        index.build(dense_shuffled_keys(64, seed=3))
+        with pytest.raises(ValueError, match=r"but queries holds 8388608"):
+            index.point_lookup(np.array([2**23], dtype=np.uint64))
+        with pytest.raises(ValueError, match=r"but uppers holds 8388608"):
+            index.range_lookup(
+                np.array([0], dtype=np.uint64), np.array([2**23], dtype=np.uint64)
+            )
+
+
 class TestRangeLimitPushdown:
     def test_per_call_limit_caps_every_lookup(self, small_workload):
         index = RXIndex()

@@ -136,6 +136,9 @@ class TestServiceCaching:
         assert stored.request_id == first.request_id
         assert stored.arrival == 0.0
         assert stored.deadline == 5.0
+        # The hit shares the entry's read-only hit arrays and counters.
+        assert hit.hits is stored.hits
+        assert hit.counters is stored.counters
 
     def test_coalesced_results_own_their_hit_arrays(self):
         """Each demuxed request gets private hit arrays, never views into

@@ -342,6 +342,33 @@ class TestBatchingPolicy:
             MicroBatchScheduler(max_batch=1, max_wait=-1.0)
 
 
+class TestLeanServeRecords:
+    """What a served request costs in Python objects: one shared launch
+    class per epoch for point requests, and slotted records."""
+
+    def test_point_requests_share_the_epochs_launch_class(self):
+        keys = dense_shuffled_keys(256, seed=15)
+        snapshot = EpochManager(build_index(keys)).current()
+        scheduler = MicroBatchScheduler(max_batch=64, max_wait=0.0)
+        first, second = (
+            ServeRequest(request_id=i, kind="point", queries=keys[i : i + 2])
+            for i in (1, 2)
+        )
+        klass = scheduler.class_of(first, snapshot)
+        assert klass is scheduler.class_of(second, snapshot)
+        assert klass == LaunchClass(kind="point", mode="first_k", limit=1)
+
+    def test_records_carry_no_attribute_dict(self):
+        keys = dense_shuffled_keys(256, seed=16)
+        snapshot = EpochManager(build_index(keys)).current()
+        scheduler = MicroBatchScheduler(max_batch=64, max_wait=0.0)
+        request = ServeRequest(request_id=1, kind="point", queries=keys[:3])
+        scheduler.submit(request)
+        (result,) = scheduler.flush(snapshot)
+        for record in (request, result, result.hits, result.counters):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+
 class TestEngineGroupValidation:
     def test_ray_groups_shape_mismatch(self):
         keys = dense_shuffled_keys(128, seed=13)

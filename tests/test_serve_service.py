@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import RXConfig
+from repro.core.config import KeyMode, RangeRayMode, RXConfig
 from repro.core.rx_index import RXIndex
 from repro.serve import IndexService, RetryPolicy
 from repro.workloads import (
@@ -271,3 +271,79 @@ class TestServeArgumentValidation:
     def test_bad_argument_raises_naming_it(self, index, argument, value, message):
         with pytest.raises(ValueError, match=message):
             IndexService(index, **{argument: value})
+
+
+class TestMalformedRequestsRejectedAtSubmit:
+    """A request the coalesced launch would refuse is refused at submit, so
+    it can never fail the other requests of its window."""
+
+    @staticmethod
+    def make_service(key_mode):
+        config = RXConfig(key_mode=key_mode)
+        if key_mode is KeyMode.EXTENDED:  # Extended Mode rays start at zero
+            config = RXConfig(
+                key_mode=key_mode, range_ray_mode=RangeRayMode.PARALLEL_FROM_ZERO
+            )
+        index = RXIndex(config)
+        index.build(dense_shuffled_keys(256, seed=5))
+        return IndexService(index, max_batch=64, max_wait=10.0)
+
+    @pytest.mark.parametrize(
+        "key_mode, submit, message",
+        [
+            (
+                KeyMode.NAIVE,
+                lambda s: s.submit_point(np.array([2**23], dtype=np.uint64)),
+                "queries holds 8388608",
+            ),
+            (
+                KeyMode.EXTENDED,
+                lambda s: s.submit_range(
+                    np.array([0], dtype=np.uint64), np.array([2**29], dtype=np.uint64)
+                ),
+                "uppers holds 536870912",
+            ),
+            (
+                KeyMode.THREE_D,
+                lambda s: s.submit_point(np.ones((2, 2), dtype=np.uint64)),
+                r"shape \(2, 2\)",
+            ),
+            (
+                KeyMode.THREE_D,
+                lambda s: s.submit_range(
+                    np.ones((2, 1), dtype=np.uint64), np.full((2, 1), 5, dtype=np.uint64)
+                ),
+                r"shapes \(2, 1\) and \(2, 1\)",
+            ),
+            (
+                KeyMode.THREE_D,
+                lambda s: s.submit_range(
+                    np.array([5], dtype=np.uint64), np.array([3], dtype=np.uint64)
+                ),
+                "upper >= lower",
+            ),
+        ],
+        ids=[
+            "naive-point-past-max-key",
+            "extended-range-past-max-key",
+            "point-2d",
+            "range-2d",
+            "3d-range-upper-below-lower",
+        ],
+    )
+    def test_rejected_at_submit_and_the_window_is_still_served(
+        self, key_mode, submit, message
+    ):
+        service = self.make_service(key_mode)
+        good = service.submit_point(service.index.keys[:1])
+        admitted = service.serve_stats.admitted
+        pending = [r.request_id for r in service.scheduler.pending]
+        with pytest.raises(ValueError, match=message):
+            submit(service)
+        assert service.serve_stats.admitted == admitted
+        assert [r.request_id for r in service.scheduler.pending] == pending
+        assert service.scheduler.pending_queries == 1
+        (result,) = service.drain()
+        assert result.request_id == good.request_id
+        assert not result.failed
+        assert result.result_rows().tolist() == [0]
