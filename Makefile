@@ -12,7 +12,10 @@ test:
 test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
-# Differential trace harness, the forest's cut/splice oracle (random
+# Differential trace harness (including the scattered lookup-id cases: a
+# lookup's rays apart, ids not monotone, ids on both sides of 2^16, through
+# first_k(limit=1), first_k and ordered_k; plus the stable_order and
+# ordered-pool merge checks), the forest's cut/splice oracle (random
 # columns, shard_bits and leaf sizes), its DELTA_SHARD update chain (swaps,
 # rewrites, growth, shrinkage and no-ops on every buffer kind, each step
 # checked against a fresh build_bvh and build_forest) and the golden-builder

@@ -51,6 +51,23 @@ def as_lookup_keys(keys, name: str) -> np.ndarray:
     return keys
 
 
+def as_range_bounds(lowers, uppers) -> tuple[np.ndarray, np.ndarray]:
+    """``(lowers, uppers)`` as equal-shaped 1-D uint64 inclusive range bounds.
+
+    The one check of a range lookup's bounds on the index path, the same
+    in every key mode: each argument must be 1-D (:func:`as_lookup_keys`),
+    both the same shape, and no range inverted (``upper < lower``).  The
+    codecs' ray builders take bounds that passed it.
+    """
+    lowers = as_lookup_keys(lowers, "lowers")
+    uppers = as_lookup_keys(uppers, "uppers")
+    if lowers.shape != uppers.shape:
+        raise ValueError("lowers and uppers must have the same shape")
+    if np.any(uppers < lowers):
+        raise ValueError("range lookups require upper >= lower")
+    return lowers, uppers
+
+
 class KeyCodec(abc.ABC):
     """Base class of the three key conversion modes."""
 
@@ -100,7 +117,11 @@ class KeyCodec(abc.ABC):
         mode: RangeRayMode,
         max_rays_per_range: int = 64,
     ) -> RayBatch:
-        """Build the ray batch answering one range lookup per (lower, upper) pair."""
+        """Build the ray batch answering one range lookup per (lower, upper) pair.
+
+        The bounds are ones :func:`as_range_bounds` accepts: no range is
+        inverted.
+        """
 
 
 class NaiveCodec(KeyCodec):
@@ -285,8 +306,6 @@ class ThreeDCodec(KeyCodec):
         self.validate_keys(uppers, "uppers")
         lowers = np.asarray(lowers, dtype=np.uint64)
         uppers = np.asarray(uppers, dtype=np.uint64)
-        if np.any(uppers < lowers):
-            raise ValueError("range lookups require upper >= lower")
         d = self.decomposition
         x_max = float((1 << d.x_bits) - 1)
 

@@ -37,7 +37,7 @@ from repro.core.config import (
     UpdatePolicy,
 )
 from repro.core.cursor import next_cursor_token, parse_cursor, resume_after
-from repro.core.keycodec import as_lookup_keys, make_codec
+from repro.core.keycodec import as_lookup_keys, as_range_bounds, make_codec
 from repro.core.results import (
     aggregate_values,
     collect_row_ids,
@@ -366,10 +366,7 @@ class RXIndex(GpuIndex):
         if cursor is not None:
             raise ValueError("cursor resume requires order='key'")
         pipeline = self._require_built()
-        lowers = as_lookup_keys(lowers, "lowers")
-        uppers = as_lookup_keys(uppers, "uppers")
-        if lowers.shape != uppers.shape:
-            raise ValueError("lowers and uppers must have the same shape")
+        lowers, uppers = as_range_bounds(lowers, uppers)
         limit = check_limit(limit)
         rays = self.codec.range_ray_batch(
             lowers,
@@ -385,9 +382,8 @@ class RXIndex(GpuIndex):
     def _ordered_range_page(self, lowers, uppers, limit, cursor):
         """One page of an ordered range scan: ``(run, next_cursor)``."""
         pipeline = self._require_built()
-        lowers = np.asarray(lowers, dtype=np.uint64).reshape(-1)
-        uppers = np.asarray(uppers, dtype=np.uint64).reshape(-1)
-        if lowers.shape[0] != 1 or uppers.shape[0] != 1:
+        lowers, uppers = as_range_bounds(lowers, uppers)
+        if lowers.shape[0] != 1:
             raise ValueError(
                 "order='key' pages one range at a time; batch paged lookups "
                 "through the serving layer"
@@ -395,8 +391,6 @@ class RXIndex(GpuIndex):
         limit = check_limit(limit)
         if limit is None:
             raise ValueError("order='key' requires a page size (limit)")
-        if uppers[0] < lowers[0]:
-            raise ValueError("range lookups require upper >= lower")
         cur = parse_cursor(cursor, max_key=self.codec.max_key())
         resume_lowers, any_hit = resume_after(self.keys, lowers, uppers, [cur])
         rays = self.codec.range_ray_batch(

@@ -208,44 +208,68 @@ class PrimitiveBuffer:
         return prim_indices[mask]
 
     def intersect_pairs(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
+        self, origins, directions, tmins, tmaxs, prim_indices, with_t: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Element-wise test of ray ``i`` against primitive ``prim_indices[i]``.
 
         All arguments are arrays of the same length ``m``; returns a boolean
         mask of length ``m``.  This is the work-horse of the wavefront
         traversal in :mod:`repro.rtx.traversal`.  Large pair streams are
         evaluated in :data:`PAIR_BLOCK`-sized blocks (see there).
+
+        ``with_t=True`` returns ``(mask, t)`` instead, where the float64
+        ``t`` holds, in pair order, the ray parameter of each pair the mask
+        selects — the value :meth:`hit_t_pairs` reports for it.  The ordered
+        top-k trace mode sorts its candidates by it.
         """
         prim_indices = np.asarray(prim_indices, dtype=np.int64)
         m = prim_indices.shape[0]
+        block = self._hit_t_block if with_t else self._intersect_pairs_block
         if m == 0:
-            return np.zeros(0, dtype=bool)
+            mask = np.zeros(0, dtype=bool)
+            return (mask, np.zeros(0, dtype=np.float64)) if with_t else mask
         if m <= PAIR_BLOCK:
-            return self._intersect_pairs_block(
-                origins, directions, tmins, tmaxs, prim_indices
-            )
+            return block(origins, directions, tmins, tmaxs, prim_indices)
         origins = np.asarray(origins)
         directions = np.asarray(directions)
         tmins = np.asarray(tmins)
         tmaxs = np.asarray(tmaxs)
-        out = np.empty(m, dtype=bool)
-        for lo in range(0, m, PAIR_BLOCK):
-            hi = min(lo + PAIR_BLOCK, m)
-            out[lo:hi] = self._intersect_pairs_block(
-                origins[lo:hi],
-                directions[lo:hi],
-                tmins[lo:hi],
-                tmaxs[lo:hi],
-                prim_indices[lo:hi],
+        blocks = [
+            block(
+                origins[lo : lo + PAIR_BLOCK],
+                directions[lo : lo + PAIR_BLOCK],
+                tmins[lo : lo + PAIR_BLOCK],
+                tmaxs[lo : lo + PAIR_BLOCK],
+                prim_indices[lo : lo + PAIR_BLOCK],
             )
-        return out
+            for lo in range(0, m, PAIR_BLOCK)
+        ]
+        if with_t:
+            masks, ts = zip(*blocks)
+            return np.concatenate(masks), np.concatenate(ts)
+        return np.concatenate(blocks)
 
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices
     ) -> np.ndarray:
         """One block of element-wise pair tests (``prim_indices`` already int64)."""
         raise NotImplementedError
+
+    def _hit_t_block(
+        self, origins, directions, tmins, tmaxs, prim_indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One block's ``(mask, t of the hits)``: the mask, then
+        :meth:`hit_t_pairs` on the pairs it selects."""
+        mask = self._intersect_pairs_block(
+            origins, directions, tmins, tmaxs, prim_indices
+        )
+        return mask, self.hit_t_pairs(
+            np.asarray(origins)[mask],
+            np.asarray(directions)[mask],
+            np.asarray(tmins)[mask],
+            np.asarray(tmaxs)[mask],
+            prim_indices[mask],
+        )
 
     def hit_t_pairs(
         self, origins, directions, tmins, tmaxs, prim_indices
@@ -256,9 +280,12 @@ class PrimitiveBuffer:
         hits; the returned float64 ``t`` is the parameter of the reported
         intersection (the *first* valid root for spheres, the slab entry for
         AABBs).  The ordered top-k trace mode sorts candidate hits by this
-        value, and both the vectorised engine and the golden reference loop
-        call this one implementation, so their ordering keys are bit-identical
-        by construction.
+        value.  The golden reference loop calls this implementation, and so
+        does the engine's ``intersect_pairs(..., with_t=True)`` for spheres
+        and AABBs; for triangles the engine takes ``t`` from the very
+        Möller–Trumbore evaluation that produced the mask, the arithmetic
+        :meth:`_MollerTrumboreBuffer.hit_t_pairs` repeats.  Either way both
+        sides order by bit-identical keys.
         """
         raise NotImplementedError
 
@@ -322,20 +349,34 @@ class _MollerTrumboreBuffer(PrimitiveBuffer):
         inside = ~parallel & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1.0 + 1e-9)
         return inside, t
 
+    def _mask_and_t(self, origins, directions, tmins, tmaxs, prim_indices):
+        """``(mask, t)`` of every pair from one Möller–Trumbore evaluation."""
+        inside, t = self._moller_trumbore(origins, directions, prim_indices)
+        tmins = np.asarray(tmins, dtype=np.float64)
+        tmaxs = np.asarray(tmaxs, dtype=np.float64)
+        return inside & (t > tmins) & (t < tmaxs), t
+
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices
     ) -> np.ndarray:
         """Möller–Trumbore ray/triangle test, element-wise over (ray, triangle) pairs."""
-        inside, t = self._moller_trumbore(origins, directions, prim_indices)
-        tmins = np.asarray(tmins, dtype=np.float64)
-        tmaxs = np.asarray(tmaxs, dtype=np.float64)
-        return inside & (t > tmins) & (t < tmaxs)
+        return self._mask_and_t(origins, directions, tmins, tmaxs, prim_indices)[0]
+
+    def _hit_t_block(
+        self, origins, directions, tmins, tmaxs, prim_indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The mask and the hits' ``t`` of one Möller–Trumbore evaluation:
+        no second pass over the hits."""
+        mask, t = self._mask_and_t(origins, directions, tmins, tmaxs, prim_indices)
+        return mask, t[mask]
 
     def hit_t_pairs(
         self, origins, directions, tmins, tmaxs, prim_indices
     ) -> np.ndarray:
         """Möller–Trumbore ``t`` of each hit pair — the very ``t`` that made
-        the hit pass ``t > tmin`` in :meth:`_intersect_pairs_block`."""
+        the hit pass ``t > tmin`` in :meth:`_intersect_pairs_block`.  The
+        golden reference orders by it; the engine takes the same ``t``
+        from the mask's own evaluation (:meth:`_hit_t_block`)."""
         g = np.asarray(prim_indices, dtype=np.int64)
         if g.size == 0:
             return np.zeros(0, dtype=np.float64)

@@ -156,6 +156,26 @@ class HitRecords:
         return np.bincount(self.ray_indices, minlength=self.num_rays)
 
 
+#: Ids below this bound fit a uint16, whose stable sort NumPy runs as a
+#: radix sort.
+_RADIX_IDS = 1 << 16
+
+
+def stable_order(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for non-negative integer ``ids``.
+
+    When every id is below 2^16 (every serve launch at the default
+    ``max_batch`` of 4,096 lookups a window) the ids are sorted as a uint16
+    copy, which NumPy's stable sort orders by radix in a few linear passes
+    instead of an int64 merge sort.  Wider ids keep the int64 sort.  Both
+    are stable sorts of the same values, so they return the same
+    permutation.
+    """
+    if ids.size and ids.max() < _RADIX_IDS:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    return np.argsort(ids, kind="stable")
+
+
 def _group_ranks(sorted_owners: np.ndarray):
     """Split a non-empty, sorted owner array into runs of equal owners.
 
@@ -179,12 +199,12 @@ def _cut_to_budget(owners: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, 
     ``owners`` assigns every hit of one chunk to its originating lookup.
     Returns the boolean keep-mask plus whether any lookup's budget reached
     zero, and decrements ``budget`` in place by the number of kept hits.
-    One stable argsort ranks each hit within its lookup's hits, so the kept
-    hits are exactly the first ``budget[owner]`` of the stream — for a
-    point lookup's single ray and a budget of one this is "first hit per
-    ray", the any-hit program semantics.
+    One stable sort (:func:`stable_order`) ranks each hit within its
+    lookup's hits, so the kept hits are exactly the first ``budget[owner]``
+    of the stream — for a point lookup's single ray and a budget of one
+    this is "first hit per ray", the any-hit program semantics.
     """
-    order = np.argsort(owners, kind="stable")
+    order = stable_order(owners)
     sorted_owners = owners[order]
     group_starts, counts, ranks = _group_ranks(sorted_owners)
     keep_sorted = ranks < budget[sorted_owners]
@@ -195,6 +215,37 @@ def _cut_to_budget(owners: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, 
     return keep, bool((budget[unique_owners] == 0).any())
 
 
+def _pool_order(
+    lookups: np.ndarray, rays: np.ndarray, ts: np.ndarray, prims: np.ndarray
+) -> np.ndarray:
+    """The permutation sorting candidates by ``(lookup, ray, t, prim)``.
+
+    Equal to ``np.lexsort((prims, ts, rays, lookups))``: a ray tests each
+    primitive at most once, so ``(ray, prim)`` is unique within a trace and
+    the order is total — any correct sort yields the same permutation.  The
+    sort is built from the keys' least significant end: the default
+    argsort of ``t``, a stable sort by ray, a re-sort by prim of the rare
+    runs of equal ``(ray, t)`` (as :func:`repro.rtx.bvh.sort_codes` repairs
+    equal-code runs), then a stable sort by lookup.  ``t`` is compared by
+    value, so ``-0.0`` and ``+0.0`` tie exactly as they do in lexsort; a
+    hit's ``t`` passed an ordered comparison, so it is never NaN.
+    """
+    order = np.argsort(ts)
+    order = order[stable_order(rays[order])]
+    sorted_rays = rays[order]
+    sorted_ts = ts[order]
+    same = (sorted_rays[1:] == sorted_rays[:-1]) & (sorted_ts[1:] == sorted_ts[:-1])
+    if same.any():
+        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        run = np.cumsum(np.r_[True, ~same[tied[1:] - 1]])
+        tied_order = order[tied]
+        tied_prims = prims[tied_order]
+        # (run, prim) is unique, so the packed keys are distinct.
+        packed = run * (int(tied_prims.max()) + 1) + tied_prims
+        order[tied] = tied_order[np.argsort(packed)]
+    return order[stable_order(lookups[order])]
+
+
 class _OrderedKState:
     """Per-lookup t-ordered top-k candidate pools for ``mode="ordered_k"``.
 
@@ -203,11 +254,11 @@ class _OrderedKState:
     are maintained globally sorted by ``(lookup, ray, t, prim)``, so the
     final hit records fall out of them directly and the per-lookup bound
     (the k-th best candidate of a full pool) is one gather away.  Merging a
-    candidate chunk is a single lexsort plus the same rank-within-group
-    helper as :func:`_cut_to_budget` — set-based, so the surviving pool
-    and the total number of displaced candidates are independent of how the
-    round's candidates were chunked, matching the sequential insertion loop
-    of the golden reference exactly.
+    candidate chunk is one sort of pool plus chunk (:func:`_pool_order`)
+    and the same rank-within-group helper as :func:`_cut_to_budget` —
+    set-based, so the surviving pool and the total number of displaced
+    candidates are independent of how the round's candidates were chunked,
+    matching the sequential insertion loop of the golden reference exactly.
     """
 
     def __init__(self, num_lookups: int, k: int, owners: np.ndarray):
@@ -232,7 +283,7 @@ class _OrderedKState:
         all_r = np.concatenate([self.rays, cand_rays])
         all_t = np.concatenate([self.ts, cand_t])
         all_p = np.concatenate([self.prims, cand_prims])
-        order = np.lexsort((all_p, all_t, all_r, all_l))
+        order = _pool_order(all_l, all_r, all_t, all_p)
         sorted_l = all_l[order]
         keep = _group_ranks(sorted_l)[2] < self.k
         kept = order[keep]
@@ -511,10 +562,15 @@ class TraversalEngine:
           lexicographic key ``(ray_index, hit_t, prim_index)``, reported in
           that order (not traversal-stream order).  For codec-built range
           rays this is exactly ascending ``(key, row_id)``, i.e. a true
-          ``ORDER BY key LIMIT k``.  Nodes whose box-entry ``t`` (and rays
-          whose index) sort after a lookup's current k-th best candidate
-          are culled from the frontier, so unbalanced trees prune like a
-          per-ray ordered traversal would.
+          ``ORDER BY key LIMIT k``.  Each candidate's ``hit_t`` comes from
+          the intersection test that found it
+          (``intersect_pairs(..., with_t=True)``): for triangles the mask's
+          own Möller–Trumbore evaluation, for spheres and AABBs
+          ``hit_t_pairs`` — bit-identical to the ``hit_t_pairs`` values the
+          golden reference orders by.  Nodes whose box-entry ``t`` (and
+          rays whose index) sort after a lookup's current k-th best
+          candidate are culled from the frontier, so unbalanced trees prune
+          like a per-ray ordered traversal would.
 
         In the two budgeted modes finished rays are compacted out of the
         frontier between rounds, so the counters reflect only the traversal
@@ -678,13 +734,19 @@ class TraversalEngine:
                         hi_idx = min(lo_idx + pair_chunk, npairs)
                         sub_rays = pair_rays[lo_idx:hi_idx]
                         sub_prims = pair_prims[lo_idx:hi_idx]
-                        mask = self.primitives.intersect_pairs(
-                            origins[sub_rays],
-                            directions[sub_rays],
+                        # Ordered mode also takes each hit's t from the
+                        # test that found it.  ``np.take`` gathers the
+                        # (pairs, 3) ray rows several times faster than
+                        # fancy indexing, with the same values.
+                        tested = self.primitives.intersect_pairs(
+                            np.take(origins, sub_rays, axis=0),
+                            np.take(directions, sub_rays, axis=0),
                             prim_lo[sub_rays],
                             t_hi[sub_rays],
                             sub_prims,
+                            with_t=ordered,
                         )
+                        mask, cand_t = tested if ordered else (tested, None)
                         sub_hit_rays = sub_rays[mask]
                         sub_hit_prims = sub_prims[mask]
                         if early_exit or ordered:
@@ -702,18 +764,13 @@ class TraversalEngine:
                                 )
                                 sub_hit_rays = sub_hit_rays[keep]
                                 sub_hit_prims = sub_hit_prims[keep]
+                                if ordered:
+                                    cand_t = cand_t[keep]
                         if pool is not None:
                             # Ordered mode: candidates are merged into their
                             # lookup's top-k pool instead of the hit stream;
                             # displaced entries count as budget drops.
                             if sub_hit_rays.size:
-                                cand_t = self.primitives.hit_t_pairs(
-                                    origins[sub_hit_rays],
-                                    directions[sub_hit_rays],
-                                    prim_lo[sub_hit_rays],
-                                    t_hi[sub_hit_rays],
-                                    sub_hit_prims,
-                                )
                                 dropped = pool.merge(
                                     sub_hit_rays, cand_t, sub_hit_prims
                                 )

@@ -52,7 +52,7 @@ from repro.core.results import (
     hits_per_lookup,
 )
 from repro.core.rx_index import trace_mode_for
-from repro.rtx.traversal import HitRecords, TraversalCounters
+from repro.rtx.traversal import HitRecords, TraversalCounters, stable_order
 from repro.serve.faults import InjectedFault
 from repro.serve.resilience import LaunchExhausted, RequestFailure, RetryPolicy
 
@@ -121,8 +121,8 @@ class ServeRequest:
                     f"got shapes {lowers.shape} and {uppers.shape}"
                 )
             # Python ints: a request holds a few ranges, and a NumPy compare
-            # costs microseconds per call.  (3D Mode's ray builder refuses an
-            # inverted range for the whole launch.)
+            # costs microseconds per call.  (The index path refuses an
+            # inverted range in every key mode; see keycodec.as_range_bounds.)
             if any(map(operator.gt, lowers.tolist(), uppers.tolist())):
                 raise ValueError("range lookups require upper >= lower")
             if self.order is not None:
@@ -325,15 +325,21 @@ class MicroBatchScheduler:
     # coalescing + demux
     # ------------------------------------------------------------------ #
 
-    def take_window(self) -> list[ServeRequest]:
-        """Dequeue whole requests FIFO up to ``max_batch`` queries (>= 1)."""
+    def take_window(self) -> tuple[list[ServeRequest], int]:
+        """Dequeue whole requests FIFO up to ``max_batch`` queries (>= 1).
+
+        Returns ``(window, queries)``: the requests and their total query
+        count, which :meth:`record_window` takes so that no pass over the
+        window re-counts it.
+        """
         if self.pending_queries <= self.max_batch:
             # Everything fits: the window is the whole queue.
             taken = list(self.pending)
+            count = self.pending_queries
             self.pending.clear()
             self.pending_queries = 0
             self._min_deadline = float("inf")
-            return taken
+            return taken, count
         taken = []
         count = 0
         while self.pending:
@@ -347,15 +353,13 @@ class MicroBatchScheduler:
             (r.deadline for r in self.pending if r.deadline is not None),
             default=float("inf"),
         )
-        return taken
+        return taken, count
 
-    def record_window(self, window: list[ServeRequest], reason: str) -> None:
-        """Account one closed batching window in the stats."""
+    def record_window(self, queries: int, reason: str) -> None:
+        """Account one closed batching window of ``queries`` queries (the
+        count :meth:`take_window` returned) in the stats."""
         self.stats.batches += 1
-        window_queries = sum(r.num_queries for r in window)
-        self.stats.max_batch_queries = max(
-            self.stats.max_batch_queries, window_queries
-        )
+        self.stats.max_batch_queries = max(self.stats.max_batch_queries, queries)
         if reason == "size":
             self.stats.closed_by_size += 1
         elif reason == "wait":
@@ -446,13 +450,14 @@ class MicroBatchScheduler:
         self.stats.launched_rays += len(rays)
 
         hits = launch.hits
-        # Group the flat hit stream by owning request with one stable sort;
-        # within each request the stream order is preserved — exactly the
-        # order a solo launch would have reported.  The sorted stream is
-        # gathered and rebased to request-local ray/lookup ids once, so each
+        # Group the flat hit stream by owning request with one stable sort
+        # (a radix sort for windows of fewer than 2^16 requests); within
+        # each request the stream order is preserved — exactly the order a
+        # solo launch would have reported.  The sorted stream is gathered
+        # and rebased to request-local ray/lookup ids once, so each
         # request's hits are one contiguous run.
         hit_groups = np.searchsorted(starts, hits.lookup_ids, side="right") - 1
-        order = np.argsort(hit_groups, kind="stable")
+        order = stable_order(hit_groups)
         sorted_groups = hit_groups[order]
         ray_starts = np.searchsorted(rays.lookup_ids, starts, side="left")
         ray_indices = hits.ray_indices[order] - ray_starts[sorted_groups]
@@ -554,8 +559,8 @@ class MicroBatchScheduler:
         :class:`repro.serve.service.IndexService`, which takes the window
         itself and only launches the cache misses.
         """
-        window = self.take_window()
+        window, queries = self.take_window()
         if not window:
             return []
-        self.record_window(window, reason)
+        self.record_window(queries, reason)
         return self.launch_window(window, snapshot)

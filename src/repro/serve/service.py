@@ -449,16 +449,17 @@ class IndexService:
             # Defensive re-pin: a prior flush may have failed between
             # releasing its snapshot and pinning the next window's.
             snapshot = self._window_snapshot = self.epochs.pin(self.epochs.current())
-        window = self.scheduler.take_window()
+        window, queries = self.scheduler.take_window()
         if not window:
             return []
+        self.scheduler.record_window(queries, reason)
         # The snapshot must be released exactly once no matter what the
         # serve raises, and the next window (if any) pinned afresh —
         # otherwise a failed flush pins a dead epoch's accel arrays forever.
         self._window_snapshot = None
         try:
             with self.epochs.releasing(snapshot):
-                served = self._serve_window(window, snapshot, reason, now)
+                served = self._serve_window(window, snapshot, now)
         finally:
             if self.scheduler.pending:
                 # Requests beyond the window boundary start the next window.
@@ -469,10 +470,8 @@ class IndexService:
         self,
         window: list[ServeRequest],
         snapshot: EpochSnapshot,
-        reason: str,
         now: float | None,
     ) -> list[RequestResult | RequestFailure]:
-        self.scheduler.record_window(window, reason)
         served: dict[int, RequestResult | RequestFailure] = {}
         # Requests whose deadline already passed are shed before the launch:
         # they get an explicit timeout instead of work that must be thrown

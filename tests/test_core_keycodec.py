@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import KeyDecomposition, KeyMode, PointRayMode, RangeRayMode
-from repro.core.keycodec import ExtendedCodec, NaiveCodec, ThreeDCodec, make_codec
+from repro.core.keycodec import (
+    ExtendedCodec,
+    NaiveCodec,
+    ThreeDCodec,
+    as_range_bounds,
+    make_codec,
+)
 
 
 class TestFactory:
@@ -153,11 +159,26 @@ class TestThreeDCodec:
                 max_rays_per_range=4,
             )
 
-    def test_range_rejects_inverted_bounds(self):
-        codec = ThreeDCodec()
-        with pytest.raises(ValueError):
-            codec.range_ray_batch(
-                np.array([5], dtype=np.uint64),
-                np.array([4], dtype=np.uint64),
-                RangeRayMode.PARALLEL_FROM_OFFSET,
+
+class TestRangeBounds:
+    """``as_range_bounds``: the index path's one check of range bounds, the
+    same in every key mode (the codecs' ray builders take checked bounds)."""
+
+    def test_inverted_bounds_rejected(self):
+        with pytest.raises(ValueError, match="upper >= lower"):
+            as_range_bounds(
+                np.array([3, 5], dtype=np.uint64), np.array([4, 4], dtype=np.uint64)
             )
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same shape"):
+            as_range_bounds(np.array([1], dtype=np.uint64), np.array([2, 3], dtype=np.uint64))
+
+    def test_non_1d_bound_is_named(self):
+        with pytest.raises(ValueError, match=r"uppers .*shape \(1, 1\)"):
+            as_range_bounds(np.array([1], dtype=np.uint64), np.array([[2]], dtype=np.uint64))
+
+    def test_valid_bounds_come_back_as_uint64(self):
+        lowers, uppers = as_range_bounds([4, 7], [4, 9])
+        assert lowers.dtype == uppers.dtype == np.uint64
+        assert lowers.tolist() == [4, 7] and uppers.tolist() == [4, 9]

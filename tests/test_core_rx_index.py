@@ -420,6 +420,18 @@ class TestRangeLookups:
         with pytest.raises(ValueError):
             index.range_lookup(np.array([1], dtype=np.uint64), np.array([2, 3], dtype=np.uint64))
 
+    @pytest.mark.parametrize("limit", [None, 4])
+    @pytest.mark.parametrize("key_mode", list(KeyMode), ids=lambda mode: mode.value)
+    def test_inverted_range_rejected_in_every_key_mode(self, key_mode, limit):
+        # From-zero range rays: the one range ray mode every key mode takes.
+        config = RXConfig(key_mode=key_mode, range_ray_mode=RangeRayMode.PARALLEL_FROM_ZERO)
+        index = RXIndex(config)
+        index.build(dense_shuffled_keys(64, seed=5))
+        with pytest.raises(ValueError, match="upper >= lower"):
+            index.range_lookup(
+                np.array([9], dtype=np.uint64), np.array([3], dtype=np.uint64), limit=limit
+            )
+
 
 class TestLookupArgumentShapes:
     """Both lookup boundaries take 1-D key arrays and name a bad argument."""

@@ -7,6 +7,7 @@ from repro.core.config import KeyDecomposition
 from repro.core.keycodec import ExtendedCodec, NaiveCodec, ThreeDCodec
 from repro.rtx import float32 as f32
 from repro.rtx.geometry import (
+    PAIR_BLOCK,
     AabbBuffer,
     AnchoredTriangleBuffer,
     RayBatch,
@@ -338,6 +339,41 @@ class TestAnchoredTriangleBuffer:
         AnchoredTriangleBuffer(points, 0.5, x_half_extent)
         points[0, 0] = 1.0
         x_half_extent[0] = 2.0
+
+
+class TestIntersectPairsWithT:
+    """``intersect_pairs(..., with_t=True)`` returns the same mask plus each
+    hit's ``t``, bit-identical to ``hit_t_pairs`` on the hits (what the
+    golden ordered trace sorts by), within one block and across blocks."""
+
+    @pytest.mark.parametrize(
+        "m", [PAIR_BLOCK // 2, 2 * PAIR_BLOCK + 123], ids=["one-block", "blocks"]
+    )
+    @pytest.mark.parametrize("kind", ["anchored", "vertices", "sphere", "aabb"])
+    def test_mask_and_hit_t(self, kind, m):
+        rng = np.random.default_rng(11)
+        points, _ = NaiveCodec().encode_points(
+            rng.choice(2**23, 4096, replace=False).astype(np.uint64)
+        )
+        buffer = {
+            "anchored": lambda: AnchoredTriangleBuffer(points),
+            "vertices": lambda: TriangleBuffer(make_triangle_vertices(points)),
+            "sphere": lambda: SphereBuffer(make_sphere_centers(points)),
+            "aabb": lambda: AabbBuffer(*make_aabbs_from_points(points)),
+        }[kind]()
+        o, d, tmins, tmaxs, g = _pair_rays(points, 1.0, m, rng)
+        mask, t = buffer.intersect_pairs(o, d, tmins, tmaxs, g, with_t=True)
+        assert np.array_equal(mask, buffer.intersect_pairs(o, d, tmins, tmaxs, g))
+        assert mask.sum() > 100  # the hit branches are exercised
+        want = buffer.hit_t_pairs(o[mask], d[mask], tmins[mask], tmaxs[mask], g[mask])
+        assert t.dtype == np.float64
+        assert np.array_equal(_bits(t), _bits(want))
+
+    def test_no_pairs(self):
+        buffer = AnchoredTriangleBuffer(_line_points(4))
+        empty = np.zeros((0, 3))
+        mask, t = buffer.intersect_pairs(empty, empty, [], [], [], with_t=True)
+        assert mask.shape == t.shape == (0,)
 
 
 class TestSphereBuffer:

@@ -306,16 +306,45 @@ class TestBatchingPolicy:
                     request_id=i + 1, kind="point", queries=keys[:n]
                 )
             )
-        w1 = scheduler.take_window()
+        w1, q1 = scheduler.take_window()
         assert [r.request_id for r in w1] == [1, 2]  # 3+3, +3 would exceed 8
-        w2 = scheduler.take_window()
+        w2, q2 = scheduler.take_window()
         assert [r.request_id for r in w2] == [3]  # 3, +9 would exceed
-        w3 = scheduler.take_window()
+        w3, q3 = scheduler.take_window()
         assert [r.request_id for r in w3] == [4]  # oversized request goes alone
-        w4 = scheduler.take_window()
+        w4, q4 = scheduler.take_window()
         assert [r.request_id for r in w4] == [5]
-        assert scheduler.take_window() == []
+        assert [q1, q2, q3, q4] == [6, 3, 9, 1]  # each window's query count
+        assert scheduler.take_window() == ([], 0)
         assert scheduler.pending_queries == 0
+
+    def test_window_stats_after_whole_and_split_windows(self):
+        keys = dense_shuffled_keys(512, seed=13)
+        snapshot = EpochManager(build_index(keys)).current()
+        scheduler = MicroBatchScheduler(max_batch=8, max_wait=0.0)
+
+        def submit(sizes):
+            for n in sizes:
+                scheduler.submit(
+                    ServeRequest(
+                        request_id=scheduler.stats.requests + 1,
+                        kind="point",
+                        queries=keys[:n],
+                    )
+                )
+
+        submit([2, 3])  # 5 queries: the whole queue fits one window
+        assert len(scheduler.flush(snapshot, reason="wait")) == 2
+        assert scheduler.stats.max_batch_queries == 5
+        submit([4, 3, 3])  # 10 queries: max_batch splits off 4 + 3
+        assert len(scheduler.flush(snapshot, reason="size")) == 2
+        assert scheduler.stats.max_batch_queries == 7
+        assert len(scheduler.flush(snapshot, reason="drain")) == 1
+        assert scheduler.stats.max_batch_queries == 7
+        assert scheduler.flush(snapshot, reason="drain") == []
+        stats = scheduler.stats
+        assert (stats.batches, stats.closed_by_wait, stats.closed_by_size) == (3, 1, 1)
+        assert (stats.closed_by_drain, stats.closed_by_deadline) == (1, 0)
 
     def test_ready_by_size_and_wait(self):
         keys = dense_shuffled_keys(256, seed=12)

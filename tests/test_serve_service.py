@@ -72,6 +72,20 @@ class TestOpenLoopReplay:
         assert stats["closed_by_size"] == 4
         assert stats["max_batch_queries"] == 32
 
+    def test_max_batch_queries_after_whole_and_split_windows(self):
+        index = make_index(seed=55)
+        service = IndexService(index, max_batch=8, max_wait=10.0, cache_capacity=0)
+        for n in (2, 3):  # 5 queries: the whole queue is one window
+            service.submit_point(index.keys[:n], arrival=0.0)
+        assert len(service.drain()) == 2
+        assert service.stats()["scheduler"]["max_batch_queries"] == 5
+        for n in (4, 3, 3):  # 10 queries: max_batch splits off 4 + 3
+            service.submit_point(index.keys[:n], arrival=0.0)
+        assert len(service.drain()) == 3
+        stats = service.stats()["scheduler"]
+        assert stats["max_batch_queries"] == 7
+        assert (stats["batches"], stats["closed_by_drain"]) == (3, 3)
+
     def test_pump_flushes_due_windows_only(self):
         """pump() is the interactive flush entry point: it honours both the
         size and the wait trigger relative to the caller's clock."""

@@ -17,7 +17,11 @@ lookup_ids, order) *and* identical counters, across
 * single-ray lookups and multi-ray lookups sharing one first_k budget,
   plus a ``first_k(limit=1)`` trace with one lookup per ray (how point
   lookups end each ray at its first hit),
-* traces with and without an elementwise any-hit filter.
+* traces with and without an elementwise any-hit filter,
+* lookup ids laid out the way the generator never makes them: a lookup's
+  rays scattered through the batch, ids not monotone in ray order, and ids
+  on both sides of 2^16, so budget and pool arrays are indexed beyond the
+  uint16 range the engine's radix sorts take.
 
 On top of the reference equivalence, every ``first_k`` result is checked
 against its defining property: the hits must be exactly the all-hits stream
@@ -25,6 +29,9 @@ cut to the first ``k`` surviving hits per lookup (a stable top-k cut).
 Likewise every ``ordered_k`` result must be the per-lookup ``k`` smallest
 hits of the all-hits stream under the ``(ray, t, prim)`` order — the sorted
 top-k cut, with ``t`` computed by the shared ``hit_t_pairs`` kernels.
+Two unit checks pin the engine's sort helpers directly: ``stable_order``
+against ``np.argsort(kind="stable")``, and the ordered pool merge against
+the ``np.lexsort`` merge it replaced.
 
 The generator seed defaults to 20260727 and can be overridden with the
 ``DIFF_SEED`` environment variable (CI runs extra seeds).  The harness
@@ -46,13 +53,19 @@ from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh, bvh_arrays_diff
 from repro.rtx.forest import build_forest, forest_from_saved, forest_state_segments
 from repro.rtx.geometry import RayBatch
-from repro.rtx.traversal import TraversalEngine
+from repro.rtx.traversal import TraversalEngine, _OrderedKState, stable_order
 
 DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 PRIMITIVES = ["triangle", "sphere", "aabb"]
 CHUNK_SIZES = [0, 1, 7, None]
 SHARD_BITS = [0, 3]
 NUM_CASES = 96
+#: Lookup-id layouts of the scattered cases: name -> id offset.  Wide ids
+#: start just below 2^16 and run past it, so a sort that took them for
+#: uint16 would misorder them.
+LOOKUP_LAYOUTS = {"scattered": 0, "wide": (1 << 16) - 6}
+#: Base cases the layouts are applied to: every eighth case of the sweep.
+LAYOUT_CASES = range(0, NUM_CASES, 8)
 
 
 def _make_case(rng: random.Random, case_index: int) -> dict:
@@ -282,3 +295,138 @@ def test_case_generator_covers_the_grid():
     cells = len(PRIMITIVES) * len(CHUNK_SIZES) * len(SHARD_BITS) * 2
     assert len(seen) == cells
     assert set(seen.values()) == {2}
+
+
+def _scatter_lookups(rays: RayBatch, rng: random.Random, offset: int) -> RayBatch:
+    """``rays`` shuffled, with lookup ids renamed by a random permutation
+    plus ``offset``: a multi-ray lookup's rays are no longer adjacent, and
+    the ids are not monotone in ray order."""
+    order = list(range(len(rays)))
+    rng.shuffle(order)
+    names = list(range(int(rays.lookup_ids.max()) + 1))
+    rng.shuffle(names)
+    order = np.array(order, dtype=np.int64)
+    names = np.array(names, dtype=np.int64) + offset
+    return RayBatch(
+        origins=rays.origins[order],
+        directions=rays.directions[order],
+        tmin=rays.tmin[order],
+        tmax=rays.tmax[order],
+        lookup_ids=names[rays.lookup_ids[order]],
+    )
+
+
+@pytest.mark.parametrize("layout", sorted(LOOKUP_LAYOUTS))
+@pytest.mark.parametrize("case_index", LAYOUT_CASES)
+def test_budgeted_modes_with_scattered_lookup_ids(case_index, layout):
+    rng = random.Random(DIFF_SEED * 1000 + case_index)
+    case = _make_case(rng, case_index)
+    rays = _scatter_lookups(case["rays"], rng, LOOKUP_LAYOUTS[layout])
+    assert len(set(rays.lookup_ids.tolist())) > 1
+    assert not (np.diff(rays.lookup_ids) >= 0).all(), "ids must not be monotone"
+    buffer = build_input_for_points(case["primitive"], case["points"]).primitive_buffer()
+    bvh = build_bvh(
+        buffer,
+        BvhBuildOptions(builder=case["builder"], max_leaf_size=case["max_leaf_size"]),
+    )
+    any_hit = case["any_hit"]
+    limit = case["limit"]
+    label = (
+        f"seed={DIFF_SEED} case={case_index} layout={layout} "
+        f"primitive={case['primitive']} chunk={case['chunk']} limit={limit}"
+    )
+
+    def engine():
+        return TraversalEngine(bvh, buffer, max_frontier=case["chunk"])
+
+    eng = engine()
+    all_hits = eng.trace(rays, any_hit=any_hit)
+    for k in (1, limit):
+        eng = engine()
+        hits = eng.trace(rays, any_hit=any_hit, mode="first_k", limit=k)
+        golden_hits, golden_counters = reference_first_k_trace(
+            bvh, buffer, rays, k, any_hit=any_hit
+        )
+        _assert_same(hits, eng.counters, golden_hits, golden_counters, f"first_k-{k} {label}")
+        cut_rays, cut_prims = _stable_top_k_cut(all_hits, len(rays), k)
+        assert np.array_equal(hits.ray_indices, cut_rays), label
+        assert np.array_equal(hits.prim_indices, cut_prims), label
+
+    eng = engine()
+    hits = eng.trace(rays, any_hit=any_hit, mode="ordered_k", limit=limit)
+    golden_hits, golden_counters = reference_ordered_k_trace(
+        bvh, buffer, rays, limit, any_hit=any_hit
+    )
+    _assert_same(hits, eng.counters, golden_hits, golden_counters, f"ordered_k {label}")
+    cut_rays, cut_prims = _sorted_top_k_cut(all_hits, buffer, rays, limit)
+    assert np.array_equal(hits.ray_indices, cut_rays), label
+    assert np.array_equal(hits.prim_indices, cut_prims), label
+
+
+def test_stable_order_equals_stable_argsort():
+    rng = np.random.default_rng(DIFF_SEED)
+    cases = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([7], dtype=np.int64),
+        "below 2^16": rng.integers(0, 50, size=2000),
+        "up to 2^16 - 1": rng.integers(0, 1 << 16, size=5000),
+        "across 2^16": rng.integers((1 << 16) - 4, (1 << 16) + 4, size=500),
+        "past 2^16": rng.integers(70_000, 70_050, size=2000),
+    }
+    for name, ids in cases.items():
+        got = stable_order(ids)
+        want = np.argsort(ids, kind="stable")
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _lexsort_merge(pool, owners, k, cand_rays, cand_t, cand_prims):
+    """The ``np.lexsort`` pool merge ``_OrderedKState.merge`` replaced:
+    ``(lookups, rays, ts, prims)`` of the new pool and the dropped rays."""
+    all_l = np.concatenate([pool[0], owners[cand_rays]])
+    all_r = np.concatenate([pool[1], cand_rays])
+    all_t = np.concatenate([pool[2], cand_t])
+    all_p = np.concatenate([pool[3], cand_prims])
+    order = np.lexsort((all_p, all_t, all_r, all_l))
+    sorted_l = all_l[order]
+    ranks = np.arange(sorted_l.shape[0]) - np.searchsorted(sorted_l, sorted_l)
+    keep = ranks < k
+    kept = order[keep]
+    return (sorted_l[keep], all_r[kept], all_t[kept], all_p[kept]), all_r[order[~keep]]
+
+
+@pytest.mark.parametrize("offset", sorted(LOOKUP_LAYOUTS.values()))
+def test_ordered_pool_merge_equals_lexsort_merge(offset):
+    """Random candidate chunks with tied ``t`` on one ray, ``-0.0`` beside
+    ``+0.0``, and non-monotone lookup ids: every merge keeps the pool and
+    drops the rays the lexsort merge does, bit for bit."""
+    rng = np.random.default_rng([DIFF_SEED, offset])
+    t_values = np.array([-0.0, 0.0, -1.5, 0.25, 0.25, 3.0, 7.5])
+    for _ in range(60):
+        n_rays = int(rng.integers(1, 30))
+        owners = rng.integers(0, 12, size=n_rays) + offset
+        k = int(rng.integers(1, 6))
+        state = _OrderedKState(int(owners.max()) + 1, k, owners)
+        pool = tuple(
+            np.zeros(0, dtype=dtype)
+            for dtype in (np.int64, np.int64, np.float64, np.int64)
+        )
+        # (ray, prim) pairs are unique within a trace: a ray tests each
+        # primitive once.
+        pairs = rng.permutation(n_rays * 40)[: int(rng.integers(3, n_rays * 40))]
+        for chunk in np.array_split(pairs, int(rng.integers(1, 4))):
+            cand_rays = chunk // 40
+            cand_prims = chunk % 40 * 3 + 1
+            cand_t = rng.choice(t_values, size=chunk.shape[0])
+            # Half the candidates of one ray tie on t at zero, signs mixed.
+            on_ray = np.flatnonzero(cand_rays == cand_rays[0])
+            cand_t[on_ray[::2]] = rng.choice([-0.0, 0.0], size=on_ray[::2].shape[0])
+            dropped = state.merge(cand_rays, cand_t, cand_prims)
+            pool, want_dropped = _lexsort_merge(
+                pool, owners, k, cand_rays, cand_t, cand_prims
+            )
+            assert np.array_equal(dropped, want_dropped)
+            assert np.array_equal(state.lookups, pool[0])
+            assert np.array_equal(state.rays, pool[1])
+            assert np.array_equal(state.ts.view(np.int64), pool[2].view(np.int64))
+            assert np.array_equal(state.prims, pool[3])
