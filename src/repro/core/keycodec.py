@@ -102,7 +102,10 @@ class KeyCodec(abc.ABC):
 
         Returns ``(points, x_half_extent)`` where ``x_half_extent`` is either
         ``None`` (use the default ±0.5 gap) or a per-key array of world-space
-        half widths along x (Extended Mode's one-ULP gaps).
+        half widths along x (Extended Mode's one-ULP gaps).  ``points`` is
+        the transposed view of ``(3, n)`` per-axis columns, one write per
+        axis: the layout :class:`repro.rtx.geometry.AnchoredTriangleBuffer`
+        stores, so it adopts them without a copy.
         """
 
     @abc.abstractmethod
@@ -139,9 +142,9 @@ class NaiveCodec(KeyCodec):
     def encode_points(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         self.validate_keys(keys)
         keys = np.asarray(keys, dtype=np.uint64)
-        points = np.zeros((keys.shape[0], 3), dtype=np.float32)
-        points[:, 0] = keys.astype(np.float32)
-        return points, None
+        anchors = np.zeros((3, keys.shape[0]), dtype=np.float32)
+        anchors[0] = keys
+        return anchors.T, None
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
         self.validate_keys(queries, "queries")
@@ -202,10 +205,10 @@ class ExtendedCodec(KeyCodec):
     def encode_points(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         self.validate_keys(keys)
         coords = self._coords(keys)
-        points = np.zeros((coords.shape[0], 3), dtype=np.float32)
-        points[:, 0] = coords
+        anchors = np.zeros((3, coords.shape[0]), dtype=np.float32)
+        anchors[0] = coords
         # One ULP is exact in float32: 4 B/key beside the anchors.
-        return points, f32.ulp_f32(coords)
+        return anchors.T, f32.ulp_f32(coords)
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
         self.validate_keys(queries, "queries")
@@ -276,10 +279,9 @@ class ThreeDCodec(KeyCodec):
     def encode_points(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         self.validate_keys(keys)
         x, y, z = self.decompose(keys)
-        points = np.column_stack(
-            [x.astype(np.float32), y.astype(np.float32), z.astype(np.float32)]
-        )
-        return points, None
+        anchors = np.empty((3, x.shape[0]), dtype=np.float32)
+        anchors[0], anchors[1], anchors[2] = x, y, z
+        return anchors.T, None
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:
         self.validate_keys(queries, "queries")

@@ -179,6 +179,8 @@ class RXIndex(GpuIndex):
 
     def _make_build_input(self, keys: np.ndarray):
         points, x_half_extent = self.codec.encode_points(keys)
+        if self.config.primitive is not PrimitiveType.TRIANGLE:
+            points = np.ascontiguousarray(points)  # spheres and boxes keep (n, 3) rows
         return build_input_for_points(
             self.config.primitive.value,
             points,
@@ -187,10 +189,21 @@ class RXIndex(GpuIndex):
             sphere_radius=self.config.sphere_radius,
         )
 
-    def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
-        keys = np.asarray(keys, dtype=np.uint64)
+    def _own_keys(self, keys) -> np.ndarray:
+        """A read-only copy of the caller's key column, range-checked once:
+        pages and cursors read the column, so a write to the caller's array
+        must change no answer."""
+        keys = np.array(keys, dtype=np.uint64)
         self.codec.validate_keys(keys)
-        self._store_column(keys, values, key_bits=64)
+        keys.flags.writeable = False
+        return keys
+
+    def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
+        return self._build(self._own_keys(keys), values)
+
+    def _build(self, keys, values, keys_unique: bool | None = None) -> BuildResult:
+        """Build over an owned key column whose duplicate flag may be known."""
+        self._store_column(keys, values, key_bits=64, keys_unique=keys_unique)
 
         if self._accel is not None:
             # Rebuilding replaces the previous accel; release its allocation
@@ -299,9 +312,10 @@ class RXIndex(GpuIndex):
             },
         )
 
-    def _store_column(self, keys, values, key_bits: int) -> None:
+    def _store_column(self, keys, values, key_bits: int, keys_unique: bool | None = None) -> None:
         super()._store_column(keys, values, key_bits)
-        self._keys_unique = None  # the uniqueness of the new column is unknown
+        # None: the uniqueness of the new column is unknown.
+        self._keys_unique = keys_unique
 
     def point_limit(self) -> int | None:
         """Hit budget of a point lookup on the current column.
@@ -310,7 +324,8 @@ class RXIndex(GpuIndex):
         its first hit, the hardware any-hit termination the paper's
         point-lookup numbers rely on — else ``None`` (report every match).
         The duplicate check costs one key sort, so it runs lazily on the
-        first point lookup after a (re)build.
+        first point lookup after a build or load, and after an update that
+        does not keep the flag (:meth:`_keys_unique_after`).
         """
         if self._keys_unique is None:
             # Sort + adjacent compare: NumPy >= 2.3 runs ``np.unique`` through
@@ -429,9 +444,10 @@ class RXIndex(GpuIndex):
         the tree topology and only adjusts the bounding volumes (requires the
         index to have been built with updates enabled).  The number of keys
         must stay the same under REFIT, matching the OptiX restriction.
+        Like :meth:`build`, it stores a read-only copy of ``new_keys``, and
+        swapped keys keep :meth:`point_limit`'s duplicate flag.
         """
-        new_keys = np.asarray(new_keys, dtype=np.uint64)
-        self.codec.validate_keys(new_keys)
+        new_keys = self._own_keys(new_keys)
         if self._accel is None:
             raise RuntimeError("RXIndex.build() must be called before update()")
         if new_values is None:
@@ -447,15 +463,16 @@ class RXIndex(GpuIndex):
                 )
             new_values = self.values
 
+        keys_unique = self._keys_unique_after(new_keys)
         if self.config.update_policy is UpdatePolicy.REBUILD:
-            self.build(new_keys, new_values)
+            self._build(new_keys, new_values, keys_unique)
             return UpdateOutcome(
                 policy=UpdatePolicy.REBUILD,
                 profiles=self.build_profiles(),
             )
 
         if self.config.update_policy is UpdatePolicy.DELTA_SHARD:
-            self._store_column(new_keys, new_values, key_bits=64)
+            self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
             build_input = self._make_build_input(self.keys)
             build_t0 = time.perf_counter()
             delta = accel_delta_update(self.context, self._accel, build_input)
@@ -482,7 +499,7 @@ class RXIndex(GpuIndex):
 
         if new_keys.shape[0] != self.num_keys:
             raise ValueError("refit updates cannot add or remove keys")
-        self._store_column(new_keys, new_values, key_bits=64)
+        self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
         build_input = self._make_build_input(self.keys)
         refit = accel_update(self.context, self._accel, build_input)
         self._pipeline = Pipeline(self.context, self._accel, max_frontier=self.max_frontier)
@@ -505,6 +522,18 @@ class RXIndex(GpuIndex):
             profiles=[profile],
             surface_area_growth=refit.surface_area_growth,
         )
+
+    def _keys_unique_after(self, new_keys: np.ndarray) -> bool | None:
+        """The duplicate-key flag, kept when the changed rows hold the same
+        multiset of keys before and after (one compare against the owned
+        column, one sort of the changed keys); else ``None`` (re-derive)."""
+        old = self.keys
+        if self._keys_unique is None or new_keys.shape != old.shape:
+            return None
+        changed = np.flatnonzero(new_keys != old)
+        if np.array_equal(np.sort(old[changed]), np.sort(new_keys[changed])):
+            return self._keys_unique
+        return None
 
     def _delta_update_profile(self, delta) -> WorkProfile:
         """Device work of a delta-shard update.

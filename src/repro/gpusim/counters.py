@@ -79,27 +79,3 @@ class WorkProfile:
             kernel_launches=max(int(round(self.kernel_launches * factor)), 1),
             dram_bytes_min=self.dram_bytes_min * factor,
         )
-
-    def merged_with(self, other: "WorkProfile", name: str | None = None) -> "WorkProfile":
-        """Combine two phases that run back to back into one profile."""
-        return WorkProfile(
-            name=name or f"{self.name}+{other.name}",
-            threads=max(self.threads, other.threads),
-            instructions=self.instructions + other.instructions,
-            bytes_accessed=self.bytes_accessed + other.bytes_accessed,
-            working_set_bytes=max(self.working_set_bytes, other.working_set_bytes),
-            serial_depth=self.serial_depth + other.serial_depth,
-            rt_tests=self.rt_tests + other.rt_tests,
-            kernel_launches=self.kernel_launches + other.kernel_launches,
-            locality=min(self.locality, other.locality),
-            dram_bytes_min=self.dram_bytes_min + other.dram_bytes_min,
-        )
-
-
-@dataclass
-class ProfiledPhase:
-    """A profile together with the cost the model assigned to it."""
-
-    profile: WorkProfile
-    time_ms: float
-    details: dict = field(default_factory=dict)

@@ -73,8 +73,8 @@ class AnchoredTriangleBuildInput(BuildInput):
     ``optixAccelBuild``; this input never materialises one.
     """
 
-    # Init-only: the buffer keeps its own column copy, so the caller's
-    # (n, 3) anchors are not held for the life of the accel.
+    # Init-only: the buffer holds (3, n) columns, a codec's adopted or any
+    # other layout copied, so no (n, 3) array outlives the build.
     points: InitVar[np.ndarray]
     half_extent: InitVar[float] = 0.5
     x_half_extent: InitVar[np.ndarray | None] = None

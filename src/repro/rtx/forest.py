@@ -117,10 +117,6 @@ class BvhForest:
     shard_trees: dict[int, Bvh]
 
     @property
-    def num_shards(self) -> int:
-        return 1 << self.options.shard_bits
-
-    @property
     def non_empty_shards(self) -> int:
         return int(self.shard_ids.shape[0])
 
@@ -374,7 +370,8 @@ def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np
     ``1..k-2``, each used once, ``right == left + 1``, and every child id is
     above its parent's: so every node but the root has one parent with a
     smaller id, and the root reaches each node once.  The leaves tile
-    ``[0, rows)``.  A failure raises :class:`ShardPartitionError`.
+    ``[0, rows)``.  A failure raises :class:`ShardPartitionError`.  It runs
+    once, where persisted trees enter the process (:func:`forest_from_saved`).
     """
     sizes = np.empty(len(buckets), dtype=np.int64)
     for i, (bucket, tree) in enumerate(zip(buckets, trees)):
@@ -465,14 +462,15 @@ def _splice(
     written at its root id and block (:func:`_layout`), the top leaves are
     bounded from the boxes of their few rows in ``buffer``, and the top
     inner nodes are filled bottom-up.  The tree is bit-identical to
-    ``build_bvh`` over the same primitives.  Block offsets come from node
-    counts, so each shard tree must first pass :func:`_checked_sizes`; a
-    malformed one would write into its neighbours' blocks.
+    ``build_bvh`` over the same primitives.  Block offsets come from the
+    trees' node counts, so a malformed tree would write into its
+    neighbours' blocks: persisted trees passed :func:`_checked_sizes` at
+    load, and trees built in this process are trusted unchecked.
     """
     buckets = sorted(shard_trees)
     trees = [shard_trees[b] for b in buckets]
     which = part.index_of(buckets)
-    sizes = _checked_sizes(buckets, trees, part.shard_counts[which])
+    sizes = np.array([tree.left.shape[0] for tree in trees], dtype=np.int64)
     entry_ids, roots, offsets, num_nodes = _layout(
         part.plan, dict(zip(buckets, (sizes // 2).tolist()))
     )
@@ -652,11 +650,14 @@ def forest_from_saved(
     ``segments`` holds one ``(arrays, meta)`` pair per shard, as
     :func:`forest_state_segments` yields them.  Recomputes the partition and
     the top-level plan from the primitive buffer, checks that the persisted
-    rows partition the column, and splices the persisted sub-trees: the
+    rows partition the column and that every persisted sub-tree is one the
+    splice can place (:func:`_checked_sizes`), and splices them: the
     resulting ``forest.bvh`` is bit-identical to the tree that was saved,
     and the forest is delta-updatable like a freshly built one.  The sort
     and the tree build are exactly what the persisted state skips.  State
     that does not fit raises :class:`ShardPartitionError` naming the bucket.
+    This is the one check of persisted trees; delta updates splice them,
+    like trees built in this process, unchecked.
     """
     options.validate()
     part, *_ = _column(primitive_buffer, options, "restore")
@@ -683,6 +684,8 @@ def forest_from_saved(
         if missing:
             raise ShardPartitionError(b, f"tree arrays {missing} are missing")
         trees[b] = bvh_from_arrays(arrays, rows[b].shape[0], options)
+    buckets = sorted(trees)
+    _checked_sizes(buckets, [trees[b] for b in buckets], part.shard_counts[part.index_of(buckets)])
     return _splice(part, options, primitive_buffer, rows_stream, trees)
 
 

@@ -460,6 +460,9 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
 
     Float32 inputs are kept as float32; any other dtype is widened to
     float64, the precision :func:`make_triangle_vertices` computes in.
+    ``points`` that are the transposed view of contiguous ``(3, n)``
+    columns, as the key codecs' ``encode_points`` returns them, are adopted
+    without a copy; any other layout is copied into columns.
     """
 
     _stored = ("anchors", "x_half_extent")
@@ -473,7 +476,7 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
     ):
         points = _exact_floats(points).reshape(-1, 3)
         n = points.shape[0]
-        self.anchors = _read_only(points.T.copy())
+        self.anchors = _read_only(np.ascontiguousarray(points.T))
         self.half_extent = float(half_extent)
         if x_half_extent is not None:
             hx = np.broadcast_to(_exact_floats(x_half_extent), (n,))
@@ -840,17 +843,6 @@ def ray_box_overlap_pairs(
     return ray_box_overlap_pairs_with_entry(
         origins, directions, tmins, tmaxs, box_mins, box_maxs
     )[0]
-
-
-def ray_box_overlap(origin, direction, tmin, tmax, box_mins, box_maxs) -> np.ndarray:
-    """Slab test of a single ray against many boxes (convenience wrapper)."""
-    mins = np.asarray(box_mins, dtype=np.float64).reshape(-1, 3)
-    m = mins.shape[0]
-    origins = np.broadcast_to(np.asarray(origin, dtype=np.float64), (m, 3))
-    directions = np.broadcast_to(np.asarray(direction, dtype=np.float64), (m, 3))
-    tmins = np.full(m, float(tmin))
-    tmaxs = np.full(m, float(tmax))
-    return ray_box_overlap_pairs(origins, directions, tmins, tmaxs, mins, box_maxs)
 
 
 #: Unit corner offsets for key triangles, expressed as fractions of the

@@ -48,14 +48,6 @@ class DeviceMemoryTracker:
             raise KeyError(f"unknown allocation handle {handle}")
         self.current_bytes -= alloc.size_bytes
 
-    def free_temporaries(self) -> int:
-        """Release every allocation flagged temporary; returns bytes freed."""
-        freed = 0
-        for handle in [h for h, a in self.allocations.items() if a.temporary]:
-            freed += self.allocations[handle].size_bytes
-            self.free(handle)
-        return freed
-
     @property
     def overhead_bytes(self) -> int:
         """Peak usage beyond what is currently resident (build overhead)."""

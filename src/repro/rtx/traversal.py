@@ -101,10 +101,6 @@ class TraversalCounters:
         return self
 
     @property
-    def total_bytes_read(self) -> int:
-        return self.node_bytes_read + self.prim_bytes_read
-
-    @property
     def node_visits_per_ray(self) -> float:
         return self.node_visits / self.rays if self.rays else 0.0
 
@@ -150,10 +146,6 @@ class HitRecords:
     @property
     def count(self) -> int:
         return int(self.ray_indices.shape[0])
-
-    def hits_per_ray(self) -> np.ndarray:
-        """Number of hits of each ray in the batch."""
-        return np.bincount(self.ray_indices, minlength=self.num_rays)
 
 
 #: Ids below this bound fit a uint16, whose stable sort NumPy runs as a

@@ -11,6 +11,8 @@ from repro.core.keycodec import (
     as_range_bounds,
     make_codec,
 )
+from repro.rtx import float32 as f32
+from repro.rtx.geometry import AnchoredTriangleBuffer
 
 
 class TestFactory:
@@ -182,3 +184,49 @@ class TestRangeBounds:
         lowers, uppers = as_range_bounds([4, 7], [4, 9])
         assert lowers.dtype == uppers.dtype == np.uint64
         assert lowers.tolist() == [4, 7] and uppers.tolist() == [4, 9]
+
+
+class TestPerAxisEncoder:
+    """``encode_points`` writes each axis of the ``(3, n)`` float32 anchor
+    columns in one pass; every column must equal a per-key reference, and
+    the triangle buffer must adopt the columns without a copy."""
+
+    @staticmethod
+    def _reference(codec, key: int) -> tuple[list[np.float32], np.float32 | None]:
+        """The anchor (and Extended Mode's x extent) of one key, computed
+        on its own."""
+        k = np.array([key], dtype=np.uint64)
+        if isinstance(codec, ThreeDCodec):
+            return [c.astype(np.float32)[0] for c in codec.decompose(k)], None
+        if isinstance(codec, ExtendedCodec):
+            bits = np.array([2 * key + f32.EXTENDED_MODE_OFFSET], dtype=np.uint32)
+            coord = f32.bit_cast_u32_to_f32(bits)
+            zero = np.float32(0)
+            return [coord[0], zero, zero], f32.ulp_f32(coord)[0]
+        return [k.astype(np.float32)[0], np.float32(0), np.float32(0)], None
+
+    @pytest.mark.parametrize("codec", [NaiveCodec(), ExtendedCodec(), ThreeDCodec()], ids=lambda c: c.mode.value)
+    def test_columns_match_a_per_key_reference(self, codec):
+        edges = [0, 2**23 - 1, 2**23, 2**46, codec.max_key()]
+        keys = np.array(sorted({k for k in edges if k <= codec.max_key()}), dtype=np.uint64)
+        points, x_half_extent = codec.encode_points(keys)
+        columns = points.T
+        assert columns.shape == (3, keys.shape[0]) and columns.dtype == np.float32
+        assert columns.flags.c_contiguous
+        for i, key in enumerate(keys.tolist()):
+            anchor, extent = self._reference(codec, key)
+            assert np.array(anchor, dtype=np.float32).view(np.uint32).tolist() == (
+                columns[:, i].view(np.uint32).tolist()
+            ), key
+            if extent is None:
+                assert x_half_extent is None
+            else:
+                assert x_half_extent[i].view(np.uint32) == extent.view(np.uint32), key
+
+    @pytest.mark.parametrize("codec", [NaiveCodec(), ExtendedCodec(), ThreeDCodec()], ids=lambda c: c.mode.value)
+    def test_triangle_buffer_adopts_the_columns(self, codec):
+        keys = np.random.default_rng(9).permutation(np.arange(1000, dtype=np.uint64))
+        points, x_half_extent = codec.encode_points(keys)
+        buffer = AnchoredTriangleBuffer(points, 0.5, x_half_extent)
+        assert np.shares_memory(buffer.anchors, points)
+        assert np.array_equal(buffer.anchors, np.ascontiguousarray(points).T)

@@ -95,9 +95,3 @@ class TestWorkProfileHelpers:
         assert half.threads == profile.threads // 2
         assert half.instructions == pytest.approx(profile.instructions / 2)
         assert half.working_set_bytes == profile.working_set_bytes  # intensive
-
-    def test_merged_with_accumulates(self):
-        merged = _profile(name="a").merged_with(_profile(name="b"))
-        assert merged.instructions == pytest.approx(2e9)
-        assert merged.kernel_launches == 2
-        assert "a" in merged.name and "b" in merged.name

@@ -118,7 +118,7 @@ class TestBvhTraversalProperties:
             tmax=1.0,
         )
         result = engine.trace(rays)
-        hits_per_ray = result.hits_per_ray()
+        hits_per_ray = np.bincount(result.ray_indices, minlength=result.num_rays)
         assert np.all(hits_per_ray[: keys.shape[0]] == 1)
         assert np.all(hits_per_ray[keys.shape[0]:] == 0)
         # And every reported hit maps the ray back to its own key's rowID.

@@ -169,7 +169,7 @@ class TestForestBuild:
         rng = np.random.default_rng(1)
         xs = np.concatenate([rng.uniform(0, 10, 300), rng.uniform(1e6, 1e6 + 10, 300)])
         forest = _assert_forest_matches_single(_buffer(_line(xs)), shard_bits=8)
-        assert forest.non_empty_shards < forest.num_shards
+        assert forest.non_empty_shards < 1 << forest.options.shard_bits
 
     def test_all_keys_in_one_shard(self):
         # A single dense cluster in a scene whose bounds it defines: every

@@ -16,7 +16,6 @@ from repro.rtx.geometry import (
     make_aabbs_from_points,
     make_sphere_centers,
     make_triangle_vertices,
-    ray_box_overlap,
     ray_box_overlap_pairs,
 )
 
@@ -435,39 +434,33 @@ class TestAabbBuffer:
 
 
 class TestRayBoxOverlap:
-    def test_axis_aligned_hit(self):
-        mask = ray_box_overlap(
-            (0, 0, 0), (1, 0, 0), 0.0, 10.0,
-            np.array([[2, -1, -1]]), np.array([[3, 1, 1]]),
+    """The slab test of :func:`ray_box_overlap_pairs`, one pair at a time."""
+
+    @staticmethod
+    def _overlap(origin, direction, tmin, tmax, box_min, box_max) -> bool:
+        mask = ray_box_overlap_pairs(
+            np.array([origin], dtype=float),
+            np.array([direction], dtype=float),
+            [tmin],
+            [tmax],
+            np.array([box_min]),
+            np.array([box_max]),
         )
-        assert mask.tolist() == [True]
+        return mask.tolist() == [True]
+
+    def test_axis_aligned_hit(self):
+        assert self._overlap((0, 0, 0), (1, 0, 0), 0.0, 10.0, [2, -1, -1], [3, 1, 1])
 
     def test_beyond_tmax_missed(self):
-        mask = ray_box_overlap(
-            (0, 0, 0), (1, 0, 0), 0.0, 1.0,
-            np.array([[2, -1, -1]]), np.array([[3, 1, 1]]),
-        )
-        assert mask.tolist() == [False]
+        assert not self._overlap((0, 0, 0), (1, 0, 0), 0.0, 1.0, [2, -1, -1], [3, 1, 1])
 
     def test_behind_origin_missed(self):
-        mask = ray_box_overlap(
-            (5, 0, 0), (1, 0, 0), 0.0, 10.0,
-            np.array([[2, -1, -1]]), np.array([[3, 1, 1]]),
-        )
-        assert mask.tolist() == [False]
+        assert not self._overlap((5, 0, 0), (1, 0, 0), 0.0, 10.0, [2, -1, -1], [3, 1, 1])
 
     def test_parallel_ray_inside_slab(self):
         # Direction has no y component; the ray's y must lie inside the box.
-        inside = ray_box_overlap(
-            (0, 0, 0), (1, 0, 0), 0.0, 10.0,
-            np.array([[1, -1, -1]]), np.array([[2, 1, 1]]),
-        )
-        outside = ray_box_overlap(
-            (0, 5, 0), (1, 0, 0), 0.0, 10.0,
-            np.array([[1, -1, -1]]), np.array([[2, 1, 1]]),
-        )
-        assert inside.tolist() == [True]
-        assert outside.tolist() == [False]
+        assert self._overlap((0, 0, 0), (1, 0, 0), 0.0, 10.0, [1, -1, -1], [2, 1, 1])
+        assert not self._overlap((0, 5, 0), (1, 0, 0), 0.0, 10.0, [1, -1, -1], [2, 1, 1])
 
     def test_pairs_elementwise(self):
         origins = np.array([[0, 0, 0], [0, 0, 0]], dtype=float)

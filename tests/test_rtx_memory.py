@@ -37,14 +37,6 @@ class TestDeviceMemoryTracker:
         with pytest.raises(KeyError):
             tracker.free(handle)
 
-    def test_free_temporaries(self):
-        tracker = DeviceMemoryTracker()
-        tracker.alloc("persistent", 100)
-        tracker.alloc("scratch", 50, temporary=True)
-        freed = tracker.free_temporaries()
-        assert freed == 50
-        assert tracker.current_bytes == 100
-
     def test_snapshot_groups_by_name(self):
         tracker = DeviceMemoryTracker()
         tracker.alloc("accel", 10)

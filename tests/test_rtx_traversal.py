@@ -98,12 +98,6 @@ class TestTraversalCorrectness:
         result = engine.trace(rays)
         assert result.count == 0
 
-    def test_hits_per_ray(self):
-        engine = _line_engine(20)
-        rays = RayBatch(origins=[[4.5, 0, 0]], directions=[[1, 0, 0]], tmin=[0.0], tmax=[4.0])
-        result = engine.trace(rays)
-        assert result.hits_per_ray()[0] == 4
-
     def test_unknown_mode_rejected(self):
         engine = _line_engine(8)
         for mode in ("closest", "any_hit"):
@@ -490,4 +484,3 @@ class TestTraversalCounters:
         assert as_dict["rays"] == 4
         assert counters.node_visits_per_ray == pytest.approx(5.0)
         assert counters.prim_tests_per_ray == pytest.approx(2.0)
-        assert counters.total_bytes_read == 150
