@@ -49,9 +49,9 @@ test-faults:
 
 # Crash-safe epoch store: differential save/load round trips (honours
 # DIFF_SEED), the seeded crash/corruption recovery harness (honours
-# FAULT_SEED, which also picks the bytes flipped in both manifest formats'
-# stores — CI runs extra seeds) and the checked-in format-1/format-2
-# snapshot fixtures.
+# FAULT_SEED, which also picks the flipped bytes — CI runs extra seeds),
+# including the manifest index-block checks on load and restore_from, and
+# the checked-in snapshot fixtures (format 2 loads, format 1 is refused).
 test-persist:
 	$(PYTHON) -m pytest -x -q tests/test_persist_roundtrip.py tests/test_persist_recovery.py tests/test_persist_fixtures.py
 

@@ -21,7 +21,6 @@ Quickstart::
 from repro.baselines import (
     GpuBPlusTree,
     GpuIndex,
-    GpuLsmTree,
     MISS_SENTINEL,
     SortedArrayIndex,
     WarpCoreHashTable,
@@ -46,7 +45,6 @@ __all__ = [
     "DeviceSpec",
     "GpuBPlusTree",
     "GpuIndex",
-    "GpuLsmTree",
     "IndexService",
     "KeyDecomposition",
     "KeyMode",

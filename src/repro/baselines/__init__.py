@@ -9,9 +9,6 @@ The paper compares RX against three GPU indexes (Section 4.1):
 * :class:`repro.baselines.sorted_array.SortedArrayIndex` (**SA**) — a sorted
   array probed with binary search.
 
-:class:`repro.baselines.lsm.GpuLsmTree` implements the GPU LSM tree mentioned
-in related work, used by our ablation benchmarks.
-
 All of them, and RX itself, implement the common
 :class:`repro.baselines.base.GpuIndex` interface so the benchmark harness can
 treat them uniformly.
@@ -26,14 +23,12 @@ from repro.baselines.base import (
 )
 from repro.baselines.btree import GpuBPlusTree
 from repro.baselines.hashtable import WarpCoreHashTable
-from repro.baselines.lsm import GpuLsmTree
 from repro.baselines.sorted_array import SortedArrayIndex
 
 __all__ = [
     "BuildResult",
     "GpuBPlusTree",
     "GpuIndex",
-    "GpuLsmTree",
     "LookupRun",
     "MISS_SENTINEL",
     "MemoryFootprint",

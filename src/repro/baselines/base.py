@@ -41,7 +41,7 @@ def keyset_page_slice(
 
     Selects the entries of a ``(key, rowID)``-sorted run that fall in the
     inclusive range ``[lower, upper]`` *strictly after* the cursor position
-    — the resume arithmetic every sorted-run baseline (SA/B+/LSM levels)
+    — the resume arithmetic every sorted-run baseline (SA and B+ leaves)
     shares.  Rows ascend within every equal-key segment (the runs come from
     stable sorts over ascending rowIDs), so a cursor landing inside a
     duplicate-key run resumes mid-segment with one extra ``searchsorted``
@@ -66,7 +66,7 @@ def keyset_page_slice(
 def expand_slices(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flatten per-query slices ``[start[i], start[i] + counts[i])`` into one
     int64 index array (the batched-gather idiom shared by every sorted-run
-    probe: SA/B+/LSM range scans and the workload reference answers)."""
+    probe: SA/B+ range scans and the workload reference answers)."""
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     if total == 0:

@@ -10,7 +10,7 @@ instead of refits for updates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 
 class KeyMode(enum.Enum):
@@ -112,17 +112,11 @@ class KeyDecomposition:
         return KeyDecomposition(x_bits=x, y_bits=y, z_bits=z)
 
 
-#: ``RXConfig.as_dict`` keys of fields that no longer exist.  Older snapshot
-#: manifests carry them (the sharded build's worker-pool options, the
-#: point-trace-mode and range-limit knobs, and the serving layer's policy,
-#: which :class:`repro.serve.IndexService` now takes as arguments), so
-#: :meth:`RXConfig.from_dict` drops exactly these — except a non-null
-#: ``range_limit``, see there.
+#: ``RXConfig.as_dict`` keys of the serving layer's retired policy fields,
+#: which :class:`repro.serve.IndexService` now takes as arguments.  Format-2
+#: snapshot manifests written before they moved still carry them, so
+#: :meth:`RXConfig.from_dict` drops exactly these.
 RETIRED_CONFIG_KEYS = (
-    "build_workers",
-    "build_backend",
-    "point_trace_mode",
-    "range_limit",
     "serve_max_batch",
     "serve_max_wait",
     "serve_cache_capacity",
@@ -280,17 +274,13 @@ class RXConfig:
         """Inverse of :meth:`as_dict`; validates the reconstructed config.
 
         Keys of retired fields (:data:`RETIRED_CONFIG_KEYS`) that older
-        snapshot manifests still carry are dropped; any other unknown key is
-        rejected.  A non-null ``range_limit`` is rejected too: it capped
-        every ``range_lookup(lo, hi)`` of that store, and range lookups now
-        return all hits unless the call passes a limit.
+        snapshot manifests still carry are dropped; any other key that
+        :meth:`as_dict` does not write is rejected, naming it.
         """
-        if data.get("range_limit") is not None:
-            raise ValueError(
-                f"range_limit={data['range_limit']!r} is no longer supported: "
-                "pass limit= to each range lookup instead"
-            )
         data = {k: v for k, v in data.items() if k not in RETIRED_CONFIG_KEYS}
+        unknown = sorted(data.keys() - {f.name for f in fields(RXConfig)})
+        if unknown:
+            raise ValueError(f"malformed RXConfig dict: unknown keys {unknown}")
         try:
             config = RXConfig(
                 key_mode=KeyMode(data.pop("key_mode")),
@@ -301,7 +291,9 @@ class RXConfig:
                 update_policy=UpdatePolicy(data.pop("update_policy")),
                 **data,
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed RXConfig dict: {exc}") from exc
-        config.validate()
+            config.validate()
+        except (KeyError, TypeError, AttributeError) as exc:
+            # A missing field, or a field of the wrong type for its parser
+            # or for validate()'s comparisons.
+            raise ValueError(f"malformed RXConfig dict: {exc!r}") from exc
         return config

@@ -45,7 +45,8 @@ from repro.core.results import (
     hits_per_lookup,
 )
 from repro.gpusim.counters import WorkProfile
-from repro.persist import SnapshotCorrupt, load_snapshot, save_snapshot
+from repro.persist import MANIFEST_NAME, SnapshotCorrupt, load_snapshot, save_snapshot
+from repro.persist.segments import is_count
 from repro.rtx.build_input import BuildFlags, build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, bvh_from_arrays, bvh_state_arrays
 from repro.rtx.forest import (
@@ -591,8 +592,7 @@ class RXIndex(GpuIndex):
             "segments_rewritten": 0,
             "segments_reused": 0,
             "last_epoch": None,
-            #: manifest format of the last save or load; 1 means the store
-            #: still loads through the format-1 CRC32C verify
+            #: manifest format of the last save or load
             "format_version": None,
         }
 
@@ -672,15 +672,12 @@ class RXIndex(GpuIndex):
         node arrays stay zero-copy views into the segment files — the
         cold-start path the restart benchmark measures.  Lookups against
         the loaded index are bit-identical to the index that was saved.
+        A manifest whose index block does not describe its segments raises
+        :class:`SnapshotCorrupt` (see :meth:`_install_snapshot`).
         """
         snap = load_snapshot(path, mmap=mmap, fault_injector=fault_injector)
-        index = cls(
-            config=RXConfig.from_dict(snap.index_meta["config"]),
-            context=context,
-            max_frontier=max_frontier,
-        )
-        index._install_snapshot(snap)
-        index.epoch = snap.epoch
+        index = cls._from_snapshot(snap, context, max_frontier)
+        index._record_load(snap)
         return index
 
     def restore_from(self, path, mmap: bool = True, fault_injector=None) -> dict:
@@ -691,14 +688,24 @@ class RXIndex(GpuIndex):
         swapped for the snapshot's, and the epoch counter advances past
         both the snapshot's tag and the current epoch so epoch-keyed
         consumers (caches, pinned cursor pages) see a state change.
+
+        The snapshot is installed into a staged index on this index's
+        device context, exactly as :meth:`load` builds one, and adopted
+        only once that install has succeeded: a snapshot that fails raises
+        with this index's answers, counters, epoch and device-memory
+        accounting unchanged.
         """
         snap = load_snapshot(path, mmap=mmap, fault_injector=fault_injector)
-        config = RXConfig.from_dict(snap.index_meta["config"])
-        config.validate()
-        self.config = config
-        self.codec = make_codec(config.key_mode, config.decomposition)
-        self._install_snapshot(snap)
-        self.epoch = max(snap.epoch, self.epoch + 1)
+        staged = self._from_snapshot(snap, self.context, self.max_frontier)
+        if self._accel is not None:
+            self.context.memory.free(self._accel.memory_handle)
+        epoch = max(snap.epoch, self.epoch + 1)
+        persist_stats = self._persist_stats
+        # __init__ sets every attribute, so the staged index replaces each.
+        vars(self).update(vars(staged))
+        self.epoch = epoch
+        self._persist_stats = persist_stats
+        self._record_load(snap)
         return {
             "epoch": self.epoch,
             "snapshot_epoch": snap.epoch,
@@ -708,28 +715,84 @@ class RXIndex(GpuIndex):
             "segments_total": snap.segments_total,
         }
 
-    def _install_snapshot(self, snap) -> None:
-        """Rebuild the live accel state from a verified snapshot."""
-        meta = snap.index_meta
-        columns = snap.arrays("columns")
-        self._store_column(columns["keys"], columns["values"], key_bits=64)
-        if int(meta.get("num_keys", self.num_keys)) != self.num_keys:
+    @classmethod
+    def _from_snapshot(cls, snap, context, max_frontier) -> "RXIndex":
+        """A fresh index holding a verified snapshot's accel state."""
+        config = snap.index_meta.get("config")
+        try:
+            if not isinstance(config, dict):
+                raise ValueError(f"{config!r} is not a JSON object")
+            config = RXConfig.from_dict(config)
+        except ValueError as exc:
             raise SnapshotCorrupt(
-                f"snapshot manifest records {meta.get('num_keys')} keys but the "
-                f"columns segment holds {self.num_keys}",
-                segment="columns",
-            )
+                f"snapshot manifest holds no valid index config: {exc}",
+                segment=MANIFEST_NAME,
+            ) from exc
+        index = cls(config=config, context=context, max_frontier=max_frontier)
+        index._install_snapshot(snap)
+        index.epoch = snap.epoch
+        return index
 
-        if self._accel is not None:
-            self.context.memory.free(self._accel.memory_handle)
-            self._accel = None
+    def _install_snapshot(self, snap) -> None:
+        """Rebuild the accel state of this fresh index from a verified snapshot.
+
+        The manifest's index block must describe what the segments hold:
+        ``kind`` is the one ``config.shard_bits`` implies, ``num_keys`` and
+        ``num_primitives`` are the key column's length, ``refit_generation``
+        is a count and ``compacted`` a bool, and the segments the kind
+        needs are present.  A failure raises :class:`SnapshotCorrupt`
+        naming ``MANIFEST.json`` or the missing or invalid segment.  Every
+        check runs before the first device-memory allocation.
+        """
+        meta = snap.index_meta
+        kind = "forest" if self.config.shard_bits else "bvh"
+        for name in ("columns", "bvh") if kind == "bvh" else ("columns",):
+            if name not in snap.segments:
+                raise SnapshotCorrupt(
+                    f"snapshot manifest of a {kind} index lists no {name} segment",
+                    segment=name,
+                )
+        columns = snap.arrays("columns")
+        try:
+            self._store_column(columns["keys"], columns["values"], key_bits=64)
+        except (KeyError, ValueError) as exc:
+            raise SnapshotCorrupt(
+                f"snapshot columns segment holds no valid key and value columns: {exc!r}",
+                segment="columns",
+            ) from exc
+
+        def shown(key):
+            return repr(meta[key]) if key in meta else "(missing)"
+
+        problems = []
+        if meta.get("kind") != kind:
+            problems.append(
+                f"kind {shown('kind')} is not {kind!r}, which "
+                f"shard_bits={self.config.shard_bits} implies"
+            )
+        for key in ("num_keys", "num_primitives"):
+            if not is_count(meta.get(key)) or meta[key] != self.num_keys:
+                problems.append(
+                    f"{key} {shown(key)} is not the {self.num_keys} keys the columns hold"
+                )
+        if not is_count(meta.get("refit_generation")):
+            problems.append(
+                f"refit_generation {shown('refit_generation')} is not a non-negative int"
+            )
+        if not isinstance(meta.get("compacted"), bool):
+            problems.append(f"compacted {shown('compacted')} is not a bool")
+        if problems:
+            raise SnapshotCorrupt(
+                f"snapshot manifest index block: {'; '.join(problems)}",
+                segment=MANIFEST_NAME,
+            )
 
         build_input = self._make_build_input(self.keys)
         buffer = build_input.primitive_buffer()
         flags = self._build_flags()
         options = flagged_options(self._bvh_options(), flags)
-        compacted = bool(meta.get("compacted", False))
-        if meta.get("kind") == "forest":
+        compacted = meta["compacted"]
+        if kind == "forest":
             shards = [
                 (snap.arrays(name), snap.meta(name))
                 for name in snap.segments
@@ -746,13 +809,16 @@ class RXIndex(GpuIndex):
             bvh.compacted = compacted
         else:
             forest = None
-            bvh = bvh_from_arrays(
-                snap.arrays("bvh"),
-                num_primitives=int(meta.get("num_primitives", self.num_keys)),
-                options=options,
-                compacted=compacted,
-                refit_generation=int(meta.get("refit_generation", 0)),
-            )
+            try:
+                bvh = bvh_from_arrays(
+                    snap.arrays("bvh"),
+                    num_primitives=meta["num_primitives"],
+                    options=options,
+                    compacted=compacted,
+                    refit_generation=meta["refit_generation"],
+                )
+            except ValueError as exc:
+                raise SnapshotCorrupt(str(exc), segment="bvh") from exc
 
         # Mirror the build path's device-memory accounting: the accel is
         # allocated uncompacted, then (when the snapshot was compacted) the
@@ -777,7 +843,6 @@ class RXIndex(GpuIndex):
             accel.compacted = True
         self._accel = accel
         self._pipeline = Pipeline(self.context, accel, max_frontier=self.max_frontier)
-        self._last_build_seconds = None
         memory = self.memory_footprint()
         self._build_result = BuildResult(
             num_keys=self.num_keys,
@@ -794,6 +859,8 @@ class RXIndex(GpuIndex):
                 "restored_from_snapshot": True,
             },
         )
+
+    def _record_load(self, snap) -> None:
         self._persist_stats.update(
             loads=self._persist_stats["loads"] + 1,
             last_load_seconds=snap.load_seconds,

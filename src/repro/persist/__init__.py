@@ -10,15 +10,14 @@ reads and the recovery error taxonomy underneath them.
 
 Modules
 -------
-``checksum``   vectorised CRC32C, which verifies format-1 stores on load
-``segments``   immutable segment files, their digest, atomic publish,
-               verified reads
-``manifest``   the versioned manifest — the single commit/visibility point
+``segments``   immutable segment files, their SHA-256 digest, atomic
+               publish, verified reads
+``manifest``   the versioned manifest — the single commit/visibility point,
+               and the one place that decides which format loads
 ``store``      save/load orchestration, incremental reuse, orphan GC
 ``errors``     ``SnapshotError`` / ``SnapshotTorn`` / ``SnapshotCorrupt``
 """
 
-from repro.persist.checksum import Crc32c, crc32c, crc32c_reference
 from repro.persist.errors import SnapshotCorrupt, SnapshotError, SnapshotTorn
 from repro.persist.manifest import MANIFEST_NAME, commit_manifest, load_manifest
 from repro.persist.segments import read_segment, write_segment
@@ -31,9 +30,6 @@ from repro.persist.store import (
 )
 
 __all__ = [
-    "Crc32c",
-    "crc32c",
-    "crc32c_reference",
     "SnapshotCorrupt",
     "SnapshotError",
     "SnapshotTorn",

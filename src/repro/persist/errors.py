@@ -11,10 +11,11 @@ broke:
   when the manifest rename did not land — by construction they are never
   visible through a committed manifest.
 * :class:`SnapshotCorrupt` — the structure is intact but the bytes are
-  wrong: a segment's digest (SHA-256; CRC32C in format-1 stores) does not
-  match the manifest, a segment header that verifies does not describe
-  arrays inside its file, or the manifest itself fails to parse or holds
-  a field of the wrong type.  Corruption is latent (bit rot, torn sector
+  wrong: a segment's SHA-256 does not match the manifest, a segment header
+  that verifies does not describe arrays inside its file, or the manifest
+  itself fails to parse, records a format version the reader does not
+  support, holds a field of the wrong type, or describes an index its
+  segments do not hold.  Corruption is latent (bit rot, torn sector
   writes under a committed manifest) and must surface as an explicit
   error, never as silently wrong query results.
 """

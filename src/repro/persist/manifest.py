@@ -9,11 +9,10 @@ may point into an *older* epoch directory when an incremental save reused
 a clean segment), the byte length, the epoch that wrote the segment, and
 its digest.
 
-Format 2, the one saves write, records one SHA-256 per segment over every
-byte of its file; a load verifies it and a save decides reuse by it.
-Format-1 manifests recorded a whole-file and a payload CRC32C (plus a
-payload SHA-256 for reuse); they still load, verified by their whole-file
-CRC32C, and the first save over one rewrites every segment.
+The format (``FORMAT_VERSION``, 2) records one SHA-256 per segment over
+every byte of its file; a load verifies it and a save decides reuse by it.
+:func:`load_manifest` refuses any other format version, so a load of such
+a store fails and a save over it starts afresh.
 
 Commit protocol: the manifest is serialised, written to a temp file,
 fsynced, and atomically renamed over ``MANIFEST.json``, then the store
@@ -35,11 +34,8 @@ from repro.persist.segments import FORMAT_VERSION, atomic_write, fsync_dir, is_c
 MANIFEST_NAME = "MANIFEST.json"
 
 _REQUIRED_KEYS = ("format_version", "version", "epoch", "index", "segments")
-#: format version -> the keys every segment entry of that format carries
-_REQUIRED_ENTRY_KEYS = {
-    1: ("path", "crc32c", "payload_crc32c", "length", "epoch"),
-    FORMAT_VERSION: ("path", "sha256", "length", "epoch"),
-}
+#: the keys every segment entry carries
+_REQUIRED_ENTRY_KEYS = ("path", "sha256", "length", "epoch")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
@@ -53,7 +49,7 @@ def commit_manifest(root: Path, manifest: dict, fault_injector=None) -> Path:
     return path
 
 
-def _entry_problem(entry: dict, format_version: int) -> str | None:
+def _entry_problem(entry: dict) -> str | None:
     """What is wrong with the fields of one segment entry, if anything."""
     path = entry["path"]
     pure = PurePosixPath(path if isinstance(path, str) else "")
@@ -62,11 +58,7 @@ def _entry_problem(entry: dict, format_version: int) -> str | None:
     for key in ("length", "epoch"):
         if not is_count(entry[key]):
             return f"{key} {entry[key]!r} is not a non-negative int"
-    if format_version == 1:
-        for key in ("crc32c", "payload_crc32c"):
-            if not is_count(entry[key]) or entry[key] >> 32:
-                return f"{key} {entry[key]!r} is not a 32-bit CRC"
-    elif not isinstance(entry["sha256"], str) or not _SHA256_HEX.fullmatch(entry["sha256"]):
+    if not isinstance(entry["sha256"], str) or not _SHA256_HEX.fullmatch(entry["sha256"]):
         return f"sha256 {entry['sha256']!r} is not 64 lowercase hex digits"
     return None
 
@@ -104,10 +96,10 @@ def load_manifest(root: Path) -> dict:
             segment=MANIFEST_NAME,
         )
     format_version = manifest["format_version"]
-    if not is_count(format_version) or format_version not in _REQUIRED_ENTRY_KEYS:
+    if not is_count(format_version) or format_version != FORMAT_VERSION:
         raise SnapshotCorrupt(
             f"manifest format version {format_version!r} is not supported "
-            f"(expected one of {sorted(_REQUIRED_ENTRY_KEYS)})",
+            f"(expected {FORMAT_VERSION})",
             segment=MANIFEST_NAME,
         )
     problems = [
@@ -127,15 +119,13 @@ def load_manifest(root: Path) -> dict:
             raise SnapshotCorrupt(
                 f"manifest entry for segment {name} is not a JSON object", segment=name
             )
-        entry_missing = [
-            key for key in _REQUIRED_ENTRY_KEYS[format_version] if key not in entry
-        ]
+        entry_missing = [key for key in _REQUIRED_ENTRY_KEYS if key not in entry]
         if entry_missing:
             raise SnapshotCorrupt(
                 f"manifest entry for segment {name} is missing keys {entry_missing}",
                 segment=name,
             )
-        problem = _entry_problem(entry, format_version)
+        problem = _entry_problem(entry)
         if problem is not None:
             raise SnapshotCorrupt(
                 f"manifest entry for segment {name}: {problem}", segment=name

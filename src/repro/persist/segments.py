@@ -20,17 +20,15 @@ serialised before the offsets are final (no offset/header-length
 circularity), and the 64-byte alignment keeps memory-mapped views aligned
 for every dtype in use.
 
-Digest (manifest format 2): one SHA-256 over every byte of the file, the
-payload region first and the header region after it
-(:func:`segment_sha256`).  SHA-256 states cannot be combined the way CRCs
-can, so the order is what lets a save read each payload byte once: it
-hashes the payload region of a segment's arrays over zero-copy views
-(:func:`payload_digest`), then finishes copies of that one state with
-whichever header regions it needs — the header the committed file carries,
-to decide reuse, or the header of the file it is about to write.  Both
-come from :func:`header_region`, the function :func:`assemble_segment`
-writes with.  Format-1 manifests record a whole-file CRC32C instead,
-which :func:`read_segment` still verifies.
+Digest: one SHA-256 over every byte of the file, the payload region first
+and the header region after it (:func:`segment_sha256`).  SHA-256 states
+cannot be combined, so the order is what lets a save read each payload
+byte once: it hashes the payload region of a segment's arrays over
+zero-copy views (:func:`payload_digest`), then finishes copies of that one
+state with whichever header regions it needs — the header the committed
+file carries, to decide reuse, or the header of the file it is about to
+write.  Both come from :func:`header_region`, the function
+:func:`assemble_segment` writes with.
 
 Segments are **immutable**: they are assembled fully in memory, then
 published with the write-temp → fsync → atomic-rename protocol shared with
@@ -53,15 +51,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.persist.checksum import crc32c
 from repro.persist.errors import SnapshotCorrupt, SnapshotTorn
 
 MAGIC = b"RXSEG001"
 _PREFIX_BYTES = len(MAGIC) + 8
 _ALIGN = 64
 
-#: The manifest format saves write: one SHA-256 per segment file.  Format 1
-#: recorded a whole-file CRC32C per segment instead.
+#: The manifest format saves write and loads accept: one SHA-256 per
+#: segment file.
 FORMAT_VERSION = 2
 
 #: dtype kinds a segment array may hold: bool, int, uint, float, complex.
@@ -179,7 +176,7 @@ def payload_digest(arrays: dict[str, np.ndarray]):
 
 
 def segment_sha256(payload, header: bytes) -> str:
-    """The format-2 digest of a segment file: its payload region's
+    """The digest of a segment file: its payload region's
     :func:`payload_digest` state (copied, not consumed) extended by its
     header region."""
     state = payload.copy()
@@ -234,16 +231,9 @@ def write_segment(
     return entry
 
 
-def _digests(blob: np.ndarray, expected: dict, format_version: int, segment: str):
-    """``(digest name, recorded, actual)`` for the digest a manifest entry
-    records: a format-2 ``sha256`` (payload region, then header region) or
-    a format-1 whole-file ``crc32c``."""
-    if format_version == 1:
-        return (
-            "crc32c",
-            int(expected["crc32c"]).to_bytes(4, "big"),
-            crc32c(blob).to_bytes(4, "big"),
-        )
+def _sha256(blob: np.ndarray, segment: str) -> bytes:
+    """The digest :func:`segment_sha256` records for the file ``blob``:
+    SHA-256 of its payload region, then its header region."""
     # The header-length field splits the file, so bound it before slicing
     # (a file shorter than the field fails the bound too).
     size = int(blob.shape[0])
@@ -257,7 +247,7 @@ def _digests(blob: np.ndarray, expected: dict, format_version: int, segment: str
         )
     state = hashlib.sha256(blob[base:])
     state.update(blob[:base])
-    return "sha256", bytes.fromhex(expected["sha256"]), state.digest()
+    return state.digest()
 
 
 def _malformed(segment: str, field: str, problem: str) -> SnapshotCorrupt:
@@ -332,22 +322,20 @@ def read_segment(
     *,
     mmap: bool = True,
     expected: dict | None = None,
-    format_version: int = FORMAT_VERSION,
     fault_injector=None,
 ) -> tuple[dict[str, np.ndarray], dict]:
     """Open one segment, optionally verifying it against a manifest entry.
 
     With ``mmap=True`` the file is memory-mapped read-only and every array
-    is a zero-copy view into the mapping.  ``expected`` (a manifest entry
-    of format ``format_version``) drives verification before any view is
-    made: the length first, then the entry's digest over every byte (a
-    format-2 ``sha256``, a format-1 ``crc32c``), then, after the header
-    checks, the segment's own epoch tag
-    against the manifest's — a reused clean segment legitimately carries
-    an *older* epoch than the manifest it appears in, so the entry records
-    which epoch wrote it.  Failures raise :class:`SnapshotTorn` /
-    :class:`SnapshotCorrupt` naming the segment, as does a header that
-    verifies but does not describe arrays inside the file.
+    is a zero-copy view into the mapping.  ``expected`` (a manifest entry)
+    drives verification before any view is made: the length first, then
+    the entry's ``sha256`` over every byte, then, after the header checks,
+    the segment's own epoch tag against the manifest's — a reused clean
+    segment legitimately carries an *older* epoch than the manifest it
+    appears in, so the entry records which epoch wrote it.  Failures raise
+    :class:`SnapshotTorn` / :class:`SnapshotCorrupt` naming the segment,
+    as does a header that verifies but does not describe arrays inside the
+    file.
 
     Returns ``(arrays, meta)``.
     """
@@ -369,13 +357,13 @@ def read_segment(
                 f"disk, manifest records {int(expected['length'])}",
                 segment=segment,
             )
-        kind, recorded, actual = _digests(blob, expected, format_version, segment)
+        actual = _sha256(blob, segment)
         if fault_injector is not None and fault_injector.fires("persist_read_corrupt"):
             actual = bytes([actual[0] ^ 0x1]) + actual[1:]  # a flipped bit on the read path
-        if actual != recorded:
+        if actual.hex() != expected["sha256"]:
             raise SnapshotCorrupt(
                 f"segment {segment} failed checksum verification "
-                f"({kind} {actual.hex()} != recorded {recorded.hex()})",
+                f"(sha256 {actual.hex()} != recorded {expected['sha256']})",
                 segment=segment,
             )
     if blob.shape[0] < _PREFIX_BYTES or not np.array_equal(

@@ -19,8 +19,8 @@ an older epoch directory) instead of rewritten.  After a DELTA_SHARD
 update only the dirty shards' payloads change, so exactly those segments
 (plus the key column) hit the disk.
 
-Digest plan (manifest format 2) — one SHA-256 per segment, covering every
-byte of its file, payload region first (see :mod:`repro.persist.segments`):
+Digest plan — one SHA-256 per segment, covering every byte of its file,
+payload region first (see :mod:`repro.persist.segments`):
 
 * **One payload pass per segment.**  A save hashes each segment's payload
   region once, over zero-copy views of its arrays.
@@ -34,10 +34,13 @@ byte of its file, payload region first (see :mod:`repro.persist.segments`):
 * **Load.**  A load verifies each referenced segment's digest once, over
   every byte, before any array view is made.
 
-A format-1 store (whole-file CRC32C per entry) still loads through the
-CRC32C kernel, which no save calls.  A save never reuses a format-1
-entry: the first save over such a store rewrites every segment, and the
-prune after its commit removes the format-1 files.
+A store whose manifest :func:`~repro.persist.manifest.load_manifest`
+refuses — one that does not parse, holds a field of the wrong type, or
+records a format version other than ``FORMAT_VERSION`` — fails every load
+with :class:`~repro.persist.errors.SnapshotCorrupt` naming
+``MANIFEST.json``, and a save over it starts afresh: manifest version 1,
+every segment rewritten, and the prune after its commit removes the old
+files.
 
 Crash safety: segments and the manifest are published with write-temp →
 fsync → atomic rename (with the containing directories fsynced before the
@@ -160,7 +163,7 @@ class LoadedSnapshot:
 
     epoch: int
     manifest_version: int
-    #: the manifest's format: 2, or 1 for a store no save has rewritten yet
+    #: the manifest's format (``FORMAT_VERSION``; a load refuses any other)
     format_version: int
     index_meta: dict
     #: segment name -> (arrays, segment meta); arrays are zero-copy views
@@ -193,10 +196,10 @@ def save_snapshot(
 
     ``segments`` maps segment names to ``(arrays, meta)``.  A segment
     whose file digest — payload and header, so arrays, meta, dtypes and
-    shapes alike — matches its entry in the previous committed format-2
-    manifest is referenced from its existing epoch directory instead of
-    rewritten; everything else is published under ``epoch-{epoch:08d}/``
-    with the atomic write protocol.  The manifest commit is the single
+    shapes alike — matches its entry in the previous committed manifest is
+    referenced from its existing epoch directory instead of rewritten;
+    everything else is published under ``epoch-{epoch:08d}/`` with the
+    atomic write protocol.  The manifest commit is the single
     visibility point.
 
     The caller's ``epoch`` is advisory: whenever any segment must be
@@ -216,10 +219,7 @@ def save_snapshot(
         prior = load_manifest(root)
     except SnapshotError:
         prior = None
-    # Format-1 entries carry no file SHA-256, so nothing of theirs is reused.
-    reusable = (
-        prior["segments"] if prior and prior["format_version"] == FORMAT_VERSION else {}
-    )
+    reusable = prior["segments"] if prior else {}
 
     # Phase 1 — the reuse decision for every segment, before any path is
     # chosen.  Each payload is hashed once; the state is kept for the
@@ -309,12 +309,11 @@ def load_snapshot(
 ) -> LoadedSnapshot:
     """Open the last committed epoch, verifying every referenced segment.
 
-    Every segment is checked for existence, length, the digest its
-    manifest entry records (format 2: SHA-256; format 1: CRC32C), a
-    well-formed header and its own epoch tag against the manifest entry
-    before any array view is handed out — a failure raises
-    :class:`SnapshotTorn` / :class:`SnapshotCorrupt` naming the segment,
-    and no partially-verified state escapes.  Loads are strictly
+    Every segment is checked for existence, length, the SHA-256 its
+    manifest entry records, a well-formed header and its own epoch tag
+    against the manifest entry before any array view is handed out — a
+    failure raises :class:`SnapshotTorn` / :class:`SnapshotCorrupt` naming
+    the segment, and no partially-verified state escapes.  Loads are strictly
     read-only: orphaned temp files from interrupted saves are left for the
     next *save* to garbage-collect, so a load can never unlink a
     concurrent writer's in-flight temp file.
@@ -331,7 +330,6 @@ def load_snapshot(
             root / entry["path"],
             mmap=mmap,
             expected=entry,
-            format_version=manifest["format_version"],
             fault_injector=fault_injector,
         )
         verify_seconds += time.perf_counter() - verify_start

@@ -395,7 +395,6 @@ def reference_trace(
     rays: RayBatch,
     any_hit=None,
     prim_test_bytes: int | None = None,
-    node_cull_respects_tmin: bool = False,
 ) -> tuple[HitRecords, TraversalCounters]:
     """The seed ``TraversalEngine.trace`` loop, returning (hits, counters)."""
     counters = TraversalCounters()
@@ -412,10 +411,7 @@ def reference_trace(
     hit_prims: list[np.ndarray] = []
 
     if n_rays > 0 and bvh.node_count > 0:
-        if node_cull_respects_tmin:
-            node_tmin = rays.tmin
-        else:
-            node_tmin = np.minimum(rays.tmin, np.float32(0.0))
+        node_tmin = np.minimum(rays.tmin, np.float32(0.0))
         frontier_rays = np.arange(n_rays, dtype=np.int64)
         frontier_nodes = np.zeros(n_rays, dtype=np.int64)
         while frontier_rays.size:
@@ -522,7 +518,6 @@ def _reference_budgeted_trace(
     budget: dict[int, int],
     any_hit=None,
     prim_test_bytes: int | None = None,
-    node_cull_respects_tmin: bool = False,
 ) -> tuple[HitRecords, TraversalCounters]:
     """Golden loop of the early-exit (``first_k``) trace mode.
 
@@ -549,10 +544,7 @@ def _reference_budgeted_trace(
     hit_prims: list[int] = []
 
     if n_rays > 0 and bvh.node_count > 0:
-        if node_cull_respects_tmin:
-            node_tmin = rays.tmin
-        else:
-            node_tmin = np.minimum(rays.tmin, np.float32(0.0))
+        node_tmin = np.minimum(rays.tmin, np.float32(0.0))
         frontier_rays = np.arange(n_rays, dtype=np.int64)
         frontier_nodes = np.zeros(n_rays, dtype=np.int64)
         while frontier_rays.size:
@@ -671,7 +663,6 @@ def reference_first_k_trace(
     limit: int,
     any_hit=None,
     prim_test_bytes: int | None = None,
-    node_cull_respects_tmin: bool = False,
 ) -> tuple[HitRecords, TraversalCounters]:
     """Golden ``mode="first_k"`` trace: per-lookup budgets of ``limit`` hits,
     shared by every ray of the lookup and consumed in traversal-stream
@@ -689,7 +680,6 @@ def reference_first_k_trace(
         budget,
         any_hit=any_hit,
         prim_test_bytes=prim_test_bytes,
-        node_cull_respects_tmin=node_cull_respects_tmin,
     )
 
 
@@ -700,7 +690,6 @@ def reference_ordered_k_trace(
     limit: int,
     any_hit=None,
     prim_test_bytes: int | None = None,
-    node_cull_respects_tmin: bool = False,
 ) -> tuple[HitRecords, TraversalCounters]:
     """Golden ``mode="ordered_k"`` trace: per-lookup t-ordered top-k pools.
 
@@ -745,10 +734,7 @@ def reference_ordered_k_trace(
     bounds: dict[int, tuple[int, float]] = {}
 
     if n_rays > 0 and bvh.node_count > 0:
-        if node_cull_respects_tmin:
-            node_tmin = rays.tmin
-        else:
-            node_tmin = np.minimum(rays.tmin, np.float32(0.0))
+        node_tmin = np.minimum(rays.tmin, np.float32(0.0))
         frontier_rays = np.arange(n_rays, dtype=np.int64)
         frontier_nodes = np.zeros(n_rays, dtype=np.int64)
         while frontier_rays.size:

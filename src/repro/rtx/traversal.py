@@ -493,13 +493,6 @@ class TraversalEngine:
 
     bvh: Bvh
     primitives: PrimitiveBuffer
-    #: The RTX hardware culls BVH nodes against the ray's *far* limit (tmax)
-    #: but applies the *near* limit (tmin) only when testing primitives — the
-    #: paper's Figure 6 / Table 3 measurements (rays "from zero" being far
-    #: slower than offset rays despite identical geometric segments) are only
-    #: explainable this way.  Set to True to model an idealised traversal
-    #: that culls against the full [tmin, tmax] interval.
-    node_cull_respects_tmin: bool = False
     #: Upper bound on the number of (ray, node) pairs whose geometry is
     #: materialised at once.  Frontiers larger than this are streamed through
     #: the slab/intersection tests in slices, bounding peak memory for huge
@@ -634,12 +627,14 @@ class TraversalEngine:
             pool = _OrderedKState(int(owners.max()) + 1, limit, owners)
 
         if n_rays > 0 and bvh.node_count > 0:
-            if self.node_cull_respects_tmin:
-                node_tmin = rays.tmin
-            else:
-                # Nodes in front of the origin but before tmin are still
-                # visited; only their primitive hits are rejected later.
-                node_tmin = np.minimum(rays.tmin, np.float32(0.0))
+            # The RTX hardware culls BVH nodes against the ray's *far* limit
+            # (tmax) but applies the *near* limit (tmin) only when testing
+            # primitives — the paper's Figure 6 / Table 3 measurements (rays
+            # "from zero" far slower than offset rays over identical
+            # segments) are only explainable this way.  So nodes in front of
+            # the origin but before tmin are still visited; only their
+            # primitive hits are rejected later.
+            node_tmin = np.minimum(rays.tmin, np.float32(0.0))
 
             origins = rays.origins
             directions = rays.directions

@@ -427,7 +427,9 @@ class IndexService:
         observes the change, the cache sweeps its older entries, and
         pinned cursor pages submitted against the pre-restore state fail
         with ``"epoch_retired"`` instead of serving rows of a different
-        column state.
+        column state.  A snapshot the index refuses raises its
+        :class:`~repro.persist.SnapshotError`, and the service keeps
+        serving its current epoch.
         """
         info = self.index.restore_from(
             path, mmap=mmap, fault_injector=self.faults

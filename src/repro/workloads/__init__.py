@@ -16,8 +16,6 @@ from repro.workloads.keys import (
     zipf_keys,
 )
 from repro.workloads.lookups import (
-    limited_range_lookups,
-    paged_scan_lookups,
     point_lookups,
     point_lookups_with_hit_rate,
     range_lookups,
@@ -46,8 +44,6 @@ __all__ = [
     "clustered_key_swaps",
     "dense_shuffled_keys",
     "keys_with_multiplicity",
-    "limited_range_lookups",
-    "paged_scan_lookups",
     "point_lookups",
     "point_lookups_with_hit_rate",
     "range_lookups",

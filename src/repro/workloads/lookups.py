@@ -138,61 +138,6 @@ def range_lookups(
     return lowers, uppers
 
 
-def limited_range_lookups(
-    keys: np.ndarray,
-    num_lookups: int,
-    span: int,
-    limit: int,
-    seed: int | np.random.Generator | None = 5,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Range lookups plus the per-lookup hit budget of a LIMIT-k query.
-
-    The bounded-query workload: the application only consumes the first
-    ``limit`` qualifying rows of each range, so the budget is pushed down
-    into the index probe (``first_k`` traversal for RX, capped scans for the
-    sorted baselines) instead of post-filtering.  ``span`` must be at least
-    ``limit`` so that, on a dense key column, the budget actually binds.
-    Returns ``(lowers, uppers, limit)``.
-    """
-    limit = int(limit)
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
-    if span < limit:
-        raise ValueError(
-            f"span ({span}) must be at least limit ({limit}); a narrower range "
-            "could never exhaust the budget"
-        )
-    lowers, uppers = range_lookups(keys, num_lookups, span, seed=seed)
-    return lowers, uppers, limit
-
-
-def paged_scan_lookups(
-    keys: np.ndarray,
-    num_scans: int,
-    span: int,
-    page_size: int,
-    seed: int | np.random.Generator | None = 6,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Ordered-scan workloads: ranges consumed page by page via keyset cursors.
-
-    Each scan is a range ``[l, l + span - 1]`` whose qualifying rows the
-    client drains in ``(key, rowID)`` order, ``page_size`` rows per request
-    (``order="key"`` lookups).  ``span`` must be larger than ``page_size``
-    so every scan needs several pages — otherwise the cursor machinery never
-    engages.  Returns ``(lowers, uppers, page_size)``.
-    """
-    page_size = int(page_size)
-    if page_size < 1:
-        raise ValueError("page_size must be at least 1")
-    if span <= page_size:
-        raise ValueError(
-            f"span ({span}) must exceed page_size ({page_size}); a scan that "
-            "fits one page never resumes a cursor"
-        )
-    lowers, uppers = range_lookups(keys, num_scans, span, seed=seed)
-    return lowers, uppers, page_size
-
-
 def sort_lookups(queries: np.ndarray) -> np.ndarray:
     """Sort a lookup batch by requested key (Section 4.4)."""
     return np.sort(np.asarray(queries))

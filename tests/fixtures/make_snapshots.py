@@ -4,18 +4,20 @@ Two tiny indexes over the same 256 dense shuffled keys: a sharded forest
 (``with_delta_updates(shard_bits=3)``, one segment per non-empty shard) and
 a single tree (``paper_default()``, one ``bvh`` segment).
 
-Two checked-in sets pin two eras, and the test proves that the current
-code still loads both:
+Two checked-in sets pin two eras:
 
 * ``snapshots-v1/`` was written by this script at commit c27a4eb: manifest
   format 1 (a whole-file and a payload CRC32C plus a payload SHA-256 per
   segment), and an ``RXConfig`` that still had the ``build_workers`` and
-  ``build_backend`` fields and the nine ``serve_*`` serving knobs.
+  ``build_backend`` fields and the nine ``serve_*`` serving knobs.  The
+  reader no longer holds format 1, so these stores are the input of the
+  test that every load and restore refuses them.
 * ``snapshots-v2/`` was written by this script when manifest format 2 (one
   SHA-256 per segment, over every byte of its file) replaced format 1,
   while ``RXConfig`` still had the ``serve_*`` knobs.  Segment files did
   not change, so its ``.seg`` files are byte-identical to
-  ``snapshots-v1/``'s.
+  ``snapshots-v1/``'s.  The current code must load them and, building the
+  same indexes, write the same segments.
 
 Run against newer code, the script writes the *current* format, so point
 it at a fresh directory rather than over a fixture::

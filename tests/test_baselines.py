@@ -1,11 +1,10 @@
-"""Tests for the traditional GPU index baselines (HT, B+, SA, LSM)."""
+"""Tests for the traditional GPU index baselines (HT, B+, SA)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
     GpuBPlusTree,
-    GpuLsmTree,
     MISS_SENTINEL,
     SortedArrayIndex,
     WarpCoreHashTable,
@@ -13,7 +12,7 @@ from repro.baselines import (
 from repro.workloads import dense_shuffled_keys, point_lookups
 from repro.workloads.table import SecondaryIndexWorkload
 
-ALL_BASELINES = [WarpCoreHashTable, GpuBPlusTree, SortedArrayIndex, GpuLsmTree]
+ALL_BASELINES = [WarpCoreHashTable, GpuBPlusTree, SortedArrayIndex]
 
 
 @pytest.mark.parametrize("index_class", ALL_BASELINES)
@@ -61,7 +60,7 @@ class TestCommonBehaviour:
 
 
 class TestRangeLookups:
-    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex, GpuLsmTree])
+    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex])
     def test_ranges_match_reference(self, index_class, small_workload):
         index = index_class()
         index.build(small_workload.keys, small_workload.values)
@@ -83,7 +82,7 @@ class TestRangeLookups:
         with pytest.raises(ValueError):
             index.range_lookup(np.array([1], dtype=np.uint64), np.array([2, 3], dtype=np.uint64))
 
-    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex, GpuLsmTree])
+    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex])
     def test_limited_ranges_cap_every_lookup(self, index_class, small_workload):
         # LIMIT-k pushdown: the probe stops after `limit` qualifying rows, so
         # the per-lookup counts are the capped reference counts and the
@@ -100,7 +99,7 @@ class TestRangeLookups:
         assert "range_limit" not in unlimited.stats
         assert np.array_equal(unlimited.hits_per_lookup, full)
 
-    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex, GpuLsmTree])
+    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex])
     def test_limited_scan_stats_reflect_the_cap(self, index_class, small_workload):
         # The structural stats feed the cost model: a capped scan must not
         # charge for entries it never touched.
@@ -112,12 +111,9 @@ class TestRangeLookups:
         scanned_key = (
             "leaf_entries_scanned" if index_class is GpuBPlusTree else "entries_scanned"
         )
-        if index_class is GpuLsmTree:
-            assert capped.total_hits < unlimited.total_hits
-        else:
-            assert capped.stats[scanned_key] < unlimited.stats[scanned_key]
+        assert capped.stats[scanned_key] < unlimited.stats[scanned_key]
 
-    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex, GpuLsmTree])
+    @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex])
     def test_invalid_limit_rejected(self, index_class, small_keys):
         index = index_class()
         index.build(small_keys)
@@ -125,23 +121,6 @@ class TestRangeLookups:
             index.range_lookup(
                 np.array([1], dtype=np.uint64), np.array([5], dtype=np.uint64), limit=0
             )
-
-    def test_lsm_budget_drains_newest_levels_first(self):
-        # Keys 0..63 split across several runs; a capped range lookup must
-        # take its rows from the runs in probe order (newest first) and stop.
-        keys = np.arange(64, dtype=np.uint64)
-        index = GpuLsmTree(level_ratio=2)
-        index.build(keys)
-        assert index.num_levels > 1
-        lowers = np.array([0], dtype=np.uint64)
-        uppers = np.array([63], dtype=np.uint64)
-        capped = index.range_lookup(lowers, uppers, limit=5)
-        assert capped.hits_per_lookup.tolist() == [5]
-        # The first level alone holds fewer than 64 keys, so an uncapped
-        # lookup keeps scanning into older runs; the capped one stops once
-        # its budget is spent.
-        unlimited = index.range_lookup(lowers, uppers)
-        assert unlimited.hits_per_lookup.tolist() == [64]
 
 
 class TestHashTableSpecifics:
@@ -274,29 +253,3 @@ class TestSortedArraySpecifics:
     def test_invalid_key_bytes(self):
         with pytest.raises(ValueError):
             SortedArrayIndex(key_bytes=3)
-
-
-class TestLsmSpecifics:
-    def test_multiple_levels_created(self):
-        index = GpuLsmTree(level_ratio=4)
-        index.build(dense_shuffled_keys(4096, seed=3))
-        assert index.num_levels > 1
-
-    def test_level_ratio_validation(self):
-        with pytest.raises(ValueError):
-            GpuLsmTree(level_ratio=1)
-
-    def test_lsm_slower_than_btree_per_profile(self, small_workload):
-        # The paper picked the B+-Tree because it answers lookups faster than
-        # the GPU LSM; our profiles must preserve that ordering.
-        lsm = GpuLsmTree()
-        btree = GpuBPlusTree()
-        lsm.build(small_workload.keys, small_workload.values)
-        btree.build(small_workload.keys, small_workload.values)
-        lsm_profile = lsm.lookup_profile(
-            lsm.point_lookup(small_workload.point_queries), target_keys=2**26, target_lookups=2**27
-        )
-        btree_profile = btree.lookup_profile(
-            btree.point_lookup(small_workload.point_queries), target_keys=2**26, target_lookups=2**27
-        )
-        assert lsm_profile.serial_depth > btree_profile.serial_depth

@@ -125,20 +125,22 @@ class TestRXConfigValidation:
 
 
 class TestSerialisation:
-    def test_retired_pool_keys_are_dropped(self):
-        # Manifests written before the forest build pools were removed carry
-        # these two keys; loading them must still work.
+    def test_retired_pool_keys_are_refused(self):
+        # Only format-1 manifests carry the forest build pools' two keys,
+        # and the reader refuses format 1, so they are unknown keys now.
         data = RXConfig.paper_default().as_dict()
         data.update(build_workers=4, build_backend="shm")
-        assert RXConfig.from_dict(data) == RXConfig.paper_default()
+        with pytest.raises(ValueError, match=r"unknown keys \['build_backend', 'build_workers'\]"):
+            RXConfig.from_dict(data)
 
     @pytest.mark.parametrize("mode", ["auto", "any_hit", "all"])
-    def test_retired_point_trace_mode_is_dropped(self, mode):
-        # Every old value answers point lookups correctly under the budget
-        # the column decides, so the key is dropped whatever it says.
+    def test_retired_point_trace_mode_is_refused(self, mode):
+        # Likewise the point-trace-mode and range-limit knobs, whatever
+        # they hold.
         data = RXConfig.paper_default().as_dict()
         data.update(point_trace_mode=mode, range_limit=None)
-        assert RXConfig.from_dict(data) == RXConfig.paper_default()
+        with pytest.raises(ValueError, match=r"unknown keys \['point_trace_mode', 'range_limit'\]"):
+            RXConfig.from_dict(data)
 
     @pytest.mark.parametrize(
         "name, stored",

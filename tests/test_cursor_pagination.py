@@ -13,7 +13,7 @@ resumed a cursor.
 The duplicate-run boundary is additionally pinned at the cursor-codec
 level (``keyset_page_slice`` / ``make_cursor_filter`` with cursors on the
 first, middle and last row of a run) and at the RXIndex level, and the
-SA/B+/LSM baselines' paged probes must reproduce RX's pages bit for bit.
+SA/B+ baselines' paged probes must reproduce RX's pages bit for bit.
 
 Like the differential harness, the generator seed defaults to 20260727 and
 can be overridden with the ``DIFF_SEED`` environment variable.
@@ -27,7 +27,6 @@ import pytest
 
 from repro.baselines.base import keyset_page_slice
 from repro.baselines.btree import GpuBPlusTree
-from repro.baselines.lsm import GpuLsmTree
 from repro.baselines.sorted_array import SortedArrayIndex
 from repro.core.config import RXConfig
 from repro.core.cursor import (
@@ -288,25 +287,23 @@ class TestDuplicateRunBoundaryRXIndex:
 
 
 class TestBaselineParity:
-    """SA/B+/LSM paged probes must reproduce RX's pages bit for bit."""
+    """SA/B+ paged probes must reproduce RX's pages bit for bit."""
 
-    def test_duplicate_column_sa_lsm(self):
+    def test_duplicate_column_sa(self):
         rng = random.Random(DIFF_SEED * 31)
         keys, values = _scene(rng, 6)
         rx = RXIndex(RXConfig.paper_default())
         sa = SortedArrayIndex()
-        lsm = GpuLsmTree()
-        for index in (rx, sa, lsm):
+        for index in (rx, sa):
             index.build(keys, values)
         lower, upper = 5, int(keys.max()) - 3
         for page_size in (1, 5, 64):
             rx_pages, _ = _drain(rx, lower, upper, page_size)
-            for other in (sa, lsm):
-                pages, runs = _drain(other, lower, upper, page_size)
-                assert len(pages) == len(rx_pages), other.name
-                for a, b in zip(pages, rx_pages):
-                    assert np.array_equal(a, b), other.name
-                assert all(r.stats["trace_mode"] == "ordered_k" for r in runs)
+            pages, runs = _drain(sa, lower, upper, page_size)
+            assert len(pages) == len(rx_pages)
+            for a, b in zip(pages, rx_pages):
+                assert np.array_equal(a, b)
+            assert all(r.stats["trace_mode"] == "ordered_k" for r in runs)
 
     def test_unique_column_btree(self):
         rng = np.random.default_rng(DIFF_SEED)
@@ -330,7 +327,6 @@ class TestOrderedLookupValidation:
             RXIndex(RXConfig.paper_default()),
             SortedArrayIndex(),
             GpuBPlusTree(),
-            GpuLsmTree(),
         ):
             index.build(keys)
             with pytest.raises(ValueError, match="order='key'"):

@@ -185,16 +185,11 @@ class TestTraversalEquivalence:
             tmin=rng.uniform(0, 500, size=40),
             tmax=512.0,
         )
-        for cull in (False, True):
-            engine = TraversalEngine(
-                bvh, buffer, node_cull_respects_tmin=cull, max_frontier=max_frontier
-            )
-            hits = engine.trace(rays)
-            golden_hits, golden_counters = reference_trace(
-                bvh, buffer, rays, node_cull_respects_tmin=cull
-            )
-            assert np.array_equal(hits.prim_indices, golden_hits.prim_indices)
-            assert engine.counters.as_dict() == golden_counters.as_dict()
+        engine = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        hits = engine.trace(rays)
+        golden_hits, golden_counters = reference_trace(bvh, buffer, rays)
+        assert np.array_equal(hits.prim_indices, golden_hits.prim_indices)
+        assert engine.counters.as_dict() == golden_counters.as_dict()
 
 
 class TestIntersectPairsEquivalence:

@@ -1,24 +1,22 @@
-"""Snapshots written by older code must still load, bit-identically.
+"""Snapshots written by older code load bit-identically, or are refused.
 
 ``tests/fixtures/`` holds a forest and a single-tree snapshot per manifest
 format, written by ``tests/fixtures/make_snapshots.py``:
 
-* ``snapshots-v1/`` — format 1 (CRC32C per segment), written when
-  ``RXConfig`` still had the ``build_workers``, ``build_backend``,
-  ``point_trace_mode`` and ``range_limit`` fields and the nine ``serve_*``
-  serving knobs, so its manifests carry all of those keys;
-* ``snapshots-v2/`` — format 2 (one SHA-256 per segment), written while
-  ``RXConfig`` still had the ``serve_*`` knobs, so its manifests carry
-  those nine keys.  Its segment files are byte-identical to format 1's.
+* ``snapshots-v2/`` — format 2 (one SHA-256 per segment), the format the
+  reader holds, written while ``RXConfig`` still had the ``serve_*``
+  serving knobs, so its manifests carry those nine keys.  Each store must
+  load through both load paths (memory-mapped and heap) and answer point
+  and range lookups — hits and counters — exactly like a fresh build over
+  the same keys, and a fresh build and save must still write its segments
+  byte for byte, and its manifest but for the ``serve_*`` keys.
+* ``snapshots-v1/`` — format 1 (CRC32C per segment), which the reader
+  no longer holds.  Each store must fail every way a snapshot enters the
+  stack with ``SnapshotCorrupt`` on ``MANIFEST.json``, leaving an index or
+  service that was asked to restore it serving its own epoch, and a save
+  over a copy of one starts afresh and commits format 2.
 
-Each must load through both load paths (memory-mapped and heap) and
-answer point and range lookups — hits and counters — exactly like a fresh
-build over the same keys, and a fresh build and save must still write the
-format-2 segments byte for byte, and the manifest but for the ``serve_*``
-keys.  Loads are read-only, so the checked-in fixtures stay
-byte-identical.  A save over a copy of a format-1 store
-migrates it: every segment is rewritten under format 2 and the format-1
-files are pruned.
+Loads are read-only, so the checked-in fixtures stay byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +32,8 @@ import pytest
 
 from repro.core import RXIndex
 from repro.core.config import RETIRED_CONFIG_KEYS
-from repro.persist import load_snapshot
+from repro.persist import SnapshotCorrupt, load_snapshot
+from repro.serve import IndexService
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 _spec = importlib.util.spec_from_file_location(
@@ -43,10 +42,7 @@ _spec = importlib.util.spec_from_file_location(
 make_snapshots = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_snapshots)
 
-#: fixture directory -> the manifest format its snapshots were written in
-FORMATS = {"snapshots-v1": 1, "snapshots-v2": 2}
-
-#: the serving knobs both fixture eras' configs carry
+#: the serving knobs the format-2 fixtures' configs carry
 SERVE_KEYS = [key for key in RETIRED_CONFIG_KEYS if key.startswith("serve_")]
 
 
@@ -77,17 +73,13 @@ def _lookups(index: RXIndex) -> dict:
     return out
 
 
-@pytest.mark.parametrize("fixture", sorted(FORMATS))
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
-def test_old_snapshot_loads_like_a_fresh_build(name, fixture):
-    root = FIXTURES / fixture / name
+def test_old_snapshot_loads_like_a_fresh_build(name):
+    root = FIXTURES / "snapshots-v2" / name
     manifest = json.loads((root / "MANIFEST.json").read_text())
-    assert manifest["format_version"] == FORMATS[fixture]
+    assert manifest["format_version"] == 2
     # The fixture really is the old config: it carries the retired keys.
-    carried = set(RETIRED_CONFIG_KEYS) & manifest["index"]["config"].keys()
-    assert carried == (
-        set(RETIRED_CONFIG_KEYS) if fixture == "snapshots-v1" else set(SERVE_KEYS)
-    )
+    assert set(RETIRED_CONFIG_KEYS) & manifest["index"]["config"].keys() == set(SERVE_KEYS)
     before = _digests(root)
 
     config = make_snapshots.CONFIGS[name]()
@@ -97,10 +89,52 @@ def test_old_snapshot_loads_like_a_fresh_build(name, fixture):
     for mmap in (True, False):
         loaded = RXIndex.load(root, mmap=mmap)
         assert loaded.config == config
-        assert loaded.stats()["persist"]["format_version"] == FORMATS[fixture]
+        assert loaded.stats()["persist"]["format_version"] == 2
         assert np.array_equal(loaded.keys, fresh.keys)
         assert _lookups(loaded) == expected, (name, mmap)
 
+    assert _digests(root) == before
+
+
+def _refused(call) -> None:
+    with pytest.raises(
+        SnapshotCorrupt, match="manifest format version 1 is not supported"
+    ) as excinfo:
+        call()
+    assert excinfo.value.segment == "MANIFEST.json"
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_format1_store_is_refused_everywhere(name):
+    """A format-1 store fails ``load_snapshot``, ``RXIndex.load`` (mmap on
+    and off), ``RXIndex.restore_from`` and ``IndexService.restore``; the
+    index and the service keep serving their own epoch, and the store's
+    bytes do not change."""
+    root = FIXTURES / "snapshots-v1" / name
+    assert json.loads((root / "MANIFEST.json").read_text())["format_version"] == 1
+    before = _digests(root)
+    for mmap in (True, False):
+        _refused(lambda: load_snapshot(root, mmap=mmap))
+        _refused(lambda: RXIndex.load(root, mmap=mmap))
+
+    index = RXIndex(make_snapshots.CONFIGS[name]())
+    index.build(make_snapshots.fixture_keys()[::2])
+    expected = _lookups(index)
+    epoch = index.epoch
+    memory = index.context.memory.current_bytes
+    _refused(lambda: index.restore_from(root))
+    assert (index.epoch, index.context.memory.current_bytes) == (epoch, memory)
+    assert _lookups(index) == expected
+
+    service = IndexService(index)
+    queries = index.keys[:4]
+    solo = index.point_lookup(queries)
+    _refused(lambda: service.restore(root))
+    service.submit_point(queries)
+    (result,) = service.drain()
+    assert result.epoch == index.epoch == epoch
+    order = np.argsort(result.hits.lookup_ids)
+    assert np.array_equal(result.hits.prim_indices[order], solo.result_rows)
     assert _digests(root) == before
 
 
@@ -130,33 +164,25 @@ def test_fresh_save_is_byte_identical_to_the_format2_fixture(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
-def test_first_save_over_a_format1_store_rewrites_every_segment(tmp_path, name):
+def test_save_over_a_format1_store_starts_afresh(tmp_path, name):
+    """A save over a store the reader refuses commits format 2 as manifest
+    version 1, rewrites every segment, and the store then loads and
+    answers like the build that was saved."""
     store = tmp_path / name
     shutil.copytree(FIXTURES / "snapshots-v1" / name, store)
-    format1_files = sorted(store.rglob("*.seg"))
-    format1 = load_snapshot(store, mmap=False)
-    loaded = RXIndex.load(store)
-    expected = _lookups(loaded)
+    index = RXIndex(make_snapshots.CONFIGS[name]())
+    index.build(make_snapshots.fixture_keys())
 
-    first = loaded.save(store)
-    # The payloads match the format-1 entries, but those entries carry no
-    # file SHA-256 to reuse them by.
+    first = index.save(store)
+    assert (first["format_version"], first["manifest_version"]) == (2, 1)
     assert first["segments_reused"] == 0
-    assert first["segments_rewritten"] == first["segments_total"] == format1.segments_total
-    assert first["format_version"] == 2
-    assert json.loads((store / "MANIFEST.json").read_text())["format_version"] == 2
-    assert not [path for path in format1_files if path.exists()]
+    assert first["segments_rewritten"] == first["segments_total"] >= 2
+    manifest = json.loads((store / "MANIFEST.json").read_text())
+    assert (manifest["format_version"], manifest["version"]) == (2, 1)
+    for mmap in (True, False):
+        assert _lookups(RXIndex.load(store, mmap=mmap)) == _lookups(index)
 
-    migrated = load_snapshot(store, mmap=False)
-    for segment, (arrays, meta) in format1.segments.items():
-        assert migrated.meta(segment) == meta
-        for array_name, array in arrays.items():
-            assert np.array_equal(migrated.arrays(segment)[array_name], array)
-    reloaded = RXIndex.load(store)
-    assert reloaded.stats()["persist"]["format_version"] == 2
-    assert _lookups(reloaded) == expected
-
-    second = reloaded.save(store)
+    second = index.save(store)
     assert (second["segments_rewritten"], second["segments_reused"]) == (
         0,
         second["segments_total"],

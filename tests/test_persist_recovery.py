@@ -10,10 +10,10 @@ mixed-epoch state), and a subsequent clean save must succeed.
 
 The verification side is exercised the destructive way: committed
 segment files are byte-flipped in every region (header length, header,
-alignment padding, payload), truncated and deleted — in stores of both
-manifest formats — and the manifest's epoch tags are tampered with.
-Segment headers and manifests that verify but are malformed are forged
-too.  Each must fail the load with an explicit ``SnapshotCorrupt`` /
+alignment padding, payload), truncated and deleted, and the manifest's
+epoch tags are tampered with.  Segment headers and manifests that verify
+but are malformed are forged too, and so are manifest index blocks that
+do not describe their segments.  Each must fail the load with an explicit ``SnapshotCorrupt`` /
 ``SnapshotTorn`` naming the bad segment or field, never return wrong
 results or escape as a raw error.
 
@@ -41,7 +41,6 @@ from repro.core.rx_index import RXIndex
 from repro.persist import (
     SnapshotCorrupt,
     SnapshotTorn,
-    crc32c,
     load_manifest,
     load_snapshot,
     save_snapshot,
@@ -288,39 +287,6 @@ class TestVerifiedLoads:
             target.write_bytes(clean)
         assert flipped >= set(REGIONS)
         RXIndex.load(tmp_path)
-
-    @pytest.mark.parametrize("name", ["forest", "single"])
-    def test_format1_fixture_fails_flips_and_truncation_through_crc32c(
-        self, tmp_path, name
-    ):
-        """Format-1 stores keep every check: on a copy of each checked-in
-        fixture, a flip in each region of each segment fails the CRC32C
-        verify and a truncation is torn, both naming the segment."""
-        fixture = FIXTURES / "snapshots-v1" / name
-        checked_in = {path: path.read_bytes() for path in fixture.rglob("*") if path.is_file()}
-        store = tmp_path / name
-        shutil.copytree(fixture, store)
-        rng = np.random.default_rng([FAULT_SEED, len(name)])
-        for target in sorted(store.rglob("*.seg")):
-            clean = target.read_bytes()
-            offsets = _flip_offsets(clean, rng)
-            assert offsets.keys() == set(REGIONS), target.name
-            for region, offset in offsets.items():
-                blob = bytearray(clean)
-                blob[offset] ^= int(rng.integers(1, 256))
-                target.write_bytes(bytes(blob))
-                with pytest.raises(SnapshotCorrupt, match="checksum.*crc32c") as excinfo:
-                    RXIndex.load(store)
-                assert excinfo.value.segment == target.name, region
-            target.write_bytes(clean[: int(rng.integers(0, len(clean)))])
-            with pytest.raises(SnapshotTorn, match="truncated") as excinfo:
-                RXIndex.load(store)
-            assert excinfo.value.segment == target.name
-            target.write_bytes(clean)
-        assert RXIndex.load(store).stats()["persist"]["format_version"] == 1
-        assert {
-            path: path.read_bytes() for path in fixture.rglob("*") if path.is_file()
-        } == checked_in
 
     def test_truncated_segment_is_torn(self, tmp_path):
         index, _ = _make_index()
@@ -619,18 +585,10 @@ class TestIncrementalSaves:
             assert (loaded.dtype, loaded.shape) == (arrays["x"].dtype, arrays["x"].shape)
             assert np.array_equal(loaded, arrays["x"])
 
-    def test_crc_collision_alone_never_reuses_a_changed_segment(
-        self, tmp_path, monkeypatch
-    ):
-        """Format 2 gives CRC32C no role: with the kernel stubbed to raise,
-        a save, an update's incremental save and a load all still run, and
-        the changed key column is rewritten and reloads the new keys."""
-        from repro.persist import checksum
-
-        def no_crc(self, data):
-            raise AssertionError("a format-2 save or load ran the CRC32C kernel")
-
-        monkeypatch.setattr(checksum.Crc32c, "update", no_crc)
+    def test_crc_collision_alone_never_reuses_a_changed_segment(self, tmp_path):
+        """Reuse is decided by the file SHA-256 alone: after an update, the
+        incremental save rewrites the changed key column, and the store
+        reloads the new keys."""
         index, keys = _make_index(num_keys=512)
         index.save(tmp_path)
         committed = load_manifest(tmp_path)["segments"]["columns"]
@@ -644,33 +602,8 @@ class TestIncrementalSaves:
         reloaded = RXIndex.load(tmp_path)
         assert np.array_equal(reloaded.keys, new_keys)
 
-    def test_recorded_crc_collision_never_reuses_a_changed_segment(
-        self, tmp_path, monkeypatch
-    ):
-        """Over a format-1 store, with the CRC32C kernel stubbed to return
-        the key column's recorded CRC for any input, a save of changed keys
-        still rewrites the column (format 2 never reuses a format-1 entry)
-        and the store reloads the new keys."""
-        from repro.persist import segments
 
-        store = tmp_path / "single"
-        shutil.copytree(FIXTURES / "snapshots-v1" / "single", store)
-        old = RXIndex.load(store, mmap=False)
-        committed = load_manifest(store)["segments"]["columns"]
-        monkeypatch.setattr(segments, "crc32c", lambda data: int(committed["crc32c"]))
-
-        new_keys = old.keys.copy()
-        new_keys[0], new_keys[1] = new_keys[1], new_keys[0]
-        index = RXIndex(old.config)
-        index.build(new_keys)
-        index.save(store)
-        rewritten = load_manifest(store)["segments"]["columns"]
-        assert rewritten["path"] != committed["path"]
-        reloaded = RXIndex.load(store)
-        assert np.array_equal(reloaded.keys, new_keys)
-
-
-def _forged_store(root: Path, format_version: int, mutate) -> None:
+def _forged_store(root: Path, mutate) -> None:
     """A one-segment store whose segment header ``mutate`` rewrote, with the
     manifest's digest recomputed over the bad bytes, so only the header
     checks stand between it and a load."""
@@ -686,17 +619,7 @@ def _forged_store(root: Path, format_version: int, mutate) -> None:
     assert len(forged) <= header_len, "a forged header must fit the original"
     data = data[:16] + forged.ljust(header_len) + data[16 + header_len :]
     path.write_bytes(data)
-    if format_version == 1:
-        entry = {
-            "path": entry["path"],
-            "crc32c": crc32c(data),
-            "payload_crc32c": 0,
-            "length": len(data),
-            "epoch": 0,
-        }
-    else:
-        entry["sha256"] = _file_sha256(data)
-    manifest.update(format_version=format_version, segments={"bad": entry})
+    entry["sha256"] = _file_sha256(data)
     (root / "MANIFEST.json").write_text(json.dumps(manifest))
 
 
@@ -747,27 +670,23 @@ class TestMalformedHeaders:
     """Segment headers that pass the digest but do not describe arrays
     inside the file (a writer bug re-digests whatever it wrote)."""
 
-    @pytest.mark.parametrize("format_version", [1, 2])
     @pytest.mark.parametrize(
         "mutate, field",
         [case[1:] for case in _MALFORMED_HEADERS],
         ids=[case[0] for case in _MALFORMED_HEADERS],
     )
-    def test_header_is_validated_before_any_view(
-        self, tmp_path, format_version, mutate, field
-    ):
-        _forged_store(tmp_path, format_version, mutate)
+    def test_header_is_validated_before_any_view(self, tmp_path, mutate, field):
+        _forged_store(tmp_path, mutate)
         for mmap in (True, False):
             with pytest.raises(SnapshotCorrupt, match=re.escape(field)) as excinfo:
                 load_snapshot(tmp_path, mmap=mmap)
             assert excinfo.value.segment == "bad.seg"
             assert "malformed header" in str(excinfo.value)
 
-    @pytest.mark.parametrize("format_version", [1, 2])
-    def test_an_unforged_header_loads(self, tmp_path, format_version):
-        _forged_store(tmp_path, format_version, lambda header: header)
+    def test_an_unforged_header_loads(self, tmp_path):
+        _forged_store(tmp_path, lambda header: header)
         snap = load_snapshot(tmp_path)
-        assert snap.format_version == format_version
+        assert snap.format_version == 2
         assert snap.arrays("bad")["a"].tolist() == [-7, -6, -5]
 
 
@@ -785,60 +704,44 @@ def _set_top(**fields):
     return mutate
 
 
-#: (case id, manifest format, mutation, regex the error must match, segment)
+#: (case id, mutation, regex the error must match, segment)
 _MALFORMED_MANIFESTS = [
-    ("segments-list", 2, _set_top(segments=[]), "segments is not a JSON object", "MANIFEST.json"),
-    ("index-list", 2, _set_top(index=[]), "index is not a JSON object", "MANIFEST.json"),
-    ("string-version", 2, _set_top(version="1"), "version '1' is not", "MANIFEST.json"),
-    ("bool-version", 2, _set_top(version=True), "version True is not", "MANIFEST.json"),
-    ("negative-epoch", 2, _set_top(epoch=-1), "epoch -1 is not", "MANIFEST.json"),
-    ("string-epoch", 2, _set_top(epoch="0"), "epoch '0' is not", "MANIFEST.json"),
-    ("format-3", 2, _set_top(format_version=3), "format version 3 is not", "MANIFEST.json"),
-    (
-        "bool-format", 2, _set_top(format_version=True), "format version True is not",
-        "MANIFEST.json",
-    ),
-    ("entry-not-object", 2, _set_top(segments={"seg": 7}), "is not a JSON object", "seg"),
-    ("string-length", 2, _set_entry(length="100"), "length '100' is not", "seg"),
-    ("string-entry-epoch", 2, _set_entry(epoch="0"), "epoch '0' is not", "seg"),
-    ("int-path", 2, _set_entry(path=7), "path 7 is not", "seg"),
-    ("absolute-path", 2, _set_entry(path="/etc/passwd"), "path '/etc/passwd' is not", "seg"),
-    ("parent-path", 2, _set_entry(path="../x.seg"), r"path '\.\./x\.seg' is not", "seg"),
-    ("empty-path", 2, _set_entry(path=""), "path '' is not", "seg"),
-    ("short-sha256", 2, _set_entry(sha256="ab" * 16), "sha256 'abab", "seg"),
-    ("upper-sha256", 2, _set_entry(sha256="AB" * 32), "sha256 'ABAB", "seg"),
-    ("int-sha256", 2, _set_entry(sha256=0), "sha256 0 is not", "seg"),
-    ("string-crc32c", 1, _set_entry(crc32c="12"), "crc32c '12' is not", "seg"),
-    ("wide-crc32c", 1, _set_entry(crc32c=1 << 32), f"crc32c {1 << 32} is not", "seg"),
-    ("float-payload-crc", 1, _set_entry(payload_crc32c=1.5), "payload_crc32c 1.5 is not", "seg"),
+    ("segments-list", _set_top(segments=[]), "segments is not a JSON object", "MANIFEST.json"),
+    ("index-list", _set_top(index=[]), "index is not a JSON object", "MANIFEST.json"),
+    ("string-version", _set_top(version="1"), "version '1' is not", "MANIFEST.json"),
+    ("bool-version", _set_top(version=True), "version True is not", "MANIFEST.json"),
+    ("negative-epoch", _set_top(epoch=-1), "epoch -1 is not", "MANIFEST.json"),
+    ("string-epoch", _set_top(epoch="0"), "epoch '0' is not", "MANIFEST.json"),
+    ("format-1", _set_top(format_version=1), "format version 1 is not", "MANIFEST.json"),
+    ("format-3", _set_top(format_version=3), "format version 3 is not", "MANIFEST.json"),
+    ("bool-format", _set_top(format_version=True), "format version True is not", "MANIFEST.json"),
+    ("entry-not-object", _set_top(segments={"seg": 7}), "is not a JSON object", "seg"),
+    ("string-length", _set_entry(length="100"), "length '100' is not", "seg"),
+    ("string-entry-epoch", _set_entry(epoch="0"), "epoch '0' is not", "seg"),
+    ("int-path", _set_entry(path=7), "path 7 is not", "seg"),
+    ("absolute-path", _set_entry(path="/etc/passwd"), "path '/etc/passwd' is not", "seg"),
+    ("parent-path", _set_entry(path="../x.seg"), r"path '\.\./x\.seg' is not", "seg"),
+    ("empty-path", _set_entry(path=""), "path '' is not", "seg"),
+    ("short-sha256", _set_entry(sha256="ab" * 16), "sha256 'abab", "seg"),
+    ("upper-sha256", _set_entry(sha256="AB" * 32), "sha256 'ABAB", "seg"),
+    ("int-sha256", _set_entry(sha256=0), "sha256 0 is not", "seg"),
 ]
 
 
 class TestMalformedManifests:
-    """Manifest fields of the wrong type fail as ``SnapshotCorrupt`` naming
-    the field, and a save over such a store starts afresh, as it does over
-    a manifest that does not parse."""
+    """Manifest fields of the wrong type, and format versions other than 2,
+    fail as ``SnapshotCorrupt`` naming the field, and a save over such a
+    store starts afresh, as it does over a manifest that does not parse."""
 
     @pytest.mark.parametrize(
-        "format_version, mutate, problem, segment",
+        "mutate, problem, segment",
         [case[1:] for case in _MALFORMED_MANIFESTS],
         ids=[case[0] for case in _MALFORMED_MANIFESTS],
     )
-    def test_field_types_are_checked(self, tmp_path, format_version, mutate, problem, segment):
+    def test_field_types_are_checked(self, tmp_path, mutate, problem, segment):
         arrays = {"x": np.arange(8, dtype=np.uint64)}
         save_snapshot(tmp_path, epoch=3, segments={"seg": (arrays, None)}, index_meta={})
         manifest = load_manifest(tmp_path)
-        if format_version == 1:
-            entry = manifest["segments"]["seg"]
-            data = (tmp_path / entry["path"]).read_bytes()
-            manifest["format_version"] = 1
-            manifest["segments"]["seg"] = {
-                "path": entry["path"],
-                "crc32c": crc32c(data),
-                "payload_crc32c": crc32c(arrays["x"]),
-                "length": entry["length"],
-                "epoch": entry["epoch"],
-            }
         mutate(manifest)
         (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest))
         with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
@@ -851,6 +754,201 @@ class TestMalformedManifests:
         assert (result.manifest_version, result.epoch) == (1, 0)
         assert (result.segments_rewritten, result.segments_reused) == (1, 0)
         assert np.array_equal(load_snapshot(tmp_path).arrays("seg")["x"], arrays["x"])
+
+
+def _set_index(**fields):
+    def mutate(index_meta):
+        index_meta.update(fields)
+
+    return mutate
+
+
+def _drop_index(key):
+    def mutate(index_meta):
+        del index_meta[key]
+
+    return mutate
+
+
+def _set_config(**fields):
+    def mutate(index_meta):
+        index_meta["config"].update(fields)
+
+    return mutate
+
+
+_BOTH = ("forest", "single")
+_MANIFEST = "MANIFEST.json"
+
+#: (case id, fixture stores it applies to, mutation of the manifest's index
+#: block or the name of a segment entry to delete, regex the error must
+#: match, segment it must name)
+_BAD_INDEX_BLOCKS = [
+    ("no-config", _BOTH, _drop_index("config"), "no valid index config", _MANIFEST),
+    ("config-list", _BOTH, _set_index(config=[]), r"\[\] is not a JSON object", _MANIFEST),
+    (
+        "config-retired-key", _BOTH, _set_config(build_workers=4),
+        r"unknown keys \['build_workers'\]", _MANIFEST,
+    ),
+    (
+        "config-string-shard-bits", ("forest",), _set_config(shard_bits="3"),
+        "no valid index config", _MANIFEST,
+    ),
+    ("no-kind", _BOTH, _drop_index("kind"), r"kind \(missing\) is not", _MANIFEST),
+    ("bvh-kind", ("forest",), _set_index(kind="bvh"), "kind 'bvh' is not 'forest'", _MANIFEST),
+    (
+        "forest-kind", ("single",), _set_index(kind="forest"),
+        "kind 'forest' is not 'bvh'", _MANIFEST,
+    ),
+    ("no-num-keys", _BOTH, _drop_index("num_keys"), r"num_keys \(missing\)", _MANIFEST),
+    ("more-num-keys", _BOTH, _set_index(num_keys=257), "num_keys 257 is not the 256", _MANIFEST),
+    ("bool-num-keys", ("single",), _set_index(num_keys=True), "num_keys True is not", _MANIFEST),
+    (
+        "fewer-num-primitives", _BOTH, _set_index(num_primitives=255),
+        "num_primitives 255 is not the 256", _MANIFEST,
+    ),
+    (
+        "negative-refit-generation", _BOTH, _set_index(refit_generation=-1),
+        "refit_generation -1 is not", _MANIFEST,
+    ),
+    (
+        "string-refit-generation", ("single",), _set_index(refit_generation="0"),
+        "refit_generation '0' is not", _MANIFEST,
+    ),
+    ("int-compacted", _BOTH, _set_index(compacted=1), "compacted 1 is not a bool", _MANIFEST),
+    ("no-compacted", ("single",), _drop_index("compacted"), r"compacted \(missing\)", _MANIFEST),
+    ("no-columns", _BOTH, "columns", "lists no columns segment", "columns"),
+    ("no-bvh", ("single",), "bvh", "lists no bvh segment", "bvh"),
+]
+
+_INDEX_BLOCK_CASES = [
+    pytest.param(name, mutate, problem, segment, id=f"{name}-{case_id}")
+    for case_id, names, mutate, problem, segment in _BAD_INDEX_BLOCKS
+    for name in names
+]
+
+
+def _bad_index_block_store(tmp_path, name, mutate) -> Path:
+    """A copy of the ``snapshots-v2`` fixture ``name`` with only its
+    manifest edited: ``mutate`` rewrites the index block, or names a
+    segment entry to delete."""
+    store = tmp_path / name
+    shutil.copytree(FIXTURES / "snapshots-v2" / name, store)
+    manifest = json.loads((store / "MANIFEST.json").read_text())
+    if isinstance(mutate, str):
+        del manifest["segments"][mutate]
+    else:
+        mutate(manifest["index"])
+    (store / "MANIFEST.json").write_text(json.dumps(manifest))
+    load_snapshot(store)  # every segment still verifies
+    return store
+
+
+def _drop_array(segment, array):
+    def mutate(segments):
+        del segments[segment][0][array]
+
+    return mutate
+
+
+def _short_values(segments):
+    arrays = segments["columns"][0]
+    arrays["values"] = arrays["values"][:-1]
+
+
+class TestBadIndexBlocks:
+    """A manifest whose index block does not describe its segments, or a
+    segment without the arrays the index needs, fails both ways a snapshot
+    enters an index with ``SnapshotCorrupt`` naming ``MANIFEST.json`` or
+    the segment, and a refused ``restore_from`` leaves the index exactly
+    as it was."""
+
+    @pytest.mark.parametrize("name, mutate, problem, segment", _INDEX_BLOCK_CASES)
+    def test_load_refuses(self, tmp_path, name, mutate, problem, segment):
+        store = _bad_index_block_store(tmp_path, name, mutate)
+        for mmap in (True, False):
+            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                RXIndex.load(store, mmap=mmap)
+            assert excinfo.value.segment == segment
+
+    @pytest.mark.parametrize("name, mutate, problem, segment", _INDEX_BLOCK_CASES)
+    def test_refused_restore_changes_nothing(
+        self, tmp_path, name, mutate, problem, segment
+    ):
+        store = _bad_index_block_store(tmp_path, name, mutate)
+        index, keys = _make_index()
+        queries, rows, counts = _point_probe(index, keys)
+        before = index.stats()
+        memory = index.context.memory.current_bytes
+        for mmap in (True, False):
+            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                index.restore_from(store, mmap=mmap)
+            assert excinfo.value.segment == segment
+        assert index.stats() == before
+        assert index.context.memory.current_bytes == memory
+        run = index.point_lookup(queries)
+        assert np.array_equal(run.result_rows, rows)
+        assert np.array_equal(run.hits_per_lookup, counts)
+
+        new_keys = keys.copy()
+        new_keys[:8] += np.uint64(1)
+        index.update(new_keys)
+        assert index.epoch == before["epoch"] + 1
+        index.save(tmp_path / "after")
+        reloaded = RXIndex.load(tmp_path / "after")
+        assert np.array_equal(reloaded.keys, new_keys)
+        assert bvh_arrays_diff(reloaded.accel.bvh, index.accel.bvh) is None
+
+    @pytest.mark.parametrize(
+        "mutate, segment, problem",
+        [
+            (_drop_array("columns", "keys"), "columns", r"KeyError\('keys'\)"),
+            (_drop_array("columns", "values"), "columns", r"KeyError\('values'\)"),
+            (_short_values, "columns", "same shape as keys"),
+            (_drop_array("bvh", "prim_indices"), "bvh", r"missing fields \['prim_indices'\]"),
+        ],
+        ids=["no-keys", "no-values", "short-values", "no-prim-indices"],
+    )
+    def test_segment_without_its_arrays_is_refused(
+        self, tmp_path, mutate, segment, problem
+    ):
+        """A writer bug digests whatever it writes, so these stores pass
+        every checksum."""
+        snap = load_snapshot(FIXTURES / "snapshots-v2" / "single", mmap=False)
+        segments = {
+            name: ({k: v.copy() for k, v in arrays.items()}, meta)
+            for name, (arrays, meta) in snap.segments.items()
+        }
+        mutate(segments)
+        store = tmp_path / "bad"
+        save_snapshot(store, epoch=snap.epoch, segments=segments, index_meta=snap.index_meta)
+        index, _ = _make_index()
+        before = index.stats()
+        for mmap in (True, False):
+            for enter in (lambda: RXIndex.load(store, mmap=mmap),
+                          lambda: index.restore_from(store, mmap=mmap)):
+                with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                    enter()
+                assert excinfo.value.segment == segment
+        assert index.stats() == before
+
+    @pytest.mark.parametrize("name", ["forest", "single"])
+    def test_unedited_fixture_restores(self, tmp_path, name):
+        """Control: the unedited copy restores, and the restored index
+        answers like a fresh load of the same store."""
+        store = _bad_index_block_store(tmp_path, name, lambda index_meta: None)
+        index, _ = _make_index()
+        epoch = index.epoch
+        info = index.restore_from(store)
+        assert info["epoch"] == index.epoch > epoch
+        assert index.stats()["persist"]["loads"] == 1
+        loaded = RXIndex.load(store)
+        assert np.array_equal(index.keys, loaded.keys)
+        assert bvh_arrays_diff(index.accel.bvh, loaded.accel.bvh) is None
+        queries = loaded.keys[::5]
+        assert np.array_equal(
+            index.point_lookup(queries).result_rows, loaded.point_lookup(queries).result_rows
+        )
 
 
 class TestServiceRestart:

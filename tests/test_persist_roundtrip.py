@@ -1,11 +1,8 @@
 """Save/load round-trip fidelity of the crash-safe epoch store.
 
-Three layers of pinning:
+Two layers of pinning:
 
-* the CRC32C kernel — the slicing-by-64 vectorised implementation must
-  match the per-byte reference (and the published check value) bit for
-  bit, or every "verified" load of a format-1 store is meaningless;
-* the on-disk format — a format-2 entry's SHA-256 must equal ``hashlib``
+* the on-disk format — a manifest entry's SHA-256 must equal ``hashlib``
   over the file's payload region, then its header region, and fixed
   segments must save to recorded bytes;
 * the index itself — a randomised differential replay builds RX indexes
@@ -29,16 +26,7 @@ import pytest
 
 from repro.core.config import RXConfig, UpdatePolicy
 from repro.core.rx_index import RXIndex
-from repro.persist import (
-    Crc32c,
-    SnapshotTorn,
-    crc32c,
-    crc32c_reference,
-    load_snapshot,
-    save_snapshot,
-    write_segment,
-)
-from repro.persist.checksum import _CHUNK_BYTES
+from repro.persist import SnapshotTorn, load_snapshot, save_snapshot, write_segment
 from repro.rtx.bvh import bvh_arrays_diff
 from repro.workloads import dense_shuffled_keys
 
@@ -47,54 +35,15 @@ DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 PRIMITIVES = ["triangle", "sphere", "aabb"]
 
 
-class TestCrc32c:
-    def test_check_value(self):
-        # The CRC32C (Castagnoli) check value from RFC 3720 / the original
-        # reflected-polynomial specification.
-        assert crc32c(b"123456789") == 0xE3069283
+def _file_sha256(data: bytes) -> str:
+    """The format-2 digest, computed independently of the writer: SHA-256
+    of the payload region ``[payload base, end)``, then the header region."""
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    base = (16 + header_len + 63) // 64 * 64
+    return hashlib.sha256(data[base:] + data[:base]).hexdigest()
 
-    def test_empty(self):
-        assert crc32c(b"") == 0
 
-    @pytest.mark.parametrize(
-        "size",
-        [
-            1, 7, 63, 64, 65, 255,
-            64 * 5,  # 5 blocks: an odd, non-power-of-two block count
-            64 * 11 + 9,  # a head block plus 11 more
-            1024, 4096 + 17, 1 << 16,
-            _CHUNK_BYTES - 1, _CHUNK_BYTES, _CHUNK_BYTES + 1,
-            2 * _CHUNK_BYTES + 63,
-        ],
-    )
-    def test_matches_reference(self, size):
-        rng = np.random.default_rng([size, DIFF_SEED])
-        data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-        assert crc32c(data) == crc32c_reference(data)
-
-    def test_memmap_input(self, tmp_path):
-        rng = np.random.default_rng(DIFF_SEED)
-        data = rng.integers(0, 256, size=100_003, dtype=np.uint8).tobytes()
-        path = tmp_path / "blob"
-        path.write_bytes(data)
-        assert crc32c(np.memmap(path, dtype=np.uint8, mode="r")) == crc32c_reference(data)
-
-    @pytest.mark.parametrize(
-        "view",
-        [
-            lambda a: a[:, 1],  # every third element
-            lambda a: a[::-1],  # negative strides
-            lambda a: a.T,  # Fortran-ordered 2-D
-        ],
-        ids=["column", "reversed", "transposed"],
-    )
-    def test_strided_input_hashes_its_c_order_bytes(self, view):
-        rng = np.random.default_rng(DIFF_SEED)
-        strided = view(rng.integers(0, 1 << 32, size=(4099, 3), dtype=np.uint32))
-        assert not strided.flags.c_contiguous
-        expected = crc32c_reference(np.ascontiguousarray(strided).tobytes())
-        assert crc32c(strided) == expected
-
+class TestStoreBasics:
     @pytest.mark.parametrize(
         "arrays",
         [
@@ -115,29 +64,6 @@ class TestCrc32c:
         assert entry["length"] == len(on_disk)
         assert entry["sha256"] == _file_sha256(on_disk)
 
-    def test_streaming_matches_whole(self):
-        rng = np.random.default_rng(DIFF_SEED)
-        data = rng.integers(0, 256, size=100_003, dtype=np.uint8).tobytes()
-        acc = Crc32c()
-        for lo in range(0, len(data), 9973):
-            acc.update(data[lo : lo + 9973])
-        assert acc.digest() == crc32c(data)
-
-    def test_arrays_hash_like_their_bytes(self):
-        rng = np.random.default_rng(DIFF_SEED)
-        arr = rng.integers(0, 1 << 62, size=513, dtype=np.int64)
-        assert crc32c(arr) == crc32c(arr.tobytes())
-
-
-def _file_sha256(data: bytes) -> str:
-    """The format-2 digest, computed independently of the writer: SHA-256
-    of the payload region ``[payload base, end)``, then the header region."""
-    (header_len,) = struct.unpack("<Q", data[8:16])
-    base = (16 + header_len + 63) // 64 * 64
-    return hashlib.sha256(data[base:] + data[:base]).hexdigest()
-
-
-class TestStoreBasics:
     def test_missing_store_is_torn(self, tmp_path):
         with pytest.raises(SnapshotTorn, match="no committed snapshot"):
             load_snapshot(tmp_path / "nowhere")
@@ -217,11 +143,9 @@ def _golden_segments(changed: bool):
 
 
 #: Per save: the manifest file's SHA-256, then per segment its manifest
-#: entry ``(path, sha256, length)``, the SHA-256 of its ``.seg`` file and
-#: the whole-file CRC32C a format-1 manifest recorded for it.  Segment
-#: files are byte-identical across formats 1 and 2, so the file SHA-256s
-#: and CRCs are the ones the format's original writer recorded; any drift
-#: means the on-disk format changed.
+#: entry ``(path, sha256, length)`` and the SHA-256 of its ``.seg`` file.
+#: The file SHA-256s are the ones the segment format's original writer
+#: recorded; any drift means the on-disk format changed.
 _GOLDEN = [
     (
         "27e6f3c77ff667d2309b9d0196aea3c7283e4b1c7a0cc1fb489fdef0fe58191a",
@@ -231,28 +155,24 @@ _GOLDEN = [
                  "c8b3d579805721970cb4595db705f637e5842f8f44cff4f7e91ace78043fc461",
                  1024),
                 "d26bd0aa3295f6a027d1300d5c871f014208bce175fbbaba4575113aab258de8",
-                1106767478,
             ),
             "columns": (
                 ("epoch-00000000/columns.seg",
                  "5862a2f15808d1d94dcc12df1592caf9b250d9fecd5f8c1554a4f731e9e6351f",
                  12324),
                 "d07cb8dc4f0f5d085ac39ed6df30e6809b35bec0bc07f6fd11b4e6548b81f527",
-                3737871715,
             ),
             "misc": (
                 ("epoch-00000000/misc.seg",
                  "e190f4926fd1cb0984c21a2c83112d87475c6f00aabab3cbee58a569a6c3eb7a",
                  523),
                 "51cc55a1679a322bf8055eb3d7651409494109938df9141706f2d799e16c9e59",
-                135445479,
             ),
             "shard-00001": (
                 ("epoch-00000000/shard-00001.seg",
                  "b3c78b60d2f1388b1e2e12cfc9b0ac470005b62b6d63f036fe8dbcb4a6c7baf9",
                  2400200),
                 "cf21c5006955dbdf99116688e71b54b7aea91af76f411db355cbead1c5edfdfe",
-                1282008942,
             ),
         },
     ),
@@ -264,7 +184,6 @@ _GOLDEN = [
                  "7a0884874929965663795fdebd3c82e134aa14d34c52ea8e5611c95959cabbad",
                  1024),
                 "cff7944f7e84619e33fd4324a43bb9e9e261da5d07402912812b4efe674d7b86",
-                1264486435,
             ),
         },
     ),
@@ -291,12 +210,11 @@ class TestGoldenBytes:
             manifest_path = tmp_path / "MANIFEST.json"
             entries = json.loads(manifest_path.read_text())["segments"]
             assert entries.keys() == expected_entries.keys()
-            for name, (entry, file_sha, file_crc) in expected_entries.items():
+            for name, (entry, file_sha) in expected_entries.items():
                 got = entries[name]
                 assert (got["path"], got["sha256"], got["length"]) == entry, name
                 data = (tmp_path / got["path"]).read_bytes()
                 assert hashlib.sha256(data).hexdigest() == file_sha, name
-                assert crc32c(data) == file_crc, name
                 assert _file_sha256(data) == got["sha256"], name
             assert sha256_of(manifest_path) == manifest_sha
 

@@ -447,14 +447,6 @@ class TestTraversalCounters:
         zero_visits = engine.counters.node_visits
         assert zero_visits > 3 * offset_visits
 
-    def test_idealised_traversal_culls_by_tmin(self):
-        engine = _line_engine(256)
-        engine.node_cull_respects_tmin = True
-        zero = RayBatch(origins=[[0, 0, 0]], directions=[[1, 0, 0]], tmin=[199.5], tmax=[201.5])
-        result = engine.trace(zero)
-        assert sorted(result.prim_indices.tolist()) == [200, 201]
-        assert engine.counters.node_visits < 64
-
     def test_hardware_vs_software_intersection_counters(self):
         points = np.column_stack([np.arange(16), np.zeros(16), np.zeros(16)])
         tri_engine = TraversalEngine(
