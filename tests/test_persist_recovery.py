@@ -107,6 +107,24 @@ def _point_probe(index, keys, seed=11):
     return queries, run.result_rows.copy(), run.hits_per_lookup.copy()
 
 
+def _flip_a_payload_byte(store):
+    target = sorted(store.rglob("bvh.seg"))[0]
+    data = bytearray(target.read_bytes())
+    offset = _flip_offsets(bytes(data), np.random.default_rng(FAULT_SEED))["payload"]
+    data[offset] ^= 0xFF
+    target.write_bytes(bytes(data))
+
+
+def _truncate_columns(store):
+    target = sorted(store.rglob("columns.seg"))[0]
+    data = target.read_bytes()
+    target.write_bytes(data[: len(data) // 2])
+
+
+def _delete_bvh(store):
+    sorted(store.rglob("bvh.seg"))[0].unlink()
+
+
 class TestInterruptedSaves:
     def test_first_save_interruption_leaves_no_snapshot(self, tmp_path):
         index, _ = _make_index()
@@ -327,6 +345,45 @@ class TestVerifiedLoads:
         )
         with pytest.raises(SnapshotCorrupt, match="checksum"):
             RXIndex.load(tmp_path, fault_injector=injector)
+
+    @pytest.mark.parametrize(
+        "damage, error, problem, segment",
+        [
+            (_flip_a_payload_byte, SnapshotCorrupt, "checksum", "bvh.seg"),
+            (_truncate_columns, SnapshotTorn, "truncated", "columns.seg"),
+            (_delete_bvh, SnapshotTorn, "missing", "bvh.seg"),
+        ],
+        ids=["flipped-bvh", "truncated-columns", "missing-bvh"],
+    )
+    def test_refused_restore_changes_nothing(
+        self, tmp_path, damage, error, problem, segment
+    ):
+        """A segment that fails to verify refuses ``restore_from`` before
+        the index adopts anything: it keeps its answers, counters, epoch
+        and memory accounting, and updates and saves as before."""
+        source, _ = _make_index(seed=3)
+        source.save(tmp_path / "store")
+        damage(tmp_path / "store")
+        index, keys = _make_index()
+        queries, rows, counts = _point_probe(index, keys)
+        before = index.stats()
+        memory = index.context.memory.current_bytes
+        for mmap in (True, False):
+            with pytest.raises(error, match=problem) as excinfo:
+                index.restore_from(tmp_path / "store", mmap=mmap)
+            assert excinfo.value.segment == segment
+        assert index.stats() == before
+        assert index.context.memory.current_bytes == memory
+        run = index.point_lookup(queries)
+        assert np.array_equal(run.result_rows, rows)
+        assert np.array_equal(run.hits_per_lookup, counts)
+
+        new_keys = keys.copy()
+        new_keys[:8] += np.uint64(1)
+        index.update(new_keys)
+        assert index.epoch == before["epoch"] + 1
+        index.save(tmp_path / "after")
+        assert np.array_equal(RXIndex.load(tmp_path / "after").keys, new_keys)
 
     def test_orphan_temp_files_are_collected_by_saves_not_loads(self, tmp_path):
         index, _ = _make_index()
@@ -980,6 +1037,40 @@ class TestServiceRestart:
         service.submit_range(lo, hi, limit=8, order="key")
         fresh = service.drain()[0]
         assert np.array_equal(fresh.hits.prim_indices, page.hits.prim_indices)
+
+    @pytest.mark.parametrize("name", ["forest", "single"])
+    def test_refused_restore_keeps_pinned_pages(self, tmp_path, name):
+        """A snapshot whose manifest miscounts its primitives (one the loader
+        once adopted silently) fails ``IndexService.restore``; the epoch
+        does not move, so a page pinned before the attempt still resumes."""
+        from repro.serve import IndexService
+
+        store = _bad_index_block_store(tmp_path, name, _set_index(num_primitives=255))
+        index, keys = _make_index()
+        service = IndexService(index)
+        lo = np.array([0], dtype=np.uint64)
+        hi = np.array([1 << 17], dtype=np.uint64)
+        service.submit_range(lo, hi, limit=8, order="key")
+        page = service.drain()[0]
+        assert page.next_cursor is not None
+
+        epoch = index.epoch
+        with pytest.raises(SnapshotCorrupt, match="num_primitives 255") as excinfo:
+            service.restore(store)
+        assert excinfo.value.segment == "MANIFEST.json"
+        assert index.epoch == epoch
+
+        service.submit_range(
+            lo, hi, limit=8, order="key",
+            cursor=page.next_cursor, pin_epoch=page.epoch,
+        )
+        resumed = service.drain()[0]
+        assert resumed.epoch == page.epoch == epoch
+        solo, _ = index.range_lookup(lo, hi, limit=16, order="key")
+        assert np.array_equal(
+            np.concatenate([page.hits.prim_indices, resumed.hits.prim_indices]),
+            solo.row_ids,
+        )
 
     def test_checkpoint_under_injected_faults_never_tears(self, tmp_path):
         from repro.serve import IndexService
