@@ -18,16 +18,18 @@ test-fast:
 # ordered-pool merge checks), the forest's cut/splice oracle (random
 # columns, shard_bits and leaf sizes), its DELTA_SHARD update chain (swaps,
 # rewrites, growth, shrinkage and no-ops on every buffer kind, each step
-# checked against a fresh build_bvh and build_forest), the golden-builder
-# equivalence harness (lbvh, median and SAH against rtx/_reference.py) and
-# the update tests of the owned key column (a write to the caller's array
-# changes no page, on the index or a pinned service page chain) and of the
-# duplicate-key flag (kept without a column sort across swaps, flipped by
-# adding or removing a duplicate, re-derived after a key-count change,
-# under REBUILD, REFIT and DELTA_SHARD); all honour DIFF_SEED (CI runs
-# extra seeds).
+# checked against a fresh build_bvh and build_forest) and its shard-tree
+# tiling check (random leaf ranges against a per-row count), the
+# golden-builder equivalence harness (lbvh, median and SAH against
+# rtx/_reference.py), the update tests of the owned key column (a write
+# to the caller's array changes no page, on the index or a pinned service
+# page chain) and of the duplicate-key flag (kept without a column sort
+# across swaps, flipped by adding or removing a duplicate, re-derived after
+# a key-count change, under REBUILD, REFIT and DELTA_SHARD), and the
+# block-boundary tests of the blocked Morton kernels
+# (tests/test_rtx_morton.py); all honour DIFF_SEED (CI runs extra seeds).
 test-diff:
-	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py tests/test_engine_equivalence.py tests/test_update_key_column.py
+	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py tests/test_engine_equivalence.py tests/test_update_key_column.py tests/test_rtx_morton.py
 
 # Cursor-pagination harness (index-level + serve-level); honours DIFF_SEED
 # (CI runs extra seeds alongside test-diff).

@@ -48,7 +48,7 @@ from repro.gpusim.counters import WorkProfile
 from repro.persist import MANIFEST_NAME, SnapshotCorrupt, load_snapshot, save_snapshot
 from repro.persist.segments import is_count
 from repro.rtx.build_input import BuildFlags, build_input_for_points
-from repro.rtx.bvh import BvhBuildOptions, bvh_from_arrays, bvh_state_arrays
+from repro.rtx.bvh import BvhBuildOptions, box_columns, bvh_from_arrays, bvh_state_arrays
 from repro.rtx.forest import (
     ShardPartitionError,
     forest_from_saved,
@@ -116,6 +116,66 @@ class UpdateOutcome:
     #: per-policy structural details (delta updates report their dirty-shard
     #: accounting here so experiments can check the O(dirty) scaling)
     stats: dict = field(default_factory=dict)
+
+
+def _shard_state(snap, name: str) -> tuple[dict, dict]:
+    """``(arrays, meta)`` of the forest shard segment ``name``.
+
+    Its meta must hold an int ``bucket`` (not a bool) that the name
+    ``shard-NNNNN`` spells and a bool ``delegated``, and its arrays a
+    ``rows`` array; anything else raises :class:`SnapshotCorrupt` naming
+    the segment.
+    """
+    arrays, meta = snap.arrays(name), snap.meta(name)
+
+    def shown(key):
+        return repr(meta[key]) if key in meta else "(missing)"
+
+    problems = []
+    bucket = meta.get("bucket")
+    if type(bucket) is not int:
+        problems.append(f"bucket {shown('bucket')} is not an int")
+    elif name != f"shard-{bucket:05d}":
+        problems.append(f"bucket {bucket} does not match the name {name}")
+    if not isinstance(meta.get("delegated"), bool):
+        problems.append(f"delegated {shown('delegated')} is not a bool")
+    if "rows" not in arrays:
+        problems.append("it holds no rows array")
+    if problems:
+        raise SnapshotCorrupt(
+            f"persisted forest shard segment is malformed: {'; '.join(problems)}",
+            segment=name,
+        )
+    return arrays, meta
+
+
+def _check_root_box(bvh, buffer) -> None:
+    """Require a single tree's root box to be the union of ``buffer``'s
+    primitive boxes, which every tree built or refitted over them has.
+
+    The buffer comes from the stored keys under the manifest's config, so
+    a config edited away from the tree (another ``decomposition``, say)
+    moves the boxes and fails here instead of answering wrong.  A failure
+    raises :class:`SnapshotCorrupt` naming ``bvh``.
+    """
+    for name in ("node_mins", "node_maxs"):
+        boxes = getattr(bvh, name)
+        shape_ok = boxes.ndim == 2 and boxes.shape[1:] == (3,) and len(boxes) >= 1
+        if boxes.dtype != np.float32 or not shape_ok:
+            raise SnapshotCorrupt(
+                f"tree array {name} is {boxes.dtype} {boxes.shape}, not float32 (k, 3), k >= 1",
+                segment="bvh",
+            )
+    mins, maxs = box_columns(buffer)
+    union = (mins.min(axis=1), maxs.max(axis=1))
+    root = (bvh.node_mins[0], bvh.node_maxs[0])
+    if not all(np.array_equal(a, b) for a, b in zip(root, union)):
+        raise SnapshotCorrupt(
+            f"tree root box {[a.tolist() for a in root]} is not the union "
+            f"{[a.tolist() for a in union]} of the boxes the {len(buffer)} stored keys "
+            f"encode to under the manifest's config",
+            segment="bvh",
+        )
 
 
 class RXIndex(GpuIndex):
@@ -740,9 +800,13 @@ class RXIndex(GpuIndex):
         ``kind`` is the one ``config.shard_bits`` implies, ``num_keys`` and
         ``num_primitives`` are the key column's length, ``refit_generation``
         is a count and ``compacted`` a bool, and the segments the kind
-        needs are present.  A failure raises :class:`SnapshotCorrupt`
-        naming ``MANIFEST.json`` or the missing or invalid segment.  Every
-        check runs before the first device-memory allocation.
+        needs are present.  Each forest shard segment must be one
+        :func:`_shard_state` accepts, and a single tree's root box must be
+        the union of the boxes the stored keys encode to under the
+        manifest's config (:func:`_check_root_box`), which binds the config
+        to the tree.  A failure raises :class:`SnapshotCorrupt` naming
+        ``MANIFEST.json`` or the missing or invalid segment.  Every check
+        runs before the first device-memory allocation.
         """
         meta = snap.index_meta
         kind = "forest" if self.config.shard_bits else "bvh"
@@ -794,9 +858,7 @@ class RXIndex(GpuIndex):
         compacted = meta["compacted"]
         if kind == "forest":
             shards = [
-                (snap.arrays(name), snap.meta(name))
-                for name in snap.segments
-                if name.startswith("shard-")
+                _shard_state(snap, name) for name in snap.segments if name.startswith("shard-")
             ]
             try:
                 forest = forest_from_saved(buffer, options, shards)
@@ -819,6 +881,7 @@ class RXIndex(GpuIndex):
                 )
             except ValueError as exc:
                 raise SnapshotCorrupt(str(exc), segment="bvh") from exc
+            _check_root_box(bvh, buffer)
 
         # Mirror the build path's device-memory accounting: the accel is
         # allocated uncompacted, then (when the snapshot was compacted) the
@@ -843,22 +906,6 @@ class RXIndex(GpuIndex):
             accel.compacted = True
         self._accel = accel
         self._pipeline = Pipeline(self.context, accel, max_frontier=self.max_frontier)
-        memory = self.memory_footprint()
-        self._build_result = BuildResult(
-            num_keys=self.num_keys,
-            key_bits=64,
-            memory=memory,
-            stats={
-                "primitive": self.config.primitive.value,
-                "key_mode": self.config.key_mode.value,
-                "builder": self.config.bvh_builder,
-                "bvh_nodes": bvh.node_count,
-                "bvh_depth": bvh.depth(),
-                "bvh_leaves": bvh.leaf_count,
-                "compacted": compacted,
-                "restored_from_snapshot": True,
-            },
-        )
 
     def _record_load(self, snap) -> None:
         self._persist_stats.update(

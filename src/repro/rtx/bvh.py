@@ -294,9 +294,10 @@ def box_columns(
     primitive_buffer: PrimitiveBuffer, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The AABBs of the buffer (or of its ``rows``) as ``(mins, maxs)``,
-    each one ``(3, m)`` row per axis."""
+    each one contiguous ``(3, m)`` row per axis: the columns
+    ``compute_aabbs`` writes, so nothing is copied."""
     prim_mins, prim_maxs = primitive_buffer.compute_aabbs(rows)
-    return np.ascontiguousarray(prim_mins.T), np.ascontiguousarray(prim_maxs.T)
+    return prim_mins.T, prim_maxs.T
 
 
 def centroid_columns(prim_mins: np.ndarray, prim_maxs: np.ndarray) -> np.ndarray:

@@ -372,6 +372,10 @@ def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np
     smaller id, and the root reaches each node once.  The leaves tile
     ``[0, rows)``.  A failure raises :class:`ShardPartitionError`.  It runs
     once, where persisted trees enter the process (:func:`forest_from_saved`).
+
+    The child and leaf checks read the inner nodes and the leaves apart,
+    and "each used once" and the tiling are proven by bool scatters; the
+    exact per-node counts run only to name the node or row that fails.
     """
     sizes = np.empty(len(buckets), dtype=np.int64)
     for i, (bucket, tree) in enumerate(zip(buckets, trees)):
@@ -396,55 +400,78 @@ def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np
         for name in ("left", "right", "first_prim", "prim_count")
     )
     block_starts = np.cumsum(sizes) - sizes
-    base = np.repeat(block_starts, sizes)
-    node = np.arange(left.shape[0]) - base
-    is_inner = left >= 0
 
-    def _reject(bad: np.ndarray, problem, starts: np.ndarray = block_starts) -> None:
+    def _reject(bad: np.ndarray, problem, at=None, starts: np.ndarray = block_starts) -> None:
+        """Raise ``problem(i, shard)`` at the first flagged position ``i``
+        (``at[j]`` when ``bad`` flags the positions ``at``)."""
         hit = np.flatnonzero(bad)
         if hit.size:
-            i = int(hit[0])
+            i = int(hit[0] if at is None else at[hit[0]])
             s = int(np.searchsorted(starts, i, "right")) - 1
             raise ShardPartitionError(buckets[s], problem(i, s))
 
+    def local(i: int, s: int) -> int:
+        return i - int(block_starts[s])
+
+    is_inner = left >= 0
     inner_counts = np.add.reduceat(is_inner, block_starts, dtype=np.int64)
+    wrong = np.flatnonzero(inner_counts != sizes // 2)
+    if wrong.size:
+        s = int(wrong[0])
+        raise ShardPartitionError(
+            buckets[s], f"tree has {inner_counts[s]} inner nodes, not {sizes[s] // 2}"
+        )
+    # Every shard now has sizes // 2 inner nodes and one leaf more.
+    inner = np.flatnonzero(is_inner)
+    base = np.repeat(block_starts, sizes // 2)
+    child = left[inner]
     _reject(
-        np.repeat(inner_counts != sizes // 2, sizes),
-        lambda _, s: f"tree has {inner_counts[s]} inner nodes, not {sizes[s] // 2}",
+        ((child & 1) == 0)
+        | (child <= inner - base)
+        | (child > np.repeat(sizes - 2, sizes // 2))
+        | (right[inner] != child + 1),
+        lambda i, s: f"tree node {local(i, s)} has children ({left[i]}, {right[i]}), "
+        f"not an odd id in ({local(i, s)}, {sizes[s] - 1}) and the next one",
+        at=inner,
     )
+    child += base
+    used = np.zeros(left.shape[0], dtype=bool)
+    used[child] = True
+    if np.count_nonzero(used) != child.shape[0]:
+        parents = np.bincount(child, minlength=left.shape[0])
+        _reject(parents > 1, lambda i, s: f"tree node {local(i, s)} has {parents[i]} parents")
+
+    leaves = np.flatnonzero(~is_inner)
+    leaf_rows = np.repeat(rows, sizes // 2 + 1)
+    lo, span = first[leaves], count[leaves]
     _reject(
-        is_inner
-        & (
-            ((left & 1) == 0)
-            | (left <= node)
-            | (left > np.repeat(sizes - 2, sizes))
-            | (right != left + 1)
-        ),
-        lambda i, s: f"tree node {node[i]} has children ({left[i]}, {right[i]}), "
-        f"not an odd id in ({node[i]}, {sizes[s] - 1}) and the next one",
-    )
-    parents = np.bincount((left + base)[is_inner], minlength=left.shape[0])
-    _reject(parents > 1, lambda i, _: f"tree node {node[i]} has {parents[i]} parents")
-    leaf = ~is_inner
-    _reject(
-        leaf & ((count < 1) | (first < 0) | (first > np.repeat(rows, sizes) - count)),
-        lambda i, s: f"tree leaf {node[i]} holds rows [{first[i]}, "
+        (span < 1) | (lo < 0) | (lo > leaf_rows - span),
+        lambda i, s: f"tree leaf {local(i, s)} holds rows [{first[i]}, "
         f"{int(first[i]) + int(count[i])}), not a non-empty range of its {rows[s]} rows",
+        at=leaves,
     )
-    # Leaves inside their shard tile it when each of its rows is held
-    # exactly once; ``row_starts`` lays the shards' rows end to end.
+    # Laid end to end (``row_starts``), the shards' leaves tile ``[0,
+    # total)`` exactly when some leaf starts at row 0, every leaf ends
+    # where a leaf starts or at ``total``, and the leaves are ``total``
+    # rows long between them: sorted by start, each leaf then reaches at
+    # least the next start, so the lengths cover ``[0, total)`` and only
+    # add up to ``total`` with no leaf shared, overlapping or over-long.
+    # Each leaf lies inside its own shard, so each shard is tiled by its own.
     row_starts = np.cumsum(rows) - rows
     total = int(rows.sum())
-    starts = (first + np.repeat(row_starts, sizes))[leaf]
-    held = np.cumsum(
-        np.bincount(starts, minlength=total + 1)
-        - np.bincount(starts + count[leaf], minlength=total + 1)
-    )[:total]
-    _reject(
-        held != 1,
-        lambda i, s: f"{held[i]} tree leaves hold its row {i - row_starts[s]}, not one",
-        row_starts,
-    )
+    lo += np.repeat(row_starts, sizes // 2 + 1)
+    is_start = np.zeros(total + 1, dtype=bool)
+    is_start[lo] = True
+    is_start[total] = True
+    if not (is_start[0] and int(span.sum()) == total and is_start[lo + span].all()):
+        held = np.cumsum(
+            np.bincount(lo, minlength=total + 1) - np.bincount(lo + span, minlength=total + 1)
+        )[:total]
+        _reject(
+            held != 1,
+            lambda i, s: f"{held[i]} tree leaves hold its row {i - row_starts[s]}, not one",
+            starts=row_starts,
+        )
     return sizes
 
 
@@ -604,6 +631,10 @@ def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.nda
     Morton bucket names.  Checksums cannot catch a writer that emits the
     wrong rows, because it checksums what it wrote.  Raises
     :class:`ShardPartitionError` naming the first offending bucket.
+
+    The checks are two reductions, a bool scatter and a gather of the
+    buckets in their narrowest dtype (uint16 at most); the per-row scans
+    run only to name the row that fails.
     """
     shard_vals = part.shard_vals
     for bucket, count in zip(shard_vals.tolist(), part.shard_counts.tolist()):
@@ -627,16 +658,19 @@ def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.nda
             bucket = int(shard_vals[np.searchsorted(stream_starts, pos, "right") - 1])
             raise ShardPartitionError(bucket, f"row {int(rows_stream[pos])} {problem}")
 
-    _reject((rows_stream < 0) | (rows_stream >= n), f"lies outside [0, {n})")
+    if rows_stream.min() < 0 or rows_stream.max() >= n:
+        _reject((rows_stream < 0) | (rows_stream >= n), f"lies outside [0, {n})")
     # n in-range rows repeat one exactly when they miss another, so the
-    # costly per-row gather only runs to name the bucket.
-    seen = np.bincount(rows_stream, minlength=n)
+    # exact per-row count only runs to name the bucket.
+    seen = np.zeros(n, dtype=bool)
+    seen[rows_stream] = True
     if not seen.all():
-        _reject(seen[rows_stream] != 1, "appears more than once")
-    _reject(
-        part.bucket[rows_stream] != np.repeat(shard_vals.astype(np.int64), part.shard_counts),
-        "belongs to another Morton bucket",
-    )
+        _reject(np.bincount(rows_stream, minlength=n)[rows_stream] != 1, "appears more than once")
+    narrow = np.min_scalar_type(int(shard_vals[-1]))
+    found = part.bucket.astype(narrow)[rows_stream]
+    expected = np.repeat(shard_vals.astype(narrow), part.shard_counts)
+    if not np.array_equal(found, expected):
+        _reject(found != expected, "belongs to another Morton bucket")
     return rows_stream
 
 
@@ -660,7 +694,7 @@ def forest_from_saved(
     like trees built in this process, unchecked.
     """
     options.validate()
-    part, *_ = _column(primitive_buffer, options, "restore")
+    part = _column(primitive_buffer, options, "restore")[0]
     rows: dict[int, np.ndarray] = {}
     tree_arrays: dict[int, dict[str, np.ndarray]] = {}
     for arrays, meta in segments:

@@ -190,8 +190,9 @@ class PrimitiveBuffer:
     def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Per-primitive axis-aligned bounds as ``(m, 3)`` float32 ``(mins,
         maxs)`` arrays: of every primitive, or of the int64 ``rows`` only,
-        bit-identical to those rows of the full call.  Drops any cached
-        intersection pack."""
+        bit-identical to those rows of the full call.  Each array is the
+        ``.T`` view of contiguous ``(3, m)`` per-axis columns, the layout
+        the build passes read.  Drops any cached intersection pack."""
         raise NotImplementedError
 
     def intersect(self, origin, direction, tmin, tmax, prim_indices) -> np.ndarray:
@@ -436,9 +437,11 @@ class TriangleBuffer(_MollerTrumboreBuffer):
         # reduction order as .min(axis=1) (bit-identical) without the generic
         # axis-reduce machinery — this pass is on the build hot path.
         v = self.vertices if rows is None else self.vertices[rows]
-        mins = np.minimum(np.minimum(v[:, 0], v[:, 1]), v[:, 2])
-        maxs = np.maximum(np.maximum(v[:, 0], v[:, 1]), v[:, 2])
-        return mins, maxs
+        mins, maxs = _empty_box_columns(v.shape[0])
+        for out, reduce in ((mins.T, np.minimum), (maxs.T, np.maximum)):
+            reduce(v[:, 0], v[:, 1], out=out)
+            reduce(out, v[:, 2], out=out)
+        return mins.T, maxs.T
 
     def _pair_triangles(self, prim_indices) -> tuple[np.ndarray, ...]:
         return tuple(arr[prim_indices] for arr in self.intersection_pack())
@@ -504,22 +507,15 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
         # axis and side gives the per-corner min/max bit for bit.
         rows = slice(None) if rows is None else rows
         anchors = self.anchors[:, rows]
-        m = anchors.shape[1]
-        mins = np.empty((m, 3), dtype=np.float32)
-        maxs = np.empty((m, 3), dtype=np.float32)
+        mins, maxs = _empty_box_columns(anchors.shape[1])
         for axis in range(3):
             extent = self._extent(axis, rows)
             for out, offset in (
                 (mins, _TRIANGLE_OFFSET_MIN[axis]),
                 (maxs, _TRIANGLE_OFFSET_MAX[axis]),
             ):
-                np.add(
-                    anchors[axis],
-                    offset * extent,
-                    out=out[:, axis],
-                    dtype=np.float64,
-                )
-        return mins, maxs
+                np.add(anchors[axis], offset * extent, out=out[axis], dtype=np.float64)
+        return mins.T, maxs.T
 
     def _pair_triangles(self, prim_indices) -> tuple[np.ndarray, ...]:
         corners = np.empty((3, prim_indices.shape[0]), dtype=np.float32)
@@ -535,6 +531,11 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
             e1.append(corners[1] - base)
             e2.append(corners[2] - base)
         return (*v0, *e1, *e2)
+
+
+def _empty_box_columns(m: int) -> np.ndarray:
+    """Uninitialised float32 ``(mins, maxs)`` box columns, each ``(3, m)``."""
+    return np.empty((2, 3, m), dtype=np.float32)
 
 
 def _exact_floats(values) -> np.ndarray:
@@ -597,7 +598,10 @@ class SphereBuffer(PrimitiveBuffer):
         self._pack = None
         r = np.float32(self.radius)
         centers = self.centers if rows is None else self.centers[rows]
-        return centers - r, centers + r
+        mins, maxs = _empty_box_columns(centers.shape[0])
+        np.subtract(centers, r, out=mins.T)
+        np.add(centers, r, out=maxs.T)
+        return mins.T, maxs.T
 
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices
@@ -738,9 +742,8 @@ class AabbBuffer(PrimitiveBuffer):
 
     def compute_aabbs(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         self._pack = None
-        if rows is None:
-            return self.mins.copy(), self.maxs.copy()
-        return self.mins[rows], self.maxs[rows]
+        rows = slice(None) if rows is None else rows
+        return tuple(np.ascontiguousarray(arr[rows].T).T for arr in (self.mins, self.maxs))
 
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices

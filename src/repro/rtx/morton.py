@@ -9,13 +9,22 @@ collapse many primitives into the same cell and degrade the tree.
 Every pass reads its ``(n, 3)`` input one axis at a time, so the fast layout
 is the ``.T`` view of ``(3, n)`` per-axis columns, and grids come back in
 that layout too.  A code interleaves three axes of at most 21 bits, each
-spread by the classic five shift-and-mask steps over the whole column; no
-lookup table is involved.
+spread by the classic five shift-and-mask steps; no lookup table is
+involved.  The quantise, spread and prefix kernels run over
+:data:`MORTON_BLOCK` rows at a time, so every step's temporaries stay in
+one small scratch buffer instead of streaming whole columns through
+memory once per step.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Rows per block of the quantise, spread and prefix kernels: a block's
+#: uint64 / float64 lanes (256 KiB each) stay L2-resident.  A pure
+#: execution-schedule knob: every kernel is elementwise, so the output is
+#: bit-identical for any block size.
+MORTON_BLOCK = 1 << 15
 
 #: ``(shift, mask)`` of the five steps that spread 21 bits two zero bits apart
 _SPREAD_STEPS = [
@@ -27,19 +36,35 @@ _SPREAD_STEPS = [
 ]
 
 
+def _blocks(n: int):
+    """``(lo, hi)`` of the :data:`MORTON_BLOCK`-row blocks of ``n`` rows."""
+    return ((lo, min(lo + MORTON_BLOCK, n)) for lo in range(0, n, MORTON_BLOCK))
+
+
+def _spread(values: np.ndarray, mask: np.uint64, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the spread of ``values & mask`` into ``out``; ``scratch`` is a
+    buffer of ``out``'s length that the shifts go through."""
+    np.bitwise_and(values, mask, out=out)
+    for shift, step_mask in _SPREAD_STEPS:
+        np.left_shift(out, shift, out=scratch)
+        out |= scratch
+        out &= step_mask
+
+
 def expand_bits_3(values: np.ndarray, bits: int) -> np.ndarray:
     """Spread the lowest ``bits`` bits of each value so that two zero bits
     separate consecutive payload bits (the classic Morton interleave step).
     The masks hold 21 payload bits, so ``bits`` must be at most 21."""
     if not 0 <= bits <= 21:
         raise ValueError("bits must be in [0, 21]: the spread masks hold 21 bits")
-    x = np.asarray(values, dtype=np.uint64) & np.uint64((1 << bits) - 1)
-    shifted = np.empty_like(x)
-    for shift, mask in _SPREAD_STEPS:
-        np.left_shift(x, shift, out=shifted)
-        x |= shifted
-        x &= mask
-    return x
+    values = np.asarray(values, dtype=np.uint64)
+    spread = np.empty(values.shape, dtype=np.uint64)
+    flat_values, flat = values.reshape(-1), spread.reshape(-1)
+    scratch = np.empty(min(flat.shape[0], MORTON_BLOCK), dtype=np.uint64)
+    mask = np.uint64((1 << bits) - 1)
+    for lo, hi in _blocks(flat.shape[0]):
+        _spread(flat_values[lo:hi], mask, flat[lo:hi], scratch[: hi - lo])
+    return spread
 
 
 def require_finite(
@@ -85,15 +110,21 @@ def quantize_to_grid(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, bits: i
     per-axis columns.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = pts.shape[0]
     cells = (1 << bits) - 1
-    grid = np.empty((3, pts.shape[0]), dtype=np.uint64)
+    top = np.uint64(cells)
+    grid = np.empty((3, n), dtype=np.uint64)
+    lane = np.empty(min(n, MORTON_BLOCK))
     for axis in range(3):
         extent = hi[axis] - lo[axis]
-        scaled = pts[:, axis] - lo[axis]
-        scaled /= extent if extent > 0 else 1.0
-        scaled *= cells
-        grid[axis] = scaled
-        np.minimum(grid[axis], np.uint64(cells), out=grid[axis])
+        divisor = extent if extent > 0 else 1.0
+        for start, stop in _blocks(n):
+            scaled, cell = lane[: stop - start], grid[axis, start:stop]
+            np.subtract(pts[start:stop, axis], lo[axis], out=scaled)
+            scaled /= divisor
+            scaled *= cells
+            np.copyto(cell, scaled, casting="unsafe")
+            np.minimum(cell, top, out=cell)
     return grid.T
 
 
@@ -103,12 +134,22 @@ def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:
     Split out of :func:`morton_encode_3d` so the sharded forest can quantise
     once, keep the grid for its bucket partition, and interleave every row
     (a build) or only a dirty shard's rows (a delta update); the codes are
-    the same integers either way.
+    the same integers either way.  Each block spreads its three axes and
+    merges them before the next block starts.
     """
-    codes = expand_bits_3(grid[:, 0], bits)
-    for axis in (1, 2):
-        codes <<= np.uint64(1)
-        codes |= expand_bits_3(grid[:, axis], bits)
+    grid = np.asarray(grid, dtype=np.uint64)
+    n = grid.shape[0]
+    codes = np.empty(n, dtype=np.uint64)
+    lanes = np.empty((2, min(n, MORTON_BLOCK)), dtype=np.uint64)
+    mask = np.uint64((1 << bits) - 1)
+    one = np.uint64(1)
+    for lo, hi in _blocks(n):
+        code, (spread, scratch) = codes[lo:hi], lanes[:, : hi - lo]
+        _spread(grid[lo:hi, 0], mask, code, scratch)
+        for axis in (1, 2):
+            _spread(grid[lo:hi, axis], mask, spread, scratch)
+            code <<= one
+            code |= spread
     return codes
 
 
@@ -133,17 +174,29 @@ def morton_prefix_buckets(grid: np.ndarray, bits: int, prefix_bits: int) -> np.n
     be assembled straight from the top grid bits without expanding the full
     code: bit ``j`` of the prefix (``j = 0`` most significant) is bit
     ``bits - 1 - j // 3`` of axis ``j % 3``.  Only the top
-    ``ceil(prefix_bits / 3)`` bits of each axis take part, so they are cut
-    out once, into the narrowest unsigned dtype that holds them.
+    ``ceil(prefix_bits / 3)`` bits of each axis take part, so each block cuts
+    them out once, into the narrowest unsigned dtype that holds them.
     """
     if not 1 <= prefix_bits <= 3 * bits:
         raise ValueError("prefix_bits must be in [1, 3 * bits]")
     top = -(-prefix_bits // 3)
-    head = np.asarray(grid, dtype=np.uint64) >> np.uint64(bits - top)
-    head = head.astype(np.min_scalar_type((1 << top) - 1))
-    axes = [np.ascontiguousarray(head[:, axis]) for axis in range(3)]
-    bucket = np.zeros(head.shape[0], dtype=np.min_scalar_type((1 << prefix_bits) - 1))
-    for j in range(prefix_bits):
-        bucket <<= 1
-        bucket |= (axes[j % 3] >> (top - 1 - j // 3)) & 1
-    return bucket.astype(np.int64)
+    grid = np.asarray(grid, dtype=np.uint64)
+    n = grid.shape[0]
+    cut = np.uint64(bits - top)
+    block = min(n, MORTON_BLOCK)
+    # Three axis heads and one bit lane, then the prefix being assembled.
+    heads = np.empty((4, block), dtype=np.min_scalar_type((1 << top) - 1))
+    lane = np.empty(block, dtype=np.min_scalar_type((1 << prefix_bits) - 1))
+    bucket = np.empty(n, dtype=np.int64)
+    for lo, hi in _blocks(n):
+        head, prefix = heads[:, : hi - lo], lane[: hi - lo]
+        for axis in range(3):
+            np.right_shift(grid[lo:hi, axis], cut, out=head[axis], casting="unsafe")
+        prefix[...] = 0
+        for j in range(prefix_bits):
+            prefix <<= 1
+            np.right_shift(head[j % 3], top - 1 - j // 3, out=head[3])
+            head[3] &= 1
+            prefix |= head[3]
+        bucket[lo:hi] = prefix
+    return bucket

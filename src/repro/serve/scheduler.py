@@ -512,7 +512,10 @@ class MicroBatchScheduler:
         return results
 
     def launch_window(
-        self, window: list[ServeRequest], snapshot
+        self,
+        window: list[ServeRequest],
+        snapshot,
+        classes: list[LaunchClass] | None = None,
     ) -> list[RequestResult | RequestFailure]:
         """Coalesce ``window`` into per-class launches and demux the results.
 
@@ -521,12 +524,14 @@ class MicroBatchScheduler:
         launch), so a mixed window issues one launch per class.  A class
         whose launch exhausts its retries fails *only its own requests* —
         each gets an explicit :class:`RequestFailure` — while the other
-        classes of the window still serve normally.
+        classes of the window still serve normally.  ``classes`` holds each
+        request's :meth:`class_of` when the caller has computed it already.
         """
-        class_of = self.class_of
+        if classes is None:
+            classes = [self.class_of(request, snapshot) for request in window]
         by_class: dict[LaunchClass, list[ServeRequest]] = {}
-        for request in window:
-            by_class.setdefault(class_of(request, snapshot), []).append(request)
+        for klass, request in zip(classes, window):
+            by_class.setdefault(klass, []).append(request)
 
         results: list[RequestResult | RequestFailure] = []
         for klass, requests in by_class.items():

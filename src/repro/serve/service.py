@@ -516,17 +516,21 @@ class IndexService:
         # Only current-epoch results may (re-)enter the cache: results of a
         # pinned-but-superseded epoch would outlive their invalidation sweep.
         cache_insert = self.cache.enabled and snapshot.epoch == self.index.epoch
+        # One launch class per live request keys its cache entry and, on a
+        # miss, groups its launch.
+        class_of = self.scheduler.class_of
+        classes = [class_of(request, snapshot) for request in live]
         misses: list[ServeRequest] = live
+        miss_classes = classes
         miss_keys: list[tuple] = []
         if self.cache.enabled:
             epoch = snapshot.epoch
             key_for = ResultCache.key_for
-            class_of = self.scheduler.class_of
             get = self.cache.get
-            misses = []
+            misses, miss_classes = [], []
             try:
-                for request in live:
-                    key = key_for(epoch, class_of(request, snapshot), request.cache_payload())
+                for request, klass in zip(live, classes):
+                    key = key_for(epoch, klass, request.cache_payload())
                     cached = get(key)
                     if cached is not None and cached.epoch != epoch:
                         # Corrupt read: the entry's epoch tag cannot belong
@@ -537,6 +541,7 @@ class IndexService:
                         cached = None
                     if cached is None:
                         misses.append(request)
+                        miss_classes.append(klass)
                         miss_keys.append(key)
                         continue
                     # A new result for this request that shares the entry's
@@ -565,10 +570,10 @@ class IndexService:
                     for rid, res in served.items()
                     if isinstance(res, RequestFailure)
                 }
-                misses = live
+                misses, miss_classes = live, classes
                 cache_insert = False
         if misses:
-            launched = self.scheduler.launch_window(misses, snapshot)
+            launched = self.scheduler.launch_window(misses, snapshot, miss_classes)
             for result in launched:
                 served[result.request_id] = result
             if cache_insert:

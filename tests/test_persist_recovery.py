@@ -31,12 +31,13 @@ import os
 import re
 import shutil
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.config import RXConfig, UpdatePolicy
+from repro.core.config import KeyMode, PrimitiveType, RangeRayMode, RXConfig, UpdatePolicy
 from repro.core.rx_index import RXIndex
 from repro.persist import (
     SnapshotCorrupt,
@@ -47,6 +48,7 @@ from repro.persist import (
 )
 from repro.persist.segments import TMP_PREFIX
 from repro.rtx.bvh import bvh_arrays_diff
+from repro.rtx.pipeline import DeviceContext
 from repro.serve import FaultInjector, FaultSpec, InjectedFault
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -474,6 +476,52 @@ def _overlapping_leaves(tree):
     tree["prim_count"][np.flatnonzero((tree["left"] < 0) & (tree["first_prim"] == 0))] += 1
 
 
+def _leaves_in_row_order(tree):
+    leaves = np.flatnonzero(tree["left"] < 0)
+    return leaves[np.argsort(tree["first_prim"][leaves])]
+
+
+def _leaf_one_row_short(tree):
+    # A gap: the row after the shortened leaf is held by no leaf.
+    leaves = _leaves_in_row_order(tree)
+    tree["prim_count"][leaves[tree["prim_count"][leaves] >= 2][0]] -= 1
+
+
+def _two_leaves_one_start(tree):
+    # The second leaf moves onto the first one's start, keeping its length.
+    first, second = _leaves_in_row_order(tree)[:2]
+    tree["first_prim"][second] = tree["first_prim"][first]
+
+
+def _leaf_ends_inside_the_next(tree):
+    # A leaf grows by one row into a next leaf that holds two or more.
+    leaves = _leaves_in_row_order(tree)
+    i = np.flatnonzero(tree["prim_count"][leaves[1:]] >= 2)[0]
+    tree["prim_count"][leaves[i]] += 1
+
+
+def _drop_rows(segment, name):
+    del segment[0]["rows"]
+
+
+def _set_shard_meta(**fields):
+    def mutate(segment, name):
+        segment[1].update(fields)
+
+    return mutate
+
+
+def _drop_shard_meta(key):
+    def mutate(segment, name):
+        del segment[1][key]
+
+    return mutate
+
+
+def _next_bucket(segment, name):
+    segment[1]["bucket"] += 1
+
+
 class TestBuggyWriterShards:
     """Shard state that checksums correctly but is wrong.
 
@@ -551,6 +599,9 @@ class TestBuggyWriterShards:
             (_leaf_range_overflows, r"holds rows \[4611686018427387904, "),
             (_short_node_mins, "tree array node_mins is float32"),
             (_overlapping_leaves, "2 tree leaves hold its row"),
+            (_leaf_one_row_short, "0 tree leaves hold its row"),
+            (_two_leaves_one_start, "2 tree leaves hold its row"),
+            (_leaf_ends_inside_the_next, "2 tree leaves hold its row"),
         ],
         ids=[
             "short-node-arrays",
@@ -562,6 +613,9 @@ class TestBuggyWriterShards:
             "leaf-range-overflows",
             "short-node-mins",
             "overlapping-leaves",
+            "leaf-gap",
+            "two-leaves-one-start",
+            "leaf-ends-inside-the-next",
         ],
     )
     @pytest.mark.parametrize("which", [min, max], ids=["first", "last"])
@@ -576,6 +630,54 @@ class TestBuggyWriterShards:
         )
         mutate(segments[name][0])
         self._assert_load_rejects(tmp_path, snap, segments, problem, name)
+
+    @pytest.mark.parametrize(
+        "mutate, problem",
+        [
+            (_drop_rows, "holds no rows array"),
+            (_drop_shard_meta("bucket"), r"bucket \(missing\) is not an int"),
+            (_set_shard_meta(bucket="0"), "bucket '0' is not an int"),
+            (_set_shard_meta(bucket=0.0), "bucket 0.0 is not an int"),
+            (_set_shard_meta(bucket=False), "bucket False is not an int"),
+            (_next_bucket, r"bucket \d+ does not match the name shard-\d{5}"),
+            (_set_shard_meta(delegated="yes"), "delegated 'yes' is not a bool"),
+            (_set_shard_meta(delegated=1), "delegated 1 is not a bool"),
+            (_drop_shard_meta("delegated"), r"delegated \(missing\) is not a bool"),
+        ],
+        ids=[
+            "no-rows", "no-bucket", "string-bucket", "float-bucket", "bool-bucket",
+            "other-bucket", "string-delegated", "int-delegated", "no-delegated",
+        ],
+    )
+    def test_malformed_shard_segment_is_refused(self, tmp_path, mutate, problem):
+        """A shard segment whose meta or arrays a load cannot read fails
+        both ways a snapshot enters an index, naming the segment, before
+        any device memory is allocated; a refused restore changes
+        nothing."""
+        snap, segments = self._good_segments(tmp_path)
+        name = min(name for name in segments if name.startswith("shard-"))
+        mutate(segments[name], name)
+        store = tmp_path / "bad"
+        save_snapshot(store, epoch=snap.epoch, segments=segments, index_meta=snap.index_meta)
+        load_snapshot(store)  # every checksum passes
+        index, keys = _make_index()
+        queries, rows, counts = _point_probe(index, keys)
+        before = index.stats()
+        memory = index.context.memory.current_bytes
+        for mmap in (True, False):
+            context = DeviceContext()
+            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                RXIndex.load(store, mmap=mmap, context=context)
+            assert excinfo.value.segment == name
+            assert context.memory.peak_bytes == 0
+            with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
+                index.restore_from(store, mmap=mmap)
+            assert excinfo.value.segment == name
+        assert index.stats() == before
+        assert index.context.memory.current_bytes == memory
+        run = index.point_lookup(queries)
+        assert np.array_equal(run.result_rows, rows)
+        assert np.array_equal(run.hits_per_lookup, counts)
 
 
 class TestIncrementalSaves:
@@ -876,6 +978,24 @@ _BAD_INDEX_BLOCKS = [
     ("no-compacted", ("single",), _drop_index("compacted"), r"compacted \(missing\)", _MANIFEST),
     ("no-columns", _BOTH, "columns", "lists no columns segment", "columns"),
     ("no-bvh", ("single",), "bvh", "lists no bvh segment", "bvh"),
+    # A config the keys encode under differently: the single tree's root
+    # box is not their union, and the forest's partition moves.
+    (
+        "decomposition-4+4+8", ("single",), _set_config(decomposition="4+4+8"),
+        r"tree root box .* is not the union", "bvh",
+    ),
+    (
+        "decomposition-2+2+4", ("single",), _set_config(decomposition="2+2+4"),
+        r"tree root box .* is not the union", "bvh",
+    ),
+    (
+        "decomposition-4+4+8", ("forest",), _set_config(decomposition="4+4+8"),
+        "shard set does not match the Morton partition", "shard-00002",
+    ),
+    (
+        "decomposition-2+2+4", ("forest",), _set_config(decomposition="2+2+4"),
+        "shard set does not match the Morton partition", "shard-00001",
+    ),
 ]
 
 _INDEX_BLOCK_CASES = [
@@ -904,6 +1024,14 @@ def _bad_index_block_store(tmp_path, name, mutate) -> Path:
 def _drop_array(segment, array):
     def mutate(segments):
         del segments[segment][0][array]
+
+    return mutate
+
+
+def _set_array(segment, array, change):
+    def mutate(segments):
+        arrays = segments[segment][0]
+        arrays[array] = change(arrays[array])
 
     return mutate
 
@@ -963,8 +1091,19 @@ class TestBadIndexBlocks:
             (_drop_array("columns", "values"), "columns", r"KeyError\('values'\)"),
             (_short_values, "columns", "same shape as keys"),
             (_drop_array("bvh", "prim_indices"), "bvh", r"missing fields \['prim_indices'\]"),
+            (
+                _set_array("bvh", "node_mins", lambda a: a[:0]), "bvh",
+                r"tree array node_mins is float32 \(0, 3\), not float32 \(k, 3\)",
+            ),
+            (
+                _set_array("bvh", "node_maxs", lambda a: a.astype(np.float64)), "bvh",
+                r"tree array node_maxs is float64 \(\d+, 3\)",
+            ),
         ],
-        ids=["no-keys", "no-values", "short-values", "no-prim-indices"],
+        ids=[
+            "no-keys", "no-values", "short-values", "no-prim-indices", "no-node-boxes",
+            "float64-node-boxes",
+        ],
     )
     def test_segment_without_its_arrays_is_refused(
         self, tmp_path, mutate, segment, problem
@@ -988,6 +1127,66 @@ class TestBadIndexBlocks:
                     enter()
                 assert excinfo.value.segment == segment
         assert index.stats() == before
+
+    @pytest.mark.parametrize("decomposition", [None, "22+23+19"], ids=["unedited", "22+23+19"])
+    @pytest.mark.parametrize("name", ["forest", "single"])
+    def test_config_the_keys_encode_alike_under_loads(self, tmp_path, name, decomposition):
+        """Control for the decomposition edits: a config under which the
+        stored keys encode to the same boxes loads, and answers every
+        stored key like the unedited fixture."""
+        edit = (lambda index_meta: None) if decomposition is None else _set_config(
+            decomposition=decomposition
+        )
+        store = _bad_index_block_store(tmp_path, name, edit)
+        unedited = RXIndex.load(FIXTURES / "snapshots-v2" / name)
+        for mmap in (True, False):
+            loaded = RXIndex.load(store, mmap=mmap)
+            assert loaded.config.as_dict()["decomposition"] == (
+                decomposition or unedited.config.as_dict()["decomposition"]
+            )
+            got, want = loaded.point_lookup(loaded.keys), unedited.point_lookup(unedited.keys)
+            assert np.array_equal(got.result_rows, want.result_rows)
+            assert np.array_equal(got.hits_per_lookup, want.hits_per_lookup)
+            assert (got.hits_per_lookup > 0).all()
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda: RXConfig.paper_default(),
+            lambda: replace(RXConfig.paper_default(), compaction=False),
+            lambda: replace(RXConfig.paper_default(), bvh_builder="sah"),
+            lambda: replace(RXConfig.paper_default(), bvh_builder="median"),
+            lambda: replace(RXConfig.paper_default(), primitive=PrimitiveType.SPHERE),
+            lambda: replace(RXConfig.paper_default(), primitive=PrimitiveType.AABB),
+            lambda: replace(
+                RXConfig.paper_default(),
+                key_mode=KeyMode.EXTENDED,
+                range_ray_mode=RangeRayMode.PARALLEL_FROM_ZERO,
+            ),
+            lambda: RXConfig.paper_default().with_updates_enabled(),
+        ],
+        ids=["lbvh", "uncompacted", "sah", "median", "sphere", "aabb", "extended", "refit"],
+    )
+    def test_every_built_or_refitted_single_tree_passes_the_root_box_check(
+        self, tmp_path, make_config
+    ):
+        config = make_config()
+        keys = np.random.default_rng([9, FAULT_SEED]).permutation(
+            np.arange(1, 1025, dtype=np.uint64) * np.uint64(3)
+        )
+        index = RXIndex(config)
+        index.build(keys)
+        if config.update_policy is UpdatePolicy.REFIT:
+            index.update(keys[::-1].copy())
+            assert index.accel.bvh.refit_generation == 1
+        index.save(tmp_path)
+        for mmap in (True, False):
+            loaded = RXIndex.load(tmp_path, mmap=mmap)
+            assert bvh_arrays_diff(loaded.accel.bvh, index.accel.bvh) is None
+            queries = index.keys[::7]
+            assert np.array_equal(
+                loaded.point_lookup(queries).result_rows, index.point_lookup(queries).result_rows
+            )
 
     @pytest.mark.parametrize("name", ["forest", "single"])
     def test_unedited_fixture_restores(self, tmp_path, name):

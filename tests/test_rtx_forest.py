@@ -34,8 +34,11 @@ from repro.rtx.bvh import (
     build_bvh,
     build_lbvh_over_sorted,
     bvh_arrays_diff,
+    bvh_from_arrays,
 )
 from repro.rtx.forest import (
+    ShardPartitionError,
+    _checked_sizes,
     build_forest,
     delta_update_forest,
     forest_from_saved,
@@ -477,6 +480,94 @@ def _moved(keys: np.ndarray, row: int, key: int) -> np.ndarray:
     new_keys = keys.copy()
     new_keys[row] = key
     return new_keys
+
+
+def _chain_tree(leaves: list[tuple[int, int]], rows: int):
+    """A shard tree the splice can place, leaning right: inner node ``2i``
+    has the children ``2i + 1`` and ``2i + 2``, and its leaves hold the
+    ``(first, count)`` ranges ``leaves`` in node order."""
+    k = 2 * len(leaves) - 1
+    left, right = np.full((2, k), -1, dtype=np.int64)
+    inner = np.arange(0, k - 1, 2)
+    left[inner], right[inner] = inner + 1, inner + 2
+    first_prim, prim_count = np.zeros((2, k), dtype=np.int64)
+    first_prim[left < 0], prim_count[left < 0] = np.array(leaves, dtype=np.int64).T
+    boxes = np.zeros((k, 3), dtype=np.float32)
+    arrays = {
+        "left": left,
+        "right": right,
+        "first_prim": first_prim,
+        "prim_count": prim_count,
+        "node_mins": boxes,
+        "node_maxs": boxes.copy(),
+        "prim_indices": np.arange(rows, dtype=np.int64),
+    }
+    return bvh_from_arrays(arrays, rows, BvhBuildOptions())
+
+
+def _first_untiled_row(leaves, rows) -> tuple[int, int] | None:
+    """``(row, leaves holding it)`` of the first row of ``[0, rows)`` that
+    not exactly one of the ``(first, count)`` ranges holds."""
+    held = np.zeros(rows, dtype=np.int64)
+    for first, count in leaves:
+        held[first : first + count] += 1
+    bad = np.flatnonzero(held != 1)
+    return (int(bad[0]), int(held[bad[0]])) if bad.size else None
+
+
+class TestShardTreeTiling:
+    """The leaf-tiling check of persisted shard trees, against a per-row
+    count of the leaves that hold each row."""
+
+    def test_leaves_off_row_zero_with_the_right_total_are_refused(self):
+        # Distinct starts, every end at a start or the shard's end, and
+        # three rows held in all; row 0 is held by no leaf, row 2 by two.
+        tree = _chain_tree([(1, 2), (2, 1)], rows=3)
+        with pytest.raises(ShardPartitionError, match="0 tree leaves hold its row 0, not one"):
+            _checked_sizes([5], [tree], np.array([3]))
+
+    def test_random_leaf_ranges_agree_with_the_row_count(self):
+        rng = np.random.default_rng([DIFF_SEED, 9])
+        refused = 0
+        for case in range(300):
+            buckets, trees, all_leaves, shard_rows = [], [], [], []
+            for bucket in sorted(rng.choice(64, size=int(rng.integers(1, 4)), replace=False)):
+                rows = int(rng.integers(2, 40))
+                cut_count = int(rng.integers(1, min(rows, 8)))
+                cuts = np.sort(rng.choice(np.arange(1, rows), size=cut_count, replace=False))
+                edges = np.concatenate([[0], cuts, [rows]])
+                leaves = [[int(a), int(b - a)] for a, b in zip(edges[:-1], edges[1:])]
+                rng.shuffle(leaves)
+                if rng.random() < 0.6:
+                    # Move one start or end by a row or two, staying inside
+                    # the shard so only the tiling can fail.
+                    leaf = leaves[int(rng.integers(len(leaves)))]
+                    if rng.random() < 0.5:
+                        leaf[0] = int(np.clip(leaf[0] + rng.choice([-2, -1, 1, 2]), 0, rows - 1))
+                    leaf[1] = int(np.clip(leaf[1] + rng.choice([-1, 0, 1]), 1, rows - leaf[0]))
+                buckets.append(int(bucket))
+                trees.append(_chain_tree(leaves, rows))
+                all_leaves.append(leaves)
+                shard_rows.append(rows)
+            want = next(
+                (
+                    (bucket, found)
+                    for bucket, leaves, rows in zip(buckets, all_leaves, shard_rows)
+                    if (found := _first_untiled_row(leaves, rows)) is not None
+                ),
+                None,
+            )
+            if want is None:
+                sizes = _checked_sizes(buckets, trees, np.array(shard_rows))
+                assert sizes.tolist() == [2 * len(leaves) - 1 for leaves in all_leaves]
+                continue
+            refused += 1
+            bucket, (row, held) = want
+            with pytest.raises(ShardPartitionError) as excinfo:
+                _checked_sizes(buckets, trees, np.array(shard_rows))
+            assert excinfo.value.bucket == bucket, case
+            assert f"{held} tree leaves hold its row {row}, not one" in str(excinfo.value), case
+        assert 50 < refused < 250
 
 
 class TestRXIndexForest:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import KeyDecomposition
 from repro.core.keycodec import ExtendedCodec, NaiveCodec, ThreeDCodec
 from repro.rtx import float32 as f32
+from repro.rtx.bvh import box_columns
 from repro.rtx.geometry import (
     PAIR_BLOCK,
     AabbBuffer,
@@ -498,3 +499,56 @@ class TestFactories:
     def test_sphere_centers_passthrough(self):
         points = _line_points(3)
         assert np.allclose(make_sphere_centers(points), points)
+
+
+class TestBoxColumns:
+    """``compute_aabbs`` hands the build contiguous per-axis columns, so
+    ``box_columns`` copies nothing, and the bounds are those of the
+    corners row by row."""
+
+    @staticmethod
+    def _buffers(points):
+        mins, maxs = make_aabbs_from_points(points, half_extent=0.25)
+        return {
+            "triangle": TriangleBuffer(make_triangle_vertices(points)),
+            "anchored": AnchoredTriangleBuffer(points),
+            "anchored-extended": AnchoredTriangleBuffer(
+                points, x_half_extent=np.linspace(0.01, 0.5, points.shape[0])
+            ),
+            "sphere": SphereBuffer(make_sphere_centers(points)),
+            "aabb": AabbBuffer(mins, maxs),
+        }
+
+    @staticmethod
+    def _row_bounds(buffer, rows):
+        """The bounds as ``(m, 3)`` rows, from each buffer's own arrays."""
+        if isinstance(buffer, TriangleBuffer):
+            v = buffer.vertices[rows]
+            return v.min(axis=1), v.max(axis=1)
+        if isinstance(buffer, SphereBuffer):
+            r = np.float32(buffer.radius)
+            return buffer.centers[rows] - r, buffer.centers[rows] + r
+        if isinstance(buffer, AabbBuffer):
+            return buffer.mins[rows], buffer.maxs[rows]
+        vertices = make_triangle_vertices(
+            buffer.anchors.T.astype(np.float64),
+            half_extent=buffer.half_extent,
+            x_half_extent=buffer.x_half_extent,
+        )
+        return vertices[rows].min(axis=1), vertices[rows].max(axis=1)
+
+    @pytest.mark.parametrize(
+        "kind", ["triangle", "anchored", "anchored-extended", "sphere", "aabb"]
+    )
+    def test_columns_are_contiguous_and_exact(self, kind):
+        points = np.random.default_rng(4).uniform(-50, 50, size=(257, 3))
+        buffer = self._buffers(points)[kind]
+        for rows in (None, np.array([256, 3, 3, 0], dtype=np.int64)):
+            want = self._row_bounds(buffer, slice(None) if rows is None else rows)
+            for bounds in buffer.compute_aabbs(rows):
+                assert bounds.T.flags["C_CONTIGUOUS"]
+            for column, row_bounds in zip(box_columns(buffer, rows), want):
+                assert column.dtype == np.float32 and column.flags["C_CONTIGUOUS"]
+                assert np.array_equal(column.T, row_bounds)
+        if kind == "aabb":
+            assert not np.shares_memory(buffer.compute_aabbs()[0], buffer.mins)

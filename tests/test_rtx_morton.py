@@ -1,4 +1,11 @@
-"""Tests for Morton encoding (LBVH builder support)."""
+"""Tests for Morton encoding (LBVH builder support).
+
+The blocked kernels are checked at the block boundaries against the
+unblocked formulas below, on inputs drawn from ``DIFF_SEED`` (env var), so
+the extra-seed runs of ``make test-diff`` cover them too.
+"""
+
+import os
 
 import numpy as np
 import pytest
@@ -9,12 +16,17 @@ from repro.rtx._reference import (
     reference_quantize_to_grid_with_bounds,
 )
 from repro.rtx.morton import (
+    MORTON_BLOCK,
+    _SPREAD_STEPS,
     expand_bits_3,
     morton_encode_3d,
     morton_interleave_grid,
     morton_prefix_buckets,
     quantize_to_grid_with_bounds,
 )
+from repro.rtx import morton
+
+DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 
 
 def quantize_to_grid(points, bits):
@@ -175,3 +187,114 @@ class TestPrefixBuckets:
     def test_prefix_wider_than_the_code_is_rejected(self):
         with pytest.raises(ValueError, match="prefix_bits"):
             morton_prefix_buckets(np.zeros((1, 3), dtype=np.uint64), 2, 7)
+
+
+# --------------------------------------------------------------------------- #
+# block boundaries of the blocked kernels
+# --------------------------------------------------------------------------- #
+
+
+def _unblocked_expand(values, bits):
+    """The spread over the whole column at once, one step per pass."""
+    x = np.asarray(values, dtype=np.uint64) & np.uint64((1 << bits) - 1)
+    shifted = np.empty_like(x)
+    for shift, mask in _SPREAD_STEPS:
+        np.left_shift(x, shift, out=shifted)
+        x |= shifted
+        x &= mask
+    return x
+
+
+def _unblocked_interleave(grid, bits):
+    codes = _unblocked_expand(grid[:, 0], bits)
+    for axis in (1, 2):
+        codes <<= np.uint64(1)
+        codes |= _unblocked_expand(grid[:, axis], bits)
+    return codes
+
+
+def _unblocked_quantize(points, lo, hi, bits):
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    cells = (1 << bits) - 1
+    grid = np.empty((3, pts.shape[0]), dtype=np.uint64)
+    for axis in range(3):
+        extent = hi[axis] - lo[axis]
+        scaled = pts[:, axis] - lo[axis]
+        scaled /= extent if extent > 0 else 1.0
+        scaled *= cells
+        grid[axis] = scaled
+        np.minimum(grid[axis], np.uint64(cells), out=grid[axis])
+    return grid.T
+
+
+def _unblocked_prefix(grid, bits, prefix_bits):
+    top = -(-prefix_bits // 3)
+    head = np.asarray(grid, dtype=np.uint64) >> np.uint64(bits - top)
+    bucket = np.zeros(head.shape[0], dtype=np.int64)
+    for j in range(prefix_bits):
+        bucket <<= 1
+        bucket |= ((head[:, j % 3] >> np.uint64(top - 1 - j // 3)) & np.uint64(1)).astype(np.int64)
+    return bucket
+
+
+#: lengths around the block size: empty, one row, one block give or take a
+#: row, and three blocks plus a ragged tail
+BLOCK_LENGTHS = [0, 1, MORTON_BLOCK - 1, MORTON_BLOCK, MORTON_BLOCK + 1, 3 * MORTON_BLOCK + 7]
+
+
+def _block_grid(n: int, bits: int, rng) -> np.ndarray:
+    """An ``(n, 3)`` view of ``(3, n)`` grid columns with runs of duplicate
+    cells and the grid's corners."""
+    grid = rng.integers(0, 1 << bits, size=(3, n), dtype=np.uint64)
+    if n > 8:
+        grid[:, n // 3 : n // 3 + 5] = grid[:, :1]  # a run of one cell
+        grid[:, -3:] = [[0, (1 << bits) - 1, 0]] * 3  # corners, the last block too
+    return grid.T
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("bits", [0, 1, 2, 20, 21])
+    def test_expand_matches_the_unblocked_spread(self, n, bits):
+        values = np.random.default_rng([DIFF_SEED, n, bits]).integers(
+            0, 1 << 63, n, dtype=np.uint64
+        )
+        if n:
+            values[n // 2 : n // 2 + 3] = values[0]  # duplicates
+        got = expand_bits_3(values, bits)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert np.array_equal(got, _unblocked_expand(values, bits))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("bits", [1, 2, 20, 21])
+    def test_interleave_matches_the_unblocked_codes(self, n, bits):
+        grid = _block_grid(n, bits, np.random.default_rng([DIFF_SEED, n, bits, 1]))
+        for layout in (grid, np.ascontiguousarray(grid)):
+            got = morton_interleave_grid(layout, bits)
+            assert got.dtype == np.uint64 and got.shape == (n,)
+            assert np.array_equal(got, _unblocked_interleave(layout, bits))
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("bits", [1, 2, 20, 21])
+    def test_prefix_buckets_match_the_unblocked_bits(self, n, bits):
+        grid = _block_grid(n, bits, np.random.default_rng([DIFF_SEED, n, bits, 2]))
+        edges = {1, 2, 3, 4, 12, 16, 3 * bits - 1, 3 * bits}
+        for prefix_bits in sorted(p for p in edges if 1 <= p <= 3 * bits):
+            got = morton_prefix_buckets(grid, bits, prefix_bits)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert np.array_equal(got, _unblocked_prefix(grid, bits, prefix_bits)), prefix_bits
+
+    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
+    @pytest.mark.parametrize("bits", [1, 2, 20, 21])
+    def test_quantize_matches_the_unblocked_cells(self, n, bits):
+        rng = np.random.default_rng([DIFF_SEED, n, bits, 3])
+        columns = np.stack([rng.uniform(-1e3, 1e3, n), rng.uniform(0, 1e12, n), np.full(n, 7.25)])
+        if n:
+            columns[:, n // 2 : n // 2 + 4] = columns[:, :1]  # duplicates
+            grid, lo, hi = quantize_to_grid_with_bounds(columns.T, bits)
+        else:
+            lo, hi = np.zeros(3), np.ones(3)
+            grid = morton.quantize_to_grid(columns.T, lo, hi, bits)
+        assert grid.shape == (n, 3)
+        assert np.array_equal(grid, _unblocked_quantize(columns.T, lo, hi, bits))
+        assert np.array_equal(morton.quantize_to_grid(columns.T, lo, hi, bits), grid)

@@ -21,6 +21,7 @@ import pytest
 from repro.core.config import PrimitiveType, RXConfig
 from repro.core.cursor import make_cursor_filter, next_cursor_token, parse_cursor
 from repro.core.rx_index import RXIndex
+from repro.serve import IndexService
 from repro.serve.scheduler import LaunchClass, MicroBatchScheduler, ServeRequest
 from repro.serve.snapshot import EpochManager
 from repro.workloads import dense_shuffled_keys, keys_with_multiplicity
@@ -386,6 +387,45 @@ class TestLeanServeRecords:
         klass = scheduler.class_of(first, snapshot)
         assert klass is scheduler.class_of(second, snapshot)
         assert klass == LaunchClass(kind="point", mode="first_k", limit=1)
+
+    @pytest.mark.parametrize("cache_capacity", [0, 64], ids=["cache-off", "cache-on"])
+    def test_one_launch_class_per_live_request_per_flush(self, monkeypatch, cache_capacity):
+        """A flush classes each live request once: the class that keys its
+        cache entry also groups its launch, and a shed request is never
+        classed."""
+        keys = dense_shuffled_keys(512, seed=17)
+        service = IndexService(
+            build_index(keys), max_batch=1024, max_wait=0.1, cache_capacity=cache_capacity
+        )
+        calls = []
+        class_of = MicroBatchScheduler.class_of
+
+        def counted(scheduler, request, snapshot):
+            calls.append(request.request_id)
+            return class_of(scheduler, request, snapshot)
+
+        monkeypatch.setattr(MicroBatchScheduler, "class_of", counted)
+
+        def window(expired: bool):
+            live = [
+                service.submit_point(keys[i : i + 2], arrival=0.0) for i in (0, 4, 8, 0)
+            ] + [
+                service.submit_range(keys[:2], keys[:2] + np.uint64(40), arrival=0.0),
+                service.submit_range(keys[2:3], keys[2:3] + np.uint64(9), limit=3, arrival=0.0),
+                service.submit_range(keys[3:4], keys[3:4] + np.uint64(9), limit=2, order="key"),
+            ]
+            if expired:
+                service.submit_point(keys[20:21], arrival=0.0, deadline=0.05)
+            calls.clear()
+            results = service.pump(now=1.0)
+            assert len(results) == len(live) + expired
+            return sorted(calls), sorted(r.request_id for r in live), results
+
+        for expired in (False, True):  # the second window hits the cache when it is on
+            classed, live, results = window(expired)
+            assert classed == live
+            assert all(not r.failed for r in results if r.request_id in live)
+        assert service.stats()["cache"]["hits"] == (7 if cache_capacity else 0)
 
     def test_records_carry_no_attribute_dict(self):
         keys = dense_shuffled_keys(256, seed=16)

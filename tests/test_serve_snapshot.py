@@ -241,7 +241,7 @@ class TestExceptionSafeFlush:
         service = IndexService(index, max_batch=64, max_wait=10.0, cache_capacity=0)
         snapshot = service.epochs.current()
 
-        def boom(window, snap):
+        def boom(window, snap, classes=None):
             raise RuntimeError("mid-flush explosion")
 
         original = service.scheduler.launch_window
@@ -271,11 +271,11 @@ class TestExceptionSafeFlush:
         calls = {"n": 0}
         original = service.scheduler.launch_window
 
-        def fail_once(window, snap):
+        def fail_once(window, snap, classes=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("first window fails")
-            return original(window, snap)
+            return original(window, snap, classes)
 
         service.scheduler.launch_window = fail_once
         service.submit_point(keys[:8], arrival=0.0)  # window 1
