@@ -52,8 +52,11 @@ test-faults:
 # Crash-safe epoch store: differential save/load round trips (honours
 # DIFF_SEED), the seeded crash/corruption recovery harness (honours
 # FAULT_SEED, which also picks the flipped bytes — CI runs extra seeds),
-# including the manifest index-block checks on load and restore_from, and
-# the checked-in snapshot fixtures (format 2 loads, format 1 is refused).
+# including the manifest index-block checks on load and restore_from, the
+# tree dtype and shape checks, and the checked-in snapshot fixtures (format
+# 2 loads, format 1 is refused; the format-2 stores hold the legacy tree
+# layout, whose right array must equal left + 1 and whose shard
+# prim_indices is never read, and a fresh save writes the recorded bytes).
 test-persist:
 	$(PYTHON) -m pytest -x -q tests/test_persist_roundtrip.py tests/test_persist_recovery.py tests/test_persist_fixtures.py
 

@@ -150,22 +150,17 @@ def _shard_state(snap, name: str) -> tuple[dict, dict]:
 
 
 def _check_root_box(bvh, buffer) -> None:
-    """Require a single tree's root box to be the union of ``buffer``'s
-    primitive boxes, which every tree built or refitted over them has.
+    """Require a single tree to have a root, and its root box to be the
+    union of ``buffer``'s primitive boxes, which every tree built or
+    refitted over them has.
 
     The buffer comes from the stored keys under the manifest's config, so
     a config edited away from the tree (another ``decomposition``, say)
     moves the boxes and fails here instead of answering wrong.  A failure
     raises :class:`SnapshotCorrupt` naming ``bvh``.
     """
-    for name in ("node_mins", "node_maxs"):
-        boxes = getattr(bvh, name)
-        shape_ok = boxes.ndim == 2 and boxes.shape[1:] == (3,) and len(boxes) >= 1
-        if boxes.dtype != np.float32 or not shape_ok:
-            raise SnapshotCorrupt(
-                f"tree array {name} is {boxes.dtype} {boxes.shape}, not float32 (k, 3), k >= 1",
-                segment="bvh",
-            )
+    if bvh.node_count < 1:
+        raise SnapshotCorrupt("tree has no nodes", segment="bvh")
     mins, maxs = box_columns(buffer)
     union = (mins.min(axis=1), maxs.max(axis=1))
     root = (bvh.node_mins[0], bvh.node_maxs[0])
@@ -801,12 +796,14 @@ class RXIndex(GpuIndex):
         ``num_primitives`` are the key column's length, ``refit_generation``
         is a count and ``compacted`` a bool, and the segments the kind
         needs are present.  Each forest shard segment must be one
-        :func:`_shard_state` accepts, and a single tree's root box must be
-        the union of the boxes the stored keys encode to under the
-        manifest's config (:func:`_check_root_box`), which binds the config
-        to the tree.  A failure raises :class:`SnapshotCorrupt` naming
-        ``MANIFEST.json`` or the missing or invalid segment.  Every check
-        runs before the first device-memory allocation.
+        :func:`_shard_state` accepts.  A single tree's arrays must have a
+        tree's dtypes and shapes (:func:`~repro.rtx.bvh.bvh_from_arrays`),
+        and its root box must be the union of the boxes the stored keys
+        encode to under the manifest's config (:func:`_check_root_box`),
+        which binds the config to the tree.  A failure raises
+        :class:`SnapshotCorrupt` naming ``MANIFEST.json`` or the missing or
+        invalid segment.  Every check runs before the first device-memory
+        allocation.
         """
         meta = snap.index_meta
         kind = "forest" if self.config.shard_bits else "bvh"

@@ -140,7 +140,6 @@ class _ReferenceTopDownBuilder:
         self.node_mins: list[np.ndarray] = []
         self.node_maxs: list[np.ndarray] = []
         self.left: list[int] = []
-        self.right: list[int] = []
         self.first_prim: list[int] = []
         self.prim_count: list[int] = []
 
@@ -148,7 +147,6 @@ class _ReferenceTopDownBuilder:
         self.node_mins.append(np.zeros(3))
         self.node_maxs.append(np.zeros(3))
         self.left.append(-1)
-        self.right.append(-1)
         self.first_prim.append(0)
         self.prim_count.append(0)
         return len(self.left) - 1
@@ -174,15 +172,15 @@ class _ReferenceTopDownBuilder:
                 split = start + count // 2
             left = self._new_node()
             right = self._new_node()
+            # The Bvh child rule: the second child is never stored.
+            assert right == left + 1
             self.left[node] = left
-            self.right[node] = right
             stack.append((left, start, split))
             stack.append((right, split, end))
         return Bvh(
             node_mins=np.asarray(self.node_mins, dtype=np.float32),
             node_maxs=np.asarray(self.node_maxs, dtype=np.float32),
             left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
             first_prim=np.asarray(self.first_prim, dtype=np.int64),
             prim_count=np.asarray(self.prim_count, dtype=np.int64),
             prim_indices=prim_indices,
@@ -470,9 +468,8 @@ def reference_trace(
             inner_nodes = frontier_nodes[~is_leaf]
             if inner_rays.size:
                 frontier_rays = np.concatenate([inner_rays, inner_rays])
-                frontier_nodes = np.concatenate(
-                    [bvh.left[inner_nodes], bvh.right[inner_nodes]]
-                )
+                lefts = bvh.left[inner_nodes]
+                frontier_nodes = np.concatenate([lefts, lefts + 1])
             else:
                 frontier_rays = np.zeros(0, dtype=np.int64)
                 frontier_nodes = np.zeros(0, dtype=np.int64)
@@ -631,9 +628,8 @@ def _reference_budgeted_trace(
                 inner_nodes = inner_nodes[alive]
             if inner_rays.size:
                 frontier_rays = np.concatenate([inner_rays, inner_rays])
-                frontier_nodes = np.concatenate(
-                    [bvh.left[inner_nodes], bvh.right[inner_nodes]]
-                )
+                lefts = bvh.left[inner_nodes]
+                frontier_nodes = np.concatenate([lefts, lefts + 1])
             else:
                 frontier_rays = np.zeros(0, dtype=np.int64)
                 frontier_nodes = np.zeros(0, dtype=np.int64)
@@ -858,9 +854,8 @@ def reference_ordered_k_trace(
                 inner_nodes = inner_nodes[alive]
             if inner_rays.size:
                 frontier_rays = np.concatenate([inner_rays, inner_rays])
-                frontier_nodes = np.concatenate(
-                    [bvh.left[inner_nodes], bvh.right[inner_nodes]]
-                )
+                lefts = bvh.left[inner_nodes]
+                frontier_nodes = np.concatenate([lefts, lefts + 1])
             else:
                 frontier_rays = np.zeros(0, dtype=np.int64)
                 frontier_nodes = np.zeros(0, dtype=np.int64)
@@ -918,7 +913,8 @@ def reference_refit_bounds(
             node_mins[node] = prim_mins[idx].min(axis=0)
             node_maxs[node] = prim_maxs[idx].max(axis=0)
         else:
-            l, r = int(bvh.left[node]), int(bvh.right[node])
+            l = int(bvh.left[node])
+            r = l + 1
             node_mins[node] = np.minimum(node_mins[l], node_mins[r])
             node_maxs[node] = np.maximum(node_maxs[l], node_maxs[r])
     return node_mins, node_maxs

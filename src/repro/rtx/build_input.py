@@ -34,14 +34,11 @@ class BuildFlags(enum.Flag):
       (``optixAccelBuild`` with ``OPTIX_BUILD_OPERATION_UPDATE``); setting it
       disables the effect of compaction, as documented by NVIDIA and noted in
       Section 3.6 of the paper.
-    * ``PREFER_FAST_TRACE`` / ``PREFER_FAST_BUILD`` — builder quality hints.
     """
 
     NONE = 0
     ALLOW_COMPACTION = enum.auto()
     ALLOW_UPDATE = enum.auto()
-    PREFER_FAST_TRACE = enum.auto()
-    PREFER_FAST_BUILD = enum.auto()
 
 
 @dataclass

@@ -135,14 +135,15 @@ class Bvh:
     """A binary BVH stored as a structure of arrays.
 
     ``left[i] == -1`` marks node ``i`` as a leaf; its primitives are
-    ``prim_indices[first_prim[i] : first_prim[i] + prim_count[i]]``.
-    The root is node 0.
+    ``prim_indices[first_prim[i] : first_prim[i] + prim_count[i]]``.  An
+    inner node's children are ``left[i]`` and ``left[i] + 1``: every
+    builder, cut and splice allocates the two consecutively, so the second
+    is derived, never stored.  The root is node 0.
     """
 
     node_mins: np.ndarray
     node_maxs: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     first_prim: np.ndarray
     prim_count: np.ndarray
     prim_indices: np.ndarray
@@ -184,10 +185,11 @@ class Bvh:
                 frontier = np.zeros(1, dtype=np.int64)
                 while frontier.size:
                     levels.append(frontier)
-                    inner = frontier[self.left[frontier] >= 0]
-                    if inner.size == 0:
+                    lefts = self.left[frontier]
+                    lefts = lefts[lefts >= 0]
+                    if lefts.size == 0:
                         break
-                    frontier = np.concatenate([self.left[inner], self.right[inner]])
+                    frontier = np.concatenate([lefts, lefts + 1])
             self._levels = levels
         return self._levels
 
@@ -227,7 +229,8 @@ class Bvh:
         inner = np.flatnonzero(~leaves)
         overlap = 0.0
         if inner.size:
-            l, r = self.left[inner], self.right[inner]
+            l = self.left[inner]
+            r = l + 1
             o_min = np.maximum(
                 self.node_mins[l].astype(np.float64), self.node_mins[r].astype(np.float64)
             )
@@ -327,12 +330,21 @@ def sort_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, sorted_codes
 
 
-#: The arrays that define a BVH's observable behaviour.  Everything the
-#: traversal engine reads lives here, so two trees agreeing on all of them
-#: are interchangeable — the invariant the sharded forest build rests on.
+#: The node arrays of a tree: name, dtype and shape after the node count.
+NODE_ARRAYS = (
+    ("left", np.int64, ()),
+    ("first_prim", np.int64, ()),
+    ("prim_count", np.int64, ()),
+    ("node_mins", np.float32, (3,)),
+    ("node_maxs", np.float32, (3,)),
+)
+
+#: The arrays that define a BVH's observable behaviour: the node arrays and
+#: ``prim_indices``.  Everything the traversal engine reads lives here, so
+#: two trees agreeing on all of them are interchangeable — the invariant
+#: the sharded forest build rests on.
 BVH_ARRAY_FIELDS = (
     "left",
-    "right",
     "first_prim",
     "prim_count",
     "prim_indices",
@@ -368,19 +380,38 @@ def bvh_from_arrays(
 ) -> Bvh:
     """Rehydrate a :class:`Bvh` from persisted defining arrays.
 
-    The arrays are adopted as-is (read-only memory-mapped views included —
-    traversal never writes them), so a load is zero-copy; everything the
-    engine reads is in :data:`BVH_ARRAY_FIELDS`, which makes the rebuilt
-    tree observably identical to the one that was saved.
+    Persisted single and shard trees enter the process here, so the arrays
+    a traversal indexes with must have the tree's dtypes and shapes: the
+    :data:`NODE_ARRAYS` of one node count, and ``prim_indices`` int64
+    ``(num_primitives,)``.  A store written while trees still stored their
+    second children may hold a ``right`` array; it must equal the
+    ``left + 1`` (``-1`` at leaves) the tree derives, and is then dropped.
+    A failure raises ``ValueError`` naming the array.  The arrays are
+    adopted as-is (read-only memory-mapped views included — traversal
+    never writes them), so a load is zero-copy; everything the engine
+    reads is in :data:`BVH_ARRAY_FIELDS`, which makes the rebuilt tree
+    observably identical to the one that was saved.
     """
     missing = [attr for attr in BVH_ARRAY_FIELDS if attr not in arrays]
     if missing:
         raise ValueError(f"persisted BVH arrays are missing fields {missing}")
+    left = arrays["left"]
+    expected = [(name, dtype, (left.size, *tail)) for name, dtype, tail in NODE_ARRAYS]
+    expected.append(("prim_indices", np.int64, (int(num_primitives),)))
+    for name, dtype, shape in expected:
+        array = arrays[name]
+        if array.dtype != dtype or array.shape != shape:
+            raise ValueError(
+                f"tree array {name} is {array.dtype} {array.shape}, not {np.dtype(dtype)} {shape}"
+            )
+    if "right" in arrays and not np.array_equal(
+        arrays["right"], np.where(left >= 0, left + 1, -1)
+    ):
+        raise ValueError("legacy tree array right is not left + 1 at inner nodes and -1 at leaves")
     return Bvh(
         node_mins=arrays["node_mins"],
         node_maxs=arrays["node_maxs"],
-        left=arrays["left"],
-        right=arrays["right"],
+        left=left,
         first_prim=arrays["first_prim"],
         prim_count=arrays["prim_count"],
         prim_indices=arrays["prim_indices"],
@@ -428,7 +459,6 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def fit_bounds_bottom_up(
     left: np.ndarray,
-    right: np.ndarray,
     first_prim: np.ndarray,
     prim_count: np.ndarray,
     prim_indices: np.ndarray,
@@ -471,7 +501,8 @@ def fit_bounds_bottom_up(
     for level in reversed(levels):
         inner = level[left[level] >= 0]
         if inner.size:
-            l, r = left[inner], right[inner]
+            l = left[inner]
+            r = l + 1
             for axis in range(3):
                 mins[axis, inner] = np.minimum(mins[axis, l], mins[axis, r])
                 maxs[axis, inner] = np.maximum(maxs[axis, l], maxs[axis, r])
@@ -547,20 +578,18 @@ def _build_levels(order, prim_mins, prim_maxs, options, splitter) -> Bvh:
     out_left = np.full(num_nodes, -1, dtype=np.int64)
     inner = np.flatnonzero(left >= 0)
     out_left[perm[inner]] = perm[left[inner]]
-    out_right = np.where(out_left >= 0, out_left + 1, -1)
     out_first = np.empty(num_nodes, dtype=np.int64)
     out_count = np.empty(num_nodes, dtype=np.int64)
     out_first[perm] = first_prim[:num_nodes]
     out_count[perm] = prim_count[:num_nodes]
     node_mins, node_maxs = fit_bounds_bottom_up(
-        out_left, out_right, out_first, out_count, prim_indices, prim_mins, prim_maxs,
+        out_left, out_first, out_count, prim_indices, prim_mins, prim_maxs,
         [perm[ls:le] for ls, le in level_bounds],
     )
     return Bvh(
         node_mins=node_mins,
         node_maxs=node_maxs,
         left=out_left,
-        right=out_right,
         first_prim=out_first,
         prim_count=out_count,
         prim_indices=prim_indices,
@@ -581,10 +610,11 @@ def _dfs_renumbering(left: np.ndarray, level_bounds: list[tuple[int, int]]) -> n
     are distinct, so one scatter by position puts the inner nodes in order.
 
     ``level_bounds`` are the breadth-first blocks ``[start, end)``, so
-    children are strided slices of the next block.  The forest relies on a
-    consequence: every child id exceeds its parent's, ``right == left + 1``,
-    and a subtree rooted at the p-th inner node in that order with m inner
-    nodes occupies its root id plus the block ``[2p + 1, 2p + 2m]``.
+    children are strided slices of the next block.  Consequences: every
+    child id exceeds its parent's, the children are consecutive (the
+    :class:`Bvh` rule), and a subtree rooted at the p-th inner node in that
+    order with m inner nodes occupies its root id plus the block
+    ``[2p + 1, 2p + 2m]``, which the forest's cut and splice rely on.
     """
     num_nodes = left.shape[0]
     blocks = [

@@ -21,12 +21,14 @@ bit-identical to the single build.
 
 Both directions rest on the builder's numbering: the k-th inner node in
 right-first preorder gets the children ``2k + 1`` and ``2k + 2``.  So a
-child's id exceeds its parent's, ``right == left + 1``, and a subtree is its
-root plus one contiguous block: a shard whose root is inner node ``p`` in
-that order and which has ``m`` inner nodes holds the ids ``[2p + 1, 2p +
-2m]``, and its local id ``i >= 1`` is global ``i + 2p`` (its *block
-offset*).  :func:`_layout` walks the top plan in that order and places every
-top node and shard block, so neither direction renumbers the tree.
+child's id exceeds its parent's, an inner node's children are ``left`` and
+``left + 1`` (the :class:`~repro.rtx.bvh.Bvh` rule, which is why no tree
+stores its second children), and a subtree is its root plus one contiguous
+block: a shard whose root is inner node ``p`` in that order and which has
+``m`` inner nodes holds the ids ``[2p + 1, 2p + 2m]``, and its local id
+``i >= 1`` is global ``i + 2p`` (its *block offset*).  :func:`_layout`
+walks the top plan in that order and places every top node and shard
+block, so neither direction renumbers the tree.
 
 An update compares the buffers' stored arrays once, and only the rows
 that left or entered get boxes, grid cells and buckets.  The partition is
@@ -46,7 +48,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.rtx.bvh import (
-    BVH_ARRAY_FIELDS,
+    NODE_ARRAYS,
     Bvh,
     BvhBuildOptions,
     box_columns,
@@ -309,8 +311,10 @@ def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
     """Copy each delegated shard's sub-tree out of ``bvh``, in local numbering.
 
     Child ids lose the shard's block offset, leaf ranges its stream start,
-    and ``prim_indices`` becomes ``0..rows-1``: the arrays
-    ``build_lbvh_over_sorted`` emits over the shard's code-sorted rows.
+    and ``prim_indices`` becomes ``0..rows-1``, a view of one shared
+    ``arange``: the arrays ``build_lbvh_over_sorted`` emits over the
+    shard's code-sorted rows.  The trees are trusted, so they skip
+    :func:`~repro.rtx.bvh.bvh_from_arrays`'s checks.
     """
     buckets = sorted(part.plan.delegated)
     if not buckets:
@@ -332,7 +336,6 @@ def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
     is_inner = left >= 0
     local = {
         "left": np.where(is_inner, left - offset, -1),
-        "right": np.where(is_inner, bvh.right[ids] - offset, -1),
         "first_prim": bvh.first_prim[ids]
         - np.where(is_inner, 0, np.repeat(stream_starts[which], sizes)),
         "prim_count": bvh.prim_count[ids],
@@ -344,60 +347,42 @@ def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
     trees: dict[int, Bvh] = {}
     for b, lo, k, count in zip(buckets, block_starts.tolist(), sizes.tolist(), rows):
         arrays = {name: array[lo : lo + k] for name, array in local.items()}
-        arrays["prim_indices"] = local_rows[:count]
-        trees[b] = bvh_from_arrays(arrays, count, bvh.options)
+        trees[b] = Bvh(
+            **arrays, prim_indices=local_rows[:count], num_primitives=count, options=bvh.options
+        )
     return trees
-
-
-#: the node arrays of a shard tree: name, dtype and shape after the length
-_NODE_ARRAYS = (
-    ("left", np.int64, ()),
-    ("right", np.int64, ()),
-    ("first_prim", np.int64, ()),
-    ("prim_count", np.int64, ()),
-    ("node_mins", np.float32, (3,)),
-    ("node_maxs", np.float32, (3,)),
-)
 
 
 def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np.ndarray:
     """Node count of each shard tree, after requiring a tree the splice can
     place.
 
-    The topology arrays must be int64 of shape ``(k,)`` and the boxes
-    float32 of shape ``(k, 3)``, with ``k`` odd and at least 3.  Exactly
-    ``(k - 1) / 2`` nodes are inner, their left children are the odd ids
-    ``1..k-2``, each used once, ``right == left + 1``, and every child id is
-    above its parent's: so every node but the root has one parent with a
-    smaller id, and the root reaches each node once.  The leaves tile
-    ``[0, rows)``.  A failure raises :class:`ShardPartitionError`.  It runs
-    once, where persisted trees enter the process (:func:`forest_from_saved`).
+    The trees passed :func:`~repro.rtx.bvh.bvh_from_arrays`, so their
+    arrays have the dtypes and shapes of ``k`` nodes.  Here ``k`` must be
+    odd and at least 3, exactly ``(k - 1) / 2`` nodes are inner, their
+    left children are the odd ids ``1..k-2``, each used once, and every
+    child id is above its parent's; the second child, ``left + 1``, then
+    is the even id after it.  So every node but the root has one parent
+    with a smaller id, and the root reaches each node once.  The leaves
+    tile ``[0, rows)``.  A failure raises :class:`ShardPartitionError`.
+    It runs once, where persisted trees enter the process
+    (:func:`forest_from_saved`).
 
     The child and leaf checks read the inner nodes and the leaves apart,
     and "each used once" and the tiling are proven by bool scatters; the
     exact per-node counts run only to name the node or row that fails.
     """
-    sizes = np.empty(len(buckets), dtype=np.int64)
-    for i, (bucket, tree) in enumerate(zip(buckets, trees)):
-        k = tree.left.shape[0] if tree.left.ndim else 0
-        for name, dtype, tail in _NODE_ARRAYS:
-            array = getattr(tree, name)
-            if array.dtype != dtype or array.shape != (k, *tail):
-                raise ShardPartitionError(
-                    bucket,
-                    f"tree array {name} is {array.dtype} {array.shape}, "
-                    f"not {np.dtype(dtype)} {(k, *tail)}",
-                )
+    sizes = np.array([tree.node_count for tree in trees], dtype=np.int64)
+    for bucket, k in zip(buckets, sizes.tolist()):
         if k < 3 or k % 2 == 0:
             raise ShardPartitionError(bucket, f"tree has {k} nodes, not an odd count >= 3")
-        sizes[i] = k
     if not buckets:
         return sizes
 
     # The remaining checks run once over all shards' arrays, concatenated.
-    left, right, first, count = (
+    left, first, count = (
         np.concatenate([getattr(tree, name) for tree in trees])
-        for name in ("left", "right", "first_prim", "prim_count")
+        for name in ("left", "first_prim", "prim_count")
     )
     block_starts = np.cumsum(sizes) - sizes
 
@@ -428,9 +413,8 @@ def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np
     _reject(
         ((child & 1) == 0)
         | (child <= inner - base)
-        | (child > np.repeat(sizes - 2, sizes // 2))
-        | (right[inner] != child + 1),
-        lambda i, s: f"tree node {local(i, s)} has children ({left[i]}, {right[i]}), "
+        | (child > np.repeat(sizes - 2, sizes // 2)),
+        lambda i, s: f"tree node {local(i, s)} has children ({left[i]}, {left[i] + 1}), "
         f"not an odd id in ({local(i, s)}, {sizes[s] - 1}) and the next one",
         at=inner,
     )
@@ -502,7 +486,7 @@ def _splice(
         part.plan, dict(zip(buckets, (sizes // 2).tolist()))
     )
 
-    left, right = np.full((2, num_nodes), -1, dtype=np.int64)
+    left = np.full(num_nodes, -1, dtype=np.int64)
     first_prim, prim_count = np.zeros((2, num_nodes), dtype=np.int64)
     node_mins, node_maxs = np.empty((2, num_nodes, 3), dtype=np.float32)
     starts = part.stream_starts[which].tolist()
@@ -511,7 +495,6 @@ def _splice(
         is_inner = tree.left >= 0
         for out, local in (
             (left, np.where(is_inner, tree.left + offset, -1)),
-            (right, np.where(is_inner, tree.right + offset, -1)),
             (first_prim, np.where(is_inner, 0, tree.first_prim + start)),
             (prim_count, tree.prim_count),
             (node_mins, tree.node_mins),
@@ -532,7 +515,8 @@ def _splice(
     end = leaf_mins.shape[1]
 
     # Children always have larger entry indices, so one reverse sweep
-    # bounds every top node after its children.
+    # bounds every top node after its children.  :func:`_layout` gives an
+    # inner entry's children consecutive ids, so its second child is l + 1.
     for i in range(len(part.plan.entries) - 1, -1, -1):
         entry, node = part.plan.entries[i], entry_ids[i]
         if entry[0] == "leaf":
@@ -543,17 +527,14 @@ def _splice(
             node_maxs[node] = leaf_maxs[:, end - count : end].max(axis=1)
             end -= count
         else:
-            l, r = _node(entry[1]), _node(entry[2])
-            left[node] = l
-            right[node] = r
-            node_mins[node] = np.minimum(node_mins[l], node_mins[r])
-            node_maxs[node] = np.maximum(node_maxs[l], node_maxs[r])
+            l = left[node] = _node(entry[1])
+            node_mins[node] = np.minimum(node_mins[l], node_mins[l + 1])
+            node_maxs[node] = np.maximum(node_maxs[l], node_maxs[l + 1])
 
     bvh = Bvh(
         node_mins=node_mins,
         node_maxs=node_maxs,
         left=left,
-        right=right,
         first_prim=first_prim,
         prim_count=prim_count,
         prim_indices=rows_stream,
@@ -605,7 +586,8 @@ def forest_state_segments(forest: BvhForest):
     form of a forest.
 
     Only each shard's rows in code order and, for delegated buckets, its
-    sub-tree arrays in local numbering are persisted.  The Morton grid, the
+    sub-tree's node arrays in local numbering are persisted; a shard
+    tree's ``prim_indices`` is always ``0..rows-1``.  The Morton grid, the
     bucket partition, the top-level plan and the tree are a deterministic
     pass over the key column that :func:`forest_from_saved` recomputes, so
     a save after a delta update rewrites only the dirty shards.
@@ -617,7 +599,7 @@ def forest_state_segments(forest: BvhForest):
         tree = forest.shard_trees.get(bucket)
         meta = {"bucket": int(bucket), "delegated": tree is not None}
         if tree is not None:
-            for name in BVH_ARRAY_FIELDS:
+            for name, _, _ in NODE_ARRAYS:
                 arrays[name] = np.ascontiguousarray(getattr(tree, name))
         yield bucket, arrays, meta
 
@@ -684,10 +666,11 @@ def forest_from_saved(
     ``segments`` holds one ``(arrays, meta)`` pair per shard, as
     :func:`forest_state_segments` yields them.  Recomputes the partition and
     the top-level plan from the primitive buffer, checks that the persisted
-    rows partition the column and that every persisted sub-tree is one the
-    splice can place (:func:`_checked_sizes`), and splices them: the
-    resulting ``forest.bvh`` is bit-identical to the tree that was saved,
-    and the forest is delta-updatable like a freshly built one.  The sort
+    rows partition the column and that every persisted sub-tree has a
+    tree's dtypes and shapes (:func:`~repro.rtx.bvh.bvh_from_arrays`) and
+    is one the splice can place (:func:`_checked_sizes`), and splices them:
+    the resulting ``forest.bvh`` is bit-identical to the tree that was
+    saved, and the forest is delta-updatable like a freshly built one.  The sort
     and the tree build are exactly what the persisted state skips.  State
     that does not fit raises :class:`ShardPartitionError` naming the bucket.
     This is the one check of persisted trees; delta updates splice them,
@@ -712,12 +695,20 @@ def forest_from_saved(
             )
 
     rows_stream = _checked_row_stream(rows, part)
+    # Every shard tree's prim_indices is a view of one shared arange, as
+    # the cut makes them; a prim_indices array in a segment is not read.
+    local_rows = np.arange(
+        max((rows[b].shape[0] for b in tree_arrays), default=0), dtype=np.int64
+    )
     trees: dict[int, Bvh] = {}
     for b, arrays in tree_arrays.items():
-        missing = [name for name in BVH_ARRAY_FIELDS if name not in arrays]
-        if missing:
-            raise ShardPartitionError(b, f"tree arrays {missing} are missing")
-        trees[b] = bvh_from_arrays(arrays, rows[b].shape[0], options)
+        count = rows[b].shape[0]
+        try:
+            trees[b] = bvh_from_arrays(
+                {**arrays, "prim_indices": local_rows[:count]}, count, options
+            )
+        except ValueError as exc:
+            raise ShardPartitionError(b, str(exc)) from exc
     buckets = sorted(trees)
     _checked_sizes(buckets, [trees[b] for b in buckets], part.shard_counts[part.index_of(buckets)])
     return _splice(part, options, primitive_buffer, rows_stream, trees)

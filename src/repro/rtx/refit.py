@@ -66,7 +66,7 @@ def refit_accel(bvh: Bvh, primitives: PrimitiveBuffer) -> RefitResult:
     # refits never change the topology.  The root box is finite exactly
     # when every primitive is; a failed refit leaves the tree untouched.
     node_mins, node_maxs = fit_bounds_bottom_up(
-        bvh.left, bvh.right, bvh.first_prim, bvh.prim_count,
+        bvh.left, bvh.first_prim, bvh.prim_count,
         bvh.prim_indices, prim_mins, prim_maxs, bvh.level_ranges(),
     )
     require_finite(np.concatenate([node_mins[0], node_maxs[0]]), prim_mins, prim_maxs)

@@ -641,7 +641,7 @@ class TraversalEngine:
             prim_lo = rays.tmin
             t_hi = rays.tmax
             mins, maxs = bvh.node_mins, bvh.node_maxs
-            left, right = bvh.left, bvh.right
+            left = bvh.left
 
             chunk = self.max_frontier if self.max_frontier else None
             frontier_rays = np.arange(n_rays, dtype=np.int64)
@@ -810,7 +810,7 @@ class TraversalEngine:
                     next_rays[:n_inner] = inner_rays
                     next_rays[n_inner:] = inner_rays
                     next_nodes[:n_inner] = left[inner_nodes]
-                    next_nodes[n_inner:] = right[inner_nodes]
+                    np.add(next_nodes[:n_inner], 1, out=next_nodes[n_inner:])
                     frontier_rays = next_rays
                     frontier_nodes = next_nodes
                 else:

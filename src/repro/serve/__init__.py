@@ -11,7 +11,7 @@ bit:
 * :mod:`repro.serve.cache` — epoch-keyed LRU result cache, invalidated by
   epoch advance.
 * :mod:`repro.serve.service` — the front end: submission, admission,
-  flushing, update coordination, and open/closed-loop replay drivers with
+  flushing, update coordination, and an open-loop replay driver with
   latency stats.  Its constructor arguments are the whole serving policy
   (window size and wait, cache capacity, default deadline, queue bound,
   retry policy); the index's ``RXConfig`` carries none of it.

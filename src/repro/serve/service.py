@@ -1,4 +1,4 @@
-"""The index-serving front end: clock, epoch pinning, cache, replay drivers.
+"""The index-serving front end: clock, epoch pinning, cache, replay driver.
 
 :class:`IndexService` ties the serving pieces together around one
 :class:`repro.core.rx_index.RXIndex`:
@@ -14,18 +14,13 @@
   launches, and their demuxed results are inserted back (current-epoch
   results only, so an invalidation sweep can never be undone).
 
-Two replay drivers turn timestamped query streams into throughput/latency
-reports.  Both are event-driven simulations whose *service times* are the
-measured wall-clock of the actual coalesced launches and whose *arrival
-times* come from the stream — the standard way to replay an open-loop trace
-against a real component:
-
-* :meth:`IndexService.replay` — open loop: arrivals are fixed in advance;
-  a window closes when it holds ``max_batch`` queries (size) or the oldest
-  request has waited ``max_wait`` stream seconds (wait).
-* :meth:`IndexService.replay_closed_loop` — closed loop: ``num_clients``
-  logical clients each submit their next query the moment their previous
-  one completes.
+:meth:`IndexService.replay` turns a timestamped query stream into a
+throughput/latency report.  It is an event-driven simulation whose *service
+times* are the measured wall-clock of the actual coalesced launches and
+whose *arrival times* come from the stream — the standard way to replay an
+open-loop trace against a real component: arrivals are fixed in advance,
+and a window closes when it holds ``max_batch`` queries (size) or the
+oldest request has waited ``max_wait`` stream seconds (wait).
 """
 
 from __future__ import annotations
@@ -605,11 +600,11 @@ class IndexService:
         return results
 
     # ------------------------------------------------------------------ #
-    # replay drivers
+    # replay driver
     # ------------------------------------------------------------------ #
 
     def _timed_flush(
-        self, reason: str, now: float | None = None
+        self, reason: str, now: float
     ) -> tuple[list[RequestResult | RequestFailure], float]:
         start = time.perf_counter()
         backoff_before = self.serve_stats.backoff_seconds
@@ -740,92 +735,6 @@ class IndexService:
             service_seconds=self._service_seconds - service_seconds_before,
             errors=failures,
             updates=update_log,
-        )
-
-    def replay_closed_loop(self, stream, num_clients: int) -> ReplayReport:
-        """Closed-loop replay: ``num_clients`` clients, one query in flight each.
-
-        Every client submits its next request the moment its previous one
-        completes, so the offered load adapts to the service rate — the
-        standard closed-loop harness.  The stream's arrival stamps are
-        ignored; its requests are dealt to clients in order.
-        """
-        if num_clients < 1:
-            raise ValueError(f"num_clients must be at least 1, got {num_clients}")
-        if self.scheduler.pending:
-            raise RuntimeError(
-                "replay_closed_loop() needs an idle service (pending queue)"
-            )
-        requests = stream.requests()
-        completed: list[RequestResult] = []
-        failures: list[RequestFailure] = []
-        server_free = 0.0
-        service_seconds_before = self._service_seconds
-        # Ready times of the idle clients (all start at stream time zero).
-        ready = [0.0] * min(num_clients, len(requests))
-        next_request = 0
-
-        while next_request < len(requests) or self.scheduler.pending:
-            # Every idle client submits its next request (earliest first)
-            # until the window fills or the stream runs dry.
-            while (
-                ready
-                and next_request < len(requests)
-                and self.scheduler.pending_queries < self.scheduler.max_batch
-            ):
-                ready.sort()
-                now = ready.pop(0)
-                _, submit = requests[next_request]
-                submit(self, now)
-                next_request += 1
-                for rejection in self._take_rejections():
-                    # A rejected client turns around immediately.
-                    failures.append(rejection)
-                    ready.append(now)
-            if not self.scheduler.pending:
-                if next_request < len(requests) and ready:
-                    continue  # everything in flight was rejected; resubmit
-                break
-            reason = (
-                "size"
-                if self.scheduler.pending_queries >= self.scheduler.max_batch
-                else "drain"
-            )
-            results, elapsed = self._timed_flush(reason)
-            # The window closes when its own last request was submitted
-            # (requests beyond the window boundary do not hold it open).
-            close_time = max((r.arrival for r in results), default=0.0)
-            start = max(close_time, server_free)
-            server_free = start + elapsed
-            for result in results:
-                if isinstance(result, RequestFailure):
-                    if result.completion == 0.0:
-                        result.completion = server_free
-                    failures.append(result)
-                elif (
-                    result.deadline is not None
-                    and server_free > result.deadline
-                ):
-                    self.serve_stats.timeouts += 1
-                    failure = RequestFailure.from_result(result, "timeout")
-                    failure.completion = server_free
-                    failures.append(failure)
-                else:
-                    result.completion = server_free
-                    completed.append(result)
-                ready.append(server_free)  # the client turns around
-
-        latencies = np.array([r.latency for r in completed], dtype=np.float64)
-        makespan = max(
-            max((r.completion for r in completed), default=0.0),
-            max((f.completion for f in failures), default=0.0),
-        )
-        return ReplayReport(
-            results=completed,
-            latencies=latencies,
-            makespan=makespan,
-            service_seconds=self._service_seconds - service_seconds_before,
-            errors=failures,
         )
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,8 @@
-"""Timestamped query streams for the serving layer (open/closed loop).
+"""Timestamped query streams for the serving layer.
 
 The serving benchmarks replay *streams* of independent requests rather than
-one preformed batch: every request carries an arrival timestamp (open-loop
-replay respects them; closed-loop replay re-times them by client turnaround)
-and a small payload — one or a few point keys, or a range.  Query popularity
+one preformed batch: every request carries an arrival timestamp (which the
+open-loop replay respects) and a small payload — one or a few point keys, or a range.  Query popularity
 follows the paper's bounded Zipf distribution (Section 4.8), so a
 coefficient of 0 is the uniform stream and 1-2 are the skewed streams where
 the serving layer's result cache earns its keep.

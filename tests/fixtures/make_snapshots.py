@@ -16,10 +16,14 @@ Two checked-in sets pin two eras:
   SHA-256 per segment, over every byte of its file) replaced format 1,
   while ``RXConfig`` still had the ``serve_*`` knobs.  Segment files did
   not change, so its ``.seg`` files are byte-identical to
-  ``snapshots-v1/``'s.  The current code must load them and, building the
-  same indexes, write the same segments.
+  ``snapshots-v1/``'s.  They hold the legacy tree layout: every tree
+  stores a ``right`` array and every delegated shard a ``prim_indices``
+  array, which saves no longer write.  The current code must load them,
+  check each legacy ``right`` against ``left + 1``, and, building the same
+  indexes, write the same key column and the same tree arrays but those
+  two.  Do not regenerate ``snapshots-v2/``: it is the legacy-layout input.
 
-Run against newer code, the script writes the *current* format, so point
+Run against newer code, the script writes the *current* layout, so point
 it at a fresh directory rather than over a fixture::
 
     PYTHONPATH=src python tests/fixtures/make_snapshots.py /tmp/snapshots

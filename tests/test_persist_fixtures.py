@@ -5,11 +5,15 @@ format, written by ``tests/fixtures/make_snapshots.py``:
 
 * ``snapshots-v2/`` — format 2 (one SHA-256 per segment), the format the
   reader holds, written while ``RXConfig`` still had the ``serve_*``
-  serving knobs, so its manifests carry those nine keys.  Each store must
-  load through both load paths (memory-mapped and heap) and answer point
-  and range lookups — hits and counters — exactly like a fresh build over
-  the same keys, and a fresh build and save must still write its segments
-  byte for byte, and its manifest but for the ``serve_*`` keys.
+  serving knobs, so its manifests carry those nine keys.  It also holds
+  the legacy tree layout: every tree stores a ``right`` array, and every
+  delegated shard a ``prim_indices`` array.  Each store must load through
+  both load paths (memory-mapped and heap) and answer point and range
+  lookups — hits and counters — exactly like a fresh build over the same
+  keys.  A fresh build and save must write its ``columns.seg`` byte for
+  byte, its tree arrays but the two legacy ones bit for bit, and its
+  manifest's index block but for the ``serve_*`` keys; the segment files
+  it writes are pinned by their recorded SHA-256s.
 * ``snapshots-v1/`` — format 1 (CRC32C per segment), which the reader
   no longer holds.  Each store must fail every way a snapshot enters the
   stack with ``SnapshotCorrupt`` on ``MANIFEST.json``, leaving an index or
@@ -138,29 +142,85 @@ def test_format1_store_is_refused_everywhere(name):
     assert _digests(root) == before
 
 
-@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
-def test_fresh_save_is_byte_identical_to_the_format2_fixture(tmp_path, name):
-    """Today's build and save write the checked-in format-2 store byte for
-    byte: every segment (shard trees included), and the manifest once the
-    nine retired ``serve_*`` keys are deleted from the fixture's config."""
-    fixture = FIXTURES / "snapshots-v2" / name
+def _fresh_save(tmp_path, name) -> Path:
+    """Today's build and save of the fixture index ``name``."""
     index = RXIndex(make_snapshots.CONFIGS[name]())
     index.build(make_snapshots.fixture_keys())
     index.save(tmp_path / name)
-    written = _digests(tmp_path / name)
-    expected = _digests(fixture)
-    del written["MANIFEST.json"], expected["MANIFEST.json"]
-    assert written == expected
+    return tmp_path / name
+
+
+#: the tree arrays of the legacy layout that a save no longer writes
+LEGACY_ARRAYS = {"bvh": ("right",), "shard": ("right", "prim_indices")}
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_fresh_save_drops_only_the_legacy_tree_arrays(tmp_path, name):
+    """Today's build and save write the fixture's ``columns.seg`` byte for
+    byte, and each tree segment with exactly the fixture's arrays but the
+    legacy ones, in the fixture's order, bit for bit, with the fixture's
+    meta.  The manifest's index block is the fixture's once the nine
+    retired ``serve_*`` keys are deleted from its config."""
+    fixture = FIXTURES / "snapshots-v2" / name
+    store = _fresh_save(tmp_path, name)
+    columns = "epoch-00000000/columns.seg"
+    assert (store / columns).read_bytes() == (fixture / columns).read_bytes()
+
+    old = load_snapshot(fixture, mmap=False).segments
+    new = load_snapshot(store, mmap=False).segments
+    assert new.keys() == old.keys()
+    for segment, (arrays, meta) in old.items():
+        legacy = LEGACY_ARRAYS.get(segment.split("-")[0], ())
+        assert set(legacy) <= arrays.keys(), segment
+        kept = {array: value for array, value in arrays.items() if array not in legacy}
+        written, written_meta = new[segment]
+        assert list(written) == list(kept), segment
+        for array, value in kept.items():
+            got = written[array]
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), (segment, array)
+            assert got.tobytes() == value.tobytes(), (segment, array)
+        assert written_meta == meta, segment
 
     manifest = json.loads((fixture / "MANIFEST.json").read_text())
     assert len(SERVE_KEYS) == 9
     for key in SERVE_KEYS:
         del manifest["index"]["config"][key]
-    # commit_manifest's encoding
-    blob = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    fresh = (tmp_path / name / "MANIFEST.json").read_bytes()
-    assert fresh == blob
-    assert (fixture / "MANIFEST.json").stat().st_size - len(fresh) == 289
+    fresh = json.loads((store / "MANIFEST.json").read_text())
+    assert {k: v for k, v in fresh.items() if k != "segments"} == {
+        k: v for k, v in manifest.items() if k != "segments"
+    }
+
+
+#: SHA-256 of every segment file a fresh save of each fixture index
+#: writes.  Any drift means the tree layout (or the segment format) changed.
+FRESH_SEGMENT_SHA256 = {
+    "forest": {
+        "epoch-00000000/columns.seg": (
+            "1aadb2ebfdf3b368f64a6c67d3c4b6d4379832182b411707ab4ed5c578479a64"
+        ),
+        "epoch-00000000/shard-00000.seg": (
+            "1a11a4d9eaf6a95d19c9ed7382cc09b69b049a7bd9ef32a4a378aac8335441d4"
+        ),
+        "epoch-00000000/shard-00004.seg": (
+            "2079996fdb51ec289636cc10d1154a5c49ce11ae50b4c7b9ca7464c19a1a6f43"
+        ),
+    },
+    "single": {
+        "epoch-00000000/bvh.seg": (
+            "ff7825a956f90d4f25ba76fd824d18de62b7674deb9257a3e7236e1c028ad7c1"
+        ),
+        "epoch-00000000/columns.seg": (
+            "1aadb2ebfdf3b368f64a6c67d3c4b6d4379832182b411707ab4ed5c578479a64"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_fresh_save_writes_the_recorded_segment_bytes(tmp_path, name):
+    written = _digests(_fresh_save(tmp_path, name))
+    del written["MANIFEST.json"]
+    assert written == FRESH_SEGMENT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))

@@ -429,7 +429,7 @@ def _rows_in_a_matrix(rows, low, high):
     rows[low] = rows[low].reshape(1, -1)
 
 
-_NODE_ARRAYS = ("left", "right", "first_prim", "prim_count", "node_mins", "node_maxs")
+_NODE_ARRAYS = ("left", "first_prim", "prim_count", "node_mins", "node_maxs")
 
 
 def _short_node_arrays(tree):
@@ -438,10 +438,8 @@ def _short_node_arrays(tree):
 
 
 def _left_child_past_the_end(tree):
-    # An odd id with its successor, so only the bound catches it.
-    inner = np.flatnonzero(tree["left"] >= 0)[-1]
-    tree["left"][inner] = tree["left"].shape[0]
-    tree["right"][inner] = tree["left"].shape[0] + 1
+    # An odd id, so only the bound catches it.
+    tree["left"][np.flatnonzero(tree["left"] >= 0)[-1]] = tree["left"].shape[0]
 
 
 def _left_child_is_the_root(tree):
@@ -451,12 +449,11 @@ def _left_child_is_the_root(tree):
 def _even_left_child(tree):
     # The root adopts nodes 2 and 3: node 1 loses its parent, node 3 gains one.
     tree["left"][0] += 1
-    tree["right"][0] += 1
 
 
 def _shared_children(tree):
     # Nodes 1 and 2 get the same children, orphaning node 2's own.
-    tree["left"][2], tree["right"][2] = tree["left"][1], tree["right"][1]
+    tree["left"][2] = tree["left"][1]
 
 
 def _leaf_past_the_rows(tree):
@@ -470,6 +467,10 @@ def _leaf_range_overflows(tree):
 
 def _short_node_mins(tree):
     tree["node_mins"] = tree["node_mins"][:-1]
+
+
+def _narrow_left(tree):
+    tree["left"] = tree["left"].astype(np.int32)
 
 
 def _overlapping_leaves(tree):
@@ -598,6 +599,7 @@ class TestBuggyWriterShards:
             (_leaf_past_the_rows, r"holds rows \[1000000, "),
             (_leaf_range_overflows, r"holds rows \[4611686018427387904, "),
             (_short_node_mins, "tree array node_mins is float32"),
+            (_narrow_left, r"tree array left is int32 \(\d+,\), not int64"),
             (_overlapping_leaves, "2 tree leaves hold its row"),
             (_leaf_one_row_short, "0 tree leaves hold its row"),
             (_two_leaves_one_start, "2 tree leaves hold its row"),
@@ -612,6 +614,7 @@ class TestBuggyWriterShards:
             "leaf-past-the-rows",
             "leaf-range-overflows",
             "short-node-mins",
+            "int32-left",
             "overlapping-leaves",
             "leaf-gap",
             "two-leaves-one-start",
@@ -1041,6 +1044,76 @@ def _short_values(segments):
     arrays["values"] = arrays["values"][:-1]
 
 
+def _no_nodes(segments):
+    arrays = segments["bvh"][0]
+    for name in arrays:
+        if name != "prim_indices":
+            arrays[name] = arrays[name][:0]
+
+
+def _legacy_right_off_by_one(segment):
+    """The second child a legacy ``right`` array names for the last inner
+    node of ``segment`` moves one id up, away from ``left + 1``."""
+
+    def mutate(segments):
+        right = segments[segment][0]["right"]
+        right[np.flatnonzero(right >= 0)[-1]] += 1
+
+    return mutate
+
+
+#: (case id, ``snapshots-v2`` store, mutation of its segment arrays, segment
+#: the error must name, regex it must match)
+_BAD_SEGMENT_ARRAYS = [
+    ("no-keys", "single", _drop_array("columns", "keys"), "columns", r"KeyError\('keys'\)"),
+    ("no-values", "single", _drop_array("columns", "values"), "columns", r"KeyError\('values'\)"),
+    ("short-values", "single", _short_values, "columns", "same shape as keys"),
+    (
+        "no-prim-indices", "single", _drop_array("bvh", "prim_indices"), "bvh",
+        r"missing fields \['prim_indices'\]",
+    ),
+    (
+        "no-node-boxes", "single", _set_array("bvh", "node_mins", lambda a: a[:0]), "bvh",
+        r"tree array node_mins is float32 \(0, 3\), not float32 \(127, 3\)",
+    ),
+    (
+        "float64-node-boxes", "single",
+        _set_array("bvh", "node_maxs", lambda a: a.astype(np.float64)), "bvh",
+        r"tree array node_maxs is float64 \(127, 3\), not float32 \(127, 3\)",
+    ),
+    ("no-nodes", "single", _no_nodes, "bvh", "tree has no nodes"),
+    (
+        "short-left", "single", _set_array("bvh", "left", lambda a: a[:-2]), "bvh",
+        r"tree array first_prim is int64 \(127,\), not int64 \(125,\)",
+    ),
+    (
+        "short-prim-indices", "single", _set_array("bvh", "prim_indices", lambda a: a[:-3]),
+        "bvh", r"tree array prim_indices is int64 \(253,\), not int64 \(256,\)",
+    ),
+    (
+        "2-d-first-prim", "single",
+        _set_array("bvh", "first_prim", lambda a: a.reshape(1, -1)), "bvh",
+        r"tree array first_prim is int64 \(1, 127\), not int64 \(127,\)",
+    ),
+    (
+        "int32-left", "single", _set_array("bvh", "left", lambda a: a.astype(np.int32)), "bvh",
+        r"tree array left is int32 \(127,\), not int64 \(127,\)",
+    ),
+    (
+        "float64-left", "single", _set_array("bvh", "left", lambda a: a.astype(np.float64)),
+        "bvh", r"tree array left is float64 \(127,\), not int64 \(127,\)",
+    ),
+    (
+        "legacy-right-single", "single", _legacy_right_off_by_one("bvh"), "bvh",
+        r"legacy tree array right is not left \+ 1",
+    ),
+    (
+        "legacy-right-forest", "forest", _legacy_right_off_by_one("shard-00000"), "shard-00000",
+        r"shard 0: legacy tree array right is not left \+ 1",
+    ),
+]
+
+
 class TestBadIndexBlocks:
     """A manifest whose index block does not describe its segments, or a
     segment without the arrays the index needs, fails both ways a snapshot
@@ -1085,41 +1158,30 @@ class TestBadIndexBlocks:
         assert bvh_arrays_diff(reloaded.accel.bvh, index.accel.bvh) is None
 
     @pytest.mark.parametrize(
-        "mutate, segment, problem",
-        [
-            (_drop_array("columns", "keys"), "columns", r"KeyError\('keys'\)"),
-            (_drop_array("columns", "values"), "columns", r"KeyError\('values'\)"),
-            (_short_values, "columns", "same shape as keys"),
-            (_drop_array("bvh", "prim_indices"), "bvh", r"missing fields \['prim_indices'\]"),
-            (
-                _set_array("bvh", "node_mins", lambda a: a[:0]), "bvh",
-                r"tree array node_mins is float32 \(0, 3\), not float32 \(k, 3\)",
-            ),
-            (
-                _set_array("bvh", "node_maxs", lambda a: a.astype(np.float64)), "bvh",
-                r"tree array node_maxs is float64 \(\d+, 3\)",
-            ),
-        ],
-        ids=[
-            "no-keys", "no-values", "short-values", "no-prim-indices", "no-node-boxes",
-            "float64-node-boxes",
-        ],
+        "name, mutate, segment, problem",
+        [case[1:] for case in _BAD_SEGMENT_ARRAYS],
+        ids=[case[0] for case in _BAD_SEGMENT_ARRAYS],
     )
     def test_segment_without_its_arrays_is_refused(
-        self, tmp_path, mutate, segment, problem
+        self, tmp_path, name, mutate, segment, problem
     ):
-        """A writer bug digests whatever it writes, so these stores pass
-        every checksum."""
-        snap = load_snapshot(FIXTURES / "snapshots-v2" / "single", mmap=False)
+        """Segments without the arrays the index needs, tree arrays of the
+        wrong dtype or shape, and a legacy ``right`` array that is not
+        ``left + 1``.  A writer bug digests whatever it writes, so these
+        stores pass every checksum; a refused restore changes nothing."""
+        snap = load_snapshot(FIXTURES / "snapshots-v2" / name, mmap=False)
         segments = {
-            name: ({k: v.copy() for k, v in arrays.items()}, meta)
-            for name, (arrays, meta) in snap.segments.items()
+            seg: ({k: v.copy() for k, v in arrays.items()}, meta)
+            for seg, (arrays, meta) in snap.segments.items()
         }
         mutate(segments)
         store = tmp_path / "bad"
         save_snapshot(store, epoch=snap.epoch, segments=segments, index_meta=snap.index_meta)
-        index, _ = _make_index()
+        load_snapshot(store)  # every checksum passes
+        index, keys = _make_index()
+        queries, rows, counts = _point_probe(index, keys)
         before = index.stats()
+        memory = index.context.memory.current_bytes
         for mmap in (True, False):
             for enter in (lambda: RXIndex.load(store, mmap=mmap),
                           lambda: index.restore_from(store, mmap=mmap)):
@@ -1127,6 +1189,10 @@ class TestBadIndexBlocks:
                     enter()
                 assert excinfo.value.segment == segment
         assert index.stats() == before
+        assert index.context.memory.current_bytes == memory
+        run = index.point_lookup(queries)
+        assert np.array_equal(run.result_rows, rows)
+        assert np.array_equal(run.hits_per_lookup, counts)
 
     @pytest.mark.parametrize("decomposition", [None, "22+23+19"], ids=["unedited", "22+23+19"])
     @pytest.mark.parametrize("name", ["forest", "single"])

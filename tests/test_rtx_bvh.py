@@ -53,7 +53,8 @@ def _check_invariants(bvh: Bvh, buffer: TriangleBuffer) -> None:
     # 4. Parents enclose their children.
     inner = np.flatnonzero(bvh.left >= 0)
     for node in inner:
-        l, r = int(bvh.left[node]), int(bvh.right[node])
+        l = int(bvh.left[node])
+        r = l + 1
         assert np.all(bvh.node_mins[node] <= bvh.node_mins[l] + 1e-5)
         assert np.all(bvh.node_mins[node] <= bvh.node_mins[r] + 1e-5)
         assert np.all(bvh.node_maxs[node] >= bvh.node_maxs[l] - 1e-5)
@@ -235,7 +236,7 @@ class TestFloat32Fit:
         bvh = build_bvh(_buffer(500, spread="cloud"), BvhBuildOptions(max_leaf_size=3))
         mins = rng.uniform(-1e3, 1e3, size=(3, 500))
         maxs = mins + rng.uniform(0, 1e-3, size=(3, 500))
-        topology = (bvh.left, bvh.right, bvh.first_prim, bvh.prim_count, bvh.prim_indices)
+        topology = (bvh.left, bvh.first_prim, bvh.prim_count, bvh.prim_indices)
         got = fit_bounds_bottom_up(
             *topology, mins.astype(np.float32), maxs.astype(np.float32), bvh.level_ranges()
         )

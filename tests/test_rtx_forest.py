@@ -127,6 +127,10 @@ def _assert_forest_is_fresh(forest, buffer, label=""):
             assert array.tobytes() == fresh_arrays[name].tobytes(), (label, b, name)
 
 
+#: the arrays a delegated shard's segment holds; an absorbed one holds rows
+DELEGATED_SHARD_ARRAYS = ["rows", "left", "first_prim", "prim_count", "node_mins", "node_maxs"]
+
+
 def _spliced(forest, buffer):
     """The forest reloaded from its own saved state."""
     segments = [(arrays, meta) for _, arrays, meta in forest_state_segments(forest)]
@@ -161,6 +165,8 @@ def _assert_forest_matches_single(buffer, shard_bits, max_leaf_size=4):
             oracle = build_lbvh_over_sorted(codes[want], mins[want], maxs[want], options)
             _assert_trees_equal(forest.shard_trees[b], oracle, (label, b))
 
+    for b, arrays, meta in forest_state_segments(forest):
+        assert list(arrays) == (DELEGATED_SHARD_ARRAYS if meta["delegated"] else ["rows"]), b
     _assert_trees_equal(_spliced(forest, buffer).bvh, single, f"splice {label}")
     return forest
 
@@ -487,15 +493,14 @@ def _chain_tree(leaves: list[tuple[int, int]], rows: int):
     has the children ``2i + 1`` and ``2i + 2``, and its leaves hold the
     ``(first, count)`` ranges ``leaves`` in node order."""
     k = 2 * len(leaves) - 1
-    left, right = np.full((2, k), -1, dtype=np.int64)
+    left = np.full(k, -1, dtype=np.int64)
     inner = np.arange(0, k - 1, 2)
-    left[inner], right[inner] = inner + 1, inner + 2
+    left[inner] = inner + 1
     first_prim, prim_count = np.zeros((2, k), dtype=np.int64)
     first_prim[left < 0], prim_count[left < 0] = np.array(leaves, dtype=np.int64).T
     boxes = np.zeros((k, 3), dtype=np.float32)
     arrays = {
         "left": left,
-        "right": right,
         "first_prim": first_prim,
         "prim_count": prim_count,
         "node_mins": boxes,

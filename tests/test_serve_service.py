@@ -1,4 +1,4 @@
-"""IndexService drivers: open/closed-loop replay, stats, serving arguments."""
+"""IndexService driver: open-loop replay, stats, serving arguments."""
 
 import numpy as np
 import pytest
@@ -110,35 +110,6 @@ class TestOpenLoopReplay:
         stream = zipf_point_stream(index.keys, 4, 0.0, rate=1e3, seed=50)
         with pytest.raises(RuntimeError, match="idle"):
             service.replay(stream)
-
-
-class TestClosedLoopReplay:
-    def test_serves_everything_and_adapts_to_clients(self):
-        index = make_index(seed=51)
-        service = IndexService(index, max_batch=64, max_wait=1.0, cache_capacity=0)
-        stream = zipf_point_stream(index.keys, 200, 0.5, rate=1e6, seed=52)
-        report = service.replay_closed_loop(stream, num_clients=16)
-        assert report.num_requests == 200
-        assert (report.latencies > 0.0).all()
-        stats = service.stats()["scheduler"]
-        # At most num_clients requests can ever be in flight together.
-        assert stats["max_batch_queries"] <= 16
-        assert stats["launches"] >= 200 // 16
-
-    def test_single_client_degenerates_to_serial(self):
-        index = make_index(seed=53)
-        service = IndexService(index, max_batch=64, max_wait=1.0, cache_capacity=0)
-        stream = zipf_point_stream(index.keys, 20, 0.0, rate=1e6, seed=54)
-        report = service.replay_closed_loop(stream, num_clients=1)
-        assert service.stats()["scheduler"]["launches"] == 20
-        assert report.num_requests == 20
-
-    def test_invalid_client_count(self):
-        index = make_index(seed=55)
-        service = IndexService(index, max_batch=4, max_wait=1.0, cache_capacity=0)
-        stream = zipf_point_stream(index.keys, 4, 0.0, rate=1e3, seed=56)
-        with pytest.raises(ValueError, match="num_clients"):
-            service.replay_closed_loop(stream, num_clients=0)
 
 
 class TestMixedStreams:
