@@ -36,7 +36,7 @@ import pytest
 
 from repro.core import RXIndex
 from repro.core.config import RETIRED_CONFIG_KEYS
-from repro.persist import SnapshotCorrupt, load_snapshot
+from repro.persist import SnapshotCorrupt, load_snapshot, save_snapshot
 from repro.serve import IndexService
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -98,6 +98,33 @@ def test_old_snapshot_loads_like_a_fresh_build(name):
         assert _lookups(loaded) == expected, (name, mmap)
 
     assert _digests(root) == before
+
+
+def test_legacy_shard_prim_indices_are_not_read(tmp_path):
+    """A delegated shard's legacy ``prim_indices`` array is never read:
+    with every one reversed, the forest fixture still loads like a fresh
+    build, and each shard tree's ``prim_indices`` is ``0..rows-1``, a view
+    of one arange that all shard trees share."""
+    snap = load_snapshot(FIXTURES / "snapshots-v2" / "forest", mmap=False)
+    segments = {}
+    for segment, (arrays, meta) in snap.segments.items():
+        if segment.startswith("shard-"):
+            arrays = {**arrays, "prim_indices": arrays["prim_indices"][::-1].copy()}
+        segments[segment] = (arrays, meta)
+    store = tmp_path / "forest"
+    save_snapshot(store, epoch=snap.epoch, segments=segments, index_meta=snap.index_meta)
+
+    fresh = RXIndex(make_snapshots.CONFIGS["forest"]())
+    fresh.build(make_snapshots.fixture_keys())
+    expected = _lookups(fresh)
+    for mmap in (True, False):
+        loaded = RXIndex.load(store, mmap=mmap)
+        assert _lookups(loaded) == expected, mmap
+        trees = list(loaded.accel.forest.shard_trees.values())
+        assert len(trees) == 2
+        for tree in trees:
+            assert np.array_equal(tree.prim_indices, np.arange(tree.num_primitives))
+            assert np.shares_memory(tree.prim_indices, trees[0].prim_indices)
 
 
 def _refused(call) -> None:

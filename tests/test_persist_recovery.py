@@ -1062,6 +1062,17 @@ def _legacy_right_off_by_one(segment):
     return mutate
 
 
+def _legacy_right_at_a_leaf(segment):
+    """A legacy ``right`` array names node 1 as a second child of the
+    first leaf of ``segment``, where the tree derives ``-1``."""
+
+    def mutate(segments):
+        right = segments[segment][0]["right"]
+        right[np.flatnonzero(right < 0)[0]] = 1
+
+    return mutate
+
+
 #: (case id, ``snapshots-v2`` store, mutation of its segment arrays, segment
 #: the error must name, regex it must match)
 _BAD_SEGMENT_ARRAYS = [
@@ -1110,6 +1121,14 @@ _BAD_SEGMENT_ARRAYS = [
     (
         "legacy-right-forest", "forest", _legacy_right_off_by_one("shard-00000"), "shard-00000",
         r"shard 0: legacy tree array right is not left \+ 1",
+    ),
+    (
+        "legacy-right-leaf-single", "single", _legacy_right_at_a_leaf("bvh"), "bvh",
+        r"legacy tree array right is not left \+ 1 at inner nodes and -1 at leaves",
+    ),
+    (
+        "legacy-right-leaf-forest", "forest", _legacy_right_at_a_leaf("shard-00004"),
+        "shard-00004", r"shard 4: legacy tree array right is not left \+ 1",
     ),
 ]
 
