@@ -15,7 +15,13 @@ test-fast:
 # Differential trace harness (including the scattered lookup-id cases: a
 # lookup's rays apart, ids not monotone, ids on both sides of 2^16, through
 # first_k(limit=1), first_k and ordered_k; plus the stable_order and
-# ordered-pool merge checks), the forest's cut/splice oracle (random
+# ordered-pool merge checks), the block-invariance tests (every
+# differential case runs under a patched traversal.FRONTIER_BLOCK of 1, 7
+# or 16 pairs or the module's own, and the golden traversal and any-hit
+# cases of tests/test_engine_equivalence.py under 48 and 64, so rounds
+# split into blocks must match the golden loops; tier-1's TestFrontierBlock
+# in tests/test_rtx_traversal.py also checks that a round really split),
+# the forest's cut/splice oracle (random
 # columns, shard_bits and leaf sizes), its DELTA_SHARD update chain (swaps,
 # rewrites, growth, shrinkage and no-ops on every buffer kind, each step
 # checked against a fresh build_bvh and build_forest) and its shard-tree

@@ -5,12 +5,11 @@ Measures the engine hot paths — ``build_bvh``, ``TraversalEngine.trace``,
 reference implementations preserved in :mod:`repro.rtx._reference`, verifies
 observable equivalence on the way (identical topology, bit-identical masks
 and counters), and appends the results to a ``BENCH_engine.json`` trajectory
-artifact so future PRs can track the engine's speed over time.  Three
+artifact so future PRs can track the engine's speed over time.  Two
 further scenarios have no seed counterpart and are measured against the
-engine's own default configuration: the early-exit point-lookup trace
+engine's own all-hits trace: the early-exit point-lookup trace
 (``first_k`` with a budget of one hit per ray, the hardware any-hit
-termination), the limit-pushdown ``first_k`` range-lookup trace, and a
-paper-scale 2^20-ray batch streamed under a ``max_frontier`` bound.
+termination) and the limit-pushdown ``first_k`` range-lookup trace.
 
 Usage::
 
@@ -199,7 +198,7 @@ def bench_trace(log2_keys: int, log2_rays: int, compare: bool = True) -> dict:
     """Time point-lookup tracing of ``2**log2_rays`` rays, vs the reference."""
     n = 2**log2_keys
     rng = np.random.default_rng(log2_rays)
-    buffer = build_input_for_points("triangle", _line_points(n)).primitive_buffer()
+    buffer = build_input_for_points("triangle", _line_points(n))
     bvh = build_bvh(buffer)
     xs = rng.uniform(0, n, size=2**log2_rays)
     rays = RayBatch(
@@ -219,7 +218,6 @@ def bench_trace(log2_keys: int, log2_rays: int, compare: bool = True) -> dict:
         **timing,
     }
     if compare:
-        engine.reset_counters()
         hits = engine.trace(rays)
         ref_seconds = _time(lambda: reference_trace(bvh, buffer, rays))
         golden_hits, golden_counters = reference_trace(bvh, buffer, rays)
@@ -267,7 +265,7 @@ def _range_pair_inputs(kind: str, log2_keys: int, log2_pairs: int):
     n = 2**log2_keys
     m = 2**log2_pairs
     rng = np.random.default_rng(log2_pairs + 7)
-    buffer = build_input_for_points(kind, _line_points(n)).primitive_buffer()
+    buffer = build_input_for_points(kind, _line_points(n))
     xs = rng.uniform(0, n - 32, size=m)
     origins = np.column_stack([xs, np.zeros(m), np.zeros(m)]).astype(np.float32)
     directions = np.tile(np.float32([1.0, 0.0, 0.0]), (m, 1))
@@ -342,7 +340,7 @@ def bench_trace_anyhit(log2_keys: int, log2_rays: int, compare: bool = True) -> 
     ).astype(np.float64)
     xs = np.concatenate([cluster, sparse])
     points = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-    buffer = build_input_for_points("triangle", points).primitive_buffer()
+    buffer = build_input_for_points("triangle", points)
     bvh = build_bvh(buffer)
     engine = TraversalEngine(bvh, buffer)
     k = sparse[rng.integers(0, sparse.shape[0], size=2**log2_rays)]
@@ -369,10 +367,8 @@ def bench_trace_anyhit(log2_keys: int, log2_rays: int, compare: bool = True) -> 
         # smoke's wall-clock in check.
         entry["ref_seconds"] = _time(lambda: engine.trace(rays), repeats=1)
         entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
-        engine.reset_counters()
         any_hits = engine.trace(rays, mode="first_k", limit=1)
         any_counters = engine.counters
-        engine.reset_counters()
         all_hits = engine.trace(rays)
         all_counters = engine.counters
         assert any_counters.node_visits < all_counters.node_visits
@@ -411,7 +407,7 @@ def bench_range_firstk(
     ).astype(np.float64)
     xs = np.concatenate([cluster, sparse])
     points = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-    buffer = build_input_for_points("triangle", points).primitive_buffer()
+    buffer = build_input_for_points("triangle", points)
     bvh = build_bvh(buffer)
     engine = TraversalEngine(bvh, buffer)
     starts = rng.integers(0, sparse.shape[0] - span, size=2**log2_rays)
@@ -441,10 +437,8 @@ def bench_range_firstk(
         # smoke's wall-clock in check.
         entry["ref_seconds"] = _time(lambda: engine.trace(rays), repeats=1)
         entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
-        engine.reset_counters()
         fk_hits = engine.trace(rays, mode="first_k", limit=limit)
         fk_counters = engine.counters
-        engine.reset_counters()
         all_hits = engine.trace(rays)
         all_counters = engine.counters
         assert fk_counters.node_visits < all_counters.node_visits
@@ -463,52 +457,6 @@ def bench_range_firstk(
         entry["node_visits_firstk"] = fk_counters.node_visits
         entry["prim_tests_all"] = all_counters.prim_tests
         entry["prim_tests_firstk"] = fk_counters.prim_tests
-    return entry
-
-
-def bench_frontier(log2_keys: int, log2_rays: int, max_frontier: int, compare: bool = True) -> dict:
-    """Paper-scale ray batch traced under a ``max_frontier`` memory bound.
-
-    Records the wall-clock of the bounded-streaming schedule next to the
-    unbounded one, plus the logical peak frontier the counters report — the
-    working set ``max_frontier`` caps.  Hit records and every counter are
-    identical for both settings (checked here on the hit/counter digests).
-    """
-    n = 2**log2_keys
-    rng = np.random.default_rng(log2_rays + 3)
-    buffer = build_input_for_points("triangle", _line_points(n)).primitive_buffer()
-    bvh = build_bvh(buffer)
-    xs = rng.uniform(0, n, size=2**log2_rays)
-    rays = RayBatch(
-        origins=np.column_stack([xs, np.zeros_like(xs), np.full_like(xs, -0.5)]),
-        directions=np.tile([0.0, 0.0, 1.0], (xs.shape[0], 1)),
-        tmin=0.0,
-        tmax=1.0,
-    )
-    bounded = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
-    bounded.trace(rays)  # warm-up
-
-    timing = _time_stats(lambda: bounded.trace(rays), repeats=2)
-    bounded.reset_counters()
-    bounded_hits = bounded.trace(rays)
-    entry = {
-        "path": "trace_frontier",
-        "log2_keys": log2_keys,
-        "log2_rays": log2_rays,
-        "max_frontier": max_frontier,
-        **timing,
-        "logical_peak_frontier": bounded.counters.max_frontier_size,
-    }
-    if compare:
-        unbounded = TraversalEngine(bvh, buffer)
-        entry["ref_seconds"] = _time(lambda: unbounded.trace(rays), repeats=2)
-        entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
-        unbounded.reset_counters()
-        unbounded_hits = unbounded.trace(rays)
-        assert np.array_equal(bounded_hits.prim_indices, unbounded_hits.prim_indices)
-        assert bounded.counters.as_dict() == unbounded.counters.as_dict(), (
-            "max_frontier changed observable behaviour"
-        )
     return entry
 
 
@@ -970,11 +918,6 @@ def run_smoke(quick: bool = False) -> list[dict]:
     entries.append(bench_trace_anyhit(10, 12 if quick else 16))
     # Paper-scale limited (LIMIT 8) range lookups in first_k mode.
     entries.append(bench_range_firstk(10, 12 if quick else 16))
-    # Paper-scale ray batch (2^20 rays) streamed under a max_frontier bound.
-    if quick:
-        entries.append(bench_frontier(12, 14, max_frontier=2**12))
-    else:
-        entries.append(bench_frontier(16, 20, max_frontier=2**18))
     # Sharded forest build vs the single-tree build.
     if quick:
         entries.append(bench_build_forest(16, shard_bits=4))
@@ -1127,8 +1070,6 @@ def format_table(entries: list[dict]) -> str:
             config = f"2^{entry['log2_rays']} rays k={entry['limit']}"
         elif entry["path"] in ("trace", "trace_anyhit"):
             config = f"2^{entry['log2_rays']} rays / 2^{entry['log2_keys']} keys"
-        elif entry["path"] == "trace_frontier":
-            config = f"2^{entry['log2_rays']} rays cap {entry['max_frontier']}"
         elif entry["path"] == "intersect":
             config = f"{entry['kind']} 2^{entry['log2_pairs']} pairs"
         elif entry["path"] == "serve":

@@ -103,7 +103,7 @@ def main() -> None:
                 "memory_final_bytes", "primitive_resident_bytes"):
         print(f"  {key:<25}{index_stats[key]}")
     trace = index_stats["trace_counters"]
-    print(f"  trace_counters           rays={trace['rays']}, "
+    print(f"  {'trace (last launch)':<25}rays={trace['rays']}, "
           f"node_visits={trace['node_visits']}, prim_tests={trace['prim_tests']}")
     build = index_stats["build"]
     print(f"  build                    shards={build['shards']}, "

@@ -112,11 +112,13 @@ class KeyDecomposition:
         return KeyDecomposition(x_bits=x, y_bits=y, z_bits=z)
 
 
-#: ``RXConfig.as_dict`` keys of the serving layer's retired policy fields,
-#: which :class:`repro.serve.IndexService` now takes as arguments.  Format-2
-#: snapshot manifests written before they moved still carry them, so
-#: :meth:`RXConfig.from_dict` drops exactly these.
+#: ``RXConfig.as_dict`` keys of retired fields: the build-time update flag,
+#: which ``update_policy=REFIT`` now implies, and the serving layer's policy
+#: fields, which :class:`repro.serve.IndexService` now takes as arguments.
+#: Format-2 snapshot manifests written before they retired still carry
+#: them, so :meth:`RXConfig.from_dict` drops exactly these.
 RETIRED_CONFIG_KEYS = (
+    "allow_updates",
     "serve_max_batch",
     "serve_max_wait",
     "serve_cache_capacity",
@@ -139,8 +141,9 @@ class RXConfig:
     range_ray_mode: RangeRayMode = RangeRayMode.PARALLEL_FROM_OFFSET
     decomposition: KeyDecomposition = field(default_factory=KeyDecomposition)
     compaction: bool = True
+    #: REFIT builds every tree with the OptiX update flag a refit needs,
+    #: which rules out compaction; the other policies build without it
     update_policy: UpdatePolicy = UpdatePolicy.REBUILD
-    allow_updates: bool = False
     #: software-BVH builder knobs (passed through to the rtx substrate)
     bvh_builder: str = "lbvh"
     max_leaf_size: int = 4
@@ -175,15 +178,12 @@ class RXConfig:
                     "Extended Mode does not support offsetting the ray origin "
                     "(float32 precision); use from-zero range rays"
                 )
-        if self.compaction and self.allow_updates:
+        if self.update_policy is UpdatePolicy.REFIT and self.compaction:
             raise ValueError(
-                "compaction has no effect on accels built with the update flag; "
-                "disable one of the two (the paper chooses rebuilds + compaction)"
-            )
-        if self.update_policy is UpdatePolicy.REFIT and not self.allow_updates:
-            raise ValueError(
-                "refit updates require allow_updates=True at build time "
-                "(the OptiX update flag must be set during construction)"
+                "update_policy=REFIT cannot be combined with compaction=True: a "
+                "refit needs the OptiX update flag at build time, and compaction "
+                "has no effect on accels built with it; use compaction=False "
+                "(the paper chooses rebuilds + compaction)"
             )
         if not 0 <= self.shard_bits <= 16:
             raise ValueError("shard_bits must be in [0, 16]")
@@ -218,12 +218,7 @@ class RXConfig:
 
     def with_updates_enabled(self) -> "RXConfig":
         """Copy of this config prepared for refit-style updates."""
-        return replace(
-            self,
-            allow_updates=True,
-            compaction=False,
-            update_policy=UpdatePolicy.REFIT,
-        )
+        return replace(self, compaction=False, update_policy=UpdatePolicy.REFIT)
 
     def with_delta_updates(self, shard_bits: int = 6, workers: int = 1) -> "RXConfig":
         """Copy of this config prepared for forest-backed delta-shard updates.
@@ -259,7 +254,6 @@ class RXConfig:
             "decomposition": self.decomposition.label(),
             "compaction": self.compaction,
             "update_policy": self.update_policy.value,
-            "allow_updates": self.allow_updates,
             "bvh_builder": self.bvh_builder,
             "max_leaf_size": self.max_leaf_size,
             "morton_bits": self.morton_bits,

@@ -47,7 +47,7 @@ from repro.core.results import (
 from repro.gpusim.counters import WorkProfile
 from repro.persist import MANIFEST_NAME, SnapshotCorrupt, load_snapshot, save_snapshot
 from repro.persist.segments import is_count
-from repro.rtx.build_input import BuildFlags, build_input_for_points
+from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, box_columns, bvh_from_arrays, bvh_state_arrays
 from repro.rtx.forest import (
     ShardPartitionError,
@@ -56,7 +56,6 @@ from repro.rtx.forest import (
 )
 from repro.rtx.memory import accel_memory_estimate
 from repro.rtx.pipeline import (
-    BuildMetrics,
     DeviceContext,
     GeometryAccel,
     Pipeline,
@@ -64,7 +63,6 @@ from repro.rtx.pipeline import (
     accel_compact,
     accel_delta_update,
     accel_update,
-    flagged_options,
 )
 
 #: Instructions the programmable pipeline stages execute per lookup / per hit.
@@ -185,16 +183,12 @@ class RXIndex(GpuIndex):
         self,
         config: RXConfig | None = None,
         context: DeviceContext | None = None,
-        max_frontier: int | None = None,
     ):
         super().__init__()
         self.config = config or RXConfig.paper_default()
         self.config.validate()
         self.codec = make_codec(self.config.key_mode, self.config.decomposition)
         self.context = context or DeviceContext()
-        #: bound on the traversal working set per launch (see
-        #: :class:`repro.rtx.traversal.TraversalEngine`); None = unbounded.
-        self.max_frontier = max_frontier
         self._accel = None
         self._pipeline: Pipeline | None = None
         self._primitive_handle: int | None = None
@@ -217,23 +211,18 @@ class RXIndex(GpuIndex):
     # build
     # ------------------------------------------------------------------ #
 
-    def _build_flags(self) -> BuildFlags:
-        flags = BuildFlags.NONE
-        if self.config.compaction:
-            flags |= BuildFlags.ALLOW_COMPACTION
-        if self.config.allow_updates:
-            flags |= BuildFlags.ALLOW_UPDATE
-        return flags
-
     def _bvh_options(self) -> BvhBuildOptions:
+        """The options every tree of this index is built and loaded with: the
+        builder knobs, and the update flag exactly under REFIT."""
         return BvhBuildOptions(
             builder=self.config.bvh_builder,
             max_leaf_size=self.config.max_leaf_size,
             morton_bits=self.config.morton_bits,
+            allow_update=self.config.update_policy is UpdatePolicy.REFIT,
             shard_bits=self.config.shard_bits,
         )
 
-    def _make_build_input(self, keys: np.ndarray):
+    def _make_buffer(self, keys: np.ndarray):
         points, x_half_extent = self.codec.encode_points(keys)
         if self.config.primitive is not PrimitiveType.TRIANGLE:
             points = np.ascontiguousarray(points)  # spheres and boxes keep (n, 3) rows
@@ -267,19 +256,14 @@ class RXIndex(GpuIndex):
             self.context.memory.free(self._accel.memory_handle)
             self._accel = None
 
-        build_input = self._make_build_input(self.keys)
+        buffer = self._make_buffer(self.keys)
         # The primitive buffer only needs to be resident during the build:
         # afterwards the accel embeds the geometry.
         self._primitive_handle = self.context.memory.alloc(
-            "rx_primitive_buffer", build_input.primitive_bytes, temporary=True
+            "rx_primitive_buffer", buffer.primitive_bytes(), temporary=True
         )
         build_t0 = time.perf_counter()
-        self._accel = accel_build(
-            self.context,
-            build_input,
-            flags=self._build_flags(),
-            build_options=self._bvh_options(),
-        )
+        self._accel = accel_build(self.context, buffer, self._bvh_options())
         self._last_build_seconds = time.perf_counter() - build_t0
         compaction_stats = {}
         if self.config.compaction:
@@ -291,7 +275,7 @@ class RXIndex(GpuIndex):
         self.context.memory.free(self._primitive_handle)
         self._primitive_handle = None
 
-        self._pipeline = Pipeline(self.context, self._accel, max_frontier=self.max_frontier)
+        self._pipeline = Pipeline(self.context, self._accel)
         self.epoch += 1
         bvh = self._accel.bvh
         memory = self.memory_footprint()
@@ -529,14 +513,12 @@ class RXIndex(GpuIndex):
 
         if self.config.update_policy is UpdatePolicy.DELTA_SHARD:
             self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
-            build_input = self._make_build_input(self.keys)
+            buffer = self._make_buffer(self.keys)
             build_t0 = time.perf_counter()
-            delta = accel_delta_update(self.context, self._accel, build_input)
+            delta = accel_delta_update(self.context, self._accel, buffer)
             self._last_build_seconds = time.perf_counter() - build_t0
             # The spliced tree object was swapped; rebind the pipeline.
-            self._pipeline = Pipeline(
-                self.context, self._accel, max_frontier=self.max_frontier
-            )
+            self._pipeline = Pipeline(self.context, self._accel)
             self.epoch += 1
             return UpdateOutcome(
                 policy=UpdatePolicy.DELTA_SHARD,
@@ -556,9 +538,8 @@ class RXIndex(GpuIndex):
         if new_keys.shape[0] != self.num_keys:
             raise ValueError("refit updates cannot add or remove keys")
         self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
-        build_input = self._make_build_input(self.keys)
-        refit = accel_update(self.context, self._accel, build_input)
-        self._pipeline = Pipeline(self.context, self._accel, max_frontier=self.max_frontier)
+        refit = accel_update(self.context, self._accel, self._make_buffer(self.keys))
+        self._pipeline = Pipeline(self.context, self._accel)
         self.epoch += 1
         profile = WorkProfile(
             name="RX refit",
@@ -717,7 +698,6 @@ class RXIndex(GpuIndex):
         path,
         mmap: bool = True,
         context: DeviceContext | None = None,
-        max_frontier: int | None = None,
         fault_injector=None,
     ) -> "RXIndex":
         """Open the last committed snapshot at ``path`` as a fresh index.
@@ -731,7 +711,7 @@ class RXIndex(GpuIndex):
         :class:`SnapshotCorrupt` (see :meth:`_install_snapshot`).
         """
         snap = load_snapshot(path, mmap=mmap, fault_injector=fault_injector)
-        index = cls._from_snapshot(snap, context, max_frontier)
+        index = cls._from_snapshot(snap, context)
         index._record_load(snap)
         return index
 
@@ -751,7 +731,7 @@ class RXIndex(GpuIndex):
         accounting unchanged.
         """
         snap = load_snapshot(path, mmap=mmap, fault_injector=fault_injector)
-        staged = self._from_snapshot(snap, self.context, self.max_frontier)
+        staged = self._from_snapshot(snap, self.context)
         if self._accel is not None:
             self.context.memory.free(self._accel.memory_handle)
         epoch = max(snap.epoch, self.epoch + 1)
@@ -771,7 +751,7 @@ class RXIndex(GpuIndex):
         }
 
     @classmethod
-    def _from_snapshot(cls, snap, context, max_frontier) -> "RXIndex":
+    def _from_snapshot(cls, snap, context) -> "RXIndex":
         """A fresh index holding a verified snapshot's accel state."""
         config = snap.index_meta.get("config")
         try:
@@ -783,7 +763,7 @@ class RXIndex(GpuIndex):
                 f"snapshot manifest holds no valid index config: {exc}",
                 segment=MANIFEST_NAME,
             ) from exc
-        index = cls(config=config, context=context, max_frontier=max_frontier)
+        index = cls(config=config, context=context)
         index._install_snapshot(snap)
         index.epoch = snap.epoch
         return index
@@ -848,10 +828,8 @@ class RXIndex(GpuIndex):
                 segment=MANIFEST_NAME,
             )
 
-        build_input = self._make_build_input(self.keys)
-        buffer = build_input.primitive_buffer()
-        flags = self._build_flags()
-        options = flagged_options(self._bvh_options(), flags)
+        buffer = self._make_buffer(self.keys)
+        options = self._bvh_options()
         compacted = meta["compacted"]
         if kind == "forest":
             shards = [
@@ -887,11 +865,9 @@ class RXIndex(GpuIndex):
         accel_handle = self.context.memory.alloc("accel", memory_info["uncompacted"])
         accel = GeometryAccel(
             bvh=bvh,
-            build_input=build_input,
-            flags=flags,
+            buffer=buffer,
             memory_handle=accel_handle,
             memory_info=memory_info,
-            build_metrics=BuildMetrics(num_primitives=len(buffer)),
             forest=forest,
         )
         if compacted:
@@ -902,7 +878,7 @@ class RXIndex(GpuIndex):
             accel.memory_handle = new_handle
             accel.compacted = True
         self._accel = accel
-        self._pipeline = Pipeline(self.context, accel, max_frontier=self.max_frontier)
+        self._pipeline = Pipeline(self.context, accel)
 
     def _record_load(self, snap) -> None:
         self._persist_stats.update(
@@ -929,7 +905,7 @@ class RXIndex(GpuIndex):
         """One-dict summary of the index's live state.
 
         Bundles the column, epoch, shard and memory bookkeeping with the
-        pipeline's cumulative trace counters and the host bytes the
+        trace counters of the pipeline's last launch and the host bytes the
         primitive buffer holds (``primitive_resident_bytes``: 12 B/key of
         anchors for triangles, 16 B/key in Extended Mode; 12 B/key of
         centres for spheres and 24 B/key of corners for AABBs, plus the
@@ -938,7 +914,7 @@ class RXIndex(GpuIndex):
         """
         accel = self.accel
         memory = self.memory_footprint()
-        buffer = accel.build_input.primitive_buffer()
+        buffer = accel.buffer
         forest = accel.forest
         return {
             "num_keys": self.num_keys,

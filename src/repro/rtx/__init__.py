@@ -5,7 +5,8 @@ OptiX 7 raytracing stack that the RTIndeX paper relies on:
 
 * float32 coordinate handling (:mod:`repro.rtx.float32`),
 * geometric primitives and intersection tests (:mod:`repro.rtx.geometry`),
-* OptiX-style acceleration-structure build inputs (:mod:`repro.rtx.build_input`),
+* the primitive buffer a build consumes for key anchor points
+  (:mod:`repro.rtx.build_input`),
 * bounding volume hierarchies with SAH and LBVH builders (:mod:`repro.rtx.bvh`,
   :mod:`repro.rtx.morton`) and the Morton-prefix sharded forest build with
   delta-shard updates (:mod:`repro.rtx.forest`),
@@ -20,12 +21,6 @@ counters that the :mod:`repro.gpusim` cost model converts into simulated
 milliseconds.
 """
 
-from repro.rtx.build_input import (
-    AabbBuildInput,
-    AnchoredTriangleBuildInput,
-    BuildFlags,
-    SphereBuildInput,
-)
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
 from repro.rtx.compaction import compact_accel
 from repro.rtx.forest import BvhForest, build_forest, delta_update_forest
@@ -52,10 +47,7 @@ from repro.rtx.traversal import TraversalCounters, TraversalEngine
 
 __all__ = [
     "AabbBuffer",
-    "AabbBuildInput",
     "AnchoredTriangleBuffer",
-    "AnchoredTriangleBuildInput",
-    "BuildFlags",
     "Bvh",
     "BvhBuildOptions",
     "BvhForest",
@@ -66,7 +58,6 @@ __all__ = [
     "Pipeline",
     "RayBatch",
     "SphereBuffer",
-    "SphereBuildInput",
     "TraversalCounters",
     "TraversalEngine",
     "TriangleBuffer",

@@ -525,7 +525,7 @@ def _reference_budgeted_trace(
     the next round's frontier.  This is deliberately the *sequential*
     formulation of the budget cut; the engine's chunked rank-based
     vectorisation must reproduce it bit for bit (hits and counters) for any
-    ``max_frontier`` setting.
+    ``FRONTIER_BLOCK`` size.
     """
     counters = TraversalCounters()
     counters.rays = len(rays)

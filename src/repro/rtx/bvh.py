@@ -74,9 +74,8 @@ class BvhBuildOptions:
         Bits per axis used to quantise centroids for the LBVH builder.
     allow_update:
         Mirrors ``OPTIX_BUILD_FLAG_ALLOW_UPDATE``; required for refitting and
-        disables the effect of compaction.
-    allow_compaction:
-        Mirrors ``OPTIX_BUILD_FLAG_ALLOW_COMPACTION``.
+        disables the effect of compaction.  An index sets it exactly under
+        ``UpdatePolicy.REFIT``.
     shard_bits:
         When positive, :func:`repro.rtx.pipeline.accel_build` keeps the
         tree as a forest (:mod:`repro.rtx.forest`): the same tree, cut into
@@ -93,7 +92,6 @@ class BvhBuildOptions:
     sah_bins: int = 16
     morton_bits: int = 21
     allow_update: bool = False
-    allow_compaction: bool = True
     shard_bits: int = 0
 
     def validate(self) -> None:

@@ -250,27 +250,27 @@ class PrimitiveBuffer:
             return np.concatenate(masks), np.concatenate(ts)
         return np.concatenate(blocks)
 
+    def _mask_and_t(
+        self, origins, directions, tmins, tmaxs, prim_indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(mask, t)`` of every pair of one block (``prim_indices`` already
+        int64) from one evaluation of the buffer's test: whether the ray
+        hits the primitive, and the ray parameter of the reported
+        intersection, meaningful where the mask holds."""
+        raise NotImplementedError
+
     def _intersect_pairs_block(
         self, origins, directions, tmins, tmaxs, prim_indices
     ) -> np.ndarray:
-        """One block of element-wise pair tests (``prim_indices`` already int64)."""
-        raise NotImplementedError
+        """One block of element-wise pair tests."""
+        return self._mask_and_t(origins, directions, tmins, tmaxs, prim_indices)[0]
 
     def _hit_t_block(
         self, origins, directions, tmins, tmaxs, prim_indices
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One block's ``(mask, t of the hits)``: the mask, then
-        :meth:`hit_t_pairs` on the pairs it selects."""
-        mask = self._intersect_pairs_block(
-            origins, directions, tmins, tmaxs, prim_indices
-        )
-        return mask, self.hit_t_pairs(
-            np.asarray(origins)[mask],
-            np.asarray(directions)[mask],
-            np.asarray(tmins)[mask],
-            np.asarray(tmaxs)[mask],
-            prim_indices[mask],
-        )
+        """One block's mask and the hits' ``t``, from one evaluation."""
+        mask, t = self._mask_and_t(origins, directions, tmins, tmaxs, prim_indices)
+        return mask, t[mask]
 
     def hit_t_pairs(
         self, origins, directions, tmins, tmaxs, prim_indices
@@ -279,16 +279,18 @@ class PrimitiveBuffer:
 
         Only meaningful for pairs that :meth:`intersect_pairs` reported as
         hits; the returned float64 ``t`` is the parameter of the reported
-        intersection (the *first* valid root for spheres, the slab entry for
-        AABBs).  The ordered top-k trace mode sorts candidate hits by this
-        value.  The golden reference loop calls this implementation, and so
-        does the engine's ``intersect_pairs(..., with_t=True)`` for spheres
-        and AABBs; for triangles the engine takes ``t`` from the very
-        Möller–Trumbore evaluation that produced the mask, the arithmetic
-        :meth:`_MollerTrumboreBuffer.hit_t_pairs` repeats.  Either way both
-        sides order by bit-identical keys.
+        intersection (the Möller–Trumbore ``t`` for triangles, the *first*
+        valid root for spheres, the slab entry for AABBs).  The ordered
+        top-k trace mode sorts candidate hits by this value.  The golden
+        reference loop calls this method; the engine's
+        ``intersect_pairs(..., with_t=True)`` takes ``t`` from the very
+        evaluation that produced the mask.  Both run :meth:`_mask_and_t`,
+        so both sides order by the same keys.
         """
-        raise NotImplementedError
+        g = np.asarray(prim_indices, dtype=np.int64)
+        if g.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        return self._mask_and_t(origins, directions, tmins, tmaxs, g)[1]
 
 
 class _MollerTrumboreBuffer(PrimitiveBuffer):
@@ -351,37 +353,12 @@ class _MollerTrumboreBuffer(PrimitiveBuffer):
         return inside, t
 
     def _mask_and_t(self, origins, directions, tmins, tmaxs, prim_indices):
-        """``(mask, t)`` of every pair from one Möller–Trumbore evaluation."""
+        """``(mask, t)`` of every pair from one Möller–Trumbore evaluation:
+        a hit is a crossing with ``tmin < t < tmax``."""
         inside, t = self._moller_trumbore(origins, directions, prim_indices)
         tmins = np.asarray(tmins, dtype=np.float64)
         tmaxs = np.asarray(tmaxs, dtype=np.float64)
         return inside & (t > tmins) & (t < tmaxs), t
-
-    def _intersect_pairs_block(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """Möller–Trumbore ray/triangle test, element-wise over (ray, triangle) pairs."""
-        return self._mask_and_t(origins, directions, tmins, tmaxs, prim_indices)[0]
-
-    def _hit_t_block(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The mask and the hits' ``t`` of one Möller–Trumbore evaluation:
-        no second pass over the hits."""
-        mask, t = self._mask_and_t(origins, directions, tmins, tmaxs, prim_indices)
-        return mask, t[mask]
-
-    def hit_t_pairs(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """Möller–Trumbore ``t`` of each hit pair — the very ``t`` that made
-        the hit pass ``t > tmin`` in :meth:`_intersect_pairs_block`.  The
-        golden reference orders by it; the engine takes the same ``t``
-        from the mask's own evaluation (:meth:`_hit_t_block`)."""
-        g = np.asarray(prim_indices, dtype=np.int64)
-        if g.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._moller_trumbore(origins, directions, g)[1]
 
 
 class TriangleBuffer(_MollerTrumboreBuffer):
@@ -603,10 +580,10 @@ class SphereBuffer(PrimitiveBuffer):
         np.add(centers, r, out=maxs.T)
         return mins.T, maxs.T
 
-    def _intersect_pairs_block(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """Analytic ray/sphere test; a hit is an entry or exit of the volume.
+    def _mask_and_t(self, origins, directions, tmins, tmaxs, prim_indices):
+        """Analytic ray/sphere test; a hit is an entry or exit of the volume,
+        and its ``t`` the near root when that lies in ``(tmin, tmax)``,
+        otherwise the far root (the ray starts inside the sphere).
 
         Mirrors ``_frontier_box_overlap``'s all-parallel-axis specialisation:
         an axis along which *every* ray of the block has a zero direction
@@ -615,7 +592,9 @@ class SphereBuffer(PrimitiveBuffer):
         workloads trace axis-aligned rays, leaving only one active axis).
         Adding or omitting a signed zero never changes a comparison result,
         so the returned mask is bit-identical to the full evaluation kept as
-        ``reference_sphere_intersect_pairs`` in :mod:`repro.rtx._reference`.
+        ``reference_sphere_intersect_pairs`` in :mod:`repro.rtx._reference`;
+        it can change only the sign of a zero ``t``, which every comparison
+        treats as equal.
         """
         pack = self.intersection_pack()
         o = np.asarray(origins, dtype=np.float64)
@@ -652,44 +631,7 @@ class SphereBuffer(PrimitiveBuffer):
         t1 = (-b + sqrt_disc) / (2.0 * safe_a)
         hit0 = valid & (t0 > tmins) & (t0 < tmaxs)
         hit1 = valid & (t1 > tmins) & (t1 < tmaxs)
-        return hit0 | hit1
-
-    def hit_t_pairs(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """The ``t`` the sphere test reported: the near root when it lies in
-        ``(tmin, tmax)``, otherwise the far root (the ray starts inside the
-        sphere).  Full three-axis evaluation — the per-axis skip in
-        :meth:`_intersect_pairs_block` only ever adds signed zeros, so the
-        roots agree bitwise."""
-        pack = self.intersection_pack()
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(directions, dtype=np.float64)
-        tmins = np.asarray(tmins, dtype=np.float64)
-        tmaxs = np.asarray(tmaxs, dtype=np.float64)
-        g = np.asarray(prim_indices, dtype=np.int64)
-        if g.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        r = float(self.radius)
-        a = np.zeros(g.shape[0])
-        b = np.zeros(g.shape[0])
-        cterm = np.zeros(g.shape[0])
-        for axis in range(3):
-            oc = o[:, axis] - pack[axis][g]
-            da = d[:, axis]
-            a += da * da
-            b += oc * da
-            cterm += oc * oc
-        cterm = cterm - r * r
-        b = 2.0 * b
-        disc = b * b - 4.0 * a * cterm
-        valid = (disc >= 0.0) & (a > 0.0)
-        sqrt_disc = np.sqrt(np.where(valid, disc, 0.0))
-        safe_a = np.where(a > 0.0, a, 1.0)
-        t0 = (-b - sqrt_disc) / (2.0 * safe_a)
-        t1 = (-b + sqrt_disc) / (2.0 * safe_a)
-        hit0 = valid & (t0 > tmins) & (t0 < tmaxs)
-        return np.where(hit0, t0, t1)
+        return hit0 | hit1, np.where(hit0, t0, t1)
 
 
 class AabbBuffer(PrimitiveBuffer):
@@ -745,12 +687,12 @@ class AabbBuffer(PrimitiveBuffer):
         rows = slice(None) if rows is None else rows
         return tuple(np.ascontiguousarray(arr[rows].T).T for arr in (self.mins, self.maxs))
 
-    def _intersect_pairs_block(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
+    def _mask_and_t(self, origins, directions, tmins, tmaxs, prim_indices):
         """Slab test on the SoA pack: per-axis box corners are gathered with
         contiguous 1D takes and fed through the same :func:`_slab_test_axis`
-        core as :func:`ray_box_overlap_pairs`, so masks are bit-identical."""
+        core as :func:`ray_box_overlap_pairs`, so masks are bit-identical.
+        A hit's ``t`` is the slab entry: ``lo`` after the three axes, which
+        is ``tmin`` when the ray starts inside the box."""
         pack = self.intersection_pack()
         o = np.asarray(origins, dtype=np.float64)
         d = np.asarray(directions, dtype=np.float64)
@@ -762,27 +704,7 @@ class AabbBuffer(PrimitiveBuffer):
             lo, hi, ok = _slab_test_axis(
                 d[:, axis], o[:, axis], pack[axis][g], pack[axis + 3][g], lo, hi, ok
             )
-        return ok & (lo <= hi)
-
-    def hit_t_pairs(
-        self, origins, directions, tmins, tmaxs, prim_indices
-    ) -> np.ndarray:
-        """The slab-entry ``t`` of each hit pair: ``lo`` after the three-axis
-        slab test, which is ``tmin`` when the ray starts inside the box."""
-        pack = self.intersection_pack()
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(directions, dtype=np.float64)
-        lo = np.asarray(tmins, dtype=np.float64).copy()
-        hi = np.asarray(tmaxs, dtype=np.float64).copy()
-        g = np.asarray(prim_indices, dtype=np.int64)
-        if g.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        ok = np.ones(g.shape[0], dtype=bool)
-        for axis in range(3):
-            lo, hi, ok = _slab_test_axis(
-                d[:, axis], o[:, axis], pack[axis][g], pack[axis + 3][g], lo, hi, ok
-            )
-        return lo
+        return ok & (lo <= hi), lo
 
 
 def _slab_test_axis(da, oa, bmin, bmax, lo, hi, ok):
@@ -790,7 +712,7 @@ def _slab_test_axis(da, oa, bmin, bmax, lo, hi, ok):
 
     The single home of the per-axis slab expressions (parallel epsilon,
     inf-blend, inside-slab rule): :func:`ray_box_overlap_pairs` and
-    :meth:`AabbBuffer._intersect_pairs_block` both call it, and
+    :meth:`AabbBuffer._mask_and_t` both call it, and
     ``_frontier_box_overlap`` in :mod:`repro.rtx.traversal` specialises the
     same expressions per frontier — masks must stay bit-identical across all
     three.  Rays parallel to the slab hit only when the origin lies inside

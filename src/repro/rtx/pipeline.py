@@ -16,16 +16,15 @@ accel, and feeds every intersection to the launch's any-hit program.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.rtx.build_input import BuildFlags, BuildInput
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
 from repro.rtx.compaction import CompactionResult, compact_accel
 from repro.rtx.forest import BvhForest, DeltaUpdateStats, build_forest, delta_update_forest
-from repro.rtx.geometry import RayBatch
+from repro.rtx.geometry import PrimitiveBuffer, RayBatch
 from repro.rtx.memory import DeviceMemoryTracker, accel_memory_estimate
 from repro.rtx.refit import RefitResult, refit_accel
 from repro.rtx.traversal import HitRecords, TraversalCounters, TraversalEngine
@@ -43,29 +42,17 @@ class DeviceContext:
 
 
 @dataclass
-class BuildMetrics:
-    """Work performed by an accel build, consumed by the GPU cost model."""
-
-    num_primitives: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    temp_bytes: int = 0
-
-
-@dataclass
 class GeometryAccel:
     """A built geometry acceleration structure (GAS).
 
-    Bundles the functional BVH, the primitive buffer it indexes, the memory
-    model numbers, and the metrics of the build that produced it.
+    Bundles the functional BVH, the primitive buffer it indexes and the
+    memory model numbers.
     """
 
     bvh: Bvh
-    build_input: BuildInput
-    flags: BuildFlags
+    buffer: PrimitiveBuffer
     memory_handle: int
     memory_info: dict[str, int]
-    build_metrics: BuildMetrics
     compacted: bool = False
     #: set for sharded builds: the forest bookkeeping over ``bvh`` (the same
     #: tree a single-tree build emits, cut into Morton-prefix shards),
@@ -74,46 +61,26 @@ class GeometryAccel:
     forest: BvhForest | None = None
 
     @property
-    def num_primitives(self) -> int:
-        return self.bvh.num_primitives
-
-    @property
-    def primitive_kind(self) -> str:
-        return self.build_input.primitive_buffer().kind
-
-    @property
     def size_bytes(self) -> int:
         """Current modelled device footprint of the accel."""
         key = "compacted" if self.compacted else "uncompacted"
         return self.memory_info[key]
 
 
-def flagged_options(options: BvhBuildOptions | None, flags: BuildFlags) -> BvhBuildOptions:
-    """``options`` (default :class:`BvhBuildOptions`) with the update and
-    compaction bits taken from the build ``flags``: the options a build
-    with those flags runs with, and a load must restore."""
-    return replace(
-        options or BvhBuildOptions(),
-        allow_update=bool(flags & BuildFlags.ALLOW_UPDATE),
-        allow_compaction=bool(flags & BuildFlags.ALLOW_COMPACTION),
-    )
-
-
 def accel_build(
     context: DeviceContext,
-    build_input: BuildInput,
-    flags: BuildFlags = BuildFlags.ALLOW_COMPACTION,
-    build_options: BvhBuildOptions | None = None,
+    buffer: PrimitiveBuffer,
+    options: BvhBuildOptions | None = None,
 ) -> GeometryAccel:
-    """Build a geometry acceleration structure over ``build_input``.
+    """Build a geometry acceleration structure over ``buffer``.
 
     Mirrors ``optixAccelBuild`` with the build operation: temporary memory is
     allocated for the duration of the build (and accounted in the tracker's
-    peak), the resulting accel stays resident.
+    peak), the resulting accel stays resident.  ``options`` (default
+    :class:`BvhBuildOptions`) carries the builder knobs and the update flag
+    a later refit needs (``allow_update``).
     """
-    options = flagged_options(build_options, flags)
-
-    buffer = build_input.primitive_buffer()
+    options = options or BvhBuildOptions()
     memory_info = accel_memory_estimate(buffer.kind, len(buffer))
 
     temp_handle = context.memory.alloc(
@@ -129,20 +96,11 @@ def accel_build(
         bvh = build_bvh(buffer, options)
 
     context.memory.free(temp_handle)
-
-    metrics = BuildMetrics(
-        num_primitives=len(buffer),
-        bytes_read=build_input.primitive_bytes,
-        bytes_written=memory_info["uncompacted"],
-        temp_bytes=memory_info["build_temp"],
-    )
     return GeometryAccel(
         bvh=bvh,
-        build_input=build_input,
-        flags=flags,
+        buffer=buffer,
         memory_handle=accel_handle,
         memory_info=memory_info,
-        build_metrics=metrics,
         forest=forest,
     )
 
@@ -165,15 +123,15 @@ def accel_compact(context: DeviceContext, accel: GeometryAccel) -> CompactionRes
 
 
 def accel_update(
-    context: DeviceContext, accel: GeometryAccel, new_build_input: BuildInput
+    context: DeviceContext, accel: GeometryAccel, buffer: PrimitiveBuffer
 ) -> RefitResult:
-    """Refit ``accel`` to moved primitives (``optixAccelBuild`` update op).
+    """Refit ``accel`` to the moved primitives of ``buffer``
+    (``optixAccelBuild`` update op).
 
-    Updates require the accel to have been built with ``ALLOW_UPDATE`` and,
-    like OptiX, need temporary memory even though the node structure is
-    reused.
+    Updates require the accel to have been built with
+    ``BvhBuildOptions.allow_update`` and, like OptiX, need temporary memory
+    even though the node structure is reused.
     """
-    buffer = new_build_input.primitive_buffer()
     temp_handle = context.memory.alloc(
         "accel_update_temp",
         int(accel.memory_info["build_temp"] * 0.5),
@@ -183,18 +141,18 @@ def accel_update(
         result = refit_accel(accel.bvh, buffer)
     finally:
         context.memory.free(temp_handle)
-    accel.build_input = new_build_input
+    accel.buffer = buffer
     return result
 
 
 def accel_delta_update(
-    context: DeviceContext, accel: GeometryAccel, new_build_input: BuildInput
+    context: DeviceContext, accel: GeometryAccel, buffer: PrimitiveBuffer
 ) -> DeltaUpdateStats:
     """Delta-shard update: rebuild only the shards the new input dirtied.
 
     Requires the accel to have been built with ``shard_bits > 0``.  Unlike a
     refit, the dirty subtrees are *rebuilt*, so the updated accel is
-    bit-identical to a from-scratch build over ``new_build_input`` (no
+    bit-identical to a from-scratch build over ``buffer`` (no
     quality degradation), at a sorting/building cost proportional to the
     dirty shards.  Temporary memory scales with the dirty fraction instead
     of the full build scratch.
@@ -203,10 +161,7 @@ def accel_delta_update(
         raise ValueError(
             "delta updates require a sharded accel (build with shard_bits >= 1)"
         )
-    new_buffer = new_build_input.primitive_buffer()
-    old_buffer = accel.build_input.primitive_buffer()
-
-    updated, stats = delta_update_forest(accel.forest, old_buffer, new_buffer)
+    updated, stats = delta_update_forest(accel.forest, accel.buffer, buffer)
     dirty_fraction = stats.dirty_keys / max(stats.total_keys, 1)
     temp_handle = context.memory.alloc(
         "accel_delta_temp",
@@ -214,9 +169,9 @@ def accel_delta_update(
         temporary=True,
     )
     try:
-        if len(new_buffer) != accel.bvh.num_primitives:
+        if len(buffer) != accel.bvh.num_primitives:
             # The key count changed: swap the allocation like a rebuild does.
-            memory_info = accel_memory_estimate(new_buffer.kind, len(new_buffer))
+            memory_info = accel_memory_estimate(buffer.kind, len(buffer))
             key = "compacted" if accel.compacted else "uncompacted"
             new_handle = context.memory.alloc("accel", memory_info[key])
             context.memory.free(accel.memory_handle)
@@ -229,7 +184,7 @@ def accel_delta_update(
             bvh.compacted = accel.compacted
             accel.bvh = bvh
         accel.forest = updated
-        accel.build_input = new_build_input
+        accel.buffer = buffer
     finally:
         context.memory.free(temp_handle)
     return stats
@@ -266,10 +221,6 @@ class Pipeline:
 
     context: DeviceContext
     accel: GeometryAccel
-    #: forwarded to :class:`TraversalEngine` — bounds the number of
-    #: (ray, node) pairs materialised at once so huge launches stream in
-    #: bounded-memory slices; counters and hits are identical either way.
-    max_frontier: int | None = None
     #: optional :class:`repro.serve.faults.FaultInjector` seam: when set,
     #: every launch first consults the "launch" site (raising an injected
     #: launch failure) and the "launch_latency" site (stalling the launch by
@@ -278,11 +229,7 @@ class Pipeline:
     fault_injector: object | None = None
 
     def __post_init__(self) -> None:
-        self._engine = TraversalEngine(
-            self.accel.bvh,
-            self.accel.build_input.primitive_buffer(),
-            max_frontier=self.max_frontier,
-        )
+        self._engine = TraversalEngine(self.accel.bvh, self.accel.buffer)
 
     @property
     def engine(self) -> TraversalEngine:
@@ -318,7 +265,6 @@ class Pipeline:
                 time.sleep(stall)
         if num_lookups is None:
             num_lookups = int(rays.lookup_ids.max()) + 1 if len(rays) else 0
-        self._engine.reset_counters()
         hits = self._engine.trace(
             rays,
             any_hit=any_hit,
@@ -326,10 +272,9 @@ class Pipeline:
             limit=limit,
             ray_groups=ray_groups,
         )
-        counters = self._engine.counters
         return LaunchResult(
             hits=hits,
-            counters=counters,
+            counters=self._engine.counters,
             num_lookups=num_lookups,
             num_rays=len(rays),
             group_counters=self._engine.group_counters,

@@ -13,13 +13,13 @@ tree: the slab test gathers each frontier pair's box bounds straight from
 per-axis column views of the BVH's ``(nodes, 3)`` box arrays (a random
 gather costs the same from a strided column as from a contiguous copy), so
 refits, compaction and mmap-loaded trees are traced in place.  Rounds reuse
-a pair of preallocated child-expansion buffers, and the ``max_frontier``
-knob streams the per-pair slab/intersection tests of huge frontiers in
-bounded-memory slices.  None of this changes observable behaviour — hit
-records and every counter (including ``traversal_rounds`` and
-``max_frontier_size``, which count the *logical* frontier) are bit-identical
-with the reference loop in :mod:`repro.rtx._reference` for any
-``max_frontier`` setting.
+a pair of preallocated child-expansion buffers, and a round with more than
+:data:`FRONTIER_BLOCK` frontier pairs or leaf pairs runs its slab and
+intersection tests in blocks of that many, which bounds their temporaries.
+None of this changes observable behaviour — hit records and every counter
+(including ``traversal_rounds`` and ``max_frontier_size``, which count the
+*logical* frontier) are bit-identical with the reference loop in
+:mod:`repro.rtx._reference` for any block size.
 
 ``trace`` supports three reporting modes: the default reports every
 intersection of every ray; ``mode="first_k"`` is the limit-pushdown variant
@@ -45,10 +45,17 @@ import numpy as np
 from repro.rtx.bvh import Bvh
 from repro.rtx.geometry import PrimitiveBuffer, RayBatch
 
+#: A round with more (ray, node) frontier pairs, or more (ray, primitive)
+#: leaf pairs, than this runs their slab or intersection tests in blocks of
+#: this many, bounding the per-pair temporaries of huge launches.  A pure
+#: execution-schedule constant: hits and counters are bit-identical for any
+#: block size.  No launch of the repository's benchmark workloads reaches it.
+FRONTIER_BLOCK = 1 << 20
+
 
 @dataclass(slots=True)
 class TraversalCounters:
-    """Counters accumulated during one or more traced ray batches.
+    """Counters of one traced ray batch.
 
     Slotted, and built positionally in field order by the grouped-launch
     split (:meth:`_GroupCounterRecorder.finalize`): the serving layer makes
@@ -80,25 +87,6 @@ class TraversalCounters:
     software_intersection_calls: int = 0
     max_frontier_size: int = 0
     traversal_rounds: int = 0
-
-    def merge(self, other: "TraversalCounters") -> "TraversalCounters":
-        """Accumulate ``other`` into ``self`` and return ``self``."""
-        self.rays += other.rays
-        self.node_visits += other.node_visits
-        self.leaf_visits += other.leaf_visits
-        self.box_tests += other.box_tests
-        self.prim_tests += other.prim_tests
-        self.prim_hits += other.prim_hits
-        self.budget_dropped_hits += other.budget_dropped_hits
-        self.rays_with_hits += other.rays_with_hits
-        self.rays_without_hits += other.rays_without_hits
-        self.node_bytes_read += other.node_bytes_read
-        self.prim_bytes_read += other.prim_bytes_read
-        self.hardware_intersection_tests += other.hardware_intersection_tests
-        self.software_intersection_calls += other.software_intersection_calls
-        self.max_frontier_size = max(self.max_frontier_size, other.max_frontier_size)
-        self.traversal_rounds += other.traversal_rounds
-        return self
 
     @property
     def node_visits_per_ray(self) -> float:
@@ -417,13 +405,13 @@ class _GroupCounterRecorder:
         self.prim_tests = np.zeros(num_groups, dtype=np.int64)
         self.budget_dropped = np.zeros(num_groups, dtype=np.int64)
         self.rounds = np.zeros(num_groups, dtype=np.int64)
-        self.max_frontier = np.zeros(num_groups, dtype=np.int64)
+        self.max_frontier_size = np.zeros(num_groups, dtype=np.int64)
 
     def on_round(self, frontier_rays: np.ndarray) -> None:
         counts = np.bincount(self.groups[frontier_rays], minlength=self.num_groups)
         self.node_visits += counts
         self.rounds += counts > 0
-        np.maximum(self.max_frontier, counts, out=self.max_frontier)
+        np.maximum(self.max_frontier_size, counts, out=self.max_frontier_size)
 
     def on_leaves(self, leaf_rays: np.ndarray) -> None:
         if leaf_rays.size:
@@ -480,7 +468,7 @@ class _GroupCounterRecorder:
                 tests * per_prim_bytes,
                 tests if hardware else none,
                 none if hardware else tests,
-                self.max_frontier,
+                self.max_frontier_size,
                 self.rounds,
             ]
         )
@@ -493,12 +481,7 @@ class TraversalEngine:
 
     bvh: Bvh
     primitives: PrimitiveBuffer
-    #: Upper bound on the number of (ray, node) pairs whose geometry is
-    #: materialised at once.  Frontiers larger than this are streamed through
-    #: the slab/intersection tests in slices, bounding peak memory for huge
-    #: batches.  Purely an execution-schedule knob: hit records and all
-    #: counters are identical for every setting.  ``None`` disables slicing.
-    max_frontier: int | None = None
+    #: Counters of the most recent ``trace`` call, which replaces them.
     counters: TraversalCounters = field(default_factory=TraversalCounters)
     #: Per-group counters of the most recent ``trace(..., ray_groups=...)``
     #: call (None when the last trace did not request grouping).  Each entry
@@ -508,9 +491,6 @@ class TraversalEngine:
     #: counter field, one column per group) and own their values, so a
     #: cached per-request result never pins its launch's table.
     group_counters: list[TraversalCounters] | None = field(default=None, repr=False)
-
-    def reset_counters(self) -> None:
-        self.counters = TraversalCounters()
 
     def trace(
         self,
@@ -549,13 +529,11 @@ class TraversalEngine:
           rays this is exactly ascending ``(key, row_id)``, i.e. a true
           ``ORDER BY key LIMIT k``.  Each candidate's ``hit_t`` comes from
           the intersection test that found it
-          (``intersect_pairs(..., with_t=True)``): for triangles the mask's
-          own Möller–Trumbore evaluation, for spheres and AABBs
-          ``hit_t_pairs`` — bit-identical to the ``hit_t_pairs`` values the
-          golden reference orders by.  Nodes whose box-entry ``t`` (and
-          rays whose index) sort after a lookup's current k-th best
-          candidate are culled from the frontier, so unbalanced trees prune
-          like a per-ray ordered traversal would.
+          (``intersect_pairs(..., with_t=True)``), the evaluation
+          ``hit_t_pairs`` repeats for the golden reference.  Nodes whose
+          box-entry ``t`` (and rays whose index) sort after a lookup's
+          current k-th best candidate are culled from the frontier, so
+          unbalanced trees prune like a per-ray ordered traversal would.
 
         In the two budgeted modes finished rays are compacted out of the
         frontier between rounds, so the counters reflect only the traversal
@@ -643,7 +621,7 @@ class TraversalEngine:
             mins, maxs = bvh.node_mins, bvh.node_maxs
             left = bvh.left
 
-            chunk = self.max_frontier if self.max_frontier else None
+            block = FRONTIER_BLOCK
             frontier_rays = np.arange(n_rays, dtype=np.int64)
             frontier_nodes = np.zeros(n_rays, dtype=np.int64)
             # Reused child-expansion buffers (grown geometrically); the
@@ -662,7 +640,7 @@ class TraversalEngine:
                 if recorder is not None:
                     recorder.on_round(frontier_rays)
 
-                if chunk is None or fsize <= chunk:
+                if fsize <= block:
                     overlap, entry = _frontier_box_overlap(
                         origins, directions, node_tmin, t_hi,
                         mins, maxs, frontier_rays, frontier_nodes,
@@ -670,8 +648,8 @@ class TraversalEngine:
                 else:
                     overlap = np.empty(fsize, dtype=bool)
                     entry = np.empty(fsize, dtype=np.float64)
-                    for lo_idx in range(0, fsize, chunk):
-                        hi_idx = min(lo_idx + chunk, fsize)
+                    for lo_idx in range(0, fsize, block):
+                        hi_idx = lo_idx + block
                         overlap[lo_idx:hi_idx], entry[lo_idx:hi_idx] = (
                             _frontier_box_overlap(
                                 origins, directions, node_tmin, t_hi,
@@ -714,13 +692,9 @@ class TraversalEngine:
                         counters.hardware_intersection_tests += npairs
                     else:
                         counters.software_intersection_calls += npairs
-                    # Chunk the pair stream with the same bound as the slab
-                    # test; no bound (chunk None or 0) means one full chunk.
-                    pair_chunk = chunk if chunk else npairs
-                    for lo_idx in range(0, npairs, max(pair_chunk, 1)):
-                        hi_idx = min(lo_idx + pair_chunk, npairs)
-                        sub_rays = pair_rays[lo_idx:hi_idx]
-                        sub_prims = pair_prims[lo_idx:hi_idx]
+                    for lo_idx in range(0, npairs, block):
+                        sub_rays = pair_rays[lo_idx : lo_idx + block]
+                        sub_prims = pair_prims[lo_idx : lo_idx + block]
                         # Ordered mode also takes each hit's t from the
                         # test that found it.  ``np.take`` gathers the
                         # (pairs, 3) ray rows several times faster than
@@ -852,7 +826,7 @@ class TraversalEngine:
                 per_prim_bytes,
                 self.primitives.hardware_intersection,
             )
-        self.counters.merge(counters)
+        self.counters = counters
         return HitRecords(
             ray_indices=ray_indices,
             prim_indices=prim_indices,

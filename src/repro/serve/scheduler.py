@@ -515,7 +515,7 @@ class MicroBatchScheduler:
         self,
         window: list[ServeRequest],
         snapshot,
-        classes: list[LaunchClass] | None = None,
+        classes: list[LaunchClass],
     ) -> list[RequestResult | RequestFailure]:
         """Coalesce ``window`` into per-class launches and demux the results.
 
@@ -525,10 +525,9 @@ class MicroBatchScheduler:
         whose launch exhausts its retries fails *only its own requests* —
         each gets an explicit :class:`RequestFailure` — while the other
         classes of the window still serve normally.  ``classes`` holds each
-        request's :meth:`class_of` when the caller has computed it already.
+        request's :meth:`class_of`, which the caller has already computed
+        for its cache keys.
         """
-        if classes is None:
-            classes = [self.class_of(request, snapshot) for request in window]
         by_class: dict[LaunchClass, list[ServeRequest]] = {}
         for klass, request in zip(classes, window):
             by_class.setdefault(klass, []).append(request)
@@ -555,17 +554,3 @@ class MicroBatchScheduler:
             return results  # one class: already in request order
         by_id = {result.request_id: result for result in results}
         return [by_id[r.request_id] for r in window]
-
-    def flush(self, snapshot, reason: str = "size") -> list[RequestResult]:
-        """Take one batching window, launch it against ``snapshot``, demux.
-
-        ``reason`` records why the window closed (``"size"``, ``"wait"`` or
-        ``"drain"``).  The cache-aware path lives in
-        :class:`repro.serve.service.IndexService`, which takes the window
-        itself and only launches the cache misses.
-        """
-        window, queries = self.take_window()
-        if not window:
-            return []
-        self.record_window(queries, reason)
-        return self.launch_window(window, snapshot)

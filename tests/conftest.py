@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.rtx import traversal
 from repro.workloads import dense_shuffled_keys, point_lookups, range_lookups
 from repro.workloads.table import SecondaryIndexWorkload
 
@@ -12,6 +13,18 @@ from repro.workloads.table import SecondaryIndexWorkload
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def frontier_block(monkeypatch):
+    """``set_block(block)`` runs the rest of the test's traces with
+    ``FRONTIER_BLOCK = block``; ``None`` keeps the module's own block."""
+
+    def set_block(block: int | None) -> None:
+        if block is not None:
+            monkeypatch.setattr(traversal, "FRONTIER_BLOCK", block)
+
+    return set_block
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ Two checked-in sets pin two eras:
   test that every load and restore refuses them.
 * ``snapshots-v2/`` was written by this script when manifest format 2 (one
   SHA-256 per segment, over every byte of its file) replaced format 1,
-  while ``RXConfig`` still had the ``serve_*`` knobs.  Segment files did
+  while ``RXConfig`` still had the ``serve_*`` knobs and the
+  ``allow_updates`` flag.  Segment files did
   not change, so its ``.seg`` files are byte-identical to
   ``snapshots-v1/``'s.  They hold the legacy tree layout: every tree
   stores a ``right`` array and every delegated shard a ``prim_indices``

@@ -1,5 +1,6 @@
 """Tests for RXConfig and the key decomposition."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -80,12 +81,24 @@ class TestRXConfigValidation:
             ).validate()
 
     def test_compaction_conflicts_with_updates(self):
-        with pytest.raises(ValueError):
-            RXConfig(compaction=True, allow_updates=True).validate()
+        config = RXConfig(update_policy=UpdatePolicy.REFIT, compaction=True)
+        with pytest.raises(ValueError, match="update_policy=REFIT.*compaction=True"):
+            config.validate()
+        with pytest.raises(ValueError, match="compaction"):
+            RXIndex(config)
 
-    def test_refit_requires_update_flag(self):
-        with pytest.raises(ValueError):
-            RXConfig(update_policy=UpdatePolicy.REFIT, allow_updates=False, compaction=False).validate()
+    @pytest.mark.parametrize("policy", list(UpdatePolicy))
+    def test_refit_implies_the_update_flag(self, policy):
+        # REFIT builds its trees with the update flag a refit needs; the
+        # other policies build without it.
+        config = RXConfig(
+            update_policy=policy,
+            compaction=policy is not UpdatePolicy.REFIT,
+            shard_bits=2 if policy is UpdatePolicy.DELTA_SHARD else 0,
+        )
+        index = RXIndex(config)
+        index.build(np.arange(64, dtype=np.uint64))
+        assert index.accel.bvh.options.allow_update is (policy is UpdatePolicy.REFIT)
 
     def test_refit_rejects_a_sharded_build(self):
         # A refit keeps each row in the shard it was built in, so a saved
@@ -100,7 +113,7 @@ class TestRXConfigValidation:
     def test_with_updates_enabled_helper(self):
         config = RXConfig.paper_default().with_updates_enabled()
         config.validate()
-        assert config.allow_updates and not config.compaction
+        assert not config.compaction
         assert config.update_policy is UpdatePolicy.REFIT
 
     def test_sphere_radius_bounds(self):
@@ -165,6 +178,16 @@ class TestSerialisation:
             data = RXConfig.paper_default().as_dict()
             data[name] = value
             assert RXConfig.from_dict(data) == RXConfig.paper_default()
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_retired_update_flag_is_dropped(self, stored):
+        # update_policy=REFIT implies the flag now; manifests written before
+        # carry it, true beside REFIT and false otherwise.
+        for config in (RXConfig.paper_default(), RXConfig().with_updates_enabled()):
+            data = config.as_dict()
+            assert "allow_updates" not in data
+            data["allow_updates"] = stored
+            assert RXConfig.from_dict(data) == config
 
     def test_retired_range_limit_must_be_null(self):
         # A stored default limit capped every range_lookup(lo, hi); dropping

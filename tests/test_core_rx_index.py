@@ -94,6 +94,23 @@ class TestPointLookups:
         assert run.stats["node_visits_per_ray"] > 0
         assert run.stats["rays_per_lookup"] == pytest.approx(1.0)
 
+    def test_stats_trace_counters_describe_the_last_launch(self, small_workload):
+        index = RXIndex()
+        index.build(small_workload.keys, small_workload.values)
+        pipeline = index.pipeline
+        first = pipeline.launch(
+            index.codec.point_ray_batch(small_workload.point_queries, index.config.point_ray_mode)
+        )
+        second = pipeline.launch(
+            index.codec.range_ray_batch(
+                small_workload.range_lowers,
+                small_workload.range_uppers,
+                index.config.range_ray_mode,
+            )
+        )
+        assert index.stats()["trace_counters"] == second.counters.as_dict()
+        assert (first.counters.rays, second.counters.rays) == (256, second.num_rays)
+
     @pytest.mark.parametrize("mode", list(PointRayMode))
     def test_every_point_ray_mode_is_correct(self, small_workload, mode):
         index = RXIndex(RXConfig(point_ray_mode=mode))
@@ -371,7 +388,6 @@ class TestPointTraceMode:
         keys = np.random.default_rng(11).permutation(np.arange(1024, dtype=np.uint64))
         config = RXConfig.paper_default()
         config.compaction = False
-        config.allow_updates = True
         config.shard_bits = 4
         config.update_policy = UpdatePolicy.DELTA_SHARD
         index = RXIndex(config)

@@ -10,7 +10,7 @@ seed implementations preserved verbatim in :mod:`repro.rtx._reference`:
 * ``TraversalEngine.trace`` must produce identical hit records and
   identical counters (including the schedule counters ``traversal_rounds``
   and ``max_frontier_size``) for every primitive type and for any
-  ``max_frontier`` chunking;
+  ``FRONTIER_BLOCK`` size;
 * the refit pass must produce bit-identical refitted bounds;
 * the hash-table bulk build must match the sequential insert loop's probe
   statistics, per-group occupancy and lookup results.
@@ -83,7 +83,7 @@ class TestBuilderEquivalence:
         rng = np.random.default_rng([7, DIFF_SEED])
         points = rng.uniform(0, 500, size=(200, 3))
         for primitive in PRIMITIVES:
-            buffer = build_input_for_points(primitive, points).primitive_buffer()
+            buffer = build_input_for_points(primitive, points)
             options = BvhBuildOptions(builder=builder)
             _assert_same_tree(
                 build_bvh(buffer, options), reference_build_bvh(buffer, options)
@@ -106,7 +106,7 @@ class TestBuilderEquivalence:
         rng = np.random.default_rng([12, DIFF_SEED])
         keys = rng.integers(0, 1500, size=1 << 12)
         points = np.column_stack([keys, np.zeros(keys.size), np.zeros(keys.size)])
-        buffer = build_input_for_points("triangle", points).primitive_buffer()
+        buffer = build_input_for_points("triangle", points)
         options = BvhBuildOptions(builder=builder)
         _assert_same_tree(build_bvh(buffer, options), reference_build_bvh(buffer, options))
 
@@ -125,12 +125,12 @@ def _reference_depth(bvh) -> int:
 
 
 @pytest.mark.parametrize("primitive", PRIMITIVES)
-@pytest.mark.parametrize("max_frontier", [None, 64])
+@pytest.mark.parametrize("block", [None, 64])
 class TestTraversalEquivalence:
     def _engine_and_rays(self, primitive, rng):
         n = 512
         points = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
-        buffer = build_input_for_points(primitive, points).primitive_buffer()
+        buffer = build_input_for_points(primitive, points)
         bvh = build_bvh(buffer)
         xs = rng.uniform(-10, n + 10, size=400)
         origins = np.column_stack([xs, np.zeros_like(xs), np.full_like(xs, -0.5)])
@@ -153,12 +153,12 @@ class TestTraversalEquivalence:
         )
         return bvh, buffer, [point_rays, range_rays, diag]
 
-    def test_hits_and_counters_identical(self, primitive, max_frontier):
+    def test_hits_and_counters_identical(self, primitive, block, frontier_block):
         rng = np.random.default_rng(17)
         bvh, buffer, batches = self._engine_and_rays(primitive, rng)
-        engine = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        frontier_block(block)
+        engine = TraversalEngine(bvh, buffer)
         for rays in batches:
-            engine.reset_counters()
             hits = engine.trace(rays)
             golden_hits, golden_counters = reference_trace(bvh, buffer, rays)
             assert np.array_equal(hits.ray_indices, golden_hits.ray_indices)
@@ -166,16 +166,17 @@ class TestTraversalEquivalence:
             assert np.array_equal(hits.lookup_ids, golden_hits.lookup_ids)
             assert engine.counters.as_dict() == golden_counters.as_dict()
 
-    def test_any_hit_filter_identical(self, primitive, max_frontier):
+    def test_any_hit_filter_identical(self, primitive, block, frontier_block):
         rng = np.random.default_rng(23)
         bvh, buffer, batches = self._engine_and_rays(primitive, rng)
-        engine = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        frontier_block(block)
+        engine = TraversalEngine(bvh, buffer)
         keep_even = lambda r, p, l: (p % 2 == 0)
         hits = engine.trace(batches[1], any_hit=keep_even)
         golden_hits, _ = reference_trace(bvh, buffer, batches[1], any_hit=keep_even)
         assert np.array_equal(hits.prim_indices, golden_hits.prim_indices)
 
-    def test_tmin_cull_mode_identical(self, primitive, max_frontier):
+    def test_tmin_cull_mode_identical(self, primitive, block, frontier_block):
         rng = np.random.default_rng(29)
         bvh, buffer, _ = self._engine_and_rays(primitive, rng)
         rays = RayBatch(
@@ -184,7 +185,8 @@ class TestTraversalEquivalence:
             tmin=rng.uniform(0, 500, size=40),
             tmax=512.0,
         )
-        engine = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        frontier_block(block)
+        engine = TraversalEngine(bvh, buffer)
         hits = engine.trace(rays)
         golden_hits, golden_counters = reference_trace(bvh, buffer, rays)
         assert np.array_equal(hits.prim_indices, golden_hits.prim_indices)
@@ -213,7 +215,7 @@ class TestIntersectPairsEquivalence:
     def test_triangle_masks_bit_identical(self):
         rng = np.random.default_rng(61)
         points, o, d, tmins, tmaxs, g = self._pair_workload(rng)
-        buffer = build_input_for_points("triangle", points).primitive_buffer()
+        buffer = build_input_for_points("triangle", points)
         got = buffer.intersect_pairs(o, d, tmins, tmaxs, g)
         want = reference_triangle_intersect_pairs(
             make_triangle_vertices(points).astype(np.float64), o, d, tmins, tmaxs, g
@@ -224,7 +226,7 @@ class TestIntersectPairsEquivalence:
     def test_sphere_masks_bit_identical(self):
         rng = np.random.default_rng(62)
         points, o, d, tmins, tmaxs, g = self._pair_workload(rng)
-        buffer = build_input_for_points("sphere", points).primitive_buffer()
+        buffer = build_input_for_points("sphere", points)
         got = buffer.intersect_pairs(o, d, tmins, tmaxs, g)
         want = reference_sphere_intersect_pairs(
             buffer.centers, buffer.radius, o, d, tmins, tmaxs, g
@@ -235,7 +237,7 @@ class TestIntersectPairsEquivalence:
     def test_aabb_masks_bit_identical(self):
         rng = np.random.default_rng(63)
         points, o, d, tmins, tmaxs, g = self._pair_workload(rng)
-        buffer = build_input_for_points("aabb", points).primitive_buffer()
+        buffer = build_input_for_points("aabb", points)
         got = buffer.intersect_pairs(o, d, tmins, tmaxs, g)
         want = reference_aabb_intersect_pairs(
             buffer.mins, buffer.maxs, o, d, tmins, tmaxs, g
@@ -247,7 +249,7 @@ class TestIntersectPairsEquivalence:
         rng = np.random.default_rng(64)
         points = rng.uniform(0, 10, size=(5, 3))
         for primitive in PRIMITIVES:
-            buffer = build_input_for_points(primitive, points).primitive_buffer()
+            buffer = build_input_for_points(primitive, points)
             empty = np.zeros(0, dtype=np.int64)
             mask = buffer.intersect_pairs(
                 np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0), np.zeros(0), empty
@@ -264,7 +266,7 @@ class TestAnyHitModeEquivalence:
         gaps = rng.integers(1, 9, size=600)
         xs = np.cumsum(gaps).astype(np.float64)
         points = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-        buffer = build_input_for_points(primitive, points).primitive_buffer()
+        buffer = build_input_for_points(primitive, points)
         bvh = build_bvh(buffer)
         picks = rng.integers(0, xs.shape[0], size=300)
         k = xs[picks]
@@ -286,13 +288,14 @@ class TestAnyHitModeEquivalence:
         return first
 
     @pytest.mark.parametrize("primitive", PRIMITIVES)
-    @pytest.mark.parametrize("max_frontier", [None, 48])
-    def test_matches_default_mode_first_hits(self, primitive, max_frontier):
+    @pytest.mark.parametrize("block", [None, 48])
+    def test_matches_default_mode_first_hits(self, primitive, block, frontier_block):
         rng = np.random.default_rng(71)
         bvh, buffer, rays = self._setup(primitive, rng)
-        default = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        frontier_block(block)
+        default = TraversalEngine(bvh, buffer)
         all_hits = default.trace(rays)
-        early = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        early = TraversalEngine(bvh, buffer)
         any_hits = early.trace(rays, mode="first_k", limit=1)
 
         assert self._first_hits(any_hits) == self._first_hits(all_hits)
@@ -308,14 +311,15 @@ class TestAnyHitModeEquivalence:
         assert b.prim_hits == any_hits.count
         assert b.node_bytes_read == b.node_visits * bvh.node_bytes()
 
-    @pytest.mark.parametrize("max_frontier", [None, 48])
-    def test_callback_filtered_first_hits(self, max_frontier):
+    @pytest.mark.parametrize("block", [None, 48])
+    def test_callback_filtered_first_hits(self, block, frontier_block):
         rng = np.random.default_rng(73)
         bvh, buffer, rays = self._setup("triangle", rng)
         keep_even = lambda r, p, l: (p % 2 == 0)
-        default = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        frontier_block(block)
+        default = TraversalEngine(bvh, buffer)
         all_hits = default.trace(rays, any_hit=keep_even)
-        early = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        early = TraversalEngine(bvh, buffer)
         any_hits = early.trace(rays, any_hit=keep_even, mode="first_k", limit=1)
         assert self._first_hits(any_hits) == self._first_hits(all_hits)
         assert np.all(any_hits.prim_indices % 2 == 0)

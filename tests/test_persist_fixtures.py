@@ -5,14 +5,15 @@ format, written by ``tests/fixtures/make_snapshots.py``:
 
 * ``snapshots-v2/`` — format 2 (one SHA-256 per segment), the format the
   reader holds, written while ``RXConfig`` still had the ``serve_*``
-  serving knobs, so its manifests carry those nine keys.  It also holds
+  serving knobs and the ``allow_updates`` flag, so its manifests carry
+  those ten retired keys.  It also holds
   the legacy tree layout: every tree stores a ``right`` array, and every
   delegated shard a ``prim_indices`` array.  Each store must load through
   both load paths (memory-mapped and heap) and answer point and range
   lookups — hits and counters — exactly like a fresh build over the same
   keys.  A fresh build and save must write its ``columns.seg`` byte for
   byte, its tree arrays but the two legacy ones bit for bit, and its
-  manifest's index block but for the ``serve_*`` keys; the segment files
+  manifest's index block but for the retired keys; the segment files
   it writes are pinned by their recorded SHA-256s.
 * ``snapshots-v1/`` — format 1 (CRC32C per segment), which the reader
   no longer holds.  Each store must fail every way a snapshot enters the
@@ -45,9 +46,6 @@ _spec = importlib.util.spec_from_file_location(
 )
 make_snapshots = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_snapshots)
-
-#: the serving knobs the format-2 fixtures' configs carry
-SERVE_KEYS = [key for key in RETIRED_CONFIG_KEYS if key.startswith("serve_")]
 
 
 def _digests(root: Path) -> dict[str, str]:
@@ -82,8 +80,8 @@ def test_old_snapshot_loads_like_a_fresh_build(name):
     root = FIXTURES / "snapshots-v2" / name
     manifest = json.loads((root / "MANIFEST.json").read_text())
     assert manifest["format_version"] == 2
-    # The fixture really is the old config: it carries the retired keys.
-    assert set(RETIRED_CONFIG_KEYS) & manifest["index"]["config"].keys() == set(SERVE_KEYS)
+    # The fixture really is the old config: it carries every retired key.
+    assert set(RETIRED_CONFIG_KEYS) <= manifest["index"]["config"].keys()
     before = _digests(root)
 
     config = make_snapshots.CONFIGS[name]()
@@ -186,8 +184,9 @@ def test_fresh_save_drops_only_the_legacy_tree_arrays(tmp_path, name):
     """Today's build and save write the fixture's ``columns.seg`` byte for
     byte, and each tree segment with exactly the fixture's arrays but the
     legacy ones, in the fixture's order, bit for bit, with the fixture's
-    meta.  The manifest's index block is the fixture's once the nine
-    retired ``serve_*`` keys are deleted from its config."""
+    meta.  The manifest's index block is the fixture's once the ten retired
+    keys (the ``serve_*`` knobs and ``allow_updates``) are deleted from its
+    config."""
     fixture = FIXTURES / "snapshots-v2" / name
     store = _fresh_save(tmp_path, name)
     columns = "epoch-00000000/columns.seg"
@@ -209,8 +208,8 @@ def test_fresh_save_drops_only_the_legacy_tree_arrays(tmp_path, name):
         assert written_meta == meta, segment
 
     manifest = json.loads((fixture / "MANIFEST.json").read_text())
-    assert len(SERVE_KEYS) == 9
-    for key in SERVE_KEYS:
+    assert len(RETIRED_CONFIG_KEYS) == 10
+    for key in RETIRED_CONFIG_KEYS:
         del manifest["index"]["config"][key]
     fresh = json.loads((store / "MANIFEST.json").read_text())
     assert {k: v for k, v in fresh.items() if k != "segments"} == {

@@ -689,7 +689,6 @@ class TestIncrementalSaves:
         keys = rng.integers(0, 1 << 18, size=4096, dtype=np.uint64)
         config = RXConfig.paper_default()
         config.compaction = False
-        config.allow_updates = True
         config.shard_bits = 4
         config.update_policy = UpdatePolicy.DELTA_SHARD
         index = RXIndex(config)

@@ -228,7 +228,6 @@ def _random_case(rng, case_index):
     config.compaction = False
     config.shard_bits = shard_bits
     if shard_bits:
-        config.allow_updates = True
         config.update_policy = UpdatePolicy.DELTA_SHARD
     num_keys = int(rng.integers(256, 2048))
     keys = rng.integers(0, 1 << 18, size=num_keys, dtype=np.uint64)
@@ -340,7 +339,6 @@ class TestDifferentialRoundtrip:
         keys = rng.integers(0, 1 << 18, size=2048, dtype=np.uint64)
         config = RXConfig.paper_default()
         config.compaction = False
-        config.allow_updates = True
         config.shard_bits = 4
         config.update_policy = UpdatePolicy.DELTA_SHARD
         index = RXIndex(config)
@@ -364,14 +362,37 @@ class TestDifferentialRoundtrip:
         ids=["single", "single-refit", "forest"],
     )
     def test_loaded_accel_keeps_the_build_options(self, tmp_path, make_config):
-        # A load normalises the options from the build flags the way the
-        # build did (rtx.pipeline.flagged_options), so they compare equal.
+        # Build and load both take their options from the config
+        # (RXIndex._bvh_options), so they compare equal.
         index = RXIndex(make_config())
         index.build(dense_shuffled_keys(1024, seed=DIFF_SEED % 1000))
         index.save(tmp_path)
         for mmap in (True, False):
             loaded = RXIndex.load(tmp_path, mmap=mmap)
             assert loaded.accel.bvh.options == index.accel.bvh.options
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "heap"])
+    def test_refit_index_survives_save_load_and_update(self, tmp_path, mmap):
+        # REFIT implies the update flag: no stored key carries it, and the
+        # loaded tree is refittable like the built one.
+        keys = dense_shuffled_keys(1024, seed=DIFF_SEED % 1000)
+        index = RXIndex(RXConfig.paper_default().with_updates_enabled())
+        index.build(keys)
+        index.save(tmp_path)
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        assert "allow_updates" not in manifest["index"]["config"]
+        loaded = RXIndex.load(tmp_path, mmap=mmap)
+        assert loaded.config == index.config
+        assert loaded.accel.bvh.options.allow_update
+
+        new_keys = np.random.default_rng(DIFF_SEED).permutation(keys)
+        queries = keys[::5]
+        for live in (index, loaded):
+            live.update(new_keys)
+        assert bvh_arrays_diff(index.accel.bvh, loaded.accel.bvh) is None
+        want, got = index.point_lookup(queries), loaded.point_lookup(queries)
+        assert np.array_equal(got.result_rows, want.result_rows)
+        assert got.stats == want.stats
 
     def test_stats_persist_block(self, tmp_path):
         rng = np.random.default_rng(DIFF_SEED)

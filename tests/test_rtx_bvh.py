@@ -147,8 +147,14 @@ class TestBuildInputIntegration:
     @pytest.mark.parametrize("primitive", ["triangle", "sphere", "aabb"])
     def test_build_via_build_input(self, primitive):
         points = np.column_stack([np.arange(50), np.zeros(50), np.zeros(50)])
-        build_input = build_input_for_points(primitive, points)
-        bvh = build_bvh(build_input.primitive_buffer())
+        buffer = build_input_for_points(primitive, points)
+        buffer_type = {
+            "triangle": AnchoredTriangleBuffer,
+            "sphere": SphereBuffer,
+            "aabb": AabbBuffer,
+        }[primitive]
+        assert type(buffer) is buffer_type
+        bvh = build_bvh(buffer)
         assert bvh.num_primitives == 50
 
     def test_unknown_primitive_rejected(self):
@@ -160,8 +166,8 @@ class TestBuildInputIntegration:
         tri = build_input_for_points("triangle", points)
         sph = build_input_for_points("sphere", points)
         box = build_input_for_points("aabb", points)
-        assert tri.primitive_bytes > box.primitive_bytes > sph.primitive_bytes
-        assert tri.num_primitives == sph.num_primitives == box.num_primitives == 10
+        assert tri.primitive_bytes() > box.primitive_bytes() > sph.primitive_bytes()
+        assert len(tri) == len(sph) == len(box) == 10
 
 
 class TestSortCodes:

@@ -87,7 +87,7 @@ def _key_buffer(kind: str, keys):
     points, x_half_extent = make_codec(mode).encode_points(keys)
     return build_input_for_points(
         primitive, points, half_extent=0.5, x_half_extent=x_half_extent
-    ).primitive_buffer()
+    )
 
 
 def _assert_trees_equal(got, want, label=""):
@@ -244,7 +244,7 @@ class TestForestBuild:
         points, x_half_extent = codec.encode_points(keys)
         buffer = build_input_for_points(
             "triangle", points, half_extent=0.5, x_half_extent=x_half_extent
-        ).primitive_buffer()
+        )
         _assert_forest_matches_single(
             buffer,
             shard_bits=int(rng.integers(1, 17)),
@@ -478,7 +478,7 @@ class TestDeltaUpdate:
         )
         assert sum(boxed_rows) <= 2 * changed + stats["dirty_keys"] + top_leaf_rows
         assert sum(boxed_rows) < n // 4
-        _assert_forest_is_fresh(forest, index.accel.build_input.primitive_buffer())
+        _assert_forest_is_fresh(forest, index.accel.buffer)
 
 
 def _moved(keys: np.ndarray, row: int, key: int) -> np.ndarray:

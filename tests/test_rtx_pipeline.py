@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.rtx.build_input import BuildFlags, build_input_for_points
+from repro.rtx.build_input import build_input_for_points
+from repro.rtx.bvh import BvhBuildOptions
 from repro.rtx.geometry import RayBatch
 from repro.rtx.pipeline import (
     DeviceContext,
@@ -33,8 +34,8 @@ class TestAccelBuild:
     def test_build_returns_accel_with_bvh(self):
         ctx = DeviceContext()
         accel = accel_build(ctx, _line_input(32))
-        assert accel.num_primitives == 32
-        assert accel.primitive_kind == "triangle"
+        assert accel.bvh.num_primitives == 32
+        assert accel.buffer.kind == "triangle"
         assert accel.bvh.node_count >= 1
 
     def test_build_accounts_memory(self):
@@ -43,16 +44,21 @@ class TestAccelBuild:
         assert ctx.memory.current_bytes > 0
         assert ctx.memory.peak_bytes > ctx.memory.current_bytes  # temp freed
 
-    def test_flags_propagate_to_options(self):
+    def test_options_reach_the_tree(self):
         ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(8), flags=BuildFlags.ALLOW_UPDATE)
-        assert accel.bvh.options.allow_update is True
+        options = BvhBuildOptions(max_leaf_size=2, allow_update=True)
+        accel = accel_build(ctx, _line_input(8), options)
+        assert accel.bvh.options == options
+        assert accel_build(ctx, _line_input(8)).bvh.options == BvhBuildOptions()
 
-    def test_build_metrics_populated(self):
+    def test_accel_holds_the_buffer_it_indexes(self):
         ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16))
-        assert accel.build_metrics.num_primitives == 16
-        assert accel.build_metrics.bytes_written > 0
+        buffer = _line_input(16)
+        accel = accel_build(ctx, buffer, BvhBuildOptions(allow_update=True))
+        assert accel.buffer is buffer
+        moved = _line_input(16)
+        accel_update(ctx, accel, moved)
+        assert accel.buffer is moved
 
     def test_size_bytes_reflects_compaction_state(self):
         ctx = DeviceContext()
@@ -73,9 +79,7 @@ class TestAccelCompact:
 
     def test_compaction_rejected_with_update_flag(self):
         ctx = DeviceContext()
-        accel = accel_build(
-            ctx, _line_input(16), flags=BuildFlags.ALLOW_UPDATE | BuildFlags.ALLOW_COMPACTION
-        )
+        accel = accel_build(ctx, _line_input(16), BvhBuildOptions(allow_update=True))
         with pytest.raises(ValueError):
             accel_compact(ctx, accel)
 
@@ -99,7 +103,7 @@ class TestAccelUpdate:
 
     def test_update_moves_primitives(self):
         ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16), flags=BuildFlags.ALLOW_UPDATE)
+        accel = accel_build(ctx, _line_input(16), BvhBuildOptions(allow_update=True))
         # Move every primitive one unit to the right and refit.
         points = np.column_stack([np.arange(16) + 1, np.zeros(16), np.zeros(16)])
         new_input = build_input_for_points("triangle", points)
@@ -111,13 +115,13 @@ class TestAccelUpdate:
 
     def test_update_rejects_changed_primitive_count(self):
         ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16), flags=BuildFlags.ALLOW_UPDATE)
+        accel = accel_build(ctx, _line_input(16), BvhBuildOptions(allow_update=True))
         with pytest.raises(ValueError):
             accel_update(ctx, accel, _line_input(17))
 
     def test_update_grows_bounds_for_big_moves(self):
         ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(64), flags=BuildFlags.ALLOW_UPDATE)
+        accel = accel_build(ctx, _line_input(64), BvhBuildOptions(allow_update=True))
         rng = np.random.default_rng(1)
         shuffled = rng.permutation(64)
         points = np.column_stack([shuffled, np.zeros(64), np.zeros(64)])

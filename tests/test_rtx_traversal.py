@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import RXConfig, RXIndex
+from repro.rtx import traversal
+from repro.rtx._reference import (
+    reference_first_k_trace,
+    reference_ordered_k_trace,
+    reference_trace,
+)
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh
 from repro.rtx.geometry import RayBatch, TriangleBuffer, make_triangle_vertices
@@ -217,8 +223,9 @@ class TestFirstKMode:
 
 
 class TestChunkingRegression:
-    """Hit records and counters must be identical for every ``max_frontier``
-    setting, including the chunk=0 / chunk=None aliases for 'unbounded'."""
+    """Hit records and counters must be identical for every
+    ``FRONTIER_BLOCK``: a patched block of 1, 7 or 64 pairs against the
+    unpatched run, which traces each round in one block."""
 
     #: "any_hit" is first_k with a budget of one hit per ray (point lookups).
     @pytest.mark.parametrize(
@@ -229,7 +236,7 @@ class TestChunkingRegression:
             pytest.param({"mode": "first_k", "limit": 3}, id="first_k"),
         ],
     )
-    def test_all_chunk_settings_agree(self, trace_kwargs):
+    def test_all_chunk_settings_agree(self, trace_kwargs, frontier_block):
         points = np.column_stack([np.arange(200), np.zeros(200), np.zeros(200)])
         buffer = TriangleBuffer(make_triangle_vertices(points))
         bvh = build_bvh(buffer)
@@ -241,17 +248,117 @@ class TestChunkingRegression:
             tmin=xs - 0.5,
             tmax=xs + 0.5,
         )
-        baseline_hits = None
-        baseline_counters = None
-        for chunk in (None, 0, 1, 7, 64, 10**9):
-            engine = TraversalEngine(bvh, buffer, max_frontier=chunk)
+        engine = TraversalEngine(bvh, buffer)
+        baseline_hits = engine.trace(rays, **trace_kwargs)
+        baseline_counters = engine.counters
+        assert baseline_counters.max_frontier_size > 64  # every block splits a round
+        for block in (1, 7, 64):
+            frontier_block(block)
             hits = engine.trace(rays, **trace_kwargs)
-            if baseline_hits is None:
-                baseline_hits, baseline_counters = hits, engine.counters
-                continue
-            assert np.array_equal(hits.ray_indices, baseline_hits.ray_indices), chunk
-            assert np.array_equal(hits.prim_indices, baseline_hits.prim_indices), chunk
-            assert engine.counters.as_dict() == baseline_counters.as_dict(), chunk
+            assert np.array_equal(hits.ray_indices, baseline_hits.ray_indices), block
+            assert np.array_equal(hits.prim_indices, baseline_hits.prim_indices), block
+            assert engine.counters.as_dict() == baseline_counters.as_dict(), block
+
+
+class TestFrontierBlock:
+    """A round with more pairs than ``FRONTIER_BLOCK`` runs its slab and
+    leaf-pair tests in blocks.  Each patched block size must give the hits,
+    all 15 counters and the per-group counters of the unpatched run, the
+    hits and counters of the golden loops, and per group the counters of a
+    solo launch of the group's rays, in every trace mode."""
+
+    @staticmethod
+    def _scene():
+        # Irregular gaps and one to three primitives per key put leaves at
+        # varying depths, so a lookup's budget can run out while its other
+        # rays still have inner nodes to expand.
+        rng = np.random.default_rng(29)
+        xs = np.cumsum(rng.integers(1, 9, size=160)).astype(np.float64)
+        xs = np.repeat(xs, rng.integers(1, 4, size=160))
+        points = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
+        buffer = build_input_for_points("triangle", points)
+        bvh = build_bvh(buffer, BvhBuildOptions(max_leaf_size=2))
+        lo = rng.uniform(-2.0, xs[-1], size=90)
+        # Offset range rays, from-zero range rays and perpendicular point
+        # rays; lookups 0..44 fire two rays each, sharing one budget.
+        offset, from_zero, point = (np.arange(90) % 3 == k for k in range(3))
+        origins = np.zeros((90, 3))
+        origins[offset | point, 0] = lo[offset | point]
+        origins[point, 2] = -0.5
+        directions = np.tile([1.0, 0.0, 0.0], (90, 1))
+        directions[point] = [0.0, 0.0, 1.0]
+        tmin = np.where(from_zero, lo, 0.0)
+        tmax = np.select([offset, from_zero], [12.0, lo + 12.0], 1.0)
+        rays = RayBatch(
+            origins=origins,
+            directions=directions,
+            tmin=tmin,
+            tmax=tmax,
+            lookup_ids=np.arange(90) // 2,
+        )
+        return bvh, buffer, rays
+
+    @pytest.mark.parametrize("mode", ["all", "first_k", "ordered_k"])
+    @pytest.mark.parametrize("block", [1, 7, 16, 48, 64])
+    def test_blocks_match_the_unpatched_run_and_reference(
+        self, mode, block, frontier_block, monkeypatch
+    ):
+        bvh, buffer, rays = self._scene()
+        limit = None if mode == "all" else 3
+        groups = rays.lookup_ids % 4
+        engine = TraversalEngine(bvh, buffer)
+        want = engine.trace(rays, mode=mode, limit=limit, ray_groups=groups)
+        want_counters = engine.counters.as_dict()
+        want_groups = [c.as_dict() for c in engine.group_counters]
+        golden = {
+            "all": lambda: reference_trace(bvh, buffer, rays),
+            "first_k": lambda: reference_first_k_trace(bvh, buffer, rays, limit),
+            "ordered_k": lambda: reference_ordered_k_trace(bvh, buffer, rays, limit),
+        }[mode]
+        golden_hits, golden_counters = golden()
+
+        calls = {"slab": 0, "pairs": 0}
+        slab_test = traversal._frontier_box_overlap
+
+        def spy_slab(*args):
+            calls["slab"] += 1
+            return slab_test(*args)
+
+        def spy_pairs(*args, **kwargs):
+            calls["pairs"] += 1
+            return type(buffer).intersect_pairs(buffer, *args, **kwargs)
+
+        frontier_block(block)
+        monkeypatch.setattr(traversal, "_frontier_box_overlap", spy_slab)
+        monkeypatch.setattr(buffer, "intersect_pairs", spy_pairs, raising=False)
+        got = engine.trace(rays, mode=mode, limit=limit, ray_groups=groups)
+        counters = engine.counters
+        # Some round really ran in more than one block, on both sides.
+        assert counters.max_frontier_size > block
+        assert calls["slab"] > counters.traversal_rounds
+        assert calls["pairs"] > counters.traversal_rounds
+        for hits, label in ((want, "unpatched"), (golden_hits, "reference")):
+            assert np.array_equal(got.ray_indices, hits.ray_indices), label
+            assert np.array_equal(got.prim_indices, hits.prim_indices), label
+            assert np.array_equal(got.lookup_ids, hits.lookup_ids), label
+        assert counters.as_dict() == want_counters == golden_counters.as_dict()
+        got_groups = [c.as_dict() for c in engine.group_counters]
+        assert got_groups == want_groups
+        for group, group_counters in enumerate(got_groups):
+            mine = groups == group
+            solo = TraversalEngine(bvh, buffer)
+            solo.trace(
+                RayBatch(
+                    origins=rays.origins[mine],
+                    directions=rays.directions[mine],
+                    tmin=rays.tmin[mine],
+                    tmax=rays.tmax[mine],
+                    lookup_ids=rays.lookup_ids[mine],
+                ),
+                mode=mode,
+                limit=limit,
+            )
+            assert solo.counters.as_dict() == group_counters, group
 
 
 class TestAnyHitMode:
@@ -273,12 +380,13 @@ class TestAnyHitMode:
         assert result.count == 1
         assert result.prim_indices.tolist() == [int(all_hits.prim_indices[0])]
 
-    @pytest.mark.parametrize("max_frontier", [None, 16])
-    def test_callback_rejection_continues_the_ray(self, max_frontier):
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_callback_rejection_continues_the_ray(self, block, frontier_block):
         points = np.column_stack([np.arange(12), np.zeros(12), np.zeros(12)])
         buffer = TriangleBuffer(make_triangle_vertices(points))
         bvh = build_bvh(buffer)
-        engine = TraversalEngine(bvh, buffer, max_frontier=max_frontier)
+        frontier_block(block)
+        engine = TraversalEngine(bvh, buffer)
         rays = RayBatch(
             origins=[[-0.5, 0, 0]], directions=[[1, 0, 0]], tmin=[0.0], tmax=[13.0]
         )
@@ -294,8 +402,8 @@ class TestAnyHitMode:
         assert result.prim_indices.tolist() == [int(reference.prim_indices[0])]
         assert result.prim_indices[0] >= 5
 
-    @pytest.mark.parametrize("max_frontier", [None, 16])
-    def test_callback_chunked_vs_unchunked_identical(self, max_frontier):
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_callback_chunked_vs_unchunked_identical(self, block, frontier_block):
         engine_ref = _line_engine(64)
         rng = np.random.default_rng(11)
         xs = rng.uniform(0, 64, size=80)
@@ -307,7 +415,8 @@ class TestAnyHitMode:
         )
         keep_odd = lambda r, p, l: (p % 2 == 1)
         want = engine_ref.trace(rays, any_hit=keep_odd, mode="first_k", limit=1)
-        engine = TraversalEngine(engine_ref.bvh, engine_ref.primitives, max_frontier=max_frontier)
+        frontier_block(block)
+        engine = TraversalEngine(engine_ref.bvh, engine_ref.primitives)
         got = engine.trace(rays, any_hit=keep_odd, mode="first_k", limit=1)
         assert np.array_equal(got.ray_indices, want.ray_indices)
         assert np.array_equal(got.prim_indices, want.prim_indices)
@@ -411,25 +520,21 @@ class TestLaunchMemory:
 
 
 class TestTraversalCounters:
-    def test_counters_accumulate_across_traces(self):
+    def test_counters_describe_the_last_trace(self):
         engine = _line_engine(32)
-        engine.trace(_point_rays([1]))
-        first = engine.counters.node_visits
+        engine.trace(_point_rays([1, 5, 9]))
+        first = engine.counters
         engine.trace(_point_rays([2]))
-        assert engine.counters.node_visits > first
-        assert engine.counters.rays == 2
-
-    def test_reset_counters(self):
-        engine = _line_engine(32)
-        engine.trace(_point_rays([1]))
-        engine.reset_counters()
-        assert engine.counters.node_visits == 0
+        solo = TraversalEngine(engine.bvh, engine.primitives)
+        solo.trace(_point_rays([2]))
+        assert engine.counters.as_dict() == solo.counters.as_dict()
+        assert engine.counters.rays == 1
+        assert first.rays == 3  # a trace replaces the counters object
 
     def test_miss_visits_fewer_nodes_than_hit(self):
         engine = _line_engine(256)
         hit = engine.trace(_point_rays([128]))
         hit_visits = engine.counters.node_visits
-        engine.reset_counters()
         engine.trace(_point_rays([1e6]))
         miss_visits = engine.counters.node_visits
         assert miss_visits < hit_visits
@@ -441,7 +546,6 @@ class TestTraversalCounters:
         offset = RayBatch(origins=[[199.5, 0, 0]], directions=[[1, 0, 0]], tmin=[0.0], tmax=[2.0])
         engine.trace(offset)
         offset_visits = engine.counters.node_visits
-        engine.reset_counters()
         zero = RayBatch(origins=[[0, 0, 0]], directions=[[1, 0, 0]], tmin=[199.5], tmax=[201.5])
         engine.trace(zero)
         zero_visits = engine.counters.node_visits
@@ -449,26 +553,16 @@ class TestTraversalCounters:
 
     def test_hardware_vs_software_intersection_counters(self):
         points = np.column_stack([np.arange(16), np.zeros(16), np.zeros(16)])
-        tri_engine = TraversalEngine(
-            build_bvh(build_input_for_points("triangle", points).primitive_buffer()),
-            build_input_for_points("triangle", points).primitive_buffer(),
-        )
-        aabb_input = build_input_for_points("aabb", points)
-        aabb_engine = TraversalEngine(build_bvh(aabb_input.primitive_buffer()), aabb_input.primitive_buffer())
+        triangles = build_input_for_points("triangle", points)
+        tri_engine = TraversalEngine(build_bvh(triangles), triangles)
+        boxes = build_input_for_points("aabb", points)
+        aabb_engine = TraversalEngine(build_bvh(boxes), boxes)
         tri_engine.trace(_point_rays([3]))
         aabb_engine.trace(_point_rays([3]))
         assert tri_engine.counters.hardware_intersection_tests > 0
         assert tri_engine.counters.software_intersection_calls == 0
         assert aabb_engine.counters.software_intersection_calls > 0
         assert aabb_engine.counters.hardware_intersection_tests == 0
-
-    def test_counters_merge(self):
-        a = TraversalCounters(rays=1, node_visits=5, prim_tests=2)
-        b = TraversalCounters(rays=2, node_visits=7, prim_tests=3, max_frontier_size=9)
-        a.merge(b)
-        assert a.rays == 3
-        assert a.node_visits == 12
-        assert a.max_frontier_size == 9
 
     def test_counters_as_dict_and_derived(self):
         counters = TraversalCounters(rays=4, node_visits=20, prim_tests=8, node_bytes_read=100, prim_bytes_read=50)

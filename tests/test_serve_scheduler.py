@@ -30,10 +30,22 @@ DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 NUM_SEEDED_WINDOWS = 6
 
 
-def build_index(keys, max_frontier=None, **config_kwargs):
-    index = RXIndex(RXConfig(**config_kwargs), max_frontier=max_frontier)
+def build_index(keys, **config_kwargs):
+    index = RXIndex(RXConfig(**config_kwargs))
     index.build(keys)
     return index
+
+
+def launch_next_window(scheduler, snapshot, reason="size"):
+    """Serve the scheduler's next batching window against ``snapshot`` the
+    way the service does: take it, record it, and launch it with one
+    ``class_of`` per request."""
+    window, queries = scheduler.take_window()
+    if not window:
+        return []
+    scheduler.record_window(queries, reason)
+    classes = [scheduler.class_of(request, snapshot) for request in window]
+    return scheduler.launch_window(window, snapshot, classes)
 
 
 def solo_launch(snapshot, request, klass):
@@ -169,7 +181,7 @@ class TestDemuxBitIdentity:
         requests = make_point_requests(rng, keys, 23)
         for request in requests:
             scheduler.submit(request)
-        results = scheduler.flush(snapshot)
+        results = launch_next_window(scheduler, snapshot)
         assert [r.request_id for r in results] == [r.request_id for r in requests]
         klass = LaunchClass(kind="point", mode="first_k", limit=1)
         assert {scheduler.class_of(r, snapshot) for r in requests} == {klass}
@@ -186,7 +198,7 @@ class TestDemuxBitIdentity:
         requests = make_point_requests(rng, keys, 17)
         for request in requests:
             scheduler.submit(request)
-        results = scheduler.flush(snapshot)
+        results = launch_next_window(scheduler, snapshot)
         klass = LaunchClass(kind="point", mode="all")
         assert {scheduler.class_of(r, snapshot) for r in requests} == {klass}
         for result, request in zip(results, requests):
@@ -201,7 +213,7 @@ class TestDemuxBitIdentity:
         requests = make_range_requests(rng, keys, 19, span=24)
         for request in requests:
             scheduler.submit(request)
-        results = scheduler.flush(snapshot)
+        results = launch_next_window(scheduler, snapshot)
         klass = LaunchClass(kind="range", mode="all")
         for result, request in zip(results, requests):
             assert_request_matches_solo(result, request, snapshot, klass)
@@ -215,7 +227,7 @@ class TestDemuxBitIdentity:
         requests = make_range_requests(rng, keys, 15, span=32, limit=4)
         for request in requests:
             scheduler.submit(request)
-        results = scheduler.flush(snapshot)
+        results = launch_next_window(scheduler, snapshot)
         klass = LaunchClass(kind="range", mode="first_k", limit=4)
         for result, request in zip(results, requests):
             assert_request_matches_solo(result, request, snapshot, klass)
@@ -242,7 +254,7 @@ class TestDemuxBitIdentity:
             interleaved.extend(quad)
         for request in interleaved:
             scheduler.submit(request)
-        results = scheduler.flush(snapshot)
+        results = launch_next_window(scheduler, snapshot)
         assert [r.request_id for r in results] == [r.request_id for r in interleaved]
         assert scheduler.stats.launches == 4  # one per class
         for result, request in zip(results, interleaved):
@@ -250,22 +262,23 @@ class TestDemuxBitIdentity:
             assert_request_matches_solo(result, request, snapshot, klass)
 
     @pytest.mark.parametrize("case_index", range(NUM_SEEDED_WINDOWS))
-    def test_seeded_mixed_window(self, case_index):
+    def test_seeded_mixed_window(self, case_index, frontier_block):
         """A random window drawn from ``DIFF_SEED``: primitive, key
-        multiplicity (first_k-1 or all-hits points), ``max_frontier``
-        slicing, request sizes and the mix of all four classes."""
+        multiplicity (first_k-1 or all-hits points), a patched
+        ``FRONTIER_BLOCK``, request sizes and the mix of all four classes."""
         seed = DIFF_SEED * 1000 + case_index
         pick = random.Random(seed)
         primitive = pick.choice(list(PrimitiveType))
         multiplicity = pick.choice([1, 1, 3])
-        max_frontier = pick.choice([None, 1, 7, 64])
+        block = pick.choice([None, 1, 7, 64])
+        frontier_block(block)
         rng = np.random.default_rng(seed)
         # A dense shuffled column, each key repeated ``multiplicity`` times,
         # so ranges and resumed pages always have rows to return.
         keys = rng.permutation(
             np.repeat(np.arange(2048 // multiplicity, dtype=np.uint64), multiplicity)
         )
-        index = build_index(keys, max_frontier=max_frontier, primitive=primitive)
+        index = build_index(keys, primitive=primitive)
         snapshot = EpochManager(index).current()
         assert snapshot.point_limit == (1 if multiplicity == 1 else None)
         span = pick.choice([8, 24, 40])
@@ -282,10 +295,10 @@ class TestDemuxBitIdentity:
         scheduler = MicroBatchScheduler(max_batch=10_000, max_wait=0.0)
         for request in requests:
             scheduler.submit(request)
-        results = scheduler.flush(snapshot)
+        results = launch_next_window(scheduler, snapshot)
         label = (
             f"seed={DIFF_SEED} case={case_index} primitive={primitive.value} "
-            f"multiplicity={multiplicity} max_frontier={max_frontier}"
+            f"multiplicity={multiplicity} block={block}"
         )
         assert [r.request_id for r in results] == [r.request_id for r in requests], label
         classes = {expected_class(r, snapshot) for r in requests}
@@ -335,14 +348,14 @@ class TestBatchingPolicy:
                 )
 
         submit([2, 3])  # 5 queries: the whole queue fits one window
-        assert len(scheduler.flush(snapshot, reason="wait")) == 2
+        assert len(launch_next_window(scheduler, snapshot, reason="wait")) == 2
         assert scheduler.stats.max_batch_queries == 5
         submit([4, 3, 3])  # 10 queries: max_batch splits off 4 + 3
-        assert len(scheduler.flush(snapshot, reason="size")) == 2
+        assert len(launch_next_window(scheduler, snapshot, reason="size")) == 2
         assert scheduler.stats.max_batch_queries == 7
-        assert len(scheduler.flush(snapshot, reason="drain")) == 1
+        assert len(launch_next_window(scheduler, snapshot, reason="drain")) == 1
         assert scheduler.stats.max_batch_queries == 7
-        assert scheduler.flush(snapshot, reason="drain") == []
+        assert launch_next_window(scheduler, snapshot, reason="drain") == []
         stats = scheduler.stats
         assert (stats.batches, stats.closed_by_wait, stats.closed_by_size) == (3, 1, 1)
         assert (stats.closed_by_drain, stats.closed_by_deadline) == (1, 0)
@@ -433,7 +446,7 @@ class TestLeanServeRecords:
         scheduler = MicroBatchScheduler(max_batch=64, max_wait=0.0)
         request = ServeRequest(request_id=1, kind="point", queries=keys[:3])
         scheduler.submit(request)
-        (result,) = scheduler.flush(snapshot)
+        (result,) = launch_next_window(scheduler, snapshot)
         for record in (request, result, result.hits, result.counters):
             assert not hasattr(record, "__dict__"), type(record).__name__
 

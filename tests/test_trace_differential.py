@@ -9,7 +9,8 @@ lookup_ids, order) *and* identical counters, across
 
 * all three primitive types,
 * duplicate-free and duplicate-heavy key columns,
-* frontier chunk sizes ``{0, 1, 7, None}`` (0 and None alias "unbounded"),
+* ``FRONTIER_BLOCK`` sizes ``{1, 7, 16}`` patched in, plus the module's
+  own (``None``), which runs these rounds in one block,
 * single-tree builds and Morton-prefix sharded forests (the tree a load
   splices from the forest's saved shard state is additionally asserted
   array-equal to the single tree, and the engine traces that *spliced*
@@ -57,7 +58,8 @@ from repro.rtx.traversal import TraversalEngine, _OrderedKState, stable_order
 
 DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
 PRIMITIVES = ["triangle", "sphere", "aabb"]
-CHUNK_SIZES = [0, 1, 7, None]
+#: ``FRONTIER_BLOCK`` patched in per case; None keeps the module's own.
+CHUNK_SIZES = [1, 7, 16, None]
 SHARD_BITS = [0, 3]
 NUM_CASES = 96
 #: Lookup-id layouts of the scattered cases: name -> id offset.  Wide ids
@@ -188,10 +190,11 @@ def _sorted_top_k_cut(all_hits, buffer, rays, limit: int):
 
 
 @pytest.mark.parametrize("case_index", range(NUM_CASES))
-def test_all_modes_bit_identical_to_reference(case_index):
+def test_all_modes_bit_identical_to_reference(case_index, frontier_block):
     rng = random.Random(DIFF_SEED * 1000 + case_index)
     case = _make_case(rng, case_index)
-    buffer = build_input_for_points(case["primitive"], case["points"]).primitive_buffer()
+    frontier_block(case["chunk"])
+    buffer = build_input_for_points(case["primitive"], case["points"])
     golden_bvh = build_bvh(
         buffer,
         BvhBuildOptions(builder=case["builder"], max_leaf_size=case["max_leaf_size"]),
@@ -226,7 +229,7 @@ def test_all_modes_bit_identical_to_reference(case_index):
     )
 
     def engine():
-        return TraversalEngine(bvh, buffer, max_frontier=case["chunk"])
+        return TraversalEngine(bvh, buffer)
 
     # all-hits mode
     eng = engine()
@@ -318,13 +321,14 @@ def _scatter_lookups(rays: RayBatch, rng: random.Random, offset: int) -> RayBatc
 
 @pytest.mark.parametrize("layout", sorted(LOOKUP_LAYOUTS))
 @pytest.mark.parametrize("case_index", LAYOUT_CASES)
-def test_budgeted_modes_with_scattered_lookup_ids(case_index, layout):
+def test_budgeted_modes_with_scattered_lookup_ids(case_index, layout, frontier_block):
     rng = random.Random(DIFF_SEED * 1000 + case_index)
     case = _make_case(rng, case_index)
+    frontier_block(case["chunk"])
     rays = _scatter_lookups(case["rays"], rng, LOOKUP_LAYOUTS[layout])
     assert len(set(rays.lookup_ids.tolist())) > 1
     assert not (np.diff(rays.lookup_ids) >= 0).all(), "ids must not be monotone"
-    buffer = build_input_for_points(case["primitive"], case["points"]).primitive_buffer()
+    buffer = build_input_for_points(case["primitive"], case["points"])
     bvh = build_bvh(
         buffer,
         BvhBuildOptions(builder=case["builder"], max_leaf_size=case["max_leaf_size"]),
@@ -337,7 +341,7 @@ def test_budgeted_modes_with_scattered_lookup_ids(case_index, layout):
     )
 
     def engine():
-        return TraversalEngine(bvh, buffer, max_frontier=case["chunk"])
+        return TraversalEngine(bvh, buffer)
 
     eng = engine()
     all_hits = eng.trace(rays, any_hit=any_hit)
