@@ -27,9 +27,10 @@ test-fast:
 # checked against a fresh build_bvh and build_forest) and its shard-tree
 # tiling check (random leaf ranges against a per-row count), the
 # golden-builder equivalence harness (lbvh, median and SAH against
-# rtx/_reference.py), the update tests of the owned key column (a write
-# to the caller's array changes no page, on the index or a pinned service
-# page chain) and of the duplicate-key flag (kept without a column sort
+# rtx/_reference.py), the update tests of the owned key and value columns
+# (a write to the caller's key array changes no page, on the index or a
+# pinned service page chain, and to its value array no aggregate and no
+# saved byte) and of the duplicate-key flag (kept without a column sort
 # across swaps, flipped by adding or removing a duplicate, re-derived after
 # a key-count change, under REBUILD, REFIT and DELTA_SHARD), and the
 # block-boundary tests of the blocked Morton kernels
@@ -59,12 +60,18 @@ test-faults:
 # DIFF_SEED), the seeded crash/corruption recovery harness (honours
 # FAULT_SEED, which also picks the flipped bytes — CI runs extra seeds),
 # including the manifest index-block checks on load and restore_from, the
-# tree dtype and shape checks, and the checked-in snapshot fixtures (format
-# 2 loads, format 1 is refused; the format-2 stores hold the legacy tree
+# tree dtype, shape and single-tree bounds checks and the buggy-writer
+# matrix of format-2 and format-3 forests; segment reuse by provenance
+# (what a checkpoint hashes and writes) and the seeded Hypothesis
+# update/save/load/restore_from sequences (both honour FAULT_SEED), every
+# save cross-checked by tests/conftest.py's fixture, which hashes each
+# reused segment against its committed entry; and the checked-in snapshot
+# fixtures (a fresh save writes snapshots-v3 byte for byte, format 2
+# loads, format 1 is refused; the format-2 stores hold the legacy tree
 # layout, whose right array must equal left + 1 and whose shard
-# prim_indices is never read, and a fresh save writes the recorded bytes).
+# prim_indices is never read).
 test-persist:
-	$(PYTHON) -m pytest -x -q tests/test_persist_roundtrip.py tests/test_persist_recovery.py tests/test_persist_fixtures.py
+	$(PYTHON) -m pytest -x -q tests/test_persist_roundtrip.py tests/test_persist_recovery.py tests/test_persist_provenance.py tests/test_persist_stateful.py tests/test_persist_fixtures.py
 
 bench-smoke:
 	$(PYTHON) benchmarks/perf_smoke.py

@@ -73,6 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.layout import shard_segment
 from repro.rtx._reference import (
     reference_aabb_intersect_pairs,
     reference_build_bvh,
@@ -83,7 +84,7 @@ from repro.rtx._reference import (
 )
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh, bvh_arrays_diff
-from repro.rtx.forest import build_forest, forest_from_saved, forest_state_segments
+from repro.rtx.forest import build_forest, forest_from_saved
 from repro.rtx.geometry import RayBatch, TriangleBuffer, make_triangle_vertices
 from repro.rtx.refit import refit_accel
 from repro.rtx.traversal import TraversalEngine
@@ -164,7 +165,8 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
     ``build_bvh``, not the seed reference, so ``speedup`` isolates what the
     forest's cut into shards costs.  ``splice_seconds`` times
     :func:`repro.rtx.forest.forest_from_saved` over the forest's saved shard
-    state (what a load runs after reading the segments); the spliced tree is
+    state (:func:`repro.core.layout.shard_segment`: what a load hands it
+    after checking and scattering the keys); the spliced tree is
     verified bit-identical to the single-tree arrays on the way.
     """
     n = 2**log2_keys
@@ -174,7 +176,7 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
     options = BvhBuildOptions(shard_bits=shard_bits)
 
     forest = build_forest(buffer, options)
-    segments = [(arrays, meta) for _, arrays, meta in forest_state_segments(forest)]
+    segments = [shard_segment(forest, b) for b in sorted(forest.shard_rows)]
     entry = {
         "path": "build_forest",
         "log2_keys": log2_keys,

@@ -38,6 +38,7 @@ from repro.core.config import (
 )
 from repro.core.cursor import next_cursor_token, parse_cursor, resume_after
 from repro.core.keycodec import as_lookup_keys, as_range_bounds, make_codec
+from repro.core.layout import changed_segments, index_meta, index_segments, read_index
 from repro.core.results import (
     aggregate_values,
     collect_row_ids,
@@ -46,14 +47,8 @@ from repro.core.results import (
 )
 from repro.gpusim.counters import WorkProfile
 from repro.persist import MANIFEST_NAME, SnapshotCorrupt, load_snapshot, save_snapshot
-from repro.persist.segments import is_count
 from repro.rtx.build_input import build_input_for_points
-from repro.rtx.bvh import BvhBuildOptions, box_columns, bvh_from_arrays, bvh_state_arrays
-from repro.rtx.forest import (
-    ShardPartitionError,
-    forest_from_saved,
-    forest_state_segments,
-)
+from repro.rtx.bvh import BvhBuildOptions
 from repro.rtx.memory import accel_memory_estimate
 from repro.rtx.pipeline import (
     DeviceContext,
@@ -116,61 +111,6 @@ class UpdateOutcome:
     stats: dict = field(default_factory=dict)
 
 
-def _shard_state(snap, name: str) -> tuple[dict, dict]:
-    """``(arrays, meta)`` of the forest shard segment ``name``.
-
-    Its meta must hold an int ``bucket`` (not a bool) that the name
-    ``shard-NNNNN`` spells and a bool ``delegated``, and its arrays a
-    ``rows`` array; anything else raises :class:`SnapshotCorrupt` naming
-    the segment.
-    """
-    arrays, meta = snap.arrays(name), snap.meta(name)
-
-    def shown(key):
-        return repr(meta[key]) if key in meta else "(missing)"
-
-    problems = []
-    bucket = meta.get("bucket")
-    if type(bucket) is not int:
-        problems.append(f"bucket {shown('bucket')} is not an int")
-    elif name != f"shard-{bucket:05d}":
-        problems.append(f"bucket {bucket} does not match the name {name}")
-    if not isinstance(meta.get("delegated"), bool):
-        problems.append(f"delegated {shown('delegated')} is not a bool")
-    if "rows" not in arrays:
-        problems.append("it holds no rows array")
-    if problems:
-        raise SnapshotCorrupt(
-            f"persisted forest shard segment is malformed: {'; '.join(problems)}",
-            segment=name,
-        )
-    return arrays, meta
-
-
-def _check_root_box(bvh, buffer) -> None:
-    """Require a single tree to have a root, and its root box to be the
-    union of ``buffer``'s primitive boxes, which every tree built or
-    refitted over them has.
-
-    The buffer comes from the stored keys under the manifest's config, so
-    a config edited away from the tree (another ``decomposition``, say)
-    moves the boxes and fails here instead of answering wrong.  A failure
-    raises :class:`SnapshotCorrupt` naming ``bvh``.
-    """
-    if bvh.node_count < 1:
-        raise SnapshotCorrupt("tree has no nodes", segment="bvh")
-    mins, maxs = box_columns(buffer)
-    union = (mins.min(axis=1), maxs.max(axis=1))
-    root = (bvh.node_mins[0], bvh.node_maxs[0])
-    if not all(np.array_equal(a, b) for a, b in zip(root, union)):
-        raise SnapshotCorrupt(
-            f"tree root box {[a.tolist() for a in root]} is not the union "
-            f"{[a.tolist() for a in union]} of the boxes the {len(buffer)} stored keys "
-            f"encode to under the manifest's config",
-            segment="bvh",
-        )
-
-
 class RXIndex(GpuIndex):
     """Hardware-raytracing index over a 64-bit integer column."""
 
@@ -206,6 +146,12 @@ class RXIndex(GpuIndex):
         #: telemetry of the epoch store interactions, mirrored into
         #: ``stats()["persist"]`` next to the ``"build"`` block.
         self._persist_stats: dict = self._empty_persist_stats()
+        #: Per segment, the manifest entry of the last snapshot this index
+        #: committed or loaded, while the index still holds that segment's
+        #: state: a save reuses such a segment without building or hashing
+        #: it when the store's committed entry is this one.  Builds and
+        #: updates forget the segments they change.
+        self._persisted: dict[str, dict] = {}
 
     # ------------------------------------------------------------------ #
     # build
@@ -243,12 +189,24 @@ class RXIndex(GpuIndex):
         keys.flags.writeable = False
         return keys
 
+    @staticmethod
+    def _own_values(values) -> np.ndarray | None:
+        """A read-only copy of the caller's value column (``None`` stays
+        ``None``): aggregates and saves read it, so a write to the caller's
+        array must change neither."""
+        if values is None:
+            return None
+        values = np.array(values, dtype=np.uint64)
+        values.flags.writeable = False
+        return values
+
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
-        return self._build(self._own_keys(keys), values)
+        return self._build(self._own_keys(keys), self._own_values(values))
 
     def _build(self, keys, values, keys_unique: bool | None = None) -> BuildResult:
         """Build over an owned key column whose duplicate flag may be known."""
         self._store_column(keys, values, key_bits=64, keys_unique=keys_unique)
+        self._persisted = {}
 
         if self._accel is not None:
             # Rebuilding replaces the previous accel; release its allocation
@@ -354,6 +312,10 @@ class RXIndex(GpuIndex):
 
     def _store_column(self, keys, values, key_bits: int, keys_unique: bool | None = None) -> None:
         super()._store_column(keys, values, key_bits)
+        # The columns are the index's own (owned copies, identity values or
+        # a snapshot's arrays): nothing writes them.
+        self._keys.flags.writeable = False
+        self._values.flags.writeable = False
         # None: the uniqueness of the new column is unknown.
         self._keys_unique = keys_unique
 
@@ -484,12 +446,15 @@ class RXIndex(GpuIndex):
         the tree topology and only adjusts the bounding volumes (requires the
         index to have been built with updates enabled).  The number of keys
         must stay the same under REFIT, matching the OptiX restriction.
-        Like :meth:`build`, it stores a read-only copy of ``new_keys``, and
-        swapped keys keep :meth:`point_limit`'s duplicate flag.
+        Like :meth:`build`, it stores read-only copies of ``new_keys`` and
+        ``new_values``, and swapped keys keep :meth:`point_limit`'s
+        duplicate flag.
         """
         new_keys = self._own_keys(new_keys)
         if self._accel is None:
             raise RuntimeError("RXIndex.build() must be called before update()")
+        values_changed = new_values is not None
+        new_values = self._own_values(new_values)
         if new_values is None:
             # Updates permute the key buffer; the projected value column stays
             # associated with the (unchanged) rowIDs.  When the update adds or
@@ -512,11 +477,18 @@ class RXIndex(GpuIndex):
             )
 
         if self.config.update_policy is UpdatePolicy.DELTA_SHARD:
+            # Until the update reports what it changed, nothing is vouched for.
+            persisted, self._persisted = self._persisted, {}
             self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
             buffer = self._make_buffer(self.keys)
             build_t0 = time.perf_counter()
             delta = accel_delta_update(self.context, self._accel, buffer)
             self._last_build_seconds = time.perf_counter() - build_t0
+            changed = changed_segments(delta, values_changed)
+            if changed is not None:
+                self._persisted = {
+                    name: entry for name, entry in persisted.items() if name not in changed
+                }
             # The spliced tree object was swapped; rebind the pipeline.
             self._pipeline = Pipeline(self.context, self._accel)
             self.epoch += 1
@@ -538,6 +510,7 @@ class RXIndex(GpuIndex):
         if new_keys.shape[0] != self.num_keys:
             raise ValueError("refit updates cannot add or remove keys")
         self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
+        self._persisted = {}
         refit = accel_update(self.context, self._accel, self._make_buffer(self.keys))
         self._pipeline = Pipeline(self.context, self._accel)
         self.epoch += 1
@@ -627,6 +600,9 @@ class RXIndex(GpuIndex):
             "segments_total": 0,
             "segments_rewritten": 0,
             "segments_reused": 0,
+            #: segments the last save hashed, and the segment bytes it wrote
+            "segments_hashed": 0,
+            "bytes_written": 0,
             "last_epoch": None,
             #: manifest format of the last save or load
             "format_version": None,
@@ -636,50 +612,27 @@ class RXIndex(GpuIndex):
         """Persist the built index as one crash-safe epoch snapshot.
 
         Every accel component becomes an immutable, checksummed segment
-        file under ``path``: the key/value columns, plus either the single
-        BVH's node arrays or one segment per forest shard.  The save
-        commits by atomically renaming a new manifest — a crash at any
-        earlier point leaves the previous committed epoch untouched.
-        Segments whose payload did not change since the last committed
-        manifest are referenced instead of rewritten, so a save after a
-        DELTA_SHARD update only writes the dirty shards (plus columns).
+        file under ``path`` (:mod:`repro.core.layout`): a single tree's key
+        and value columns and node arrays, or a forest's value column and
+        one segment per shard holding its rows' keys.  The save commits by
+        atomically renaming a new manifest — a crash at any earlier point
+        leaves the previous committed epoch untouched.  A segment this
+        index last committed or loaded and has not changed since is reused
+        without being built or hashed when the store still commits it;
+        every other segment whose bytes match the committed one is reused
+        too, so a save after a ``DELTA_SHARD`` update writes only the
+        shards it changed.
         """
         accel = self.accel
-        segments: dict = {
-            "columns": (
-                {
-                    "keys": np.ascontiguousarray(self.keys),
-                    "values": np.ascontiguousarray(self.values),
-                },
-                None,
-            )
-        }
-        if accel.forest is None:
-            segments["bvh"] = (
-                {
-                    name: np.ascontiguousarray(array)
-                    for name, array in bvh_state_arrays(accel.bvh).items()
-                },
-                {"refit_generation": int(accel.bvh.refit_generation)},
-            )
-        else:
-            for bucket, arrays, meta in forest_state_segments(accel.forest):
-                segments[f"shard-{bucket:05d}"] = (arrays, meta)
-        index_meta = {
-            "config": self.config.as_dict(),
-            "num_keys": int(self.num_keys),
-            "num_primitives": int(accel.bvh.num_primitives),
-            "kind": "bvh" if accel.forest is None else "forest",
-            "compacted": bool(accel.compacted),
-            "refit_generation": int(accel.bvh.refit_generation),
-        }
         result = save_snapshot(
             path,
             epoch=max(self.epoch, 0),
-            segments=segments,
-            index_meta=index_meta,
+            segments=index_segments(self.keys, self.values, accel),
+            index_meta=index_meta(self.config, self.num_keys, accel),
             fault_injector=fault_injector,
+            vouched=self._persisted,
         )
+        self._persisted = dict(result.entries)
         self._persist_stats.update(
             saves=self._persist_stats["saves"] + 1,
             last_save_seconds=result.save_seconds,
@@ -687,6 +640,8 @@ class RXIndex(GpuIndex):
             segments_total=result.segments_total,
             segments_rewritten=result.segments_rewritten,
             segments_reused=result.segments_reused,
+            segments_hashed=result.segments_hashed,
+            bytes_written=result.bytes_written,
             last_epoch=result.epoch,
             format_version=result.format_version,
         )
@@ -764,113 +719,28 @@ class RXIndex(GpuIndex):
                 segment=MANIFEST_NAME,
             ) from exc
         index = cls(config=config, context=context)
-        index._install_snapshot(snap)
+        saved = read_index(snap, config, index._bvh_options(), index._make_buffer)
+        index._store_column(saved.keys, saved.values, key_bits=64)
+        index._install_accel(saved)
         index.epoch = snap.epoch
         return index
 
-    def _install_snapshot(self, snap) -> None:
-        """Rebuild the accel state of this fresh index from a verified snapshot.
-
-        The manifest's index block must describe what the segments hold:
-        ``kind`` is the one ``config.shard_bits`` implies, ``num_keys`` and
-        ``num_primitives`` are the key column's length, ``refit_generation``
-        is a count and ``compacted`` a bool, and the segments the kind
-        needs are present.  Each forest shard segment must be one
-        :func:`_shard_state` accepts.  A single tree's arrays must have a
-        tree's dtypes and shapes (:func:`~repro.rtx.bvh.bvh_from_arrays`),
-        and its root box must be the union of the boxes the stored keys
-        encode to under the manifest's config (:func:`_check_root_box`),
-        which binds the config to the tree.  A failure raises
-        :class:`SnapshotCorrupt` naming ``MANIFEST.json`` or the missing or
-        invalid segment.  Every check runs before the first device-memory
-        allocation.
-        """
-        meta = snap.index_meta
-        kind = "forest" if self.config.shard_bits else "bvh"
-        for name in ("columns", "bvh") if kind == "bvh" else ("columns",):
-            if name not in snap.segments:
-                raise SnapshotCorrupt(
-                    f"snapshot manifest of a {kind} index lists no {name} segment",
-                    segment=name,
-                )
-        columns = snap.arrays("columns")
-        try:
-            self._store_column(columns["keys"], columns["values"], key_bits=64)
-        except (KeyError, ValueError) as exc:
-            raise SnapshotCorrupt(
-                f"snapshot columns segment holds no valid key and value columns: {exc!r}",
-                segment="columns",
-            ) from exc
-
-        def shown(key):
-            return repr(meta[key]) if key in meta else "(missing)"
-
-        problems = []
-        if meta.get("kind") != kind:
-            problems.append(
-                f"kind {shown('kind')} is not {kind!r}, which "
-                f"shard_bits={self.config.shard_bits} implies"
-            )
-        for key in ("num_keys", "num_primitives"):
-            if not is_count(meta.get(key)) or meta[key] != self.num_keys:
-                problems.append(
-                    f"{key} {shown(key)} is not the {self.num_keys} keys the columns hold"
-                )
-        if not is_count(meta.get("refit_generation")):
-            problems.append(
-                f"refit_generation {shown('refit_generation')} is not a non-negative int"
-            )
-        if not isinstance(meta.get("compacted"), bool):
-            problems.append(f"compacted {shown('compacted')} is not a bool")
-        if problems:
-            raise SnapshotCorrupt(
-                f"snapshot manifest index block: {'; '.join(problems)}",
-                segment=MANIFEST_NAME,
-            )
-
-        buffer = self._make_buffer(self.keys)
-        options = self._bvh_options()
-        compacted = meta["compacted"]
-        if kind == "forest":
-            shards = [
-                _shard_state(snap, name) for name in snap.segments if name.startswith("shard-")
-            ]
-            try:
-                forest = forest_from_saved(buffer, options, shards)
-            except ShardPartitionError as exc:
-                raise SnapshotCorrupt(
-                    f"persisted forest shards are invalid: {exc}",
-                    segment=f"shard-{exc.bucket:05d}",
-                ) from exc
-            bvh = forest.bvh
-            bvh.compacted = compacted
-        else:
-            forest = None
-            try:
-                bvh = bvh_from_arrays(
-                    snap.arrays("bvh"),
-                    num_primitives=meta["num_primitives"],
-                    options=options,
-                    compacted=compacted,
-                    refit_generation=meta["refit_generation"],
-                )
-            except ValueError as exc:
-                raise SnapshotCorrupt(str(exc), segment="bvh") from exc
-            _check_root_box(bvh, buffer)
-
-        # Mirror the build path's device-memory accounting: the accel is
-        # allocated uncompacted, then (when the snapshot was compacted) the
-        # compacted allocation replaces it.
+    def _install_accel(self, saved) -> None:
+        """Adopt a checked snapshot's tree, mirroring the build path's
+        device-memory accounting: the accel is allocated uncompacted, then
+        (when the snapshot was compacted) the compacted allocation replaces
+        it."""
+        buffer = saved.buffer
         memory_info = accel_memory_estimate(buffer.kind, len(buffer))
         accel_handle = self.context.memory.alloc("accel", memory_info["uncompacted"])
         accel = GeometryAccel(
-            bvh=bvh,
+            bvh=saved.bvh,
             buffer=buffer,
             memory_handle=accel_handle,
             memory_info=memory_info,
-            forest=forest,
+            forest=saved.forest,
         )
-        if compacted:
+        if saved.bvh.compacted:
             new_handle = self.context.memory.alloc(
                 "accel_compacted", memory_info["compacted"]
             )
@@ -881,6 +751,7 @@ class RXIndex(GpuIndex):
         self._pipeline = Pipeline(self.context, accel)
 
     def _record_load(self, snap) -> None:
+        self._persisted = dict(snap.entries)
         self._persist_stats.update(
             loads=self._persist_stats["loads"] + 1,
             last_load_seconds=snap.load_seconds,

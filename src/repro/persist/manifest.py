@@ -9,10 +9,12 @@ may point into an *older* epoch directory when an incremental save reused
 a clean segment), the byte length, the epoch that wrote the segment, and
 its digest.
 
-The format (``FORMAT_VERSION``, 2) records one SHA-256 per segment over
-every byte of its file; a load verifies it and a save decides reuse by it.
-:func:`load_manifest` refuses any other format version, so a load of such
-a store fails and a save over it starts afresh.
+Formats 2 and 3 (:data:`READ_FORMATS`) record one SHA-256 per segment
+over every byte of its file; a load verifies it.  They differ in the
+segments an index's store holds (:mod:`repro.core.layout`).  Saves write
+format 3 (``FORMAT_VERSION``).  :func:`load_manifest` refuses any other
+format version, so a load of such a store fails and a save over it starts
+afresh.
 
 Commit protocol: the manifest is serialised, written to a temp file,
 fsynced, and atomically renamed over ``MANIFEST.json``, then the store
@@ -29,9 +31,14 @@ import re
 from pathlib import Path, PurePosixPath
 
 from repro.persist.errors import SnapshotCorrupt, SnapshotTorn
-from repro.persist.segments import FORMAT_VERSION, atomic_write, fsync_dir, is_count
+from repro.persist.segments import atomic_write, fsync_dir, is_count
 
 MANIFEST_NAME = "MANIFEST.json"
+
+#: The manifest format saves write.
+FORMAT_VERSION = 3
+#: The manifest formats loads accept.
+READ_FORMATS = (2, 3)
 
 _REQUIRED_KEYS = ("format_version", "version", "epoch", "index", "segments")
 #: the keys every segment entry carries
@@ -96,10 +103,10 @@ def load_manifest(root: Path) -> dict:
             segment=MANIFEST_NAME,
         )
     format_version = manifest["format_version"]
-    if not is_count(format_version) or format_version != FORMAT_VERSION:
+    if not is_count(format_version) or format_version not in READ_FORMATS:
         raise SnapshotCorrupt(
             f"manifest format version {format_version!r} is not supported "
-            f"(expected {FORMAT_VERSION})",
+            f"(expected one of {list(READ_FORMATS)})",
             segment=MANIFEST_NAME,
         )
     problems = [

@@ -1,8 +1,8 @@
 """Immutable, digest-verified segment files — the unit of the epoch store.
 
 A segment is one self-describing file holding a set of named NumPy arrays
-(the persisted form of one accel component: the key column, a single-tree
-BVH, or one forest shard).  Layout::
+(the persisted form of one index component: a column segment, a
+single-tree BVH, or one forest shard).  Layout::
 
     +------------------+  offset 0             -+
     | magic "RXSEG001" |  8 bytes               |
@@ -56,10 +56,6 @@ from repro.persist.errors import SnapshotCorrupt, SnapshotTorn
 MAGIC = b"RXSEG001"
 _PREFIX_BYTES = len(MAGIC) + 8
 _ALIGN = 64
-
-#: The manifest format saves write and loads accept: one SHA-256 per
-#: segment file.
-FORMAT_VERSION = 2
 
 #: dtype kinds a segment array may hold: bool, int, uint, float, complex.
 _ARRAY_KINDS = "biufc"

@@ -5,42 +5,50 @@ On-disk layout of one store (``path`` handed to ``RXIndex.save``)::
     path/
       MANIFEST.json            <- the only mutable file; atomic-rename commit
       epoch-00000000/          <- immutable segments written by epoch 0
-        columns.seg
-        bvh.seg                (single-tree builds)
-        shard-00012.seg ...    (forest builds: one segment per shard)
-      epoch-00000001/          <- an incremental save writes only dirty
-        columns.seg               segments here; its manifest references
-        shard-00012.seg           the clean ones from epoch-00000000
+        columns.seg            (single-tree builds: keys and values,
+        bvh.seg                 and the tree)
+        values.seg             (forest builds: the values, and one
+        shard-00012.seg ...     segment per shard holding its keys)
+      epoch-00000001/          <- an incremental save writes only changed
+        shard-00012.seg           segments here; its manifest references
+                                  the clean ones from epoch-00000000
 
-Incremental saves are driven by content, not bookkeeping: every segment
-is digested and compared against the previous manifest's entry, and a
-matching segment is *referenced* (its immutable file reused, possibly from
-an older epoch directory) instead of rewritten.  After a DELTA_SHARD
-update only the dirty shards' payloads change, so exactly those segments
-(plus the key column) hit the disk.
+Which segments and arrays an index's store holds is the business of
+:mod:`repro.core.layout`; this module stores whatever segments it is given.
 
-Digest plan — one SHA-256 per segment, covering every byte of its file,
-payload region first (see :mod:`repro.persist.segments`):
+Reuse — a save decides, per segment, whether the committed file can be
+referenced instead of rewritten:
 
-* **One payload pass per segment.**  A save hashes each segment's payload
-  region once, over zero-copy views of its arrays.
-* **Reuse.**  A copy of that state, extended by the header region the
-  segment would carry under the committed entry's epoch tag, must equal
-  the committed entry's digest, and the committed file must exist.  The
-  digest covers the header, so reuse also requires equal meta, dtypes and
-  shapes.
-* **Rewrite.**  Otherwise another copy, extended by the new file's header
-  region, is the new entry's digest.
-* **Load.**  A load verifies each referenced segment's digest once, over
-  every byte, before any array view is made.
+* **By provenance.**  The caller may *vouch* for segments: a vouched entry
+  is the manifest entry the caller last committed or loaded for a segment
+  whose state it has not changed since.  A segment is reused without
+  building or hashing its arrays when the vouched entry equals the
+  committed manifest's entry for it and the entry's file exists.  After a
+  ``DELTA_SHARD`` update only the dirty shards lose their voucher, so a
+  checkpoint hashes and writes exactly those.
+* **By content.**  Every other segment is built and its payload region
+  hashed once, over zero-copy views of its arrays.  A copy of that state,
+  extended by the header region the segment would carry under the
+  committed entry's epoch tag, must equal the committed entry's digest,
+  and the committed file must exist.  The digest covers the header, so
+  reuse also requires equal meta, dtypes and shapes.
+* **Rewrite.**  Otherwise another copy of the state, extended by the new
+  file's header region, is the new entry's digest.
+
+A load verifies each referenced segment's digest once, over every byte,
+before any array view is made (see :mod:`repro.persist.segments`).  The
+tests cross-check provenance against content: every segment a save
+reuses is also built and hashed, and must match its entry.
 
 A store whose manifest :func:`~repro.persist.manifest.load_manifest`
 refuses — one that does not parse, holds a field of the wrong type, or
-records a format version other than ``FORMAT_VERSION`` — fails every load
+records a format version outside ``READ_FORMATS`` — fails every load
 with :class:`~repro.persist.errors.SnapshotCorrupt` naming
 ``MANIFEST.json``, and a save over it starts afresh: manifest version 1,
 every segment rewritten, and the prune after its commit removes the old
-files.
+files.  A save over a store of an older format it can read (format 2)
+reuses nothing either; it commits ``FORMAT_VERSION`` in a new epoch past
+the old one, and the prune then removes the old segments.
 
 Crash safety: segments and the manifest are published with write-temp →
 fsync → atomic rename (with the containing directories fsynced before the
@@ -59,7 +67,10 @@ GC each other's temp files and prune each other's segments), and readers
 that hold a loaded snapshot across a concurrent save keep their mapped
 segments alive via the open mappings even if a later save unlinks the
 files — but a reader must not cache a *manifest* across saves and resolve
-its paths later.  Loads never delete anything.
+its paths later.  Loads never delete anything.  A second writer that
+commits between two of a first writer's saves changes the committed
+entries, so the first writer's vouchers no longer match and its next save
+decides by content.
 """
 
 from __future__ import annotations
@@ -67,6 +78,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -129,6 +141,12 @@ def _prune_unreferenced(root: Path, manifest: dict) -> int:
     return removed
 
 
+#: One segment handed to a save: its ``(arrays, meta)``, or a zero-argument
+#: callable returning them, which the save calls only when it needs the
+#: segment's bytes (a segment reused by provenance is never built).
+Segment = tuple | Callable[[], tuple]
+
+
 @dataclass
 class SaveResult:
     """Accounting of one committed save (feeds ``stats()["persist"]``)."""
@@ -141,7 +159,14 @@ class SaveResult:
     segments_total: int
     segments_rewritten: int
     segments_reused: int
+    #: segments whose payload the save hashed (every segment not reused by
+    #: provenance)
+    segments_hashed: int
+    #: bytes of the segment files the save wrote (the manifest excluded)
+    bytes_written: int
     orphans_removed: int
+    #: the committed manifest's entry per segment
+    entries: dict[str, dict] = field(repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -153,6 +178,8 @@ class SaveResult:
             "segments_total": self.segments_total,
             "segments_rewritten": self.segments_rewritten,
             "segments_reused": self.segments_reused,
+            "segments_hashed": self.segments_hashed,
+            "bytes_written": self.bytes_written,
             "orphans_removed": self.orphans_removed,
         }
 
@@ -163,12 +190,14 @@ class LoadedSnapshot:
 
     epoch: int
     manifest_version: int
-    #: the manifest's format (``FORMAT_VERSION``; a load refuses any other)
+    #: the manifest's format (one of ``READ_FORMATS``)
     format_version: int
     index_meta: dict
     #: segment name -> (arrays, segment meta); arrays are zero-copy views
     #: into the memory-mapped files when the load ran with ``mmap=True``.
     segments: dict[str, tuple[dict[str, np.ndarray], dict]]
+    #: the manifest's entry per segment
+    entries: dict[str, dict]
     bytes_on_disk: int
     load_seconds: float
     checksum_verify_seconds: float
@@ -188,19 +217,24 @@ def save_snapshot(
     path: Path,
     *,
     epoch: int,
-    segments: dict[str, tuple[dict[str, np.ndarray], dict | None]],
+    segments: dict[str, Segment],
     index_meta: dict,
     fault_injector=None,
+    vouched: dict[str, dict] | None = None,
 ) -> SaveResult:
     """Write one epoch's segments and commit a new manifest.
 
-    ``segments`` maps segment names to ``(arrays, meta)``.  A segment
-    whose file digest — payload and header, so arrays, meta, dtypes and
-    shapes alike — matches its entry in the previous committed manifest is
-    referenced from its existing epoch directory instead of rewritten;
-    everything else is published under ``epoch-{epoch:08d}/`` with the
-    atomic write protocol.  The manifest commit is the single
-    visibility point.
+    ``segments`` maps segment names to ``(arrays, meta)`` or to a callable
+    returning them.  ``vouched`` maps segment names to the manifest entries
+    the caller vouches are still its segments' state.  A segment is
+    referenced from its existing epoch directory instead of rewritten when
+    its vouched entry is the committed manifest's and that file exists
+    (the segment is then neither built nor hashed), or else when its file
+    digest — payload and header, so arrays, meta, dtypes and shapes alike
+    — matches the committed entry.  Everything else is published under
+    ``epoch-{epoch:08d}/`` with the atomic write protocol.  The manifest
+    commit is the single visibility point.  A committed manifest of an
+    older format offers nothing for reuse.
 
     The caller's ``epoch`` is advisory: whenever any segment must be
     rewritten, the effective epoch is forced past the committed manifest's
@@ -219,26 +253,31 @@ def save_snapshot(
         prior = load_manifest(root)
     except SnapshotError:
         prior = None
-    reusable = prior["segments"] if prior else {}
+    reusable = (
+        prior["segments"] if prior and prior["format_version"] == FORMAT_VERSION else {}
+    )
+    vouched = vouched or {}
 
     # Phase 1 — the reuse decision for every segment, before any path is
-    # chosen.  Each payload is hashed once; the state is kept for the
-    # rewrite's digest.
-    plans: dict[str, tuple[str, object]] = {}
-    for name, (arrays, meta) in segments.items():
-        payload = payload_digest(arrays)
+    # chosen.  A segment not vouched for is built and its payload hashed
+    # once; the state is kept for the rewrite's digest.
+    plans: dict[str, tuple] = {}
+    hashed = 0
+    for name, segment in segments.items():
         prior_entry = reusable.get(name)
-        if (
-            prior_entry is not None
-            and (root / prior_entry["path"]).is_file()
-            and segment_sha256(
-                payload, header_region(name, prior_entry["epoch"], arrays, meta)
-            )
-            == prior_entry["sha256"]
-        ):
+        present = prior_entry is not None and (root / prior_entry["path"]).is_file()
+        if present and vouched.get(name) == prior_entry:
+            plans[name] = ("reuse", dict(prior_entry))
+            continue
+        arrays, meta = segment() if callable(segment) else segment
+        payload = payload_digest(arrays)
+        hashed += 1
+        if present and segment_sha256(
+            payload, header_region(name, prior_entry["epoch"], arrays, meta)
+        ) == prior_entry["sha256"]:
             plans[name] = ("reuse", dict(prior_entry))
         else:
-            plans[name] = ("rewrite", payload)
+            plans[name] = ("rewrite", (arrays, meta, payload))
     any_rewrite = any(kind == "rewrite" for kind, _ in plans.values())
 
     epoch = int(epoch)
@@ -256,13 +295,13 @@ def save_snapshot(
     # Phase 2 — publish the rewrites and assemble the manifest.
     manifest_entries: dict[str, dict] = {}
     rewritten = 0
-    reused = 0
-    for name, (arrays, meta) in segments.items():
+    bytes_written = 0
+    for name in segments:
         kind, plan = plans[name]
         if kind == "reuse":
             manifest_entries[name] = plan
-            reused += 1
             continue
+        arrays, meta, payload = plan
         rel = f"{epoch_dir}/{name}.seg"
         entry = write_segment(
             root / rel,
@@ -271,11 +310,12 @@ def save_snapshot(
             arrays=arrays,
             meta=meta,
             fault_injector=fault_injector,
-            payload=plan,
+            payload=payload,
         )
         entry["path"] = rel
         manifest_entries[name] = entry
         rewritten += 1
+        bytes_written += entry["length"]
     if any_rewrite:
         # Make the segment renames durable before the manifest that
         # references them can commit: a power cut must never preserve the
@@ -299,8 +339,11 @@ def save_snapshot(
         bytes_on_disk=sum(int(entry["length"]) for entry in manifest_entries.values()),
         segments_total=len(manifest_entries),
         segments_rewritten=rewritten,
-        segments_reused=reused,
+        segments_reused=len(manifest_entries) - rewritten,
+        segments_hashed=hashed,
+        bytes_written=bytes_written,
         orphans_removed=orphans_removed,
+        entries=manifest_entries,
     )
 
 
@@ -340,6 +383,7 @@ def load_snapshot(
         format_version=int(manifest["format_version"]),
         index_meta=manifest["index"],
         segments=segments,
+        entries=manifest["segments"],
         bytes_on_disk=sum(
             int(entry["length"]) for entry in manifest["segments"].values()
         ),

@@ -363,12 +363,6 @@ def bvh_arrays_diff(a: Bvh, b: Bvh) -> str | None:
     return None
 
 
-def bvh_state_arrays(bvh: Bvh) -> dict[str, np.ndarray]:
-    """The defining arrays of ``bvh`` as a name→array dict — the persisted
-    form of a single tree (one segment of the epoch store)."""
-    return {attr: getattr(bvh, attr) for attr in BVH_ARRAY_FIELDS}
-
-
 def bvh_from_arrays(
     arrays: dict[str, np.ndarray],
     num_primitives: int,

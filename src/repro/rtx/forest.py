@@ -48,7 +48,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.rtx.bvh import (
-    NODE_ARRAYS,
     Bvh,
     BvhBuildOptions,
     box_columns,
@@ -91,6 +90,11 @@ class DeltaUpdateStats:
     #: True when the global Morton grid moved (scene bounds changed), which
     #: re-quantises every code and forces a full re-sort of all shards.
     rescaled: bool = False
+    #: buckets whose shard state (rows, delegation or sub-tree) may differ
+    #: from the old forest's, ascending: the dirty buckets, or every bucket
+    #: of either forest when rescaled.  Every other non-empty bucket keeps
+    #: its rows and sub-tree.
+    changed_buckets: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -581,42 +585,20 @@ def _build(
     return _forest(part, options, bvh, _cut(bvh, part))
 
 
-def forest_state_segments(forest: BvhForest):
-    """Yield ``(bucket, arrays, meta)`` per non-empty shard — the persisted
-    form of a forest.
-
-    Only each shard's rows in code order and, for delegated buckets, its
-    sub-tree's node arrays in local numbering are persisted; a shard
-    tree's ``prim_indices`` is always ``0..rows-1``.  The Morton grid, the
-    bucket partition, the top-level plan and the tree are a deterministic
-    pass over the key column that :func:`forest_from_saved` recomputes, so
-    a save after a delta update rewrites only the dirty shards.
-    """
-    for bucket in sorted(forest.shard_rows):
-        arrays: dict[str, np.ndarray] = {
-            "rows": np.ascontiguousarray(forest.shard_rows[bucket], dtype=np.int64)
-        }
-        tree = forest.shard_trees.get(bucket)
-        meta = {"bucket": int(bucket), "delegated": tree is not None}
-        if tree is not None:
-            for name, _, _ in NODE_ARRAYS:
-                arrays[name] = np.ascontiguousarray(getattr(tree, name))
-        yield bucket, arrays, meta
-
-
 def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.ndarray:
     """The row stream of persisted shards, required to partition the column.
 
-    Every shard's rows must be an int64 ``(count,)`` array, ``count`` being
-    the number of keys that fall in its bucket, and every row must lie in
-    ``[0, n)``, appear exactly once, and sit in the shard its recomputed
+    The rows of all shards together must already be a permutation of
+    ``[0, n)``; a load checks that before anything reads them
+    (:func:`repro.core.layout.read_index`).  Here every shard's rows must be
+    an int64 ``(count,)`` array, ``count`` being the number of keys that
+    fall in its bucket, and every row must sit in the shard its recomputed
     Morton bucket names.  Checksums cannot catch a writer that emits the
     wrong rows, because it checksums what it wrote.  Raises
     :class:`ShardPartitionError` naming the first offending bucket.
 
-    The checks are two reductions, a bool scatter and a gather of the
-    buckets in their narrowest dtype (uint16 at most); the per-row scans
-    run only to name the row that fails.
+    The check is a gather of the buckets in their narrowest dtype (uint16
+    at most); the per-row scan runs only to name the row that fails.
     """
     shard_vals = part.shard_vals
     for bucket, count in zip(shard_vals.tolist(), part.shard_counts.tolist()):
@@ -630,29 +612,15 @@ def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.nda
                 bucket, f"holds {array.shape[0]} rows, but {count} keys fall in its bucket"
             )
     rows_stream = np.concatenate([rows[b] for b in shard_vals.tolist()])
-    n = int(part.bucket.shape[0])
-    stream_starts = part.stream_starts
-
-    def _reject(bad: np.ndarray, problem: str) -> None:
-        positions = np.flatnonzero(bad)
-        if positions.size:
-            pos = int(positions[0])
-            bucket = int(shard_vals[np.searchsorted(stream_starts, pos, "right") - 1])
-            raise ShardPartitionError(bucket, f"row {int(rows_stream[pos])} {problem}")
-
-    if rows_stream.min() < 0 or rows_stream.max() >= n:
-        _reject((rows_stream < 0) | (rows_stream >= n), f"lies outside [0, {n})")
-    # n in-range rows repeat one exactly when they miss another, so the
-    # exact per-row count only runs to name the bucket.
-    seen = np.zeros(n, dtype=bool)
-    seen[rows_stream] = True
-    if not seen.all():
-        _reject(np.bincount(rows_stream, minlength=n)[rows_stream] != 1, "appears more than once")
     narrow = np.min_scalar_type(int(shard_vals[-1]))
     found = part.bucket.astype(narrow)[rows_stream]
     expected = np.repeat(shard_vals.astype(narrow), part.shard_counts)
     if not np.array_equal(found, expected):
-        _reject(found != expected, "belongs to another Morton bucket")
+        pos = int(np.flatnonzero(found != expected)[0])
+        bucket = int(shard_vals[np.searchsorted(part.stream_starts, pos, "right") - 1])
+        raise ShardPartitionError(
+            bucket, f"row {int(rows_stream[pos])} belongs to another Morton bucket"
+        )
     return rows_stream
 
 
@@ -663,11 +631,18 @@ def forest_from_saved(
 ) -> BvhForest:
     """Rebuild a :class:`BvhForest` from persisted shard state.
 
-    ``segments`` holds one ``(arrays, meta)`` pair per shard, as
-    :func:`forest_state_segments` yields them.  Recomputes the partition and
-    the top-level plan from the primitive buffer, checks that the persisted
-    rows partition the column and that every persisted sub-tree has a
-    tree's dtypes and shapes (:func:`~repro.rtx.bvh.bvh_from_arrays`) and
+    ``segments`` holds one ``(arrays, meta)`` pair per non-empty shard:
+    meta ``bucket`` and ``delegated``, and arrays ``rows`` (the shard's
+    rows in code order) plus, for a delegated bucket, its sub-tree's
+    :data:`~repro.rtx.bvh.NODE_ARRAYS` in local numbering (a shard tree's
+    ``prim_indices`` is always ``0..rows-1``; other arrays are not read).
+    The Morton grid, the partition, the top-level plan and the tree are a
+    deterministic pass over the primitives.  The rows of all shards must
+    together be a permutation of the buffer's rows, which a load checks
+    first (:func:`repro.core.layout.read_index`).  Recomputes the partition
+    and the top-level plan from the primitive buffer, checks that the
+    persisted rows sit in their buckets and that every persisted sub-tree
+    has a tree's dtypes and shapes (:func:`~repro.rtx.bvh.bvh_from_arrays`) and
     is one the splice can place (:func:`_checked_sizes`), and splices them:
     the resulting ``forest.bvh`` is bit-identical to the tree that was
     saved, and the forest is delta-updatable like a freshly built one.  The sort
@@ -781,6 +756,7 @@ def delta_update_forest(
                 rebuilt_trees=rebuilt.delegated_shards,
                 dirty_keys=n_new,
                 rescaled=True,
+                changed_buckets=sorted(forest.shard_rows.keys() | rebuilt.shard_rows.keys()),
             )
 
     # Patch the partition into fresh arrays; the old forest's stay as they are.
@@ -830,13 +806,11 @@ def delta_update_forest(
             )
             rebuilt_trees += tree is not None
         else:
+            # A clean bucket keeps its rows, so its count, so its delegation:
+            # the plan delegates exactly the buckets with more rows than a
+            # leaf holds.  It keeps its sub-tree too.
             rows = forest.shard_rows[b]
-            tree = forest.shard_trees.get(b) if b in delegated else None
-            if b in delegated and tree is None:
-                # The new plan delegates a clean bucket that used to sit in
-                # a mixed leaf: build its tree from the still-sorted rows.
-                _, tree = _sort_and_build(rows, new_buffer, part, options, True, sort=False)
-                rebuilt_trees += 1
+            tree = forest.shard_trees.get(b)
         parts.append(rows)
         if tree is not None:
             trees[b] = tree
@@ -847,6 +821,7 @@ def delta_update_forest(
         dirty_shards=int(np.count_nonzero(dirty)),
         rebuilt_trees=rebuilt_trees,
         dirty_keys=int(grouped.size),
+        changed_buckets=np.flatnonzero(dirty).tolist(),
     )
 
 
@@ -876,7 +851,6 @@ def _sort_and_build(
     part: _Partition,
     options: BvhBuildOptions,
     build_tree: bool,
-    sort: bool = True,
 ) -> tuple[np.ndarray, Bvh | None]:
     """Sort one bucket's rows by Morton code and optionally build its tree;
     only these rows of ``buffer`` get boxes and grid cells."""
@@ -884,9 +858,7 @@ def _sort_and_build(
     grid = quantize_to_grid(
         centroid_columns(mins, maxs).T, part.scene_lo, part.scene_hi, options.morton_bits
     )
-    codes = morton_interleave_grid(grid, options.morton_bits)
-    if sort:
-        order, codes = sort_codes(codes)
-        rows, mins, maxs = rows[order], mins[:, order], maxs[:, order]
+    order, codes = sort_codes(morton_interleave_grid(grid, options.morton_bits))
+    rows, mins, maxs = rows[order], mins[:, order], maxs[:, order]
     tree = build_lbvh_over_sorted(codes, mins.T, maxs.T, options) if build_tree else None
     return rows, tree

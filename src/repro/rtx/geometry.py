@@ -195,6 +195,12 @@ class PrimitiveBuffer:
         the build passes read.  Drops any cached intersection pack."""
         raise NotImplementedError
 
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The union of every primitive's box as float32 ``(3,)`` ``(mins,
+        maxs)``: :meth:`compute_aabbs` reduced, bit for bit."""
+        mins, maxs = self.compute_aabbs()
+        return mins.min(axis=0), maxs.max(axis=0)
+
     def intersect(self, origin, direction, tmin, tmax, prim_indices) -> np.ndarray:
         """Return the subset of ``prim_indices`` whose primitive the ray hits."""
         prim_indices = np.asarray(prim_indices, dtype=np.int64)
@@ -493,6 +499,21 @@ class AnchoredTriangleBuffer(_MollerTrumboreBuffer):
             ):
                 np.add(anchors[axis], offset * extent, out=out[axis], dtype=np.float64)
         return mins.T, maxs.T
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        # compute_aabbs' corner adds are monotone in the anchor, so with one
+        # shared extent an axis's bounds are its extreme anchors' corners;
+        # only Extended Mode's per-key x extents need every box.
+        if self.x_half_extent is not None:
+            return super().bounds()
+        mins, maxs = np.empty((2, 3), dtype=np.float32)
+        for axis, anchors in enumerate(self.anchors):
+            for out, anchor, offset in (
+                (mins, anchors.min(), _TRIANGLE_OFFSET_MIN[axis]),
+                (maxs, anchors.max(), _TRIANGLE_OFFSET_MAX[axis]),
+            ):
+                out[axis] = np.add(anchor, offset * self.half_extent, dtype=np.float64)
+        return mins, maxs
 
     def _pair_triangles(self, prim_indices) -> tuple[np.ndarray, ...]:
         corners = np.empty((3, prim_indices.shape[0]), dtype=np.float32)

@@ -4,7 +4,7 @@ Two tiny indexes over the same 256 dense shuffled keys: a sharded forest
 (``with_delta_updates(shard_bits=3)``, one segment per non-empty shard) and
 a single tree (``paper_default()``, one ``bvh`` segment).
 
-Two checked-in sets pin two eras:
+Three checked-in sets pin three eras:
 
 * ``snapshots-v1/`` was written by this script at commit c27a4eb: manifest
   format 1 (a whole-file and a payload CRC32C plus a payload SHA-256 per
@@ -19,10 +19,18 @@ Two checked-in sets pin two eras:
   not change, so its ``.seg`` files are byte-identical to
   ``snapshots-v1/``'s.  They hold the legacy tree layout: every tree
   stores a ``right`` array and every delegated shard a ``prim_indices``
-  array, which saves no longer write.  The current code must load them,
-  check each legacy ``right`` against ``left + 1``, and, building the same
-  indexes, write the same key column and the same tree arrays but those
-  two.  Do not regenerate ``snapshots-v2/``: it is the legacy-layout input.
+  array, which saves no longer write, and the forest keeps its keys in a
+  ``columns`` segment.  The current code must load them, check each
+  legacy ``right`` against ``left + 1``, and, building the same indexes,
+  write the same single-tree key column and the same tree arrays but
+  those two.  Do not regenerate ``snapshots-v2/``: it is the legacy-layout
+  input.
+* ``snapshots-v3/`` was written by this script when manifest format 3
+  gave forest stores their per-shard keys: the forest holds a ``values``
+  segment and shard segments whose ``keys`` array holds their rows' keys,
+  and no ``columns`` segment; the single tree keeps ``columns`` and
+  ``bvh``.  A fresh build and save of the current code must write these
+  files byte for byte.
 
 Run against newer code, the script writes the *current* layout, so point
 it at a fresh directory rather than over a fixture::

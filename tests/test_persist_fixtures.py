@@ -3,23 +3,27 @@
 ``tests/fixtures/`` holds a forest and a single-tree snapshot per manifest
 format, written by ``tests/fixtures/make_snapshots.py``:
 
-* ``snapshots-v2/`` — format 2 (one SHA-256 per segment), the format the
-  reader holds, written while ``RXConfig`` still had the ``serve_*``
-  serving knobs and the ``allow_updates`` flag, so its manifests carry
-  those ten retired keys.  It also holds
-  the legacy tree layout: every tree stores a ``right`` array, and every
-  delegated shard a ``prim_indices`` array.  Each store must load through
-  both load paths (memory-mapped and heap) and answer point and range
-  lookups — hits and counters — exactly like a fresh build over the same
-  keys.  A fresh build and save must write its ``columns.seg`` byte for
-  byte, its tree arrays but the two legacy ones bit for bit, and its
-  manifest's index block but for the retired keys; the segment files
-  it writes are pinned by their recorded SHA-256s.
+* ``snapshots-v3/`` — format 3, what saves write: the forest keeps its
+  keys in its shard segments beside a ``values`` segment, the single tree
+  keeps ``columns`` and ``bvh``.  A fresh build and save writes every file
+  of it byte for byte, and its single-tree segments are the bytes format
+  2 wrote.  Each store loads through both load paths like a fresh build.
+* ``snapshots-v2/`` — format 2 (one SHA-256 per segment), written while
+  ``RXConfig`` still had the ``serve_*`` serving knobs and the
+  ``allow_updates`` flag, so its manifests carry those ten retired keys.
+  It also holds the legacy tree layout: every tree stores a ``right``
+  array, and every delegated shard a ``prim_indices`` array, and the
+  forest holds its keys in a ``columns`` segment.  Each store must load
+  through both load paths (memory-mapped and heap) and answer point and
+  range lookups — hits and counters — exactly like a fresh build over the
+  same keys.  A fresh build and save must write the same arrays, moved
+  into the format-3 layout, and the manifest's index block but for the
+  retired keys.  A save over a copy of one commits format 3 afresh.
 * ``snapshots-v1/`` — format 1 (CRC32C per segment), which the reader
   no longer holds.  Each store must fail every way a snapshot enters the
   stack with ``SnapshotCorrupt`` on ``MANIFEST.json``, leaving an index or
   service that was asked to restore it serving its own epoch, and a save
-  over a copy of one starts afresh and commits format 2.
+  over a copy of one starts afresh and commits format 3.
 
 Loads are read-only, so the checked-in fixtures stay byte-identical.
 """
@@ -37,7 +41,7 @@ import pytest
 
 from repro.core import RXIndex
 from repro.core.config import RETIRED_CONFIG_KEYS
-from repro.persist import SnapshotCorrupt, load_snapshot, save_snapshot
+from repro.persist import SnapshotCorrupt, load_snapshot
 from repro.serve import IndexService
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -98,7 +102,7 @@ def test_old_snapshot_loads_like_a_fresh_build(name):
     assert _digests(root) == before
 
 
-def test_legacy_shard_prim_indices_are_not_read(tmp_path):
+def test_legacy_shard_prim_indices_are_not_read(tmp_path, commit_as_format):
     """A delegated shard's legacy ``prim_indices`` array is never read:
     with every one reversed, the forest fixture still loads like a fresh
     build, and each shard tree's ``prim_indices`` is ``0..rows-1``, a view
@@ -110,7 +114,7 @@ def test_legacy_shard_prim_indices_are_not_read(tmp_path):
             arrays = {**arrays, "prim_indices": arrays["prim_indices"][::-1].copy()}
         segments[segment] = (arrays, meta)
     store = tmp_path / "forest"
-    save_snapshot(store, epoch=snap.epoch, segments=segments, index_meta=snap.index_meta)
+    commit_as_format(store, snap, segments)
 
     fresh = RXIndex(make_snapshots.CONFIGS["forest"]())
     fresh.build(make_snapshots.fixture_keys())
@@ -180,25 +184,37 @@ LEGACY_ARRAYS = {"bvh": ("right",), "shard": ("right", "prim_indices")}
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
-def test_fresh_save_drops_only_the_legacy_tree_arrays(tmp_path, name):
-    """Today's build and save write the fixture's ``columns.seg`` byte for
-    byte, and each tree segment with exactly the fixture's arrays but the
-    legacy ones, in the fixture's order, bit for bit, with the fixture's
-    meta.  The manifest's index block is the fixture's once the ten retired
-    keys (the ``serve_*`` knobs and ``allow_updates``) are deleted from its
-    config."""
+def test_fresh_save_moves_the_format2_arrays_into_format3(tmp_path, name):
+    """Today's build and save write the format-2 fixture's arrays, bit for
+    bit, in the format-3 layout.  A single tree's ``columns.seg`` is the
+    fixture's byte for byte, and its ``bvh`` holds the fixture's arrays but
+    the legacy one.  A forest's ``values`` segment holds the fixture's
+    values, and each shard segment holds the fixture's shard arrays but the
+    legacy ones, in the fixture's order and with its meta, after a
+    ``keys`` array holding the fixture's keys of its rows.  The manifest's
+    index block is the fixture's once the ten retired keys (the
+    ``serve_*`` knobs and ``allow_updates``) are deleted from its config."""
     fixture = FIXTURES / "snapshots-v2" / name
     store = _fresh_save(tmp_path, name)
-    columns = "epoch-00000000/columns.seg"
-    assert (store / columns).read_bytes() == (fixture / columns).read_bytes()
-
     old = load_snapshot(fixture, mmap=False).segments
     new = load_snapshot(store, mmap=False).segments
-    assert new.keys() == old.keys()
+    fixture_keys, fixture_values = old["columns"][0]["keys"], old["columns"][0]["values"]
+    if name == "single":
+        columns = "epoch-00000000/columns.seg"
+        assert (store / columns).read_bytes() == (fixture / columns).read_bytes()
+        assert new.keys() == old.keys()
+    else:
+        assert new.keys() == (old.keys() - {"columns"}) | {"values"}
+        (values,) = new["values"][0].values()
+        assert values.tobytes() == fixture_values.tobytes()
     for segment, (arrays, meta) in old.items():
+        if segment == "columns":
+            continue
         legacy = LEGACY_ARRAYS.get(segment.split("-")[0], ())
         assert set(legacy) <= arrays.keys(), segment
         kept = {array: value for array, value in arrays.items() if array not in legacy}
+        if segment.startswith("shard-"):
+            kept = {"keys": fixture_keys[arrays["rows"]], **kept}
         written, written_meta = new[segment]
         assert list(written) == list(kept), segment
         for array, value in kept.items():
@@ -212,23 +228,26 @@ def test_fresh_save_drops_only_the_legacy_tree_arrays(tmp_path, name):
     for key in RETIRED_CONFIG_KEYS:
         del manifest["index"]["config"][key]
     fresh = json.loads((store / "MANIFEST.json").read_text())
-    assert {k: v for k, v in fresh.items() if k != "segments"} == {
-        k: v for k, v in manifest.items() if k != "segments"
+    assert (manifest["format_version"], fresh["format_version"]) == (2, 3)
+    assert {k: v for k, v in fresh.items() if k not in ("segments", "format_version")} == {
+        k: v for k, v in manifest.items() if k not in ("segments", "format_version")
     }
 
 
-#: SHA-256 of every segment file a fresh save of each fixture index
-#: writes.  Any drift means the tree layout (or the segment format) changed.
+#: SHA-256 of every segment file of the ``snapshots-v3`` fixtures, which a
+#: fresh save of each fixture index writes.  The single tree's are the
+#: bytes format 2 wrote too.  Any drift means the layout (or the segment
+#: format) changed.
 FRESH_SEGMENT_SHA256 = {
     "forest": {
-        "epoch-00000000/columns.seg": (
-            "1aadb2ebfdf3b368f64a6c67d3c4b6d4379832182b411707ab4ed5c578479a64"
-        ),
         "epoch-00000000/shard-00000.seg": (
-            "1a11a4d9eaf6a95d19c9ed7382cc09b69b049a7bd9ef32a4a378aac8335441d4"
+            "ebf53d1d351308320108c80060f970e995604fd1a2db00dd6e23d8fcbdf9e684"
         ),
         "epoch-00000000/shard-00004.seg": (
-            "2079996fdb51ec289636cc10d1154a5c49ce11ae50b4c7b9ca7464c19a1a6f43"
+            "d8002fe6acb58bbb2f23bbab76c4e1d23adf7855e1e5f7d3ca99a093e9bb7fb8"
+        ),
+        "epoch-00000000/values.seg": (
+            "bc0afab9cd6c6f415febb1b5770430994997972ea7e4a34f2eec2bcc35159a70"
         ),
     },
     "single": {
@@ -243,15 +262,47 @@ FRESH_SEGMENT_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
-def test_fresh_save_writes_the_recorded_segment_bytes(tmp_path, name):
-    written = _digests(_fresh_save(tmp_path, name))
-    del written["MANIFEST.json"]
-    assert written == FRESH_SEGMENT_SHA256[name]
+def test_fresh_save_writes_the_v3_fixture(tmp_path, name):
+    """A fresh build and save writes every file of the ``snapshots-v3``
+    store byte for byte, manifest included, and the fixture's segments are
+    the recorded ones."""
+    fixture = FIXTURES / "snapshots-v3" / name
+    expected = _digests(fixture)
+    assert _digests(_fresh_save(tmp_path, name)) == expected
+    del expected["MANIFEST.json"]
+    assert expected == FRESH_SEGMENT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_v3_snapshot_loads_like_a_fresh_build(tmp_path, name):
+    """Both load paths of a ``snapshots-v3`` store answer like a fresh build,
+    hold its key column and remember every segment, so a save of the
+    loaded index into a copy of the store hashes and writes nothing."""
+    root = FIXTURES / "snapshots-v3" / name
+    before = _digests(root)
+    fresh = RXIndex(make_snapshots.CONFIGS[name]())
+    fresh.build(make_snapshots.fixture_keys())
+    expected = _lookups(fresh)
+    for mmap in (True, False):
+        loaded = RXIndex.load(root, mmap=mmap)
+        assert loaded.stats()["persist"]["format_version"] == 3
+        assert np.array_equal(loaded.keys, fresh.keys)
+        assert not loaded.keys.flags.writeable and not loaded.values.flags.writeable
+        assert _lookups(loaded) == expected, (name, mmap)
+        store = tmp_path / f"copy-{mmap}"
+        shutil.copytree(root, store)
+        info = loaded.save(store)
+        assert (info["segments_hashed"], info["segments_rewritten"], info["bytes_written"]) == (
+            0,
+            0,
+            0,
+        )
+    assert _digests(root) == before
 
 
 @pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
 def test_save_over_a_format1_store_starts_afresh(tmp_path, name):
-    """A save over a store the reader refuses commits format 2 as manifest
+    """A save over a store the reader refuses commits format 3 as manifest
     version 1, rewrites every segment, and the store then loads and
     answers like the build that was saved."""
     store = tmp_path / name
@@ -260,11 +311,11 @@ def test_save_over_a_format1_store_starts_afresh(tmp_path, name):
     index.build(make_snapshots.fixture_keys())
 
     first = index.save(store)
-    assert (first["format_version"], first["manifest_version"]) == (2, 1)
+    assert (first["format_version"], first["manifest_version"]) == (3, 1)
     assert first["segments_reused"] == 0
     assert first["segments_rewritten"] == first["segments_total"] >= 2
     manifest = json.loads((store / "MANIFEST.json").read_text())
-    assert (manifest["format_version"], manifest["version"]) == (2, 1)
+    assert (manifest["format_version"], manifest["version"]) == (3, 1)
     for mmap in (True, False):
         assert _lookups(RXIndex.load(store, mmap=mmap)) == _lookups(index)
 
@@ -273,3 +324,31 @@ def test_save_over_a_format1_store_starts_afresh(tmp_path, name):
         0,
         second["segments_total"],
     )
+
+
+@pytest.mark.parametrize("name", sorted(make_snapshots.CONFIGS))
+def test_first_save_over_a_format2_store_starts_format3_afresh(tmp_path, name):
+    """An index loaded from a format-2 store, saved over it, reuses no
+    segment: it hashes and writes every one into a new epoch past the old
+    one and commits format 3, and the prune then removes every format-2
+    file.  The store then loads and answers like the fixture, and the next
+    save reuses everything without hashing."""
+    store = tmp_path / name
+    shutil.copytree(FIXTURES / "snapshots-v2" / name, store)
+    old_files = {path.relative_to(store) for path in store.rglob("*.seg")}
+    loaded = RXIndex.load(store)
+    expected = _lookups(loaded)
+
+    first = loaded.save(store)
+    assert (first["format_version"], first["manifest_version"], first["epoch"]) == (3, 2, 1)
+    assert first["segments_reused"] == 0
+    assert first["segments_hashed"] == first["segments_rewritten"] == first["segments_total"]
+    assert first["bytes_written"] == first["bytes_on_disk"]
+    assert not old_files & {path.relative_to(store) for path in store.rglob("*.seg")}
+    for mmap in (True, False):
+        reloaded = RXIndex.load(store, mmap=mmap)
+        assert reloaded.stats()["persist"]["format_version"] == 3
+        assert _lookups(reloaded) == expected
+
+    second = loaded.save(store)
+    assert (second["segments_hashed"], second["segments_rewritten"]) == (0, 0)

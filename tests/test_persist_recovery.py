@@ -401,32 +401,52 @@ class TestVerifiedLoads:
         assert not orphan.exists()
 
 
-def _swap_across_shards(rows, low, high):
-    rows[low][0], rows[high][0] = rows[high][0], rows[low][0]
+def _swap_first(array):
+    def mutate(shards, low, high):
+        first, last = shards[low][array], shards[high][array]
+        first[0], last[0] = last[0], first[0]
+
+    return mutate
 
 
-def _duplicate_within_shard(rows, low, high):
-    rows[low][1] = rows[low][0]
+_swap_across_shards = _swap_first("rows")
+_swap_keys_across_shards = _swap_first("keys")
 
 
-def _drop_a_row(rows, low, high):
-    rows[low] = rows[low][:-1]
+def _duplicate_within_shard(shards, low, high):
+    shards[low]["rows"][1] = shards[low]["rows"][0]
 
 
-def _float_rows(rows, low, high):
-    rows[low] = rows[low].astype(np.float64)
+def _drop_a_row(shards, low, high):
+    for name in ("keys", "rows"):
+        if name in shards[low]:
+            shards[low][name] = shards[low][name][:-1]
 
 
-def _unsigned_rows(rows, low, high):
-    rows[low] = rows[low].astype(np.uint64)
+def _row_past_the_end(shards, low, high):
+    shards[low]["rows"][0] = 4096
 
 
-def _narrow_rows(rows, low, high):
-    rows[low] = rows[low].astype(np.int32)
+def _negative_row(shards, low, high):
+    shards[low]["rows"][-1] = -1
 
 
-def _rows_in_a_matrix(rows, low, high):
-    rows[low] = rows[low].reshape(1, -1)
+def _set_rows(change):
+    def mutate(shards, low, high):
+        shards[low]["rows"] = change(shards[low]["rows"])
+
+    return mutate
+
+
+def _set_keys(change):
+    def mutate(shards, low, high):
+        shards[low]["keys"] = change(shards[low]["keys"])
+
+    return mutate
+
+
+def _drop_keys(shards, low, high):
+    del shards[low]["keys"]
 
 
 _NODE_ARRAYS = ("left", "first_prim", "prim_count", "node_mins", "node_maxs")
@@ -523,15 +543,63 @@ def _next_bucket(segment, name):
     segment[1]["bucket"] += 1
 
 
+#: (case id, mutation of the shards' arrays, formats it applies to, regex
+#: the error must match, and the segment it must name: ``None`` for the
+#: first shard the mutation touched)
+_BAD_SHARD_ROWS = [
+    ("swap", _swap_across_shards, (2,), "belongs to another Morton bucket", None),
+    ("swap-keys", _swap_keys_across_shards, (3,), "belongs to another Morton bucket", None),
+    ("duplicate", _duplicate_within_shard, (2, 3), "appears more than once", None),
+    ("drop", _drop_a_row, (2,), r"row \d+ of the 4096 the columns segment holds lies in no shard",
+     "columns"),
+    ("drop", _drop_a_row, (3,), r"row \d+ of the 4096 the values segment holds lies in no shard",
+     "values"),
+    ("past-the-end", _row_past_the_end, (3,), r"row 4096 lies outside \[0, 4096\)", None),
+    ("negative", _negative_row, (3,), r"row -1 lies outside \[0, 4096\)", None),
+    ("float64", _set_rows(lambda a: a.astype(np.float64)), (2, 3),
+     r"rows array is float64 \(\d+,\), not int64", None),
+    ("uint64", _set_rows(lambda a: a.astype(np.uint64)), (2, 3),
+     r"rows array is uint64 \(\d+,\), not int64", None),
+    ("int32", _set_rows(lambda a: a.astype(np.int32)), (2, 3),
+     r"rows array is int32 \(\d+,\), not int64", None),
+    ("2-d", _set_rows(lambda a: a.reshape(1, -1)), (2, 3),
+     r"rows array is int64 \(1, \d+\), not int64 \(\d+,\)", None),
+    ("no-keys", _drop_keys, (3,), "it holds no keys array", None),
+    ("int64-keys", _set_keys(lambda a: a.astype(np.int64)), (3,),
+     r"keys array is int64 \(\d+,\), not uint64 \(\d+,\)", None),
+    ("float64-keys", _set_keys(lambda a: a.astype(np.float64)), (3,),
+     r"keys array is float64 \(\d+,\), not uint64 \(\d+,\)", None),
+    ("short-keys", _set_keys(lambda a: a[:-1]), (3,),
+     r"keys array is uint64 \(\d+,\), not uint64 \(\d+,\)", None),
+    ("2-d-keys", _set_keys(lambda a: a.reshape(1, -1)), (3,),
+     r"keys array is uint64 \(1, \d+\), not uint64 \(\d+,\)", None),
+]
+
+_BAD_SHARD_ROW_CASES = [
+    pytest.param(fmt, mutate, problem, segment, id=f"format{fmt}-{case_id}")
+    for case_id, mutate, formats, problem, segment in _BAD_SHARD_ROWS
+    for fmt in formats
+]
+
+
 class TestBuggyWriterShards:
     """Shard state that checksums correctly but is wrong.
 
     A writer bug re-checksums whatever it writes, so the mutated segments
     below go through ``save_snapshot`` and pass every digest; the load must
-    still refuse them, naming the shard."""
+    still refuse them, naming the shard.  Every load first checks that the
+    shards' rows are a permutation of the column's; a format-3 forest keeps
+    each shard's keys beside its rows and scatters them only after that
+    check, while a format-2 forest keeps its keys in ``columns``.  (A
+    format-3 writer that moves a row to another shard together with its
+    key writes another, self-consistent column, which only the segment
+    digests it re-computes could tell.)"""
 
     @staticmethod
-    def _good_segments(tmp_path):
+    def _good_segments(tmp_path, commit, fmt=3):
+        """A checked format-``fmt`` copy of a 4096-key ``shard_bits=4``
+        forest's store: the loaded snapshot and deep copies of its
+        segments."""
         rng = np.random.default_rng([5, FAULT_SEED])
         keys = rng.permutation(np.arange(4096, dtype=np.uint64))
         index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=4))
@@ -542,51 +610,42 @@ class TestBuggyWriterShards:
             name: ({k: v.copy() for k, v in arrays.items()}, meta)
             for name, (arrays, meta) in snap.segments.items()
         }
+        if fmt == 2:
+            segments["columns"] = (
+                {"keys": keys, "values": segments.pop("values")[0]["values"]},
+                None,
+            )
+            for name, (arrays, _) in segments.items():
+                if name.startswith("shard-"):
+                    del arrays["keys"]
+            snap.format_version = 2
         # Control: an unmutated rewrite through the same path loads cleanly.
-        save_snapshot(
-            tmp_path / "control", epoch=snap.epoch, segments=segments,
-            index_meta=snap.index_meta,
-        )
-        RXIndex.load(tmp_path / "control")
+        commit(tmp_path / "control", snap, segments)
+        control = RXIndex.load(tmp_path / "control")
+        assert np.array_equal(control.keys, keys)
         return snap, segments
 
     @staticmethod
-    def _assert_load_rejects(tmp_path, snap, segments, problem, segment):
-        save_snapshot(
-            tmp_path / "bad", epoch=snap.epoch, segments=segments,
-            index_meta=snap.index_meta,
-        )
+    def _assert_load_rejects(tmp_path, commit, snap, segments, problem, segment):
+        commit(tmp_path / "bad", snap, segments)
         load_snapshot(tmp_path / "bad")  # every checksum passes
         for mmap in (True, False):
             with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
                 RXIndex.load(tmp_path / "bad", mmap=mmap)
             assert excinfo.value.segment == segment
 
-    @pytest.mark.parametrize(
-        "mutate, problem",
-        [
-            (_swap_across_shards, "belongs to another Morton bucket"),
-            (_duplicate_within_shard, "appears more than once"),
-            (_drop_a_row, "rows, but"),
-            (_float_rows, r"rows array is float64 \(\d+,\), not int64"),
-            (_unsigned_rows, r"rows array is uint64 \(\d+,\), not int64"),
-            (_narrow_rows, r"rows array is int32 \(\d+,\), not int64"),
-            (_rows_in_a_matrix, r"rows array is int64 \(1, \d+\), not int64 \(\d+,\)"),
-        ],
-        ids=["swap", "duplicate", "drop", "float64", "uint64", "int32", "2-d"],
-    )
+    @pytest.mark.parametrize("fmt, mutate, problem, segment", _BAD_SHARD_ROW_CASES)
     def test_load_rejects_shard_rows_that_do_not_partition(
-        self, tmp_path, mutate, problem
+        self, tmp_path, commit_as_format, fmt, mutate, problem, segment
     ):
-        snap, segments = self._good_segments(tmp_path)
+        snap, segments = self._good_segments(tmp_path, commit_as_format, fmt)
         shard_names = sorted(name for name in segments if name.startswith("shard-"))
         assert len(shard_names) >= 2, "test needs a multi-shard forest"
         low, high = shard_names[0], shard_names[-1]
-        rows = {name: segments[name][0]["rows"] for name in shard_names}
-        mutate(rows, low, high)
-        for name in shard_names:
-            segments[name][0]["rows"] = rows[name]
-        self._assert_load_rejects(tmp_path, snap, segments, problem, low)
+        mutate({name: segments[name][0] for name in shard_names}, low, high)
+        self._assert_load_rejects(
+            tmp_path, commit_as_format, snap, segments, problem, segment or low
+        )
 
     @pytest.mark.parametrize(
         "mutate, problem",
@@ -622,17 +681,19 @@ class TestBuggyWriterShards:
         ],
     )
     @pytest.mark.parametrize("which", [min, max], ids=["first", "last"])
-    def test_load_rejects_malformed_shard_trees(self, tmp_path, mutate, problem, which):
+    def test_load_rejects_malformed_shard_trees(
+        self, tmp_path, commit_as_format, mutate, problem, which
+    ):
         """A shard tree the splice would place into its neighbours' blocks,
         into a cycle, or over rows it does not hold."""
-        snap, segments = self._good_segments(tmp_path)
+        snap, segments = self._good_segments(tmp_path, commit_as_format)
         name = which(
             name
             for name, (_, meta) in segments.items()
             if name.startswith("shard-") and meta["delegated"]
         )
         mutate(segments[name][0])
-        self._assert_load_rejects(tmp_path, snap, segments, problem, name)
+        self._assert_load_rejects(tmp_path, commit_as_format, snap, segments, problem, name)
 
     @pytest.mark.parametrize(
         "mutate, problem",
@@ -652,12 +713,14 @@ class TestBuggyWriterShards:
             "other-bucket", "string-delegated", "int-delegated", "no-delegated",
         ],
     )
-    def test_malformed_shard_segment_is_refused(self, tmp_path, mutate, problem):
+    def test_malformed_shard_segment_is_refused(
+        self, tmp_path, commit_as_format, mutate, problem
+    ):
         """A shard segment whose meta or arrays a load cannot read fails
         both ways a snapshot enters an index, naming the segment, before
         any device memory is allocated; a refused restore changes
         nothing."""
-        snap, segments = self._good_segments(tmp_path)
+        snap, segments = self._good_segments(tmp_path, commit_as_format)
         name = min(name for name in segments if name.startswith("shard-"))
         mutate(segments[name], name)
         store = tmp_path / "bad"
@@ -696,7 +759,7 @@ class TestIncrementalSaves:
         shards = index.accel.forest.non_empty_shards
         assert shards >= 3, "test needs a multi-shard forest"
         first = index.save(tmp_path)
-        assert first["segments_total"] == shards + 1  # + the columns segment
+        assert first["segments_total"] == shards + 1  # + the values segment
 
         new_keys = keys.copy()
         new_keys[0] += 1  # dirties exactly the shard holding row 0
@@ -705,10 +768,11 @@ class TestIncrementalSaves:
         assert dirty < shards
 
         second = index.save(tmp_path)
-        # Dirty shards + the key column are rewritten; everything else is
-        # referenced from the previous epoch's immutable files.
-        assert second["segments_rewritten"] == dirty + 1
-        assert second["segments_reused"] == (shards - dirty)
+        # Only the dirty shards, which hold the changed key, are hashed and
+        # rewritten; the values and every clean shard are referenced from
+        # the previous epoch's immutable files.
+        assert second["segments_hashed"] == second["segments_rewritten"] == dirty
+        assert second["segments_reused"] == (shards - dirty) + 1
         assert second["epoch"] > first["epoch"]
 
         reloaded = RXIndex.load(tmp_path)
@@ -847,7 +911,7 @@ class TestMalformedHeaders:
     def test_an_unforged_header_loads(self, tmp_path):
         _forged_store(tmp_path, lambda header: header)
         snap = load_snapshot(tmp_path)
-        assert snap.format_version == 2
+        assert snap.format_version == 3
         assert snap.arrays("bad")["a"].tolist() == [-7, -6, -5]
 
 
@@ -874,7 +938,7 @@ _MALFORMED_MANIFESTS = [
     ("negative-epoch", _set_top(epoch=-1), "epoch -1 is not", "MANIFEST.json"),
     ("string-epoch", _set_top(epoch="0"), "epoch '0' is not", "MANIFEST.json"),
     ("format-1", _set_top(format_version=1), "format version 1 is not", "MANIFEST.json"),
-    ("format-3", _set_top(format_version=3), "format version 3 is not", "MANIFEST.json"),
+    ("format-4", _set_top(format_version=4), "format version 4 is not", "MANIFEST.json"),
     ("bool-format", _set_top(format_version=True), "format version True is not", "MANIFEST.json"),
     ("entry-not-object", _set_top(segments={"seg": 7}), "is not a JSON object", "seg"),
     ("string-length", _set_entry(length="100"), "length '100' is not", "seg"),
@@ -890,7 +954,7 @@ _MALFORMED_MANIFESTS = [
 
 
 class TestMalformedManifests:
-    """Manifest fields of the wrong type, and format versions other than 2,
+    """Manifest fields of the wrong type, and format versions other than 2 and 3,
     fail as ``SnapshotCorrupt`` naming the field, and a save over such a
     store starts afresh, as it does over a manifest that does not parse."""
 
@@ -941,9 +1005,10 @@ def _set_config(**fields):
 _BOTH = ("forest", "single")
 _MANIFEST = "MANIFEST.json"
 
-#: (case id, fixture stores it applies to, mutation of the manifest's index
-#: block or the name of a segment entry to delete, regex the error must
-#: match, segment it must name)
+#: (case id, fixture stores it applies to — ``"forest"`` is the forest of
+#: both ``snapshots-v2`` and ``snapshots-v3``, ``"v3/forest"`` only the
+#: latter's — mutation of the manifest's index block or the name of a
+#: segment entry to delete, regex the error must match, segment it must name)
 _BAD_INDEX_BLOCKS = [
     ("no-config", _BOTH, _drop_index("config"), "no valid index config", _MANIFEST),
     ("config-list", _BOTH, _set_index(config=[]), r"\[\] is not a JSON object", _MANIFEST),
@@ -978,7 +1043,8 @@ _BAD_INDEX_BLOCKS = [
     ),
     ("int-compacted", _BOTH, _set_index(compacted=1), "compacted 1 is not a bool", _MANIFEST),
     ("no-compacted", ("single",), _drop_index("compacted"), r"compacted \(missing\)", _MANIFEST),
-    ("no-columns", _BOTH, "columns", "lists no columns segment", "columns"),
+    ("no-columns", ("v2/forest", "single"), "columns", "lists no columns segment", "columns"),
+    ("no-values", ("v3/forest",), "values", "lists no values segment", "values"),
     ("no-bvh", ("single",), "bvh", "lists no bvh segment", "bvh"),
     # A config the keys encode under differently: the single tree's root
     # box is not their union, and the forest's partition moves.
@@ -1000,19 +1066,36 @@ _BAD_INDEX_BLOCKS = [
     ),
 ]
 
+
+
+def _fixture_stores(names):
+    """``(fixture set, store)`` per entry of a case's store list."""
+    for entry in names:
+        version, _, name = entry.rpartition("/")
+        for fixture_set in ("v2", "v3") if not version else (version,):
+            yield f"snapshots-{fixture_set}", name
+
+
 _INDEX_BLOCK_CASES = [
-    pytest.param(name, mutate, problem, segment, id=f"{name}-{case_id}")
+    pytest.param(
+        fixture_set,
+        name,
+        mutate,
+        problem,
+        segment,
+        id=f"{name}-{case_id}" if fixture_set == "snapshots-v2" else f"v3-{name}-{case_id}",
+    )
     for case_id, names, mutate, problem, segment in _BAD_INDEX_BLOCKS
-    for name in names
+    for fixture_set, name in _fixture_stores(names)
 ]
 
 
-def _bad_index_block_store(tmp_path, name, mutate) -> Path:
-    """A copy of the ``snapshots-v2`` fixture ``name`` with only its
+def _bad_index_block_store(tmp_path, name, mutate, fixture_set="snapshots-v2") -> Path:
+    """A copy of the fixture store ``name`` of ``fixture_set`` with only its
     manifest edited: ``mutate`` rewrites the index block, or names a
     segment entry to delete."""
     store = tmp_path / name
-    shutil.copytree(FIXTURES / "snapshots-v2" / name, store)
+    shutil.copytree(FIXTURES / fixture_set / name, store)
     manifest = json.loads((store / "MANIFEST.json").read_text())
     if isinstance(mutate, str):
         del manifest["segments"][mutate]
@@ -1072,12 +1155,85 @@ def _legacy_right_at_a_leaf(segment):
     return mutate
 
 
-#: (case id, ``snapshots-v2`` store, mutation of its segment arrays, segment
-#: the error must name, regex it must match)
+def _first_leaf(change):
+    """``change(tree, leaf)`` rewrites the first leaf of the single tree."""
+
+    def mutate(segments):
+        tree = segments["bvh"][0]
+        change(tree, np.flatnonzero(tree["left"] < 0)[0])
+
+    return mutate
+
+
+def _last_inner_left(child):
+    """The last inner node of the single tree names ``child(node count)``
+    as its left child."""
+
+    def mutate(segments):
+        left = segments["bvh"][0]["left"]
+        left[np.flatnonzero(left >= 0)[-1]] = child(left.shape[0])
+
+    return mutate
+
+
+def _prim_index(position, row):
+    def mutate(segments):
+        segments["bvh"][0]["prim_indices"][position] = row
+
+    return mutate
+
+
+#: (case id, fixture store — ``"single"`` is ``snapshots-v2``'s,
+#: ``"v3/single"`` ``snapshots-v3``'s, which holds no legacy ``right`` —
+#: mutation of its segment arrays, segment the error must name, regex it
+#: must match)
 _BAD_SEGMENT_ARRAYS = [
-    ("no-keys", "single", _drop_array("columns", "keys"), "columns", r"KeyError\('keys'\)"),
-    ("no-values", "single", _drop_array("columns", "values"), "columns", r"KeyError\('values'\)"),
-    ("short-values", "single", _short_values, "columns", "same shape as keys"),
+    ("no-keys", "single", _drop_array("columns", "keys"), "columns",
+     "columns segment holds no keys array"),
+    ("no-values", "single", _drop_array("columns", "values"), "columns",
+     "columns segment holds no values array"),
+    ("short-values", "single", _short_values, "columns",
+     r"columns segment array values is uint64 \(255,\), not uint64 \(256,\)"),
+    ("int64-keys", "single", _set_array("columns", "keys", lambda a: a.astype(np.int64)),
+     "columns", r"columns segment array keys is int64 \(256,\), not a non-empty uint64 column"),
+    ("no-key-rows", "single", _set_array("columns", "keys", lambda a: a[:0]), "columns",
+     r"columns segment array keys is uint64 \(0,\), not a non-empty uint64 column"),
+    ("float64-values", "v3/forest",
+     _set_array("values", "values", lambda a: a.astype(np.float64)), "values",
+     r"values segment array values is float64 \(256,\), not a non-empty uint64 column"),
+    # Single-tree values that index past a table: each would raise a raw
+    # IndexError at the first query (a leaf) or in a traversal.
+    (
+        "leaf-past-the-rows", "single",
+        _first_leaf(lambda tree, leaf: tree["prim_count"].__setitem__(leaf, 10**6)), "bvh",
+        r"tree leaf \d+ holds primitives \[\d+, 10\d{5}\), not a non-empty range of its 256",
+    ),
+    (
+        "empty-leaf", "single",
+        _first_leaf(lambda tree, leaf: tree["prim_count"].__setitem__(leaf, 0)), "bvh",
+        r"tree leaf \d+ holds primitives \[\d+, \d+\), not a non-empty range of its 256",
+    ),
+    (
+        "leaf-before-the-rows", "single",
+        _first_leaf(lambda tree, leaf: tree["first_prim"].__setitem__(leaf, -1)), "bvh",
+        r"tree leaf \d+ holds primitives \[-1, \d+\), not a non-empty range",
+    ),
+    (
+        "child-past-the-table", "v3/single", _last_inner_left(lambda k: k), "bvh",
+        r"tree node \d+ has children \(127, 128\), not ids in \[1, 126\]",
+    ),
+    (
+        "child-is-the-root", "v3/single", _last_inner_left(lambda k: 0), "bvh",
+        r"tree node \d+ has children \(0, 1\), not ids in \[1, 126\]",
+    ),
+    (
+        "prim-index-past-the-rows", "single", _prim_index(5, 256), "bvh",
+        r"tree prim_indices\[5\] = 256 lies outside \[0, 256\)",
+    ),
+    (
+        "negative-prim-index", "single", _prim_index(7, -1), "bvh",
+        r"tree prim_indices\[7\] = -1 lies outside \[0, 256\)",
+    ),
     (
         "no-prim-indices", "single", _drop_array("bvh", "prim_indices"), "bvh",
         r"missing fields \['prim_indices'\]",
@@ -1139,19 +1295,19 @@ class TestBadIndexBlocks:
     the segment, and a refused ``restore_from`` leaves the index exactly
     as it was."""
 
-    @pytest.mark.parametrize("name, mutate, problem, segment", _INDEX_BLOCK_CASES)
-    def test_load_refuses(self, tmp_path, name, mutate, problem, segment):
-        store = _bad_index_block_store(tmp_path, name, mutate)
+    @pytest.mark.parametrize("fixture_set, name, mutate, problem, segment", _INDEX_BLOCK_CASES)
+    def test_load_refuses(self, tmp_path, fixture_set, name, mutate, problem, segment):
+        store = _bad_index_block_store(tmp_path, name, mutate, fixture_set)
         for mmap in (True, False):
             with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
                 RXIndex.load(store, mmap=mmap)
             assert excinfo.value.segment == segment
 
-    @pytest.mark.parametrize("name, mutate, problem, segment", _INDEX_BLOCK_CASES)
+    @pytest.mark.parametrize("fixture_set, name, mutate, problem, segment", _INDEX_BLOCK_CASES)
     def test_refused_restore_changes_nothing(
-        self, tmp_path, name, mutate, problem, segment
+        self, tmp_path, fixture_set, name, mutate, problem, segment
     ):
-        store = _bad_index_block_store(tmp_path, name, mutate)
+        store = _bad_index_block_store(tmp_path, name, mutate, fixture_set)
         index, keys = _make_index()
         queries, rows, counts = _point_probe(index, keys)
         before = index.stats()
@@ -1181,20 +1337,22 @@ class TestBadIndexBlocks:
         ids=[case[0] for case in _BAD_SEGMENT_ARRAYS],
     )
     def test_segment_without_its_arrays_is_refused(
-        self, tmp_path, name, mutate, segment, problem
+        self, tmp_path, commit_as_format, name, mutate, segment, problem
     ):
-        """Segments without the arrays the index needs, tree arrays of the
-        wrong dtype or shape, and a legacy ``right`` array that is not
+        """Segments without the arrays the index needs, columns and tree
+        arrays of the wrong dtype or shape, single trees whose values index
+        past their tables, and a legacy ``right`` array that is not
         ``left + 1``.  A writer bug digests whatever it writes, so these
         stores pass every checksum; a refused restore changes nothing."""
-        snap = load_snapshot(FIXTURES / "snapshots-v2" / name, mmap=False)
+        ((fixture_set, name),) = _fixture_stores([name if "/" in name else f"v2/{name}"])
+        snap = load_snapshot(FIXTURES / fixture_set / name, mmap=False)
         segments = {
             seg: ({k: v.copy() for k, v in arrays.items()}, meta)
             for seg, (arrays, meta) in snap.segments.items()
         }
         mutate(segments)
         store = tmp_path / "bad"
-        save_snapshot(store, epoch=snap.epoch, segments=segments, index_meta=snap.index_meta)
+        commit_as_format(store, snap, segments)
         load_snapshot(store)  # every checksum passes
         index, keys = _make_index()
         queries, rows, counts = _point_probe(index, keys)
@@ -1272,11 +1430,12 @@ class TestBadIndexBlocks:
                 loaded.point_lookup(queries).result_rows, index.point_lookup(queries).result_rows
             )
 
+    @pytest.mark.parametrize("fixture_set", ["snapshots-v2", "snapshots-v3"])
     @pytest.mark.parametrize("name", ["forest", "single"])
-    def test_unedited_fixture_restores(self, tmp_path, name):
+    def test_unedited_fixture_restores(self, tmp_path, name, fixture_set):
         """Control: the unedited copy restores, and the restored index
         answers like a fresh load of the same store."""
-        store = _bad_index_block_store(tmp_path, name, lambda index_meta: None)
+        store = _bad_index_block_store(tmp_path, name, lambda index_meta: None, fixture_set)
         index, _ = _make_index()
         epoch = index.epoch
         info = index.restore_from(store)

@@ -145,10 +145,11 @@ def _golden_segments(changed: bool):
 #: Per save: the manifest file's SHA-256, then per segment its manifest
 #: entry ``(path, sha256, length)`` and the SHA-256 of its ``.seg`` file.
 #: The file SHA-256s are the ones the segment format's original writer
-#: recorded; any drift means the on-disk format changed.
+#: recorded; any drift means the on-disk format changed.  The manifests
+#: are format 3's, which differ from format 2's only in ``format_version``.
 _GOLDEN = [
     (
-        "27e6f3c77ff667d2309b9d0196aea3c7283e4b1c7a0cc1fb489fdef0fe58191a",
+        "d4a3b01502a4cb65e608fae9948db35828076de329b5621cfdb4e3f8d1ef51ef",
         {
             "bvh": (
                 ("epoch-00000000/bvh.seg",
@@ -177,7 +178,7 @@ _GOLDEN = [
         },
     ),
     (
-        "19d4317d7ba56d59ebc22d8be4a6379e98655cb0ce2e4107c02c1a6baef44c9e",
+        "77fcead22e52278ece56e7d2fbd471a17299a5cdc9d84d26e112abfb4ac99f03",
         {
             "bvh": (
                 ("epoch-00000001/bvh.seg",
@@ -406,12 +407,14 @@ class TestDifferentialRoundtrip:
         assert block["saves"] == 1
         assert block["bytes_on_disk"] == save_info["bytes_on_disk"] > 0
         assert block["segments_rewritten"] == save_info["segments_rewritten"]
-        assert block["format_version"] == save_info["format_version"] == 2
+        assert block["format_version"] == save_info["format_version"] == 3
+        assert block["segments_hashed"] == save_info["segments_hashed"] == 2
+        assert block["bytes_written"] == save_info["bytes_written"] == save_info["bytes_on_disk"]
 
         loaded = RXIndex.load(tmp_path)
         block = loaded.stats()["persist"]
         assert block["loads"] == 1
-        assert block["format_version"] == 2
+        assert block["format_version"] == 3
         assert block["last_load_seconds"] > 0
         assert block["checksum_verify_seconds"] > 0
         assert block["segments_total"] == save_info["segments_total"]

@@ -25,6 +25,7 @@ import pytest
 from repro.core import RXConfig, RXIndex
 from repro.core.config import KeyMode, UpdatePolicy
 from repro.core.keycodec import make_codec
+from repro.core.layout import shard_segment
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_4090
 from repro.rtx.build_input import build_input_for_points
@@ -42,7 +43,6 @@ from repro.rtx.forest import (
     build_forest,
     delta_update_forest,
     forest_from_saved,
-    forest_state_segments,
     plan_top_level,
 )
 from repro.rtx.geometry import (
@@ -118,7 +118,7 @@ def _assert_forest_is_fresh(forest, buffer, label=""):
     fresh = build_forest(buffer, forest.options)
     for name in ("bucket_of_row", "scene_lo", "scene_hi", "shard_ids"):
         assert np.array_equal(getattr(forest, name), getattr(fresh, name)), (label, name)
-    got, want = list(forest_state_segments(forest)), list(forest_state_segments(fresh))
+    got, want = _saved_state(forest), _saved_state(fresh)
     assert [(b, meta) for b, _, meta in got] == [(b, meta) for b, _, meta in want], label
     for (b, arrays, _), (_, fresh_arrays, _) in zip(got, want):
         assert arrays.keys() == fresh_arrays.keys(), (label, b)
@@ -131,9 +131,15 @@ def _assert_forest_is_fresh(forest, buffer, label=""):
 DELEGATED_SHARD_ARRAYS = ["rows", "left", "first_prim", "prim_count", "node_mins", "node_maxs"]
 
 
+def _saved_state(forest):
+    """``(bucket, arrays, meta)`` of every non-empty shard, as a load reads
+    them (without the keys an index store adds)."""
+    return [(b, *shard_segment(forest, b)) for b in sorted(forest.shard_rows)]
+
+
 def _spliced(forest, buffer):
     """The forest reloaded from its own saved state."""
-    segments = [(arrays, meta) for _, arrays, meta in forest_state_segments(forest)]
+    segments = [(arrays, meta) for _, arrays, meta in _saved_state(forest)]
     return forest_from_saved(buffer, forest.options, segments)
 
 
@@ -165,7 +171,7 @@ def _assert_forest_matches_single(buffer, shard_bits, max_leaf_size=4):
             oracle = build_lbvh_over_sorted(codes[want], mins[want], maxs[want], options)
             _assert_trees_equal(forest.shard_trees[b], oracle, (label, b))
 
-    for b, arrays, meta in forest_state_segments(forest):
+    for b, arrays, meta in _saved_state(forest):
         assert list(arrays) == (DELEGATED_SHARD_ARRAYS if meta["delegated"] else ["rows"]), b
     _assert_trees_equal(_spliced(forest, buffer).bvh, single, f"splice {label}")
     return forest
@@ -259,6 +265,21 @@ class TestForestBuild:
         kinds = [entry[0] for entry in plan.entries]
         assert kinds.count("inner") == 3
         assert sorted(plan.delegated) == [0, 1, 2, 3]
+
+    def test_plan_delegates_exactly_the_buckets_a_leaf_cannot_hold(self):
+        """A bucket is delegated exactly when it holds more rows than a leaf,
+        whatever its neighbours hold: so a ``DELTA_SHARD`` update, which
+        keeps every clean bucket's rows, keeps its delegation and sub-tree,
+        and a save may reuse its segment."""
+        rng = np.random.default_rng([DIFF_SEED, 17])
+        for _ in range(500):
+            bits = int(rng.integers(1, 10))
+            size = int(rng.integers(1, min(1 << bits, 64) + 1))
+            vals = np.sort(rng.choice(1 << bits, size=size, replace=False)).astype(np.uint64)
+            counts = rng.integers(1, 12, size=size)
+            max_leaf_size = int(rng.integers(1, 9))
+            plan = plan_top_level(vals, counts, max_leaf_size)
+            assert sorted(plan.delegated) == vals[counts > max_leaf_size].tolist()
 
 
 class TestDeltaUpdate:

@@ -294,7 +294,7 @@ def _pair_rays(points: np.ndarray, x_scale: float, m: int, rng):
 
 class TestAnchoredTriangleBuffer:
     """The anchored buffer is ``TriangleBuffer(make_triangle_vertices(...))``
-    bit for bit: bounds, masks and hit parameters."""
+    bit for bit: bounds, their union, masks and hit parameters."""
 
     @pytest.mark.parametrize("points, x_half_extent", _anchored_cases())
     def test_bit_identical_to_vertex_triangles(self, points, x_half_extent):
@@ -304,6 +304,10 @@ class TestAnchoredTriangleBuffer:
         for got, want in zip(anchored.compute_aabbs(), vertices.compute_aabbs()):
             assert got.dtype == want.dtype == np.float32
             assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
+        # The union the anchors' extremes give is the boxes' own union.
+        for got, want in zip(anchored.bounds(), vertices.bounds()):
+            assert got.dtype == want.dtype == np.float32
             assert np.array_equal(_bits(got), _bits(want))
 
         # Extended Mode triangles are one ULP wide in x: aim inside that.

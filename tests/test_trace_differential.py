@@ -45,6 +45,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.layout import shard_segment
 from repro.rtx._reference import (
     reference_first_k_trace,
     reference_ordered_k_trace,
@@ -52,7 +53,7 @@ from repro.rtx._reference import (
 )
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions, build_bvh, bvh_arrays_diff
-from repro.rtx.forest import build_forest, forest_from_saved, forest_state_segments
+from repro.rtx.forest import build_forest, forest_from_saved
 from repro.rtx.geometry import RayBatch
 from repro.rtx.traversal import TraversalEngine, _OrderedKState, stable_order
 
@@ -210,10 +211,8 @@ def test_all_modes_bit_identical_to_reference(case_index, frontier_block):
             max_leaf_size=case["max_leaf_size"],
             shard_bits=case["shard_bits"],
         )
-        segments = [
-            (arrays, meta)
-            for _, arrays, meta in forest_state_segments(build_forest(buffer, options))
-        ]
+        forest = build_forest(buffer, options)
+        segments = [shard_segment(forest, b) for b in sorted(forest.shard_rows)]
         bvh = forest_from_saved(buffer, options, segments).bvh
         diff = bvh_arrays_diff(bvh, golden_bvh)
         assert diff is None, f"spliced forest diverged from the single tree on {diff!r}"

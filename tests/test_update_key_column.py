@@ -1,13 +1,16 @@
-"""The index owns its key column, and updates keep its duplicate flag.
+"""The index owns its key and value columns, and updates keep its duplicate flag.
 
-Two properties of ``RXIndex.build`` / ``RXIndex.update``:
+Three properties of ``RXIndex.build`` / ``RXIndex.update``:
 
 1. **Owned column** — the index stores a read-only copy of the caller's
    key array.  Ordered pages and their cursors read the column, so a write
    to the array after ``build()`` or ``update()`` must change no page, on
    the index and through an ``IndexService`` page chain pinned to one
    epoch.
-2. **Duplicate flag** — ``point_limit()`` (1 on a duplicate-free column,
+2. **Owned values** — likewise a read-only copy of the caller's value
+   array: aggregates and saves read it, so a write to the array after
+   ``build()`` or ``update()`` must change no aggregate and no saved byte.
+3. **Duplicate flag** — ``point_limit()`` (1 on a duplicate-free column,
    else ``None``) needs a sort of the whole column.  An update whose
    changed rows hold the same multiset of keys before and after (swaps)
    keeps the flag under every update policy; any other update re-derives
@@ -17,6 +20,7 @@ The columns and updates are drawn from ``DIFF_SEED`` (env var; CI runs
 extra seeds through ``make test-diff``).
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -51,6 +55,54 @@ def _index_pages(index: RXIndex):
         return run.row_ids.tolist(), next_cursor
 
     return lookup
+
+
+def _store_digests(root) -> dict[str, str]:
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*.seg"))
+    }
+
+
+class TestOwnedValueColumn:
+    @pytest.mark.parametrize("policy", list(POLICIES), ids=lambda p: p.value)
+    def test_write_changes_no_aggregate_and_no_saved_byte(self, tmp_path, policy):
+        """A write to the caller's value array after ``build()`` and after
+        ``update()`` leaves the aggregates and the saved segments of an
+        index built from untouched copies."""
+        rng = np.random.default_rng([2, DIFF_SEED])
+        keys = rng.permutation(np.arange(1000, dtype=np.uint64))
+        values = rng.integers(1, 1 << 40, size=keys.shape[0], dtype=np.uint64)
+        new_keys = keys.copy()
+        rows = rng.choice(keys.shape[0], size=64, replace=False)
+        new_keys[rows] = new_keys[rng.permutation(rows)]
+        new_values = rng.integers(1, 1 << 40, size=keys.shape[0], dtype=np.uint64)
+
+        def answers(index):
+            lowers = np.arange(0, 1000, 50, dtype=np.uint64)
+            return (
+                index.point_lookup(keys[::9]).aggregate,
+                index.range_lookup(lowers, lowers + np.uint64(30)).aggregate,
+            )
+
+        clean, index = RXIndex(POLICIES[policy]()), RXIndex(POLICIES[policy]())
+        clean.build(keys, values.copy())
+        index.build(keys, values)
+        values[:] = 0
+        assert answers(index) == answers(clean)
+        assert not index.values.flags.writeable
+        index.save(tmp_path / "index")
+        clean.save(tmp_path / "clean")
+        assert _store_digests(tmp_path / "index") == _store_digests(tmp_path / "clean")
+
+        clean.update(new_keys, new_values.copy())
+        index.update(new_keys, new_values)
+        new_values[::2] = 0
+        assert answers(index) == answers(clean)
+        assert not index.values.flags.writeable
+        index.save(tmp_path / "index")
+        clean.save(tmp_path / "clean")
+        assert _store_digests(tmp_path / "index") == _store_digests(tmp_path / "clean")
 
 
 class TestOwnedKeyColumn:
