@@ -1,4 +1,8 @@
-"""Regenerate every table and figure of the paper from the command line.
+"""Run the paper's registered experiments from the command line.
+
+Runs each registered experiment's ``run()``; ``--list`` names them.  Fig
+3b, 9, 10b, 10c, the Fig 10d companion and Fig 17's LIMIT variant are not
+registered: only the tests and ``benchmarks/`` run them.
 
 Run all experiments (at the small simulation scale)::
 

@@ -33,12 +33,8 @@ from repro.core.keycodec import (
 from repro.core.rx_index import RXIndex
 from repro.core.typemap import (
     composite_to_uint64,
-    float32_to_uint64,
     float64_to_uint64,
-    int64_to_uint64,
     string_to_uint64,
-    uint64_to_float64,
-    uint64_to_int64,
 )
 
 __all__ = [
@@ -55,11 +51,7 @@ __all__ = [
     "ThreeDCodec",
     "UpdatePolicy",
     "composite_to_uint64",
-    "float32_to_uint64",
     "float64_to_uint64",
-    "int64_to_uint64",
     "make_codec",
     "string_to_uint64",
-    "uint64_to_float64",
-    "uint64_to_int64",
 ]

@@ -29,19 +29,12 @@ from repro.baselines.base import (
     LookupRun,
     MemoryFootprint,
 )
-from repro.core.config import (
-    PointRayMode,
-    PrimitiveType,
-    RangeRayMode,
-    RXConfig,
-    UpdatePolicy,
-)
+from repro.core.config import PrimitiveType, RXConfig, UpdatePolicy
 from repro.core.cursor import next_cursor_token, parse_cursor, resume_after
-from repro.core.keycodec import as_lookup_keys, as_range_bounds, make_codec
+from repro.core.keycodec import as_lookup_keys, as_range_bounds, as_uint64_keys, make_codec
 from repro.core.layout import changed_segments, index_meta, index_segments, read_index
 from repro.core.results import (
     aggregate_values,
-    collect_row_ids,
     first_row_per_lookup,
     hits_per_lookup,
 )
@@ -180,28 +173,29 @@ class RXIndex(GpuIndex):
             sphere_radius=self.config.sphere_radius,
         )
 
-    def _own_keys(self, keys) -> np.ndarray:
+    def _own_keys(self, keys, name: str) -> np.ndarray:
         """A read-only copy of the caller's key column, range-checked once:
         pages and cursors read the column, so a write to the caller's array
-        must change no answer."""
-        keys = np.array(keys, dtype=np.uint64)
+        must change no answer.  ``name`` is the argument the errors name."""
+        keys = np.array(as_uint64_keys(keys, name))
         self.codec.validate_keys(keys)
         keys.flags.writeable = False
         return keys
 
     @staticmethod
-    def _own_values(values) -> np.ndarray | None:
+    def _own_values(values, name: str) -> np.ndarray | None:
         """A read-only copy of the caller's value column (``None`` stays
         ``None``): aggregates and saves read it, so a write to the caller's
-        array must change neither."""
+        array must change neither.  ``name`` is the argument the errors
+        name."""
         if values is None:
             return None
-        values = np.array(values, dtype=np.uint64)
+        values = np.array(as_uint64_keys(values, name))
         values.flags.writeable = False
         return values
 
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
-        return self._build(self._own_keys(keys), self._own_values(values))
+        return self._build(self._own_keys(keys, "keys"), self._own_values(values, "values"))
 
     def _build(self, keys, values, keys_unique: bool | None = None) -> BuildResult:
         """Build over an owned key column whose duplicate flag may be known."""
@@ -427,14 +421,6 @@ class RXIndex(GpuIndex):
         run.stats["resumed"] = cur is not None
         return run, next_cursor_token(self.keys, page_rows, limit)
 
-    def collect_point_matches(self, queries: np.ndarray) -> list[np.ndarray]:
-        """Materialise all matching rowIDs per query (example/demo helper)."""
-        pipeline = self._require_built()
-        queries = as_lookup_keys(queries, "queries")
-        rays = self.codec.point_ray_batch(queries, self.config.point_ray_mode)
-        launch = pipeline.launch(rays, num_lookups=queries.shape[0])
-        return collect_row_ids(launch.hits, queries.shape[0])
-
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
@@ -450,11 +436,11 @@ class RXIndex(GpuIndex):
         ``new_values``, and swapped keys keep :meth:`point_limit`'s
         duplicate flag.
         """
-        new_keys = self._own_keys(new_keys)
+        new_keys = self._own_keys(new_keys, "new_keys")
         if self._accel is None:
             raise RuntimeError("RXIndex.build() must be called before update()")
         values_changed = new_values is not None
-        new_values = self._own_values(new_values)
+        new_values = self._own_values(new_values, "new_values")
         if new_values is None:
             # Updates permute the key buffer; the projected value column stays
             # associated with the (unchanged) rowIDs.  When the update adds or

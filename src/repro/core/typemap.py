@@ -17,23 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 _SIGN_BIT_64 = np.uint64(1) << np.uint64(63)
-_SIGN_BIT_32 = np.uint32(1) << np.uint32(31)
-
-
-def int64_to_uint64(values) -> np.ndarray:
-    """Map signed 64-bit integers to uint64, preserving order.
-
-    Flipping the sign bit shifts the signed range ``[-2^63, 2^63)`` onto
-    ``[0, 2^64)`` monotonically.
-    """
-    arr = np.asarray(values, dtype=np.int64)
-    return arr.view(np.uint64) ^ _SIGN_BIT_64
-
-
-def uint64_to_int64(values) -> np.ndarray:
-    """Inverse of :func:`int64_to_uint64`."""
-    arr = np.asarray(values, dtype=np.uint64)
-    return (arr ^ _SIGN_BIT_64).view(np.int64)
 
 
 def float64_to_uint64(values) -> np.ndarray:
@@ -49,25 +32,6 @@ def float64_to_uint64(values) -> np.ndarray:
     bits = arr.view(np.uint64)
     negative = bits >> np.uint64(63) == 1
     flipped = np.where(negative, ~bits, bits ^ _SIGN_BIT_64)
-    return flipped.astype(np.uint64)
-
-
-def uint64_to_float64(values) -> np.ndarray:
-    """Inverse of :func:`float64_to_uint64`."""
-    bits = np.asarray(values, dtype=np.uint64)
-    negative = bits >> np.uint64(63) == 0
-    restored = np.where(negative, ~bits, bits ^ _SIGN_BIT_64)
-    return restored.astype(np.uint64).view(np.float64)
-
-
-def float32_to_uint64(values) -> np.ndarray:
-    """Map IEEE-754 singles to uint64 (via the 32-bit trick, widened)."""
-    arr = np.asarray(values, dtype=np.float32)
-    if np.isnan(arr).any():
-        raise ValueError("NaN values cannot be mapped order-preservingly")
-    bits = arr.view(np.uint32)
-    negative = bits >> np.uint32(31) == 1
-    flipped = np.where(negative, ~bits, bits ^ _SIGN_BIT_32)
     return flipped.astype(np.uint64)
 
 

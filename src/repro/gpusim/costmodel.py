@@ -44,23 +44,6 @@ class KernelCost:
     bandwidth_utilization: float
     bottleneck: str
 
-    def as_dict(self) -> dict:
-        return {
-            "profile": self.profile_name,
-            "time_ms": self.time_ms,
-            "compute_ms": self.compute_ms,
-            "memory_ms": self.memory_ms,
-            "rt_ms": self.rt_ms,
-            "latency_ms": self.latency_ms,
-            "launch_overhead_ms": self.launch_overhead_ms,
-            "dram_bytes": self.dram_bytes,
-            "l2_hit_rate": self.l2_hit_rate,
-            "active_warps_per_sm": self.active_warps_per_sm,
-            "bandwidth_utilization": self.bandwidth_utilization,
-            "bottleneck": self.bottleneck,
-        }
-
-
 @dataclass
 class CostModel:
     """Converts :class:`WorkProfile` objects into simulated times."""
@@ -132,11 +115,3 @@ class CostModel:
             bw_fraction * (memory_ms / max(max(parts.values()), 1e-12)),
             bottleneck=bottleneck,
         )
-
-    def time_ms(self, profile: WorkProfile) -> float:
-        """Shortcut: simulated milliseconds of one phase."""
-        return self.kernel_cost(profile).time_ms
-
-    def total_time_ms(self, profiles: list[WorkProfile]) -> float:
-        """Simulated milliseconds of several phases run back to back."""
-        return sum(self.kernel_cost(p).time_ms for p in profiles)

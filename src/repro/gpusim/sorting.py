@@ -89,14 +89,3 @@ class DeviceRadixSort:
             locality=0.0,
             dram_bytes_min=bytes_per_invocation * num_invocations * 0.9,
         )
-
-
-def sort_cost_profile(
-    num_items: int,
-    key_bytes: int = 4,
-    value_bytes: int = 4,
-    num_invocations: int = 1,
-) -> WorkProfile:
-    """Convenience wrapper used by experiments that only need the cost."""
-    sorter = DeviceRadixSort(key_bytes=key_bytes, value_bytes=value_bytes)
-    return sorter.work_profile(num_items, num_invocations=num_invocations)

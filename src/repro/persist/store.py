@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Callable
 
 import numpy as np
@@ -85,7 +85,6 @@ import numpy as np
 from repro.persist.errors import SnapshotError
 from repro.persist.manifest import (
     FORMAT_VERSION,
-    MANIFEST_NAME,
     commit_manifest,
     load_manifest,
 )
@@ -121,14 +120,17 @@ def gc_orphans(root: Path) -> int:
 
 def _prune_unreferenced(root: Path, manifest: dict) -> int:
     """Drop committed-but-unreferenced segment files (torn-save leftovers and
-    segments the newest manifest no longer references)."""
-    referenced = {(root / entry["path"]).resolve() for entry in manifest["segments"].values()}
+    segments the newest manifest no longer references).  Manifest paths are
+    validated store-relative paths, so they compare as pure paths, which
+    also equates spellings such as ``epoch-00000000/./bvh.seg``; nothing is
+    resolved on disk."""
+    referenced = {PurePosixPath(entry["path"]) for entry in manifest["segments"].values()}
     removed = 0
     for epoch_dir in sorted(root.glob("epoch-*")):
         if not epoch_dir.is_dir():
             continue
         for path in sorted(epoch_dir.iterdir()):
-            if path.is_file() and path.resolve() not in referenced:
+            if path.is_file() and PurePosixPath(epoch_dir.name, path.name) not in referenced:
                 try:
                     path.unlink()
                     removed += 1

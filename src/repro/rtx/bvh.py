@@ -116,19 +116,6 @@ class BvhBuildOptions:
 
 
 @dataclass
-class BvhStatistics:
-    """Summary statistics of a built BVH (quality diagnostics)."""
-
-    node_count: int
-    leaf_count: int
-    max_depth: int
-    max_leaf_size: int
-    mean_leaf_size: float
-    sah_cost: float
-    total_overlap_area: float
-
-
-@dataclass
 class Bvh:
     """A binary BVH stored as a structure of arrays.
 
@@ -151,8 +138,8 @@ class Bvh:
     #: filled by refits so lookup-quality degradation can be inspected
     refit_generation: int = 0
     #: lazily computed list of per-level node-id arrays (root level first);
-    #: shared by ``depth()``, ``statistics()`` and the vectorised refit, and
-    #: carried over by compaction since the topology is unchanged.
+    #: shared by ``depth()`` and the vectorised refit, and carried over by
+    #: compaction since the topology is unchanged.
     _levels: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -162,9 +149,6 @@ class Bvh:
     @property
     def leaf_count(self) -> int:
         return int(np.count_nonzero(self.left < 0))
-
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] < 0
 
     def node_bytes(self) -> int:
         """Bytes fetched per node visit (identical for compacted accels)."""
@@ -201,53 +185,6 @@ class Bvh:
         extents = np.maximum(self.node_maxs - self.node_mins, 0.0)
         ex, ey, ez = extents[:, 0], extents[:, 1], extents[:, 2]
         return 2.0 * (ex * ey + ey * ez + ez * ex)
-
-    def sah_cost(self, traversal_cost: float = 1.0, intersect_cost: float = 1.0) -> float:
-        """Classic SAH cost of the tree relative to the root's surface area."""
-        if self.node_count == 0:
-            return 0.0
-        areas = self.surface_areas().astype(np.float64)
-        root_area = max(float(areas[0]), 1e-30)
-        leaves = self.left < 0
-        inner = ~leaves
-        cost = traversal_cost * float(areas[inner].sum()) / root_area
-        cost += intersect_cost * float(
-            (areas[leaves] * self.prim_count[leaves]).sum()
-        ) / root_area
-        return cost
-
-    def statistics(self) -> BvhStatistics:
-        leaves = self.left < 0
-        leaf_sizes = self.prim_count[leaves]
-        # Sibling overlap: shared surface between the two children of each
-        # inner node, a cheap proxy for BVH quality degradation after refits.
-        # Computed in float64 with a vectorised reduction; low-order bits may
-        # differ from a sequential float32 per-node accumulation (this is a
-        # diagnostic, not part of the golden-pinned engine surface).
-        inner = np.flatnonzero(~leaves)
-        overlap = 0.0
-        if inner.size:
-            l = self.left[inner]
-            r = l + 1
-            o_min = np.maximum(
-                self.node_mins[l].astype(np.float64), self.node_mins[r].astype(np.float64)
-            )
-            o_max = np.minimum(
-                self.node_maxs[l].astype(np.float64), self.node_maxs[r].astype(np.float64)
-            )
-            ext = np.maximum(o_max - o_min, 0.0)
-            overlap = float(
-                (2.0 * (ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0])).sum()
-            )
-        return BvhStatistics(
-            node_count=self.node_count,
-            leaf_count=int(leaves.sum()),
-            max_depth=self.depth(),
-            max_leaf_size=int(leaf_sizes.max()) if leaf_sizes.size else 0,
-            mean_leaf_size=float(leaf_sizes.mean()) if leaf_sizes.size else 0.0,
-            sah_cost=self.sah_cost(),
-            total_overlap_area=overlap,
-        )
 
     def structure_bytes(self) -> int:
         """Modelled device memory consumed by the node structure alone."""

@@ -84,39 +84,6 @@ class RayBatch:
     def __len__(self) -> int:
         return int(self.origins.shape[0])
 
-    @property
-    def count(self) -> int:
-        return len(self)
-
-    def slice(self, start: int, stop: int) -> "RayBatch":
-        """Return the sub-batch of rays in ``[start, stop)``."""
-        return RayBatch(
-            origins=self.origins[start:stop],
-            directions=self.directions[start:stop],
-            tmin=self.tmin[start:stop],
-            tmax=self.tmax[start:stop],
-            lookup_ids=self.lookup_ids[start:stop],
-        )
-
-    @staticmethod
-    def concatenate(batches: list["RayBatch"]) -> "RayBatch":
-        """Concatenate several ray batches into one."""
-        if not batches:
-            return RayBatch(
-                origins=np.zeros((0, 3), dtype=np.float32),
-                directions=np.zeros((0, 3), dtype=np.float32),
-                tmin=np.zeros(0, dtype=np.float32),
-                tmax=np.zeros(0, dtype=np.float32),
-                lookup_ids=np.zeros(0, dtype=np.int64),
-            )
-        return RayBatch(
-            origins=np.concatenate([b.origins for b in batches]),
-            directions=np.concatenate([b.directions for b in batches]),
-            tmin=np.concatenate([b.tmin for b in batches]),
-            tmax=np.concatenate([b.tmax for b in batches]),
-            lookup_ids=np.concatenate([b.lookup_ids for b in batches]),
-        )
-
 
 class PrimitiveBuffer:
     """Base class for primitive buffers (the OptiX "vertex buffer" analogue).
@@ -178,10 +145,6 @@ class PrimitiveBuffer:
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def count(self) -> int:
-        return len(self)
 
     def primitive_bytes(self) -> int:
         """Bytes of primitive storage handed to the acceleration build."""

@@ -48,21 +48,6 @@ class DeviceMemoryTracker:
             raise KeyError(f"unknown allocation handle {handle}")
         self.current_bytes -= alloc.size_bytes
 
-    @property
-    def overhead_bytes(self) -> int:
-        """Peak usage beyond what is currently resident (build overhead)."""
-        return max(self.peak_bytes - self.current_bytes, 0)
-
-    def reset_peak(self) -> None:
-        self.peak_bytes = self.current_bytes
-
-    def snapshot(self) -> dict[str, int]:
-        """Current usage grouped by allocation name."""
-        usage: dict[str, int] = {}
-        for alloc in self.allocations.values():
-            usage[alloc.name] = usage.get(alloc.name, 0) + alloc.size_bytes
-        return usage
-
 
 #: Modelled per-primitive byte costs of the acceleration structure, before and
 #: after compaction, for each primitive type.  The constants are calibrated so

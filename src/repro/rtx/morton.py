@@ -51,22 +51,6 @@ def _spread(values: np.ndarray, mask: np.uint64, out: np.ndarray, scratch: np.nd
         out &= step_mask
 
 
-def expand_bits_3(values: np.ndarray, bits: int) -> np.ndarray:
-    """Spread the lowest ``bits`` bits of each value so that two zero bits
-    separate consecutive payload bits (the classic Morton interleave step).
-    The masks hold 21 payload bits, so ``bits`` must be at most 21."""
-    if not 0 <= bits <= 21:
-        raise ValueError("bits must be in [0, 21]: the spread masks hold 21 bits")
-    values = np.asarray(values, dtype=np.uint64)
-    spread = np.empty(values.shape, dtype=np.uint64)
-    flat_values, flat = values.reshape(-1), spread.reshape(-1)
-    scratch = np.empty(min(flat.shape[0], MORTON_BLOCK), dtype=np.uint64)
-    mask = np.uint64((1 << bits) - 1)
-    for lo, hi in _blocks(flat.shape[0]):
-        _spread(flat_values[lo:hi], mask, flat[lo:hi], scratch[: hi - lo])
-    return spread
-
-
 def require_finite(
     bounds: np.ndarray, *columns: np.ndarray, rows: np.ndarray | None = None
 ) -> None:

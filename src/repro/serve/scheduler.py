@@ -198,10 +198,6 @@ class RequestResult:
     def failed(self) -> bool:
         return False
 
-    @property
-    def num_rays(self) -> int:
-        return self.hits.num_rays
-
     def result_rows(self) -> np.ndarray:
         """RowID of the first match per lookup (miss sentinel elsewhere)."""
         return first_row_per_lookup(self.hits, self.num_lookups)

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cursor import parse_cursor
+from repro.core.keycodec import as_uint64_keys
 from repro.core.rx_index import RXIndex, check_limit
 from repro.serve.cache import ResultCache
 from repro.serve.faults import InjectedFault
@@ -94,11 +95,6 @@ class ReplayReport:
         self.num_queries = int(sum(r.num_lookups for r in self.results))
 
     @property
-    def throughput_rps(self) -> float:
-        """Sustained request throughput over the stream makespan."""
-        return self.num_requests / self.makespan if self.makespan > 0 else 0.0
-
-    @property
     def goodput_rps(self) -> float:
         """Successful-request throughput over the makespan (the chaos metric)."""
         return len(self.results) / self.makespan if self.makespan > 0 else 0.0
@@ -123,22 +119,6 @@ class ReplayReport:
             return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
         p50, p95, p99 = np.percentile(self.latencies, [50.0, 95.0, 99.0])
         return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
-
-    def as_dict(self) -> dict:
-        return {
-            "num_requests": self.num_requests,
-            "num_queries": self.num_queries,
-            "num_errors": len(self.errors),
-            "errors_by_reason": self.errors_by_reason(),
-            "error_rate": self.error_rate,
-            "makespan_seconds": self.makespan,
-            "service_seconds": self.service_seconds,
-            "throughput_rps": self.throughput_rps,
-            "goodput_rps": self.goodput_rps,
-            "service_throughput_rps": self.service_throughput_rps,
-            "latency_seconds": self.latency_percentiles(),
-            "updates": list(self.updates),
-        }
 
 
 class IndexService:
@@ -281,7 +261,7 @@ class IndexService:
         arrival = float(arrival)
         if deadline is not None:
             deadline = _absolute_deadline(arrival, deadline)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
+        queries = np.ascontiguousarray(as_uint64_keys(queries, "queries"))
         # Positional, in field order (request_id, kind, queries, lowers,
         # uppers, limit, arrival, deadline); the request checks its shape.
         request = ServeRequest(
@@ -330,8 +310,8 @@ class IndexService:
         arrival = float(arrival)
         if deadline is not None:
             deadline = _absolute_deadline(arrival, deadline)
-        lowers = np.ascontiguousarray(lowers, dtype=np.uint64)
-        uppers = np.ascontiguousarray(uppers, dtype=np.uint64)
+        lowers = np.ascontiguousarray(as_uint64_keys(lowers, "lowers"))
+        uppers = np.ascontiguousarray(as_uint64_keys(uppers, "uppers"))
         # Positional, in field order; the request checks its shapes.
         request = ServeRequest(
             self._next_request_id + 1,

@@ -57,10 +57,6 @@ class EpochSnapshot:
         """Point-lookup hit budget of this epoch's column: 1 or None."""
         return self.point_class.limit
 
-    @property
-    def num_keys(self) -> int:
-        return int(self.keys.shape[0])
-
 
 @dataclass
 class EpochManagerStats:

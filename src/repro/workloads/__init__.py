@@ -13,21 +13,17 @@ from repro.workloads.keys import (
     keys_with_multiplicity,
     sparse_uniform_keys,
     strided_keys,
-    zipf_keys,
 )
 from repro.workloads.lookups import (
     point_lookups,
     point_lookups_with_hit_rate,
     range_lookups,
-    sort_lookups,
-    split_batches,
     zipf_point_lookups,
 )
 from repro.workloads.streams import (
     QueryStream,
     StreamRequest,
     zipf_point_stream,
-    zipf_range_stream,
 )
 from repro.workloads.table import SecondaryIndexWorkload
 from repro.workloads.updates import (
@@ -47,15 +43,11 @@ __all__ = [
     "point_lookups",
     "point_lookups_with_hit_rate",
     "range_lookups",
-    "sort_lookups",
     "sparse_uniform_keys",
-    "split_batches",
     "strided_keys",
     "swap_adjacent_keys",
     "swap_adjacent_positions",
-    "zipf_keys",
     "zipf_point_lookups",
     "zipf_point_stream",
-    "zipf_range_stream",
     "zipf_sample",
 ]

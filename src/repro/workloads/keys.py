@@ -1,4 +1,4 @@
-"""Key-column generators (Sections 3.1, 4.2, 4.3, 4.7, 4.8).
+"""Key-column generators (Sections 3.1, 4.2, 4.3, 4.7).
 
 All generators return unsigned 64-bit key arrays whose position in the array
 is the rowID, exactly like the paper's setup: the index is built from a
@@ -9,8 +9,6 @@ array of the same length.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.workloads.zipf import zipf_sample
 
 
 def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -96,24 +94,3 @@ def keys_with_multiplicity(
     keys = np.repeat(distinct, multiplicity)
     rng.shuffle(keys)
     return keys
-
-
-def zipf_keys(
-    n: int,
-    coefficient: float,
-    key_bits: int = 32,
-    seed: int | np.random.Generator | None = 0,
-) -> np.ndarray:
-    """A key column whose *values* follow a Zipf distribution (Section 4.8).
-
-    The paper also skews the key distribution (while keeping lookups uniform)
-    and finds all indexes essentially unaffected; this generator reproduces
-    that variant.
-    """
-    rng = _rng(seed)
-    domain = min(1 << key_bits, max(n * 4, 16))
-    ranks = zipf_sample(domain, n, coefficient, rng)
-    # Scatter the ranks over the key domain order-preservingly so the skew is
-    # in the multiplicity/clustering, not in the magnitude alone.
-    scale = ((1 << key_bits) - 1) // max(domain, 1)
-    return (ranks.astype(np.uint64) * np.uint64(max(scale, 1))).astype(np.uint64)

@@ -3,8 +3,6 @@
 Point lookups are drawn from the key column (hits) and, when a hit rate below
 1.0 is requested, mixed with keys that are guaranteed absent (misses).  Range
 lookups pick a lower bound from the key column and add the desired span.
-Helpers for sorting a batch and splitting it into sub-batches mirror the
-paper's Sections 4.4 and 4.5.
 """
 
 from __future__ import annotations
@@ -136,16 +134,3 @@ def range_lookups(
     lowers = np.minimum(lowers, max_lower)
     uppers = lowers + np.uint64(span - 1)
     return lowers, uppers
-
-
-def sort_lookups(queries: np.ndarray) -> np.ndarray:
-    """Sort a lookup batch by requested key (Section 4.4)."""
-    return np.sort(np.asarray(queries))
-
-
-def split_batches(queries: np.ndarray, num_batches: int) -> list[np.ndarray]:
-    """Split a lookup batch into ``num_batches`` consecutive sub-batches (Sec 4.5)."""
-    if num_batches < 1:
-        raise ValueError("num_batches must be at least 1")
-    queries = np.asarray(queries)
-    return [chunk for chunk in np.array_split(queries, num_batches) if chunk.size]

@@ -2,7 +2,7 @@
 
 The serving benchmarks replay *streams* of independent requests rather than
 one preformed batch: every request carries an arrival timestamp (which the
-open-loop replay respects) and a small payload — one or a few point keys, or a range.  Query popularity
+open-loop replay respects) and a small payload — one or a few point keys.  Query popularity
 follows the paper's bounded Zipf distribution (Section 4.8), so a
 coefficient of 0 is the uniform stream and 1-2 are the skewed streams where
 the serving layer's result cache earns its keep.
@@ -22,31 +22,17 @@ from repro.workloads.zipf import zipf_sample
 
 @dataclass
 class StreamRequest:
-    """One request of a replayable stream."""
+    """One point-lookup request of a replayable stream."""
 
     arrival: float
-    kind: str  #: "point" or "range"
-    queries: np.ndarray | None = None
-    lowers: np.ndarray | None = None
-    uppers: np.ndarray | None = None
-    limit: int | None = None
+    queries: np.ndarray
     #: per-request deadline, relative seconds after arrival (None defers to
     #: the serving layer's configured default)
     deadline: float | None = None
 
     def submit(self, service, arrival: float):
         """Queue this request on ``service`` at stream time ``arrival``."""
-        if self.kind == "point":
-            return service.submit_point(
-                self.queries, arrival=arrival, deadline=self.deadline
-            )
-        return service.submit_range(
-            self.lowers,
-            self.uppers,
-            limit=self.limit,
-            arrival=arrival,
-            deadline=self.deadline,
-        )
+        return service.submit_point(self.queries, arrival=arrival, deadline=self.deadline)
 
 
 @dataclass
@@ -61,10 +47,7 @@ class QueryStream:
 
     @property
     def num_queries(self) -> int:
-        return sum(
-            e.queries.shape[0] if e.kind == "point" else e.lowers.shape[0]
-            for e in self.entries
-        )
+        return sum(e.queries.shape[0] for e in self.entries)
 
     def requests(self) -> list[tuple[float, callable]]:
         """(arrival, submit) pairs in arrival order, for the replay drivers."""
@@ -115,7 +98,6 @@ def zipf_point_stream(
     entries = [
         StreamRequest(
             arrival=float(arrivals[i]),
-            kind="point",
             queries=queries[i],
             deadline=deadline,
         )
@@ -128,61 +110,6 @@ def zipf_point_stream(
             "coefficient": coefficient,
             "rate": rate,
             "queries_per_request": queries_per_request,
-            "poisson": poisson,
-            "deadline": deadline,
-        },
-    )
-
-
-def zipf_range_stream(
-    keys: np.ndarray,
-    num_requests: int,
-    coefficient: float,
-    span: int,
-    rate: float,
-    limit: int | None = None,
-    seed: int | np.random.Generator | None = 8,
-    poisson: bool = True,
-    deadline: float | None = None,
-) -> QueryStream:
-    """Open-loop stream of range-lookup requests ``[l, l + span - 1]``.
-
-    Lower bounds are Zipf-popular keys of the column; ``limit`` optionally
-    attaches a LIMIT-k budget to every request (``first_k`` launches).
-    """
-    if span < 1:
-        raise ValueError(f"span must be at least 1, got {span}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    keys = np.asarray(keys, dtype=np.uint64)
-    ranks = zipf_sample(keys.shape[0], num_requests, coefficient, rng)
-    lowers = keys[ranks]
-    max_lower = (
-        keys.max() - np.uint64(span - 1)
-        if keys.max() >= np.uint64(span - 1)
-        else np.uint64(0)
-    )
-    lowers = np.minimum(lowers, max_lower)
-    uppers = lowers + np.uint64(span - 1)
-    arrivals = _arrival_times(num_requests, rate, rng, poisson)
-    entries = [
-        StreamRequest(
-            arrival=float(arrivals[i]),
-            kind="range",
-            lowers=lowers[i : i + 1],
-            uppers=uppers[i : i + 1],
-            limit=limit,
-            deadline=deadline,
-        )
-        for i in range(num_requests)
-    ]
-    return QueryStream(
-        entries=entries,
-        metadata={
-            "kind": "range",
-            "coefficient": coefficient,
-            "rate": rate,
-            "span": span,
-            "limit": limit,
             "poisson": poisson,
             "deadline": deadline,
         },

@@ -121,6 +121,15 @@ class TestSimulateBuild:
         sorted_ms, _ = simulate_build(index, scale, presorted=True)
         assert sorted_ms < unsorted_ms
 
+    def test_total_time_sums_phases(self):
+        # A sorted-array build runs a sort and a materialise kernel back to back.
+        scale = SCALES["tiny"]
+        index = SortedArrayIndex()
+        index.build(dense_shuffled_keys(scale.sim_keys, seed=27))
+        total, costs = simulate_build(index, scale)
+        assert len(costs) == 2
+        assert total == pytest.approx(sum(cost.time_ms for cost in costs), rel=1e-12)
+
     def test_hash_table_build(self):
         scale = SCALES["tiny"]
         keys = dense_shuffled_keys(scale.sim_keys, seed=26)

@@ -78,11 +78,14 @@ class TestPointLookups:
         run = index.point_lookup(np.array([7], dtype=np.uint64))
         assert run.hits_per_lookup[0] == 3
 
-    def test_collect_point_matches(self):
+    def test_point_launch_collects_every_matching_row(self):
         keys = np.array([4, 4, 8], dtype=np.uint64)
         index = RXIndex()
         index.build(keys)
-        matches = index.collect_point_matches(np.array([4, 8, 5], dtype=np.uint64))
+        queries = np.array([4, 8, 5], dtype=np.uint64)
+        rays = index.codec.point_ray_batch(queries, index.config.point_ray_mode)
+        launch = index.pipeline.launch(rays, num_lookups=queries.size)
+        matches = collect_row_ids(launch.hits, queries.size)
         assert sorted(matches[0].tolist()) == [0, 1]
         assert matches[1].tolist() == [2]
         assert matches[2].size == 0
@@ -187,7 +190,9 @@ class TestEveryAcceptedConfiguration:
             ]
         )
         want = [[row_of[q]] if q in row_of else [] for q in queries.tolist()]
-        got = index.collect_point_matches(queries)
+        rays = index.codec.point_ray_batch(queries, config.point_ray_mode)
+        launch = index.pipeline.launch(rays, num_lookups=queries.size)
+        got = collect_row_ids(launch.hits, queries.size)
         assert [sorted(rows.tolist()) for rows in got] == want
         run = index.point_lookup(queries)
         assert run.hits_per_lookup.tolist() == [len(rows) for rows in want]
@@ -494,6 +499,82 @@ class TestLookupArgumentShapes:
             index.range_lookup(
                 np.array([0], dtype=np.uint64), np.array([2**23], dtype=np.uint64)
             )
+
+
+#: inputs that a uint64 cast would silently turn into other keys: 1.5 into
+#: 1, -1 into 2^64 - 1, True into 1 and "1" into 1
+CAST_CHANGED_KEYS = {"float": [1.5], "negative": [-1], "bool": [True], "string": ["1"]}
+
+
+class TestKeyInputTypes:
+    """Every index boundary takes only keys the uint64 cast keeps unchanged;
+    anything else raises naming the argument and changes nothing."""
+
+    COLUMN = [0, 1, 2, 2**64 - 1]
+
+    @pytest.mark.parametrize("bad", CAST_CHANGED_KEYS.values(), ids=CAST_CHANGED_KEYS.keys())
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda index, bad: index.build(bad), "keys"),
+            (lambda index, bad: index.build([5], bad), "values"),
+            (lambda index, bad: index.update(bad), "new_keys"),
+            (lambda index, bad: index.update(index.keys, bad * 4), "new_values"),
+            (lambda index, bad: index.point_lookup(bad), "queries"),
+            (lambda index, bad: index.range_lookup(bad, [5]), "lowers"),
+            (lambda index, bad: index.range_lookup([0], bad), "uppers"),
+            (lambda index, bad: index.range_lookup(bad, [5], limit=2, order="key"), "lowers"),
+        ],
+        ids=[
+            "build",
+            "build-values",
+            "update",
+            "update-values",
+            "point",
+            "range-lowers",
+            "range-uppers",
+            "ordered-page",
+        ],
+    )
+    def test_refused_naming_the_argument(self, call, name, bad):
+        index = RXIndex()
+        index.build(self.COLUMN)
+        with pytest.raises(ValueError, match=f"^{name} must hold non-negative integers"):
+            call(index, bad)
+        assert index.keys.tolist() == self.COLUMN and index.epoch == 0
+        assert index.point_lookup(self.COLUMN).result_rows.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "form", [lambda v: np.array(v, dtype=np.int64), list], ids=["int64", "int-list"]
+    )
+    def test_non_negative_integers_answer_as_their_uint64_keys(self, form):
+        keys = [7, 1, 2, 9]
+        want, index = RXIndex(), RXIndex()
+        want.build(np.array(keys, dtype=np.uint64))
+        index.build(form(keys))
+        assert index.keys.tolist() == keys
+        queries, lowers, uppers = [2, 9, 5], [0, 3], [2, 9]
+        as_u64 = lambda v: np.array(v, dtype=np.uint64)
+        assert (
+            index.point_lookup(form(queries)).result_rows.tolist()
+            == want.point_lookup(as_u64(queries)).result_rows.tolist()
+        )
+        assert (
+            index.range_lookup(form(lowers), form(uppers)).hits_per_lookup.tolist()
+            == want.range_lookup(as_u64(lowers), as_u64(uppers)).hits_per_lookup.tolist()
+        )
+        index.update(form(keys[::-1]))
+        assert index.point_lookup(form([7])).result_rows.tolist() == [3]
+
+    def test_int_list_past_2_63_keeps_every_key(self):
+        # NumPy infers float64 for this list; the keys must stay exact.
+        index = RXIndex()
+        index.build(self.COLUMN)
+        assert index.keys.tolist() == self.COLUMN
+        assert index.point_lookup([2**64 - 1, 2**64 - 2]).result_rows.tolist() == [
+            3,
+            int(MISS_SENTINEL),
+        ]
 
 
 class TestRangeLimitPushdown:

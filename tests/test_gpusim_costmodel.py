@@ -27,7 +27,7 @@ class TestKernelCost:
         self.model = CostModel(RTX_4090)
 
     def test_time_positive(self):
-        assert self.model.time_ms(_profile()) > 0
+        assert self.model.kernel_cost(_profile()).time_ms > 0
 
     def test_bottleneck_identified(self):
         memory_bound = self.model.kernel_cost(_profile(bytes_accessed=100e9, instructions=1e6))
@@ -50,13 +50,13 @@ class TestKernelCost:
         assert cost.bottleneck == "latency"
 
     def test_more_bytes_cost_more(self):
-        cheap = self.model.time_ms(_profile(bytes_accessed=5e9, working_set_bytes=5e9))
-        costly = self.model.time_ms(_profile(bytes_accessed=50e9, working_set_bytes=50e9))
+        cheap = self.model.kernel_cost(_profile(bytes_accessed=5e9, working_set_bytes=5e9)).time_ms
+        costly = self.model.kernel_cost(_profile(bytes_accessed=50e9, working_set_bytes=50e9)).time_ms
         assert costly > cheap
 
     def test_locality_reduces_memory_time(self):
-        cold = self.model.time_ms(_profile(working_set_bytes=10e9, locality=0.0))
-        hot = self.model.time_ms(_profile(working_set_bytes=10e9, locality=0.95))
+        cold = self.model.kernel_cost(_profile(working_set_bytes=10e9, locality=0.0)).time_ms
+        hot = self.model.kernel_cost(_profile(working_set_bytes=10e9, locality=0.95)).time_ms
         assert hot < cold
 
     def test_launch_overhead_added(self):
@@ -67,25 +67,14 @@ class TestKernelCost:
 
     def test_small_batches_run_less_efficiently(self):
         # Same total work split over few threads is slower per byte.
-        big = self.model.time_ms(_profile(threads=2**27))
-        small = self.model.time_ms(_profile(threads=2**10))
+        big = self.model.kernel_cost(_profile(threads=2**27)).time_ms
+        small = self.model.kernel_cost(_profile(threads=2**10)).time_ms
         assert small > big * 0.9
 
     def test_older_gpu_is_slower(self):
-        new = CostModel(RTX_4090).time_ms(_profile())
-        old = CostModel(RTX_2080TI).time_ms(_profile())
+        new = CostModel(RTX_4090).kernel_cost(_profile()).time_ms
+        old = CostModel(RTX_2080TI).kernel_cost(_profile()).time_ms
         assert old > new
-
-    def test_total_time_sums_phases(self):
-        profiles = [_profile(), _profile()]
-        assert self.model.total_time_ms(profiles) == pytest.approx(
-            2 * self.model.time_ms(_profile()), rel=1e-6
-        )
-
-    def test_cost_as_dict(self):
-        cost = self.model.kernel_cost(_profile())
-        as_dict = cost.as_dict()
-        assert set(as_dict) >= {"time_ms", "bottleneck", "dram_bytes", "l2_hit_rate"}
 
 
 class TestWorkProfileHelpers:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpusim.sorting import DeviceRadixSort, MIN_EFFECTIVE_ITEMS, sort_cost_profile
+from repro.gpusim.sorting import DeviceRadixSort, MIN_EFFECTIVE_ITEMS
 
 
 class TestFunctionalSort:
@@ -45,8 +45,8 @@ class TestSortCostModel:
         assert DeviceRadixSort(key_bytes=8).passes == 8
 
     def test_profile_scales_with_items(self):
-        small = sort_cost_profile(2**21)
-        large = sort_cost_profile(2**23)
+        small = DeviceRadixSort().work_profile(2**21)
+        large = DeviceRadixSort().work_profile(2**23)
         assert large.bytes_accessed > small.bytes_accessed
 
     def test_profile_has_fixed_lower_bound(self):
@@ -55,8 +55,8 @@ class TestSortCostModel:
         assert tiny.bytes_accessed >= MIN_EFFECTIVE_ITEMS
 
     def test_64bit_keys_cost_more(self):
-        narrow = sort_cost_profile(2**22, key_bytes=4)
-        wide = sort_cost_profile(2**22, key_bytes=8)
+        narrow = DeviceRadixSort(key_bytes=4).work_profile(2**22)
+        wide = DeviceRadixSort(key_bytes=8).work_profile(2**22)
         assert wide.bytes_accessed > narrow.bytes_accessed
 
     def test_invocations_multiply_launches(self):

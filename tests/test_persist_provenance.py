@@ -16,7 +16,9 @@ reseeds the columns.
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -255,6 +257,39 @@ class TestVouchers:
         else:
             index.update(clustered_key_swaps(index.keys, 8, seed=2))
             assert index.save(tmp_path)["segments_hashed"] == 2
+        _assert_loads_like(tmp_path, index)
+
+    def test_a_dotted_manifest_path_keeps_its_file(self, tmp_path):
+        """The prune compares store-relative paths as pure paths: entries
+        spelled ``epoch-00000000/./…`` load, and a loaded index's saves
+        carry them verbatim, so their files must outlive the prune, while
+        the shard an update leaves behind in the older epoch still goes."""
+        _build("forest").save(tmp_path)
+        manifest_file = tmp_path / "MANIFEST.json"
+        manifest = json.loads(manifest_file.read_text())
+        for entry in manifest["segments"].values():
+            entry["path"] = entry["path"].replace("/", "/./")
+        manifest_file.write_text(json.dumps(manifest))
+        index = RXIndex.load(tmp_path, mmap=False)
+
+        def on_disk():
+            return {PurePosixPath(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.seg")}
+
+        def referenced():
+            segments = load_manifest(tmp_path)["segments"]
+            return {PurePosixPath(entry["path"]) for entry in segments.values()}
+
+        assert index.save(tmp_path)["segments_hashed"] == 0
+        assert "/./" in load_manifest(tmp_path)["segments"]["values"]["path"]
+        assert on_disk() == referenced()
+        _assert_loads_like(tmp_path, index)
+
+        before = on_disk()
+        _one_shard_update(index)
+        assert index.save(tmp_path)["segments_rewritten"] == 1
+        (gone,) = before - on_disk()
+        assert gone.parent.name == "epoch-00000000" and gone.name.startswith("shard-")
+        assert on_disk() == referenced()
         _assert_loads_like(tmp_path, index)
 
     def test_service_checkpoints_cost_what_changed(self, tmp_path):

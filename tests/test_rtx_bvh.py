@@ -123,13 +123,6 @@ class TestBvhProperties:
         bvh = build_bvh(_buffer(256), BvhBuildOptions(max_leaf_size=1))
         assert bvh.node_count <= 2 * 256
 
-    def test_statistics_fields(self):
-        bvh = build_bvh(_buffer(128))
-        stats = bvh.statistics()
-        assert stats.leaf_count > 0
-        assert stats.mean_leaf_size <= stats.max_leaf_size
-        assert stats.sah_cost > 0
-
     def test_empty_build_rejected(self):
         with pytest.raises(ValueError):
             build_bvh(TriangleBuffer(np.zeros((0, 3, 3), dtype=np.float32)))

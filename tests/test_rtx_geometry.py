@@ -168,27 +168,6 @@ class TestRayBatch:
                     lookup_ids=ids,
                 )
 
-    def test_slice(self):
-        batch = RayBatch(
-            origins=np.arange(12).reshape(4, 3),
-            directions=np.tile([1, 0, 0], (4, 1)),
-            tmin=0.0,
-            tmax=1.0,
-        )
-        part = batch.slice(1, 3)
-        assert len(part) == 2
-        assert part.origins[0, 0] == pytest.approx(3.0)
-
-    def test_concatenate(self):
-        a = RayBatch(origins=np.zeros((2, 3)), directions=np.tile([1, 0, 0], (2, 1)), tmin=0, tmax=1)
-        b = RayBatch(origins=np.ones((3, 3)), directions=np.tile([1, 0, 0], (3, 1)), tmin=0, tmax=1)
-        merged = RayBatch.concatenate([a, b])
-        assert len(merged) == 5
-
-    def test_concatenate_empty(self):
-        empty = RayBatch.concatenate([])
-        assert len(empty) == 0
-
 
 class TestTriangleBuffer:
     def test_vertex_shape_validation(self):

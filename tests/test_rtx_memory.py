@@ -37,23 +37,6 @@ class TestDeviceMemoryTracker:
         with pytest.raises(KeyError):
             tracker.free(handle)
 
-    def test_snapshot_groups_by_name(self):
-        tracker = DeviceMemoryTracker()
-        tracker.alloc("accel", 10)
-        tracker.alloc("accel", 20)
-        tracker.alloc("values", 5)
-        assert tracker.snapshot() == {"accel": 30, "values": 5}
-
-    def test_overhead_and_reset_peak(self):
-        tracker = DeviceMemoryTracker()
-        keep = tracker.alloc("keep", 100)
-        temp = tracker.alloc("temp", 400)
-        tracker.free(temp)
-        assert tracker.overhead_bytes == 400
-        tracker.reset_peak()
-        assert tracker.overhead_bytes == 0
-        tracker.free(keep)
-
 
 class TestAccelMemoryModel:
     def test_unknown_primitive_rejected(self):

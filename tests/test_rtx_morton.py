@@ -18,7 +18,7 @@ from repro.rtx._reference import (
 from repro.rtx.morton import (
     MORTON_BLOCK,
     _SPREAD_STEPS,
-    expand_bits_3,
+    _spread,
     morton_encode_3d,
     morton_interleave_grid,
     morton_prefix_buckets,
@@ -45,42 +45,46 @@ def morton_decode_3d(codes, bits):
     return coords
 
 
+def spread_column(values, bits):
+    """The low ``bits`` bits of each value spread two zero bits apart, by
+    the product kernel :func:`repro.rtx.morton._spread`."""
+    values = np.asarray(values, dtype=np.uint64)
+    out = np.empty_like(values)
+    _spread(values, np.uint64((1 << bits) - 1), out, np.empty_like(values))
+    return out
+
+
 class TestExpandBits:
     def test_zero(self):
-        assert expand_bits_3(np.array([0]), 10)[0] == 0
+        assert spread_column(np.array([0]), 10)[0] == 0
 
     def test_single_bit_positions(self):
         # Bit k of the input lands at position 3k of the output.
         for k in range(5):
             value = np.uint64(1 << k)
-            assert expand_bits_3(np.array([value]), 10)[0] == np.uint64(1 << (3 * k))
+            assert spread_column(np.array([value]), 10)[0] == np.uint64(1 << (3 * k))
 
     def test_no_overlap_between_axes(self):
-        x = expand_bits_3(np.array([0b111]), 3) << np.uint64(2)
-        y = expand_bits_3(np.array([0b111]), 3) << np.uint64(1)
-        z = expand_bits_3(np.array([0b111]), 3)
+        x = spread_column(np.array([0b111]), 3) << np.uint64(2)
+        y = spread_column(np.array([0b111]), 3) << np.uint64(1)
+        z = spread_column(np.array([0b111]), 3)
         assert (x & y) == 0 and (x & z) == 0 and (y & z) == 0
 
     def test_shift_and_mask_equals_the_golden_table(self):
         # Every 21-bit value, against the byte-table expansion it replaced.
         values = np.arange(1 << 21, dtype=np.uint64)
-        assert np.array_equal(expand_bits_3(values, 21), reference_expand_bits_3(values, 21))
+        assert np.array_equal(spread_column(values, 21), reference_expand_bits_3(values, 21))
 
     @pytest.mark.parametrize("bits", [0, 1, 7, 8, 13, 20])
     def test_bits_above_the_width_are_masked_off(self, bits):
         values = np.random.default_rng(bits).integers(0, 1 << 63, 4096, dtype=np.uint64)
-        got = expand_bits_3(values, bits)
+        got = spread_column(values, bits)
         assert np.array_equal(got, reference_expand_bits_3(values, bits))
 
     def test_input_is_not_modified(self):
         values = np.arange(64, dtype=np.uint64)
-        expand_bits_3(values, 21)
+        spread_column(values, 21)
         assert np.array_equal(values, np.arange(64, dtype=np.uint64))
-
-    def test_more_than_21_bits_rejected(self):
-        # The five masks hold 21 payload bits; wider values would be cut.
-        with pytest.raises(ValueError, match="21"):
-            expand_bits_3(np.array([1], dtype=np.uint64), 22)
 
 
 class TestQuantize:
@@ -157,9 +161,9 @@ class TestMortonCodes:
         grid_points = rng.integers(0, 2**8, size=(50, 3)).astype(np.uint64)
         # Encode manually from grid coordinates (bypassing quantisation).
         codes = (
-            (expand_bits_3(grid_points[:, 0], 8) << np.uint64(2))
-            | (expand_bits_3(grid_points[:, 1], 8) << np.uint64(1))
-            | expand_bits_3(grid_points[:, 2], 8)
+            (spread_column(grid_points[:, 0], 8) << np.uint64(2))
+            | (spread_column(grid_points[:, 1], 8) << np.uint64(1))
+            | spread_column(grid_points[:, 2], 8)
         )
         decoded = morton_decode_3d(codes, 8)
         assert np.array_equal(decoded, grid_points)
@@ -253,18 +257,6 @@ def _block_grid(n: int, bits: int, rng) -> np.ndarray:
 
 
 class TestBlockBoundaries:
-    @pytest.mark.parametrize("n", BLOCK_LENGTHS)
-    @pytest.mark.parametrize("bits", [0, 1, 2, 20, 21])
-    def test_expand_matches_the_unblocked_spread(self, n, bits):
-        values = np.random.default_rng([DIFF_SEED, n, bits]).integers(
-            0, 1 << 63, n, dtype=np.uint64
-        )
-        if n:
-            values[n // 2 : n // 2 + 3] = values[0]  # duplicates
-        got = expand_bits_3(values, bits)
-        assert got.dtype == np.uint64 and got.shape == (n,)
-        assert np.array_equal(got, _unblocked_expand(values, bits))
-
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
     @pytest.mark.parametrize("bits", [1, 2, 20, 21])
     def test_interleave_matches_the_unblocked_codes(self, n, bits):

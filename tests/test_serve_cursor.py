@@ -121,12 +121,15 @@ class TestServePagedScan:
         failure = drain_one(service)
         assert isinstance(failure, RequestFailure)
         assert failure.reason == "epoch_retired"
+        assert failure.failed is True
+        assert failure.latency == failure.completion - failure.arrival >= 0.0
         assert service.stats()["resilience"]["rejections_epoch"] == 1
 
         # Restarting the scan (no pin) serves the new epoch's golden order.
         golden1 = golden_scan(keys1, 100, 900)
         restarted = submit_page(service, 100, 900, 32) and drain_one(service)
         assert isinstance(restarted, RequestResult)
+        assert restarted.failed is False
         assert restarted.epoch > pin
         assert np.array_equal(
             restarted.hits.prim_indices.astype(np.uint64), golden1[:32]

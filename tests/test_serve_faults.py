@@ -68,6 +68,13 @@ def account_everything(stream, report):
         }
 
 
+def assert_failure_interface(failure):
+    """What a load generator reads off an explicit failure: it failed, and
+    its latency runs from arrival to completion."""
+    assert failure.failed is True
+    assert failure.latency == failure.completion - failure.arrival >= 0.0
+
+
 class TestFaultInjector:
     def test_schedule_fires_exactly_at_indices(self):
         injector = FaultInjector(seed=FAULT_SEED, specs={
@@ -210,6 +217,7 @@ class TestLaunchRetry:
         for failure in failures:
             assert isinstance(failure, RequestFailure)
             assert failure.reason == "launch_failed"
+            assert_failure_interface(failure)
         resilience = service.stats()["resilience"]
         assert resilience["launch_failures"] == 2
         assert resilience["retries"] == 3
@@ -218,6 +226,7 @@ class TestLaunchRetry:
         service.submit_point(keys[:4], arrival=1.0)
         (result,) = service.drain()
         assert isinstance(result, RequestResult)
+        assert result.failed is False
 
     def test_snapshot_pins_released_after_launch_failure(self):
         keys = dense_shuffled_keys(512, seed=33)
@@ -317,6 +326,7 @@ class TestDeadlines:
         outcome = self.submit(service, keys, kind, deadline)
         assert isinstance(outcome, RequestFailure)
         assert outcome.reason == "rejected_deadline"
+        assert_failure_interface(outcome)
         assert not service.scheduler.pending
         assert service.stats()["resilience"]["rejections_deadline"] == 1
 
@@ -342,6 +352,8 @@ class TestDeadlines:
         account_everything(stream, report)
         assert len(report.results) == 0
         assert all(f.reason == "timeout" for f in report.errors)
+        for failure in report.errors:
+            assert_failure_interface(failure)
         assert service.stats()["resilience"]["timeouts"] >= 32
 
     def test_deadline_forces_early_window_close(self):
@@ -367,6 +379,8 @@ class TestDeadlines:
         assert kinds == {RequestFailure, RequestResult}
         failure = next(r for r in results if isinstance(r, RequestFailure))
         assert failure.reason == "timeout"
+        assert_failure_interface(failure)
+        assert next(r for r in results if isinstance(r, RequestResult)).failed is False
         assert service.stats()["resilience"]["expired_shed"] == 1
 
 
@@ -386,13 +400,14 @@ class TestAdmissionControl:
         assert len(rejected) == 4
         for failure in rejected:
             assert failure.reason == "rejected"
+            assert_failure_interface(failure)
             assert failure.retry_after is not None
             assert 0.0 <= failure.retry_after <= 1.0
         resilience = service.stats()["resilience"]
         assert resilience["rejections_queue"] == 4
         assert resilience["admitted"] == 2
         # The queue drains and admits again.
-        service.drain()
+        assert [r.failed for r in service.drain()] == [False, False]
         assert not isinstance(
             service.submit_point(keys[:4], arrival=2.0), RequestFailure
         )

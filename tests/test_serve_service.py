@@ -6,11 +6,7 @@ import pytest
 from repro.core.config import KeyMode, RangeRayMode, RXConfig
 from repro.core.rx_index import RXIndex
 from repro.serve import IndexService, RetryPolicy
-from repro.workloads import (
-    dense_shuffled_keys,
-    zipf_point_stream,
-    zipf_range_stream,
-)
+from repro.workloads import dense_shuffled_keys, zipf_point_stream
 
 
 def make_index(num_keys=2048, seed=41, **config_kwargs):
@@ -32,7 +28,7 @@ class TestOpenLoopReplay:
         assert report.makespan >= report.latencies.max()
         percentiles = report.latency_percentiles()
         assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
-        assert report.throughput_rps > 0
+        assert report.makespan > 0
         assert service.stats()["scheduler"]["queries_per_launch"] > 1
 
     def test_results_match_plain_lookups(self):
@@ -117,19 +113,18 @@ class TestMixedStreams:
         index = make_index(seed=57)
         service = IndexService(index, max_batch=256, max_wait=10.0, cache_capacity=0)
         points = zipf_point_stream(index.keys, 40, 0.8, rate=1e6, seed=58)
-        ranges = zipf_range_stream(
-            index.keys, 30, 0.8, span=16, rate=1e6, limit=4, seed=59
-        )
-        for entry in points.entries + ranges.entries:
+        lowers = np.random.default_rng(59).choice(index.keys, size=(30, 1))
+        for entry in points.entries:
             entry.submit(service, entry.arrival)
+        for i, lower in enumerate(lowers):
+            service.submit_range(lower, lower + np.uint64(15), limit=4, arrival=i * 1e-6)
         results = service.drain()
         assert len(results) == 70
         by_id = sorted(results, key=lambda r: r.request_id)
-        for entry, result in zip(points.entries + ranges.entries, by_id):
-            if entry.kind == "point":
-                reference = index.point_lookup(entry.queries)
-            else:
-                reference = index.range_lookup(entry.lowers, entry.uppers, limit=4)
+        references = [index.point_lookup(entry.queries) for entry in points.entries] + [
+            index.range_lookup(lower, lower + np.uint64(15), limit=4) for lower in lowers
+        ]
+        for reference, result in zip(references, by_id):
             assert np.array_equal(result.result_rows(), reference.result_rows)
 
 
@@ -159,23 +154,12 @@ class TestStreamGenerators:
             return np.unique(np.concatenate([e.queries for e in stream.entries])).size
         assert distinct(skewed) < distinct(uniform) / 2
 
-    def test_range_stream_spans_and_limits(self):
-        keys = dense_shuffled_keys(512, seed=67)
-        stream = zipf_range_stream(keys, 30, 1.0, span=8, rate=1e4, limit=3, seed=68)
-        for entry in stream.entries:
-            assert entry.kind == "range"
-            assert int(entry.uppers[0] - entry.lowers[0]) == 7
-            assert entry.limit == 3
-        assert stream.num_queries == 30
-
     def test_generator_validation(self):
         keys = dense_shuffled_keys(64, seed=69)
         with pytest.raises(ValueError, match="rate"):
             zipf_point_stream(keys, 4, 0.0, rate=0.0)
         with pytest.raises(ValueError, match="queries_per_request"):
             zipf_point_stream(keys, 4, 0.0, rate=1.0, queries_per_request=0)
-        with pytest.raises(ValueError, match="span"):
-            zipf_range_stream(keys, 4, 0.0, span=0, rate=1.0)
 
 
 class TestStatsAndKnobs:
@@ -258,6 +242,11 @@ class TestServeArgumentValidation:
             IndexService(index, **{argument: value})
 
 
+#: inputs that a uint64 cast would silently turn into other keys: 1.5 into
+#: 1, -1 into 2^64 - 1, True into 1 and "1" into 1
+CAST_CHANGED_KEYS = {"float": [1.5], "negative": [-1], "bool": [True], "string": ["1"]}
+
+
 class TestMalformedRequestsRejectedAtSubmit:
     """A request the coalesced launch would refuse is refused at submit, so
     it can never fail the other requests of its window."""
@@ -307,6 +296,15 @@ class TestMalformedRequestsRejectedAtSubmit:
                 ),
                 "upper >= lower",
             ),
+        ]
+        + [
+            (KeyMode.THREE_D, submit, f"^{name} must hold non-negative integers")
+            for bad in CAST_CHANGED_KEYS.values()
+            for submit, name in [
+                (lambda s, bad=bad: s.submit_point(bad), "queries"),
+                (lambda s, bad=bad: s.submit_range(bad, np.array([5], dtype=np.uint64)), "lowers"),
+                (lambda s, bad=bad: s.submit_range(np.array([0], dtype=np.uint64), bad), "uppers"),
+            ]
         ],
         ids=[
             "naive-point-past-max-key",
@@ -314,7 +312,8 @@ class TestMalformedRequestsRejectedAtSubmit:
             "point-2d",
             "range-2d",
             "3d-range-upper-below-lower",
-        ],
+        ]
+        + [f"{kind}-{arg}" for kind in CAST_CHANGED_KEYS for arg in ("queries", "lowers", "uppers")],
     )
     def test_rejected_at_submit_and_the_window_is_still_served(
         self, key_mode, submit, message
@@ -332,3 +331,22 @@ class TestMalformedRequestsRejectedAtSubmit:
         assert result.request_id == good.request_id
         assert not result.failed
         assert result.result_rows().tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "form", [lambda v: np.array(v, dtype=np.int64), list], ids=["int64", "int-list"]
+    )
+    def test_non_negative_integers_answer_as_their_uint64_keys(self, form):
+        service = self.make_service(KeyMode.THREE_D)
+        index = service.index
+        queries, lowers = index.keys[:3], index.keys[3:5]
+        uppers = lowers + np.uint64(8)
+        point = service.submit_point(form(queries.tolist()))
+        ranged = service.submit_range(form(lowers.tolist()), form(uppers.tolist()), limit=4)
+        # Queued as uint64, so the window coalesces them with uint64 requests.
+        assert (point.queries.dtype, ranged.lowers.dtype, ranged.uppers.dtype) == (np.uint64,) * 3
+        rows = {r.request_id: r.result_rows().tolist() for r in service.drain()}
+        assert rows[point.request_id] == index.point_lookup(queries).result_rows.tolist()
+        assert (
+            rows[ranged.request_id]
+            == index.range_lookup(lowers, uppers, limit=4).result_rows.tolist()
+        )

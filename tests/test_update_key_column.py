@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import RXConfig, UpdatePolicy
+from repro.core.results import collect_row_ids
 from repro.core.rx_index import RXIndex
 from repro.serve import IndexService, RequestResult
 
@@ -251,7 +252,9 @@ class TestDuplicateFlagAcrossUpdates:
         assert index.point_limit() is None
         run = index.point_lookup(new_keys[[b]])
         assert run.hits_per_lookup.tolist() == [2]
-        assert sorted(index.collect_point_matches(new_keys[[b]])[0].tolist()) == sorted([a, b])
+        rays = index.codec.point_ray_batch(new_keys[[b]], index.config.point_ray_mode)
+        launch = index.pipeline.launch(rays, num_lookups=1)
+        assert sorted(collect_row_ids(launch.hits, 1)[0].tolist()) == sorted([a, b])
 
     @pytest.mark.parametrize("policy", list(POLICIES), ids=lambda p: p.value)
     def test_update_removing_the_only_duplicate_returns_to_limit_one(self, policy):

@@ -10,13 +10,10 @@ from repro.workloads import (
     point_lookups,
     point_lookups_with_hit_rate,
     range_lookups,
-    sort_lookups,
     sparse_uniform_keys,
-    split_batches,
     strided_keys,
     swap_adjacent_keys,
     swap_adjacent_positions,
-    zipf_keys,
     zipf_point_lookups,
     zipf_sample,
 )
@@ -67,10 +64,6 @@ class TestKeyGenerators:
     def test_multiplicity_validation(self):
         with pytest.raises(ValueError):
             keys_with_multiplicity(10, multiplicity=0)
-
-    def test_zipf_keys_shape(self):
-        keys = zipf_keys(256, coefficient=1.5)
-        assert keys.shape == (256,)
 
     def test_empty_key_count_rejected(self):
         with pytest.raises(ValueError):
@@ -132,19 +125,6 @@ class TestLookupGenerators:
     def test_range_lookups_invalid_span(self):
         with pytest.raises(ValueError):
             range_lookups(dense_shuffled_keys(16), 4, span=0)
-
-    def test_sort_lookups(self):
-        queries = np.array([5, 1, 9], dtype=np.uint64)
-        assert sort_lookups(queries).tolist() == [1, 5, 9]
-
-    def test_split_batches_covers_everything(self):
-        queries = np.arange(100, dtype=np.uint64)
-        batches = split_batches(queries, 7)
-        assert sum(len(b) for b in batches) == 100
-
-    def test_split_batches_validation(self):
-        with pytest.raises(ValueError):
-            split_batches(np.arange(4), 0)
 
 
 class TestZipf:
