@@ -13,6 +13,9 @@ The benchmark harness interacts with indexes in two steps:
 
 Keeping the two steps separate lets the functional simulation stay small and
 fast while the reported series retain the paper's shape.
+
+Every index takes its keys by one input rule, :func:`as_uint64_keys` and
+its lookup forms :func:`as_lookup_keys` and :func:`as_range_bounds`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,75 @@ from repro.gpusim.counters import WorkProfile
 #: Reserved value written into result arrays when a lookup finds no match,
 #: mirroring the paper's miss sentinel.
 MISS_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+_UINT64 = np.dtype(np.uint64)
+
+
+def as_uint64_keys(keys, name: str) -> np.ndarray:
+    """``keys`` as a uint64 array, refusing any value the cast would change.
+
+    Unsigned integers pass as they are, signed integers (and lists of
+    Python ints) when none is negative, and an empty input always.  Any
+    other input raises ``ValueError`` naming the argument ``name``: a cast
+    would turn 1.5 into key 1, -1 into 2^64 - 1 and "7" into 7.  Other
+    types reach the index through :mod:`repro.core.typemap` (Section 3.2).
+    """
+    array = np.asarray(keys)
+    if array.dtype == _UINT64:
+        return array
+    kind = array.dtype.kind
+    if kind == "u" or array.size == 0:
+        return array.astype(np.uint64)
+    if kind == "i":
+        if array.min() >= 0:
+            return array.astype(np.uint64)
+        got = "a negative value"
+    elif (
+        not isinstance(keys, np.ndarray)
+        and kind in "fO"
+        and all(type(v) is int for v in np.array(keys, dtype=object).flat)
+    ):
+        # NumPy infers float64 for a list of Python ints that holds 2^63 or more.
+        try:
+            return np.array(keys, dtype=np.uint64)
+        except OverflowError:
+            got = "a value outside [0, 2^64)"
+    else:
+        got = f"dtype {array.dtype}"
+    raise ValueError(
+        f"{name} must hold non-negative integers (uint64), got {got}; map "
+        "other types to uint64 keys with repro.core.typemap"
+    )
+
+
+def as_lookup_keys(keys, name: str) -> np.ndarray:
+    """``keys`` as a 1-D uint64 array of lookup keys or range bounds
+    (:func:`as_uint64_keys`).
+
+    The ray builders take one lookup per element, so a scalar or a 2-D
+    array raises ``ValueError`` naming the argument ``name``.
+    """
+    keys = as_uint64_keys(keys, name)
+    if keys.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array of keys, got shape {keys.shape}")
+    return keys
+
+
+def as_range_bounds(lowers, uppers) -> tuple[np.ndarray, np.ndarray]:
+    """``(lowers, uppers)`` as equal-shaped 1-D uint64 inclusive range bounds.
+
+    The one check of a range lookup's bounds on the index path, the same
+    in every key mode: each argument must be 1-D (:func:`as_lookup_keys`),
+    both the same shape, and no range inverted (``upper < lower``).  The
+    codecs' ray builders take bounds that passed it.
+    """
+    lowers = as_lookup_keys(lowers, "lowers")
+    uppers = as_lookup_keys(uppers, "uppers")
+    if lowers.shape != uppers.shape:
+        raise ValueError("lowers and uppers must have the same shape")
+    if np.any(uppers < lowers):
+        raise ValueError("range lookups require upper >= lower")
+    return lowers, uppers
 
 
 def keyset_page_slice(
@@ -212,7 +284,7 @@ class GpuIndex(abc.ABC):
         return self._values
 
     def _store_column(self, keys: np.ndarray, values: np.ndarray | None, key_bits: int) -> None:
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = as_uint64_keys(keys, "keys")
         if keys.ndim != 1:
             raise ValueError("keys must be a one-dimensional array")
         if keys.shape[0] == 0:
@@ -226,7 +298,7 @@ class GpuIndex(abc.ABC):
         if values is None:
             values = np.arange(keys.shape[0], dtype=np.uint64)
         else:
-            values = np.asarray(values, dtype=np.uint64)
+            values = as_uint64_keys(values, "values")
             if values.shape != keys.shape:
                 raise ValueError("values must have the same shape as keys")
         self._keys = keys

@@ -25,6 +25,9 @@ from repro.baselines.base import (
     LookupRun,
     MemoryFootprint,
     MISS_SENTINEL,
+    as_lookup_keys,
+    as_range_bounds,
+    as_uint64_keys,
     expand_slices,
     keyset_page_slice,
 )
@@ -73,7 +76,7 @@ class GpuBPlusTree(GpuIndex):
     # ------------------------------------------------------------------ #
 
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = as_uint64_keys(keys, "keys")
         # Sort + adjacent compare: NumPy >= 2.3 runs ``np.unique`` through a
         # hash table, ~50x slower than sorting on 2^20 shuffled keys.
         ordered = np.sort(keys, axis=None)
@@ -167,7 +170,7 @@ class GpuBPlusTree(GpuIndex):
     def point_lookup(self, queries: np.ndarray) -> LookupRun:
         if self._sorted_keys is None:
             raise RuntimeError("build() must be called before lookups")
-        queries = np.asarray(queries, dtype=np.uint64)
+        queries = as_lookup_keys(queries, "queries")
         m = queries.shape[0]
 
         pos = self._descend(queries)
@@ -217,10 +220,7 @@ class GpuBPlusTree(GpuIndex):
             return self._ordered_range_page(lowers, uppers, limit, cursor)
         if cursor is not None:
             raise ValueError("cursor resume requires order='key'")
-        lowers = np.asarray(lowers, dtype=np.uint64)
-        uppers = np.asarray(uppers, dtype=np.uint64)
-        if lowers.shape != uppers.shape:
-            raise ValueError("lowers and uppers must have the same shape")
+        lowers, uppers = as_range_bounds(lowers, uppers)
         m = lowers.shape[0]
 
         start = np.searchsorted(self._sorted_keys, lowers, side="left")
@@ -260,9 +260,8 @@ class GpuBPlusTree(GpuIndex):
         """One keyset page of the linked leaves: ``(run, next_cursor)``."""
         from repro.core.cursor import encode_cursor, parse_cursor
 
-        lowers = np.asarray(lowers, dtype=np.uint64).reshape(-1)
-        uppers = np.asarray(uppers, dtype=np.uint64).reshape(-1)
-        if lowers.shape[0] != 1 or uppers.shape[0] != 1:
+        lowers, uppers = as_range_bounds(lowers, uppers)
+        if lowers.shape[0] != 1:
             raise ValueError("order='key' pages one range at a time")
         if limit is None:
             raise ValueError("order='key' requires a page size (limit)")

@@ -27,6 +27,7 @@ from repro.baselines.base import (
     LookupRun,
     MemoryFootprint,
     MISS_SENTINEL,
+    as_lookup_keys,
 )
 from repro.gpusim.counters import WorkProfile
 
@@ -164,7 +165,7 @@ class WarpCoreHashTable(GpuIndex):
     def point_lookup(self, queries: np.ndarray) -> LookupRun:
         if self._slot_keys is None:
             raise RuntimeError("build() must be called before lookups")
-        queries = np.asarray(queries, dtype=np.uint64)
+        queries = as_lookup_keys(queries, "queries")
         m = queries.shape[0]
 
         result_rows = np.full(m, MISS_SENTINEL, dtype=np.uint64)

@@ -20,6 +20,8 @@ from repro.baselines.base import (
     LookupRun,
     MemoryFootprint,
     MISS_SENTINEL,
+    as_lookup_keys,
+    as_range_bounds,
     expand_slices,
     keyset_page_slice,
 )
@@ -79,7 +81,7 @@ class SortedArrayIndex(GpuIndex):
     def point_lookup(self, queries: np.ndarray) -> LookupRun:
         if self._sorted_keys is None:
             raise RuntimeError("build() must be called before lookups")
-        queries = np.asarray(queries, dtype=np.uint64)
+        queries = as_lookup_keys(queries, "queries")
         m = queries.shape[0]
 
         start = np.searchsorted(self._sorted_keys, queries, side="left")
@@ -133,10 +135,7 @@ class SortedArrayIndex(GpuIndex):
             return self._ordered_range_page(lowers, uppers, limit, cursor)
         if cursor is not None:
             raise ValueError("cursor resume requires order='key'")
-        lowers = np.asarray(lowers, dtype=np.uint64)
-        uppers = np.asarray(uppers, dtype=np.uint64)
-        if lowers.shape != uppers.shape:
-            raise ValueError("lowers and uppers must have the same shape")
+        lowers, uppers = as_range_bounds(lowers, uppers)
         m = lowers.shape[0]
 
         start = np.searchsorted(self._sorted_keys, lowers, side="left")
@@ -174,9 +173,8 @@ class SortedArrayIndex(GpuIndex):
         """One keyset page of the sorted run: ``(run, next_cursor)``."""
         from repro.core.cursor import encode_cursor, parse_cursor
 
-        lowers = np.asarray(lowers, dtype=np.uint64).reshape(-1)
-        uppers = np.asarray(uppers, dtype=np.uint64).reshape(-1)
-        if lowers.shape[0] != 1 or uppers.shape[0] != 1:
+        lowers, uppers = as_range_bounds(lowers, uppers)
+        if lowers.shape[0] != 1:
             raise ValueError("order='key' pages one range at a time")
         if limit is None:
             raise ValueError("order='key' requires a page size (limit)")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields, replace
 
+from repro.rtx.bvh import BvhBuildOptions
+
 
 class KeyMode(enum.Enum):
     """How integer keys are expressed as float32 scene coordinates (Sec 3.2)."""
@@ -160,7 +162,17 @@ class RXConfig:
     value_bytes: int = 4
 
     def validate(self) -> None:
-        """Reject configurations the hardware (or float32) cannot express."""
+        """Reject configurations the hardware (or float32) cannot express.
+
+        Bool fields must hold a bool and int fields an int (not a bool);
+        the builder knobs must pass :meth:`BvhBuildOptions.validate`.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.key_mode is KeyMode.EXTENDED:
             if self.primitive is PrimitiveType.SPHERE:
                 raise ValueError(
@@ -185,14 +197,7 @@ class RXConfig:
                 "has no effect on accels built with it; use compaction=False "
                 "(the paper chooses rebuilds + compaction)"
             )
-        if not 0 <= self.shard_bits <= 16:
-            raise ValueError("shard_bits must be in [0, 16]")
-        if self.shard_bits and self.bvh_builder != "lbvh":
-            raise ValueError(
-                "sharded (forest) builds require bvh_builder='lbvh': the "
-                "Morton-prefix partition is only a prefix of lbvh's split "
-                "hierarchy"
-            )
+        self.bvh_options().validate()
         if self.update_policy is UpdatePolicy.REFIT and self.shard_bits:
             raise ValueError(
                 "update_policy=REFIT cannot be combined with shard_bits >= 1: a "
@@ -205,8 +210,6 @@ class RXConfig:
                 "delta-shard updates require shard_bits >= 1: the update "
                 "granularity is the Morton-prefix shard"
             )
-        if self.max_leaf_size < 1:
-            raise ValueError("max_leaf_size must be positive")
         if self.max_rays_per_range < 1:
             raise ValueError("max_rays_per_range must be positive")
         if not 0 < self.sphere_radius < 0.5:  # NaN-proof: NaN fails every compare
@@ -215,6 +218,18 @@ class RXConfig:
             )
         if self.value_bytes not in (4, 8):
             raise ValueError("value_bytes must be 4 or 8")
+
+    def bvh_options(self) -> BvhBuildOptions:
+        """The options every tree of an index with this config is built and
+        loaded with: the builder knobs, and the update flag exactly under
+        REFIT."""
+        return BvhBuildOptions(
+            builder=self.bvh_builder,
+            max_leaf_size=self.max_leaf_size,
+            morton_bits=self.morton_bits,
+            allow_update=self.update_policy is UpdatePolicy.REFIT,
+            shard_bits=self.shard_bits,
+        )
 
     def with_updates_enabled(self) -> "RXConfig":
         """Copy of this config prepared for refit-style updates."""

@@ -41,10 +41,8 @@ from repro.core.results import (
 from repro.gpusim.counters import WorkProfile
 from repro.persist import MANIFEST_NAME, SnapshotCorrupt, load_snapshot, save_snapshot
 from repro.rtx.build_input import build_input_for_points
-from repro.rtx.bvh import BvhBuildOptions
 from repro.rtx.memory import accel_memory_estimate
 from repro.rtx.pipeline import (
-    DeviceContext,
     GeometryAccel,
     Pipeline,
     accel_build,
@@ -112,19 +110,13 @@ class RXIndex(GpuIndex):
     supports_duplicates = True
     max_key_bits = 64
 
-    def __init__(
-        self,
-        config: RXConfig | None = None,
-        context: DeviceContext | None = None,
-    ):
+    def __init__(self, config: RXConfig | None = None):
         super().__init__()
         self.config = config or RXConfig.paper_default()
         self.config.validate()
         self.codec = make_codec(self.config.key_mode, self.config.decomposition)
-        self.context = context or DeviceContext()
         self._accel = None
         self._pipeline: Pipeline | None = None
-        self._primitive_handle: int | None = None
         #: wall-clock of the last accel build or delta update (seconds)
         self._last_build_seconds: float | None = None
         #: Monotonically increasing accel-state counter: -1 before the first
@@ -149,17 +141,6 @@ class RXIndex(GpuIndex):
     # ------------------------------------------------------------------ #
     # build
     # ------------------------------------------------------------------ #
-
-    def _bvh_options(self) -> BvhBuildOptions:
-        """The options every tree of this index is built and loaded with: the
-        builder knobs, and the update flag exactly under REFIT."""
-        return BvhBuildOptions(
-            builder=self.config.bvh_builder,
-            max_leaf_size=self.config.max_leaf_size,
-            morton_bits=self.config.morton_bits,
-            allow_update=self.config.update_policy is UpdatePolicy.REFIT,
-            shard_bits=self.config.shard_bits,
-        )
 
     def _make_buffer(self, keys: np.ndarray):
         points, x_half_extent = self.codec.encode_points(keys)
@@ -202,32 +183,14 @@ class RXIndex(GpuIndex):
         self._store_column(keys, values, key_bits=64, keys_unique=keys_unique)
         self._persisted = {}
 
-        if self._accel is not None:
-            # Rebuilding replaces the previous accel; release its allocation
-            # so the memory tracker reflects the swap.
-            self.context.memory.free(self._accel.memory_handle)
-            self._accel = None
-
         buffer = self._make_buffer(self.keys)
-        # The primitive buffer only needs to be resident during the build:
-        # afterwards the accel embeds the geometry.
-        self._primitive_handle = self.context.memory.alloc(
-            "rx_primitive_buffer", buffer.primitive_bytes(), temporary=True
-        )
         build_t0 = time.perf_counter()
-        self._accel = accel_build(self.context, buffer, self._bvh_options())
+        self._accel = accel_build(buffer, self.config.bvh_options())
         self._last_build_seconds = time.perf_counter() - build_t0
-        compaction_stats = {}
         if self.config.compaction:
-            result = accel_compact(self.context, self._accel)
-            compaction_stats = {
-                "compaction_saved_bytes": result.saved_bytes,
-                "compaction_reduction": result.reduction_fraction,
-            }
-        self.context.memory.free(self._primitive_handle)
-        self._primitive_handle = None
+            accel_compact(self._accel)
 
-        self._pipeline = Pipeline(self.context, self._accel)
+        self._pipeline = Pipeline(self._accel)
         self.epoch += 1
         bvh = self._accel.bvh
         memory = self.memory_footprint()
@@ -243,7 +206,6 @@ class RXIndex(GpuIndex):
                 "bvh_depth": bvh.depth(),
                 "bvh_leaves": bvh.leaf_count,
                 "compacted": self._accel.compacted,
-                **compaction_stats,
                 **(
                     {
                         "shards": self._accel.forest.non_empty_shards,
@@ -468,7 +430,7 @@ class RXIndex(GpuIndex):
             self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
             buffer = self._make_buffer(self.keys)
             build_t0 = time.perf_counter()
-            delta = accel_delta_update(self.context, self._accel, buffer)
+            delta = accel_delta_update(self._accel, buffer)
             self._last_build_seconds = time.perf_counter() - build_t0
             changed = changed_segments(delta, values_changed)
             if changed is not None:
@@ -476,7 +438,7 @@ class RXIndex(GpuIndex):
                     name: entry for name, entry in persisted.items() if name not in changed
                 }
             # The spliced tree object was swapped; rebind the pipeline.
-            self._pipeline = Pipeline(self.context, self._accel)
+            self._pipeline = Pipeline(self._accel)
             self.epoch += 1
             return UpdateOutcome(
                 policy=UpdatePolicy.DELTA_SHARD,
@@ -497,8 +459,8 @@ class RXIndex(GpuIndex):
             raise ValueError("refit updates cannot add or remove keys")
         self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
         self._persisted = {}
-        refit = accel_update(self.context, self._accel, self._make_buffer(self.keys))
-        self._pipeline = Pipeline(self.context, self._accel)
+        refit = accel_update(self._accel, self._make_buffer(self.keys))
+        self._pipeline = Pipeline(self._accel)
         self.epoch += 1
         profile = WorkProfile(
             name="RX refit",
@@ -507,7 +469,7 @@ class RXIndex(GpuIndex):
             # The refit streams the primitive buffer and rewrites every node
             # bottom-up, touching temporary update memory along the way.
             bytes_accessed=2.5 * (refit.bytes_read + refit.bytes_written),
-            working_set_bytes=self._accel.size_bytes,
+            working_set_bytes=self.memory_footprint().final_bytes,
             kernel_launches=1,
             # Refits stream the whole structure through DRAM: there is no
             # reuse for the cache to exploit.
@@ -634,13 +596,7 @@ class RXIndex(GpuIndex):
         return result.as_dict()
 
     @classmethod
-    def load(
-        cls,
-        path,
-        mmap: bool = True,
-        context: DeviceContext | None = None,
-        fault_injector=None,
-    ) -> "RXIndex":
+    def load(cls, path, mmap: bool = True, fault_injector=None) -> "RXIndex":
         """Open the last committed snapshot at ``path`` as a fresh index.
 
         The configuration is taken from the snapshot, every segment is
@@ -649,10 +605,10 @@ class RXIndex(GpuIndex):
         cold-start path the restart benchmark measures.  Lookups against
         the loaded index are bit-identical to the index that was saved.
         A manifest whose index block does not describe its segments raises
-        :class:`SnapshotCorrupt` (see :meth:`_install_snapshot`).
+        :class:`SnapshotCorrupt` (see :func:`repro.core.layout.read_index`).
         """
         snap = load_snapshot(path, mmap=mmap, fault_injector=fault_injector)
-        index = cls._from_snapshot(snap, context)
+        index = cls._from_snapshot(snap)
         index._record_load(snap)
         return index
 
@@ -665,16 +621,13 @@ class RXIndex(GpuIndex):
         both the snapshot's tag and the current epoch so epoch-keyed
         consumers (caches, pinned cursor pages) see a state change.
 
-        The snapshot is installed into a staged index on this index's
-        device context, exactly as :meth:`load` builds one, and adopted
-        only once that install has succeeded: a snapshot that fails raises
-        with this index's answers, counters, epoch and device-memory
-        accounting unchanged.
+        The snapshot is installed into a staged index, exactly as
+        :meth:`load` builds one, and adopted only once that install has
+        succeeded: a snapshot that fails raises with this index's answers,
+        counters and epoch unchanged.
         """
         snap = load_snapshot(path, mmap=mmap, fault_injector=fault_injector)
-        staged = self._from_snapshot(snap, self.context)
-        if self._accel is not None:
-            self.context.memory.free(self._accel.memory_handle)
+        staged = self._from_snapshot(snap)
         epoch = max(snap.epoch, self.epoch + 1)
         persist_stats = self._persist_stats
         # __init__ sets every attribute, so the staged index replaces each.
@@ -692,7 +645,7 @@ class RXIndex(GpuIndex):
         }
 
     @classmethod
-    def _from_snapshot(cls, snap, context) -> "RXIndex":
+    def _from_snapshot(cls, snap) -> "RXIndex":
         """A fresh index holding a verified snapshot's accel state."""
         config = snap.index_meta.get("config")
         try:
@@ -704,37 +657,13 @@ class RXIndex(GpuIndex):
                 f"snapshot manifest holds no valid index config: {exc}",
                 segment=MANIFEST_NAME,
             ) from exc
-        index = cls(config=config, context=context)
-        saved = read_index(snap, config, index._bvh_options(), index._make_buffer)
+        index = cls(config=config)
+        saved = read_index(snap, config, config.bvh_options(), index._make_buffer)
         index._store_column(saved.keys, saved.values, key_bits=64)
-        index._install_accel(saved)
+        index._accel = GeometryAccel(bvh=saved.bvh, buffer=saved.buffer, forest=saved.forest)
+        index._pipeline = Pipeline(index._accel)
         index.epoch = snap.epoch
         return index
-
-    def _install_accel(self, saved) -> None:
-        """Adopt a checked snapshot's tree, mirroring the build path's
-        device-memory accounting: the accel is allocated uncompacted, then
-        (when the snapshot was compacted) the compacted allocation replaces
-        it."""
-        buffer = saved.buffer
-        memory_info = accel_memory_estimate(buffer.kind, len(buffer))
-        accel_handle = self.context.memory.alloc("accel", memory_info["uncompacted"])
-        accel = GeometryAccel(
-            bvh=saved.bvh,
-            buffer=buffer,
-            memory_handle=accel_handle,
-            memory_info=memory_info,
-            forest=saved.forest,
-        )
-        if saved.bvh.compacted:
-            new_handle = self.context.memory.alloc(
-                "accel_compacted", memory_info["compacted"]
-            )
-            self.context.memory.free(accel.memory_handle)
-            accel.memory_handle = new_handle
-            accel.compacted = True
-        self._accel = accel
-        self._pipeline = Pipeline(self.context, accel)
 
     def _record_load(self, snap) -> None:
         self._persisted = dict(snap.entries)
@@ -787,8 +716,6 @@ class RXIndex(GpuIndex):
             "shard_count": forest.non_empty_shards if forest is not None else 1,
             "memory_final_bytes": memory.final_bytes,
             "memory_build_peak_bytes": memory.build_peak_bytes,
-            "device_bytes_in_use": self.context.memory.current_bytes,
-            "device_bytes_peak": self.context.memory.peak_bytes,
             "primitive_resident_bytes": buffer.resident_bytes(),
             "build": self._build_stats_block(forest),
             "persist": dict(self._persist_stats),

@@ -10,10 +10,12 @@ OptiX 7 raytracing stack that the RTIndeX paper relies on:
 * bounding volume hierarchies with SAH and LBVH builders (:mod:`repro.rtx.bvh`,
   :mod:`repro.rtx.morton`) and the Morton-prefix sharded forest build with
   delta-shard updates (:mod:`repro.rtx.forest`),
-* compaction and refitting (:mod:`repro.rtx.compaction`, :mod:`repro.rtx.refit`),
+* refitting (:mod:`repro.rtx.refit`),
 * the traversal engine with hardware-style counters (:mod:`repro.rtx.traversal`),
-* a programmable pipeline mirroring ``optixLaunch`` (:mod:`repro.rtx.pipeline`),
-* device memory accounting (:mod:`repro.rtx.memory`).
+* the accel build, compaction and update calls and a programmable pipeline
+  mirroring ``optixLaunch`` (:mod:`repro.rtx.pipeline`),
+* the accel device-memory model behind Table 6 and Figure 7c
+  (:mod:`repro.rtx.memory`).
 
 The functional behaviour (which primitives a ray hits, within which
 ``[tmin, tmax]`` interval) is exact; the performance behaviour is exposed as
@@ -22,7 +24,6 @@ milliseconds.
 """
 
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
-from repro.rtx.compaction import compact_accel
 from repro.rtx.forest import BvhForest, build_forest, delta_update_forest
 from repro.rtx.geometry import (
     AabbBuffer,
@@ -31,9 +32,7 @@ from repro.rtx.geometry import (
     SphereBuffer,
     TriangleBuffer,
 )
-from repro.rtx.memory import DeviceMemoryTracker
 from repro.rtx.pipeline import (
-    DeviceContext,
     GeometryAccel,
     LaunchResult,
     Pipeline,
@@ -41,6 +40,7 @@ from repro.rtx.pipeline import (
     accel_compact,
     accel_delta_update,
     accel_update,
+    compact_accel,
 )
 from repro.rtx.refit import refit_accel
 from repro.rtx.traversal import TraversalCounters, TraversalEngine
@@ -51,8 +51,6 @@ __all__ = [
     "Bvh",
     "BvhBuildOptions",
     "BvhForest",
-    "DeviceContext",
-    "DeviceMemoryTracker",
     "GeometryAccel",
     "LaunchResult",
     "Pipeline",

@@ -48,13 +48,10 @@ import numpy as np
 from repro.rtx.geometry import PrimitiveBuffer
 from repro.rtx.morton import morton_encode_3d, require_finite
 
-#: Modelled allocation size of one BVH node before/after compaction (bytes).
-#: Compaction removes allocation slack but does not shrink what a traversal
-#: step has to fetch, which is why compacted and uncompacted accels perform
-#: almost identically (Figure 7a).
-NODE_BYTES_UNCOMPACTED = 80
-NODE_BYTES_COMPACTED = 40
-#: Bytes fetched per node visit during traversal (independent of compaction).
+#: Bytes fetched per node visit during traversal.  Compaction removes
+#: allocation slack but does not shrink what a traversal step has to fetch,
+#: which is why compacted and uncompacted accels perform almost identically
+#: (Figure 7a).
 NODE_FETCH_BYTES = 64
 
 
@@ -185,10 +182,6 @@ class Bvh:
         extents = np.maximum(self.node_maxs - self.node_mins, 0.0)
         ex, ey, ez = extents[:, 0], extents[:, 1], extents[:, 2]
         return 2.0 * (ex * ey + ey * ez + ez * ex)
-
-    def structure_bytes(self) -> int:
-        """Modelled device memory consumed by the node structure alone."""
-        return self.node_count * self.node_bytes()
 
 
 def build_bvh(

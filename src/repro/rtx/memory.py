@@ -1,52 +1,12 @@
-"""Device memory accounting.
+"""The acceleration structure's modelled device memory.
 
-Tracks allocations the way the paper reports them (Table 6): the *final*
-footprint of an index and the *additional overhead during construction*
-(temporary buffers, uncompacted acceleration structures, out-of-place sort
-buffers).  The tracker is deliberately simple — a named bump allocator with
-peak tracking — because only sizes matter, never addresses.
+The paper reports an index's device memory as its *final* footprint plus
+the *additional overhead during construction* (Table 6, Figure 7c).
+:func:`accel_memory_estimate` models both for RX's accel; only sizes
+matter, never addresses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Allocation:
-    """A single named device allocation."""
-
-    name: str
-    size_bytes: int
-    temporary: bool = False
-
-
-@dataclass
-class DeviceMemoryTracker:
-    """Tracks live allocations, current usage, and the high-water mark."""
-
-    allocations: dict[int, Allocation] = field(default_factory=dict)
-    current_bytes: int = 0
-    peak_bytes: int = 0
-    _next_handle: int = 0
-
-    def alloc(self, name: str, size_bytes: int, temporary: bool = False) -> int:
-        """Allocate ``size_bytes`` and return an opaque handle."""
-        if size_bytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        handle = self._next_handle
-        self._next_handle += 1
-        self.allocations[handle] = Allocation(name, int(size_bytes), temporary)
-        self.current_bytes += int(size_bytes)
-        self.peak_bytes = max(self.peak_bytes, self.current_bytes)
-        return handle
-
-    def free(self, handle: int) -> None:
-        """Release a previous allocation."""
-        alloc = self.allocations.pop(handle, None)
-        if alloc is None:
-            raise KeyError(f"unknown allocation handle {handle}")
-        self.current_bytes -= alloc.size_bytes
 
 
 #: Modelled per-primitive byte costs of the acceleration structure, before and

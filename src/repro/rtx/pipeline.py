@@ -1,4 +1,4 @@
-"""The OptiX-shaped front-end: device context, accel build, pipeline launch.
+"""The OptiX-shaped front-end: accel build, compaction, pipeline launch.
 
 The names follow the OptiX 7 host API so that :class:`repro.core.rx_index.RXIndex`
 reads like the CUDA/OptiX code described in the paper:
@@ -11,49 +11,38 @@ reads like the CUDA/OptiX code described in the paper:
 A launch takes the rays the ray-generation step made (the paper spawns one
 thread per lookup and builds its rays there), traces them against the
 accel, and feeds every intersection to the launch's any-hit program.
+:func:`repro.rtx.memory.accel_memory_estimate` models the accel's device
+memory.
+
+The ``accel_*`` functions call :func:`build_bvh`, :func:`build_forest`,
+:func:`compact_accel` and :func:`delta_update_forest` through this
+module's globals, so a tracer (``rxbench/spans.py``) can wrap each stage
+by patching its name here.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh
-from repro.rtx.compaction import CompactionResult, compact_accel
 from repro.rtx.forest import BvhForest, DeltaUpdateStats, build_forest, delta_update_forest
 from repro.rtx.geometry import PrimitiveBuffer, RayBatch
-from repro.rtx.memory import DeviceMemoryTracker, accel_memory_estimate
 from repro.rtx.refit import RefitResult, refit_accel
 from repro.rtx.traversal import HitRecords, TraversalCounters, TraversalEngine
 
 
 @dataclass
-class DeviceContext:
-    """Holds per-device state: the memory tracker.
-
-    The OptiX analogue is ``OptixDeviceContext``; ours additionally exposes
-    the memory tracker that the paper's Table 6 numbers correspond to.
-    """
-
-    memory: DeviceMemoryTracker = field(default_factory=DeviceMemoryTracker)
-
-
-@dataclass
 class GeometryAccel:
-    """A built geometry acceleration structure (GAS).
-
-    Bundles the functional BVH, the primitive buffer it indexes and the
-    memory model numbers.
-    """
+    """A built geometry acceleration structure (GAS): the functional BVH
+    and the primitive buffer it indexes."""
 
     bvh: Bvh
     buffer: PrimitiveBuffer
-    memory_handle: int
-    memory_info: dict[str, int]
-    compacted: bool = False
     #: set for sharded builds: the forest bookkeeping over ``bvh`` (the same
     #: tree a single-tree build emits, cut into Morton-prefix shards),
     #: enabling delta-shard updates via :func:`accel_delta_update` and
@@ -61,132 +50,88 @@ class GeometryAccel:
     forest: BvhForest | None = None
 
     @property
-    def size_bytes(self) -> int:
-        """Current modelled device footprint of the accel."""
-        key = "compacted" if self.compacted else "uncompacted"
-        return self.memory_info[key]
+    def compacted(self) -> bool:
+        return self.bvh.compacted
 
 
-def accel_build(
-    context: DeviceContext,
-    buffer: PrimitiveBuffer,
-    options: BvhBuildOptions | None = None,
-) -> GeometryAccel:
+def accel_build(buffer: PrimitiveBuffer, options: BvhBuildOptions | None = None) -> GeometryAccel:
     """Build a geometry acceleration structure over ``buffer``.
 
-    Mirrors ``optixAccelBuild`` with the build operation: temporary memory is
-    allocated for the duration of the build (and accounted in the tracker's
-    peak), the resulting accel stays resident.  ``options`` (default
-    :class:`BvhBuildOptions`) carries the builder knobs and the update flag
-    a later refit needs (``allow_update``).
+    Mirrors ``optixAccelBuild`` with the build operation.  ``options``
+    (default :class:`BvhBuildOptions`) carries the builder knobs and the
+    update flag a later refit needs (``allow_update``).
     """
     options = options or BvhBuildOptions()
-    memory_info = accel_memory_estimate(buffer.kind, len(buffer))
-
-    temp_handle = context.memory.alloc(
-        "accel_build_temp", memory_info["build_temp"], temporary=True
-    )
-    accel_handle = context.memory.alloc("accel", memory_info["uncompacted"])
-
     forest = None
     if options.shard_bits:
         forest = build_forest(buffer, options)
         bvh = forest.bvh
     else:
         bvh = build_bvh(buffer, options)
-
-    context.memory.free(temp_handle)
-    return GeometryAccel(
-        bvh=bvh,
-        buffer=buffer,
-        memory_handle=accel_handle,
-        memory_info=memory_info,
-        forest=forest,
-    )
+    return GeometryAccel(bvh=bvh, buffer=buffer, forest=forest)
 
 
-def accel_compact(context: DeviceContext, accel: GeometryAccel) -> CompactionResult:
-    """Compact ``accel`` in place (``optixAccelCompact``).
+def compact_accel(bvh: Bvh) -> Bvh:
+    """The compacted copy of ``bvh``: the same tree, flagged compacted.
 
-    The compacted accel replaces the uncompacted one in the memory tracker;
-    the temporary co-existence of both copies is reflected in the peak.
+    Compaction copies the accel into a tightly packed buffer, roughly
+    halving its modelled footprint for triangle BVHs (Section 3.5 / Figure
+    7c, :func:`repro.rtx.memory.accel_memory_estimate`).  Raises
+    ``ValueError`` for a tree built with ``allow_update``: OptiX accepts
+    the call but compaction has no effect there (Section 3.6), which is
+    surfaced so experiments cannot silently mis-measure.  Also raises for
+    a tree that is compacted already.
     """
-    result = compact_accel(accel.bvh)
-    if result.bytes_copied == 0:
-        return result
-    new_handle = context.memory.alloc("accel_compacted", accel.memory_info["compacted"])
-    context.memory.free(accel.memory_handle)
-    accel.memory_handle = new_handle
-    accel.bvh = result.bvh
-    accel.compacted = True
-    return result
+    if bvh.options.allow_update:
+        raise ValueError(
+            "compaction has no effect on accels built with ALLOW_UPDATE; "
+            "build without the update flag to compact"
+        )
+    if bvh.compacted:
+        raise ValueError("the accel is already compacted")
+    compacted = copy.copy(bvh)
+    compacted.compacted = True
+    return compacted
 
 
-def accel_update(
-    context: DeviceContext, accel: GeometryAccel, buffer: PrimitiveBuffer
-) -> RefitResult:
+def accel_compact(accel: GeometryAccel) -> None:
+    """Compact ``accel`` in place (``optixAccelCompact``)."""
+    accel.bvh = compact_accel(accel.bvh)
+
+
+def accel_update(accel: GeometryAccel, buffer: PrimitiveBuffer) -> RefitResult:
     """Refit ``accel`` to the moved primitives of ``buffer``
     (``optixAccelBuild`` update op).
 
     Updates require the accel to have been built with
-    ``BvhBuildOptions.allow_update`` and, like OptiX, need temporary memory
-    even though the node structure is reused.
+    ``BvhBuildOptions.allow_update``.
     """
-    temp_handle = context.memory.alloc(
-        "accel_update_temp",
-        int(accel.memory_info["build_temp"] * 0.5),
-        temporary=True,
-    )
-    try:
-        result = refit_accel(accel.bvh, buffer)
-    finally:
-        context.memory.free(temp_handle)
+    result = refit_accel(accel.bvh, buffer)
     accel.buffer = buffer
     return result
 
 
-def accel_delta_update(
-    context: DeviceContext, accel: GeometryAccel, buffer: PrimitiveBuffer
-) -> DeltaUpdateStats:
+def accel_delta_update(accel: GeometryAccel, buffer: PrimitiveBuffer) -> DeltaUpdateStats:
     """Delta-shard update: rebuild only the shards the new input dirtied.
 
     Requires the accel to have been built with ``shard_bits > 0``.  Unlike a
     refit, the dirty subtrees are *rebuilt*, so the updated accel is
     bit-identical to a from-scratch build over ``buffer`` (no
     quality degradation), at a sorting/building cost proportional to the
-    dirty shards.  Temporary memory scales with the dirty fraction instead
-    of the full build scratch.
+    dirty shards.
     """
     if accel.forest is None:
         raise ValueError(
             "delta updates require a sharded accel (build with shard_bits >= 1)"
         )
     updated, stats = delta_update_forest(accel.forest, accel.buffer, buffer)
-    dirty_fraction = stats.dirty_keys / max(stats.total_keys, 1)
-    temp_handle = context.memory.alloc(
-        "accel_delta_temp",
-        int(accel.memory_info["build_temp"] * dirty_fraction),
-        temporary=True,
-    )
-    try:
-        if len(buffer) != accel.bvh.num_primitives:
-            # The key count changed: swap the allocation like a rebuild does.
-            memory_info = accel_memory_estimate(buffer.kind, len(buffer))
-            key = "compacted" if accel.compacted else "uncompacted"
-            new_handle = context.memory.alloc("accel", memory_info[key])
-            context.memory.free(accel.memory_handle)
-            accel.memory_handle = new_handle
-            accel.memory_info = memory_info
-        if not stats.noop:
-            bvh = updated.bvh
-            # Rebuilt subtrees are recompacted on the way in, mirroring the
-            # rebuild path's compaction step.
-            bvh.compacted = accel.compacted
-            accel.bvh = bvh
-        accel.forest = updated
-        accel.buffer = buffer
-    finally:
-        context.memory.free(temp_handle)
+    if not stats.noop:
+        # Rebuilt subtrees are recompacted on the way in, mirroring the
+        # rebuild path's compaction step.
+        updated.bvh.compacted = accel.compacted
+        accel.bvh = updated.bvh
+    accel.forest = updated
+    accel.buffer = buffer
     return stats
 
 
@@ -219,7 +164,6 @@ class Pipeline:
     the traversal engine is bound to the accel's tree at construction.
     """
 
-    context: DeviceContext
     accel: GeometryAccel
     #: optional :class:`repro.serve.faults.FaultInjector` seam: when set,
     #: every launch first consults the "launch" site (raising an injected

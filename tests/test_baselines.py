@@ -59,6 +59,83 @@ class TestCommonBehaviour:
         assert profile.bytes_accessed > 0
 
 
+#: Inputs a uint64 cast would change: 1.5 to key 1, -1 to 2^64 - 1 (or an
+#: OverflowError), True to 1 and "1" to 1.
+CAST_CHANGED_KEYS = {
+    "float": [1.5, 2.9999, 7.2],
+    "negative": [-1],
+    "bool": [True],
+    "string": ["1"],
+}
+
+_INPUT_CALLS = {
+    "build": (lambda index, bad: index.build(bad), "keys"),
+    "build-values": (lambda index, bad: index.build([5], bad), "values"),
+    "point": (lambda index, bad: index.point_lookup(bad), "queries"),
+    "range-lowers": (lambda index, bad: index.range_lookup(bad, [5]), "lowers"),
+    "range-uppers": (lambda index, bad: index.range_lookup([0], bad), "uppers"),
+    "ordered-page": (
+        lambda index, bad: index.range_lookup(bad, [5], limit=2, order="key"),
+        "lowers",
+    ),
+}
+
+
+class TestKeyInputTypes:
+    """The baselines take keys by RX's input rule: only keys the uint64 cast
+    keeps unchanged; anything else raises naming the argument and changes
+    nothing."""
+
+    COLUMN = [0, 1, 2, 7]
+
+    @pytest.mark.parametrize("bad", CAST_CHANGED_KEYS.values(), ids=CAST_CHANGED_KEYS.keys())
+    @pytest.mark.parametrize(
+        "index_class, call",
+        [
+            (index_class, call)
+            for index_class in ALL_BASELINES
+            for call in _INPUT_CALLS
+            if index_class.supports_range_lookups or not call.startswith(("range", "ordered"))
+        ],
+    )
+    def test_refused_naming_the_argument(self, index_class, call, bad):
+        call, name = _INPUT_CALLS[call]
+        index = index_class()
+        index.build(self.COLUMN)
+        with pytest.raises(ValueError, match=f"^{name} must hold non-negative integers"):
+            call(index, bad)
+        assert index.keys.tolist() == self.COLUMN
+        assert index.point_lookup(self.COLUMN).result_rows.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("index_class", ALL_BASELINES)
+    @pytest.mark.parametrize(
+        "form", [lambda v: np.array(v, dtype=np.int64), list], ids=["int64", "int-list"]
+    )
+    def test_non_negative_integers_answer_as_their_uint64_keys(self, index_class, form):
+        keys = [7, 1, 2, 9]
+        want, index = index_class(), index_class()
+        want.build(np.array(keys, dtype=np.uint64))
+        index.build(form(keys), form([4, 3, 2, 1]))
+        assert index.keys.dtype == np.uint64 and index.keys.tolist() == keys
+        assert index.values.dtype == np.uint64 and index.values.tolist() == [4, 3, 2, 1]
+        as_u64 = lambda v: np.array(v, dtype=np.uint64)
+        queries = [2, 9, 5]
+        assert (
+            index.point_lookup(form(queries)).result_rows.tolist()
+            == want.point_lookup(as_u64(queries)).result_rows.tolist()
+        )
+        if not index_class.supports_range_lookups:
+            return
+        lowers, uppers = [0, 3], [2, 9]
+        assert (
+            index.range_lookup(form(lowers), form(uppers)).hits_per_lookup.tolist()
+            == want.range_lookup(as_u64(lowers), as_u64(uppers)).hits_per_lookup.tolist()
+        )
+        page, cursor = index.range_lookup(form([0]), form([9]), limit=2, order="key")
+        want_page, want_cursor = want.range_lookup(as_u64([0]), as_u64([9]), limit=2, order="key")
+        assert page.row_ids.tolist() == want_page.row_ids.tolist() and cursor == want_cursor
+
+
 class TestRangeLookups:
     @pytest.mark.parametrize("index_class", [GpuBPlusTree, SortedArrayIndex])
     def test_ranges_match_reference(self, index_class, small_workload):

@@ -1,5 +1,7 @@
 """Tests for RXConfig and the key decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,29 @@ class TestRXConfigValidation:
     def test_max_rays_per_range_positive(self):
         with pytest.raises(ValueError):
             RXConfig(max_rays_per_range=0).validate()
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("bvh_builder", "nope", "unknown BVH builder 'nope'"),
+            ("morton_bits", 30, r"morton_bits must be in \[1, 21\]"),
+            ("max_leaf_size", 0, "max_leaf_size must be >= 1"),
+            ("shard_bits", 17, r"shard_bits must be in \[0, 16\]"),
+            ("compaction", "no", "compaction must be a bool, got 'no'"),
+            ("compaction", 1, "compaction must be a bool, got 1"),
+            ("max_leaf_size", 4.5, "max_leaf_size must be an int, got 4.5"),
+            ("shard_bits", True, "shard_bits must be an int, got True"),
+            ("value_bytes", "4", "value_bytes must be an int, got '4'"),
+        ],
+    )
+    def test_builder_knobs_and_field_types_are_checked(self, field, value, problem):
+        # The builder knobs are BvhBuildOptions.validate()'s; bool fields
+        # must hold a bool and int fields an int that is not a bool.
+        config = replace(RXConfig(), **{field: value})
+        with pytest.raises(ValueError, match=problem):
+            config.validate()
+        with pytest.raises(ValueError, match=problem):
+            RXConfig.from_dict({**RXConfig().as_dict(), field: value})
 
 
 class TestSerialisation:

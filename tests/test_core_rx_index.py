@@ -44,13 +44,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             index.build(np.array([2**24], dtype=np.uint64))
 
-    def test_rebuild_releases_previous_accel(self, small_keys):
-        index = RXIndex()
-        index.build(small_keys)
-        used_once = index.context.memory.current_bytes
-        index.build(small_keys)
-        assert index.context.memory.current_bytes == used_once
-
     def test_empty_key_array_rejected(self):
         with pytest.raises(ValueError):
             RXIndex().build(np.array([], dtype=np.uint64))

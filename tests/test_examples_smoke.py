@@ -3,8 +3,9 @@
 Each example is executed as a real subprocess (the way a user runs it), at
 sizes small enough for CI, and must exit cleanly — the examples carry their
 own result assertions, so a drifting API or a wrong aggregate fails here
-instead of rotting silently.  ``reproduce_paper.py`` is exercised on a
-single experiment at the ``tiny`` scale to bound the wall-clock.
+instead of rotting silently.  ``reproduce_paper.py`` runs every registered
+experiment at the ``tiny`` scale (about 10 s), then two single experiments
+(``--experiment``) and ``--list``.
 """
 
 import os
@@ -24,6 +25,7 @@ EXAMPLES = [
     ("index_based_join.py", []),
     ("miss_heavy_filter.py", []),
     ("serve_quickstart.py", []),
+    ("reproduce_paper.py", ["--scale", "tiny"]),
     ("reproduce_paper.py", ["--experiment", "fig03", "--scale", "tiny"]),
     ("reproduce_paper.py", ["--experiment", "serve", "--scale", "tiny"]),
     ("reproduce_paper.py", ["--list"]),

@@ -48,7 +48,6 @@ from repro.persist import (
 )
 from repro.persist.segments import TMP_PREFIX
 from repro.rtx.bvh import bvh_arrays_diff
-from repro.rtx.pipeline import DeviceContext
 from repro.serve import FaultInjector, FaultSpec, InjectedFault
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -361,21 +360,19 @@ class TestVerifiedLoads:
         self, tmp_path, damage, error, problem, segment
     ):
         """A segment that fails to verify refuses ``restore_from`` before
-        the index adopts anything: it keeps its answers, counters, epoch
-        and memory accounting, and updates and saves as before."""
+        the index adopts anything: it keeps its answers, counters and
+        epoch, and updates and saves as before."""
         source, _ = _make_index(seed=3)
         source.save(tmp_path / "store")
         damage(tmp_path / "store")
         index, keys = _make_index()
         queries, rows, counts = _point_probe(index, keys)
         before = index.stats()
-        memory = index.context.memory.current_bytes
         for mmap in (True, False):
             with pytest.raises(error, match=problem) as excinfo:
                 index.restore_from(tmp_path / "store", mmap=mmap)
             assert excinfo.value.segment == segment
         assert index.stats() == before
-        assert index.context.memory.current_bytes == memory
         run = index.point_lookup(queries)
         assert np.array_equal(run.result_rows, rows)
         assert np.array_equal(run.hits_per_lookup, counts)
@@ -717,9 +714,8 @@ class TestBuggyWriterShards:
         self, tmp_path, commit_as_format, mutate, problem
     ):
         """A shard segment whose meta or arrays a load cannot read fails
-        both ways a snapshot enters an index, naming the segment, before
-        any device memory is allocated; a refused restore changes
-        nothing."""
+        both ways a snapshot enters an index, naming the segment; a refused
+        restore changes nothing."""
         snap, segments = self._good_segments(tmp_path, commit_as_format)
         name = min(name for name in segments if name.startswith("shard-"))
         mutate(segments[name], name)
@@ -729,18 +725,14 @@ class TestBuggyWriterShards:
         index, keys = _make_index()
         queries, rows, counts = _point_probe(index, keys)
         before = index.stats()
-        memory = index.context.memory.current_bytes
         for mmap in (True, False):
-            context = DeviceContext()
             with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
-                RXIndex.load(store, mmap=mmap, context=context)
+                RXIndex.load(store, mmap=mmap)
             assert excinfo.value.segment == name
-            assert context.memory.peak_bytes == 0
             with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
                 index.restore_from(store, mmap=mmap)
             assert excinfo.value.segment == name
         assert index.stats() == before
-        assert index.context.memory.current_bytes == memory
         run = index.point_lookup(queries)
         assert np.array_equal(run.result_rows, rows)
         assert np.array_equal(run.hits_per_lookup, counts)
@@ -1019,6 +1011,23 @@ _BAD_INDEX_BLOCKS = [
     (
         "config-string-shard-bits", ("forest",), _set_config(shard_bits="3"),
         "no valid index config", _MANIFEST,
+    ),
+    # Configs an update's build would refuse, and fields of the wrong type.
+    (
+        "config-unknown-builder", _BOTH, _set_config(bvh_builder="nope"),
+        "unknown BVH builder 'nope'", _MANIFEST,
+    ),
+    (
+        "config-morton-bits-30", _BOTH, _set_config(morton_bits=30),
+        r"morton_bits must be in \[1, 21\]", _MANIFEST,
+    ),
+    (
+        "config-string-compaction", _BOTH, _set_config(compaction="no"),
+        "compaction must be a bool, got 'no'", _MANIFEST,
+    ),
+    (
+        "config-float-max-leaf-size", _BOTH, _set_config(max_leaf_size=4.5),
+        "max_leaf_size must be an int, got 4.5", _MANIFEST,
     ),
     ("no-kind", _BOTH, _drop_index("kind"), r"kind \(missing\) is not", _MANIFEST),
     ("bvh-kind", ("forest",), _set_index(kind="bvh"), "kind 'bvh' is not 'forest'", _MANIFEST),
@@ -1311,13 +1320,11 @@ class TestBadIndexBlocks:
         index, keys = _make_index()
         queries, rows, counts = _point_probe(index, keys)
         before = index.stats()
-        memory = index.context.memory.current_bytes
         for mmap in (True, False):
             with pytest.raises(SnapshotCorrupt, match=problem) as excinfo:
                 index.restore_from(store, mmap=mmap)
             assert excinfo.value.segment == segment
         assert index.stats() == before
-        assert index.context.memory.current_bytes == memory
         run = index.point_lookup(queries)
         assert np.array_equal(run.result_rows, rows)
         assert np.array_equal(run.hits_per_lookup, counts)
@@ -1357,7 +1364,6 @@ class TestBadIndexBlocks:
         index, keys = _make_index()
         queries, rows, counts = _point_probe(index, keys)
         before = index.stats()
-        memory = index.context.memory.current_bytes
         for mmap in (True, False):
             for enter in (lambda: RXIndex.load(store, mmap=mmap),
                           lambda: index.restore_from(store, mmap=mmap)):
@@ -1365,7 +1371,6 @@ class TestBadIndexBlocks:
                     enter()
                 assert excinfo.value.segment == segment
         assert index.stats() == before
-        assert index.context.memory.current_bytes == memory
         run = index.point_lookup(queries)
         assert np.array_equal(run.result_rows, rows)
         assert np.array_equal(run.hits_per_lookup, counts)

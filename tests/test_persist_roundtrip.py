@@ -364,7 +364,7 @@ class TestDifferentialRoundtrip:
     )
     def test_loaded_accel_keeps_the_build_options(self, tmp_path, make_config):
         # Build and load both take their options from the config
-        # (RXIndex._bvh_options), so they compare equal.
+        # (RXConfig.bvh_options), so they compare equal.
         index = RXIndex(make_config())
         index.build(dense_shuffled_keys(1024, seed=DIFF_SEED % 1000))
         index.save(tmp_path)

@@ -127,10 +127,6 @@ class TestBvhProperties:
         with pytest.raises(ValueError):
             build_bvh(TriangleBuffer(np.zeros((0, 3, 3), dtype=np.float32)))
 
-    def test_structure_bytes_positive(self):
-        bvh = build_bvh(_buffer(32))
-        assert bvh.structure_bytes() == bvh.node_count * bvh.node_bytes()
-
     def test_surface_areas_nonnegative(self):
         bvh = build_bvh(_buffer(32))
         assert (bvh.surface_areas() >= 0).all()

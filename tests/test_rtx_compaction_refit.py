@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.rtx.bvh import BvhBuildOptions, build_bvh
-from repro.rtx.compaction import compact_accel
 from repro.rtx.geometry import TriangleBuffer, make_triangle_vertices
+from repro.rtx.pipeline import compact_accel
 from repro.rtx.refit import refit_accel
 
 
@@ -18,18 +18,16 @@ def _line_buffer(n: int) -> TriangleBuffer:
 
 
 class TestCompaction:
-    def test_compaction_halves_structure(self):
+    def test_compaction_flags_a_copy(self):
         bvh = build_bvh(_line_buffer(64))
-        result = compact_accel(bvh)
-        assert result.reduction_fraction == pytest.approx(0.5)
-        assert result.bvh.compacted
+        compacted = compact_accel(bvh)
+        assert compacted.compacted
+        assert not bvh.compacted
 
-    def test_compaction_idempotent(self):
-        bvh = build_bvh(_line_buffer(16))
-        once = compact_accel(bvh)
-        twice = compact_accel(once.bvh)
-        assert twice.bytes_copied == 0
-        assert twice.saved_bytes == 0
+    def test_compacting_twice_is_refused(self):
+        once = compact_accel(build_bvh(_line_buffer(16)))
+        with pytest.raises(ValueError, match="already compacted"):
+            compact_accel(once)
 
     def test_compaction_refused_for_updatable_accel(self):
         bvh = build_bvh(_line_buffer(16), BvhBuildOptions(allow_update=True))
@@ -38,9 +36,9 @@ class TestCompaction:
 
     def test_compaction_does_not_change_topology(self):
         bvh = build_bvh(_line_buffer(32))
-        result = compact_accel(bvh)
-        assert result.bvh.node_count == bvh.node_count
-        assert np.array_equal(result.bvh.prim_indices, bvh.prim_indices)
+        compacted = compact_accel(bvh)
+        assert compacted.node_count == bvh.node_count
+        assert np.array_equal(compacted.prim_indices, bvh.prim_indices)
 
 
 class TestRefit:

@@ -1,41 +1,8 @@
-"""Tests for device memory accounting and the accel memory model."""
+"""Tests for the accel memory model."""
 
 import pytest
 
-from repro.rtx.memory import (
-    ACCEL_BYTES_PER_PRIMITIVE,
-    DeviceMemoryTracker,
-    accel_memory_estimate,
-)
-
-
-class TestDeviceMemoryTracker:
-    def test_alloc_and_free(self):
-        tracker = DeviceMemoryTracker()
-        handle = tracker.alloc("buffer", 1000)
-        assert tracker.current_bytes == 1000
-        tracker.free(handle)
-        assert tracker.current_bytes == 0
-
-    def test_peak_tracks_high_water_mark(self):
-        tracker = DeviceMemoryTracker()
-        a = tracker.alloc("a", 500)
-        b = tracker.alloc("b", 700)
-        tracker.free(a)
-        tracker.free(b)
-        assert tracker.peak_bytes == 1200
-        assert tracker.current_bytes == 0
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceMemoryTracker().alloc("bad", -1)
-
-    def test_double_free_rejected(self):
-        tracker = DeviceMemoryTracker()
-        handle = tracker.alloc("x", 10)
-        tracker.free(handle)
-        with pytest.raises(KeyError):
-            tracker.free(handle)
+from repro.rtx.memory import ACCEL_BYTES_PER_PRIMITIVE, accel_memory_estimate
 
 
 class TestAccelMemoryModel:

@@ -7,10 +7,10 @@ from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import BvhBuildOptions
 from repro.rtx.geometry import RayBatch
 from repro.rtx.pipeline import (
-    DeviceContext,
     Pipeline,
     accel_build,
     accel_compact,
+    accel_delta_update,
     accel_update,
 )
 
@@ -32,123 +32,99 @@ def _perpendicular_rays(xs):
 
 class TestAccelBuild:
     def test_build_returns_accel_with_bvh(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(32))
+        accel = accel_build(_line_input(32))
         assert accel.bvh.num_primitives == 32
         assert accel.buffer.kind == "triangle"
         assert accel.bvh.node_count >= 1
 
-    def test_build_accounts_memory(self):
-        ctx = DeviceContext()
-        accel_build(ctx, _line_input(32))
-        assert ctx.memory.current_bytes > 0
-        assert ctx.memory.peak_bytes > ctx.memory.current_bytes  # temp freed
-
     def test_options_reach_the_tree(self):
-        ctx = DeviceContext()
         options = BvhBuildOptions(max_leaf_size=2, allow_update=True)
-        accel = accel_build(ctx, _line_input(8), options)
+        accel = accel_build(_line_input(8), options)
         assert accel.bvh.options == options
-        assert accel_build(ctx, _line_input(8)).bvh.options == BvhBuildOptions()
+        assert accel_build(_line_input(8)).bvh.options == BvhBuildOptions()
 
     def test_accel_holds_the_buffer_it_indexes(self):
-        ctx = DeviceContext()
         buffer = _line_input(16)
-        accel = accel_build(ctx, buffer, BvhBuildOptions(allow_update=True))
+        accel = accel_build(buffer, BvhBuildOptions(allow_update=True))
         assert accel.buffer is buffer
         moved = _line_input(16)
-        accel_update(ctx, accel, moved)
+        accel_update(accel, moved)
         assert accel.buffer is moved
-
-    def test_size_bytes_reflects_compaction_state(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16))
-        before = accel.size_bytes
-        accel_compact(ctx, accel)
-        assert accel.size_bytes < before
 
 
 class TestAccelCompact:
-    def test_compaction_reduces_memory(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(64))
-        used_before = ctx.memory.current_bytes
-        result = accel_compact(ctx, accel)
-        assert result.saved_bytes > 0
-        assert ctx.memory.current_bytes < used_before
+    def test_compaction_flags_the_accel(self):
+        accel = accel_build(_line_input(64), BvhBuildOptions(shard_bits=2))
+        assert not accel.compacted
+        accel_compact(accel)
+        assert accel.compacted and accel.bvh.compacted
+        # A delta update recompacts the subtrees it rebuilds.
+        accel_delta_update(accel, _line_input(80))
+        assert accel.compacted
 
     def test_compaction_rejected_with_update_flag(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16), BvhBuildOptions(allow_update=True))
+        accel = accel_build(_line_input(16), BvhBuildOptions(allow_update=True))
         with pytest.raises(ValueError):
-            accel_compact(ctx, accel)
+            accel_compact(accel)
 
     def test_compaction_preserves_hits(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(32))
-        pipe = Pipeline(ctx, accel)
+        accel = accel_build(_line_input(32))
+        pipe = Pipeline(accel)
         before = sorted(pipe.launch(_perpendicular_rays([5, 9])).hits.prim_indices.tolist())
-        accel_compact(ctx, accel)
-        pipe = Pipeline(ctx, accel)  # the engine is bound to the pre-compaction tree
+        accel_compact(accel)
+        pipe = Pipeline(accel)  # the engine is bound to the pre-compaction tree
         after = sorted(pipe.launch(_perpendicular_rays([5, 9])).hits.prim_indices.tolist())
         assert before == after == [5, 9]
 
 
 class TestAccelUpdate:
     def test_update_requires_flag(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16))
+        accel = accel_build(_line_input(16))
         with pytest.raises(ValueError):
-            accel_update(ctx, accel, _line_input(16))
+            accel_update(accel, _line_input(16))
 
     def test_update_moves_primitives(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16), BvhBuildOptions(allow_update=True))
+        accel = accel_build(_line_input(16), BvhBuildOptions(allow_update=True))
         # Move every primitive one unit to the right and refit.
         points = np.column_stack([np.arange(16) + 1, np.zeros(16), np.zeros(16)])
         new_input = build_input_for_points("triangle", points)
-        result = accel_update(ctx, accel, new_input)
+        result = accel_update(accel, new_input)
         assert result.nodes_updated == accel.bvh.node_count
-        pipe = Pipeline(ctx, accel)
+        pipe = Pipeline(accel)
         hits = pipe.launch(_perpendicular_rays([1.0])).hits
         assert hits.prim_indices.tolist() == [0]
 
     def test_update_rejects_changed_primitive_count(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16), BvhBuildOptions(allow_update=True))
+        accel = accel_build(_line_input(16), BvhBuildOptions(allow_update=True))
         with pytest.raises(ValueError):
-            accel_update(ctx, accel, _line_input(17))
+            accel_update(accel, _line_input(17))
 
     def test_update_grows_bounds_for_big_moves(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(64), BvhBuildOptions(allow_update=True))
+        accel = accel_build(_line_input(64), BvhBuildOptions(allow_update=True))
         rng = np.random.default_rng(1)
         shuffled = rng.permutation(64)
         points = np.column_stack([shuffled, np.zeros(64), np.zeros(64)])
-        result = accel_update(ctx, accel, build_input_for_points("triangle", points))
+        result = accel_update(accel, build_input_for_points("triangle", points))
         assert result.surface_area_growth > 1.5
 
 
 class TestPipeline:
     def test_launch_with_explicit_rays(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(20))
-        pipe = Pipeline(ctx, accel)
+        accel = accel_build(_line_input(20))
+        pipe = Pipeline(accel)
         result = pipe.launch(_perpendicular_rays([3, 400]))
         assert result.num_rays == 2
         assert result.hits_per_lookup().tolist() == [1, 0]
 
     def test_any_hit_program_filters(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(10))
-        pipe = Pipeline(ctx, accel)
+        accel = accel_build(_line_input(10))
+        pipe = Pipeline(accel)
         rays = RayBatch(origins=[[-0.5, 0, 0]], directions=[[1, 0, 0]], tmin=[0.0], tmax=[11.0])
         result = pipe.launch(rays, any_hit=lambda r, p, l: p >= 5)
         assert sorted(result.hits.prim_indices.tolist()) == [5, 6, 7, 8, 9]
 
     def test_counters_attached_to_launch(self):
-        ctx = DeviceContext()
-        accel = accel_build(ctx, _line_input(16))
-        result = Pipeline(ctx, accel).launch(_perpendicular_rays([1]))
+        accel = accel_build(_line_input(16))
+        result = Pipeline(accel).launch(_perpendicular_rays([1]))
         assert result.counters.node_visits > 0
         assert result.counters.rays == 1
