@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-diff test-cursor test-serve test-faults test-persist bench-smoke bench-strict bench-check bench-serve bench-chaos bench-build bench-paging bench-restart bench-selftest
+.PHONY: test test-fast test-diff test-cursor test-serve test-faults test-persist bench-smoke bench-strict bench-check bench-build bench-restart bench-selftest
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -79,15 +79,11 @@ bench-smoke:
 bench-strict:
 	$(PYTHON) benchmarks/perf_smoke.py --strict
 
-# Correctness-only bench pass (equivalence assertions, no timing targets,
-# no artifact writes) — what CI runs.
+# Correctness-only bench pass: every smoke scenario at small sizes, the
+# paging scenario's page bit-identity included (equivalence assertions, no
+# timing targets, no artifact writes) — what CI runs.
 bench-check:
 	$(PYTHON) benchmarks/perf_smoke.py --check-only
-
-# Serving-layer gate: coalesced-vs-solo demux equivalence at small sizes
-# (check-only, no timings enforced) — also part of CI.
-bench-serve:
-	$(PYTHON) benchmarks/perf_smoke.py --serve-only --check-only
 
 # Forest-build gate: build_forest (the single tree plus its cut into
 # shards) vs build_bvh at the 2^20-key CI size, with the splice of the
@@ -96,19 +92,6 @@ bench-serve:
 # keys instead.
 bench-build:
 	$(PYTHON) benchmarks/perf_smoke.py --build-only --scale tiny
-
-# Chaos gate: the serving stack replayed under a seeded fault schedule;
-# per-epoch bit-identity and explicit-outcome accounting asserted at small
-# sizes (check-only, no timings enforced) — also part of CI.
-bench-chaos:
-	$(PYTHON) benchmarks/perf_smoke.py --chaos-only --check-only
-
-# Pagination gate: cursor resume vs full-prefix rescan, page bit-identity
-# and counter ordering asserted at small sizes (check-only, no timings
-# enforced) — also part of CI.  The >=5x resume-vs-rescan target is
-# enforced by the full bench ("bench-strict" / "--paging-only --strict").
-bench-paging:
-	$(PYTHON) benchmarks/perf_smoke.py --paging-only --check-only
 
 # Warm-restart gate: cold snapshot load to first query vs full rebuild at
 # the 2^20-key CI size, loaded-vs-rebuilt identity asserted and the >=1.5x

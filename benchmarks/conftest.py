@@ -1,6 +1,6 @@
 """Benchmark-suite configuration.
 
-Every benchmark regenerates one table or figure of the paper.  The experiment
-functions already average/extrapolate internally, so a single round per
-benchmark is sufficient and keeps the whole suite fast.
+The paper's panels run once each in ``tests/test_experiments.py``; this
+directory keeps the engine wall-clock micro-benchmarks, one round each, and
+``perf_smoke.py``, whose functions they import.
 """

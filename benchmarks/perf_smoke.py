@@ -35,17 +35,14 @@ Targets (checked, reported, and enforced under ``--strict``):
   than the reference row-gather intersector,
 * ``first_k`` limited (k=8) range lookups (2^16 rays) at least 2x faster
   than the same batch traced in all-hits mode,
-* micro-batched serving of a 2^16-request Zipf point-lookup stream
-  (:mod:`repro.serve`) at least 5x the sustained throughput of
-  one-query-per-launch serving (the solo side is timed on a 2^12-request
-  prefix of the same stream — recorded as ``solo_requests_measured`` — and
-  its per-request results are verified bit-identical to the demuxed
-  coalesced ones),
 * keyset-cursor pagination (2^20-key table, k=64 pages over a 2^16-row
   range): resuming the deepest page from its cursor at least 5x faster
   than the OFFSET-style full-prefix rescan, both pages verified
-  bit-identical to the reference ``(key, rowID)`` order
-  (``--paging-only``; ``make bench-paging`` runs the check-only CI gate).
+  bit-identical to the reference ``(key, rowID)`` order.
+
+Serving is not timed here: rxbench's point-zipf workload (``serve_rps``)
+and the ``serve`` and ``chaos`` panels of ``examples/reproduce_paper.py``
+measure it, and the tier-1 serve and fault harnesses check it.
 
 A warm-restart scenario (``--restart-only``; ``make bench-restart``) saves
 a built paper-default index through the crash-safe epoch store
@@ -95,7 +92,6 @@ BUILD_SPEEDUP_TARGET = 5.0
 TRACE_SPEEDUP_TARGET = 1.5
 INTERSECT_SPEEDUP_TARGET = 2.0
 FIRSTK_SPEEDUP_TARGET = 2.0
-SERVE_SPEEDUP_TARGET = 5.0
 PAGING_SPEEDUP_TARGET = 5.0
 RESTART_SPEEDUP_TARGET = 1.5
 
@@ -462,103 +458,6 @@ def bench_range_firstk(
     return entry
 
 
-def bench_serve(
-    log2_keys: int,
-    log2_requests: int,
-    max_batch: int = 4096,
-    zipf: float = 1.0,
-    solo_cap: int = 4096,
-    compare: bool = True,
-) -> dict:
-    """Micro-batched serving vs one-query-per-launch on a Zipf stream.
-
-    A ``2**log2_requests``-request open-loop stream of single-query point
-    lookups (Zipf ``zipf`` popularity, offered far above capacity so every
-    window closes by size) is served through
-    :class:`repro.serve.service.IndexService` twice: coalesced into
-    ``max_batch``-query launches, and with ``max_batch=1`` — the solo
-    strawman, timed on the first ``solo_cap`` requests of the same stream
-    (recorded honestly as ``solo_requests_measured``).  The speedup is the
-    sustained service-throughput ratio; on the solo prefix every demuxed
-    result (rows *and* counters) is asserted bit-identical to the solo
-    launch.  A third cached pass records what the epoch-keyed result cache
-    adds under this skew (additive fields, no target).
-    """
-    from repro.core.config import RXConfig
-    from repro.core.rx_index import RXIndex
-    from repro.serve import IndexService
-    from repro.workloads import dense_shuffled_keys, zipf_point_stream
-
-    num_requests = 2**log2_requests
-    keys = dense_shuffled_keys(2**log2_keys, seed=log2_keys)
-    stream = zipf_point_stream(
-        keys, num_requests, zipf, rate=1e9, seed=log2_requests + 17
-    )
-
-    # Replays never mutate the index; one build serves every service.
-    index = RXIndex(RXConfig.paper_default())
-    index.build(keys)
-
-    def make_service(max_batch, cache_capacity):
-        return IndexService(
-            index,
-            max_batch=max_batch,
-            max_wait=1e-3,
-            cache_capacity=cache_capacity,
-        )
-
-    batched = make_service(max_batch, 0).replay(stream)
-    percentiles = batched.latency_percentiles()
-    entry = {
-        "path": "serve",
-        "log2_keys": log2_keys,
-        "log2_requests": log2_requests,
-        "max_batch": max_batch,
-        "zipf": zipf,
-        "new_seconds": batched.service_seconds,
-        "new_seconds_p50": batched.service_seconds,
-        "new_seconds_p95": batched.service_seconds,
-        "timing_repeats": 1,
-        "requests_per_second": batched.service_throughput_rps,
-        "latency_p50_seconds": percentiles["p50"],
-        "latency_p95_seconds": percentiles["p95"],
-        "latency_p99_seconds": percentiles["p99"],
-    }
-    if compare:
-        solo_n = min(solo_cap, num_requests)
-        solo_stream = zipf_point_stream(
-            keys, num_requests, zipf, rate=1e9, seed=log2_requests + 17
-        )
-        solo_stream.entries = solo_stream.entries[:solo_n]
-        solo = make_service(1, 0).replay(solo_stream)
-        # Demux equivalence on the shared prefix: rows and counters of the
-        # coalesced serving must equal the solo launches bit for bit.
-        batched_by_id = {r.request_id: r for r in batched.results}
-        solo_by_id = {r.request_id: r for r in solo.results}
-        for request_id in solo_by_id:
-            a, b = batched_by_id[request_id], solo_by_id[request_id]
-            assert np.array_equal(a.result_rows(), b.result_rows()), (
-                "coalesced serving changed result rows"
-            )
-            assert np.array_equal(a.hits.prim_indices, b.hits.prim_indices)
-            assert a.counters.as_dict() == b.counters.as_dict(), (
-                "coalesced serving changed per-request counters"
-            )
-        entry["solo_requests_measured"] = solo_n
-        entry["solo_requests_per_second"] = solo.service_throughput_rps
-        # Extrapolate the solo wall-clock to the full stream length so
-        # ref/new stay comparable; the measured prefix is recorded above.
-        entry["ref_seconds"] = solo.service_seconds * (num_requests / solo_n)
-        entry["speedup"] = (
-            batched.service_throughput_rps / max(solo.service_throughput_rps, 1e-12)
-        )
-        cached = make_service(max_batch, max(num_requests // 8, 16))
-        cached_report = cached.replay(stream)
-        entry["cached_requests_per_second"] = cached_report.service_throughput_rps
-        entry["cache_hit_rate"] = cached.stats()["cache"]["hit_rate"]
-    return entry
-
-
 def bench_paging(
     log2_keys: int, log2_range_rows: int, page_size: int = 64, compare: bool = True
 ) -> dict:
@@ -727,180 +626,6 @@ def bench_restart(log2_keys: int, compare: bool = True) -> dict:
         shutil.rmtree(snapdir, ignore_errors=True)
 
 
-def bench_chaos_serve(
-    log2_keys: int,
-    log2_requests: int,
-    max_batch: int = 256,
-    zipf: float = 1.0,
-    error_budget: float = 0.05,
-    compare: bool = True,
-) -> dict:
-    """Serving under a seeded fault schedule vs the clean run (chaos bench).
-
-    Replays one deadline-annotated Zipf point-lookup stream twice through
-    :class:`repro.serve.service.IndexService` — once clean, once under a
-    :class:`repro.serve.faults.FaultInjector` schedule that guarantees at
-    least four distinct fault types fire (launch failure, launch latency,
-    cache unavailability/corruption, update-swap failure) while two
-    mid-stream index updates land (the first one faults and rolls back).
-
-    The correctness gate is absolute: every successful result of the chaos
-    run must be bit-identical to a reference lookup against the key column
-    of the epoch that served it, every submitted request must receive
-    exactly one explicit outcome, and the entry records
-    ``correctness_violations`` (asserted zero).  Goodput, p99 latency and
-    error-budget burn are recorded next to the clean run's numbers.
-    """
-    from repro.core.config import RXConfig
-    from repro.core.rx_index import RXIndex
-    from repro.serve import FaultInjector, FaultSpec, IndexService, RetryPolicy
-    from repro.workloads import dense_shuffled_keys, zipf_point_stream
-
-    num_requests = 2**log2_requests
-    keys0 = dense_shuffled_keys(2**log2_keys, seed=log2_keys)
-
-    def shifted(keys, lo, hi):
-        out = keys.copy()
-        out[lo:hi] = out[lo:hi][::-1]
-        return out
-
-    keys1 = shifted(keys0, 0, 2 ** (log2_keys - 1))
-    keys2 = shifted(keys1, 2 ** (log2_keys - 2), 2**log2_keys - 7)
-    config = RXConfig.paper_default().with_delta_updates(shard_bits=4)
-    deadline = 0.05
-    rate = float(2**log2_requests)  # ~1 second of stream time
-
-    def make_stream():
-        return zipf_point_stream(
-            keys0,
-            num_requests,
-            zipf,
-            rate=rate,
-            seed=log2_requests + 23,
-            deadline=deadline,
-        )
-
-    stream = make_stream()
-    arrivals = [e.arrival for e in stream.entries]
-    updates = [
-        (arrivals[len(arrivals) // 3], keys1),
-        (arrivals[2 * len(arrivals) // 3], keys2),
-    ]
-
-    def run(injector):
-        # Updates mutate the index, so each replay gets its own build.
-        index = RXIndex(config)
-        index.build(keys0)
-        service = IndexService(
-            index,
-            max_batch=max_batch,
-            max_wait=2e-3,
-            cache_capacity=max(num_requests // 8, 64),
-            max_queue=8 * max_batch,
-            retry=RetryPolicy(max_retries=3, jitter=0.0),
-            fault_injector=injector,
-        )
-        report = service.replay(make_stream(), updates=updates)
-        return service, report
-
-    injector = FaultInjector(
-        seed=log2_requests,
-        specs={
-            # Explicit occurrence schedules guarantee every fault type fires
-            # in a recorded run; the probabilities add seeded background
-            # noise on top.  Occurrences 1-4 of the launch site fail in a
-            # row, exhausting the 3-retry budget once (-> launch_failed
-            # errors); occurrence 3 of the latency site stalls past the
-            # request deadline, and the backlog the stall creates times out
-            # everything that arrives behind it (scheduled-only: one spike
-            # at 1024+ req/s already burns a visible slice of the budget).
-            "launch": FaultSpec(probability=0.02, at={1, 2, 3, 4}),
-            "launch_latency": FaultSpec(at={3}, latency=1.5 * deadline),
-            "cache": FaultSpec(probability=0.01, at={2}),
-            "cache_corrupt": FaultSpec(probability=0.02, at={0}),
-            "update": FaultSpec(at={0}),  # first update faults + rolls back
-        },
-    )
-    _, clean = run(None)
-    service, chaos = run(injector)
-
-    # The schedule must actually have exercised >= 4 distinct fault types.
-    fired = {site for site, count in injector.fired.items() if count > 0}
-    required = {"launch", "launch_latency", "cache", "update"}
-    assert required <= fired, f"fault schedule missed sites: {required - fired}"
-    # The schedule guarantees one retry exhaustion and one deadline blowout:
-    # failed requests must surface as explicit errors, never silent drops.
-    reasons = set(chaos.errors_by_reason())
-    assert {"launch_failed", "timeout"} <= reasons, f"missing errors: {reasons}"
-    # Explicit outcomes for every request: no silent drops, no hangs.
-    all_ids = sorted(
-        [r.request_id for r in chaos.results] + [f.request_id for f in chaos.errors]
-    )
-    assert all_ids == list(range(1, num_requests + 1)), "requests dropped silently"
-
-    violations = 0
-    if compare:
-        # Reconstruct each epoch's key column from the update log, then
-        # verify every success bit-identically against a per-epoch
-        # reference index (batched: one reference launch per epoch).
-        columns = {0: keys0}
-        content = keys0
-        for entry, new_keys in zip(chaos.updates, [keys1, keys2]):
-            if entry["failed"]:
-                columns[entry["epoch"] - 1] = new_keys  # never serves
-                columns[entry["epoch"]] = content
-            else:
-                content = new_keys
-                columns[entry["epoch"]] = content
-        by_epoch: dict[int, list] = {}
-        for result in chaos.results:
-            by_epoch.setdefault(result.epoch, []).append(result)
-        for epoch, group in by_epoch.items():
-            assert epoch in columns, f"epoch {epoch} served but never recorded"
-            reference = RXIndex(config)
-            reference.build(columns[epoch])
-            queries = np.concatenate(
-                [stream.entries[r.request_id - 1].queries for r in group]
-            )
-            expected = reference.point_lookup(queries).result_rows
-            got = np.concatenate([r.result_rows() for r in group])
-            violations += int(np.sum(expected != got))
-        assert violations == 0, f"{violations} correctness violations under faults"
-
-    resilience = service.stats()["resilience"]
-    clean_p = clean.latency_percentiles()
-    chaos_p = chaos.latency_percentiles()
-    entry = {
-        "path": "chaos_serve",
-        "log2_keys": log2_keys,
-        "log2_requests": log2_requests,
-        "max_batch": max_batch,
-        "zipf": zipf,
-        "deadline_seconds": deadline,
-        "new_seconds": chaos.service_seconds,
-        "new_seconds_p50": chaos.service_seconds,
-        "new_seconds_p95": chaos.service_seconds,
-        "timing_repeats": 1,
-        "ref_seconds": clean.service_seconds,
-        "goodput_rps": chaos.goodput_rps,
-        "clean_goodput_rps": clean.goodput_rps,
-        "latency_p50_seconds": chaos_p["p50"],
-        "latency_p99_seconds": chaos_p["p99"],
-        "clean_latency_p99_seconds": clean_p["p99"],
-        "error_rate": chaos.error_rate,
-        "clean_error_rate": clean.error_rate,
-        "error_budget": error_budget,
-        "error_budget_burn": chaos.error_rate / error_budget,
-        "errors_by_reason": chaos.errors_by_reason(),
-        "faults_fired": {site: n for site, n in injector.fired.items() if n},
-        "retries": resilience["retries"],
-        "degraded_flushes": resilience["degraded_flushes"],
-        "updates_rolled_back": resilience["updates_rolled_back"],
-        "correctness_violations": violations,
-    }
-    return entry
-
-
 def run_smoke(quick: bool = False) -> list[dict]:
     """Run the smoke sweep (2^14–2^18 keys) and return the result entries."""
     entries = []
@@ -925,20 +650,6 @@ def run_smoke(quick: bool = False) -> list[dict]:
         entries.append(bench_build_forest(16, shard_bits=4))
     else:
         entries.append(bench_build_forest(20, shard_bits=6))
-    # Micro-batched serving of a Zipf point-lookup stream (2^16 requests at
-    # full size) vs one-query-per-launch, with demux equivalence asserted on
-    # the solo prefix.
-    if quick:
-        entries.append(bench_serve(12, 10, max_batch=256, solo_cap=256))
-    else:
-        entries.append(bench_serve(16, 16, max_batch=4096, solo_cap=4096))
-    # The same Zipf stream replayed under a seeded fault schedule (launch
-    # failures + latency, cache faults, one update rolled back), with every
-    # success verified bit-identical against its serving epoch.
-    if quick:
-        entries.append(bench_chaos_serve(12, 10, max_batch=256))
-    else:
-        entries.append(bench_chaos_serve(16, 13, max_batch=1024))
     # Keyset-cursor pagination: resumed page vs full-prefix rescan.
     if quick:
         entries.append(bench_paging(14, 10, page_size=64))
@@ -1036,12 +747,6 @@ def check_targets(entries: list[dict]) -> list[str]:
                     f"first_k 2^{entry['log2_rays']} range rays: "
                     f"{speedup:.2f}x < {FIRSTK_SPEEDUP_TARGET}x"
                 )
-        if entry["path"] == "serve" and entry["log2_requests"] >= 16:
-            if speedup < SERVE_SPEEDUP_TARGET:
-                problems.append(
-                    f"serve 2^{entry['log2_requests']} Zipf requests: "
-                    f"{speedup:.2f}x < {SERVE_SPEEDUP_TARGET}x"
-                )
         if entry["path"] == "paging" and entry["log2_keys"] >= 20:
             if speedup < PAGING_SPEEDUP_TARGET:
                 problems.append(
@@ -1074,13 +779,6 @@ def format_table(entries: list[dict]) -> str:
             config = f"2^{entry['log2_rays']} rays / 2^{entry['log2_keys']} keys"
         elif entry["path"] == "intersect":
             config = f"{entry['kind']} 2^{entry['log2_pairs']} pairs"
-        elif entry["path"] == "serve":
-            config = f"2^{entry['log2_requests']} req b={entry['max_batch']}"
-        elif entry["path"] == "chaos_serve":
-            config = (
-                f"2^{entry['log2_requests']} req "
-                f"err={entry['error_rate']:.1%}"
-            )
         elif entry["path"] == "paging":
             config = (
                 f"2^{entry['log2_range_rows']} rows k={entry['page_size']}"
@@ -1116,28 +814,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="run the equivalence assertions at small sizes without timing "
         "thresholds or artifact writes (for CI)",
-    )
-    parser.add_argument(
-        "--serve-only",
-        action="store_true",
-        help="run only the serving-layer scenario (combine with --check-only "
-        "for the CI gate: small sizes, demux equivalence asserted, no "
-        "timing thresholds or artifact writes)",
-    )
-    parser.add_argument(
-        "--chaos-only",
-        action="store_true",
-        help="run only the fault-injection serving scenario (combine with "
-        "--check-only for the CI gate: small sizes, per-epoch bit-identity "
-        "and explicit-outcome accounting asserted, no artifact writes)",
-    )
-    parser.add_argument(
-        "--paging-only",
-        action="store_true",
-        help="run only the cursor-pagination scenario (combine with "
-        "--check-only for the CI gate: small sizes, page bit-identity and "
-        "O(page)-vs-O(prefix) counter ordering asserted, no artifact "
-        "writes; make bench-paging)",
     )
     parser.add_argument(
         "--build-only",
@@ -1189,24 +865,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    if args.serve_only and args.check_only:
-        entries = [bench_serve(12, 10, max_batch=256, solo_cap=256)]
-        print(format_table(entries))
-        print("\nserve equivalence checks passed (timings not enforced)")
-        return 0
-
-    if args.chaos_only and args.check_only:
-        entries = [bench_chaos_serve(12, 10, max_batch=256)]
-        print(format_table(entries))
-        print("\nchaos serve correctness checks passed (timings not enforced)")
-        return 0
-
-    if args.paging_only and args.check_only:
-        entries = [bench_paging(14, 10, page_size=64)]
-        print(format_table(entries))
-        print("\npaging equivalence checks passed (timings not enforced)")
-        return 0
-
     if args.check_only:
         # Every bench function asserts observable equivalence against its
         # reference on the way; small sizes keep this cheap enough for CI.
@@ -1215,26 +873,7 @@ def main(argv: list[str] | None = None) -> int:
         print("\nequivalence checks passed (timings not enforced)")
         return 0
 
-    if args.serve_only:
-        entries = [
-            bench_serve(12, 10, max_batch=256, solo_cap=256)
-            if args.quick
-            else bench_serve(16, 16, max_batch=4096, solo_cap=4096)
-        ]
-    elif args.chaos_only:
-        entries = [
-            bench_chaos_serve(12, 10, max_batch=256)
-            if args.quick
-            else bench_chaos_serve(16, 13, max_batch=1024)
-        ]
-    elif args.paging_only:
-        entries = [
-            bench_paging(14, 10, page_size=64)
-            if args.quick
-            else bench_paging(20, 16, page_size=64)
-        ]
-    else:
-        entries = run_smoke(quick=args.quick)
+    entries = run_smoke(quick=args.quick)
     append_artifact(entries, args.out)
     print(format_table(entries))
     problems = check_targets(entries)

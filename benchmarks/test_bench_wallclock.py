@@ -1,12 +1,12 @@
 """Wall-clock micro-benchmarks of the engine hot paths.
 
-Unlike the figure/table benchmarks (which regenerate paper results through
-the cost model), these time the *functional* engine itself — ``build_bvh``,
-``TraversalEngine.trace`` and ``refit_accel`` — and append a small trajectory
-entry to ``BENCH_engine.json`` so speedups and regressions stay visible
-across PRs.  The heavyweight sweep against the golden reference lives in
-``benchmarks/perf_smoke.py`` (``make bench-smoke``); this file keeps a fast
-always-on signal in the test suite.
+Unlike the paper panels (which ``tests/test_experiments.py`` regenerates
+through the cost model), these time the *functional* engine itself —
+``build_bvh``, ``TraversalEngine.trace`` and ``refit_accel`` — and record one
+compared run through ``append_artifact`` into a temporary
+``BENCH_engine.json``.  The heavyweight sweep against the golden reference
+lives in ``benchmarks/perf_smoke.py`` (``make bench-smoke``); this file keeps
+a fast always-on signal in the test suite.
 """
 
 import numpy as np

@@ -1,8 +1,7 @@
 """Run the paper's registered experiments from the command line.
 
-Runs each registered experiment's ``run()``; ``--list`` names them.  Fig
-3b, 9, 10b, 10c, the Fig 10d companion and Fig 17's LIMIT variant are not
-registered: only the tests and ``benchmarks/`` run them.
+Runs every panel of ``ALL_EXPERIMENTS``, one entry per figure or table
+panel; ``--list`` names them.
 
 Run all experiments (at the small simulation scale)::
 
@@ -28,7 +27,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--experiment",
         action="append",
-        help="experiment id (e.g. fig10, table6); may be given multiple times; default: all",
+        help="experiment id (e.g. fig10, table06); may be given multiple times; default: all",
     )
     parser.add_argument("--scale", default="small", choices=["tiny", "small", "medium"])
     parser.add_argument("--device", default="4090", help="GPU preset: 4090, 3090, a6000, 2080ti")
@@ -36,9 +35,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name, module in ALL_EXPERIMENTS.items():
+        for name, entry in ALL_EXPERIMENTS.items():
+            module = sys.modules[getattr(entry, "func", entry).__module__]
             doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:10s} {doc}")
+            print(f"{name:13s} {doc}")
         return 0
 
     selected = args.experiment or list(ALL_EXPERIMENTS)
@@ -50,9 +50,8 @@ def main(argv=None) -> int:
 
     device = get_device(args.device)
     for name in selected:
-        module = ALL_EXPERIMENTS[name]
         started = time.perf_counter()
-        result = module.run(scale=args.scale, device=device)
+        result = ALL_EXPERIMENTS[name](scale=args.scale, device=device)
         elapsed = time.perf_counter() - started
         print(result.to_text())
         print(f"[{name} regenerated in {elapsed:.1f}s wall clock]\n")

@@ -28,6 +28,7 @@ from repro.baselines.base import (
     MemoryFootprint,
     MISS_SENTINEL,
     as_lookup_keys,
+    as_uint64_keys,
 )
 from repro.gpusim.counters import WorkProfile
 
@@ -36,7 +37,8 @@ DEFAULT_GROUP_SIZE = 8
 #: Target load factor used by the paper.
 DEFAULT_LOAD_FACTOR = 0.8
 
-#: Sentinel for an empty slot (keys are restricted to < 2^64 - 1).
+#: Sentinel for an empty slot: ``build`` refuses it as a key, as WarpCore
+#: reserves its empty key.
 _EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -84,6 +86,9 @@ class WarpCoreHashTable(GpuIndex):
 
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
         key_bits = 32 if self.key_bytes == 4 else 64
+        keys = as_uint64_keys(keys, "keys")
+        if np.any(keys == _EMPTY):
+            raise ValueError("keys must not hold 2^64 - 1: it marks an empty slot")
         self._store_column(keys, values, key_bits=key_bits)
         n = self.num_keys
         capacity = int(np.ceil(n / self.load_factor))
@@ -187,8 +192,10 @@ class WarpCoreHashTable(GpuIndex):
             # Gather each active query's probing window of `gs` slots.
             window_idx = starts[:, None] + np.arange(gs)[None, :]
             window_keys = slot_keys[window_idx]
-            matches = window_keys == queries[active][:, None]
-            has_empty = (window_keys == _EMPTY).any(axis=1)
+            empty = window_keys == _EMPTY
+            # No stored key is _EMPTY, so a query for it matches no slot.
+            matches = (window_keys == queries[active][:, None]) & ~empty
+            has_empty = empty.any(axis=1)
 
             if matches.any():
                 q_idx, s_idx = np.nonzero(matches)

@@ -96,8 +96,3 @@ def run(scale: str = "small", device=RTX_4090, strides: tuple[int, ...] = (1,)) 
         scale=scale.name,
         device=device.name,
     )
-
-
-def run_fig3b(scale: str = "small", device=RTX_4090) -> ExperimentResult:
-    """Convenience wrapper for the stride variant (Figure 3b)."""
-    return run(scale=scale, device=device, strides=(1, 2, 4))

@@ -114,6 +114,12 @@ class KeyDecomposition:
         return KeyDecomposition(x_bits=x, y_bits=y, z_bits=z)
 
 
+#: Field types :meth:`RXConfig.validate` checks with ``isinstance``, by name.
+_TYPED_FIELDS = {
+    cls.__name__: cls
+    for cls in (KeyMode, PrimitiveType, PointRayMode, RangeRayMode, UpdatePolicy, KeyDecomposition)
+}
+
 #: ``RXConfig.as_dict`` keys of retired fields: the build-time update flag,
 #: which ``update_policy=REFIT`` now implies, and the serving layer's policy
 #: fields, which :class:`repro.serve.IndexService` now takes as arguments.
@@ -164,7 +170,8 @@ class RXConfig:
     def validate(self) -> None:
         """Reject configurations the hardware (or float32) cannot express.
 
-        Bool fields must hold a bool and int fields an int (not a bool);
+        Bool fields must hold a bool, int fields an int (not a bool), enum
+        fields their enum and ``decomposition`` a :class:`KeyDecomposition`;
         the builder knobs must pass :meth:`BvhBuildOptions.validate`.
         """
         for f in fields(self):
@@ -173,6 +180,9 @@ class RXConfig:
                 raise ValueError(f"{f.name} must be a bool, got {value!r}")
             if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
+            kind = _TYPED_FIELDS.get(f.type)
+            if kind is not None and not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be a {f.type}, got {value!r}")
         if self.key_mode is KeyMode.EXTENDED:
             if self.primitive is PrimitiveType.SPHERE:
                 raise ValueError(

@@ -233,6 +233,41 @@ class TestHashTableSpecifics:
             >= sparse.point_lookup(misses).stats["avg_probe_groups"]
         )
 
+    @pytest.mark.parametrize("key_bytes", [4, 8])
+    def test_query_for_the_empty_slot_key_misses(self, key_bytes):
+        # 2^64 - 1 marks an empty slot; a query for it used to match every
+        # empty slot of its probe window.  The other queries' rows, hits and
+        # probes stay as without it.
+        empty = np.array([2**64 - 1], dtype=np.uint64)
+        index = WarpCoreHashTable(key_bytes=key_bytes)
+        index.build(np.array([5, 9], dtype=np.uint64))
+        alone = index.point_lookup(empty)
+        assert alone.hits_per_lookup.tolist() == [0]
+        assert alone.result_rows[0] == MISS_SENTINEL
+        keys = dense_shuffled_keys(2048, seed=6)
+        index.build(keys)
+        others = np.concatenate([keys[:64], np.arange(10_000, 10_064, dtype=np.uint64)])
+        plain = index.point_lookup(others)
+        mixed = index.point_lookup(np.concatenate([empty, others]))
+        assert mixed.hits_per_lookup[0] == 0
+        assert mixed.result_rows[0] == MISS_SENTINEL
+        assert np.array_equal(mixed.hits_per_lookup[1:], plain.hits_per_lookup)
+        assert np.array_equal(mixed.result_rows[1:], plain.result_rows)
+        assert mixed.aggregate == plain.aggregate
+        assert (
+            mixed.stats["total_probe_groups"]
+            == plain.stats["total_probe_groups"]
+            + index.point_lookup(empty).stats["total_probe_groups"]
+        )
+
+    @pytest.mark.parametrize("key_bytes", [4, 8])
+    def test_empty_slot_key_refused_at_build(self, key_bytes):
+        index = WarpCoreHashTable(key_bytes=key_bytes)
+        with pytest.raises(ValueError, match="keys"):
+            index.build(np.array([5, 9, 2**64 - 1], dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="build"):
+            index.point_lookup(np.array([5], dtype=np.uint64))
+
     def test_memory_has_no_build_overhead(self, small_keys):
         index = WarpCoreHashTable()
         index.build(small_keys)

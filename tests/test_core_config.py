@@ -1,5 +1,6 @@
 """Tests for RXConfig and the key decomposition."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,28 @@ class TestRXConfigValidation:
             config.validate()
         with pytest.raises(ValueError, match=problem):
             RXConfig.from_dict({**RXConfig().as_dict(), field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, others",
+        [
+            ("key_mode", "3d", {}),
+            ("primitive", "sphere", {}),
+            ("point_ray_mode", "perpendicular", {}),
+            ("range_ray_mode", "parallel_from_offset", {}),
+            ("update_policy", "refit", {"compaction": False}),
+            ("update_policy", "delta_shard", {"shard_bits": 2}),
+            ("decomposition", "23+23+18", {}),
+        ],
+    )
+    def test_enum_and_decomposition_fields_are_type_checked(self, field, value, others):
+        # A string used to pass validate() and fail later, naming no field:
+        # at the first update (built without the update flag), the first
+        # build, or inside RXIndex(...).
+        config = RXConfig(**{field: value}, **others)
+        with pytest.raises(ValueError, match=f"^{field} must be a .*, got '{re.escape(value)}'$"):
+            config.validate()
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            RXIndex(config)
 
 
 class TestSerialisation:

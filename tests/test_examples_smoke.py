@@ -3,8 +3,8 @@
 Each example is executed as a real subprocess (the way a user runs it), at
 sizes small enough for CI, and must exit cleanly — the examples carry their
 own result assertions, so a drifting API or a wrong aggregate fails here
-instead of rotting silently.  ``reproduce_paper.py`` runs every registered
-experiment at the ``tiny`` scale (about 10 s), then two single experiments
+instead of rotting silently.  ``reproduce_paper.py`` runs all 34 registered
+panels at the ``tiny`` scale (about 5 s), then two single panels
 (``--experiment``) and ``--list``.
 """
 

@@ -1,62 +1,69 @@
-"""Integration tests: every experiment runs and preserves the paper's shape.
+"""Integration tests: every registered panel runs and keeps the paper's shape.
 
-Each test runs one of the per-figure experiment modules at the ``tiny``
-simulation scale and asserts the *qualitative* claim the paper makes for that
-figure or table (orderings, monotonicity, crossovers) rather than absolute
-numbers.
+Each panel of ``ALL_EXPERIMENTS`` runs once per session at the ``tiny``
+simulation scale (:func:`panel` caches it by id).  One test checks that
+every panel returns a series; the classes assert the *qualitative* claim the
+paper makes for each figure or table (orderings, monotonicity, crossovers)
+rather than absolute numbers.
 """
 
-import numpy as np
+import functools
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
-from repro.bench.experiments import (
-    ALL_EXPERIMENTS,
-    ablation_builders,
-    chaos_serve,
-    fig03_key_modes,
-    fig06_ray_modes,
-    fig07_primitives,
-    fig08_decomposition,
-    fig10_scaling,
-    fig11_multiplicity,
-    fig12_sorting,
-    fig13_batching,
-    fig14_hitrate,
-    fig15_keysize,
-    fig16_skew,
-    fig17_range,
-    fig18_hardware,
-    paging_scan,
-    restart,
-    table03_range_origin,
-    table04_updates,
-    table05_warps,
-    table06_memory,
-    table07_skew_profile,
-)
+import repro.bench.experiments as experiments
+from repro.bench.experiments import ALL_EXPERIMENTS, fig07_primitives, fig17_range, fig18_hardware
+from repro.gpusim.device import RTX_4090
 
 SCALE = "tiny"
 
 
-def test_every_experiment_is_registered():
-    assert len(ALL_EXPERIMENTS) == 23
+@functools.cache
+def panel(experiment_id: str):
+    """The registered panel's result at ``SCALE``, computed once per session."""
+    return ALL_EXPERIMENTS[experiment_id](scale=SCALE, device=RTX_4090)
+
+
+@pytest.mark.parametrize("experiment_id", list(ALL_EXPERIMENTS))
+def test_every_panel_returns_a_series(experiment_id):
+    assert panel(experiment_id).series, f"{experiment_id} produced no series"
+
+
+def test_every_run_function_is_registered():
+    """A module-level ``run`` or ``run_*`` that no registry entry calls,
+    directly or through ``functools.partial``, is a panel that only a test
+    would run."""
+    registered = {getattr(entry, "func", entry) for entry in ALL_EXPERIMENTS.values()}
+    unregistered = []
+    for info in pkgutil.iter_modules(experiments.__path__):
+        module = importlib.import_module(f"{experiments.__name__}.{info.name}")
+        for name, fn in vars(module).items():
+            if (
+                (name == "run" or name.startswith("run_"))
+                and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and fn not in registered
+            ):
+                unregistered.append(f"{info.name}.{name}")
+    assert unregistered == []
 
 
 def test_every_experiment_produces_text():
-    # A cheap end-to-end check over the registry itself.
-    result = table06_memory.run(scale=SCALE)
-    assert "table6" in result.to_text()
+    assert "table6" in panel("table06").to_text()
 
 
 class TestFig3KeyModes:
     def test_naive_mode_not_available_beyond_2_23(self):
-        result = fig03_key_modes.run(scale=SCALE)
+        result = panel("fig03")
         naive = result.series_by_label("naive")
         assert naive.y[-1] is None      # 2^26 keys
         assert naive.y[0] is not None   # 2^21 keys
 
     def test_extended_mode_degrades_for_large_key_ranges(self):
-        result = fig03_key_modes.run(scale=SCALE)
+        result = panel("fig03")
         ext = result.series_by_label("ext")
         three_d = result.series_by_label("3d")
         # 3D Mode stays flat; Extended Mode blows up once the key-range ratio
@@ -67,7 +74,7 @@ class TestFig3KeyModes:
         assert max(three_d.y) < 3 * min(three_d.y)
 
     def test_stride_shifts_extended_mode_onset(self):
-        result = fig03_key_modes.run_fig3b(scale=SCALE)
+        result = panel("fig03b")
         stride1 = result.series_by_label("ext stride 1")
         stride4 = result.series_by_label("ext stride 4")
         # With stride 4 the key-range ratio is 4x larger, so the degradation
@@ -78,7 +85,7 @@ class TestFig3KeyModes:
 
 class TestFig6RayModes:
     def test_perpendicular_beats_parallel_from_zero(self):
-        result = fig06_ray_modes.run(scale=SCALE)
+        result = panel("fig06")
         for mode in ("naive", "ext", "3d"):
             parallel = result.series_by_label(f"{mode} / parallel from zero")
             perpendicular = result.series_by_label(f"{mode} / perpendicular")
@@ -90,7 +97,7 @@ class TestFig6RayModes:
 
 class TestTable3RangeOrigin:
     def test_offset_origin_wins_everywhere(self):
-        result = table03_range_origin.run(scale=SCALE)
+        result = panel("table03")
         offset = result.series_by_label("parallel from offset")
         zero = result.series_by_label("parallel from zero")
         assert all(z > o for o, z in zip(offset.y, zero.y))
@@ -98,26 +105,26 @@ class TestTable3RangeOrigin:
 
 class TestFig7Primitives:
     def test_triangles_fastest_for_lookups(self):
-        result = fig07_primitives.run(scale=SCALE, panel="lookup")
+        result = panel("fig07")
         tri = result.series_by_label("triangle (compacted)").y[-1]
         sphere = result.series_by_label("sphere (compacted)").y[-1]
         aabb = result.series_by_label("aabb (compacted)").y[-1]
         assert tri < sphere and tri < aabb
 
     def test_compaction_changes_lookup_time_only_marginally(self):
-        result = fig07_primitives.run(scale=SCALE, panel="lookup")
+        result = panel("fig07")
         compacted = result.series_by_label("triangle (compacted)").y[-1]
         uncompacted = result.series_by_label("triangle (uncompacted)").y[-1]
         assert compacted == pytest.approx(uncompacted, rel=0.15)
 
     def test_memory_uncompacted_triangles_largest(self):
-        result = fig07_primitives.run(scale=SCALE, panel="memory")
+        result = panel("fig07c")
         last = {s.label: s.y[-1] for s in result.series}
         assert last["triangle (uncompacted)"] == max(last.values())
         assert last["sphere (compacted)"] > last["triangle (compacted)"]
 
     def test_build_panel_monotone_in_keys(self):
-        result = fig07_primitives.run(scale=SCALE, panel="build")
+        result = panel("fig07b")
         for series in result.series:
             assert series.y[-1] > series.y[0]
 
@@ -128,34 +135,34 @@ class TestFig7Primitives:
 
 class TestFig8Fig9Decomposition:
     def test_z_heavy_decompositions_slow_point_lookups(self):
-        result = fig08_decomposition.run(scale=SCALE)
+        result = panel("fig08")
         series = result.series[0]
         by_label = dict(zip(series.x, series.y))
         assert by_label["16+0+10"] >= by_label["16+10+0"]
 
     def test_more_x_bits_speed_up_range_lookups(self):
-        result = fig08_decomposition.run_fig9(scale=SCALE)
+        result = panel("fig09")
         for series in result.series:
             assert series.y[-1] <= series.y[0]
 
 
 class TestTable4Updates:
     def test_update_time_independent_of_swaps_and_cheaper_than_rebuild(self):
-        result = table04_updates.run(scale=SCALE)
+        result = panel("table04")
         update = result.series_by_label("swap adjacent positions: update")
         rebuild = result.series_by_label("full rebuild (update / lookups / total)")
         assert max(update.y) == pytest.approx(min(update.y), rel=0.01)
         assert rebuild.y[0] > 2 * update.y[0]
 
     def test_position_swaps_degrade_lookups_but_key_swaps_do_not(self):
-        result = table04_updates.run(scale=SCALE)
+        result = panel("table04")
         position = result.series_by_label("swap adjacent positions: lookups")
         key = result.series_by_label("swap adjacent keys: lookups")
         assert position.y[-1] > 2 * position.y[0]
         assert max(key.y) == pytest.approx(min(key.y), rel=0.05)
 
     def test_delta_shard_updates_scale_with_dirty_shards_not_keys(self):
-        result = table04_updates.run(scale=SCALE)
+        result = panel("table04")
         update = result.series_by_label("clustered key swaps (delta-shard): update")
         lookups = result.series_by_label("clustered key swaps (delta-shard): lookups")
         rebuild = result.series_by_label("full rebuild (update / lookups / total)")
@@ -171,12 +178,12 @@ class TestTable4Updates:
 
 class TestFig10Scaling:
     def test_throughput_saturates_with_many_lookups(self):
-        result = fig10_scaling.run(scale=SCALE)
+        result = panel("fig10")
         rx = result.series_by_label("RX")
         assert rx.y[-1] > rx.y[0]
 
     def test_rx_wins_small_key_sets_and_loses_large_ones(self):
-        result = fig10_scaling.run_fig10b(scale=SCALE)
+        result = panel("fig10b")
         throughput = {s.label: s.y for s in result.series}
         #
 
@@ -185,12 +192,12 @@ class TestFig10Scaling:
         assert throughput["RX"][-1] < throughput["B+"][-1]
 
     def test_rx_build_is_most_expensive(self):
-        result = fig10_scaling.run_fig10c(scale=SCALE)
+        result = panel("fig10c")
         last = {s.label: s.y[-1] for s in result.series if "unsorted" in s.label}
         assert last["RX (unsorted inserts)"] == max(last.values())
 
     def test_fig10d_measures_sharded_builds(self):
-        result = fig10_scaling.run_fig10d(scale=SCALE)
+        result = panel("fig10d")
         single = result.series_by_label("single tree")
         forest = result.series_by_label("sharded forest")
         assert all(v > 0 for v in single.y + forest.y)
@@ -199,7 +206,7 @@ class TestFig10Scaling:
 
 class TestTable5Warps:
     def test_warps_and_bandwidth_increase_with_batch_size(self):
-        result = table05_warps.run(scale=SCALE)
+        result = panel("table05")
         warps = result.series_by_label("active warps per SM").y
         bandwidth = result.series_by_label("memory BW").y
         assert all(a <= b for a, b in zip(warps, warps[1:]))
@@ -209,7 +216,7 @@ class TestTable5Warps:
 
 class TestTable6Memory:
     def test_paper_relationships(self):
-        result = table06_memory.run(scale=SCALE)
+        result = panel("table06")
         final = dict(zip(result.series[0].x, result.series[0].y))
         overhead = dict(zip(result.series[1].x, result.series[1].y))
         assert final["RX"] == max(final.values())
@@ -221,21 +228,21 @@ class TestTable6Memory:
 
 class TestFig11Multiplicity:
     def test_duplicates_reduce_normalised_lookup_time(self):
-        result = fig11_multiplicity.run(scale=SCALE)
+        result = panel("fig11")
         for series in result.series:
             assert series.y[-1] < series.y[0]
 
 
 class TestFig12Sorting:
     def test_sorted_lookups_help_and_sorted_inserts_do_not(self):
-        result = fig12_sorting.run(scale=SCALE)
+        result = panel("fig12")
         for name in ("HT", "B+", "SA", "RX"):
             series = dict(zip(result.series_by_label(name).x, result.series_by_label(name).y))
             assert series["sorted lookups"] < series["both unsorted"]
             assert series["sorted inserts"] == pytest.approx(series["both unsorted"], rel=0.05)
 
     def test_sort_phase_is_cheap(self):
-        result = fig12_sorting.run(scale=SCALE)
+        result = panel("fig12")
         sort = dict(zip(result.series_by_label("sort").x, result.series_by_label("sort").y))
         rx = dict(zip(result.series_by_label("RX").x, result.series_by_label("RX").y))
         assert sort["sorted lookups"] < rx["both unsorted"]
@@ -243,14 +250,14 @@ class TestFig12Sorting:
 
 class TestFig13Batching:
     def test_many_small_batches_are_slow(self):
-        result = fig13_batching.run(scale=SCALE)
+        result = panel("fig13")
         for series in result.series:
             assert series.y[-1] > series.y[0]
 
 
 class TestFig14HitRate:
     def test_rx_speeds_up_with_misses_and_overtakes_tree_indexes(self):
-        result = fig14_hitrate.run(scale=SCALE)
+        result = panel("fig14")
         rx = result.series_by_label("RX").y
         btree = result.series_by_label("B+").y
         sa = result.series_by_label("SA").y
@@ -262,14 +269,14 @@ class TestFig14HitRate:
 
 class TestFig15KeySize:
     def test_rx_insensitive_to_key_size_but_baselines_grow(self):
-        lookup = fig15_keysize.run(scale=SCALE, panel="lookup")
+        lookup = panel("fig15")
         rx = lookup.series_by_label("RX").y
         sa = lookup.series_by_label("SA").y
         ht = lookup.series_by_label("HT").y
         assert rx[1] == pytest.approx(rx[0], rel=0.1)
         assert ht[1] > ht[0]
         assert sa[1] >= sa[0]
-        memory = fig15_keysize.run(scale=SCALE, panel="memory")
+        memory = panel("fig15b")
         assert memory.series_by_label("B+").y[1] is None
         assert memory.series_by_label("HT").y[1] > memory.series_by_label("HT").y[0]
         assert memory.series_by_label("RX").y[1] == pytest.approx(
@@ -279,7 +286,7 @@ class TestFig15KeySize:
 
 class TestFig16Skew:
     def test_skew_helps_everyone_and_rx_overtakes_order_based_indexes(self):
-        result = fig16_skew.run(scale=SCALE)
+        result = panel("fig16")
         for name in ("HT", "B+", "SA", "RX"):
             series = result.series_by_label(name).y
             assert series[-1] < series[0]
@@ -291,14 +298,14 @@ class TestFig16Skew:
 
 class TestTable7SkewProfile:
     def test_cache_hit_rate_rises_and_traffic_falls(self):
-        result = table07_skew_profile.run(scale=SCALE)
+        result = panel("table07")
         rx_hits = result.series_by_label("RX L2 hit rate").y
         rx_bytes = result.series_by_label("RX memory read").y
         assert all(a <= b for a, b in zip(rx_hits, rx_hits[1:]))
         assert all(a >= b for a, b in zip(rx_bytes, rx_bytes[1:]))
 
     def test_rx_executes_far_fewer_instructions_than_btree(self):
-        result = table07_skew_profile.run(scale=SCALE)
+        result = panel("table07")
         rx = result.series_by_label("RX instructions").y[0]
         btree = result.series_by_label("B+ instructions").y[0]
         assert btree > 10 * rx
@@ -306,7 +313,7 @@ class TestTable7SkewProfile:
 
 class TestFig17Range:
     def test_btree_wins_ranges_and_rx_normalised_time_decreases(self):
-        result = fig17_range.run(scale=SCALE)
+        result = panel("fig17")
         btree = result.series_by_label("B+").y
         rx = result.series_by_label("RX").y
         sa = result.series_by_label("SA").y
@@ -319,8 +326,9 @@ class TestFig17Range:
         assert "traversal" in result.notes
 
     def test_limited_variant_pushes_the_budget_into_every_probe(self):
-        result = fig17_range.run_limited(scale=SCALE, limit=8)
+        result = panel("fig17-limit")
         assert result.experiment_id == "fig17_limited"
+        assert result.title == "Range lookups with LIMIT 8 pushdown"
         rx = result.series_by_label("RX").y
         rx_unlimited = result.series_by_label("RX (no limit)").y
         # With the budget pushed down RX never pays more than the all-hits
@@ -338,7 +346,7 @@ class TestFig17Range:
 
 class TestFig18Hardware:
     def test_newer_gpus_are_faster_and_rx_gains_most_when_sorted(self):
-        result = fig18_hardware.run(scale=SCALE)
+        result = panel("fig18")
         for series in result.series:
             values = dict(zip(series.x, series.y))
             assert values["RTX 4090"] < values["RTX 2080 Ti"]
@@ -347,9 +355,15 @@ class TestFig18Hardware:
         assert max(sorted_factors, key=sorted_factors.get).startswith("RX")
 
 
+class TestServeThroughput:
+    def test_micro_batching_beats_one_query_per_launch(self):
+        solo, *rest = panel("serve").series[0].y
+        assert max(rest) > solo
+
+
 class TestChaosServe:
     def test_faults_burn_goodput_but_the_clean_point_is_error_free(self):
-        result = chaos_serve.run(scale=SCALE)
+        result = panel("chaos")
         goodput = result.series_by_label("goodput").y
         errors = result.series_by_label("error rate").y
         retries = result.series_by_label("launch retries").y
@@ -366,7 +380,7 @@ class TestChaosServe:
 
 class TestPagingScan:
     def test_cursor_resume_is_flat_while_prefix_rescan_grows(self):
-        result = paging_scan.run(scale=SCALE)
+        result = panel("paging")
         for name in ("RX", "SA", "B+"):
             resume = result.series_by_label(f"{name} (cursor resume)").y
             rescan = result.series_by_label(f"{name} (prefix rescan)").y
@@ -383,7 +397,7 @@ class TestRestart:
     def test_all_restart_paths_are_timed_and_identity_gated(self):
         # run() itself asserts bit-identical BVH arrays and lookup answers
         # before timing each point; here we pin the shape of what it reports.
-        result = restart.run(scale=SCALE)
+        result = panel("restart")
         rebuild = result.series_by_label("full rebuild")
         mmap_load = result.series_by_label("cold load (mmap)")
         heap_load = result.series_by_label("cold load (heap)")
@@ -399,10 +413,10 @@ class TestRestart:
 
 class TestAblation:
     def test_all_builders_produce_comparable_lookup_costs(self):
-        result = ablation_builders.run(scale=SCALE)
+        result = panel("ablation")
         times = result.series_by_label("lookup time per builder").y
         assert max(times) < 3 * min(times)
 
     def test_leaf_size_sweep_runs(self):
-        result = ablation_builders.run(scale=SCALE)
+        result = panel("ablation")
         assert len(result.series_by_label("lookup time per leaf size").y) == 5

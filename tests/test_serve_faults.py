@@ -579,3 +579,37 @@ class TestEndToEndChaos:
         assert violations == 0
         assert len(report.results) > 0
         assert report.goodput_rps > 0.0
+
+    def test_exhausted_retries_and_a_stall_fail_explicitly(self):
+        """One replay with two mid-stream updates, where one launch exhausts
+        its retries and one window stalls past its requests' deadline: both
+        surface as explicit errors, ``launch_failed`` and ``timeout``."""
+        keys0 = dense_shuffled_keys(2048, seed=47)
+        keys1 = shifted(keys0, 0, 700)
+        keys2 = shifted(keys1, 500, 1500)
+        deadline = 0.05
+        injector = FaultInjector(seed=FAULT_SEED, specs={
+            # Any three failures in a row exhaust a launch's two retries.
+            "launch": FaultSpec(probability=0.02, at={1, 2, 3}),
+            "launch_latency": FaultSpec(at={2}, latency=1.5 * deadline),
+        })
+        service = build_service(
+            keys0,
+            injector,
+            cache_capacity=0,
+            max_batch=64,
+            max_wait=2e-3,
+            deadline=deadline,
+            max_queue=512,
+            retry=RetryPolicy(max_retries=2, jitter=0.0),
+        )
+        stream = zipf_point_stream(keys0, 256, 1.0, rate=5000.0, seed=FAULT_SEED)
+        arrivals = [e.arrival for e in stream.entries]
+        updates = [
+            (arrivals[len(arrivals) // 3], keys1),
+            (arrivals[2 * len(arrivals) // 3], keys2),
+        ]
+        report = service.replay(stream, updates=updates)
+        account_everything(stream, report)
+        assert len(report.updates) == 2
+        assert {"launch_failed", "timeout"} <= set(report.errors_by_reason())

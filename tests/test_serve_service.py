@@ -45,6 +45,24 @@ class TestOpenLoopReplay:
             assert np.array_equal(result.result_rows(), reference.result_rows)
             assert result.aggregate(index.values) == reference.aggregate
 
+    def test_coalesced_replay_serves_each_request_as_a_solo_replay(self):
+        """One stream replayed coalesced and with ``max_batch=1``: every
+        request gets the same rows, hit primitives and counters."""
+        index = make_index(seed=56)
+        stream = zipf_point_stream(index.keys, 256, 1.0, rate=1e9, seed=57)
+        service = IndexService(index, max_batch=64, max_wait=1e-3, cache_capacity=0)
+        coalesced = service.replay(stream)
+        assert service.stats()["scheduler"]["queries_per_launch"] > 1
+        solo = IndexService(index, max_batch=1, max_wait=1e-3, cache_capacity=0).replay(stream)
+        solo_by_id = {r.request_id: r for r in solo.results}
+        assert sorted(solo_by_id) == list(range(1, 257))
+        assert len(coalesced.results) == 256
+        for a in coalesced.results:
+            b = solo_by_id[a.request_id]
+            assert np.array_equal(a.result_rows(), b.result_rows())
+            assert np.array_equal(a.hits.prim_indices, b.hits.prim_indices)
+            assert a.counters.as_dict() == b.counters.as_dict()
+
     def test_slow_stream_closes_windows_by_wait(self):
         index = make_index(seed=45)
         service = IndexService(index, max_batch=10_000, max_wait=1e-4, cache_capacity=0)
