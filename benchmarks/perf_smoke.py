@@ -21,7 +21,8 @@ Usage::
 A sharded-build scenario measures the Morton-prefix forest
 (:mod:`repro.rtx.forest`) at 2^20 keys against the single-tree build: one
 entry, which also times the splice of the forest's saved shard state and
-verifies that the spliced tree is bit-identical to the single-tree arrays.
+verifies that the spliced tree is bit-identical to the single-tree arrays,
+and records each build's traced peak and kept bytes per key.
 It has no speed target: a forest build is the single tree's build plus a
 cut into shards, and the forest exists for its local delta updates and
 saves.  ``--build-only`` runs just this scenario (``make bench-build``;
@@ -62,10 +63,12 @@ Every entry now carries ``new_seconds_p50`` / ``new_seconds_p95`` /
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +126,21 @@ def _time_stats(fn, repeats: int = 1) -> dict:
     }
 
 
+def _traced_bytes_per_key(fn, n: int) -> tuple[float, float]:
+    """``(peak, kept)`` of one ``fn()`` in bytes per key: its tracemalloc
+    high-water mark and the traced bytes its result keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return (peak - before) / n, (kept - before) / n
+
+
 def _line_points(n: int) -> np.ndarray:
     return np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
 
@@ -163,7 +181,10 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
     :func:`repro.rtx.forest.forest_from_saved` over the forest's saved shard
     state (:func:`repro.core.layout.shard_segment`: what a load hands it
     after checking and scattering the keys); the spliced tree is
-    verified bit-identical to the single-tree arrays on the way.
+    verified bit-identical to the single-tree arrays on the way.  One more
+    traced build of each kind records its tracemalloc peak and the bytes
+    its tree keeps, per key (``peak_bytes_per_key`` / ``kept_bytes_per_key``,
+    ``ref_``-prefixed for the single tree).
     """
     n = 2**log2_keys
     rng = np.random.default_rng(log2_keys)
@@ -189,6 +210,13 @@ def bench_build_forest(log2_keys: int, shard_bits: int) -> dict:
     )
     entry["ref_seconds"] = _time(lambda: build_bvh(buffer, BvhBuildOptions()), repeats=2)
     entry["speedup"] = entry["ref_seconds"] / entry["new_seconds"]
+    # Traced after the timed builds, so tracemalloc slows none of them.
+    entry["peak_bytes_per_key"], entry["kept_bytes_per_key"] = _traced_bytes_per_key(
+        lambda: build_forest(buffer, options), n
+    )
+    entry["ref_peak_bytes_per_key"], entry["ref_kept_bytes_per_key"] = _traced_bytes_per_key(
+        lambda: build_bvh(buffer, BvhBuildOptions()), n
+    )
     return entry
 
 
@@ -859,9 +887,13 @@ def main(argv: list[str] | None = None) -> int:
         entries = [bench_build_forest(log2_keys, shard_bits=6)]
         append_artifact(entries, args.out)
         print(format_table(entries))
+        entry = entries[0]
         print(
             f"\nspliced forest bit-identical to the single tree; splice "
-            f"{entries[0]['splice_seconds']:.3f} s (no speed target)"
+            f"{entry['splice_seconds']:.3f} s (no speed target)\n"
+            f"traced build peak / kept: forest {entry['peak_bytes_per_key']:.1f} / "
+            f"{entry['kept_bytes_per_key']:.1f} B/key, single tree "
+            f"{entry['ref_peak_bytes_per_key']:.1f} / {entry['ref_kept_bytes_per_key']:.1f} B/key"
         )
         return 0
 

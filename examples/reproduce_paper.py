@@ -22,6 +22,23 @@ from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.gpusim.device import get_device
 
 
+def _first_line(doc) -> str:
+    return (doc or "").strip().splitlines()[0]
+
+
+def describe(entry) -> str:
+    """The entry's module title, then what sets the panel apart: a
+    ``partial``'s keywords or a ``run_*`` function's own first line."""
+    function = getattr(entry, "func", entry)
+    title = _first_line(sys.modules[function.__module__].__doc__)
+    if getattr(entry, "keywords", None):
+        settings = ", ".join(f"{key}={value!r}" for key, value in entry.keywords.items())
+        return f"{title} ({settings})"
+    if function.__name__ != "run":
+        return f"{title} {_first_line(function.__doc__)}"
+    return title
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -36,9 +53,7 @@ def main(argv=None) -> int:
 
     if args.list:
         for name, entry in ALL_EXPERIMENTS.items():
-            module = sys.modules[getattr(entry, "func", entry).__module__]
-            doc = (module.__doc__ or "").strip().splitlines()[0]
-            print(f"{name:13s} {doc}")
+            print(f"{name:13s} {describe(entry)}")
         return 0
 
     selected = args.experiment or list(ALL_EXPERIMENTS)

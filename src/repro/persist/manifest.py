@@ -51,7 +51,7 @@ def commit_manifest(root: Path, manifest: dict, fault_injector=None) -> Path:
     root = Path(root)
     blob = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
     path = root / MANIFEST_NAME
-    atomic_write(path, blob, fault_injector)
+    atomic_write(path, [blob], fault_injector)
     fsync_dir(root)
     return path
 

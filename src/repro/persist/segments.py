@@ -28,12 +28,14 @@ zero-copy views (:func:`payload_digest`), then finishes copies of that one
 state with whichever header regions it needs — the header the committed
 file carries, to decide reuse, or the header of the file it is about to
 write.  Both come from :func:`header_region`, the function
-:func:`assemble_segment` writes with.
+:func:`write_segment` writes with.
 
-Segments are **immutable**: they are assembled fully in memory, then
-published with the write-temp → fsync → atomic-rename protocol shared with
-the manifest.  The three durability boundaries of that protocol — and the
-verification read — are fault-injection sites (``persist_write``,
+Segments are **immutable**: the header and each array's bytes, behind
+their zero alignment gaps, are streamed from the arrays themselves into a
+temp file, with no file image assembled, then published with the
+write-temp → fsync → atomic-rename protocol shared with the manifest.  The
+three durability boundaries of that protocol — and the verification read
+— are fault-injection sites (``persist_write``,
 ``persist_fsync``, ``persist_rename``, ``persist_read_corrupt``) so the
 crash harness can kill a save at every step and flip bits on the read
 path.  Temp files carry a ``.tmp.`` prefix so interrupted saves leave
@@ -87,19 +89,21 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write(path: Path, blob, fault_injector=None) -> None:
-    """Publish ``blob`` at ``path`` via write-temp → fsync → atomic rename.
+def atomic_write(path: Path, parts, fault_injector=None) -> None:
+    """Publish the bytes of ``parts``, in order, at ``path`` via write-temp
+    → fsync → atomic rename.
 
-    ``blob`` is any bytes-like (including a uint8 array).  With a fault
-    injector attached, the three durability boundaries consult their sites:
-    ``persist_write`` fires a *torn* write (half the bytes land, then the
-    save dies), ``persist_fsync`` dies before the data reaches the platter,
+    ``parts`` is a sequence of bytes-likes (uint8 arrays included), each
+    written from its own buffer.  With a fault injector attached, the three
+    durability boundaries consult their sites: ``persist_write`` fires a
+    *torn* write (the first half of the file's bytes land, then the save
+    dies), ``persist_fsync`` dies before the data reaches the platter,
     ``persist_rename`` dies before the temp file is published — each leaves
     exactly the wreckage a real crash at that boundary would.
     """
     path = Path(path)
     tmp = path.parent / (TMP_PREFIX + path.name)
-    view = memoryview(blob)
+    views = [memoryview(part) for part in parts]
     with open(tmp, "wb") as handle:
         if fault_injector is not None and fault_injector.fires("persist_write"):
             # Imported lazily: the persist layer only needs the serving
@@ -108,12 +112,16 @@ def atomic_write(path: Path, blob, fault_injector=None) -> None:
             # dragging in (or cycling with) the serving package.
             from repro.serve.faults import InjectedFault
 
-            handle.write(view[: len(view) // 2])
+            torn = sum(view.nbytes for view in views) // 2
+            for view in views:
+                handle.write(view[: min(view.nbytes, torn)])
+                torn -= min(view.nbytes, torn)
             handle.flush()
             raise InjectedFault(
                 "persist_write", fault_injector.occurrences["persist_write"] - 1
             )
-        handle.write(view)
+        for view in views:
+            handle.write(view)
         handle.flush()
         if fault_injector is not None:
             fault_injector.check("persist_fsync")
@@ -158,16 +166,24 @@ def header_region(
     return prefix + bytes(_align_up(len(prefix)) - len(prefix))
 
 
-def payload_digest(arrays: dict[str, np.ndarray]):
-    """SHA-256 state after the payload region of the segment holding
-    ``arrays``: each array's bytes behind its zero alignment gap, hashed
-    over zero-copy views.  Finish it with :func:`segment_sha256`."""
-    state = hashlib.sha256()
+def _payload(arrays: dict[str, np.ndarray]):
+    """The payload region of the segment holding ``arrays``, in file order:
+    per array, its zero alignment gap and a zero-copy uint8 view of its
+    bytes."""
     end = 0
     for _name, arr, offset in _layout(arrays):
-        state.update(bytes(offset - end))
-        state.update(arr.reshape(-1).view(np.uint8))
+        yield bytes(offset - end), arr.reshape(-1).view(np.uint8)
         end = offset + arr.nbytes
+
+
+def payload_digest(arrays: dict[str, np.ndarray]):
+    """SHA-256 state after the payload region of the segment holding
+    ``arrays``, hashed over zero-copy views.  Finish it with
+    :func:`segment_sha256`."""
+    state = hashlib.sha256()
+    for gap, data in _payload(arrays):
+        state.update(gap)
+        state.update(data)
     return state
 
 
@@ -180,24 +196,6 @@ def segment_sha256(payload, header: bytes) -> str:
     return state.hexdigest()
 
 
-def assemble_segment(
-    name: str, epoch: int, arrays: dict[str, np.ndarray], meta: dict | None = None
-) -> tuple[np.ndarray, int]:
-    """Serialise one segment into a single uint8 array (the full file image).
-
-    Returns the image and its payload base, where the header region ends.
-    """
-    header = header_region(name, epoch, arrays, meta)
-    placed = _layout(arrays)
-    base = len(header)
-    size = base + (placed[-1][2] + placed[-1][1].nbytes if placed else 0)
-    blob = np.zeros(size, dtype=np.uint8)
-    blob[:base] = np.frombuffer(header, dtype=np.uint8)
-    for _name, arr, offset in placed:
-        blob[base + offset : base + offset + arr.nbytes] = arr.reshape(-1).view(np.uint8)
-    return blob, base
-
-
 def write_segment(
     path: Path,
     name: str,
@@ -207,23 +205,27 @@ def write_segment(
     fault_injector=None,
     payload=None,
 ) -> dict:
-    """Assemble, digest and atomically publish one segment.
+    """Digest and atomically publish one segment, streaming its header and
+    each array's bytes, behind its zero alignment gap, into the file.
 
     Returns the manifest entry for the segment (sans the relative path,
     which the store fills in): the file's SHA-256, its length and the
     segment's own epoch tag.  ``payload`` is the :func:`payload_digest` of
     ``arrays`` when the caller already has it (the store does, from its
-    reuse decision); without it the image's payload region is hashed here.
+    reuse decision); without it the payload region is hashed here.
     """
-    blob, base = assemble_segment(name, epoch, arrays, meta)
+    header = header_region(name, epoch, arrays, meta)
+    parts = [header]
+    for gap, data in _payload(arrays):
+        parts += [gap, data]
     if payload is None:
-        payload = hashlib.sha256(blob[base:])
+        payload = payload_digest(arrays)
     entry = {
-        "sha256": segment_sha256(payload, blob[:base]),
-        "length": int(blob.shape[0]),
+        "sha256": segment_sha256(payload, header),
+        "length": sum(len(part) for part in parts),
         "epoch": int(epoch),
     }
-    atomic_write(Path(path), blob, fault_injector)
+    atomic_write(Path(path), parts, fault_injector)
     return entry
 
 

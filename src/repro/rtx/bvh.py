@@ -202,23 +202,20 @@ def build_bvh(
     n = prim_mins.shape[1]
     if n == 0:
         raise ValueError("cannot build a BVH over zero primitives")
-    centroids = centroid_columns(prim_mins, prim_maxs)
-
     if options.builder == "lbvh":
-        codes = morton_encode_3d(centroids.T, options.morton_bits)
-        order, sorted_codes = sort_codes(codes)
-        splitter = _LbvhSplitter(sorted_codes)
+        # Nested calls, so no name here holds a transient: the centroids go
+        # once their codes exist, the unsorted codes with the sort, and the
+        # sorted codes (the splitter's) with the level loop.
+        return _build_levels(prim_mins, prim_maxs, options, _LbvhSplitter.sorting(
+            morton_encode_3d(centroid_columns(prim_mins, prim_maxs).T, options.morton_bits)
+        ))
+    centroids = centroid_columns(prim_mins, prim_maxs)
+    require_finite(np.concatenate([centroids.min(axis=1), centroids.max(axis=1)]), centroids)
+    if options.builder == "sah":
+        splitter = _SahSplitter(centroids.T, prim_mins.T, prim_maxs.T, options)
     else:
-        require_finite(
-            np.concatenate([centroids.min(axis=1), centroids.max(axis=1)]), centroids
-        )
-        order = np.arange(n, dtype=np.int64)
-        if options.builder == "sah":
-            splitter = _SahSplitter(centroids.T, prim_mins.T, prim_maxs.T, options)
-        else:
-            splitter = _MedianSplitter(centroids.T)
-
-    return _build_levels(order, prim_mins, prim_maxs, options, splitter)
+        splitter = _MedianSplitter(centroids.T)
+    return _build_levels(prim_mins, prim_maxs, options, splitter)
 
 
 def box_columns(
@@ -354,17 +351,23 @@ def build_lbvh_over_sorted(
     """Build an LBVH over primitives *already sorted* by Morton code.
 
     ``order`` lists the primitive rows in code order and becomes the tree's
-    ``prim_indices``; ``prim_mins`` / ``prim_maxs`` are ``(n, 3)`` bounds
-    indexed by row (fastest as ``.T`` views of :func:`box_columns`).  Without
-    ``order`` the bounds are already in code order and ``prim_indices`` is
-    ``0..m-1`` — how the forest builds one shard.  Runs the same machinery
+    ``prim_indices``, uncopied; ``prim_mins`` / ``prim_maxs`` are ``(n, 3)``
+    bounds indexed by row (fastest as ``.T`` views of :func:`box_columns`).
+    Without ``order`` the bounds are already in code order, ``prim_indices``
+    is ``0..m-1`` and the tree keeps no level lists — how the forest builds
+    one shard.  Runs the same machinery
     as :func:`build_bvh`, so with ``order`` set to the stable code sort the
     tree is ``build_bvh``'s, and a shard's tree equals the matching subtree.
     """
+    tree = _build_levels(
+        prim_mins.T, prim_maxs.T, options,
+        _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64), order),
+    )
     if order is None:
-        order = np.arange(sorted_codes.shape[0], dtype=np.int64)
-    splitter = _LbvhSplitter(np.asarray(sorted_codes, dtype=np.uint64))
-    return _build_levels(order, prim_mins.T, prim_maxs.T, options, splitter)
+        # A shard tree is spliced, never traversed or refitted on its own:
+        # level lists would only pin memory in a long-lived forest.
+        tree._levels = None
+    return tree
 
 
 # --------------------------------------------------------------------------- #
@@ -391,44 +394,41 @@ def fit_bounds_bottom_up(
     """Fit every node's bounds bottom-up, one vectorised pass per level.
 
     ``prim_mins`` / ``prim_maxs`` are ``(3, n)`` per-axis columns, and the
-    fit runs on six float32 node columns.  Leaves reduce their primitives;
-    inner nodes take the element-wise min/max of their two children, level
-    by level from the deepest upwards.  Min/max are associative, and
-    rounding to float32 is monotone so it commutes with them: the boxes are
-    bit-identical to fitting each node from its primitives in float64 and
-    casting to float32.  Returns ``(nodes, 3)`` float32 ``(mins, maxs)``.
-    Shared by the builder and the refit pass in :mod:`repro.rtx.refit`.
+    fit writes the ``(nodes, 3)`` float32 boxes it returns.  Leaves reduce
+    their primitives; inner nodes take the element-wise min/max of their
+    two children, level by level from the deepest upwards.  Min/max are
+    associative, and rounding to float32 is monotone so it commutes with
+    them: the boxes are bit-identical to fitting each node from its
+    primitives in float64 and casting to float32.  Returns ``(mins,
+    maxs)``.  Shared by the builder and the refit pass in
+    :mod:`repro.rtx.refit`.
     """
     num_nodes = left.shape[0]
-    boxes = np.empty((2, 3, num_nodes), dtype=np.float32)
-    mins, maxs = boxes
+    mins = np.empty((num_nodes, 3), dtype=np.float32)
+    maxs = np.empty((num_nodes, 3), dtype=np.float32)
 
-    # The leaves tile the primitive stream: a scatter puts them in stream
-    # order, then one pass per leaf slot reduces every leaf's rows.
-    owner = np.full(prim_indices.shape[0], -1, dtype=np.int64)
-    owner[first_prim[left < 0]] = np.flatnonzero(left < 0)
-    leaves = owner[owner >= 0]
+    # One pass per leaf slot reduces every leaf's rows of the primitive
+    # stream at once.
+    leaves = np.flatnonzero(left < 0)
     starts = first_prim[leaves]
     last = starts + prim_count[leaves] - 1
     slots = [np.minimum(starts + k, last) for k in range(1, int(prim_count[leaves].max()))]
     sides = ((prim_mins, mins, np.minimum), (prim_maxs, maxs, np.maximum))
-    for columns, node_columns, reduce in sides:
+    for columns, boxes, reduce in sides:
         for axis in range(3):
             stream = columns[axis][prim_indices]
             fitted = stream[starts]
             for slot in slots:
                 reduce(fitted, stream[slot], out=fitted)
-            node_columns[axis, leaves] = fitted
+            boxes[leaves, axis] = fitted
 
     for level in reversed(levels):
         inner = level[left[level] >= 0]
         if inner.size:
             l = left[inner]
-            r = l + 1
-            for axis in range(3):
-                mins[axis, inner] = np.minimum(mins[axis, l], mins[axis, r])
-                maxs[axis, inner] = np.maximum(maxs[axis, l], maxs[axis, r])
-    return np.ascontiguousarray(mins.T), np.ascontiguousarray(maxs.T)
+            mins[inner] = np.minimum(mins[l], mins[l + 1])
+            maxs[inner] = np.maximum(maxs[l], maxs[l + 1])
+    return mins, maxs
 
 
 def _high_bit(values: np.ndarray) -> np.ndarray:
@@ -442,38 +442,78 @@ def _high_bit(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_levels(order, prim_mins, prim_maxs, options, splitter) -> Bvh:
+def _build_levels(prim_mins, prim_maxs, options, splitter) -> Bvh:
     """Top-down build where each tree level is one batch of array passes.
 
-    Node ids are allocated breadth-first (the children of a level are the
-    next level's block, in (left, right) pairs), then renumbered to the
-    stack-based builder's depth-first order, and the bounds are fitted from
-    the ``(3, n)`` columns ``prim_mins`` / ``prim_maxs`` in one final pass.
+    Node ids are allocated breadth-first (:func:`_split_levels`), then
+    renumbered to the stack-based builder's depth-first order, and the
+    bounds are fitted from the ``(3, n)`` columns ``prim_mins`` /
+    ``prim_maxs`` in one final pass.  The splitter's ``order`` becomes the
+    tree's ``prim_indices`` as it is, and the tree keeps the per-level node
+    lists the renumbering gives (:meth:`Bvh.level_ranges`).  The LBVH
+    callers pass their only reference to ``splitter``, so the sorted codes
+    go with the level loop; the working arrays go before the fit.
     """
-    prim_indices = np.array(order, dtype=np.int64, copy=True)
-    n = prim_indices.shape[0]
-    cap = max(2 * n - 1, 1)
-    left = np.full(cap, -1, dtype=np.int64)
-    first_prim = np.zeros(cap, dtype=np.int64)
-    prim_count = np.zeros(cap, dtype=np.int64)
+    prim_indices = splitter.order
+    left, first_prim, prim_count, level_bounds = _split_levels(prim_indices, options, splitter)
+    del splitter
+    num_nodes = left.shape[0]
+    perm = _dfs_renumbering(left, level_bounds)
+    out_left = np.full(num_nodes, -1, dtype=np.int64)
+    inner = np.flatnonzero(left >= 0)
+    out_left[perm[inner]] = perm[left[inner]]
+    del left, inner
+    out_first = np.empty(num_nodes, dtype=np.int64)
+    out_first[perm] = first_prim
+    del first_prim
+    out_count = np.empty(num_nodes, dtype=np.int64)
+    out_count[perm] = prim_count
+    del prim_count
 
-    # Current level: node ids with their [start, end) ranges over
-    # prim_indices, kept sorted by start (ids are then contiguous too).
-    ids = np.zeros(1, dtype=np.int64)
+    levels = [perm[ls:le] for ls, le in level_bounds]
+    node_mins, node_maxs = fit_bounds_bottom_up(
+        out_left, out_first, out_count, prim_indices, prim_mins, prim_maxs, levels
+    )
+    return Bvh(
+        node_mins=node_mins,
+        node_maxs=node_maxs,
+        left=out_left,
+        first_prim=out_first,
+        prim_count=out_count,
+        prim_indices=prim_indices,
+        num_primitives=int(prim_indices.shape[0]),
+        options=options,
+        _levels=levels,
+    )
+
+
+def _split_levels(prim_indices, options, splitter):
+    """Split ``prim_indices`` level by level: ``(left, first_prim,
+    prim_count, level_bounds)`` in breadth-first working ids, where the
+    children of a level are the next level's id block ``level_bounds[i]``,
+    in (left, right) pairs.  Each level's node arrays are one block,
+    concatenated once at the end."""
+    n = prim_indices.shape[0]
+    lefts: list[np.ndarray] = []
+    firsts: list[np.ndarray] = []
+    counts: list[np.ndarray] = []
+    # Current level: its ranges [start, end) over prim_indices, sorted by
+    # start; its nodes are the id block level_bounds[-1].
     starts = np.zeros(1, dtype=np.int64)
     ends = np.full(1, n, dtype=np.int64)
     num_nodes = 1
     level_bounds: list[tuple[int, int]] = [(0, 1)]
 
-    while ids.size:
-        counts = ends - starts
-        leaf_mask = counts <= options.max_leaf_size
-        first_prim[ids[leaf_mask]] = starts[leaf_mask]
-        prim_count[ids[leaf_mask]] = counts[leaf_mask]
+    while True:
+        count = ends - starts
+        leaf_mask = count <= options.max_leaf_size
+        lefts.append(np.full(count.shape[0], -1, dtype=np.int64))
+        firsts.append(np.where(leaf_mask, starts, 0))
+        counts.append(np.where(leaf_mask, count, 0))
 
         split_mask = ~leaf_mask
-        s_ids = ids[split_mask]
-        if s_ids.size == 0:
+        k = int(np.count_nonzero(split_mask))
+        if k == 0:
             break
         s_starts = starts[split_mask]
         s_ends = ends[split_mask]
@@ -487,37 +527,12 @@ def _build_levels(order, prim_mins, prim_maxs, options, splitter) -> Bvh:
         # Next level, interleaved (left0, right0, left1, right1, ...) so
         # ranges stay sorted by start and ids stay contiguous; each right
         # child is its left sibling's id plus one.
-        k = s_ids.shape[0]
-        left[s_ids] = num_nodes + 2 * np.arange(k, dtype=np.int64)
-        ids = num_nodes + np.arange(2 * k, dtype=np.int64)
+        lefts[-1][split_mask] = num_nodes + 2 * np.arange(k, dtype=np.int64)
         starts = np.stack([s_starts, splits], axis=1).ravel()
         ends = np.stack([splits, s_ends], axis=1).ravel()
         num_nodes += 2 * k
         level_bounds.append((num_nodes - 2 * k, num_nodes))
-
-    left = left[:num_nodes]
-    perm = _dfs_renumbering(left, level_bounds)
-    out_left = np.full(num_nodes, -1, dtype=np.int64)
-    inner = np.flatnonzero(left >= 0)
-    out_left[perm[inner]] = perm[left[inner]]
-    out_first = np.empty(num_nodes, dtype=np.int64)
-    out_count = np.empty(num_nodes, dtype=np.int64)
-    out_first[perm] = first_prim[:num_nodes]
-    out_count[perm] = prim_count[:num_nodes]
-    node_mins, node_maxs = fit_bounds_bottom_up(
-        out_left, out_first, out_count, prim_indices, prim_mins, prim_maxs,
-        [perm[ls:le] for ls, le in level_bounds],
-    )
-    return Bvh(
-        node_mins=node_mins,
-        node_maxs=node_maxs,
-        left=out_left,
-        first_prim=out_first,
-        prim_count=out_count,
-        prim_indices=prim_indices,
-        num_primitives=n,
-        options=options,
-    )
+    return np.concatenate(lefts), np.concatenate(firsts), np.concatenate(counts), level_bounds
 
 
 def _dfs_renumbering(left: np.ndarray, level_bounds: list[tuple[int, int]]) -> np.ndarray:
@@ -566,6 +581,8 @@ class _MedianSplitter:
 
     def __init__(self, centroids):
         self.centroids = centroids
+        #: the primitive order, which the splits permute in place
+        self.order = np.arange(centroids.shape[0], dtype=np.int64)
 
     def split_level(self, prim_indices, starts, ends):
         counts = ends - starts
@@ -603,8 +620,18 @@ class _LbvhSplitter:
     degrade traversal for pathological coordinate distributions.
     """
 
-    def __init__(self, sorted_codes):
+    def __init__(self, sorted_codes, order=None):
         self.sorted_codes = sorted_codes
+        #: the primitive rows in code order (``0..n-1`` when ``None``: the
+        #: primitives themselves are in code order)
+        self.order = np.arange(sorted_codes.shape[0], dtype=np.int64) if order is None else order
+
+    @classmethod
+    def sorting(cls, codes):
+        """The splitter over ``codes`` in stable sort order; pass the only
+        reference to ``codes``, which then go with the sort."""
+        order, codes = sort_codes(codes)
+        return cls(codes, order)
 
     def split_level(self, prim_indices, starts, ends):
         codes = self.sorted_codes
@@ -638,6 +665,8 @@ class _SahSplitter:
 
     def __init__(self, centroids, prim_mins, prim_maxs, options):
         self.centroids = centroids
+        #: the primitive order, which the splits permute in place
+        self.order = np.arange(centroids.shape[0], dtype=np.int64)
         self.prim_mins = prim_mins
         self.prim_maxs = prim_maxs
         self.bins = options.sah_bins

@@ -11,7 +11,7 @@ when it spans buckets; such *mixed leaves* absorb their buckets, which keep
 their rows but carry no sub-tree.
 
 A forest is that one tree plus bookkeeping.  :func:`build_forest` runs the
-one LBVH build over the per-axis columns of one full pass (:func:`_column`:
+one LBVH build over the per-axis columns of one full pass (:func:`_build`:
 boxes, grid and the :class:`_Partition` they give) and *cuts* it: each
 bucket's rows are its slice of ``prim_indices``, and each delegated
 bucket's sub-BVH is copied out in local numbering.  :func:`forest_from_saved`
@@ -60,8 +60,8 @@ from repro.rtx.geometry import PrimitiveBuffer
 from repro.rtx.morton import (
     morton_interleave_grid,
     morton_prefix_buckets,
+    quantize_axis,
     quantize_to_grid,
-    quantize_to_grid_with_bounds,
     require_finite,
 )
 
@@ -263,22 +263,43 @@ def _partition(
     return _Partition(lo, hi, bucket, shard_vals, shard_counts, plan)
 
 
-def _column(
-    buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str
-) -> tuple[_Partition, np.ndarray, np.ndarray, np.ndarray]:
-    """The full pass over ``buffer``: its partition, then its ``(3, n)`` box
-    and grid columns (whose ``.T`` views are the ``(n, 3)`` inputs the
-    Morton and build functions read fastest).  A primitive with a
-    non-finite bound raises ``ValueError``."""
+def _grid_columns(
+    prim_mins: np.ndarray, prim_maxs: np.ndarray, bits: int, top: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Morton grid cells of the ``(3, n)`` boxes' centroids and the
+    centroids' bounds ``(lo, hi)``, one axis at a time, so only one float64
+    centroid column is ever whole.  With ``top`` set, only each axis's top
+    ``top`` bits are kept, in the narrowest dtype that holds them; else the
+    cells are uint64.  A primitive with a non-finite bound raises
+    ``ValueError`` naming its row."""
+    shift = 0 if top is None else bits - top
+    dtype = np.uint64 if top is None else np.min_scalar_type((1 << top) - 1)
+    cells = np.empty(prim_mins.shape, dtype=dtype)
+    lo, hi = np.empty(3), np.empty(3)
+    for axis in range(3):
+        column = centroid_columns(prim_mins[axis], prim_maxs[axis])
+        bounds = np.array([column.min(), column.max()])
+        if not np.isfinite(bounds).all():
+            require_finite(bounds, centroid_columns(prim_mins, prim_maxs))
+        lo[axis], hi[axis] = bounds
+        quantize_axis(column, lo[axis], hi[axis], bits, cells[axis], shift)
+    return cells, lo, hi
+
+
+def _partition_of(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> _Partition:
+    """The Morton partition of ``buffer`` from the top ``ceil(shard_bits /
+    3)`` grid bits of each axis, the only ones the buckets read: the cells
+    :func:`_build` quantises, cut blockwise.  A primitive with a non-finite
+    bound raises ``ValueError`` naming its row."""
     prim_mins, prim_maxs = box_columns(buffer)
     if prim_mins.shape[1] == 0:
         raise ValueError(f"cannot {verb} a BVH forest over zero primitives")
-    grid, lo, hi = quantize_to_grid_with_bounds(
-        centroid_columns(prim_mins, prim_maxs).T, options.morton_bits
-    )
-    bucket = morton_prefix_buckets(grid, options.morton_bits, options.shard_bits)
+    top = -(-options.shard_bits // 3)
+    heads, lo, hi = _grid_columns(prim_mins, prim_maxs, options.morton_bits, top)
+    del prim_mins, prim_maxs
+    bucket = morton_prefix_buckets(heads.T, top, options.shard_bits)
     counts = np.bincount(bucket, minlength=1 << options.shard_bits)
-    return _partition(lo, hi, bucket, counts, options), prim_mins, prim_maxs, grid.T
+    return _partition(lo, hi, bucket, counts, options)
 
 
 def _forest(
@@ -568,20 +589,27 @@ def build_forest(
     options.validate()
     if options.shard_bits < 1:
         raise ValueError("build_forest requires shard_bits >= 1")
-    return _build(*_column(primitive_buffer, options, "build"), options)
+    return _build(primitive_buffer, options, "build")
 
 
-def _build(
-    part: _Partition,
-    prim_mins: np.ndarray,
-    prim_maxs: np.ndarray,
-    grid: np.ndarray,
-    options: BvhBuildOptions,
-) -> BvhForest:
-    """The one sort and LBVH build over a full pass's columns, cut into shards."""
+def _build(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> BvhForest:
+    """The full pass over ``buffer`` — boxes, the Morton grid and the
+    partition it gives — then the one sort and LBVH build, cut into shards.
+    Each transient goes once the next exists: the grid with the codes, the
+    unsorted codes with the sort, the boxes and sorted codes with the tree.
+    A primitive with a non-finite bound raises ``ValueError``."""
+    prim_mins, prim_maxs = box_columns(buffer)
+    if prim_mins.shape[1] == 0:
+        raise ValueError(f"cannot {verb} a BVH forest over zero primitives")
+    grid, lo, hi = _grid_columns(prim_mins, prim_maxs, options.morton_bits)
+    bucket = morton_prefix_buckets(grid.T, options.morton_bits, options.shard_bits)
+    counts = np.bincount(bucket, minlength=1 << options.shard_bits)
+    part = _partition(lo, hi, bucket, counts, options)
     codes = morton_interleave_grid(grid.T, options.morton_bits)
-    order, sorted_codes = sort_codes(codes)
-    bvh = build_lbvh_over_sorted(sorted_codes, prim_mins.T, prim_maxs.T, options, order=order)
+    del grid
+    order, codes = sort_codes(codes)
+    bvh = build_lbvh_over_sorted(codes, prim_mins.T, prim_maxs.T, options, order=order)
+    del prim_mins, prim_maxs, codes
     return _forest(part, options, bvh, _cut(bvh, part))
 
 
@@ -652,7 +680,7 @@ def forest_from_saved(
     like trees built in this process, unchecked.
     """
     options.validate()
-    part = _column(primitive_buffer, options, "restore")[0]
+    part = _partition_of(primitive_buffer, options, "restore")
     rows: dict[int, np.ndarray] = {}
     tree_arrays: dict[int, dict[str, np.ndarray]] = {}
     for arrays, meta in segments:
@@ -742,14 +770,14 @@ def delta_update_forest(
     entering_c = centroid_columns(*box_columns(new_buffer, entering))
     leaving_c = centroid_columns(*box_columns(old_buffer, leaving))
     if not _bounds_stay(forest, entering, entering_c, leaving_c):
-        part, *columns = _column(new_buffer, options, "delta-update")
+        part = _partition_of(new_buffer, options, "delta-update")
         if not (
             np.array_equal(part.scene_lo, forest.scene_lo)
             and np.array_equal(part.scene_hi, forest.scene_hi)
         ):
             # The global grid moved: every Morton code is re-quantised, so
             # no shard content can be trusted.
-            rebuilt = _build(part, *columns, options)
+            rebuilt = _build(new_buffer, options, "delta-update")
             return rebuilt, stats(
                 non_empty_shards=rebuilt.non_empty_shards,
                 dirty_shards=rebuilt.non_empty_shards,

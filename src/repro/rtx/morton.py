@@ -73,11 +73,9 @@ def quantize_to_grid_with_bounds(
     """Quantise ``(n, 3)`` points onto the Morton grid spanning their own
     bounds and return those bounds; a non-finite point raises ``ValueError``.
 
-    The sharded forest stores the returned ``(lo, hi)``.  A delta update
-    quantises only the rows it re-sorts, with :func:`quantize_to_grid`
-    against the stored bounds, and gets the cells this pass would have
-    given them; when the bounds themselves move, every code is re-quantised
-    and every shard is dirty.
+    Any subset of the points gets the same cells from
+    :func:`quantize_to_grid` against these bounds, which is how a forest's
+    delta update re-quantises only the rows it re-sorts.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     lo = np.array([pts[:, axis].min() for axis in range(3)])
@@ -94,22 +92,41 @@ def quantize_to_grid(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, bits: i
     per-axis columns.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = pts.shape[0]
+    grid = np.empty((3, pts.shape[0]), dtype=np.uint64)
+    for axis in range(3):
+        quantize_axis(pts[:, axis], lo[axis], hi[axis], bits, grid[axis])
+    return grid.T
+
+
+def quantize_axis(
+    values: np.ndarray, lo: float, hi: float, bits: int, out: np.ndarray, shift: int = 0
+) -> None:
+    """Write the grid cells of one axis's finite float64 ``values`` on the
+    ``bits``-bit grid spanning ``[lo, hi]``, shifted right by ``shift``,
+    into the unsigned column ``out``.
+
+    :func:`quantize_to_grid` runs it with no shift into uint64 columns; a
+    forest load keeps only each axis's top bits, in the narrowest dtype
+    that holds them, so no uint64 column is ever whole.
+    """
     cells = (1 << bits) - 1
     top = np.uint64(cells)
-    grid = np.empty((3, n), dtype=np.uint64)
-    lane = np.empty(min(n, MORTON_BLOCK))
-    for axis in range(3):
-        extent = hi[axis] - lo[axis]
-        divisor = extent if extent > 0 else 1.0
-        for start, stop in _blocks(n):
-            scaled, cell = lane[: stop - start], grid[axis, start:stop]
-            np.subtract(pts[start:stop, axis], lo[axis], out=scaled)
-            scaled /= divisor
-            scaled *= cells
-            np.copyto(cell, scaled, casting="unsafe")
-            np.minimum(cell, top, out=cell)
-    return grid.T
+    extent = hi - lo
+    divisor = extent if extent > 0 else 1.0
+    n = values.shape[0]
+    block = min(n, MORTON_BLOCK)
+    lane = np.empty(block)
+    staged = np.empty(block, dtype=np.uint64) if shift or out.dtype != np.uint64 else None
+    for start, stop in _blocks(n):
+        scaled = lane[: stop - start]
+        cell = out[start:stop] if staged is None else staged[: stop - start]
+        np.subtract(values[start:stop], lo, out=scaled)
+        scaled /= divisor
+        scaled *= cells
+        np.copyto(cell, scaled, casting="unsafe")
+        np.minimum(cell, top, out=cell)
+        if staged is not None:
+            np.right_shift(cell, np.uint64(shift), out=out[start:stop], casting="unsafe")
 
 
 def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:
@@ -159,12 +176,14 @@ def morton_prefix_buckets(grid: np.ndarray, bits: int, prefix_bits: int) -> np.n
     code: bit ``j`` of the prefix (``j = 0`` most significant) is bit
     ``bits - 1 - j // 3`` of axis ``j % 3``.  Only the top
     ``ceil(prefix_bits / 3)`` bits of each axis take part, so each block cuts
-    them out once, into the narrowest unsigned dtype that holds them.
+    them out once, into the narrowest unsigned dtype that holds them; a grid
+    of just those top bits, in any unsigned dtype, is read as is with
+    ``bits`` set to their count.
     """
     if not 1 <= prefix_bits <= 3 * bits:
         raise ValueError("prefix_bits must be in [1, 3 * bits]")
     top = -(-prefix_bits // 3)
-    grid = np.asarray(grid, dtype=np.uint64)
+    grid = np.asarray(grid)
     n = grid.shape[0]
     cut = np.uint64(bits - top)
     block = min(n, MORTON_BLOCK)

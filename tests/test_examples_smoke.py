@@ -5,7 +5,8 @@ sizes small enough for CI, and must exit cleanly — the examples carry their
 own result assertions, so a drifting API or a wrong aggregate fails here
 instead of rotting silently.  ``reproduce_paper.py`` runs all 34 registered
 panels at the ``tiny`` scale (about 5 s), then two single panels
-(``--experiment``) and ``--list``.
+(``--experiment``) and ``--list``, whose 34 lines must tell the panels
+apart.
 """
 
 import os
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.bench.experiments import ALL_EXPERIMENTS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
@@ -37,9 +40,8 @@ def example_id(example):
     return script if not args else f"{script} {' '.join(args)}"
 
 
-@pytest.mark.parametrize("example", EXAMPLES, ids=example_id)
-def test_example_runs_clean(example):
-    script, args = example
+def _run(script: str, args: list[str]) -> subprocess.CompletedProcess:
+    """Run one example the way a user does; it must exit cleanly."""
     path = EXAMPLES_DIR / script
     assert path.exists(), f"example {script} disappeared"
     env = dict(os.environ)
@@ -58,7 +60,21 @@ def test_example_runs_clean(example):
         f"{script} exited with {result.returncode}\n"
         f"stdout:\n{result.stdout}\nstderr:\n{result.stderr}"
     )
-    assert result.stdout.strip(), f"{script} printed nothing"
+    return result
+
+
+@pytest.mark.parametrize("example", EXAMPLES, ids=example_id)
+def test_example_runs_clean(example):
+    script, args = example
+    assert _run(script, args).stdout.strip(), f"{script} printed nothing"
+
+
+def test_list_tells_every_panel_apart():
+    """``--list`` gives each registered panel its own description: a
+    variant's keywords or ``run_*`` line follow its module's title."""
+    lines = _run("reproduce_paper.py", ["--list"]).stdout.splitlines()
+    descriptions = [line.split(None, 1)[1] for line in lines]
+    assert len(set(descriptions)) == len(descriptions) == len(ALL_EXPERIMENTS) == 34
 
 
 def test_every_example_is_listed():

@@ -27,7 +27,9 @@ import pytest
 from repro.core.config import RXConfig, UpdatePolicy
 from repro.core.rx_index import RXIndex
 from repro.persist import SnapshotTorn, load_snapshot, save_snapshot, write_segment
+from repro.persist.segments import TMP_PREFIX
 from repro.rtx.bvh import bvh_arrays_diff
+from repro.serve.faults import FaultInjector, FaultSpec, InjectedFault
 from repro.workloads import dense_shuffled_keys
 
 DIFF_SEED = int(os.environ.get("DIFF_SEED", "20260727"))
@@ -43,26 +45,41 @@ def _file_sha256(data: bytes) -> str:
     return hashlib.sha256(data[base:] + data[:base]).hexdigest()
 
 
+SEGMENT_ARRAYS = pytest.mark.parametrize(
+    "arrays",
+    [
+        {"empty": np.zeros(0, dtype=np.int64)},
+        {"odd": np.arange(13, dtype=np.uint8)},
+        {"grid": np.arange(35, dtype=np.float32).reshape(7, 5) / 3},
+        {
+            "odd": np.arange(7, dtype=np.int16),
+            "empty": np.zeros(0, dtype=np.uint64),
+            "grid": np.ones((3, 5), dtype=np.float32),
+        },
+        {"odd": np.arange(3, dtype=np.uint8), "long": np.arange(4096, dtype=np.int64)},
+    ],
+    ids=["zero-length", "odd-length", "2d-float32", "mixed", "payload-heavy"],
+)
+
+
 class TestStoreBasics:
-    @pytest.mark.parametrize(
-        "arrays",
-        [
-            {"empty": np.zeros(0, dtype=np.int64)},
-            {"odd": np.arange(13, dtype=np.uint8)},
-            {"grid": np.arange(35, dtype=np.float32).reshape(7, 5) / 3},
-            {
-                "odd": np.arange(7, dtype=np.int16),
-                "empty": np.zeros(0, dtype=np.uint64),
-                "grid": np.ones((3, 5), dtype=np.float32),
-            },
-        ],
-        ids=["zero-length", "odd-length", "2d-float32", "mixed"],
-    )
+    @SEGMENT_ARRAYS
     def test_write_segment_entry_digests(self, tmp_path, arrays):
         entry = write_segment(tmp_path / "s.seg", name="s", epoch=0, arrays=arrays)
         on_disk = (tmp_path / "s.seg").read_bytes()
         assert entry["length"] == len(on_disk)
         assert entry["sha256"] == _file_sha256(on_disk)
+
+    @SEGMENT_ARRAYS
+    def test_torn_write_lands_the_first_half_of_the_file(self, tmp_path, arrays):
+        write_segment(tmp_path / "s.seg", name="s", epoch=0, arrays=arrays)
+        whole = (tmp_path / "s.seg").read_bytes()
+        injector = FaultInjector(seed=0, specs={"persist_write": FaultSpec(at={0})})
+        with pytest.raises(InjectedFault):
+            write_segment(
+                tmp_path / "t.seg", name="s", epoch=0, arrays=arrays, fault_injector=injector
+            )
+        assert (tmp_path / f"{TMP_PREFIX}t.seg").read_bytes() == whole[: len(whole) // 2]
 
     def test_missing_store_is_torn(self, tmp_path):
         with pytest.raises(SnapshotTorn, match="no committed snapshot"):

@@ -1,15 +1,17 @@
 """Tests for the BVH builders and their invariants."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.layout import shard_segment
 from repro.rtx import bvh as bvh_module
 from repro.rtx._reference import reference_refit_bounds
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import Bvh, BvhBuildOptions, build_bvh, fit_bounds_bottom_up, sort_codes
-from repro.rtx.forest import build_forest, delta_update_forest
+from repro.rtx.forest import build_forest, delta_update_forest, forest_from_saved
 from repro.rtx.geometry import (
     AabbBuffer,
     AnchoredTriangleBuffer,
@@ -241,6 +243,33 @@ class TestFloat32Fit:
             assert np.array_equal(fitted, want.astype(np.float32))
 
 
+class TestLevelLists:
+    """A build hands the tree the per-level node lists it has anyway."""
+
+    @pytest.mark.parametrize("builder", ["lbvh", "sah", "median"])
+    def test_handed_levels_are_the_walked_ones(self, builder):
+        built = build_bvh(_buffer(900, spread="cloud"), BvhBuildOptions(builder=builder))
+        handed = built._levels
+        assert handed is not None
+        walked = dataclasses.replace(built, _levels=None).level_ranges()
+        assert len(handed) == len(walked) == built.depth() + 1
+        for level, want in zip(handed, walked):
+            assert np.array_equal(np.sort(level), np.sort(want))
+
+    def test_rebuilt_shard_trees_keep_none(self):
+        rng = np.random.default_rng(21)
+        points = rng.uniform(0, 1000, size=(2048, 3))
+        old = TriangleBuffer(make_triangle_vertices(points))
+        forest = build_forest(old, BvhBuildOptions(shard_bits=4))
+        assert forest.bvh._levels is not None
+        points[:64] = rng.uniform(0, 1000, size=(64, 3))
+        updated, stats = delta_update_forest(
+            forest, old, TriangleBuffer(make_triangle_vertices(points))
+        )
+        assert stats.rebuilt_trees > 0
+        assert all(tree._levels is None for tree in updated.shard_trees.values())
+
+
 def test_lbvh_build_calls_morton_encode_once(monkeypatch):
     # Benchmarks time the Morton step by wrapping this module-level name.
     shapes = []
@@ -290,6 +319,12 @@ class TestNonFiniteRejected:
         bad = _primitives(kind, value)
         self._rejects(lambda: build_forest(bad, BvhBuildOptions(shard_bits=3)))
 
+    def test_forest_load(self, kind, value):
+        options = BvhBuildOptions(shard_bits=3)
+        forest = build_forest(_primitives(kind), options)
+        segments = [shard_segment(forest, b) for b in sorted(forest.shard_rows)]
+        self._rejects(lambda: forest_from_saved(_primitives(kind, value), options, segments))
+
     def test_delta_update(self, kind, value):
         good = _primitives(kind)
         forest = build_forest(good, BvhBuildOptions(shard_bits=3))
@@ -302,3 +337,19 @@ class TestNonFiniteRejected:
         assert np.array_equal(bvh.node_mins, before[0])
         assert np.array_equal(bvh.node_maxs, before[1])
         assert bvh.refit_generation == 0
+
+
+def test_forest_load_names_the_first_bad_row_of_any_axis():
+    # The load's partition reads one axis at a time; a bad row on a later
+    # axis still comes first when it is the lower row, as in a build.
+    points = np.random.default_rng(9).uniform(0, 100, size=(64, 3)).astype(np.float32)
+    options = BvhBuildOptions(shard_bits=3)
+    forest = build_forest(AnchoredTriangleBuffer(points), options)
+    segments = [shard_segment(forest, b) for b in sorted(forest.shard_rows)]
+    points[40, 0], points[17, 2] = np.nan, np.inf
+    bad = AnchoredTriangleBuffer(points)
+    with pytest.raises(ValueError, match="primitive 17 ") as built:
+        build_forest(bad, options)
+    with pytest.raises(ValueError) as loaded:
+        forest_from_saved(bad, options, segments)
+    assert str(loaded.value) == str(built.value)
