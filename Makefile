@@ -32,11 +32,16 @@ test-fast:
 # pinned service page chain, and to its value array no aggregate and no
 # saved byte) and of the duplicate-key flag (kept without a column sort
 # across swaps, flipped by adding or removing a duplicate, re-derived after
-# a key-count change, under REBUILD, REFIT and DELTA_SHARD), and the
+# a key-count change, under REBUILD, REFIT and DELTA_SHARD), the RXIndex
+# update chain of tests/test_update_changed_rows.py (every primitive, key
+# mode and update policy through swaps, cross-bucket rewrites, growth,
+# shrinkage, no-ops and refused Naive keys past 2^24; each step's buffer a
+# full encode's, its tree a fresh build's, its DeltaUpdateStats those of an
+# every-row compare, the previous epoch unwritten), and the
 # block-boundary tests of the blocked Morton kernels
 # (tests/test_rtx_morton.py); all honour DIFF_SEED (CI runs extra seeds).
 test-diff:
-	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py tests/test_engine_equivalence.py tests/test_update_key_column.py tests/test_rtx_morton.py
+	$(PYTHON) -m pytest -x -q tests/test_trace_differential.py tests/test_rtx_forest.py tests/test_engine_equivalence.py tests/test_update_key_column.py tests/test_update_changed_rows.py tests/test_rtx_morton.py
 
 # Cursor-pagination harness (index-level + serve-level); honours DIFF_SEED
 # (CI runs extra seeds alongside test-diff).

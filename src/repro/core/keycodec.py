@@ -254,10 +254,20 @@ class ThreeDCodec(KeyCodec):
         return x | (y << np.uint64(d.x_bits)) | (z << np.uint64(d.x_bits + d.y_bits))
 
     def encode_points(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        # One axis at a time through one reused uint64 column, without
+        # :meth:`decompose`'s three whole columns.  A key in range has no
+        # bit above z's, so masking every axis gives decompose's values.
         self.validate_keys(keys)
-        x, y, z = self.decompose(keys)
-        anchors = np.empty((3, x.shape[0]), dtype=np.float32)
-        anchors[0], anchors[1], anchors[2] = x, y, z
+        keys = np.asarray(keys, dtype=np.uint64)
+        d = self.decomposition
+        anchors = np.empty((3, keys.shape[0]), dtype=np.float32)
+        component = np.empty_like(keys)
+        shift = 0
+        for axis, bits in enumerate((d.x_bits, d.y_bits, d.z_bits)):
+            np.right_shift(keys, np.uint64(shift), out=component)
+            np.bitwise_and(component, np.uint64((1 << bits) - 1), out=component)
+            anchors[axis] = component
+            shift += bits
         return anchors.T, None
 
     def point_ray_batch(self, queries: np.ndarray, mode: PointRayMode) -> RayBatch:

@@ -178,12 +178,14 @@ class RXIndex(GpuIndex):
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
         return self._build(self._own_keys(keys, "keys"), self._own_values(values, "values"))
 
-    def _build(self, keys, values, keys_unique: bool | None = None) -> BuildResult:
-        """Build over an owned key column whose duplicate flag may be known."""
+    def _build(self, keys, values, keys_unique: bool | None = None, buffer=None) -> BuildResult:
+        """Build over an owned key column whose duplicate flag may be known,
+        and over its primitive buffer when the caller has it."""
         self._store_column(keys, values, key_bits=64, keys_unique=keys_unique)
         self._persisted = {}
 
-        buffer = self._make_buffer(self.keys)
+        if buffer is None:
+            buffer = self._make_buffer(self.keys)
         build_t0 = time.perf_counter()
         self._accel = accel_build(buffer, self.config.bvh_options())
         self._last_build_seconds = time.perf_counter() - build_t0
@@ -397,6 +399,12 @@ class RXIndex(GpuIndex):
         Like :meth:`build`, it stores read-only copies of ``new_keys`` and
         ``new_values``, and swapped keys keep :meth:`point_limit`'s
         duplicate flag.
+
+        Under every policy one diff of the owned key columns names the rows
+        that changed, and only their keys are encoded: the new primitive
+        buffer is the current one copied with those rows replaced, and a
+        ``DELTA_SHARD`` update compares the two buffers at those rows only.
+        An update that changes the key count encodes every key.
         """
         new_keys = self._own_keys(new_keys, "new_keys")
         if self._accel is None:
@@ -416,9 +424,11 @@ class RXIndex(GpuIndex):
                 )
             new_values = self.values
 
-        keys_unique = self._keys_unique_after(new_keys)
+        rows = self._changed_key_rows(new_keys)
+        keys_unique = self._keys_unique_after(new_keys, rows)
+        buffer = self._buffer_after(new_keys, rows)
         if self.config.update_policy is UpdatePolicy.REBUILD:
-            self._build(new_keys, new_values, keys_unique)
+            self._build(new_keys, new_values, keys_unique, buffer)
             return UpdateOutcome(
                 policy=UpdatePolicy.REBUILD,
                 profiles=self.build_profiles(),
@@ -428,9 +438,8 @@ class RXIndex(GpuIndex):
             # Until the update reports what it changed, nothing is vouched for.
             persisted, self._persisted = self._persisted, {}
             self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
-            buffer = self._make_buffer(self.keys)
             build_t0 = time.perf_counter()
-            delta = accel_delta_update(self._accel, buffer)
+            delta = accel_delta_update(self._accel, buffer, rows)
             self._last_build_seconds = time.perf_counter() - build_t0
             changed = changed_segments(delta, values_changed)
             if changed is not None:
@@ -459,7 +468,7 @@ class RXIndex(GpuIndex):
             raise ValueError("refit updates cannot add or remove keys")
         self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
         self._persisted = {}
-        refit = accel_update(self._accel, self._make_buffer(self.keys))
+        refit = accel_update(self._accel, buffer)
         self._pipeline = Pipeline(self._accel)
         self.epoch += 1
         profile = WorkProfile(
@@ -481,17 +490,30 @@ class RXIndex(GpuIndex):
             surface_area_growth=refit.surface_area_growth,
         )
 
-    def _keys_unique_after(self, new_keys: np.ndarray) -> bool | None:
-        """The duplicate-key flag, kept when the changed rows hold the same
-        multiset of keys before and after (one compare against the owned
-        column, one sort of the changed keys); else ``None`` (re-derive)."""
-        old = self.keys
-        if self._keys_unique is None or new_keys.shape != old.shape:
+    def _changed_key_rows(self, new_keys: np.ndarray) -> np.ndarray | None:
+        """The ascending rows whose key ``new_keys`` changes (one compare
+        against the owned column), or ``None`` when the key count changes."""
+        if new_keys.shape != self.keys.shape:
             return None
-        changed = np.flatnonzero(new_keys != old)
-        if np.array_equal(np.sort(old[changed]), np.sort(new_keys[changed])):
+        return np.flatnonzero(new_keys != self.keys)
+
+    def _keys_unique_after(self, new_keys: np.ndarray, rows: np.ndarray | None) -> bool | None:
+        """The duplicate-key flag, kept when the changed ``rows`` hold the
+        same multiset of keys before and after (one sort of the changed
+        keys); else ``None`` (re-derive)."""
+        if self._keys_unique is None or rows is None:
+            return None
+        if np.array_equal(np.sort(self.keys[rows]), np.sort(new_keys[rows])):
             return self._keys_unique
         return None
+
+    def _buffer_after(self, new_keys: np.ndarray, rows: np.ndarray | None):
+        """The primitive buffer of ``new_keys``: the current one copied with
+        the changed ``rows`` encoded anew, or every key encoded when the
+        key count changes (``rows`` is ``None``)."""
+        if rows is None:
+            return self._make_buffer(new_keys)
+        return self.accel.buffer.with_rows(rows, self._make_buffer(new_keys[rows]))
 
     def _delta_update_profile(self, delta) -> WorkProfile:
         """Device work of a delta-shard update.

@@ -30,13 +30,15 @@ block: a shard whose root is inner node ``p`` in that order and which has
 walks the top plan in that order and places every top node and shard
 block, so neither direction renumbers the tree.
 
-An update compares the buffers' stored arrays once, and only the rows
-that left or entered get boxes, grid cells and buckets.  The partition is
-patched from those rows, and only the shards that gained, lost or moved a
-primitive are re-sorted and rebuilt.  The rest is copying: the patched
-bucket column, the row stream and the splice's node arrays.  An update
-that changes nothing rebuilds nothing, and only a move of the scene bounds
-(or a doubt about one) pays a full pass.
+An update compares the buffers' stored arrays once (at the rows its
+caller's key diff names), and only the rows that left or entered get
+boxes, grid cells and buckets.  The partition is patched from those rows,
+and only the shards that gained, lost or moved a primitive are re-sorted
+and rebuilt.  The rest is copying: the patched bucket column, the row
+stream and the previous tree's node arrays, in which the splice rewrites
+the rebuilt and moved shards and the top plan.  An update that changes
+nothing rebuilds nothing, and only a move of the scene bounds (or a doubt
+about one) pays a full pass.
 """
 
 from __future__ import annotations
@@ -121,6 +123,9 @@ class BvhForest:
     shard_rows: dict[int, np.ndarray]
     #: per *delegated* bucket: its sub-BVH in shard-local numbering
     shard_trees: dict[int, Bvh]
+    #: per delegated bucket: its root id, block offset and stream start in
+    #: ``bvh`` (:func:`_layout`), so a splice can keep the shards that stay
+    placement: dict[int, tuple[int, int, int]]
 
     @property
     def non_empty_shards(self) -> int:
@@ -303,10 +308,14 @@ def _partition_of(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) 
 
 
 def _forest(
-    part: _Partition, options: BvhBuildOptions, bvh: Bvh, shard_trees: dict[int, Bvh]
+    part: _Partition,
+    options: BvhBuildOptions,
+    bvh: Bvh,
+    shard_trees: dict[int, Bvh],
+    placement: dict[int, tuple[int, int, int]],
 ) -> BvhForest:
-    """Wrap a tree and its shard trees; each shard's rows become a view of
-    its slice of the tree's ``prim_indices``."""
+    """Wrap a tree and its placed shard trees; each shard's rows become a
+    view of its slice of the tree's ``prim_indices``."""
     stream = bvh.prim_indices
     shard_rows = {
         b: stream[start : start + count]
@@ -324,6 +333,7 @@ def _forest(
         shard_ids=part.shard_vals.astype(np.int64),
         shard_rows=shard_rows,
         shard_trees=shard_trees,
+        placement=placement,
     )
 
 
@@ -332,8 +342,11 @@ def _forest(
 # --------------------------------------------------------------------------- #
 
 
-def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
-    """Copy each delegated shard's sub-tree out of ``bvh``, in local numbering.
+def _cut(
+    bvh: Bvh, part: _Partition
+) -> tuple[dict[int, Bvh], dict[int, tuple[int, int, int]]]:
+    """Copy each delegated shard's sub-tree out of ``bvh``, in local
+    numbering, and name where each sat (:attr:`BvhForest.placement`).
 
     Child ids lose the shard's block offset, leaf ranges its stream start,
     and ``prim_indices`` becomes ``0..rows-1``, a view of one shared
@@ -343,7 +356,7 @@ def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
     """
     buckets = sorted(part.plan.delegated)
     if not buckets:
-        return {}
+        return {}, {}
     which = part.index_of(buckets)
     stream_starts = part.stream_starts
     # A shard's leaves tile its rows, and it has one inner node fewer.
@@ -375,7 +388,8 @@ def _cut(bvh: Bvh, part: _Partition) -> dict[int, Bvh]:
         trees[b] = Bvh(
             **arrays, prim_indices=local_rows[:count], num_primitives=count, options=bvh.options
         )
-    return trees
+    starts = stream_starts[which].tolist()
+    return trees, {b: (roots[b], offsets[b], start) for b, start in zip(buckets, starts)}
 
 
 def _checked_sizes(buckets: list[int], trees: list[Bvh], rows: np.ndarray) -> np.ndarray:
@@ -490,6 +504,7 @@ def _splice(
     buffer: PrimitiveBuffer,
     rows_stream: np.ndarray,
     shard_trees: dict[int, Bvh],
+    previous: BvhForest | None = None,
 ) -> BvhForest:
     """Place the shard sub-trees and the top plan into one tree's arrays.
 
@@ -502,6 +517,12 @@ def _splice(
     trees' node counts, so a malformed tree would write into its
     neighbours' blocks: persisted trees passed :func:`_checked_sizes` at
     load, and trees built in this process are trusted unchecked.
+
+    With a ``previous`` forest of the same node count, the arrays start as
+    copies of its tree's, and a shard that keeps both its tree object and
+    its placement is already in place: only the other shards and the top
+    plan's nodes are written.  ``previous`` is only read, since older
+    epochs may still traverse its tree.
     """
     buckets = sorted(shard_trees)
     trees = [shard_trees[b] for b in buckets]
@@ -510,13 +531,30 @@ def _splice(
     entry_ids, roots, offsets, num_nodes = _layout(
         part.plan, dict(zip(buckets, (sizes // 2).tolist()))
     )
-
-    left = np.full(num_nodes, -1, dtype=np.int64)
-    first_prim, prim_count = np.zeros((2, num_nodes), dtype=np.int64)
-    node_mins, node_maxs = np.empty((2, num_nodes, 3), dtype=np.float32)
     starts = part.stream_starts[which].tolist()
-    for b, tree, k, start in zip(buckets, trees, sizes.tolist(), starts):
-        root, offset = roots[b], offsets[b]
+    placement = {b: (roots[b], offsets[b], start) for b, start in zip(buckets, starts)}
+
+    if previous is not None and previous.bvh.node_count == num_nodes:
+        old = previous.bvh
+        left, first_prim, prim_count, node_mins, node_maxs = (
+            getattr(old, name).copy()
+            for name in ("left", "first_prim", "prim_count", "node_mins", "node_maxs")
+        )
+        in_place = {
+            b
+            for b in buckets
+            if previous.shard_trees.get(b) is shard_trees[b]
+            and previous.placement.get(b) == placement[b]
+        }
+    else:
+        left = np.full(num_nodes, -1, dtype=np.int64)
+        first_prim, prim_count = np.zeros((2, num_nodes), dtype=np.int64)
+        node_mins, node_maxs = np.empty((2, num_nodes, 3), dtype=np.float32)
+        in_place = set()
+    for b, tree, k in zip(buckets, trees, sizes.tolist()):
+        if b in in_place:
+            continue
+        root, offset, start = placement[b]
         is_inner = tree.left >= 0
         for out, local in (
             (left, np.where(is_inner, tree.left + offset, -1)),
@@ -542,10 +580,12 @@ def _splice(
     # Children always have larger entry indices, so one reverse sweep
     # bounds every top node after its children.  :func:`_layout` gives an
     # inner entry's children consecutive ids, so its second child is l + 1.
+    # Every field is written: a copied node may have been of the other kind.
     for i in range(len(part.plan.entries) - 1, -1, -1):
         entry, node = part.plan.entries[i], entry_ids[i]
         if entry[0] == "leaf":
             _, lo, count = entry
+            left[node] = -1
             first_prim[node] = lo
             prim_count[node] = count
             node_mins[node] = leaf_mins[:, end - count : end].min(axis=1)
@@ -553,6 +593,7 @@ def _splice(
             end -= count
         else:
             l = left[node] = _node(entry[1])
+            first_prim[node] = prim_count[node] = 0
             node_mins[node] = np.minimum(node_mins[l], node_mins[l + 1])
             node_maxs[node] = np.maximum(node_maxs[l], node_maxs[l + 1])
 
@@ -566,7 +607,7 @@ def _splice(
         num_primitives=int(rows_stream.shape[0]),
         options=options,
     )
-    return _forest(part, options, bvh, shard_trees)
+    return _forest(part, options, bvh, shard_trees, placement)
 
 
 # --------------------------------------------------------------------------- #
@@ -610,7 +651,7 @@ def _build(buffer: PrimitiveBuffer, options: BvhBuildOptions, verb: str) -> BvhF
     order, codes = sort_codes(codes)
     bvh = build_lbvh_over_sorted(codes, prim_mins.T, prim_maxs.T, options, order=order)
     del prim_mins, prim_maxs, codes
-    return _forest(part, options, bvh, _cut(bvh, part))
+    return _forest(part, options, bvh, *_cut(bvh, part))
 
 
 def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.ndarray:
@@ -721,21 +762,25 @@ def delta_update_forest(
     forest: BvhForest,
     old_buffer: PrimitiveBuffer,
     new_buffer: PrimitiveBuffer,
+    rows: np.ndarray | None = None,
 ) -> tuple[BvhForest, DeltaUpdateStats]:
     """Bring a forest built over ``old_buffer`` up to date with ``new_buffer``.
 
     Boxes, centroids, grid cells and buckets are computed for the changed
     and dirty-shard rows only.  The rows that *leave* (old values) and
-    *enter* (new values) are the ones ``new_buffer.changed_rows(old_buffer)``
-    reports, one comparison of the stored arrays, plus the rows past the
-    shorter buffer's end.  The partition is patched copy-on-write, since
-    old epochs may still read the old forest's arrays: a copy of
+    *enter* (new values) are the ones
+    ``new_buffer.changed_rows(old_buffer, rows)`` reports, one comparison
+    of the stored arrays (at ``rows`` only, when the caller knows the
+    buffers agree everywhere else, as a key diff tells it), plus the rows
+    past the shorter buffer's end.  The partition is patched copy-on-write,
+    since old epochs may still read the old forest's arrays: a copy of
     ``bucket_of_row`` with the entering rows rewritten, per-bucket counts
     moved by the leaving and entering rows, and the top plan re-derived
     from those counts.  Only the shards that gained, lost or moved a
     primitive are re-sorted and rebuilt, from their old rows plus the
     entering ones; clean shards keep their sorted rows and sub-trees, and
-    the splice places both kinds.
+    the splice places both kinds, starting from a copy of the old tree's
+    arrays when the node count holds.
 
     The scene bounds follow from the leaving rows' old and the entering
     rows' new centroids, unless a leaving row held a bound that no entering
@@ -755,7 +800,7 @@ def delta_update_forest(
         raise ValueError("cannot delta-update a BVH forest over zero primitives")
     stats = partial(DeltaUpdateStats, total_shards=num_buckets, total_keys=n_new)
     common = min(n_old, n_new)
-    changed = new_buffer.changed_rows(old_buffer)
+    changed = new_buffer.changed_rows(old_buffer, rows)
     leaving = np.concatenate([changed, np.arange(common, n_old)])
     entering = np.concatenate([changed, np.arange(common, n_new)])
     if not (leaving.size or entering.size):
@@ -843,7 +888,7 @@ def delta_update_forest(
         if tree is not None:
             trees[b] = tree
 
-    updated = _splice(part, options, new_buffer, np.concatenate(parts), trees)
+    updated = _splice(part, options, new_buffer, np.concatenate(parts), trees, forest)
     return updated, stats(
         non_empty_shards=updated.non_empty_shards,
         dirty_shards=int(np.count_nonzero(dirty)),

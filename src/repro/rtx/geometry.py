@@ -17,6 +17,7 @@ Section 3.5 of the paper:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -120,28 +121,55 @@ class PrimitiveBuffer:
             for column in arr.reshape(len(arr), math.prod(arr.shape[1:])).T
         ]
 
-    def changed_rows(self, old: "PrimitiveBuffer") -> np.ndarray:
+    def _same_layout(self, other: "PrimitiveBuffer") -> bool:
+        """Whether ``other`` has this buffer's type, shared values and
+        stored columns, so that its rows compare with this buffer's."""
+        return (
+            type(other) is type(self)
+            and all(getattr(other, name) == getattr(self, name) for name in self._shared)
+            and len(other._row_columns()) == len(self._row_columns())
+        )
+
+    def changed_rows(self, old: "PrimitiveBuffer", rows: np.ndarray | None = None) -> np.ndarray:
         """Ascending rows below both lengths whose primitive differs from
         ``old``'s.
 
         Compares the stored per-row arrays column by column, by value: a
         primitive is a pure function of its row's stored values and the
         shared ones, so a row reported unchanged has the same bounds in
-        both buffers.  Every row differs when the buffer types, the shared
-        values or the stored layouts differ.
+        both buffers.  With ``rows`` (ascending int64 rows below both
+        lengths, among them every row that may differ, as a key diff
+        gives them), only those rows are compared.  Every row differs when
+        the buffer types, the shared values or the stored layouts differ.
         """
         common = min(len(self), len(old))
-        new_columns, old_columns = self._row_columns(), old._row_columns()
-        if (
-            type(old) is not type(self)
-            or any(getattr(old, name) != getattr(self, name) for name in self._shared)
-            or len(old_columns) != len(new_columns)
-        ):
+        if not self._same_layout(old):
             return np.arange(common, dtype=np.int64)
-        changed = np.zeros(common, dtype=bool)
-        for new, prev in zip(new_columns, old_columns):
-            changed |= new[:common] != prev[:common]
-        return np.flatnonzero(changed)
+        at = slice(None, common) if rows is None else rows
+        changed = np.zeros(common if rows is None else rows.shape[0], dtype=bool)
+        for new, prev in zip(self._row_columns(), old._row_columns()):
+            changed |= new[at] != prev[at]
+        return np.flatnonzero(changed) if rows is None else rows[changed]
+
+    def with_rows(self, rows: np.ndarray, patch: "PrimitiveBuffer") -> "PrimitiveBuffer":
+        """A copy of this buffer whose primitives ``rows`` are ``patch``'s,
+        in order: every other row, and the stored arrays' dtypes, shapes
+        and read-only flags, are this buffer's.  ``patch`` holds one
+        primitive per row, with this buffer's type and shared values.
+        This buffer is not written: older epochs may still read it."""
+        if not self._same_layout(patch) or len(patch) != len(rows):
+            raise ValueError("a row patch needs one primitive per row and the buffer's layout")
+        copied = copy.copy(self)
+        if hasattr(copied, "_pack"):
+            copied._pack = None  # the cached pack holds the old rows
+        arrays = {n: getattr(self, n) for n in self._stored if getattr(self, n) is not None}
+        for name, array in arrays.items():
+            setattr(copied, name, array.copy())
+        for column, values in zip(copied._row_columns(), patch._row_columns()):
+            column[rows] = values
+        for name, array in arrays.items():
+            getattr(copied, name).flags.writeable = array.flags.writeable
+        return copied
 
     def __len__(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -1,9 +1,10 @@
-"""Builds, forest loads and saves free their transients.
+"""Builds, forest loads, saves and key encodes free their transients.
 
 tracemalloc counts every NumPy buffer, so each test compares the high-water
 mark of one call with the bytes it leaves behind: a build peaks at no more
 than twice what it keeps, a forest load and its first query at 1.4 times,
-and a save streams array views into its files instead of a copy of them.
+a save streams array views into its files instead of a copy of them, and
+3D Mode's encode holds one uint64 column beside the anchors it returns.
 All run at 2^14 dense keys under the paper's configuration.
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro import RXIndex
 from repro.core.config import RXConfig
+from repro.core.keycodec import ThreeDCodec
 from repro.workloads import dense_shuffled_keys
 
 KEYS = dense_shuffled_keys(1 << 14, seed=7)
@@ -70,3 +72,13 @@ def test_save_streams_instead_of_copying(tmp_path):
     _, _, peak = _traced(lambda: index.save(tmp_path))
     written = sum(path.stat().st_size for path in tmp_path.rglob("*") if path.is_file())
     assert peak < written / 8, f"a save of {written} bytes allocates {peak}"
+
+
+def test_encode_points_holds_one_uint64_column_beside_its_anchors():
+    """3D Mode's encode splits the keys one axis at a time through one
+    reused uint64 column: 12 B/key of float32 anchors plus 8 B/key, and a
+    few array headers."""
+    n = KEYS.shape[0]
+    (anchors, _), _, peak = _traced(lambda: ThreeDCodec().encode_points(KEYS))
+    assert anchors.nbytes == 12 * n
+    assert peak <= 20 * n + 4096, f"encode_points peaks at {peak / n:.1f} B/key"

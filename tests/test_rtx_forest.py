@@ -502,6 +502,114 @@ class TestDeltaUpdate:
         _assert_forest_is_fresh(forest, index.accel.buffer)
 
 
+class TestSpliceFromThePreviousTree:
+    """A ``DELTA_SHARD`` update's splice copies the previous tree's arrays
+    when the node count holds, and rewrites only the shards that were
+    rebuilt or moved and the top plan's nodes; otherwise it fills fresh
+    arrays.  Either way the tree is a fresh ``build_bvh``'s, the previous
+    forest is not written, and a save after the update reloads it (the
+    ``provenance_cross_check`` fixture re-hashes every segment the save
+    reuses)."""
+
+    #: 16 clusters of keys on the x axis, one Morton bucket each at
+    #: shard_bits=12: buckets of 5+ rows are delegated, the 4-row ones are
+    #: top leaves, and the 3- and 1-row clusters 4 and 5 share one mixed leaf
+    SIZES = [40, 4, 5, 30, 3, 1, 12, 4, 5, 1, 2, 7, 20, 5, 4, 8]
+
+    @staticmethod
+    def _key(cluster: int, i: int) -> int:
+        return cluster * 2**19 + i
+
+    def _clusters(self) -> np.ndarray:
+        return np.concatenate(
+            [self._key(c, np.arange(s)) for c, s in enumerate(self.SIZES)]
+        ).astype(np.uint64)
+
+    @staticmethod
+    def _rewritten(keys: np.ndarray, moves: list[tuple[int, int]]) -> np.ndarray:
+        """``keys`` with the row holding each key ``old`` set to ``new``."""
+        row = {int(k): i for i, k in enumerate(keys)}
+        new_keys = keys.copy()
+        for old, new in moves:
+            new_keys[row[old]] = new
+        return new_keys
+
+    @staticmethod
+    def _update(keys, new_keys, store, path: str):
+        """Build, save, update and save again; return the previous forest
+        and the updated one after checking the splice took ``path``
+        (``"copy"`` or ``"fresh"``)."""
+        index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=12))
+        index.build(keys)
+        index.save(store)
+        previous = index.accel.forest
+        before = _forest_bytes(previous)
+        index.update(new_keys)
+        forest = index.accel.forest
+        same_count = forest.bvh.node_count == previous.bvh.node_count
+        assert same_count == (path == "copy")
+        _assert_trees_equal(forest.bvh, build_bvh(index.accel.buffer, forest.options))
+        _assert_forest_is_fresh(forest, index.accel.buffer, path)
+        assert _forest_bytes(previous) == before
+        index.save(store)
+        loaded = RXIndex.load(store)
+        _assert_trees_equal(loaded.accel.bvh, forest.bvh, "reloaded")
+        assert loaded.accel.forest.placement == forest.placement
+        return previous, forest
+
+    @staticmethod
+    def _moved_clean_shards(previous, forest) -> list[int]:
+        """Shards that kept their tree object but not their placement."""
+        return [
+            b
+            for b, tree in forest.shard_trees.items()
+            if previous.shard_trees.get(b) is tree and previous.placement[b] != forest.placement[b]
+        ]
+
+    def test_a_dirty_shard_that_changes_its_inner_count_shifts_the_later_blocks(self, tmp_path):
+        # Four rows of bucket 0 leave one aligned 8-key range (one inner node
+        # fewer) and pair up two keys of a later bucket's leaf (one more):
+        # the node count holds, and the blocks placed between them move.
+        keys = np.arange(1024, dtype=np.uint64)
+        new_keys = keys.copy()
+        new_keys[[200, 201, 202, 203]] = [900, 900, 902, 902]
+        previous, forest = self._update(keys, new_keys, tmp_path, "copy")
+        inner = {b: tree.node_count // 2 for b, tree in forest.shard_trees.items()}
+        assert any(
+            inner[b] != tree.node_count // 2 for b, tree in previous.shard_trees.items()
+        )
+        assert self._moved_clean_shards(previous, forest)
+
+    @pytest.mark.parametrize(
+        "moves, path, crossing",
+        [
+            # Cluster 4 (3 rows, in a mixed leaf with cluster 5) gains two.
+            ([(20, (4, 0)), (21, (4, 1))], "fresh", (4, "up")),
+            # ... while clusters 2 and 8 each drop to a 4-row top leaf.
+            ([((2, 1), (4, 0)), ((8, 1), (4, 1))], "copy", (4, "up")),
+            # Cluster 8 (5 rows) drops to 3 and joins cluster 9's mixed leaf,
+            # while two more rows split two of bucket 0's leaves.
+            ([((8, 1), 1), ((8, 2), 9)], "copy", (8, "down")),
+        ],
+        ids=["mixed-to-delegated", "mixed-to-delegated-same-count", "delegated-to-mixed"],
+    )
+    def test_a_bucket_crossing_max_leaf_size(self, tmp_path, moves, path, crossing):
+        keys = self._clusters()
+        key = lambda k: self._key(*k) if isinstance(k, tuple) else k
+        new_keys = self._rewritten(keys, [(key(old), key(new)) for old, new in moves])
+        previous, forest = self._update(keys, new_keys, tmp_path, path)
+        cluster, direction = crossing
+        (row,) = np.flatnonzero(keys == self._key(cluster, 0))
+        bucket = int(previous.bucket_of_row[row])
+        was, now = bucket in previous.shard_trees, bucket in forest.shard_trees
+        assert (was, now) == ((False, True) if direction == "up" else (True, False))
+
+    def test_a_changed_node_count_takes_fresh_arrays(self, tmp_path):
+        # One row moves into a full leaf of a later bucket: one more inner node.
+        keys = np.arange(1024, dtype=np.uint64)
+        self._update(keys, _moved(keys, 200, 900), tmp_path, "fresh")
+
+
 def _moved(keys: np.ndarray, row: int, key: int) -> np.ndarray:
     """``keys`` with ``row`` rewritten to ``key``."""
     new_keys = keys.copy()
