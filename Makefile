@@ -34,10 +34,13 @@ test-fast:
 # across swaps, flipped by adding or removing a duplicate, re-derived after
 # a key-count change, under REBUILD, REFIT and DELTA_SHARD), the RXIndex
 # update chain of tests/test_update_changed_rows.py (every primitive, key
-# mode and update policy through swaps, cross-bucket rewrites, growth,
+# mode and update policy, over dense and drawn key columns, through swaps,
+# permutations of a few rows' keys, cross-bucket rewrites, growth,
 # shrinkage, no-ops and refused Naive keys past 2^24; each step's buffer a
 # full encode's, its tree a fresh build's, its DeltaUpdateStats those of an
-# every-row compare, the previous epoch unwritten), and the
+# every-row compare, the previous epoch unwritten; a single-tree REBUILD
+# chain must take both the relabel of a permutation and the build, and no
+# other chain may relabel), and the
 # block-boundary tests of the blocked Morton kernels
 # (tests/test_rtx_morton.py); all honour DIFF_SEED (CI runs extra seeds).
 test-diff:

@@ -41,6 +41,7 @@ from repro.core.results import (
 from repro.gpusim.counters import WorkProfile
 from repro.persist import MANIFEST_NAME, SnapshotCorrupt, load_snapshot, save_snapshot
 from repro.rtx.build_input import build_input_for_points
+from repro.rtx.bvh import relabel_moved_rows
 from repro.rtx.memory import accel_memory_estimate
 from repro.rtx.pipeline import (
     GeometryAccel,
@@ -178,16 +179,28 @@ class RXIndex(GpuIndex):
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
         return self._build(self._own_keys(keys, "keys"), self._own_values(values, "values"))
 
-    def _build(self, keys, values, keys_unique: bool | None = None, buffer=None) -> BuildResult:
+    def _build(
+        self, keys, values, keys_unique: bool | None = None, buffer=None, moves=None
+    ) -> BuildResult:
         """Build over an owned key column whose duplicate flag may be known,
-        and over its primitive buffer when the caller has it."""
+        and over its primitive buffer when the caller has it.  With an
+        update's ``moves`` (:meth:`_key_moves`), a single tree relabels
+        the previous one where :func:`relabel_moved_rows` proves that
+        equal to the build."""
+        previous = self._accel
         self._store_column(keys, values, key_bits=64, keys_unique=keys_unique)
         self._persisted = {}
 
         if buffer is None:
             buffer = self._make_buffer(self.keys)
         build_t0 = time.perf_counter()
-        self._accel = accel_build(buffer, self.config.bvh_options())
+        bvh = None
+        if moves is not None and previous.forest is None:
+            bvh = relabel_moved_rows(previous.bvh, previous.buffer, buffer, *moves)
+        if bvh is None:
+            self._accel = accel_build(buffer, self.config.bvh_options())
+        else:
+            self._accel = GeometryAccel(bvh=bvh, buffer=buffer)
         self._last_build_seconds = time.perf_counter() - build_t0
         if self.config.compaction:
             accel_compact(self._accel)
@@ -284,8 +297,8 @@ class RXIndex(GpuIndex):
         its first hit, the hardware any-hit termination the paper's
         point-lookup numbers rely on — else ``None`` (report every match).
         The duplicate check costs one key sort, so it runs lazily on the
-        first point lookup after a build or load, and after an update that
-        does not keep the flag (:meth:`_keys_unique_after`).
+        first point lookup after a build or load, and after an update whose
+        changed rows do not just trade keys (:meth:`_key_moves`).
         """
         if self._keys_unique is None:
             # Sort + adjacent compare: NumPy >= 2.3 runs ``np.unique`` through
@@ -404,7 +417,9 @@ class RXIndex(GpuIndex):
         that changed, and only their keys are encoded: the new primitive
         buffer is the current one copied with those rows replaced, and a
         ``DELTA_SHARD`` update compares the two buffers at those rows only.
-        An update that changes the key count encodes every key.
+        An update that changes the key count encodes every key.  A
+        ``REBUILD`` update whose changed rows only trade keys may relabel
+        the tree instead of building (:meth:`_build`).
         """
         new_keys = self._own_keys(new_keys, "new_keys")
         if self._accel is None:
@@ -425,10 +440,15 @@ class RXIndex(GpuIndex):
             new_values = self.values
 
         rows = self._changed_key_rows(new_keys)
-        keys_unique = self._keys_unique_after(new_keys, rows)
+        rebuild = self.config.update_policy is UpdatePolicy.REBUILD
+        # Moved keys keep the duplicate flag and let a rebuild relabel; with
+        # neither use, the pairing is not sought.
+        wanted = rebuild or self._keys_unique is not None
+        moves = self._key_moves(new_keys, rows) if wanted else None
+        keys_unique = None if moves is None else self._keys_unique
         buffer = self._buffer_after(new_keys, rows)
-        if self.config.update_policy is UpdatePolicy.REBUILD:
-            self._build(new_keys, new_values, keys_unique, buffer)
+        if rebuild:
+            self._build(new_keys, new_values, keys_unique, buffer, moves)
             return UpdateOutcome(
                 policy=UpdatePolicy.REBUILD,
                 profiles=self.build_profiles(),
@@ -497,15 +517,19 @@ class RXIndex(GpuIndex):
             return None
         return np.flatnonzero(new_keys != self.keys)
 
-    def _keys_unique_after(self, new_keys: np.ndarray, rows: np.ndarray | None) -> bool | None:
-        """The duplicate-key flag, kept when the changed ``rows`` hold the
-        same multiset of keys before and after (one sort of the changed
-        keys); else ``None`` (re-derive)."""
-        if self._keys_unique is None or rows is None:
+    def _key_moves(
+        self, new_keys: np.ndarray, rows: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(old_rows, new_rows)`` when the changed ``rows`` hold the same
+        multiset of keys before and after: row ``new_rows[i]`` takes the key
+        of row ``old_rows[i]``, equal keys paired in row order.  Else
+        ``None``.  The stable argsorts run only when the sorts match."""
+        if rows is None:
             return None
-        if np.array_equal(np.sort(self.keys[rows]), np.sort(new_keys[rows])):
-            return self._keys_unique
-        return None
+        old, new = self.keys[rows], new_keys[rows]
+        if not np.array_equal(np.sort(old), np.sort(new)):
+            return None
+        return rows[np.argsort(old, kind="stable")], rows[np.argsort(new, kind="stable")]
 
     def _buffer_after(self, new_keys: np.ndarray, rows: np.ndarray | None):
         """The primitive buffer of ``new_keys``: the current one copied with

@@ -41,12 +41,17 @@ without per-node Python objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.rtx.geometry import PrimitiveBuffer
-from repro.rtx.morton import morton_encode_3d, require_finite
+from repro.rtx.morton import (
+    morton_encode_3d,
+    morton_interleave_grid,
+    quantize_to_grid,
+    require_finite,
+)
 
 #: Bytes fetched per node visit during traversal.  Compaction removes
 #: allocation slack but does not shrink what a traversal step has to fetch,
@@ -138,6 +143,11 @@ class Bvh:
     #: shared by ``depth()`` and the vectorised refit, and carried over by
     #: compaction since the topology is unchanged.
     _levels: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
+    #: ``(lo, hi)`` centroid bounds of the Morton grid, recorded by
+    #: :func:`build_bvh`'s lbvh build for :func:`relabel_moved_rows`
+    grid_bounds: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:
@@ -203,12 +213,12 @@ def build_bvh(
     if n == 0:
         raise ValueError("cannot build a BVH over zero primitives")
     if options.builder == "lbvh":
-        # Nested calls, so no name here holds a transient: the centroids go
-        # once their codes exist, the unsorted codes with the sort, and the
-        # sorted codes (the splitter's) with the level loop.
-        return _build_levels(prim_mins, prim_maxs, options, _LbvhSplitter.sorting(
-            morton_encode_3d(centroid_columns(prim_mins, prim_maxs).T, options.morton_bits)
-        ))
+        # No name here holds the splitter, so its sorted codes go with the
+        # level loop.
+        return _build_levels(
+            prim_mins, prim_maxs, options,
+            _LbvhSplitter.encoding(prim_mins, prim_maxs, options.morton_bits),
+        )
     centroids = centroid_columns(prim_mins, prim_maxs)
     require_finite(np.concatenate([centroids.min(axis=1), centroids.max(axis=1)]), centroids)
     if options.builder == "sah":
@@ -370,6 +380,58 @@ def build_lbvh_over_sorted(
     return tree
 
 
+def relabel_moved_rows(
+    bvh: Bvh,
+    old_buffer: PrimitiveBuffer,
+    new_buffer: PrimitiveBuffer,
+    old_rows: np.ndarray,
+    new_rows: np.ndarray,
+) -> Bvh | None:
+    """``build_bvh(new_buffer, bvh.options)`` without a build, or None.
+
+    ``bvh`` was built over ``old_buffer``; in ``new_buffer`` row
+    ``new_rows[i]`` holds what row ``old_rows[i]`` held, and the caller
+    vouches that both list the same rows once each and that every other
+    row is unchanged.  An LBVH depends only on the sorted Morton codes and
+    the boxes in stream order, which such a move keeps, so the build is
+    ``bvh`` with the moved rows relabelled in a copy of ``prim_indices``,
+    sharing the node arrays and level lists, once this checks that ``bvh``
+    recorded its grid bounds (a loaded tree did not) and was never
+    refitted, that the stored arrays at ``new_rows`` equal the old ones at
+    ``old_rows`` (compared as ``changed_rows`` compares: every position
+    keeps its box and code), and that every relabelled position stays in
+    the stable sort's (code, row) order with both neighbours.  ``bvh`` and
+    ``old_buffer`` are only read: older epochs may still traverse them.
+    """
+    n = bvh.num_primitives
+    if (
+        bvh.grid_bounds is None
+        or bvh.refit_generation
+        or len(new_buffer) != n
+        or not new_buffer.same_rows(new_rows, old_buffer, old_rows)
+    ):
+        return None
+    moved = np.zeros(n, dtype=bool)
+    moved[old_rows] = True
+    at = np.flatnonzero(moved[bvh.prim_indices])
+    del moved
+    by_old = np.argsort(old_rows)
+    prim_indices = bvh.prim_indices.copy()
+    prim_indices[at] = new_rows[by_old[np.searchsorted(old_rows, prim_indices[at], sorter=by_old)]]
+
+    # Each relabelled position between its neighbours (itself at the ends,
+    # which the row compare's ``<=`` lets pass).
+    rows = prim_indices[np.concatenate([np.maximum(at - 1, 0), at, np.minimum(at + 1, n - 1)])]
+    bits = bvh.options.morton_bits
+    centroids = centroid_columns(*box_columns(new_buffer, rows))
+    codes = morton_interleave_grid(quantize_to_grid(centroids.T, *bvh.grid_bounds, bits), bits)
+    codes, rows = codes.reshape(3, -1), rows.reshape(3, -1)
+    for a, b in ((0, 1), (1, 2)):
+        if not ((codes[a] < codes[b]) | ((codes[a] == codes[b]) & (rows[a] <= rows[b]))).all():
+            return None
+    return replace(bvh, prim_indices=prim_indices, compacted=False)
+
+
 # --------------------------------------------------------------------------- #
 # level-synchronous machinery
 # --------------------------------------------------------------------------- #
@@ -450,11 +512,12 @@ def _build_levels(prim_mins, prim_maxs, options, splitter) -> Bvh:
     bounds are fitted from the ``(3, n)`` columns ``prim_mins`` /
     ``prim_maxs`` in one final pass.  The splitter's ``order`` becomes the
     tree's ``prim_indices`` as it is, and the tree keeps the per-level node
-    lists the renumbering gives (:meth:`Bvh.level_ranges`).  The LBVH
-    callers pass their only reference to ``splitter``, so the sorted codes
-    go with the level loop; the working arrays go before the fit.
+    lists the renumbering gives (:meth:`Bvh.level_ranges`) and the
+    splitter's ``grid_bounds``.  The LBVH callers pass their only reference
+    to ``splitter``, so the sorted codes go with the level loop; the
+    working arrays go before the fit.
     """
-    prim_indices = splitter.order
+    prim_indices, grid_bounds = splitter.order, splitter.grid_bounds
     left, first_prim, prim_count, level_bounds = _split_levels(prim_indices, options, splitter)
     del splitter
     num_nodes = left.shape[0]
@@ -484,6 +547,7 @@ def _build_levels(prim_mins, prim_maxs, options, splitter) -> Bvh:
         num_primitives=int(prim_indices.shape[0]),
         options=options,
         _levels=levels,
+        grid_bounds=grid_bounds,
     )
 
 
@@ -579,6 +643,8 @@ def _dfs_renumbering(left: np.ndarray, level_bounds: list[tuple[int, int]]) -> n
 class _MedianSplitter:
     """Split at the object median along the widest centroid axis."""
 
+    grid_bounds = None
+
     def __init__(self, centroids):
         self.centroids = centroids
         #: the primitive order, which the splits permute in place
@@ -620,18 +686,29 @@ class _LbvhSplitter:
     degrade traversal for pathological coordinate distributions.
     """
 
-    def __init__(self, sorted_codes, order=None):
+    def __init__(self, sorted_codes, order=None, grid_bounds=None):
         self.sorted_codes = sorted_codes
         #: the primitive rows in code order (``0..n-1`` when ``None``: the
         #: primitives themselves are in code order)
         self.order = np.arange(sorted_codes.shape[0], dtype=np.int64) if order is None else order
+        #: the codes' grid bounds, when :meth:`encoding` made them
+        self.grid_bounds = grid_bounds
 
     @classmethod
-    def sorting(cls, codes):
-        """The splitter over ``codes`` in stable sort order; pass the only
-        reference to ``codes``, which then go with the sort."""
+    def encoding(cls, prim_mins, prim_maxs, bits):
+        """The splitter over the sorted Morton codes of the ``(3, n)``
+        boxes' centroids, recording the grid's centroid bounds.  The
+        centroids go once their codes exist, the unsorted codes with the
+        sort."""
+        centroids = centroid_columns(prim_mins, prim_maxs)
+        bounds = (
+            np.array([column.min() for column in centroids]),
+            np.array([column.max() for column in centroids]),
+        )
+        codes = morton_encode_3d(centroids.T, bits)
+        del centroids
         order, codes = sort_codes(codes)
-        return cls(codes, order)
+        return cls(codes, order, bounds)
 
     def split_level(self, prim_indices, starts, ends):
         codes = self.sorted_codes
@@ -662,6 +739,8 @@ class _LbvhSplitter:
 
 class _SahSplitter:
     """Binned surface-area-heuristic splitter, one level per batch."""
+
+    grid_bounds = None
 
     def __init__(self, centroids, prim_mins, prim_maxs, options):
         self.centroids = centroids

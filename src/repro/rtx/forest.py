@@ -114,7 +114,8 @@ class BvhForest:
     #: bounds of the centroid cloud that defined the global Morton grid
     scene_lo: np.ndarray
     scene_hi: np.ndarray
-    #: Morton-prefix bucket of every primitive row
+    #: Morton-prefix bucket of every primitive row, in the narrowest unsigned
+    #: dtype that holds ``2**shard_bits - 1`` (:func:`morton_prefix_buckets`)
     bucket_of_row: np.ndarray
     #: non-empty bucket ids, ascending
     shard_ids: np.ndarray
@@ -666,8 +667,8 @@ def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.nda
     wrong rows, because it checksums what it wrote.  Raises
     :class:`ShardPartitionError` naming the first offending bucket.
 
-    The check is a gather of the buckets in their narrowest dtype (uint16
-    at most); the per-row scan runs only to name the row that fails.
+    The check is a gather of the buckets, kept in their narrowest dtype
+    (uint16 at most); the per-row scan runs only to name the row that fails.
     """
     shard_vals = part.shard_vals
     for bucket, count in zip(shard_vals.tolist(), part.shard_counts.tolist()):
@@ -681,9 +682,8 @@ def _checked_row_stream(rows: dict[int, np.ndarray], part: _Partition) -> np.nda
                 bucket, f"holds {array.shape[0]} rows, but {count} keys fall in its bucket"
             )
     rows_stream = np.concatenate([rows[b] for b in shard_vals.tolist()])
-    narrow = np.min_scalar_type(int(shard_vals[-1]))
-    found = part.bucket.astype(narrow)[rows_stream]
-    expected = np.repeat(shard_vals.astype(narrow), part.shard_counts)
+    found = part.bucket[rows_stream]
+    expected = np.repeat(shard_vals.astype(found.dtype), part.shard_counts)
     if not np.array_equal(found, expected):
         pos = int(np.flatnonzero(found != expected)[0])
         bucket = int(shard_vals[np.searchsorted(part.stream_starts, pos, "right") - 1])
@@ -839,7 +839,7 @@ def delta_update_forest(
         options.shard_bits,
     )
     leaving_bucket = forest.bucket_of_row[leaving]
-    bucket = np.empty(n_new, dtype=np.int64)
+    bucket = np.empty(n_new, dtype=forest.bucket_of_row.dtype)
     bucket[:common] = forest.bucket_of_row[:common]
     bucket[entering] = entering_bucket
     counts = np.zeros(num_buckets, dtype=np.int64)
@@ -859,7 +859,7 @@ def delta_update_forest(
         + [forest.shard_rows[b] for b in np.flatnonzero(dirty).tolist() if b in forest.shard_rows]
     )
     candidates = candidates[candidates < n_new]
-    keys = bucket[candidates] * n_new + candidates
+    keys = bucket[candidates].astype(np.int64) * n_new + candidates
     keys.sort()
     grouped = keys[np.diff(keys, prepend=-1) != 0] % n_new
     group_ends = np.cumsum(np.where(dirty, counts, 0))

@@ -151,6 +151,16 @@ class PrimitiveBuffer:
             changed |= new[at] != prev[at]
         return np.flatnonzero(changed) if rows is None else rows[changed]
 
+    def same_rows(self, rows: np.ndarray, old: "PrimitiveBuffer", old_rows: np.ndarray) -> bool:
+        """Whether this buffer's primitives ``rows`` are ``old``'s
+        ``old_rows``, in order: the stored arrays compared by value, as
+        :meth:`changed_rows` compares them, so equal rows have equal
+        bounds."""
+        return self._same_layout(old) and all(
+            np.array_equal(new[rows], prev[old_rows])
+            for new, prev in zip(self._row_columns(), old._row_columns())
+        )
+
     def with_rows(self, rows: np.ndarray, patch: "PrimitiveBuffer") -> "PrimitiveBuffer":
         """A copy of this buffer whose primitives ``rows`` are ``patch``'s,
         in order: every other row, and the stored arrays' dtypes, shapes

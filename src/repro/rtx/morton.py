@@ -178,7 +178,9 @@ def morton_prefix_buckets(grid: np.ndarray, bits: int, prefix_bits: int) -> np.n
     ``ceil(prefix_bits / 3)`` bits of each axis take part, so each block cuts
     them out once, into the narrowest unsigned dtype that holds them; a grid
     of just those top bits, in any unsigned dtype, is read as is with
-    ``bits`` set to their count.
+    ``bits`` set to their count.  The buckets come back in the narrowest
+    unsigned dtype that holds ``prefix_bits`` bits (uint16 for a forest's
+    ``shard_bits`` of 9 to 16), the one they are assembled in.
     """
     if not 1 <= prefix_bits <= 3 * bits:
         raise ValueError("prefix_bits must be in [1, 3 * bits]")
@@ -190,7 +192,7 @@ def morton_prefix_buckets(grid: np.ndarray, bits: int, prefix_bits: int) -> np.n
     # Three axis heads and one bit lane, then the prefix being assembled.
     heads = np.empty((4, block), dtype=np.min_scalar_type((1 << top) - 1))
     lane = np.empty(block, dtype=np.min_scalar_type((1 << prefix_bits) - 1))
-    bucket = np.empty(n, dtype=np.int64)
+    bucket = np.empty(n, dtype=lane.dtype)
     for lo, hi in _blocks(n):
         head, prefix = heads[:, : hi - lo], lane[: hi - lo]
         for axis in range(3):

@@ -5,7 +5,9 @@ mark of one call with the bytes it leaves behind: a build peaks at no more
 than twice what it keeps, a forest load and its first query at 1.4 times,
 a save streams array views into its files instead of a copy of them, and
 3D Mode's encode holds one uint64 column beside the anchors it returns.
-All run at 2^14 dense keys under the paper's configuration.
+All run at 2^14 dense keys under the paper's configuration, except the
+REBUILD update that only swaps keys, which runs at 2^16: it relabels the
+tree instead of building one, so it peaks at about half a build's bytes.
 """
 
 import gc
@@ -16,7 +18,7 @@ import pytest
 from repro import RXIndex
 from repro.core.config import RXConfig
 from repro.core.keycodec import ThreeDCodec
-from repro.workloads import dense_shuffled_keys
+from repro.workloads import clustered_key_swaps, dense_shuffled_keys
 
 KEYS = dense_shuffled_keys(1 << 14, seed=7)
 
@@ -82,3 +84,16 @@ def test_encode_points_holds_one_uint64_column_beside_its_anchors():
     (anchors, _), _, peak = _traced(lambda: ThreeDCodec().encode_points(KEYS))
     assert anchors.nbytes == 12 * n
     assert peak <= 20 * n + 4096, f"encode_points peaks at {peak / n:.1f} B/key"
+
+
+def test_a_swapping_rebuild_update_peaks_at_half_a_build():
+    """A 1,024-swap REBUILD update of 2^16 dense keys holds the new key
+    column, buffer and ``prim_indices`` (28 B/key) and a few transients:
+    at most 54 B/key, where the build it replaces peaks at 108."""
+    keys = dense_shuffled_keys(1 << 16, seed=7)
+    index = RXIndex(CONFIGS["single"])
+    index.build(keys)
+    new_keys = clustered_key_swaps(keys, 1024, seed=8)
+    _, _, peak = _traced(lambda: index.update(new_keys))
+    n = keys.shape[0]
+    assert peak <= 54 * n, f"a swapping REBUILD update peaks at {peak / n:.1f} B/key"

@@ -14,7 +14,10 @@ After every save a fresh load through both load paths must answer and
 count bit-identically to the live index, and every save runs under the
 provenance cross-check of ``tests/conftest.py``.  So a segment the save
 reused on provenance but whose state an update changed fails here, in
-whatever order the steps came.
+whatever order the steps came.  The single tree's column is duplicate-free
+and its policy REBUILD, so its clustered swaps relabel the tree it built
+while a loaded or restored tree builds: after every update its tree must
+equal a fresh ``build_bvh``.
 
 The runs are derandomised: ``FAULT_SEED`` (env var, default 0) seeds
 Hypothesis and the columns, so tier-1 is deterministic and CI's seeds
@@ -42,6 +45,7 @@ from hypothesis.stateful import (
 
 from repro.core.config import RXConfig
 from repro.core.rx_index import RXIndex
+from repro.rtx.bvh import build_bvh, bvh_arrays_diff
 from repro.workloads import clustered_key_swaps
 
 FAULT_SEED = int(os.environ.get("FAULT_SEED", "0"))
@@ -184,7 +188,11 @@ class ForestSequences(_Sequences):
 
 
 class SingleTreeSequences(_Sequences):
-    pass
+    def _update(self, keys: np.ndarray, values: np.ndarray | None = None) -> None:
+        super()._update(keys, values)
+        accel = self.index.accel
+        fresh = build_bvh(accel.buffer, self.index.config.bvh_options())
+        assert bvh_arrays_diff(accel.bvh, fresh) is None
 
 
 @pytest.mark.parametrize(

@@ -185,7 +185,7 @@ class TestPrefixBuckets:
         for prefix_bits in range(1, 3 * bits + 1):
             want = (codes >> np.uint64(3 * bits - prefix_bits)).astype(np.int64)
             got = morton_prefix_buckets(grid, bits, prefix_bits)
-            assert got.dtype == np.int64
+            assert got.dtype == np.min_scalar_type((1 << prefix_bits) - 1)
             assert np.array_equal(got, want), prefix_bits
 
     def test_prefix_wider_than_the_code_is_rejected(self):
@@ -273,7 +273,7 @@ class TestBlockBoundaries:
         edges = {1, 2, 3, 4, 12, 16, 3 * bits - 1, 3 * bits}
         for prefix_bits in sorted(p for p in edges if 1 <= p <= 3 * bits):
             got = morton_prefix_buckets(grid, bits, prefix_bits)
-            assert got.dtype == np.int64 and got.shape == (n,)
+            assert got.dtype == np.min_scalar_type((1 << prefix_bits) - 1) and got.shape == (n,)
             assert np.array_equal(got, _unblocked_prefix(grid, bits, prefix_bits)), prefix_bits
 
     @pytest.mark.parametrize("n", BLOCK_LENGTHS)
