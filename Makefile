@@ -38,9 +38,10 @@ test-fast:
 # permutations of a few rows' keys, cross-bucket rewrites, growth,
 # shrinkage, no-ops and refused Naive keys past 2^24; each step's buffer a
 # full encode's, its tree a fresh build's, its DeltaUpdateStats those of an
-# every-row compare, the previous epoch unwritten; a single-tree REBUILD
-# chain must take both the relabel of a permutation and the build, and no
-# other chain may relabel), and the
+# every-row compare but for the relabelled flag, the previous epoch
+# unwritten; a single-tree REBUILD chain and a DELTA_SHARD chain must take
+# both the relabel of a permutation and the build or re-sort, and only
+# those chains may relabel), and the
 # block-boundary tests of the blocked Morton kernels
 # (tests/test_rtx_morton.py); all honour DIFF_SEED (CI runs extra seeds).
 test-diff:

@@ -83,11 +83,12 @@ def main() -> None:
     epoch_before = service.index.epoch
     new_keys = keys.copy()
     new_keys[:256] = new_keys[:256][::-1]
-    outcome = service.update(new_keys)  # delta-shard rebuild of dirty shards
+    outcome = service.update(new_keys)  # a permutation: the dirty shards are relabelled
     in_flight = service.drain()[0]
     service.submit_point(queries, arrival=1.0)
     after = service.drain()[0]
-    print(f"update rebuilt {outcome.stats['dirty_shards']} of "
+    verb = "relabelled" if outcome.stats["relabelled"] else "rebuilt"
+    print(f"update {verb} {outcome.stats['dirty_shards']} of "
           f"{outcome.stats['total_shards']} shards while a batch was in flight:")
     print(f"  in-flight batch served epoch {in_flight.epoch} (pinned), "
           f"next batch epoch {after.epoch}")

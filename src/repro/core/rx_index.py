@@ -177,16 +177,17 @@ class RXIndex(GpuIndex):
         return values
 
     def build(self, keys: np.ndarray, values: np.ndarray | None = None) -> BuildResult:
-        return self._build(self._own_keys(keys, "keys"), self._own_values(values, "values"))
+        self._build(self._own_keys(keys, "keys"), self._own_values(values, "values"))
+        return self._build_result
 
     def _build(
         self, keys, values, keys_unique: bool | None = None, buffer=None, moves=None
-    ) -> BuildResult:
+    ) -> bool:
         """Build over an owned key column whose duplicate flag may be known,
         and over its primitive buffer when the caller has it.  With an
         update's ``moves`` (:meth:`_key_moves`), a single tree relabels
         the previous one where :func:`relabel_moved_rows` proves that
-        equal to the build."""
+        equal to the build.  Returns whether it relabelled."""
         previous = self._accel
         self._store_column(keys, values, key_bits=64, keys_unique=keys_unique)
         self._persisted = {}
@@ -196,7 +197,9 @@ class RXIndex(GpuIndex):
         build_t0 = time.perf_counter()
         bvh = None
         if moves is not None and previous.forest is None:
-            bvh = relabel_moved_rows(previous.bvh, previous.buffer, buffer, *moves)
+            bounds = previous.bvh.grid_bounds
+            bvh = relabel_moved_rows(previous.bvh, bounds, previous.buffer, buffer, *moves)
+        relabelled = bvh is not None
         if bvh is None:
             self._accel = accel_build(buffer, self.config.bvh_options())
         else:
@@ -231,7 +234,7 @@ class RXIndex(GpuIndex):
                 ),
             },
         )
-        return self._build_result
+        return relabelled
 
     # ------------------------------------------------------------------ #
     # lookups
@@ -418,8 +421,10 @@ class RXIndex(GpuIndex):
         buffer is the current one copied with those rows replaced, and a
         ``DELTA_SHARD`` update compares the two buffers at those rows only.
         An update that changes the key count encodes every key.  A
-        ``REBUILD`` update whose changed rows only trade keys may relabel
-        the tree instead of building (:meth:`_build`).
+        ``REBUILD`` or ``DELTA_SHARD`` update whose changed rows only trade
+        keys may relabel the tree instead of building (:meth:`_build`,
+        :func:`~repro.rtx.forest.delta_update_forest`); both report it as
+        ``stats["relabelled"]``.
         """
         new_keys = self._own_keys(new_keys, "new_keys")
         if self._accel is None:
@@ -440,18 +445,20 @@ class RXIndex(GpuIndex):
             new_values = self.values
 
         rows = self._changed_key_rows(new_keys)
-        rebuild = self.config.update_policy is UpdatePolicy.REBUILD
-        # Moved keys keep the duplicate flag and let a rebuild relabel; with
-        # neither use, the pairing is not sought.
-        wanted = rebuild or self._keys_unique is not None
+        policy = self.config.update_policy
+        rebuild = policy is UpdatePolicy.REBUILD
+        # Moved keys keep the duplicate flag and let a rebuild or a delta
+        # update relabel; with neither use, the pairing is not sought.
+        wanted = policy is not UpdatePolicy.REFIT or self._keys_unique is not None
         moves = self._key_moves(new_keys, rows) if wanted else None
         keys_unique = None if moves is None else self._keys_unique
         buffer = self._buffer_after(new_keys, rows)
         if rebuild:
-            self._build(new_keys, new_values, keys_unique, buffer, moves)
+            relabelled = self._build(new_keys, new_values, keys_unique, buffer, moves)
             return UpdateOutcome(
                 policy=UpdatePolicy.REBUILD,
                 profiles=self.build_profiles(),
+                stats={"relabelled": relabelled},
             )
 
         if self.config.update_policy is UpdatePolicy.DELTA_SHARD:
@@ -459,7 +466,7 @@ class RXIndex(GpuIndex):
             persisted, self._persisted = self._persisted, {}
             self._store_column(new_keys, new_values, key_bits=64, keys_unique=keys_unique)
             build_t0 = time.perf_counter()
-            delta = accel_delta_update(self._accel, buffer, rows)
+            delta = accel_delta_update(self._accel, buffer, rows, moves)
             self._last_build_seconds = time.perf_counter() - build_t0
             changed = changed_segments(delta, values_changed)
             if changed is not None:
@@ -481,6 +488,7 @@ class RXIndex(GpuIndex):
                     "total_keys": delta.total_keys,
                     "noop": delta.noop,
                     "rescaled": delta.rescaled,
+                    "relabelled": delta.relabelled,
                 },
             )
 

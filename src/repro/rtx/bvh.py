@@ -382,6 +382,7 @@ def build_lbvh_over_sorted(
 
 def relabel_moved_rows(
     bvh: Bvh,
+    grid_bounds: tuple[np.ndarray, np.ndarray] | None,
     old_buffer: PrimitiveBuffer,
     new_buffer: PrimitiveBuffer,
     old_rows: np.ndarray,
@@ -389,15 +390,17 @@ def relabel_moved_rows(
 ) -> Bvh | None:
     """``build_bvh(new_buffer, bvh.options)`` without a build, or None.
 
-    ``bvh`` was built over ``old_buffer``; in ``new_buffer`` row
-    ``new_rows[i]`` holds what row ``old_rows[i]`` held, and the caller
-    vouches that both list the same rows once each and that every other
-    row is unchanged.  An LBVH depends only on the sorted Morton codes and
-    the boxes in stream order, which such a move keeps, so the build is
-    ``bvh`` with the moved rows relabelled in a copy of ``prim_indices``,
-    sharing the node arrays and level lists, once this checks that ``bvh``
-    recorded its grid bounds (a loaded tree did not) and was never
-    refitted, that the stored arrays at ``new_rows`` equal the old ones at
+    ``bvh`` was built over ``old_buffer`` with its Morton grid spanning
+    ``grid_bounds`` (``(lo, hi)``: a single tree's :attr:`Bvh.grid_bounds`,
+    ``None`` for a loaded one, or a forest's scene bounds); in
+    ``new_buffer`` row ``new_rows[i]`` holds what row ``old_rows[i]`` held,
+    and the caller vouches that both list the same rows once each and that
+    every other row is unchanged.  An LBVH depends only on the sorted
+    Morton codes and the boxes in stream order, which such a move keeps,
+    so the build is ``bvh`` with the moved rows relabelled in a copy of
+    ``prim_indices``, sharing the node arrays and level lists, once this
+    checks that the grid bounds are known and ``bvh`` was never refitted,
+    that the stored arrays at ``new_rows`` equal the old ones at
     ``old_rows`` (compared as ``changed_rows`` compares: every position
     keeps its box and code), and that every relabelled position stays in
     the stable sort's (code, row) order with both neighbours.  ``bvh`` and
@@ -405,7 +408,7 @@ def relabel_moved_rows(
     """
     n = bvh.num_primitives
     if (
-        bvh.grid_bounds is None
+        grid_bounds is None
         or bvh.refit_generation
         or len(new_buffer) != n
         or not new_buffer.same_rows(new_rows, old_buffer, old_rows)
@@ -424,7 +427,7 @@ def relabel_moved_rows(
     rows = prim_indices[np.concatenate([np.maximum(at - 1, 0), at, np.minimum(at + 1, n - 1)])]
     bits = bvh.options.morton_bits
     centroids = centroid_columns(*box_columns(new_buffer, rows))
-    codes = morton_interleave_grid(quantize_to_grid(centroids.T, *bvh.grid_bounds, bits), bits)
+    codes = morton_interleave_grid(quantize_to_grid(centroids.T, *grid_bounds, bits), bits)
     codes, rows = codes.reshape(3, -1), rows.reshape(3, -1)
     for a, b in ((0, 1), (1, 2)):
         if not ((codes[a] < codes[b]) | ((codes[a] == codes[b]) & (rows[a] <= rows[b]))).all():
@@ -705,7 +708,7 @@ class _LbvhSplitter:
             np.array([column.min() for column in centroids]),
             np.array([column.max() for column in centroids]),
         )
-        codes = morton_encode_3d(centroids.T, bits)
+        codes = morton_encode_3d(centroids.T, bits, bounds)
         del centroids
         order, codes = sort_codes(codes)
         return cls(codes, order, bounds)

@@ -38,12 +38,13 @@ and rebuilt.  The rest is copying: the patched bucket column, the row
 stream and the previous tree's node arrays, in which the splice rewrites
 the rebuilt and moved shards and the top plan.  An update that changes
 nothing rebuilds nothing, and only a move of the scene bounds (or a doubt
-about one) pays a full pass.
+about one) pays a full pass.  An update that only moves primitives among
+rows relabels a copy of the row stream and shares the rest (:func:`_relabelled`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Iterable
 
@@ -56,6 +57,7 @@ from repro.rtx.bvh import (
     build_lbvh_over_sorted,
     bvh_from_arrays,
     centroid_columns,
+    relabel_moved_rows,
     sort_codes,
 )
 from repro.rtx.geometry import PrimitiveBuffer
@@ -80,7 +82,9 @@ class ShardPartitionError(ValueError):
 
 @dataclass
 class DeltaUpdateStats:
-    """What a delta-shard update actually did."""
+    """What a delta-shard update changed, counted as its re-sort counts it:
+    a relabel reports the shards, trees and keys the re-sort would rebuild,
+    so saves and the modelled device work do not depend on the path."""
 
     total_shards: int
     non_empty_shards: int
@@ -97,6 +101,8 @@ class DeltaUpdateStats:
     #: of either forest when rescaled.  Every other non-empty bucket keeps
     #: its rows and sub-tree.
     changed_buckets: list[int] = field(default_factory=list)
+    #: the tree was relabelled (:func:`relabel_moved_rows`), not re-sorted
+    relabelled: bool = False
 
 
 @dataclass
@@ -763,6 +769,7 @@ def delta_update_forest(
     old_buffer: PrimitiveBuffer,
     new_buffer: PrimitiveBuffer,
     rows: np.ndarray | None = None,
+    moves: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[BvhForest, DeltaUpdateStats]:
     """Bring a forest built over ``old_buffer`` up to date with ``new_buffer``.
 
@@ -786,6 +793,10 @@ def delta_update_forest(
     rows' new centroids, unless a leaving row held a bound that no entering
     row reaches: then one full pass decides.  A moved bound re-quantises
     every code, so the whole forest is rebuilt (``stats.rescaled``).
+
+    With ``moves``, the pairing :func:`relabel_moved_rows` takes, an
+    update that keeps the row count relabels instead where that proves the
+    result equal to the build (:func:`_relabelled`, ``stats.relabelled``).
 
     Returns the updated forest — whose ``bvh`` is bit-identical to a
     from-scratch build over ``new_buffer`` — plus statistics of the work
@@ -811,6 +822,25 @@ def delta_update_forest(
             dirty_keys=0,
             noop=True,
         )
+    if moves is not None and n_new == n_old:
+        bounds = (forest.scene_lo, forest.scene_hi)
+        bvh = relabel_moved_rows(forest.bvh, bounds, old_buffer, new_buffer, *moves)
+        if bvh is not None:
+            updated = _relabelled(forest, bvh, *moves)
+            # The shards the re-sort would rebuild: those the changed rows
+            # leave or enter.  Each keeps its count, so its delegation.
+            dirty = np.zeros(num_buckets, dtype=bool)
+            dirty[forest.bucket_of_row[changed]] = True
+            dirty[updated.bucket_of_row[changed]] = True
+            dirty = np.flatnonzero(dirty).tolist()
+            return updated, stats(
+                non_empty_shards=forest.non_empty_shards,
+                dirty_shards=len(dirty),
+                rebuilt_trees=sum(b in forest.shard_trees for b in dirty),
+                dirty_keys=sum(forest.shard_rows[b].shape[0] for b in dirty),
+                changed_buckets=dirty,
+                relabelled=True,
+            )
 
     entering_c = centroid_columns(*box_columns(new_buffer, entering))
     leaving_c = centroid_columns(*box_columns(old_buffer, leaving))
@@ -896,6 +926,20 @@ def delta_update_forest(
         dirty_keys=int(grouped.size),
         changed_buckets=np.flatnonzero(dirty).tolist(),
     )
+
+
+def _relabelled(forest: BvhForest, bvh: Bvh, old_rows, new_rows) -> BvhForest:
+    """``forest`` over ``bvh``, its tree relabelled: every stream position
+    keeps its code, so its bucket, and each shard its count, tree and
+    placement.  Only the rows (views of ``bvh.prim_indices``) and a copy of
+    ``bucket_of_row`` are new; ``forest`` is only read."""
+    bucket = forest.bucket_of_row.copy()
+    bucket[new_rows] = forest.bucket_of_row[old_rows]
+    shard_rows, end = {}, 0
+    for b in forest.shard_ids.tolist():
+        start, end = end, end + forest.shard_rows[b].shape[0]
+        shard_rows[b] = bvh.prim_indices[start:end]
+    return replace(forest, bvh=bvh, bucket_of_row=bucket, shard_rows=shard_rows)
 
 
 def _bounds_stay(

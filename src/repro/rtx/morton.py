@@ -68,18 +68,21 @@ def require_finite(
 
 
 def quantize_to_grid_with_bounds(
-    points: np.ndarray, bits: int
+    points: np.ndarray, bits: int, bounds: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantise ``(n, 3)`` points onto the Morton grid spanning their own
     bounds and return those bounds; a non-finite point raises ``ValueError``.
+    ``bounds`` passes them as ``(lo, hi)`` when the caller has them.
 
     Any subset of the points gets the same cells from
     :func:`quantize_to_grid` against these bounds, which is how a forest's
     delta update re-quantises only the rows it re-sorts.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    lo = np.array([pts[:, axis].min() for axis in range(3)])
-    hi = np.array([pts[:, axis].max() for axis in range(3)])
+    lo, hi = bounds or (
+        np.array([pts[:, axis].min() for axis in range(3)]),
+        np.array([pts[:, axis].max() for axis in range(3)]),
+    )
     require_finite(np.concatenate([lo, hi]), pts.T)
     return quantize_to_grid(pts, lo, hi, bits), lo, hi
 
@@ -154,15 +157,16 @@ def morton_interleave_grid(grid: np.ndarray, bits: int) -> np.ndarray:
     return codes
 
 
-def morton_encode_3d(points: np.ndarray, bits: int = 21) -> np.ndarray:
+def morton_encode_3d(points: np.ndarray, bits: int = 21, bounds=None) -> np.ndarray:
     """Morton-encode ``(n, 3)`` float points using ``bits`` bits per axis.
 
     Returns an ``(n,)`` uint64 array of codes; ``bits`` must be at most 21 so
-    the interleaved code fits into 63 bits.
+    the interleaved code fits into 63 bits.  ``bounds`` are the points' own
+    (:func:`quantize_to_grid_with_bounds`).
     """
     if not 1 <= bits <= 21:
         raise ValueError("bits must be in [1, 21]")
-    grid, _, _ = quantize_to_grid_with_bounds(points, bits)
+    grid, _, _ = quantize_to_grid_with_bounds(points, bits, bounds)
     return morton_interleave_grid(grid, bits)
 
 

@@ -112,26 +112,26 @@ def accel_update(accel: GeometryAccel, buffer: PrimitiveBuffer) -> RefitResult:
 
 
 def accel_delta_update(
-    accel: GeometryAccel, buffer: PrimitiveBuffer, rows: np.ndarray | None = None
+    accel: GeometryAccel, buffer: PrimitiveBuffer, rows: np.ndarray | None = None, moves=None
 ) -> DeltaUpdateStats:
-    """Delta-shard update: rebuild only the shards the new input dirtied.
+    """Delta-shard update: touch only the shards the new input dirtied.
 
     Requires the accel to have been built with ``shard_bits > 0``.  Unlike a
-    refit, the dirty subtrees are *rebuilt*, so the updated accel is
-    bit-identical to a from-scratch build over ``buffer`` (no
-    quality degradation), at a sorting/building cost proportional to the
-    dirty shards.  ``rows``, when given, holds every row below both
-    lengths where ``buffer`` may differ from the accel's buffer; only
-    those rows are compared (:func:`delta_update_forest`).
+    refit, the updated accel is bit-identical to a from-scratch build over
+    ``buffer`` (no quality degradation): the dirty subtrees are *rebuilt*,
+    or, when the ``moves`` pairing shows rows that only traded primitives,
+    *relabelled*.  ``rows``, when given, holds every row below both lengths
+    where ``buffer`` may differ from the accel's buffer; only those rows
+    are compared (:func:`delta_update_forest`).
     """
     if accel.forest is None:
         raise ValueError(
             "delta updates require a sharded accel (build with shard_bits >= 1)"
         )
-    updated, stats = delta_update_forest(accel.forest, accel.buffer, buffer, rows)
+    updated, stats = delta_update_forest(accel.forest, accel.buffer, buffer, rows, moves)
     if not stats.noop:
-        # Rebuilt subtrees are recompacted on the way in, mirroring the
-        # rebuild path's compaction step.
+        # The rebuilt or relabelled tree is recompacted on the way in,
+        # mirroring the rebuild path's compaction step.
         updated.bvh.compacted = accel.compacted
         accel.bvh = updated.bvh
     accel.forest = updated

@@ -6,8 +6,10 @@ than twice what it keeps, a forest load and its first query at 1.4 times,
 a save streams array views into its files instead of a copy of them, and
 3D Mode's encode holds one uint64 column beside the anchors it returns.
 All run at 2^14 dense keys under the paper's configuration, except the
-REBUILD update that only swaps keys, which runs at 2^16: it relabels the
-tree instead of building one, so it peaks at about half a build's bytes.
+REBUILD and ``DELTA_SHARD`` updates that only swap keys, which run at
+2^16: they relabel the tree instead of building one, so a REBUILD update
+peaks at about half a build's bytes, and a ``DELTA_SHARD`` update copies
+no node array.
 """
 
 import gc
@@ -97,3 +99,19 @@ def test_a_swapping_rebuild_update_peaks_at_half_a_build():
     _, _, peak = _traced(lambda: index.update(new_keys))
     n = keys.shape[0]
     assert peak <= 54 * n, f"a swapping REBUILD update peaks at {peak / n:.1f} B/key"
+
+
+def test_a_swapping_delta_shard_update_copies_no_node_array():
+    """A 1,024-swap ``DELTA_SHARD`` update of 2^16 dense keys at
+    ``shard_bits=12`` relabels the forest: it keeps the new key column,
+    buffer, ``prim_indices`` and ``bucket_of_row`` (30 B/key) and shares
+    the node arrays, where a splice into their copy keeps 56 B/key."""
+    keys = dense_shuffled_keys(1 << 16, seed=7)
+    index = RXIndex(CONFIGS["forest"])
+    index.build(keys)
+    new_keys = clustered_key_swaps(keys, 1024, seed=8)
+    outcome, kept, peak = _traced(lambda: index.update(new_keys))
+    n = keys.shape[0]
+    assert peak <= 44 * n, f"a swapping DELTA_SHARD update peaks at {peak / n:.1f} B/key"
+    assert kept <= 32 * n, f"a swapping DELTA_SHARD update keeps {kept / n:.1f} B/key"
+    assert outcome.stats["relabelled"]

@@ -14,10 +14,11 @@ After every save a fresh load through both load paths must answer and
 count bit-identically to the live index, and every save runs under the
 provenance cross-check of ``tests/conftest.py``.  So a segment the save
 reused on provenance but whose state an update changed fails here, in
-whatever order the steps came.  The single tree's column is duplicate-free
-and its policy REBUILD, so its clustered swaps relabel the tree it built
-while a loaded or restored tree builds: after every update its tree must
-equal a fresh ``build_bvh``.
+whatever order the steps came.  Both columns start duplicate-free, so the
+clustered swaps relabel: the single tree (policy REBUILD) relabels the
+tree it built while a loaded or restored tree builds, and the forest
+(``DELTA_SHARD``) relabels built, loaded and restored forests alike.
+After every update the tree must equal a fresh ``build_bvh``.
 
 The runs are derandomised: ``FAULT_SEED`` (env var, default 0) seeds
 Hypothesis and the columns, so tier-1 is deterministic and CI's seeds
@@ -99,6 +100,9 @@ class _Sequences(RuleBasedStateMachine):
         self.keys = keys.copy()
         if values is not None:
             self.values = values.copy()
+        accel = self.index.accel
+        fresh = build_bvh(accel.buffer, self.index.config.bvh_options())
+        assert bvh_arrays_diff(accel.bvh, fresh) is None
 
     def _probes(self) -> tuple[np.ndarray, np.ndarray]:
         misses = np.array([KEY_SPACE + 1, KEY_SPACE + 7], dtype=np.uint64)
@@ -188,11 +192,7 @@ class ForestSequences(_Sequences):
 
 
 class SingleTreeSequences(_Sequences):
-    def _update(self, keys: np.ndarray, values: np.ndarray | None = None) -> None:
-        super()._update(keys, values)
-        accel = self.index.accel
-        fresh = build_bvh(accel.buffer, self.index.config.bvh_options())
-        assert bvh_arrays_diff(accel.bvh, fresh) is None
+    """A single tree under REBUILD, the base class's configuration."""
 
 
 @pytest.mark.parametrize(

@@ -275,9 +275,9 @@ def test_lbvh_build_calls_morton_encode_once(monkeypatch):
     shapes = []
     encode = bvh_module.morton_encode_3d
 
-    def spy(points, bits=21):
+    def spy(points, bits=21, bounds=None):
         shapes.append(points.shape)
-        return encode(points, bits)
+        return encode(points, bits, bounds)
 
     monkeypatch.setattr(bvh_module, "morton_encode_3d", spy)
     build_bvh(_buffer(300, spread="cloud"))

@@ -484,12 +484,28 @@ class TestDeltaUpdate:
 
     def test_a_small_swap_boxes_its_changed_and_dirty_rows_only(self, boxed_rows):
         # Its changed rows in both buffers, the dirty shards' rows and the
-        # top leaves' rows: never a whole buffer.
-        n = 1 << 14
-        index, keys = self._dense_index(n)
+        # top leaves' rows: never a whole buffer.  A swap relabels, which
+        # boxes at most three rows per moved row.
+        index, keys = self._dense_index(1 << 14)
         new_keys = clustered_key_swaps(keys, 2, seed=30)
+        assert np.count_nonzero(new_keys != keys) == 4
+        assert self._boxed_rows_stay_local(boxed_rows, index, keys, new_keys)["relabelled"]
+
+    def test_a_small_rewrite_boxes_its_changed_and_dirty_rows_only(self, boxed_rows):
+        # The same rows as a swap, given one of their keys: not a
+        # permutation, so the dirty shards are re-sorted.
+        index, keys = self._dense_index(1 << 14)
+        rows = np.flatnonzero(clustered_key_swaps(keys, 2, seed=30) != keys)
+        new_keys = keys.copy()
+        new_keys[rows] = keys[rows].min()
+        assert not self._boxed_rows_stay_local(boxed_rows, index, keys, new_keys)["relabelled"]
+
+    @staticmethod
+    def _boxed_rows_stay_local(boxed_rows, index, keys, new_keys) -> dict:
+        """Update ``index`` to ``new_keys``, check the rows it boxed and the
+        forest it left, and return the update's stats."""
+        n = keys.shape[0]
         changed = int(np.count_nonzero(new_keys != keys))
-        assert changed == 4
         boxed_rows.clear()
         stats = index.update(new_keys).stats
         assert None not in boxed_rows, "a whole buffer was boxed"
@@ -500,6 +516,7 @@ class TestDeltaUpdate:
         assert sum(boxed_rows) <= 2 * changed + stats["dirty_keys"] + top_leaf_rows
         assert sum(boxed_rows) < n // 4
         _assert_forest_is_fresh(forest, index.accel.buffer)
+        return stats
 
 
 class TestSpliceFromThePreviousTree:

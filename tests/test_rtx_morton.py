@@ -127,9 +127,10 @@ class TestQuantizeColumns:
             assert grid.shape == (cols.shape[1], 3)
             assert np.array_equal(grid, want_grid)
             assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
-            assert np.array_equal(
-                morton_encode_3d(points, bits), reference_morton_encode_3d(points, bits)
-            )
+            want = reference_morton_encode_3d(points, bits)
+            assert np.array_equal(morton_encode_3d(points, bits), want)
+            # The caller's reduction of the same bounds gives the same codes.
+            assert np.array_equal(morton_encode_3d(points, bits, (want_lo, want_hi)), want)
 
     def test_grid_axes_are_contiguous(self):
         cols = _columns("random", np.random.default_rng(1))
@@ -143,6 +144,10 @@ class TestQuantizeColumns:
         cols[0, 900] = value
         with pytest.raises(ValueError, match="primitive 41 "):
             quantize_to_grid_with_bounds(cols.T, 21)
+        # Bounds the caller reduced are checked the same way.
+        bounds = (cols.min(axis=1), cols.max(axis=1))
+        with pytest.raises(ValueError, match="primitive 41 "):
+            morton_encode_3d(cols.T, 21, bounds)
 
 
 class TestMortonCodes:

@@ -16,18 +16,21 @@ a ``DELTA_SHARD`` update compares the two buffers at those rows only
    refuses.  After each step the buffer's stored arrays are a full
    encode's, the tree is a fresh build's (under REFIT, the previous tree
    refit over a full encode), the ``DeltaUpdateStats`` are what comparing
-   every row gives, and the previous buffer, tree and forest are
-   unwritten.  A REBUILD chain over a single tree takes both branches of
-   ``_build``: the relabel of a permutation and the build (its first two
-   steps are a permutation and a growth; on a dense column the
-   permutation must relabel), and no other chain relabels.
+   every row gives (but for ``relabelled``), and the previous buffer,
+   tree and forest are unwritten.  A REBUILD chain over a single tree and
+   a ``DELTA_SHARD`` chain take both paths: the relabel of a permutation,
+   and the build or re-sort (their first two steps are a permutation and
+   a growth; on a dense column the permutation must relabel).  No other
+   chain relabels.
 2. **The counts** — a 64-swap update of 2^14 keys encodes its 128 changed
    keys and compares 128 rows, under every policy; under REBUILD it neither
-   builds nor sorts and shares the previous tree's node arrays, while a
-   rewrite, a swap that leaves equal Morton codes out of row order and the
-   first update after a load each build once; ``relabel_moved_rows``
-   refuses a box grown in place, a tree without grid bounds and a
-   refitted tree.
+   builds nor sorts and shares the previous tree's node arrays, and under
+   ``DELTA_SHARD`` it neither sorts nor builds a shard and shares the
+   previous forest's node arrays and shard trees.  A rewrite, a swap that
+   leaves equal Morton codes out of row order and (for a single tree) the
+   first update after a load each build or re-sort, a growth re-sorts, and
+   a loaded forest relabels.  ``relabel_moved_rows`` refuses a box grown
+   in place, unknown grid bounds and a refitted tree.
 3. **The buffer methods** — ``changed_rows(old, rows)``, ``same_rows`` and
    ``with_rows`` on every buffer kind.
 
@@ -53,6 +56,7 @@ from repro.core.config import (
 from repro.core.keycodec import ThreeDCodec, make_codec
 from repro.core.rx_index import RXIndex
 from repro.rtx import bvh as bvh_module
+from repro.rtx import forest as forest_module
 from repro.rtx import pipeline
 from repro.rtx.build_input import build_input_for_points
 from repro.rtx.bvh import (
@@ -62,7 +66,7 @@ from repro.rtx.bvh import (
     bvh_arrays_diff,
     relabel_moved_rows,
 )
-from repro.rtx.forest import delta_update_forest
+from repro.rtx.forest import build_forest, delta_update_forest
 from repro.rtx.geometry import (
     AabbBuffer,
     PrimitiveBuffer,
@@ -190,10 +194,10 @@ def test_update_chain_matches_full_encodes_and_fresh_builds(
     index = RXIndex(config)
     index.build(keys)
 
-    deltas, relabels, builds = [], [], []
+    deltas, relabels, builds, resorts = [], [], [], []
 
-    def recorded(forest, old_buffer, new_buffer, rows=None):
-        result = delta_update_forest(forest, old_buffer, new_buffer, rows)
+    def recorded(forest, old_buffer, new_buffer, rows=None, moves=None):
+        result = delta_update_forest(forest, old_buffer, new_buffer, rows, moves)
         deltas.append(result[1])
         return result
 
@@ -208,6 +212,7 @@ def test_update_chain_matches_full_encodes_and_fresh_builds(
 
     monkeypatch.setattr(pipeline, "delta_update_forest", recorded)
     monkeypatch.setattr(rx_index, "relabel_moved_rows", relabelled)
+    monkeypatch.setattr(forest_module, "relabel_moved_rows", relabelled)
     monkeypatch.setattr(pipeline, "build_bvh", built)
     ops = ("swap", "permute", "rewrite", "grow", "shrink", "noop", "past-2^24")
     for step in range(10):
@@ -239,15 +244,23 @@ def test_update_chain_matches_full_encodes_and_fresh_builds(
             want = build_bvh(full, config.bvh_options())
         assert bvh_arrays_diff(index.accel.bvh, want) is None, label
         if policy is UpdatePolicy.DELTA_SHARD:
+            # A relabel reports what the re-sort of every row would have.
             every_row = delta_update_forest(previous.forest, previous.buffer, full)
-            assert asdict(deltas.pop()) == asdict(every_row[1]), label
+            got, want = asdict(deltas.pop()), asdict(every_row[1])
+            assert not want.pop("relabelled"), label
+            relabelled_step = got.pop("relabelled")
+            assert got == want, label
+            resorts.append(not (relabelled_step or want["noop"]))
             assert bvh_arrays_diff(index.accel.bvh, every_row[0].bvh) is None, label
         # The previous epoch's arrays are copied from, never written.
         assert _held(previous_keys, previous) == before, label
     assert deltas == []
-    if policy is UpdatePolicy.REBUILD and shard_bits == 0:
-        # The growth builds; on a dense column the permutation relabels.
-        assert builds and (True in relabels or column == "drawn")
+    if policy is UpdatePolicy.DELTA_SHARD or (
+        policy is UpdatePolicy.REBUILD and shard_bits == 0
+    ):
+        # The growth builds or re-sorts; on a dense column the permutation
+        # relabels.
+        assert (builds or True in resorts) and (True in relabels or column == "drawn")
     else:
         assert True not in relabels
 
@@ -286,18 +299,24 @@ def test_an_update_encodes_and_compares_only_its_changed_rows(monkeypatch, polic
     assert compared == ([128] if policy is UpdatePolicy.DELTA_SHARD else [])
 
 
-def _build_calls(monkeypatch, index: RXIndex, new_keys: np.ndarray) -> dict:
-    """Calls of ``pipeline.build_bvh`` and ``bvh.sort_codes`` that
-    ``index.update(new_keys)`` makes."""
-    calls = {"build_bvh": 0, "sort_codes": 0}
-    for module, name in ((pipeline, "build_bvh"), (bvh_module, "sort_codes")):
+#: where a single tree's update builds and sorts
+TREE_BUILD = ((pipeline, "build_bvh"), (bvh_module, "sort_codes"))
+#: where a forest's update re-sorts and rebuilds its dirty shards
+SHARD_BUILD = ((forest_module, "sort_codes"), (forest_module, "build_lbvh_over_sorted"))
 
-        def spy(*args, _real=getattr(module, name), _name=name):
+
+def _build_calls(monkeypatch, index: RXIndex, new_keys: np.ndarray, spied=TREE_BUILD) -> dict:
+    """Calls of the ``spied`` functions that ``index.update(new_keys)``
+    makes, and whether it reported a relabel."""
+    calls = {name: 0 for _, name in spied}
+    for module, name in spied:
+
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-    index.update(new_keys)
+    calls["relabelled"] = index.update(new_keys).stats["relabelled"]
     monkeypatch.undo()
     return calls
 
@@ -315,7 +334,7 @@ def test_a_permuting_rebuild_relabels_the_previous_tree(monkeypatch):
     index.build(keys)
     old = index.accel.bvh
     calls = _build_calls(monkeypatch, index, clustered_key_swaps(keys, 64, seed=30))
-    assert calls == {"build_bvh": 0, "sort_codes": 0}
+    assert calls == {"build_bvh": 0, "sort_codes": 0, "relabelled": True}
     tree = index.accel.bvh
     assert all(getattr(tree, name) is getattr(old, name) for name, _, _ in NODE_ARRAYS)
     assert tree.prim_indices is not old.prim_indices
@@ -324,18 +343,20 @@ def test_a_permuting_rebuild_relabels_the_previous_tree(monkeypatch):
 
 def test_relabel_refuses_what_it_cannot_prove():
     """A box grown in place keeps its centroid, so its code and the stream
-    order; only the stored-array compare refuses it.  A tree without grid
-    bounds (as loaded) or refitted is refused too."""
+    order; only the stored-array compare refuses it.  Unknown grid bounds
+    (a loaded single tree's) and a refitted tree are refused too."""
     index = RXIndex(replace(RXConfig.paper_default(), primitive=PrimitiveType.AABB))
     index.build(dense_shuffled_keys(1 << 10, seed=3))
     bvh, buffer = index.accel.bvh, index.accel.buffer
     rows = np.array([5])
     same = AabbBuffer(buffer.mins.copy(), buffer.maxs.copy())
     grown = AabbBuffer(buffer.mins - np.float32(0.25), buffer.maxs + np.float32(0.25))
-    assert relabel_moved_rows(bvh, buffer, same, rows, rows) is not None
-    assert relabel_moved_rows(bvh, buffer, grown, rows, rows) is None
-    for tree in (replace(bvh, grid_bounds=None), replace(bvh, refit_generation=1)):
-        assert relabel_moved_rows(tree, buffer, same, rows, rows) is None
+    bounds = bvh.grid_bounds
+    assert relabel_moved_rows(bvh, bounds, buffer, same, rows, rows) is not None
+    assert relabel_moved_rows(bvh, bounds, buffer, grown, rows, rows) is None
+    assert relabel_moved_rows(bvh, None, buffer, same, rows, rows) is None
+    refitted = replace(bvh, refit_generation=1)
+    assert relabel_moved_rows(refitted, bounds, buffer, same, rows, rows) is None
 
 
 def _tied_swap(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,11 +387,98 @@ def test_a_rebuild_that_cannot_relabel_builds_once(monkeypatch, tmp_path, update
     if update == "after load":
         index.save(tmp_path)
         index = RXIndex.load(tmp_path)
-    assert _build_calls(monkeypatch, index, new_keys) == {"build_bvh": 1, "sort_codes": 1}
+    built = {"build_bvh": 1, "sort_codes": 1, "relabelled": False}
+    assert _build_calls(monkeypatch, index, new_keys) == built
     assert bvh_arrays_diff(index.accel.bvh, _fresh_build(index)) is None
     swaps = clustered_key_swaps(index.keys, 64, seed=31)
-    assert _build_calls(monkeypatch, index, swaps) == {"build_bvh": 0, "sort_codes": 0}
+    relabelled = {"build_bvh": 0, "sort_codes": 0, "relabelled": True}
+    assert _build_calls(monkeypatch, index, swaps) == relabelled
     assert bvh_arrays_diff(index.accel.bvh, _fresh_build(index)) is None
+
+
+def _forest_index(keys: np.ndarray) -> RXIndex:
+    index = RXIndex(RXConfig.paper_default().with_delta_updates(shard_bits=12))
+    index.build(keys)
+    return index
+
+
+def _assert_forest_is_fresh(index: RXIndex) -> None:
+    """The index's forest is a fresh ``build_forest``'s: its tree bit for
+    bit, and its buckets and shard rows."""
+    forest = index.accel.forest
+    fresh = build_forest(index.accel.buffer, forest.options)
+    assert bvh_arrays_diff(forest.bvh, _fresh_build(index)) is None
+    assert np.array_equal(forest.bucket_of_row, fresh.bucket_of_row)
+    assert forest.bucket_of_row.dtype == fresh.bucket_of_row.dtype
+    assert forest.shard_rows.keys() == fresh.shard_rows.keys()
+    assert all(np.array_equal(rows, fresh.shard_rows[b]) for b, rows in forest.shard_rows.items())
+
+
+def test_a_permuting_delta_shard_update_relabels_the_forest(monkeypatch):
+    """A 64-swap ``DELTA_SHARD`` update of 2^14 dense keys at
+    ``shard_bits=12`` neither sorts nor builds a shard: the new forest
+    shares the previous one's node arrays, shard trees and placement,
+    relabels a copy of ``prim_indices`` and ``bucket_of_row``, and equals
+    a fresh build."""
+    keys = dense_shuffled_keys(1 << 14, seed=29)
+    index = _forest_index(keys)
+    old = index.accel.forest
+    swaps = clustered_key_swaps(keys, 64, seed=30)
+    calls = _build_calls(monkeypatch, index, swaps, SHARD_BUILD)
+    assert calls == {"sort_codes": 0, "build_lbvh_over_sorted": 0, "relabelled": True}
+    forest = index.accel.forest
+    assert all(getattr(forest.bvh, name) is getattr(old.bvh, name) for name, _, _ in NODE_ARRAYS)
+    assert forest.shard_trees.keys() == old.shard_trees.keys()
+    assert all(tree is old.shard_trees[b] for b, tree in forest.shard_trees.items())
+    assert forest.placement is old.placement
+    assert forest.bvh.prim_indices is not old.bvh.prim_indices
+    assert forest.bucket_of_row is not old.bucket_of_row
+    assert index.accel.bvh is forest.bvh and forest.bvh.compacted
+    _assert_forest_is_fresh(index)
+
+
+@pytest.mark.parametrize("update", ["rewrite", "growth", "tied swap"])
+def test_a_delta_shard_update_that_cannot_relabel_re_sorts(monkeypatch, update):
+    """New key values, a growth and a swap that leaves equal codes out of
+    row order each re-sort their dirty shards (inside the scene bounds, so
+    nothing rescales); a swap after that relabels again."""
+    keys = dense_shuffled_keys(1 << 14, seed=29)
+    new_keys = keys.copy()
+    if update == "rewrite":
+        new_keys[:64] = keys[64:128]
+    elif update == "growth":
+        new_keys = np.append(keys, keys[:64])
+    else:
+        keys, new_keys = _tied_swap(keys)
+    index = _forest_index(keys)
+    values = None if update != "growth" else np.arange(new_keys.shape[0], dtype=np.uint64)
+    sorts = []
+    sort_codes = forest_module.sort_codes
+
+    def spy(codes):
+        sorts.append(codes.shape[0])
+        return sort_codes(codes)
+
+    monkeypatch.setattr(forest_module, "sort_codes", spy)
+    stats = index.update(new_keys, values).stats
+    monkeypatch.undo()
+    assert sorts and not (stats["relabelled"] or stats["rescaled"])
+    _assert_forest_is_fresh(index)
+    swaps = clustered_key_swaps(index.keys, 64, seed=31)
+    assert _build_calls(monkeypatch, index, swaps, SHARD_BUILD)["relabelled"]
+    _assert_forest_is_fresh(index)
+
+
+def test_the_first_delta_shard_update_after_a_load_relabels(monkeypatch, tmp_path):
+    """A load re-derives the scene bounds, the forest's Morton grid, so a
+    loaded forest relabels where a loaded single tree builds."""
+    keys = dense_shuffled_keys(1 << 14, seed=29)
+    _forest_index(keys).save(tmp_path)
+    index = RXIndex.load(tmp_path)
+    swaps = clustered_key_swaps(keys, 64, seed=30)
+    calls = _build_calls(monkeypatch, index, swaps, SHARD_BUILD)
+    assert calls == {"sort_codes": 0, "build_lbvh_over_sorted": 0, "relabelled": True}
+    _assert_forest_is_fresh(index)
 
 
 #: a buffer over a key column, for every buffer kind
